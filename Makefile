@@ -19,11 +19,11 @@ FUZZTIME ?= 10s
 # unbudgeted (first runs pay `go list -export` compilation of the tree).
 LINT_BUDGET ?= 120s
 
-# Campaign worker goroutines for the sweep targets (0 = NumCPU). The report
+# Campaign worker goroutines for the sweep targets (0 = GOMAXPROCS). The report
 # bytes are identical at any value — only wall-clock time changes.
 CAMPAIGN_WORKERS ?= 0
 
-.PHONY: build test vet fmt-check lint race check cover bench bench-json fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
+.PHONY: build test vet fmt-check lint race check cover bench bench-json bench-digest fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
 
 build:
 	$(GO) build ./...
@@ -51,7 +51,7 @@ fmt-check:
 # files; zero unsuppressed findings is a merge gate. Writes the
 # machine-readable findings report (suppressed findings included) and the
 # per-package serialization-readiness report — both uploaded by CI as the
-# checkpoint/restore worklist (ROADMAP item 5).
+# checkpoint/restore worklist.
 lint:
 	$(GO) run ./cmd/simlint -json LINT_findings.json -readiness STATE_readiness.json ./...
 
@@ -102,9 +102,16 @@ campaign-nightly:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
 
-# Machine-readable performance trajectory: runs the §5 engine-comparison
-# probe, writes BENCH_results.json plus a before/after BENCH_compare.json,
-# and fails if sequential throughput regresses >20% against the committed
+# Machine-readable engine microbench: runs the §5 engine-comparison probe,
+# writes BENCH_results.json plus a before/after BENCH_compare.json, and fails
+# if sequential throughput regresses >20% against the committed
 # bench_baseline.json or allocs/event rises more than the slack over it.
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_results.json -baseline bench_baseline.json -events $(BENCH_EVENTS)
+
+# The behaviour oracle: one repetition of every whole-model workload of the
+# repository benchmark (bench/, BENCHMARK.json). Fails on any failed
+# repetition and on any digest that differs from bench/golden.json; the
+# timings in BENCH_digest.json are one sample each, not a measurement.
+bench-digest:
+	$(GO) run ./bench -reps 1 -json BENCH_digest.json

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"diablo/internal/core"
 )
@@ -37,57 +35,9 @@ type benchReport struct {
 	// ParallelMeaningful is false on a single-CPU runner, where the parallel
 	// engine's throughput (and any speedup ratio derived from it) measures
 	// context-switch overhead, not scaling. Readers — and the gates below —
-	// must not treat speedup_x or the worker sweep as a regression signal
-	// when this is false.
+	// must not treat speedup_x as a regression signal when this is false.
 	ParallelMeaningful bool             `json:"parallel_meaningful"`
 	EngineComparison   engineComparison `json:"engine_comparison"`
-	// Model holds the model-level benches (full memcached/incast runs priced
-	// per simulated packet). Absent in pre-model baselines, which the gates
-	// treat as "not measured".
-	Model *modelBench `json:"model,omitempty"`
-}
-
-// modelBench is the model_* block: the whole-stack counterpart of the
-// engine-comparison microbench. allocs_per_packet is the tentpole number —
-// the packet slab pools, inline routes and typed timer events hold the full
-// memcached UDP path at ~1.6 allocations per simulated packet (the residue
-// is the application's request/response message boxing), against a hard
-// ceiling of 2.
-type modelBench struct {
-	MemcachedRequests int        `json:"memcached_requests_per_client"`
-	IncastSenders     int        `json:"incast_senders"`
-	Memcached         modelRun   `json:"memcached"`
-	Incast            modelRun   `json:"incast"`
-	WorkerSweep       []modelRun `json:"worker_sweep,omitempty"`
-}
-
-// modelRun is one measured workload execution.
-type modelRun struct {
-	Workload        string  `json:"workload"`
-	Workers         int     `json:"workers"` // engine workers (0 = adaptive)
-	Packets         uint64  `json:"packets"`
-	Events          uint64  `json:"events"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	PacketsPerSec   float64 `json:"packets_per_sec"`
-	AllocsPerPacket float64 `json:"allocs_per_packet"`
-	GCCycles        uint32  `json:"gc_cycles"`
-	GCPauseNs       uint64  `json:"gc_pause_ns"`
-	LeakedPackets   int64   `json:"leaked_packets"`
-}
-
-func toModelRun(st core.ModelBenchStats) modelRun {
-	return modelRun{
-		Workload:        st.Workload,
-		Workers:         st.Workers,
-		Packets:         st.Packets,
-		Events:          st.Events,
-		WallSeconds:     st.WallSeconds,
-		PacketsPerSec:   st.PacketsPerSec,
-		AllocsPerPacket: st.AllocsPerPacket,
-		GCCycles:        st.GCCycles,
-		GCPauseNs:       st.GCPauseNs,
-		LeakedPackets:   st.LeakedPackets,
-	}
 }
 
 type engineComparison struct {
@@ -121,13 +71,6 @@ type benchCompare struct {
 	Current       engineComparison `json:"current"`
 	SeqThroughput float64          `json:"seq_throughput_ratio"` // current/baseline
 	SeqAllocDelta float64          `json:"seq_allocs_per_event_delta"`
-
-	// Model-level before/after (zero-valued when either side lacks the
-	// model block).
-	BaselineModel      *modelBench `json:"baseline_model,omitempty"`
-	CurrentModel       *modelBench `json:"current_model,omitempty"`
-	ModelThroughput    float64     `json:"model_packets_per_sec_ratio,omitempty"`
-	ModelAllocPktDelta float64     `json:"model_allocs_per_packet_delta,omitempty"`
 }
 
 func main() {
@@ -139,15 +82,7 @@ func main() {
 	partitions := flag.Int("partitions", 8, "partitions in the engine-comparison model")
 	events := flag.Int("events", 100_000, "events per partition")
 	warmup := flag.Bool("warmup", true, "run one unmeasured warm-up pass first")
-	model := flag.Bool("model", true, "run the model-level benches (full memcached/incast runs)")
-	modelRequests := flag.Int("model-requests", 0, "memcached requests per client in the model bench (0 = standard)")
-	modelSenders := flag.Int("model-senders", 0, "incast sender count in the model bench (0 = standard)")
-	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for the memcached scaling sweep (empty = skip)")
-	allocCeiling := flag.Float64("model-alloc-ceiling", 2.0, "hard ceiling on memcached allocs per simulated packet")
-	modelAllocSlack := flag.Float64("model-alloc-slack", 0.25, "allowed absolute increase of model allocs/packet over baseline")
 	flag.Parse()
-
-	parallelMeaningful := runtime.NumCPU() > 1
 
 	if *warmup {
 		// One throwaway pass so the measured run sees warmed allocator
@@ -160,8 +95,8 @@ func main() {
 	rep := benchReport{
 		Schema:             "diablo-bench/v1",
 		GoVersion:          runtime.Version(),
-		NumCPU:             runtime.NumCPU(),
-		ParallelMeaningful: parallelMeaningful,
+		NumCPU:             runtime.GOMAXPROCS(0),
+		ParallelMeaningful: runtime.GOMAXPROCS(0) > 1,
 		EngineComparison: engineComparison{
 			Partitions:         *partitions,
 			EventsPerPartition: *events,
@@ -177,60 +112,6 @@ func main() {
 			TypedAllocsPerEvent:   st.TypedAllocsPerEvent,
 			TypedSpeedupX:         st.TypedSpeedup(),
 		},
-	}
-
-	if *model {
-		mc, err := core.ModelBenchMemcached(0, false, *modelRequests)
-		if err != nil {
-			fatalf("model bench memcached: %v", err)
-		}
-		ic, err := core.ModelBenchIncast(0, false, *modelSenders)
-		if err != nil {
-			fatalf("model bench incast: %v", err)
-		}
-		mb := &modelBench{
-			MemcachedRequests: *modelRequests,
-			IncastSenders:     *modelSenders,
-			Memcached:         toModelRun(mc),
-			Incast:            toModelRun(ic),
-		}
-		fmt.Printf("model memcached: %.0f pkts/s over %d packets, %.3f allocs/pkt, %d GC cycles (%.1f ms pause)\n",
-			mc.PacketsPerSec, mc.Packets, mc.AllocsPerPacket, mc.GCCycles, float64(mc.GCPauseNs)/1e6)
-		fmt.Printf("model incast:    %.0f pkts/s over %d packets, %.3f allocs/pkt, %d GC cycles (%.1f ms pause)\n",
-			ic.PacketsPerSec, ic.Packets, ic.AllocsPerPacket, ic.GCCycles, float64(ic.GCPauseNs)/1e6)
-		if *workers != "" {
-			counts, err := parseWorkers(*workers)
-			if err != nil {
-				fatalf("-workers: %v", err)
-			}
-			for _, w := range counts {
-				sw, err := core.ModelBenchMemcached(w, false, *modelRequests)
-				if err != nil {
-					fatalf("model bench memcached (workers=%d): %v", w, err)
-				}
-				mb.WorkerSweep = append(mb.WorkerSweep, toModelRun(sw))
-				fmt.Printf("model memcached workers=%d: %.0f pkts/s, %.3f allocs/pkt\n",
-					w, sw.PacketsPerSec, sw.AllocsPerPacket)
-			}
-			if !parallelMeaningful {
-				fmt.Println("note: num_cpu == 1 — the worker sweep measures scheduling overhead, not scaling (parallel_meaningful: false)")
-			}
-		}
-		rep.Model = mb
-
-		// Hard gates, baseline or not: the lifecycle ledger must balance and
-		// the per-packet allocation budget holds on the full memcached run.
-		for _, r := range []modelRun{mb.Memcached, mb.Incast} {
-			if r.LeakedPackets != 0 {
-				fatalf("REGRESSION: %s model run leaked %d pooled packets (every Get must be released)", r.Workload, r.LeakedPackets)
-			}
-		}
-		if mb.Memcached.AllocsPerPacket > *allocCeiling {
-			fatalf("REGRESSION: memcached allocs per simulated packet %.3f exceeds ceiling %.2f",
-				mb.Memcached.AllocsPerPacket, *allocCeiling)
-		}
-		fmt.Printf("gate: memcached %.3f allocs/pkt <= ceiling %.2f, 0 leaked — ok\n",
-			mb.Memcached.AllocsPerPacket, *allocCeiling)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -264,14 +145,6 @@ func main() {
 			Current:       rep.EngineComparison,
 			SeqThroughput: st.SeqEventsPerSec / base.EngineComparison.SeqEventsPerSec,
 			SeqAllocDelta: st.SeqAllocsPerEvent - base.EngineComparison.SeqAllocsPerEvent,
-		}
-		if base.Model != nil && rep.Model != nil {
-			cmp.BaselineModel = base.Model
-			cmp.CurrentModel = rep.Model
-			if base.Model.Memcached.PacketsPerSec > 0 {
-				cmp.ModelThroughput = rep.Model.Memcached.PacketsPerSec / base.Model.Memcached.PacketsPerSec
-			}
-			cmp.ModelAllocPktDelta = rep.Model.Memcached.AllocsPerPacket - base.Model.Memcached.AllocsPerPacket
 		}
 		data, err := json.MarshalIndent(cmp, "", "  ")
 		if err != nil {
@@ -312,50 +185,6 @@ func main() {
 		fmt.Printf("gate: typed %.4f allocs/ev <= baseline %.4f + slack %.2f — ok\n",
 			st.TypedAllocsPerEvent, base.EngineComparison.TypedAllocsPerEvent, *allocSlack)
 	}
-
-	// Model-level gates, only when the baseline has the model block.
-	if base.Model != nil && rep.Model != nil {
-		bm, cm := base.Model.Memcached, rep.Model.Memcached
-		if parallelMeaningful && bm.PacketsPerSec > 0 {
-			mfloor := bm.PacketsPerSec * (1 - *tolerance)
-			if cm.PacketsPerSec < mfloor {
-				fatalf("REGRESSION: model memcached %.0f pkts/s is below %.0f%% of baseline %.0f pkts/s",
-					cm.PacketsPerSec, (1-*tolerance)*100, bm.PacketsPerSec)
-			}
-			fmt.Printf("gate: model memcached %.0f pkts/s >= floor %.0f pkts/s — ok\n", cm.PacketsPerSec, mfloor)
-		} else if !parallelMeaningful {
-			// The model bench runs on the adaptively-selected engine; on a
-			// single-CPU runner its throughput is not comparable to a
-			// multi-core baseline, exactly like the engine speedup ratio.
-			fmt.Println("gate: model throughput skipped (num_cpu == 1, parallel_meaningful: false)")
-		}
-		mceil := bm.AllocsPerPacket + *modelAllocSlack
-		if bm.AllocsPerPacket > 0 && cm.AllocsPerPacket > mceil {
-			fatalf("REGRESSION: model allocs/packet %.3f exceeds baseline %.3f + slack %.2f",
-				cm.AllocsPerPacket, bm.AllocsPerPacket, *modelAllocSlack)
-		}
-		if bm.AllocsPerPacket > 0 {
-			fmt.Printf("gate: model %.3f allocs/pkt <= baseline %.3f + slack %.2f — ok\n",
-				cm.AllocsPerPacket, bm.AllocsPerPacket, *modelAllocSlack)
-		}
-	}
-}
-
-// parseWorkers parses the -workers sweep list ("1,2,4,8").
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func loadBaseline(path string) (benchReport, error) {

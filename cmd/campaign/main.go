@@ -75,7 +75,7 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("campaign run", flag.ExitOnError)
 	preset := fs.String("preset", "", "built-in spec ("+strings.Join(campaign.Presets(), ", ")+")")
 	specPath := fs.String("spec", "", "campaign spec JSON file (schema "+campaign.SpecSchema+")")
-	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = NumCPU; report bytes are identical at any value)")
+	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS; report bytes are identical at any value)")
 	out := fs.String("o", "", "write the aggregate report JSON here (default stdout gets the text rendering only)")
 	cellsDir := fs.String("cells-dir", "", "also write every cell's run manifest into this directory")
 	quiet := fs.Bool("q", false, "suppress per-cell progress on stderr")

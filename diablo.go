@@ -63,15 +63,15 @@ type (
 	Scheduler = sim.Scheduler
 	// EventID names a scheduled event for cancellation.
 	EventID = sim.EventID
-	// Event is a typed, pointer-light event record — the zero-allocation
-	// scheduling lane (Scheduler.AtEvent/AfterEvent) used by the per-packet
-	// hot paths. See DESIGN.md §5.9 for the ABI.
+	// Event is a typed, pointer-light event record, scheduled without
+	// allocating through Scheduler.AtEvent/AfterEvent; the per-packet hot
+	// paths use it. See DESIGN.md §5.9 for the ABI.
 	Event = sim.Event
 	// EvKind tags an Event and indexes the engine's handler jump table.
 	EvKind = sim.EvKind
 	// Handler dispatches one typed event kind; registered per engine.
 	Handler = sim.Handler
-	// HandlerRegistrar is the registration surface (RegisterHandler) both
+	// HandlerRegistrar is the registration surface (RegisterHandler) the
 	// engines expose; package RegisterEventHandlers helpers take it.
 	HandlerRegistrar = sim.HandlerRegistrar
 )
@@ -112,8 +112,6 @@ type (
 	HopClass = topology.HopClass
 	// ClusterOption customizes cluster execution (parallelism, quantum).
 	ClusterOption = core.Option
-	// EnginePlan is an engine-selection decision; see PlanEngine.
-	EnginePlan = core.EnginePlan
 	// SwitchParams configures a switch model.
 	SwitchParams = vswitch.Params
 	// SwitchArch selects the buffering architecture.
@@ -218,19 +216,12 @@ var (
 	// NewCluster builds and wires a cluster.
 	NewCluster = core.New
 	// WithPartitions sets the parallel worker count for a multi-rack
-	// cluster (0 = adaptive engine selection); results are identical at any
-	// worker count and on either engine.
+	// cluster (0 = run sequentially); results are identical at any worker
+	// count and in either mode.
 	WithPartitions = core.WithPartitions
 	// WithQuantum overrides the synchronization quantum (must not exceed
 	// the minimum inter-partition link latency).
 	WithQuantum = core.WithQuantum
-	// WithSequentialEngine forces the whole model onto the sequential
-	// engine regardless of machine shape; for A/B measurement and the
-	// engine-invariance gates.
-	WithSequentialEngine = core.WithSequentialEngine
-	// PlanEngine is the adaptive engine-selection policy core.New applies
-	// (exposed for tools and tests that want the decision without a build).
-	PlanEngine = core.PlanEngine
 	// DefaultClusterConfig returns the paper's baseline cluster for a
 	// topology.
 	DefaultClusterConfig = core.DefaultConfig

@@ -62,10 +62,12 @@ func runDetlint(pass *Pass) error {
 	return nil
 }
 
-// checkMapRange flags `range m` over a map whose body schedules events or
-// appends to a slice declared outside the loop: Go randomizes map iteration
-// order, so both the event queue contents and the slice element order would
-// differ run to run. Pure per-entry work (sums, deletes, lookups) is fine.
+// checkMapRange flags `range m` over a map whose body schedules events, makes
+// a simulated syscall (any call handed a *kernel.Thread: each one advances
+// simulated time on that thread) or appends to a slice declared outside the
+// loop: Go randomizes map iteration order, so the event queue contents, the
+// thread's timeline and the slice element order would differ run to run. Pure
+// per-entry work (sums, deletes, lookups) is fine.
 func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	t := pass.Info.TypeOf(rng.X)
 	if t == nil {
@@ -78,6 +80,15 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
+		}
+		for _, arg := range call.Args {
+			if pointsTo(pass.Info.TypeOf(arg), "diablo/internal/kernel", "Thread") {
+				pass.Reportf(call.Pos(),
+					"simulated syscall while ranging over a map: every call that takes the "+
+						"*kernel.Thread advances simulated time, so the thread's timeline would follow "+
+						"the randomized iteration order; iterate a slice or sorted keys instead")
+				break
+			}
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if name, ok := simMethod(pass.Info, sel); ok {

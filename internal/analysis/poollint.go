@@ -148,17 +148,22 @@ func poolMethod(info *types.Info, sel *ast.SelectorExpr) string {
 func returnsPacket(fn *types.Func) bool {
 	sig := fn.Type().(*types.Signature)
 	for i := 0; i < sig.Results().Len(); i++ {
-		ptr, ok := sig.Results().At(i).Type().(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named := namedOf(ptr.Elem())
-		if named != nil && named.Obj().Name() == "Packet" &&
-			named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == packetPath {
+		if pointsTo(sig.Results().At(i).Type(), packetPath, "Packet") {
 			return true
 		}
 	}
 	return false
+}
+
+// pointsTo reports whether t is a pointer to the named type pkgPath.name.
+func pointsTo(t types.Type, pkgPath, name string) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named := namedOf(ptr.Elem())
+	return named != nil && named.Obj().Name() == name &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath
 }
 
 // namedOf unwraps pointers to the named type underneath, if any.

@@ -226,7 +226,12 @@ func runTCPClient(t *kernel.Thread, p ClientParams) {
 			}
 		}
 	}
-	for _, c := range conns {
-		c.Close(t)
+	// Close in server order: each Close advances simulated time, so map
+	// iteration order would leak into the run.
+	for _, server := range p.Servers {
+		if c, ok := conns[server.Node]; ok {
+			c.Close(t)
+			delete(conns, server.Node)
+		}
 	}
 }

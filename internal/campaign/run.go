@@ -18,7 +18,7 @@ import (
 // result-invisible: workers change wall-clock time, never report bytes.
 type RunConfig struct {
 	// Workers is the number of campaign worker goroutines, each running
-	// whole cells (0 = NumCPU). Cells themselves run on the sequential
+	// whole cells (0 = GOMAXPROCS). Cells themselves run on the sequential
 	// engine — the campaign level is where the parallelism lives.
 	Workers int
 	// OnCell, if set, observes each finished cell (from the worker that ran
@@ -84,10 +84,10 @@ func cellConfig(spec *Spec, cell Cell) (core.MemcachedConfig, error) {
 	mc.Warmup = cell.Workload.Warmup
 	mc.Use10G = cell.Workload.Use10G
 	mc.Seed = cell.Seed
-	// Cells collapse onto the sequential engine: results are engine-invariant
-	// (DESIGN.md §5.9), and the campaign worker pool is the parallelism —
-	// N sequential cells scale better than N clusters fighting over cores.
-	mc.Sequential = true
+	// Cells run sequentially (Partitions stays 0): results do not depend on
+	// how a cluster is executed (DESIGN.md §5.9), and the campaign worker pool
+	// is the parallelism — N sequential cells scale better than N clusters
+	// fighting over cores.
 	plan, err := CellPlan(spec, cell)
 	if err != nil {
 		return core.MemcachedConfig{}, err
@@ -181,7 +181,7 @@ func Run(spec *Spec, rc RunConfig) (*Report, error) {
 	}
 	workers := rc.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(cells) {
 		workers = len(cells)

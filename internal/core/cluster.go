@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"diablo/internal/fault"
@@ -82,12 +81,13 @@ func (c *Config) Use10G() {
 
 // Cluster is a fully wired simulated array.
 //
-// A single-rack cluster runs on one sequential engine. A multi-rack cluster
-// is partitioned DIABLO-style — one partition per rack plus one "fabric"
-// partition holding the array and datacenter switches (the paper's
-// one-rack-per-FPGA mapping, §3) — and executes under conservative
-// quantum-barrier synchronization whatever the worker count, so results are
-// identical whether the partitions run on 1 or N OS threads.
+// The model is partitioned DIABLO-style — one partition per rack plus one
+// "fabric" partition holding the array and datacenter switches (the paper's
+// one-rack-per-FPGA mapping, §3); a single-rack cluster is one partition. One
+// engine drives it either way: sequentially, with every partition on one
+// event queue, or under conservative quantum-barrier synchronization with the
+// partitions spread over OS threads. Results are identical in both modes and
+// at any worker count.
 type Cluster struct {
 	Topo     *topology.Topology
 	Machines []*kernel.Machine
@@ -98,13 +98,8 @@ type Cluster struct {
 	cfg  Config
 	opts options
 
-	eng     sim.Runner          // single-rack serial path
-	pe      *sim.ParallelEngine // multi-rack partitioned path
-	quantum sim.Duration        // barrier quantum (0 on the serial path)
-	// haltQuantum quantizes Halt on a multi-rack model collapsed onto the
-	// sequential engine, emulating the partitioned engine's halt-at-barrier
-	// semantics (0 when not collapsed).
-	haltQuantum sim.Duration
+	pe      *sim.ParallelEngine
+	quantum sim.Duration // barrier quantum (0 on a single-rack cluster)
 
 	// pools[i] is partition i's packet slab pool (nil slice = unpooled heap
 	// mode). Every component wired into partition i allocates and releases
@@ -123,38 +118,28 @@ type Cluster struct {
 type Option func(*options)
 
 type options struct {
-	workers    int
-	sequential bool
-	quantum    sim.Duration
-	faults     *fault.Plan
-	unpooled   bool
+	workers  int
+	quantum  sim.Duration
+	faults   *fault.Plan
+	unpooled bool
 }
 
-// WithPartitions forces the partitioned engine with n OS-level workers
-// (clamped to the partition count). The partition layout itself is fixed by
-// the topology — one partition per rack plus the aggregation fabric — and
-// neither engine choice nor worker count may affect simulation results, so
-// this knob changes wall-clock speed only. n <= 0 (the default) selects
-// automatically: see PlanEngine. It has no effect on single-rack clusters,
-// which always run on the sequential engine.
+// WithPartitions runs the partitions under the quantum barrier on n OS-level
+// workers (clamped to the partition count). n <= 0 (the default) runs the
+// model sequentially, every partition on one event queue. The partition
+// layout itself is fixed by the topology — one partition per rack plus the
+// aggregation fabric — and neither mode nor worker count may affect
+// simulation results, so this knob changes wall-clock speed only. It has no
+// effect on single-rack clusters, which are one partition.
 func WithPartitions(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithSequentialEngine forces the whole model onto the sequential engine,
-// even for multi-rack topologies. Results are identical to the partitioned
-// engine's (the determinism gates assert this); useful for profiling the
-// pure event path and for pinning the engine-invariance contract in tests.
-func WithSequentialEngine() Option {
-	return func(o *options) { o.sequential = true }
 }
 
 // WithQuantum overrides the synchronization quantum. The default — the
 // minimum latency of any inter-partition link — is the largest safe value;
 // New rejects overrides above it (they would violate conservative
-// lookahead) or below 1 ps. The quantum is a partitioned-engine knob, so an
-// explicit override on a multi-rack model selects the partitioned engine
-// even where adaptive selection would collapse to sequential.
+// lookahead) or below 1 ps. A sequential run steps along the same grid, so
+// the override applies there too.
 func WithQuantum(d sim.Duration) Option {
 	return func(o *options) { o.quantum = d }
 }
@@ -188,77 +173,44 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 	// Partition layout and schedulers. sched(i) is partition i's local
 	// scheduler; cross(src, dst) schedules from partition src's event context
 	// onto partition dst (used for the delivery side of partition-crossing
-	// links). On the serial path both collapse to the one engine.
-	// Engine selection (see PlanEngine): the partition layout is fixed by the
-	// topology (one per rack plus the fabric), but whether those partitions
-	// run on the quantum-barrier engine or collapse onto the sequential one —
-	// and on how many workers — is adaptive, with the options as overrides.
-	// Either way the result is the same; only wall-clock speed differs.
+	// links). The layout is fixed by the topology; WithPartitions only picks
+	// whether the partitions share one queue or run under the barrier.
 	partitions := 1
+	grid := sim.Picosecond // a one-partition engine has no barrier: any grid does
 	if multiRack {
 		partitions = topo.Racks() + 1
-	}
-	plan := PlanEngine(partitions, runtime.NumCPU(), c.opts.workers, c.opts.sequential)
-	if !plan.Parallel && partitions > 1 && !c.opts.sequential && c.opts.quantum != 0 {
-		// An explicit quantum override is a partitioned-engine knob: honor it
-		// (and its validation) rather than silently collapsing to sequential.
-		plan = EnginePlan{Parallel: true, Workers: 1}
-	}
-
-	var (
-		sched func(part int) sim.Scheduler
-		cross func(src, dst int) sim.Scheduler
-		reg   sim.HandlerRegistrar
-	)
-	if plan.Parallel {
-		quantum, err := c.lookahead()
-		if err != nil {
+		if grid, err = c.lookahead(); err != nil {
 			return nil, err
 		}
 		if c.opts.quantum != 0 {
 			if c.opts.quantum <= 0 {
 				return nil, fmt.Errorf("core: quantum must be positive")
 			}
-			if c.opts.quantum > quantum {
-				return nil, fmt.Errorf("core: quantum %v exceeds the minimum inter-partition link latency %v (conservative lookahead bound)", c.opts.quantum, quantum)
+			if c.opts.quantum > grid {
+				return nil, fmt.Errorf("core: quantum %v exceeds the minimum inter-partition link latency %v (conservative lookahead bound)", c.opts.quantum, grid)
 			}
-			quantum = c.opts.quantum
+			grid = c.opts.quantum
 		}
-		c.quantum = quantum
-		c.pe = sim.NewParallelEngine(partitions, quantum)
-		c.pe.SetWorkers(plan.Workers)
-		reg = c.pe
-		sched = func(part int) sim.Scheduler { return c.pe.Partition(part) }
-		cross = func(src, dst int) sim.Scheduler {
-			if src == dst {
-				return c.pe.Partition(src)
-			}
-			return c.pe.Cross(src, dst)
-		}
+		c.quantum = grid
+	}
+	c.pe = sim.NewParallelEngine(partitions, grid)
+	if c.opts.workers > 0 {
+		c.pe.SetWorkers(c.opts.workers)
 	} else {
-		eng := sim.NewEngine()
-		c.eng = eng
-		reg = eng
-		sched = func(int) sim.Scheduler { return c.eng }
-		cross = func(int, int) sim.Scheduler { return c.eng }
-		if multiRack {
-			// A collapsed multi-rack model still honors the barrier grid when
-			// halting (see Cluster.Halt): the partitioned engine always
-			// completes the quantum in progress, so the sequential engine must
-			// stop at the same grid point or engine selection would leak into
-			// the run length and the event tail.
-			q, err := c.lookahead()
-			if err != nil {
-				return nil, err
-			}
-			c.haltQuantum = q
+		c.pe.ShareQueue()
+	}
+	sched := c.pe.Partition
+	cross := func(src, dst int) sim.Scheduler {
+		if src == dst {
+			return sched(src)
 		}
+		return c.pe.Cross(src, dst)
 	}
 
 	// Register the model packages' typed-event jump table before any
 	// component schedules (kernel cascades to nic and link; vswitch to link).
-	kernel.RegisterEventHandlers(reg)
-	vswitch.RegisterEventHandlers(reg)
+	kernel.RegisterEventHandlers(c.pe)
+	vswitch.RegisterEventHandlers(c.pe)
 
 	fabric := topo.Racks() // partition holding array + DC switches
 
@@ -440,87 +392,41 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Machine returns the machine for a node.
 func (c *Cluster) Machine(n packet.NodeID) *kernel.Machine { return c.Machines[n] }
 
-// Scheduler returns the cluster's engine-agnostic event scheduler: the
-// sequential engine on a single-rack cluster, the fabric partition's handle
-// on a partitioned one. Use it to read the clock or schedule global events
-// before the run starts; during a parallel run, model code must schedule
-// through its own machine's Scheduler() instead.
-func (c *Cluster) Scheduler() sim.Scheduler {
-	if c.pe != nil {
-		return c.pe.Partition(c.pe.Partitions() - 1)
-	}
-	return c.eng
-}
+// Scheduler returns the cluster's event scheduler: the handle of the last
+// partition (the fabric's on a multi-rack cluster). Use it to read the clock
+// or schedule global events before the run starts; during a run, model code
+// must schedule through its own machine's Scheduler() instead.
+func (c *Cluster) Scheduler() sim.Scheduler { return c.pe.Partition(c.pe.Partitions() - 1) }
 
-// Parallel reports whether the cluster executes under the partitioned
-// engine (true for every multi-rack topology).
-func (c *Cluster) Parallel() bool { return c.pe != nil }
+// Parallel reports whether the partitions execute under the quantum barrier
+// (WithPartitions on a multi-rack topology) rather than on one shared queue.
+func (c *Cluster) Parallel() bool { return c.opts.workers > 0 && c.pe.Partitions() > 1 }
 
-// Partitions returns the number of model partitions (1 on the serial path).
-func (c *Cluster) Partitions() int {
-	if c.pe != nil {
-		return c.pe.Partitions()
-	}
-	return 1
-}
+// Partitions returns the number of model partitions (1 on a single rack).
+func (c *Cluster) Partitions() int { return c.pe.Partitions() }
 
 // Workers returns the number of OS-level workers executing partitions.
-func (c *Cluster) Workers() int {
-	if c.pe != nil {
-		return c.pe.Workers()
-	}
-	return 1
-}
+func (c *Cluster) Workers() int { return c.pe.Workers() }
 
-// Quantum returns the synchronization quantum (0 on the serial path).
+// Quantum returns the synchronization quantum (0 on a single-rack cluster).
 func (c *Cluster) Quantum() sim.Duration { return c.quantum }
 
-// Now returns the simulated time: the engine clock on the serial path, the
-// last completed quantum barrier on the parallel path.
-func (c *Cluster) Now() sim.Time {
-	if c.pe != nil {
-		return c.pe.Now()
-	}
-	return c.eng.Now()
-}
+// Now returns the simulated time: the last completed quantum barrier on a
+// multi-rack cluster, the engine clock on a single rack.
+func (c *Cluster) Now() sim.Time { return c.pe.Now() }
 
 // RunUntil advances the simulation to the deadline.
-func (c *Cluster) RunUntil(d sim.Duration) {
-	if c.pe != nil {
-		c.pe.RunUntil(sim.Time(d))
-		return
-	}
-	c.eng.RunUntil(sim.Time(d))
-}
+func (c *Cluster) RunUntil(d sim.Duration) { c.pe.RunUntil(sim.Time(d)) }
 
 // Run advances the simulation until the event queues drain or Halt.
-func (c *Cluster) Run() {
-	if c.pe != nil {
-		c.pe.RunUntil(sim.Never)
-		return
-	}
-	c.eng.Run()
-}
+func (c *Cluster) Run() { c.pe.RunUntil(sim.Never) }
 
-// Halt stops the run at the next quantum barrier on the parallel path (safe
-// from any machine's event context), and immediately on a genuinely
-// single-rack serial run. A multi-rack model collapsed onto the sequential
-// engine halts at the same barrier-grid point the partitioned engine would —
-// every event up to that barrier still runs — so the halt instant, the event
-// count and the observation tail are identical on both engines.
-func (c *Cluster) Halt() {
-	if c.pe != nil {
-		c.pe.Halt()
-		return
-	}
-	if c.haltQuantum > 0 {
-		q := sim.Time(c.haltQuantum)
-		now := c.eng.Now()
-		c.eng.(*sim.Engine).HaltAt((now + q - 1) / q * q)
-		return
-	}
-	c.eng.Halt()
-}
+// Halt stops the run at the next quantum barrier (safe from any machine's
+// event context): every event up to that barrier still runs, so the halt
+// instant, the event count and the observation tail do not depend on how the
+// partitions are executed. A single-rack cluster has no barrier and stops
+// after the current event.
+func (c *Cluster) Halt() { c.pe.Halt() }
 
 // Shutdown kills all application threads, releasing their goroutines. Call
 // once per cluster when the experiment is done; the engine must be stopped.
@@ -530,21 +436,9 @@ func (c *Cluster) Shutdown() {
 	}
 }
 
-// Events returns the total number of events dispatched across the cluster's
-// engines since creation. Call after the run has returned.
-func (c *Cluster) Events() uint64 {
-	if c.pe != nil {
-		var total uint64
-		for i := 0; i < c.pe.Partitions(); i++ {
-			total += c.pe.Partition(i).Executed()
-		}
-		return total
-	}
-	if e, ok := c.eng.(*sim.Engine); ok {
-		return e.Executed
-	}
-	return 0
-}
+// Events returns the total number of events dispatched since creation. Call
+// after the run has returned.
+func (c *Cluster) Events() uint64 { return c.pe.Executed }
 
 // Pooled reports whether packet slab pooling is active.
 func (c *Cluster) Pooled() bool { return c.pools != nil }
@@ -584,24 +478,13 @@ func (c *Cluster) ReleaseInFlight() {
 	if c.DC != nil {
 		c.DC.ReleaseInFlight()
 	}
-	// Frames in flight on a wire live only in the event queues. Release each
-	// engine's into that partition's pool (the releaser's-pool rule).
-	release := func(p *packet.Pool) func(sim.Event) {
-		return func(ev sim.Event) {
-			if ev.Kind == sim.EvPacketHop || ev.Kind == sim.EvLoopback {
-				p.Release(ev.Ref.(*packet.Packet))
-			}
+	// Frames in flight on a wire live only in the event queues; only the
+	// pools' summed ledger balances, so any pool can take them.
+	c.pe.ForEachPending(func(ev sim.Event) {
+		if ev.Kind == sim.EvPacketHop || ev.Kind == sim.EvLoopback {
+			c.pools[0].Release(ev.Ref.(*packet.Packet))
 		}
-	}
-	if c.pe != nil {
-		for i := 0; i < c.pe.Partitions(); i++ {
-			c.pe.Partition(i).ForEachPending(release(c.pools[i]))
-		}
-		return
-	}
-	if e, ok := c.eng.(*sim.Engine); ok {
-		e.ForEachPending(release(c.pools[0]))
-	}
+	})
 }
 
 // SwitchDrops sums dropped packets across all switches.

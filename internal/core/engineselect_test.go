@@ -5,42 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"diablo/internal/kernel"
 	"diablo/internal/sim"
+	"diablo/internal/topology"
 )
 
-// TestPlanEnginePolicy pins the selection table: topology and overrides
-// first, then the machine.
-func TestPlanEnginePolicy(t *testing.T) {
-	cases := []struct {
-		name                       string
-		partitions, cpus, override int
-		forceSeq                   bool
-		want                       EnginePlan
-	}{
-		{"single partition stays sequential", 1, 64, 0, false, EnginePlan{}},
-		{"single partition ignores override", 1, 64, 8, false, EnginePlan{}},
-		{"force sequential wins over many cores", 17, 64, 0, true, EnginePlan{}},
-		{"force sequential wins over override", 17, 64, 8, true, EnginePlan{}},
-		{"override forces parallel on one cpu", 17, 1, 4, false, EnginePlan{Parallel: true, Workers: 4}},
-		{"override clamped to partitions", 3, 64, 8, false, EnginePlan{Parallel: true, Workers: 3}},
-		{"auto collapses on one cpu", 17, 1, 0, false, EnginePlan{}},
-		{"auto picks numcpu workers", 17, 8, 0, false, EnginePlan{Parallel: true, Workers: 8}},
-		{"auto clamped to partitions", 3, 8, 0, false, EnginePlan{Parallel: true, Workers: 3}},
-		{"zero cpus treated as one", 17, 0, 0, false, EnginePlan{}},
-	}
-	for _, c := range cases {
-		if got := PlanEngine(c.partitions, c.cpus, c.override, c.forceSeq); got != c.want {
-			t.Errorf("%s: PlanEngine(%d, %d, %d, %v) = %+v, want %+v",
-				c.name, c.partitions, c.cpus, c.override, c.forceSeq, got, c.want)
-		}
-	}
-}
-
-// TestEngineSelectionResultInvariance is the determinism gate for adaptive
-// engine selection: the same multi-rack model run (a) forced onto the
-// sequential engine, (b) forced onto the partitioned engine, and (c) under
-// adaptive selection must produce byte-identical manifests once the
-// engine-execution namespace is normalized away. That namespace is exactly:
+// TestEngineSelectionResultInvariance is the determinism gate for engine
+// selection: the same multi-rack model run (a) sequentially on the shared
+// queue, (b) partitioned under the barrier and (c) with the default options
+// must produce byte-identical manifests once the engine-execution namespace
+// is normalized away. That namespace is exactly:
 // the topology fields (workers, partitions, quantum), the engine balance
 // block, the executed-event count (the engines schedule their own sampling
 // and barrier machinery), the partition*/... introspection series, and the
@@ -88,7 +62,7 @@ func TestEngineSelectionResultInvariance(t *testing.T) {
 	}{
 		{"parallel-1", func(c *MemcachedConfig) { c.Partitions = 1 }},
 		{"parallel-2", func(c *MemcachedConfig) { c.Partitions = 2 }},
-		{"adaptive", func(c *MemcachedConfig) {}},
+		{"default", func(c *MemcachedConfig) {}},
 	} {
 		got := manifest(v.name, v.mut)
 		if !bytes.Equal(got, seq) {
@@ -100,5 +74,34 @@ func TestEngineSelectionResultInvariance(t *testing.T) {
 			t.Errorf("%s manifest diverges from sequential near byte %d:\nseq: %q\n%s: %q",
 				v.name, i, seq[lo:min(i+80, len(seq))], v.name, got[lo:min(i+80, len(got))])
 		}
+	}
+}
+
+// TestHaltAtTimeZero: a halt raised by a t = 0 event stops a multi-rack model
+// at the first barrier, with the same clock and event count whether the
+// partitions share one queue or run under the barrier. (The daemons give
+// every machine work inside the first quantum, so the event count is not
+// trivially the halting event alone.)
+func TestHaltAtTimeZero(t *testing.T) {
+	run := func(partitions int) (sim.Time, uint64) {
+		cfg := DefaultConfig(topology.Params{ServersPerRack: 4, RacksPerArray: 2, Arrays: 1})
+		cfg.Daemon = kernel.DefaultDaemon()
+		c, err := New(cfg, WithPartitions(partitions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		c.Scheduler().At(0, c.Halt)
+		c.RunUntil(sim.Second)
+		return c.Now(), c.Events()
+	}
+	seqNow, seqEvents := run(0)
+	parNow, parEvents := run(2)
+	if seqNow != sim.Time(1172*sim.Nanosecond) {
+		t.Errorf("sequential run stopped at %v, want the first barrier at 1.172µs", seqNow)
+	}
+	if seqNow != parNow || seqEvents != parEvents {
+		t.Errorf("sequential (%v, %d events) and partitioned (%v, %d events) halts differ",
+			seqNow, seqEvents, parNow, parEvents)
 	}
 }

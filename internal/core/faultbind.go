@@ -99,22 +99,13 @@ func (c *Cluster) FaultDrops() uint64 {
 
 // --- fault.Binder ----------------------------------------------------------
 
-// partSched returns the scheduler owning partition part (the single engine
-// on the serial path).
-func (c *Cluster) partSched(part int) sim.Scheduler {
-	if c.pe != nil {
-		return c.pe.Partition(part)
-	}
-	return c.eng
-}
-
 // Links implements fault.Binder: it resolves a link-scoped target to the
 // affected simplex links with their owning partitions.
 func (c *Cluster) Links(t fault.Target) ([]fault.BoundLink, error) {
 	topo := c.Topo
 	var out []fault.BoundLink
 	add := func(l *link.Link, part int, label string) {
-		out = append(out, fault.BoundLink{Link: l, Sched: c.partSched(part), Label: label})
+		out = append(out, fault.BoundLink{Link: l, Sched: c.pe.Partition(part), Label: label})
 	}
 	if t.Node >= 0 {
 		// Server edge: NIC->ToR (up) and ToR->NIC (down), both owned by the
@@ -158,17 +149,17 @@ func (c *Cluster) Switch(level fault.Level, index int) (fault.BoundSwitch, error
 		if index < 0 || index >= len(c.Tors) {
 			return fault.BoundSwitch{}, fmt.Errorf("core: no ToR switch %d", index)
 		}
-		return fault.BoundSwitch{Switch: c.Tors[index], Sched: c.partSched(index), Label: fmt.Sprintf("tor-%d", index)}, nil
+		return fault.BoundSwitch{Switch: c.Tors[index], Sched: c.pe.Partition(index), Label: fmt.Sprintf("tor-%d", index)}, nil
 	case fault.Array:
 		if index < 0 || index >= len(c.Arrays) {
 			return fault.BoundSwitch{}, fmt.Errorf("core: no array switch %d", index)
 		}
-		return fault.BoundSwitch{Switch: c.Arrays[index], Sched: c.partSched(fabric), Label: fmt.Sprintf("array-%d", index)}, nil
+		return fault.BoundSwitch{Switch: c.Arrays[index], Sched: c.pe.Partition(fabric), Label: fmt.Sprintf("array-%d", index)}, nil
 	case fault.DC:
 		if c.DC == nil {
 			return fault.BoundSwitch{}, fmt.Errorf("core: topology has no datacenter switch")
 		}
-		return fault.BoundSwitch{Switch: c.DC, Sched: c.partSched(fabric), Label: "dc"}, nil
+		return fault.BoundSwitch{Switch: c.DC, Sched: c.pe.Partition(fabric), Label: "dc"}, nil
 	}
 	return fault.BoundSwitch{}, fmt.Errorf("core: unknown switch level %v", level)
 }
@@ -179,7 +170,7 @@ func (c *Cluster) NICOf(node int) (fault.Staller, sim.Scheduler, error) {
 		return nil, nil, fmt.Errorf("core: node %d out of range (%d servers)", node, c.Topo.Servers())
 	}
 	n := packet.NodeID(node)
-	return c.Machine(n).NIC(), c.partSched(c.Topo.RackOf(n)), nil
+	return c.Machine(n).NIC(), c.pe.Partition(c.Topo.RackOf(n)), nil
 }
 
 // MachineOf implements fault.Binder.
@@ -188,5 +179,5 @@ func (c *Cluster) MachineOf(node int) (fault.Slower, sim.Scheduler, error) {
 		return nil, nil, fmt.Errorf("core: node %d out of range (%d servers)", node, c.Topo.Servers())
 	}
 	n := packet.NodeID(node)
-	return c.Machine(n), c.partSched(c.Topo.RackOf(n)), nil
+	return c.Machine(n), c.pe.Partition(c.Topo.RackOf(n)), nil
 }

@@ -38,9 +38,9 @@ type IncastConfig struct {
 	// Seed is the master seed.
 	Seed uint64
 	// Partitions sets the parallel worker count (see core.WithPartitions).
-	// The single-switch incast topology is one rack, so it runs on the
-	// sequential engine regardless; the knob exists for API symmetry and
-	// becomes meaningful for multi-rack incast variants.
+	// The single-switch incast topology is one rack, hence one partition, so
+	// the knob changes nothing; it exists for API symmetry and becomes
+	// meaningful for multi-rack incast variants.
 	Partitions int
 	// Faults is an optional fault schedule injected into the run (nil =
 	// healthy cluster). See package fault.

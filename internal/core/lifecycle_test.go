@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"diablo/internal/fault"
-	"diablo/internal/packet"
 	"diablo/internal/sim"
 )
 
@@ -30,21 +29,25 @@ func poolAudit(t *testing.T, run func(onCluster func(*Cluster))) (gets, releases
 // TestMemcachedPacketLeakBalance is the lifecycle ledger gate on the UDP
 // request/response path: across a full memcached run every pool Get must be
 // matched by exactly one Release once the halted cluster's queued and
-// in-flight packets are swept back.
+// in-flight packets are swept back — on the shared queue and on per-partition
+// queues alike.
 func TestMemcachedPacketLeakBalance(t *testing.T) {
-	gets, releases, live := poolAudit(t, func(onCluster func(*Cluster)) {
-		cfg := smallMemcached()
-		cfg.RequestsPerClient = 15
-		cfg.OnCluster = onCluster
-		if _, err := RunMemcached(cfg); err != nil {
-			t.Fatal(err)
+	for _, partitions := range []int{0, 2} {
+		gets, releases, live := poolAudit(t, func(onCluster func(*Cluster)) {
+			cfg := smallMemcached()
+			cfg.RequestsPerClient = 15
+			cfg.Partitions = partitions
+			cfg.OnCluster = onCluster
+			if _, err := RunMemcached(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if gets == 0 {
+			t.Fatalf("partitions=%d: pooled memcached run allocated no packets from the pools", partitions)
 		}
-	})
-	if gets == 0 {
-		t.Fatal("pooled memcached run allocated no packets from the pools")
-	}
-	if live != 0 || gets != releases {
-		t.Fatalf("packet leak: %d gets, %d releases, %d live", gets, releases, live)
+		if live != 0 || gets != releases {
+			t.Fatalf("partitions=%d: packet leak: %d gets, %d releases, %d live", partitions, gets, releases, live)
+		}
 	}
 }
 
@@ -114,48 +117,4 @@ func TestPooledManifestInvariance(t *testing.T) {
 				w, i, pooled[lo:min(i+80, len(pooled))], unpooled[lo:min(i+80, len(unpooled))])
 		}
 	}
-}
-
-// TestModelBenchMemcached smoke-tests the model-level benchmark harness: it
-// must count packets, close the pool ledger, and land within the tentpole's
-// allocation budget (allocs per simulated packet ≤ 2, which cmd/benchjson
-// gates against the committed baseline).
-func TestModelBenchMemcached(t *testing.T) {
-	st, err := ModelBenchMemcached(0, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Packets == 0 || st.Events == 0 || st.WallSeconds <= 0 {
-		t.Fatalf("empty measurement: %+v", st)
-	}
-	if !st.Pooled || st.Pool.Gets == 0 {
-		t.Fatalf("bench did not run pooled: %+v", st)
-	}
-	if st.LeakedPackets != 0 {
-		t.Fatalf("bench run leaked %d packets", st.LeakedPackets)
-	}
-	// The slabdebug registry allocates on every Get/Release, so the budget
-	// only means anything in a release build.
-	if !packet.SlabDebug && st.AllocsPerPacket > 2 {
-		t.Fatalf("allocs per simulated packet = %.3f, budget is 2 (mallocs %d over %d packets)",
-			st.AllocsPerPacket, st.Mallocs, st.Packets)
-	}
-	t.Logf("memcached model bench: %d packets, %.0f pkts/s, %.3f allocs/pkt, %d GC cycles",
-		st.Packets, st.PacketsPerSec, st.AllocsPerPacket, st.GCCycles)
-}
-
-// TestModelBenchIncast smoke-tests the TCP-side measurement path.
-func TestModelBenchIncast(t *testing.T) {
-	st, err := ModelBenchIncast(0, false, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Packets == 0 {
-		t.Fatalf("empty measurement: %+v", st)
-	}
-	if st.LeakedPackets != 0 {
-		t.Fatalf("bench run leaked %d packets", st.LeakedPackets)
-	}
-	t.Logf("incast model bench: %d packets, %.0f pkts/s, %.3f allocs/pkt",
-		st.Packets, st.PacketsPerSec, st.AllocsPerPacket)
 }

@@ -64,13 +64,11 @@ type MemcachedConfig struct {
 	// (<0 disables mitigation, 0 keeps the e1000 default). An ablation knob.
 	NICRxITR sim.Duration
 	// Partitions sets the number of OS-level workers executing the
-	// partitioned cluster in parallel (0 = adaptive engine selection, see
-	// core.PlanEngine). Results are identical at any worker count and on
-	// either engine; see core.WithPartitions.
+	// partitioned cluster in parallel (0 = run sequentially). Results are
+	// identical at any worker count and in either mode; see
+	// core.WithPartitions.
 	Partitions int
-	// Sequential forces the whole model onto the sequential engine (see
-	// core.WithSequentialEngine). Results are identical either way; the knob
-	// exists for engine A/B measurement and the invariance gates.
+	// Sequential ignores Partitions: the run is sequential whatever it says.
 	Sequential bool
 	// Unpooled disables the packet slab pools (see core.WithoutPacketPools).
 	// Results are identical either way; the knob exists for the pooled-vs-
@@ -196,10 +194,10 @@ func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, m
 		mutate(&cc)
 	}
 
-	copts := []Option{WithPartitions(cfg.Partitions), WithFaults(cfg.Faults)}
 	if cfg.Sequential {
-		copts = append(copts, WithSequentialEngine())
+		cfg.Partitions = 0
 	}
+	copts := []Option{WithPartitions(cfg.Partitions), WithFaults(cfg.Faults)}
 	if cfg.Unpooled {
 		copts = append(copts, WithoutPacketPools())
 	}

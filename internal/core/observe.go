@@ -77,54 +77,31 @@ func Observe(c *Cluster, cfg ObserveConfig) *Observation {
 	}
 
 	topo := c.Topo
-	parallel := c.pe != nil
+	c.pe.EnableIntrospection()
 
-	// Partition lanes. The fabric partition (array + DC switches) is the
-	// last one; every rack partition is named after its rack.
-	if parallel {
-		c.pe.EnableIntrospection()
-		fabric := topo.Racks()
-		for i := 0; i < c.pe.Partitions(); i++ {
-			name := fmt.Sprintf("partition %d (rack %d)", i, i)
-			if i == fabric {
-				name = fmt.Sprintf("partition %d (fabric)", i)
-			}
-			o.Trace.SetProcessName(i, name)
+	// Partition lanes, with per-partition dispatched events and queue
+	// occupancy sampled on the partition itself. The fabric partition (array
+	// + DC switches) follows the racks; every rack partition is named after
+	// its rack.
+	fabric := topo.Racks()
+	for i := 0; i < c.pe.Partitions(); i++ {
+		name := fmt.Sprintf("partition %d (rack %d)", i, i)
+		if i == fabric {
+			name = fmt.Sprintf("partition %d (fabric)", i)
 		}
-	} else {
-		o.Trace.SetProcessName(0, "engine (serial)")
-	}
-
-	// Engine gauges: per-partition dispatched events and queue occupancy,
-	// each sampled on its own partition.
-	if parallel {
-		for i := 0; i < c.pe.Partitions(); i++ {
-			p := c.pe.Partition(i)
-			o.Registry.GaugeFunc(p, fmt.Sprintf("partition%d/executed", i), func() float64 {
-				return float64(p.Executed())
-			})
-			o.Registry.GaugeFunc(p, fmt.Sprintf("partition%d/pending", i), func() float64 {
-				return float64(p.QueueStats().Total())
-			})
-		}
-	} else if eng, ok := c.eng.(*sim.Engine); ok {
-		o.Registry.GaugeFunc(eng, "partition0/executed", func() float64 {
-			return float64(eng.Executed)
+		o.Trace.SetProcessName(i, name)
+		p := c.pe.Partition(i)
+		o.Registry.GaugeFunc(p, fmt.Sprintf("partition%d/executed", i), func() float64 {
+			return float64(p.Executed())
 		})
-		o.Registry.GaugeFunc(eng, "partition0/pending", func() float64 {
-			return float64(eng.QueueStats().Total())
+		o.Registry.GaugeFunc(p, fmt.Sprintf("partition%d/pending", i), func() float64 {
+			return float64(p.QueueStats().Total())
 		})
 	}
 
 	// Switch gauges. Each ToR lives on its rack's partition; array and DC
 	// switches live on the fabric partition.
-	sched := func(part int) sim.Scheduler {
-		if parallel {
-			return c.pe.Partition(part)
-		}
-		return c.eng
-	}
-	fabric := topo.Racks()
+	sched := c.pe.Partition
 	for r, sw := range c.Tors {
 		o.observeSwitch(sched(r), fmt.Sprintf("rack%d/tor", r), sw)
 	}
@@ -154,16 +131,11 @@ func Observe(c *Cluster, cfg ObserveConfig) *Observation {
 	// Per-node gauges and trace hooks. A machine's scheduler is its rack's
 	// partition handle, so each instrument lands on its owning partition.
 	for _, m := range c.Machines {
-		node := m.Node()
-		pid := 0
-		if parallel {
-			pid = topo.RackOf(node)
-		}
 		if cfg.PerNode {
 			o.observeMachine(m)
 		}
 		if o.Trace != nil {
-			o.traceMachine(m, pid, node)
+			o.traceMachine(m, topo.RackOf(m.Node()), m.Node())
 		}
 	}
 
@@ -281,9 +253,7 @@ func (o *Observation) BuildManifest(experiment string, seed uint64, config map[s
 		Series:     obs.SeriesFromRegistry(o.Registry),
 		Histograms: obs.HistogramsFromRegistry(o.Registry),
 	}
-	if c.pe != nil && c.pe.IntrospectionEnabled() {
-		m.Engine = obs.EngineFromIntrospection(c.pe.Introspection())
-	}
+	m.Engine = obs.EngineFromIntrospection(c.pe.Introspection()) // Observe enabled it
 	for _, e := range c.FaultEdges() {
 		m.FaultEdges = append(m.FaultEdges, obs.FaultEdgeJSON{
 			AtPs: int64(e.At), Where: e.Where, Detail: e.Detail,
@@ -338,10 +308,7 @@ func RunMemcachedObserved(cfg MemcachedConfig, ocfg ObserveConfig) (*MemcachedRe
 		if o == nil || o.Trace == nil {
 			return
 		}
-		pid := 0
-		if o.cluster.pe != nil {
-			pid = o.cluster.Topo.RackOf(node)
-		}
+		pid := o.cluster.Topo.RackOf(node)
 		tid := fmt.Sprintf("node%d app", node)
 		end := o.cluster.Machine(node).Now()
 		o.Trace.Span(pid, tid, "request", s.Op.String(), end.Add(-s.Latency), s.Latency)

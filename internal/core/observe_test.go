@@ -177,8 +177,8 @@ func TestIncastObservedTrace(t *testing.T) {
 			t.Errorf("no %q spans in trace (got %v)", cat, cats)
 		}
 	}
-	if !names["engine (serial)"] {
-		t.Errorf("serial engine lane missing: %v", names)
+	if !names["partition 0 (rack 0)"] {
+		t.Errorf("rack partition lane missing: %v", names)
 	}
 	if !names["node0 app"] {
 		t.Errorf("client app lane missing: %v", names)

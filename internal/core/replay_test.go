@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"diablo/internal/apps/memcache"
 	"diablo/internal/fault"
 	"diablo/internal/sim"
 )
@@ -31,6 +32,35 @@ func TestMemcachedReplayDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("memcached replay diverged:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+}
+
+// TestMemcachedTCPReplayDeterminism is the TCP counterpart: a client holds
+// one connection per server it talked to, and tearing them down advances
+// simulated time, so the close order must be a function of the model.
+func TestMemcachedTCPReplayDeterminism(t *testing.T) {
+	type outcome struct {
+		elapsed, p99 sim.Duration
+		events, segs uint64
+	}
+	run := func() outcome {
+		cfg := smallMemcached()
+		cfg.Proto = memcache.TCP
+		cfg.RequestsPerClient = 10
+		var cluster *Cluster
+		cfg.OnCluster = func(c *Cluster) { cluster = c }
+		res, err := RunMemcached(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{elapsed: res.Elapsed, p99: res.Overall.Percentile(0.99), events: cluster.Events()}
+		for _, m := range cluster.Machines {
+			out.segs += m.TCPStats().SegsOut
+		}
+		return out
+	}
+	if first, second := run(), run(); first != second {
+		t.Fatalf("TCP memcached replay diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 

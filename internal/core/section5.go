@@ -285,7 +285,7 @@ func EngineComparisonMeasured(partitions, eventsPerPartition int) EngineComparis
 	// Parallel run of the same structure.
 	{
 		pe := sim.NewParallelEngine(partitions, lookahead)
-		pe.SetWorkers(runtime.NumCPU())
+		pe.SetWorkers(runtime.GOMAXPROCS(0))
 		for p := 0; p < partitions; p++ {
 			p := p
 			eng := pe.Partition(p)

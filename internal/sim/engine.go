@@ -26,11 +26,9 @@ type Engine struct {
 	seq    uint64
 	q      eventQueue
 	halted bool
-	haltAt Time // pending HaltAt target; 0 = none armed
 
-	// handlers is the typed-event jump table (see event.go). Partitions of a
-	// ParallelEngine share one table. Lazily allocated so a zero-value Engine
-	// still serves the closure lane.
+	// handlers is the event jump table (see event.go). Partitions of a
+	// ParallelEngine share one table.
 	handlers *handlerTable
 
 	// Executed counts dispatched events, for performance reporting (§5).
@@ -39,61 +37,47 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{handlers: new(handlerTable)}
+	return &Engine{handlers: newHandlerTable()}
 }
 
 // RegisterHandler installs the handler dispatched for typed events of kind k
 // (last registration wins). Call before scheduling events of that kind —
 // normally once at wiring time (core.New registers every model package's
 // handlers on the cluster engine).
-func (e *Engine) RegisterHandler(k EvKind, h Handler) {
-	if e.handlers == nil {
-		e.handlers = new(handlerTable)
-	}
-	e.handlers.register(k, h)
-}
+func (e *Engine) RegisterHandler(k EvKind, h Handler) { e.handlers.register(k, h) }
 
-// dispatchEvent runs one typed event through the jump table.
-func (e *Engine) dispatchEvent(at Time, ev Event) {
-	if e.handlers != nil {
-		if h := e.handlers[ev.Kind]; h != nil {
-			h(at, ev)
-			return
-		}
+// step pops the head event, advances the clock to it and runs it through the
+// jump table. Call only after a true peekLive.
+func (e *Engine) step(at Time) {
+	ev := e.q.popHead()
+	e.now = at
+	e.Executed++
+	h := e.handlers[ev.Kind]
+	if h == nil {
+		panic(fmt.Sprintf("sim: no handler registered for %v: call RegisterHandler before scheduling typed events (core.New registers the model packages' handlers; tests driving an Engine directly must call the package RegisterEventHandlers helpers themselves)", ev.Kind))
 	}
-	panic(fmt.Sprintf("sim: no handler registered for %v: call RegisterHandler before scheduling typed events (core.New registers the model packages' handlers; tests driving an Engine directly must call the package RegisterEventHandlers helpers themselves)", ev.Kind))
+	h(at, ev)
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at the absolute time at. Scheduling in the past
-// (before Now) panics: it would silently reorder causality. Scheduling past
-// maxSchedulable (Never minus one wheel span, ≈ 106 simulated days) panics
-// too; use Never-bounded run deadlines, not Never-adjacent events.
+// At schedules fn to run at the absolute time at: shorthand for AtEvent with
+// the closure kind, under the same past-time and horizon rules.
 func (e *Engine) At(at Time, fn func()) EventID {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	if at > maxSchedulable {
-		panic(fmt.Sprintf("sim: event time %d ps is beyond the schedulable horizon", int64(at)))
-	}
-	e.seq++
-	return e.q.schedule(at, e.seq, fn)
+	return e.AtEvent(at, Event{Kind: evFunc, Tgt: fn})
 }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn func()) EventID {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.At(e.now.Add(d), fn)
+	return e.AfterEvent(d, Event{Kind: evFunc, Tgt: fn})
 }
 
-// AtEvent schedules a typed event record at the absolute time at — the
-// zero-allocation lane for hot paths (see event.go). The same past/horizon
-// rules as At apply, and both lanes share one sequence counter, so typed and
-// closure events dispatch in a single ascending (time, schedule-order).
+// AtEvent schedules an event record at the absolute time at; nothing is
+// allocated. Scheduling in the past (before Now) panics: it would silently
+// reorder causality. Scheduling past maxSchedulable (Never minus one wheel
+// span, ≈ 106 simulated days) panics too; use Never-bounded run deadlines,
+// not Never-adjacent events.
 func (e *Engine) AtEvent(at Time, ev Event) EventID {
 	checkKind(ev.Kind)
 	if at < e.now {
@@ -103,10 +87,10 @@ func (e *Engine) AtEvent(at Time, ev Event) EventID {
 		panic(fmt.Sprintf("sim: event time %d ps is beyond the schedulable horizon", int64(at)))
 	}
 	e.seq++
-	return e.q.scheduleEvent(at, e.seq, ev)
+	return e.q.schedule(at, e.seq, ev)
 }
 
-// AfterEvent schedules a typed event record d after the current time.
+// AfterEvent schedules an event record d after the current time.
 func (e *Engine) AfterEvent(d Duration, ev Event) EventID {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -125,30 +109,14 @@ func (e *Engine) Cancel(id EventID) {
 func (e *Engine) Pending() int { return e.q.size() }
 
 // ForEachPending invokes fn for every still-queued typed event record, in
-// slot order (not dispatch order). Closure-lane events are skipped — their
-// captures are opaque. Callers use this for accounting over a halted engine
-// (the packet-leak audit walks it to find frames carried by in-flight
+// slot order (not dispatch order). Closures are skipped — their captures are
+// opaque. Callers use this for accounting over a halted engine (the
+// packet-leak audit walks it to find frames carried by in-flight
 // EvPacketHop/EvLoopback events), never for simulation semantics.
 func (e *Engine) ForEachPending(fn func(Event)) { e.q.forEachPending(fn) }
 
 // Halt stops the run loop after the current event returns.
 func (e *Engine) Halt() { e.halted = true }
-
-// HaltAt stops the run loop once simulated time would pass t: every queued
-// event with a timestamp <= t still runs (including chains spawned at t
-// itself), then the clock freezes exactly at t and RunUntil returns. A t in
-// the past is clamped to Now, completing the current instant. This is the
-// sequential emulation of the partitioned engine's Halt, which always
-// completes the quantum in progress — core.Cluster uses it so engine
-// selection cannot leak into results through the halt instant. The target is
-// one-shot (cleared when it triggers) and t must be positive: a zero t is
-// ignored, matching the unarmed state.
-func (e *Engine) HaltAt(t Time) {
-	if t < e.now {
-		t = e.now
-	}
-	e.haltAt = t
-}
 
 // Run dispatches events until the queue is empty or Halt is called.
 func (e *Engine) Run() {
@@ -165,36 +133,11 @@ func (e *Engine) RunUntil(deadline Time) {
 		if !ok {
 			break
 		}
-		// An armed HaltAt target inside the deadline wins; a target beyond it
-		// stays armed for a later run (the deadline cut matches the partitioned
-		// engine clamping its final quantum to the deadline).
-		if e.haltAt != 0 && e.haltAt <= deadline && at > e.haltAt {
-			e.now = e.haltAt
-			e.haltAt = 0
-			return
-		}
 		if at > deadline {
 			e.now = deadline
 			return
 		}
-		_, fn, ev := e.q.popHead()
-		e.now = at
-		e.Executed++
-		if fn != nil {
-			fn()
-		} else {
-			e.dispatchEvent(at, ev)
-		}
-	}
-	// A drained queue with an armed HaltAt target still stops at the target
-	// (the partitioned engine stops at the halting quantum's barrier whether
-	// or not the queues drained there).
-	if !e.halted && e.haltAt != 0 && e.haltAt <= deadline {
-		if e.now < e.haltAt {
-			e.now = e.haltAt
-		}
-		e.haltAt = 0
-		return
+		e.step(at)
 	}
 	// When the queue drains before the deadline, time still passes; a Halt,
 	// however, freezes the clock at the last dispatched event.
@@ -210,14 +153,7 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	_, fn, ev := e.q.popHead()
-	e.now = at
-	e.Executed++
-	if fn != nil {
-		fn()
-	} else {
-		e.dispatchEvent(at, ev)
-	}
+	e.step(at)
 	return true
 }
 

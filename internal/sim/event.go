@@ -2,31 +2,24 @@ package sim
 
 import "fmt"
 
-// This file defines the typed-event lane of the scheduler API (v2).
+// This file defines the event record every scheduled event is carried in.
 //
-// The original API schedules closures: At(t, func(){...}). A closure is the
-// most general payload — and the most expensive one on a hot path: every
-// packet hop, NIC ring service and CPU timer tick allocates a fresh func
-// value plus its capture environment, just to carry two or three words to a
-// known piece of code. DIABLO's FPGA schedulers dispatched fixed-format event
-// records through a jump table; ScaleSimulator's software engine wins the
-// same way. Scheduler API v2 adds that lane here:
+// DIABLO's FPGA schedulers dispatched fixed-format event records through a
+// jump table; this engine does the same. An Event is a small fixed-shape
+// record: a kind tag, two scalar payload words and two reference words for
+// the model objects involved. Scheduling one allocates nothing — the record
+// is copied into the engine's generation-tagged slot table, and the queue's
+// tier arrays stay pointer-free 24-byte entries. Handlers are registered per
+// kind in a per-engine jump table (RegisterHandler), normally once at
+// core.New time; dispatch is one indexed load and an indirect call.
 //
-//   - Event is a small fixed-shape record: a kind tag, two scalar payload
-//     words, and two reference words for the model objects involved.
-//     Scheduling one allocates nothing — the record is copied into the
-//     engine's generation-tagged slot table (where the closure pointer used
-//     to live), and the queue's tier arrays stay pointer-free 24-byte
-//     entries exactly as before.
-//   - Handlers are registered per kind in a per-engine jump table
-//     (RegisterHandler), normally once at core.New time. Dispatch is one
-//     indexed load and an indirect call.
-//
-// Both lanes share the engine's sequence counter, so typed and closure
-// events interleave in exactly the ascending (time, schedule-order) total
-// order the determinism contract requires. The closure lane remains the
-// right tool for cold paths (connection setup, timers that fire thousands of
-// times per second instead of millions, test scaffolding).
+// A closure (At/After) is one more kind, evFunc, whose pre-installed handler
+// calls the func value carried in Tgt. There is therefore one queue-entry
+// shape, one sequence counter and one dispatch path: closures and typed
+// records interleave in exactly the ascending (time, schedule-order) total
+// order the determinism contract requires. Closures remain the right tool
+// for cold paths (connection setup, slow timers, test scaffolding); a hot
+// path that schedules one per packet pays for the captured environment.
 //
 // Payload discipline: Obj and Arg are plain scalars (port indexes, deadline
 // timestamps). Tgt and Ref hold the model objects the handler works on — a
@@ -35,14 +28,14 @@ import "fmt"
 // cost nothing extra: interface assignment of a pointer does not allocate.
 
 // EvKind tags a typed event record and indexes the engine's handler table.
-// The zero kind is reserved (it marks the closure lane / a free slot).
+// The zero kind is reserved (it marks a free or cancelled slot).
 type EvKind uint8
 
 // The event-kind namespace is owned by package sim so kinds stay dense and
 // the jump table stays a flat array. Each kind is claimed by exactly one
 // model package, which registers its handler via RegisterEventHandlers.
 const (
-	evNone EvKind = iota // reserved: closure lane / free slot
+	evNone EvKind = iota // reserved: free or cancelled slot
 
 	// EvPacketHop delivers a frame at the end of a link: Tgt is the *link.Link,
 	// Ref the *packet.Packet.
@@ -81,13 +74,12 @@ const (
 	// thread that has since gone to sleep.
 	EvThreadWakeBlocked
 
+	// evFunc carries a closure scheduled through At/After: Tgt is the func().
+	// Unexported: models reach it only through those two methods.
+	evFunc
+
 	numEvKinds // table size; must stay last
 )
-
-// evClosure marks a slot holding a closure-lane event. It lives outside the
-// EvKind namespace exposed to models (Event.Kind can never equal it: AtEvent
-// rejects kinds >= numEvKinds).
-const evClosure EvKind = 0xFF
 
 var evKindNames = [numEvKinds]string{
 	evNone:              "evNone",
@@ -102,6 +94,7 @@ var evKindNames = [numEvKinds]string{
 	EvLoopback:          "EvLoopback",
 	EvThreadWake:        "EvThreadWake",
 	EvThreadWakeBlocked: "EvThreadWakeBlocked",
+	evFunc:              "evFunc",
 }
 
 // String names the kind for panics and traces.
@@ -132,8 +125,8 @@ type Event struct {
 // engine clock has already advanced to it).
 type Handler func(now Time, ev Event)
 
-// HandlerRegistrar is the registration surface of the jump table. Both
-// *Engine and *ParallelEngine implement it; model packages expose a
+// HandlerRegistrar is the registration surface of the jump table. *Engine,
+// *ParallelEngine and *Partition implement it; model packages expose a
 // RegisterEventHandlers(r HandlerRegistrar) that claims their kinds, and
 // core.New invokes those at wiring time. Tests that drive an Engine directly
 // must do the same before scheduling typed events — dispatching a kind with
@@ -151,6 +144,13 @@ type HandlerRegistrar interface {
 // identically on every partition.
 type handlerTable [numEvKinds]Handler
 
+// newHandlerTable returns a table with the closure kind pre-installed.
+func newHandlerTable() *handlerTable {
+	t := new(handlerTable)
+	t[evFunc] = func(_ Time, ev Event) { ev.Tgt.(func())() }
+	return t
+}
+
 func (t *handlerTable) register(k EvKind, h Handler) {
 	if k == evNone || k >= numEvKinds {
 		panic(fmt.Sprintf("sim: RegisterHandler: invalid event kind %v", k))
@@ -164,6 +164,6 @@ func (t *handlerTable) register(k EvKind, h Handler) {
 // checkKind validates an Event before it enters the queue.
 func checkKind(k EvKind) {
 	if k == evNone || k >= numEvKinds {
-		panic(fmt.Sprintf("sim: AtEvent: invalid event kind %v (the zero kind is the closure lane; kinds are the sim.Ev* constants)", k))
+		panic(fmt.Sprintf("sim: AtEvent: invalid event kind %v (kinds are the sim.Ev* constants)", k))
 	}
 }

@@ -26,29 +26,39 @@ import (
 // function of the model and its seeds regardless of worker count (asserted
 // in tests).
 //
+// A model can also run sequentially on the same engine: after ShareQueue every
+// partition handle schedules into one queue, cross-partition sends become
+// plain events (still checked against the lookahead rule) and the run steps
+// that one queue along the same quantum grid, so Halt lands on the same
+// barrier either way. A one-partition engine has no barrier at all: RunUntil
+// and Halt are the plain Engine's.
+//
 // The per-quantum machinery is engineered to stay off the allocator and off
 // the scheduler: workers synchronize through a reusable spin-then-park
 // generation barrier (see barrier.go) instead of per-quantum channel sends,
 // each quantum's earliest-next-event time is maintained incrementally
 // (per-worker minima reduced at the barrier plus the timestamps of delivered
 // messages) instead of re-scanning every partition, and cross-partition
-// messages are batched per (edge, quantum) into reusable slabs — a typed
-// record per message, no per-message closure — then merged with one typed
-// sort at the barrier (SimBricks-style batched exchange rather than
-// per-message handoff). Barrier/sync cost is what bounds parallel-simulation
-// scaling, so these paths are benchmarked in BenchmarkSection5EngineParallel
-// and gated in CI (cmd/benchjson).
+// messages are batched per (edge, quantum) into reusable slabs — an event
+// record per message — then merged with one typed sort at the barrier
+// (SimBricks-style batched exchange rather than per-message handoff).
+// Barrier/sync cost is what bounds parallel-simulation scaling, so these
+// paths are benchmarked in BenchmarkSection5EngineParallel and gated in CI
+// (cmd/benchjson).
 type ParallelEngine struct {
-	parts   []*Partition
+	parts []*Partition
+	// engines are the distinct event queues: one per partition, or a single
+	// one serving every partition after ShareQueue.
+	engines []*Engine
 	quantum Duration
 	now     Time
-	qEnd    Time // end of the quantum currently executing (Send's horizon)
+	qEnd    Time // end of the quantum currently executing (SendEvent's horizon)
 	workers int
 	stop    atomic.Bool
 
-	// handlers is the jump table shared by every partition's engine, so a
-	// typed event crossing partitions dispatches through the same handler it
-	// would locally.
+	// handlers is the jump table shared by every partition's engine, so an
+	// event crossing partitions dispatches through the same handler it would
+	// locally.
 	handlers *handlerTable
 
 	// edges[src*P+dst] is the reusable slab of messages queued on edge
@@ -57,15 +67,13 @@ type ParallelEngine struct {
 	// keeps its capacity across quanta.
 	edges []xslab
 
-	// earliest caches the minimum NextEventTime across partitions; it is
-	// exact at every quantum barrier (workers fold their partitions' minima,
-	// message delivery folds in delivered timestamps).
+	// earliest caches the minimum NextEventTime across engines; it is exact
+	// at every quantum barrier (workers fold their engines' minima, message
+	// delivery folds in delivered timestamps).
 	earliest Time
-	// arena is the coordinator's per-quantum scratch arena, reset at every
-	// barrier; pending (the barrier-exchange merge buffer) is its first
-	// tenant. Partitions carry their own arenas (see Partition.Arena).
-	arena   Arena
-	pending *Scratch[xmsg]
+	// pending is the barrier-exchange merge buffer, emptied (capacity kept)
+	// at the end of every exchange.
+	pending []xmsg
 
 	// failedCrossCancels counts Cancel calls with a non-zero EventID through
 	// a Cross scheduler (see crossScheduler.Cancel). Atomic: workers may
@@ -77,7 +85,7 @@ type ParallelEngine struct {
 	// quantum.
 	intro *engineIntro
 
-	// Executed sums dispatched events across partitions after each run.
+	// Executed sums dispatched events across engines after each run.
 	Executed uint64
 }
 
@@ -93,10 +101,6 @@ type Partition struct {
 	// messages for in the current quantum (first-touch order), so the
 	// barrier exchange visits only populated edges instead of all P^2.
 	dirty []int32
-	// arena is the partition's per-quantum scratch arena (see arena.go),
-	// reset by the coordinator at every barrier. Only this partition's
-	// worker may touch it between barriers.
-	arena Arena
 }
 
 // xslab is one edge's reusable message batch.
@@ -104,15 +108,14 @@ type xslab struct {
 	recs []xmsg
 }
 
-// xmsg is a cross-partition message bound for partition dst at time at: a
-// typed event record (ev), or a closure-lane callback when fn is non-nil.
+// xmsg is a cross-partition message: event ev bound for partition dst at
+// time at.
 type xmsg struct {
 	at  Time
 	seq uint64
 	src int32
 	dst int32
 	ev  Event
-	fn  func()
 }
 
 // xmsgCompare orders messages in (time, source partition, send sequence)
@@ -138,7 +141,7 @@ func xmsgCompare(a, b xmsg) int {
 // NewParallelEngine creates an engine with n partitions synchronized on a
 // quantum-aligned barrier grid. quantum must be at most the minimum latency
 // of any cross-partition interaction in the model, or causality would break;
-// the Send method enforces this at runtime.
+// SendEvent enforces this at runtime.
 func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 	if n <= 0 {
 		panic("sim: need at least one partition")
@@ -146,16 +149,27 @@ func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 	if quantum <= 0 {
 		panic("sim: quantum must be positive")
 	}
-	pe := &ParallelEngine{quantum: quantum, workers: 1}
-	pe.handlers = new(handlerTable)
-	pe.pending = NewScratch[xmsg](&pe.arena)
+	pe := &ParallelEngine{quantum: quantum, workers: 1, handlers: newHandlerTable()}
 	pe.edges = make([]xslab, n*n)
 	for i := 0; i < n; i++ {
-		eng := NewEngine()
-		eng.handlers = pe.handlers // one table for every partition
+		eng := &Engine{handlers: pe.handlers} // one table for every partition
+		pe.engines = append(pe.engines, eng)
 		pe.parts = append(pe.parts, &Partition{pe: pe, id: i, eng: eng})
 	}
 	return pe
+}
+
+// ShareQueue puts every partition on one event queue, turning the run
+// sequential: events dispatch in a single (time, schedule-order) sequence and
+// a cross-partition send schedules directly. The quantum grid, and with it
+// the instant Halt takes effect, is unchanged. Call before anything is
+// scheduled.
+func (pe *ParallelEngine) ShareQueue() {
+	pe.engines = pe.engines[:1]
+	pe.workers = 1
+	for _, p := range pe.parts {
+		p.eng = pe.engines[0]
+	}
 }
 
 // RegisterHandler installs a typed-event handler on the table shared by all
@@ -164,6 +178,10 @@ func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 func (pe *ParallelEngine) RegisterHandler(k EvKind, h Handler) {
 	pe.handlers.register(k, h)
 }
+
+// RegisterHandler is ParallelEngine.RegisterHandler through a partition
+// handle: the table is the engine's, not the partition's.
+func (p *Partition) RegisterHandler(k EvKind, h Handler) { p.pe.handlers.register(k, h) }
 
 // FailedCrossCancels reports how many times model code tried to cancel a
 // non-zero EventID through a Cross scheduler. Cross-partition events cannot
@@ -189,16 +207,10 @@ func (pe *ParallelEngine) Now() Time { return pe.now }
 // SetWorkers sets the number of OS-level worker goroutines that execute
 // partitions each quantum. Worker count affects wall-clock speed only, never
 // results: partitions are statically assigned to workers and every quantum
-// is a full barrier. Values are clamped to [1, Partitions()]; 1 (the
+// is a full barrier. Values are clamped to [1, number of queues]; 1 (the
 // default) runs every partition inline on the caller's goroutine.
 func (pe *ParallelEngine) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > len(pe.parts) {
-		w = len(pe.parts)
-	}
-	pe.workers = w
+	pe.workers = max(1, min(w, len(pe.engines)))
 }
 
 // Workers returns the configured worker count.
@@ -208,8 +220,15 @@ func (pe *ParallelEngine) Workers() int { return pe.workers }
 // call from any partition's event context during a run: the current quantum
 // completes in full (on every partition) and pending cross-partition
 // messages are exchanged before RunUntil returns, so a halted run remains
-// deterministic and resumable.
-func (pe *ParallelEngine) Halt() { pe.stop.Store(true) }
+// deterministic and resumable. A one-partition engine has no barrier to wait
+// for and stops after the current event.
+func (pe *ParallelEngine) Halt() {
+	if len(pe.parts) == 1 {
+		pe.engines[0].Halt()
+		return
+	}
+	pe.stop.Store(true)
+}
 
 // ID returns the partition index.
 func (p *Partition) ID() int { return p.id }
@@ -237,15 +256,13 @@ func (p *Partition) Cancel(id EventID) { p.eng.Cancel(id) }
 // Pending reports the number of events queued on the partition.
 func (p *Partition) Pending() int { return p.eng.Pending() }
 
-// Arena returns the partition's per-quantum scratch arena. The coordinator
-// resets it at every barrier, so Scratch buffers bound to it (sim.NewScratch)
-// are valid for exactly the quantum in progress. Touch it only from this
-// partition's event context.
-func (p *Partition) Arena() *Arena { return &p.arena }
-
-// ForEachPending invokes fn for every typed event still queued on the
+// ForEachPending invokes fn for every typed event still queued on any
 // partition; see Engine.ForEachPending. Call only on a halted engine.
-func (p *Partition) ForEachPending(fn func(Event)) { p.eng.ForEachPending(fn) }
+func (pe *ParallelEngine) ForEachPending(fn func(Event)) {
+	for _, e := range pe.engines {
+		e.ForEachPending(fn)
+	}
+}
 
 // Send delivers fn to partition dst at absolute time at; it is shorthand for
 // ParallelEngine.Send from this partition.
@@ -255,43 +272,41 @@ func (p *Partition) Send(dst int, at Time, fn func()) { p.pe.Send(p.id, dst, at,
 // at; it is shorthand for ParallelEngine.SendEvent from this partition.
 func (p *Partition) SendEvent(dst int, at Time, ev Event) { p.pe.SendEvent(p.id, dst, at, ev) }
 
-// Send delivers fn to partition dst at absolute time at. It must be called
-// from within partition src (i.e., from an event callback running on
-// partition src's engine). at must not precede the end of the executing
-// quantum; this is the conservative-lookahead requirement that lets
-// partitions run a full quantum without hearing from their neighbours.
+// Send delivers fn to partition dst at absolute time at: shorthand for
+// SendEvent with the closure kind.
 func (pe *ParallelEngine) Send(src, dst int, at Time, fn func()) {
-	pe.sendRec(src, dst, xmsg{at: at, src: int32(src), dst: int32(dst), fn: fn})
+	pe.SendEvent(src, dst, at, Event{Kind: evFunc, Tgt: fn})
 }
 
-// SendEvent delivers a typed event record to partition dst at absolute time
-// at — the zero-allocation cross-partition lane. Same caller and lookahead
-// rules as Send.
+// SendEvent delivers an event record to partition dst at absolute time at. It
+// must be called from within partition src (i.e., from an event callback
+// running on partition src's engine). at must not precede the end of the
+// executing quantum; this is the conservative-lookahead requirement that lets
+// partitions run a full quantum without hearing from their neighbours. The
+// message is batched into the reusable slab of the src->dst edge; its seq is
+// assigned here (per source partition), completing the (time, source,
+// sequence) merge key. On a single queue the message is just an event.
 func (pe *ParallelEngine) SendEvent(src, dst int, at Time, ev Event) {
 	checkKind(ev.Kind)
-	pe.sendRec(src, dst, xmsg{at: at, src: int32(src), dst: int32(dst), ev: ev})
-}
-
-// sendRec batches a message into the reusable slab of the src->dst edge. The
-// record's seq is assigned here (per source partition), completing the
-// (time, source, sequence) merge key.
-func (pe *ParallelEngine) sendRec(src, dst int, m xmsg) {
-	p := pe.parts[src]
-	if m.at < pe.qEnd {
+	if at < pe.qEnd {
 		panic(fmt.Sprintf(
 			"sim: cross-partition send %d->%d at %v violates conservative lookahead: "+
 				"the current quantum ends at %v (quantum %v), so cross-partition events must "+
 				"be scheduled at or after the barrier; lower the engine quantum below the "+
 				"minimum inter-partition link latency",
-			src, dst, m.at, pe.qEnd, pe.quantum))
+			src, dst, at, pe.qEnd, pe.quantum))
 	}
+	if len(pe.engines) == 1 {
+		pe.engines[0].AtEvent(at, ev)
+		return
+	}
+	p := pe.parts[src]
 	p.sendSeq++
-	m.seq = p.sendSeq
 	slab := &pe.edges[src*len(pe.parts)+dst]
 	if len(slab.recs) == 0 {
 		p.dirty = append(p.dirty, int32(dst))
 	}
-	slab.recs = append(slab.recs, m)
+	slab.recs = append(slab.recs, xmsg{at: at, seq: p.sendSeq, src: int32(src), dst: int32(dst), ev: ev})
 }
 
 // gridNext returns the earliest quantum-grid boundary strictly after t.
@@ -310,10 +325,16 @@ func (pe *ParallelEngine) gridPrev(t Time) Time {
 // at a time, exchanging cross-partition messages at each barrier. It returns
 // early when every queue drains or when Halt is called.
 func (pe *ParallelEngine) RunUntil(deadline Time) {
+	if len(pe.parts) == 1 {
+		e := pe.engines[0]
+		e.RunUntil(deadline)
+		pe.now, pe.Executed = e.now, e.Executed
+		return
+	}
 	pe.stop.Store(false)
 	var pool *workerPool
 	if pe.workers > 1 {
-		pool = newWorkerPool(pe.parts, pe.workers, pe.intro != nil)
+		pool = newWorkerPool(pe.engines, pe.workers, pe.intro != nil)
 		defer pool.close()
 		if pe.intro != nil {
 			// Collect barrier diagnostics before close releases the workers
@@ -327,12 +348,10 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 	}
 
 	// Prime the earliest-event cache once; from here on it is maintained
-	// incrementally at each barrier instead of re-scanning every partition.
+	// incrementally at each barrier instead of re-scanning every queue.
 	pe.earliest = Never
-	for _, p := range pe.parts {
-		if t := p.eng.NextEventTime(); t < pe.earliest {
-			pe.earliest = t
-		}
+	for _, e := range pe.engines {
+		pe.earliest = min(pe.earliest, e.NextEventTime())
 	}
 
 	for pe.now < deadline && !pe.stop.Load() {
@@ -343,99 +362,84 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 			pe.now = deadline
 			break
 		}
-		if g := pe.gridPrev(pe.earliest); g > pe.now {
-			pe.now = g
-		}
-		qEnd := pe.gridNext(pe.now)
-		if qEnd > deadline {
-			qEnd = deadline
-		}
+		pe.now = max(pe.now, pe.gridPrev(pe.earliest))
+		qEnd := min(pe.gridNext(pe.now), deadline)
 		pe.qEnd = qEnd
 
-		// Run every partition up to the barrier. Each executor also reports
-		// the minimum next-event time over the partitions it ran.
+		// Run every queue up to the barrier. Each executor also reports the
+		// minimum next-event time over the queues it ran.
 		if pool != nil {
 			pe.earliest = pool.runQuantum(qEnd)
 		} else {
 			pe.earliest = Never
-			for _, p := range pe.parts {
-				p.eng.RunUntil(qEnd)
-				if t := p.eng.NextEventTime(); t < pe.earliest {
-					pe.earliest = t
-				}
+			for _, e := range pe.engines {
+				e.RunUntil(qEnd)
+				pe.earliest = min(pe.earliest, e.NextEventTime())
 			}
 		}
 		pe.now = qEnd
 		if pe.intro != nil {
 			pe.intro.note(pe.parts)
 		}
-
-		// Exchange cross-partition messages deterministically: gather the
-		// populated edge slabs (each partition's dirty list names them, so
-		// cost scales with traffic, not with P^2), merge in (time, source
-		// partition, send sequence) order — a total order that depends only
-		// on the model — and bulk-schedule into the destination engines.
-		// The merge buffer is arena scratch and the edge slabs are reused
-		// quantum after quantum: reset, never reallocated.
-		pe.arena.Reset()
-		for _, p := range pe.parts {
-			p.arena.Reset()
+		if len(pe.engines) > 1 {
+			pe.exchange()
 		}
-		pending := pe.pending.Take()
-		np := len(pe.parts)
-		for _, p := range pe.parts {
-			if len(p.dirty) == 0 {
-				continue
-			}
-			for _, dst := range p.dirty {
-				slab := &pe.edges[p.id*np+int(dst)]
-				pending = append(pending, slab.recs...)
-				clear(slab.recs) // drop payload references, keep capacity
-				slab.recs = slab.recs[:0]
-			}
-			p.dirty = p.dirty[:0]
-		}
-		if len(pending) > 1 {
-			slices.SortFunc(pending, xmsgCompare)
-		}
-		for i := range pending {
-			m := &pending[i]
-			eng := pe.parts[m.dst].eng
-			if m.fn != nil {
-				eng.At(m.at, m.fn)
-			} else {
-				eng.AtEvent(m.at, m.ev)
-			}
-			if m.at < pe.earliest {
-				pe.earliest = m.at
-			}
-		}
-		clear(pending) // release delivered payloads before the workers resume
-		pe.pending.Keep(pending[:0])
 	}
 
 	// On a drained or deadline exit, advance lagging partition clocks to the
 	// deadline (as the sequential engine does); a Halt freezes them at the
 	// last completed barrier instead.
 	if !pe.stop.Load() && deadline != Never {
-		for _, p := range pe.parts {
-			if p.eng.Now() < deadline {
-				p.eng.RunUntil(deadline)
+		for _, e := range pe.engines {
+			if e.now < deadline {
+				e.RunUntil(deadline)
 			}
 		}
 	}
 	pe.Executed = 0
-	for _, p := range pe.parts {
-		pe.Executed += p.eng.Executed
+	for _, e := range pe.engines {
+		pe.Executed += e.Executed
 	}
+}
+
+// exchange delivers the quantum's cross-partition messages deterministically:
+// gather the populated edge slabs (each partition's dirty list names them, so
+// cost scales with traffic, not with P^2), merge in (time, source partition,
+// send sequence) order — a total order that depends only on the model — and
+// bulk-schedule into the destination engines. The merge buffer and the edge
+// slabs are reused quantum after quantum: emptied, never reallocated.
+func (pe *ParallelEngine) exchange() {
+	pending := pe.pending
+	np := len(pe.parts)
+	for _, p := range pe.parts {
+		for _, dst := range p.dirty {
+			slab := &pe.edges[p.id*np+int(dst)]
+			pending = append(pending, slab.recs...)
+			clear(slab.recs) // drop payload references, keep capacity
+			slab.recs = slab.recs[:0]
+		}
+		p.dirty = p.dirty[:0]
+	}
+	if len(pending) > 1 {
+		slices.SortFunc(pending, xmsgCompare)
+	}
+	for i := range pending {
+		m := &pending[i]
+		pe.parts[m.dst].eng.AtEvent(m.at, m.ev)
+		pe.earliest = min(pe.earliest, m.at)
+	}
+	clear(pending) // release delivered payloads before the workers resume
+	pe.pending = pending[:0]
 }
 
 // Drained reports whether every partition's queue is empty.
 func (pe *ParallelEngine) Drained() bool {
-	for _, p := range pe.parts {
-		if p.eng.NextEventTime() != Never {
+	for _, e := range pe.engines {
+		if e.NextEventTime() != Never {
 			return false
 		}
+	}
+	for _, p := range pe.parts {
 		if len(p.dirty) > 0 { // some edge slab still holds messages
 			return false
 		}
@@ -445,9 +449,9 @@ func (pe *ParallelEngine) Drained() bool {
 
 // Cross returns a Scheduler that, from event context in partition src,
 // schedules events onto partition dst. Now reads the source partition's
-// clock; At and After route through Send, so the conservative-lookahead rule
-// applies and the returned EventID is zero (cross-partition events cannot be
-// cancelled). Links that span partitions are wired with a Cross scheduler as
+// clock; every schedule routes through SendEvent, so the conservative-
+// lookahead rule applies and the returned EventID is zero (cross-partition
+// events cannot be cancelled). Links that span partitions are wired with a Cross scheduler as
 // their delivery side.
 func (pe *ParallelEngine) Cross(src, dst int) Scheduler {
 	return crossScheduler{pe: pe, src: src, dst: dst}
@@ -461,8 +465,7 @@ type crossScheduler struct {
 func (c crossScheduler) Now() Time { return c.pe.parts[c.src].eng.Now() }
 
 func (c crossScheduler) At(at Time, fn func()) EventID {
-	c.pe.Send(c.src, c.dst, at, fn)
-	return EventID{}
+	return c.AtEvent(at, Event{Kind: evFunc, Tgt: fn})
 }
 
 func (c crossScheduler) After(d Duration, fn func()) EventID {
@@ -484,9 +487,9 @@ func (c crossScheduler) AfterEvent(d Duration, ev Event) EventID {
 // exists, which is why At/AtEvent return the zero EventID. Cancelling that
 // zero ID is therefore the expected no-op. A *non-zero* ID reaching this
 // method is a model bug — the caller is trying to cancel some other engine's
-// event through a cross handle — and used to be silently swallowed; it is now
-// recorded on the engine (ParallelEngine.FailedCrossCancels) so tests and
-// harnesses can assert none occurred.
+// event through a cross handle — and is recorded on the engine
+// (ParallelEngine.FailedCrossCancels) so tests and harnesses can assert none
+// occurred.
 func (c crossScheduler) Cancel(id EventID) {
 	if id == (EventID{}) {
 		return
@@ -501,8 +504,8 @@ type workerMin struct {
 	_ [7]int64
 }
 
-// workerPool executes partitions across a fixed set of goroutines with a
-// static, contiguous partition assignment (worker w owns partitions
+// workerPool executes the partitions' engines across a fixed set of
+// goroutines with a static, contiguous assignment (worker w owns engines
 // [w*n/W, (w+1)*n/W)), so the mapping — and the results — never depend on
 // scheduling luck.
 //
@@ -522,7 +525,7 @@ type workerPool struct {
 	mins     []workerMin
 }
 
-func newWorkerPool(parts []*Partition, workers int, counting bool) *workerPool {
+func newWorkerPool(engines []*Engine, workers int, counting bool) *workerPool {
 	pool := &workerPool{
 		start:   newPhaser(),
 		done:    newPhaser(),
@@ -531,13 +534,13 @@ func newWorkerPool(parts []*Partition, workers int, counting bool) *workerPool {
 	}
 	pool.start.counting = counting
 	pool.done.counting = counting
-	n := len(parts)
+	n := len(engines)
 	// Capture the start generation before any worker launches: a worker that
 	// first reads the gate after the opening advance would wait one
 	// generation too far and deadlock the first quantum.
 	startGen := pool.start.current()
 	for w := 0; w < workers; w++ {
-		owned := parts[w*n/workers : (w+1)*n/workers]
+		owned := engines[w*n/workers : (w+1)*n/workers]
 		w := w
 		go func() { //simlint:allow detlint engine-owned worker pool: static partition assignment, spin-then-park barrier, full barrier per quantum
 			gen := startGen
@@ -548,9 +551,9 @@ func newWorkerPool(parts []*Partition, workers int, counting bool) *workerPool {
 				}
 				qEnd := pool.qEnd
 				min := Never
-				for _, p := range owned {
-					p.eng.RunUntil(qEnd)
-					if t := p.eng.NextEventTime(); t < min {
+				for _, e := range owned {
+					e.RunUntil(qEnd)
+					if t := e.NextEventTime(); t < min {
 						min = t
 					}
 				}

@@ -31,28 +31,28 @@ func twoPartTraffic(workers int) *ParallelEngine {
 func TestBarrierExchangeBufferReuse(t *testing.T) {
 	pe := twoPartTraffic(1)
 	pe.RunUntil(Time(50 * Microsecond)) // warm up ~50 quanta
-	capPending := pe.pending.Cap()
+	capPending := cap(pe.pending)
 	capEdge01 := cap(pe.edges[0*2+1].recs)
 	if capPending == 0 || capEdge01 == 0 {
 		t.Fatalf("exchange buffers never grew: pending %d edge 0->1 %d", capPending, capEdge01)
 	}
 	pe.RunUntil(Time(500 * Microsecond)) // ~450 more quanta, same load
-	if got := pe.pending.Cap(); got != capPending {
+	if got := cap(pe.pending); got != capPending {
 		t.Errorf("pending buffer reallocated under steady load: cap %d -> %d", capPending, got)
 	}
 	if got := cap(pe.edges[0*2+1].recs); got != capEdge01 {
 		t.Errorf("edge slab reallocated under steady load: cap %d -> %d", capEdge01, got)
 	}
 	// The recycled buffers must not pin the payloads they carried.
-	for _, m := range pe.pending.buf[:pe.pending.Cap()] {
-		if m.fn != nil || m.ev.Tgt != nil || m.ev.Ref != nil {
+	for _, m := range pe.pending[:cap(pe.pending)] {
+		if m.ev.Tgt != nil || m.ev.Ref != nil {
 			t.Fatal("pending buffer retains a delivered payload")
 		}
 	}
 	for i := range pe.edges {
 		recs := pe.edges[i].recs
 		for _, m := range recs[:cap(recs)] {
-			if m.fn != nil || m.ev.Tgt != nil || m.ev.Ref != nil {
+			if m.ev.Tgt != nil || m.ev.Ref != nil {
 				t.Fatal("edge slab retains a flushed payload")
 			}
 		}

@@ -185,7 +185,7 @@ func TestCancelAfterFireDoesNotGrow(t *testing.T) {
 }
 
 // TestCancelReleasesClosureSlot asserts a cancelled event's callback is
-// dropped at cancel time (the slot fn is nilled for the GC) and that the
+// dropped at cancel time (the slot record is cleared for the GC) and that the
 // freed slot is reused by later events instead of growing the table.
 func TestCancelReleasesClosureSlot(t *testing.T) {
 	e := NewEngine()
@@ -194,7 +194,7 @@ func TestCancelReleasesClosureSlot(t *testing.T) {
 		t.Fatalf("slot table = %d, want 1", got)
 	}
 	e.Cancel(id)
-	if fn := e.q.slots[0].fn; fn != nil {
+	if fn := e.q.slots[0].ev.Tgt; fn != nil {
 		t.Fatal("cancel left the callback pinned in its slot")
 	}
 	// The dead entry still occupies the queue until it surfaces.
@@ -214,11 +214,11 @@ func TestCancelReleasesClosureSlot(t *testing.T) {
 		t.Fatalf("slot table grew to %d instead of reusing the freed slot", len(e.q.slots))
 	}
 	e.Cancel(id) // stale generation: must not cancel the new tenant
-	if e.q.slots[0].fn == nil {
+	if e.q.slots[0].ev.Tgt == nil {
 		t.Fatal("stale EventID cancelled the slot's new tenant")
 	}
 	e.Cancel(id2)
-	if e.q.slots[0].fn != nil {
+	if e.q.slots[0].ev.Tgt != nil {
 		t.Fatal("fresh EventID failed to cancel")
 	}
 }

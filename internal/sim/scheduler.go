@@ -10,19 +10,18 @@ package sim
 // All methods must be invoked from the scheduler's own event context (or
 // before the run starts): a component in partition i may only call the
 // Scheduler it was wired with. Cross-partition interaction goes through
-// ParallelEngine.Send or a Cross scheduler, never through another
+// ParallelEngine.SendEvent or a Cross scheduler, never through another
 // partition's local Scheduler.
 type Scheduler interface {
 	// Now returns the current simulated time.
 	Now() Time
-	// At schedules fn at the absolute time at (panics if at < Now). This is
-	// the closure lane — general, but it allocates the closure; hot paths
-	// use AtEvent.
+	// At schedules fn at the absolute time at (panics if at < Now). General,
+	// but a capturing closure is an allocation; hot paths use AtEvent.
 	At(at Time, fn func()) EventID
 	// After schedules fn d after the current time (panics if d < 0).
 	After(d Duration, fn func()) EventID
-	// AtEvent schedules a typed event record at the absolute time at — the
-	// zero-allocation lane. ev.Kind must be registered on the engine (see
+	// AtEvent schedules a typed event record at the absolute time at without
+	// allocating. ev.Kind must be registered on the engine (see
 	// HandlerRegistrar); the same past-time rules as At apply.
 	AtEvent(at Time, ev Event) EventID
 	// AfterEvent schedules a typed event record d after the current time.
@@ -58,4 +57,5 @@ var (
 	_ Scheduler        = crossScheduler{}
 	_ HandlerRegistrar = (*Engine)(nil)
 	_ HandlerRegistrar = (*ParallelEngine)(nil)
+	_ HandlerRegistrar = (*Partition)(nil)
 )
