@@ -55,11 +55,11 @@ fmt-check:
 lint:
 	$(GO) run ./cmd/simlint -json LINT_findings.json -readiness STATE_readiness.json ./...
 
-# Race-check the concurrency-bearing packages (the parallel engine and the
-# partitioned cluster). Much faster than racing the whole tree; `make check`
-# still races everything.
+# Race-check the concurrency-bearing packages (the parallel engine, the
+# partitioned cluster, and the thread coroutines its workers switch into).
+# Much faster than racing the whole tree; `make check` still races everything.
 race:
-	$(GO) test -race ./internal/sim ./internal/core
+	$(GO) test -race ./internal/sim ./internal/core ./internal/kernel
 
 # Short fuzz pass over the hardened input surfaces: the CLI fault-spec
 # grammar and the Chrome-trace encoder. Go fuzzes one target per invocation,

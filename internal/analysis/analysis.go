@@ -212,17 +212,22 @@ func IsRunControlAllowed(path string) bool {
 // ---------------------------------------------------------------------------
 // Type helpers shared by the analyzers.
 
+// namedOf strips one pointer and returns the named type underneath, or nil.
+// It is where the analyzers see through aliases (go/types materialises
+// `type A = B`, and the predeclared any, as *types.Alias from go 1.23 on).
+func namedOf(t types.Type) *types.Named {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := types.Unalias(t).(*types.Named)
+	return named
+}
+
 // typeIs reports whether t (after stripping one pointer) is the named type
 // pkgPath.name.
 func typeIs(t types.Type, pkgPath, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
+	n := namedOf(t)
+	if n == nil {
 		return false
 	}
 	obj := n.Obj()

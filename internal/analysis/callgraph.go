@@ -211,14 +211,7 @@ func (g *CallGraph) OwnershipRoot(n *types.Named) *types.Var {
 
 // ownedNamed reports the owned struct type t names, stripping one pointer.
 func (g *CallGraph) ownedNamed(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if ok && g.owned[n] != nil {
+	if n := namedOf(t); n != nil && g.owned[n] != nil {
 		return n
 	}
 	return nil
@@ -242,11 +235,7 @@ func (g *CallGraph) NodeByName(name string) *FuncNode {
 func funcLabel(fn *types.Func) string {
 	sig := fn.Type().(*types.Signature)
 	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
+		if n := namedOf(recv.Type()); n != nil {
 			return n.Obj().Name() + "." + fn.Name()
 		}
 	}

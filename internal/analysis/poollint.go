@@ -157,23 +157,11 @@ func returnsPacket(fn *types.Func) bool {
 
 // pointsTo reports whether t is a pointer to the named type pkgPath.name.
 func pointsTo(t types.Type, pkgPath, name string) bool {
-	ptr, ok := t.(*types.Pointer)
+	ptr, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
 		return false
 	}
 	named := namedOf(ptr.Elem())
 	return named != nil && named.Obj().Name() == name &&
 		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath
-}
-
-// namedOf unwraps pointers to the named type underneath, if any.
-func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named
 }

@@ -320,7 +320,7 @@ func (w *stateWalker) classifyDepth(t types.Type, depth int) (StateClass, string
 	if depth > 8 {
 		return StateOK, "", nil
 	}
-	switch u := t.(type) {
+	switch u := types.Unalias(t).(type) {
 	case *types.Named:
 		if typeIs(u, SimPath, "Scheduler") {
 			return StateBlocker, "scheduler reference (the partition wiring, not model state)", nil

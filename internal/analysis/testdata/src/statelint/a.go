@@ -9,6 +9,11 @@ import (
 	"diablo/internal/sim"
 )
 
+// opaque is a local alias. go/types materialises it as *types.Alias from
+// go 1.23 on (as it does the predeclared any); classification must see
+// through both.
+type opaque = any
+
 // Comp is an owned struct, hence a checkpoint root.
 type Comp struct {
 	//diablo:transient partition wiring; reattached on restore
@@ -21,6 +26,7 @@ type Comp struct {
 	wake chan struct{}  // want `checkpoint-blocking field Comp\.wake \(chan struct\{\}\): channel`
 	raw  unsafe.Pointer // want `checkpoint-blocking field Comp\.raw \(unsafe\.Pointer\)`
 	blob any            // want `checkpoint-blocking field Comp\.blob \(any\): interface\{\} field`
+	via  opaque         // want `checkpoint-blocking field Comp\.via \(opaque\): interface\{\} field`
 	errs []func() error // want `checkpoint-blocking field Comp\.errs \(\[\]func\(\) error\): element: func value`
 	tab  map[int]func() // want `checkpoint-blocking field Comp\.tab \(map\[int\]func\(\)\): element: func value`
 

@@ -78,7 +78,7 @@ func checkBareLiteralArgs(pass *Pass, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	sig, ok := tv.Type.(*types.Signature)
+	sig, ok := tv.Type.Underlying().(*types.Signature)
 	if !ok {
 		return
 	}

@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"diablo/internal/link"
@@ -453,7 +456,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesThreads covers every state a thread can be in when the
+// experiment tears down: Shutdown must unwind each one, leave no goroutine
+// behind, and be safe to call again.
 func TestShutdownReleasesThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
 	r := newRig(t, DefaultConfig())
 	for i := 0; i < 10; i++ {
 		r.a.Spawn("blocked", func(th *Thread) {
@@ -463,14 +470,82 @@ func TestShutdownReleasesThreads(t *testing.T) {
 		r.a.Spawn("sleeping", func(th *Thread) {
 			th.Sleep(sim.Second * 1000)
 		})
+		r.a.Spawn("exited", func(th *Thread) { th.Exit() })
+		r.a.Spawn("returned", func(th *Thread) {})
 	}
+	r.b.Spawn("computing", func(th *Thread) { th.Compute(4_000_000_000) }) // parked mid-Compute
 	r.run(10 * sim.Millisecond)
-	// Cleanup (t.Cleanup in newRig) calls Shutdown; verify directly too.
-	r.a.Shutdown()
-	for _, th := range r.a.threads {
-		if th.state != threadDead {
-			t.Fatalf("thread %v not dead after shutdown", th)
+	r.a.Spawn("never scheduled", func(th *Thread) { t.Error("ran after the engine stopped") })
+	for pass := 0; pass < 2; pass++ { // and once more from newRig's Cleanup
+		r.a.Shutdown()
+		r.b.Shutdown()
+		for _, th := range slices.Concat(r.a.threads, r.b.threads) {
+			if th.state != threadDead {
+				t.Fatalf("thread %v not dead after shutdown", th)
+			}
 		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("pass %d: %d goroutines after Shutdown, %d before the rig was built", pass, n, before)
+		}
+	}
+}
+
+// TestAppPanicSurfacesInRunLoop: a bug in application code must reach the
+// goroutine driving the engine, with its value intact, where a test or a CLI
+// can report it. (With threads as free goroutines it killed the process.)
+func TestAppPanicSurfacesInRunLoop(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	type appBug struct{ code int }
+	r.a.Spawn("buggy", func(th *Thread) {
+		th.Compute(1000)
+		panic(appBug{42})
+	})
+	defer func() {
+		if got := recover(); got != (appBug{42}) {
+			t.Fatalf("recovered %#v, want %#v", got, appBug{42})
+		}
+	}()
+	r.run(sim.Second)
+	t.Fatal("run returned: the panic was swallowed")
+}
+
+// TestNestedSpawnOrder pins the interleaving of threads spawned from inside
+// application code. Spawn primes the new coroutine on the spot — a switch
+// nested inside the spawning thread's own — and that must run none of the
+// child's body: children start when the scheduler first picks them, in spawn
+// order, exactly as at every earlier commit.
+func TestNestedSpawnOrder(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	var got []string
+	mark := func(th *Thread, what string) {
+		got = append(got, fmt.Sprintf("%s %s @%d", th.Name(), what, int64(th.Now())))
+	}
+	r.a.Spawn("parent", func(th *Thread) {
+		mark(th, "start")
+		th.Machine().Spawn("child1", func(c *Thread) {
+			mark(c, "start")
+			c.Machine().Spawn("grandchild", func(g *Thread) { mark(g, "ran") })
+			c.Compute(1000)
+			mark(c, "end")
+		})
+		mark(th, "spawned child1")
+		th.Compute(1000)
+		th.Machine().Spawn("child2", func(c *Thread) { mark(c, "ran") })
+		th.Yield()
+		mark(th, "end")
+	})
+	r.run(sim.Second)
+	want := []string{ // recorded on the goroutine + channel hand-off this replaced
+		"parent start @11500000",
+		"parent spawned child1 @11500000",
+		"child1 start @23725000",
+		"child1 end @23975000",
+		"child2 ran @35475000",
+		"parent end @36975000",
+		"grandchild ran @48475000",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("interleaving changed:\n got  %q\n want %q", got, want)
 	}
 }
 

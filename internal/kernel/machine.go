@@ -151,6 +151,7 @@ type Machine struct {
 	// every push once the spare capacity is consumed).
 	kq         []kwork
 	kqHead     int
+	kq0        [4]kwork // kq's first backing array: most machines never queue deeper
 	kActive    bool
 	kRun       kwork   // the kernel work item executing (valid while kActive)
 	cur        *Thread // thread owning the CPU (may be paused by kernel work)
@@ -160,11 +161,10 @@ type Machine struct {
 	chunkLen   sim.Duration
 	runq       []*Thread // head-indexed like kq: context switches allocate nothing
 	runqHead   int
+	runq0      [2]*Thread // runq's first backing array
 	lastRun    *Thread
-	inThread   bool // a thread goroutine is executing right now
-	//diablo:transient goroutine parking plumbing; recreated when threads respawn on restore
-	parked  chan struct{}
-	threads []*Thread
+	inThread   bool // a thread coroutine is executing right now
+	threads    []*Thread
 
 	// Network state. qdisc is head-indexed like kq. pool is the partition's
 	// packet slab pool (nil = unpooled heap mode); see packet.Pool for the
@@ -244,7 +244,6 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 		cfg:       cfg,
 		slowdown:  1,
 		rng:       sim.NewRand(sim.DeriveSeed(seed, fmt.Sprintf("machine-%d", node))),
-		parked:    make(chan struct{}),
 		dev:       dev,
 		router:    router,
 		udpSocks:  make(map[packet.Port]*UDPSocket),
@@ -252,6 +251,7 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 		conns:     make(map[connKey]*TCPSocket),
 		nextPort:  32768,
 	}
+	m.kq, m.runq = m.kq0[:0], m.runq0[:0]
 	dev.OnRxInterrupt = m.rxInterrupt
 	dev.OnTxDrain = m.drainQdisc
 	return m, nil
@@ -337,7 +337,7 @@ func (m *Machine) kernelWorkPkt(kind KernelSpanKind, d sim.Duration, op kworkOp,
 }
 
 // scheduleCPU advances the CPU state machine. It is safe to call from any
-// engine-context site; while a thread goroutine is live it defers to the
+// engine-context site; while a thread coroutine is live it defers to the
 // resumeThread continuation.
 func (m *Machine) scheduleCPU() {
 	if m.inThread || m.kActive {
@@ -484,12 +484,11 @@ func (m *Machine) pauseChunk() {
 	m.chunkArmed = false
 }
 
-// resumeThread hands the (single) flow of control to t's goroutine and waits
-// for it to park again, then reschedules the CPU.
+// resumeThread switches the (single) flow of control to t's coroutine until it
+// parks again or ends, then reschedules the CPU.
 func (m *Machine) resumeThread(t *Thread) {
 	m.inThread = true
-	t.resume <- struct{}{}
-	<-m.parked
+	t.co.next()
 	m.inThread = false
 	m.scheduleCPU()
 }
@@ -683,14 +682,9 @@ func (m *Machine) ReleaseInFlight() {
 }
 
 // Shutdown kills every thread on the machine (used by experiment teardown to
-// release goroutines). The engine must not be running.
+// release their coroutines). The engine must not be running.
 func (m *Machine) Shutdown() {
 	for _, t := range m.threads {
-		if t.state == threadDead {
-			continue
-		}
-		t.killed = true
-		t.resume <- struct{}{}
-		<-m.parked
+		t.co.stop()
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"iter"
 
 	"diablo/internal/sim"
 )
@@ -16,26 +17,31 @@ const (
 	threadDead
 )
 
-// killSentinel is the panic value used to unwind killed threads.
+// killSentinel is the panic value that unwinds a thread: Exit raises it, and
+// so does park when Shutdown stops the coroutine.
 type killSentinel struct{}
 
-// Thread is one simulated kernel thread. Application code runs in a real
-// goroutine but advances only when the machine's scheduler grants it the
+// Thread is one simulated kernel thread. Application code runs in a
+// coroutine that advances only when the machine's scheduler grants it the
 // simulated CPU; every interaction with the simulated world goes through
 // Thread methods, which charge CPU time and block deterministically.
 //
-// The goroutine and the simulation engine strictly alternate (one of them is
-// always parked), so simulations remain single-threaded and deterministic.
+// The coroutine and the simulation engine strictly alternate by direct
+// switch (iter.Pull: no Go-scheduler round trip), so simulations remain
+// single-threaded and deterministic.
 type Thread struct {
 	m    *Machine
 	name string
 
 	state threadState
-	//diablo:transient goroutine handshake channel; recreated when the thread respawns on restore
-	resume    chan struct{}
+	//diablo:transient coroutine handle; re-created by Spawn on restore (app stack state is not encodable — ROADMAP item 2b)
+	co struct {
+		next  func() (struct{}, bool) // run the thread until it parks or ends
+		stop  func()                  // unwind a parked thread for good
+		yield func(struct{}) bool     // park; false means the thread was stopped
+	}
 	remaining sim.Duration // CPU time owed before app code may continue
 	sliceLeft sim.Duration
-	killed    bool
 }
 
 // Spawn creates a thread running fn. The thread becomes runnable after the
@@ -43,17 +49,31 @@ type Thread struct {
 // another thread.
 func (m *Machine) Spawn(name string, fn func(*Thread)) *Thread {
 	t := &Thread{
-		m:      m,
-		name:   name,
-		state:  threadRunnable,
-		resume: make(chan struct{}),
+		m:     m,
+		name:  name,
+		state: threadRunnable,
 	}
 	t.remaining = m.instrTime(m.cfg.Profile.SpawnInstr)
 	m.threads = append(m.threads, t)
-	// Coroutine-style threading: at most one thread goroutine runs at a time,
-	// handed control through the resume/parked channels, so execution order is
-	// the engine's event order, not the Go scheduler's.
-	go t.main(fn) //simlint:allow detlint coroutine handoff: exactly one runnable goroutine, sequenced by the engine
+	t.co.next, t.co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.co.yield = yield
+		defer func() {
+			t.state = threadDead
+			if m.cur == t {
+				m.cur = nil
+			}
+			if r := recover(); r != nil {
+				if _, ok := r.(killSentinel); !ok {
+					panic(r) // app bug: iter.Pull re-raises it in resumeThread's caller
+				}
+			}
+		}()
+		t.park() // until first scheduled
+		fn(t)
+	})
+	// Prime the coroutine up to that first park, so a thread spawned at set-up
+	// pays for its coroutine at set-up and not at its first dispatch.
+	t.co.next()
 	// Enqueue via an event so the runqueue push happens inside the engine's
 	// run loop regardless of the caller's context.
 	m.eng.At(m.eng.Now(), func() {
@@ -63,36 +83,10 @@ func (m *Machine) Spawn(name string, fn func(*Thread)) *Thread {
 	return t
 }
 
-// main is the goroutine body: wait to be scheduled, run fn, then die.
-func (t *Thread) main(fn func(*Thread)) {
-	<-t.resume
-	if !t.killed {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(killSentinel); !ok {
-						panic(r)
-					}
-				}
-			}()
-			t.state = threadOnCPU
-			fn(t)
-		}()
-	}
-	// Exit protocol: detach from the CPU and hand control back for good.
-	t.state = threadDead
-	if t.m.cur == t {
-		t.m.cur = nil
-	}
-	t.m.parked <- struct{}{}
-}
-
 // park hands control back to the machine and waits to be granted the CPU
-// again. Must only be called from the thread's own goroutine.
+// again. Must only be called from the thread's own coroutine.
 func (t *Thread) park() {
-	t.m.parked <- struct{}{}
-	<-t.resume
-	if t.killed {
+	if !t.co.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 	t.state = threadOnCPU
@@ -194,9 +188,15 @@ func (t *Thread) block() {
 type waitQueue struct {
 	waiters []*Thread
 	head    int
+	first   [1]*Thread // waiters' first backing array: one waiter is the common case
 }
 
-func (q *waitQueue) enqueue(t *Thread) { q.waiters = append(q.waiters, t) }
+func (q *waitQueue) enqueue(t *Thread) {
+	if q.waiters == nil {
+		q.waiters = q.first[:0]
+	}
+	q.waiters = append(q.waiters, t)
+}
 
 // wakeOne wakes the oldest still-blocked waiter; reports whether one was
 // woken. Stale entries (threads already woken by a timeout, or dead) are

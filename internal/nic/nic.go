@@ -70,10 +70,12 @@ type NIC struct {
 	// them allocates nothing.
 	txq     []*packet.Packet
 	txqHead int
+	txq0    [8]*packet.Packet // txq's first backing array: lightly loaded rings never outgrow it
 	txBusy  bool
 
 	rxq          []*packet.Packet
 	rxqHead      int
+	rxq0         [8]*packet.Packet // rxq's first backing array
 	rxIntEnabled bool
 	rxIntPending bool
 	lastRxInt    sim.Time
@@ -103,13 +105,15 @@ func New(sched sim.Scheduler, params Params, wire *link.Link) (*NIC, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &NIC{
+	n := &NIC{
 		sched:        sched,
 		params:       params,
 		wire:         wire,
 		rxIntEnabled: true,
 		lastRxInt:    sim.Time(-1 << 62),
-	}, nil
+	}
+	n.txq, n.rxq = n.txq0[:0], n.rxq0[:0]
+	return n, nil
 }
 
 // Params returns the device configuration.
