@@ -57,9 +57,12 @@ lint:
 
 # Race-check the concurrency-bearing packages (the parallel engine, the
 # partitioned cluster, and the thread coroutines its workers switch into).
+# The engine runs at 1, 2 and 4 Ps: one P clamps it to a single worker, two
+# let the barrier's spin succeed, four on a smaller host make waiters park.
 # Much faster than racing the whole tree; `make check` still races everything.
 race:
-	$(GO) test -race ./internal/sim ./internal/core ./internal/kernel
+	$(GO) test -race -cpu 1,2,4 ./internal/sim
+	$(GO) test -race ./internal/core ./internal/kernel
 
 # Short fuzz pass over the hardened input surfaces: the CLI fault-spec
 # grammar and the Chrome-trace encoder. Go fuzzes one target per invocation,

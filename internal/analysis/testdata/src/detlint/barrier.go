@@ -1,65 +1,86 @@
-// Spin-then-park barrier workers, the shape internal/sim's parallel engine
+// Spin-then-park rendezvous workers, the shape internal/sim's parallel engine
 // uses: detlint must flag the goroutine spawn unless it carries the
-// //simlint:allow annotation the engine's sanctioned worker pool uses. The
-// barrier body itself (atomics, cond waits, Gosched yields) is not a
+// //simlint:allow annotation the engine's sanctioned workers use. The
+// barrier body itself (atomics, a bounded pure spin, cond waits) is not a
 // finding — only the unannotated go statement is.
 package fixture
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-type gate struct {
-	gen  atomic.Uint64
-	mu   sync.Mutex
-	cond *sync.Cond
+type rendezvous struct {
+	n       int32
+	arrived atomic.Int32
+	gen     atomic.Uint32
+	asleep  atomic.Int32
+	mu      sync.Mutex
+	cond    *sync.Cond
 }
 
-func (g *gate) await(last uint64) {
-	for i := 0; i < 64; i++ {
-		if g.gen.Load() != last {
+func (r *rendezvous) await() {
+	gen := r.gen.Load()
+	if r.arrived.Add(1) == r.n {
+		r.arrived.Store(0)
+		r.mu.Lock()
+		r.gen.Add(1)
+		r.mu.Unlock()
+		r.cond.Broadcast()
+		return
+	}
+	for i := 0; i < 1<<19 && r.asleep.Load() == 0; i++ {
+		if r.gen.Load() != gen {
 			return
 		}
-		runtime.Gosched()
 	}
-	g.mu.Lock()
-	for g.gen.Load() == last {
-		g.cond.Wait()
+	r.asleep.Add(1)
+	r.mu.Lock()
+	for r.gen.Load() == gen {
+		r.cond.Wait()
 	}
-	g.mu.Unlock()
+	r.mu.Unlock()
+	r.asleep.Add(-1)
 }
 
-func (g *gate) work(arrived *atomic.Int32) {
-	last := g.gen.Load()
-	for {
-		g.await(last)
-		last++
-		arrived.Add(1)
+// work is one worker's run: a fixed number of quanta, one rendezvous each.
+func (r *rendezvous) work(quanta int, done *sync.WaitGroup) {
+	defer done.Done()
+	for q := 0; q < quanta; q++ {
+		r.await()
 	}
 }
 
-// rogueBarrier is a copy of the engine's worker spawn without the
-// sanctioning annotation: it must fire.
-func rogueBarrier(workers int) *gate {
-	g := &gate{}
-	g.cond = sync.NewCond(&g.mu)
-	var arrived atomic.Int32
-	for w := 0; w < workers; w++ {
-		go g.work(&arrived) // want `go statement in model code`
-	}
-	return g
+func newRendezvous(workers int) *rendezvous {
+	r := &rendezvous{n: int32(workers)}
+	r.cond = sync.NewCond(&r.mu)
+	return r
 }
 
-// sanctionedBarrier is the identical spawn carrying the engine-owned
-// annotation; no finding.
-func sanctionedBarrier(workers int) *gate {
-	g := &gate{}
-	g.cond = sync.NewCond(&g.mu)
-	var arrived atomic.Int32
-	for w := 0; w < workers; w++ {
-		go g.work(&arrived) //simlint:allow detlint fixture: engine-owned spin-then-park worker pool
+// rogueRun is a copy of the engine's run without the sanctioning annotation:
+// the caller is worker 0 and spawns the rest, and the spawn must fire.
+func rogueRun(workers, quanta int) {
+	r := newRendezvous(workers)
+	var done sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		done.Add(1)
+		go r.work(quanta, &done) // want `go statement in model code`
 	}
-	return g
+	done.Add(1)
+	r.work(quanta, &done)
+	done.Wait()
+}
+
+// sanctionedRun is the identical spawn carrying the engine-owned annotation;
+// no finding.
+func sanctionedRun(workers, quanta int) {
+	r := newRendezvous(workers)
+	var done sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		done.Add(1)
+		go r.work(quanta, &done) //simlint:allow detlint fixture: engine-owned workers, one rendezvous per quantum, joined before return
+	}
+	done.Add(1)
+	r.work(quanta, &done)
+	done.Wait()
 }

@@ -125,12 +125,12 @@ type options struct {
 }
 
 // WithPartitions runs the partitions under the quantum barrier on n OS-level
-// workers (clamped to the partition count). n <= 0 (the default) runs the
-// model sequentially, every partition on one event queue. The partition
-// layout itself is fixed by the topology — one partition per rack plus the
-// aggregation fabric — and neither mode nor worker count may affect
-// simulation results, so this knob changes wall-clock speed only. It has no
-// effect on single-rack clusters, which are one partition.
+// workers (clamped to the partition count and to GOMAXPROCS). n <= 0 (the
+// default) runs the model sequentially, every partition on one event queue.
+// The partition layout itself is fixed by the topology — one partition per
+// rack plus the aggregation fabric — and neither mode nor worker count may
+// affect simulation results, so this knob changes wall-clock speed only. It
+// has no effect on single-rack clusters, which are one partition.
 func WithPartitions(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -405,7 +405,8 @@ func (c *Cluster) Parallel() bool { return c.opts.workers > 0 && c.pe.Partitions
 // Partitions returns the number of model partitions (1 on a single rack).
 func (c *Cluster) Partitions() int { return c.pe.Partitions() }
 
-// Workers returns the number of OS-level workers executing partitions.
+// Workers returns the number of OS-level workers executing partitions: what
+// WithPartitions asked for, after clamping.
 func (c *Cluster) Workers() int { return c.pe.Workers() }
 
 // Quantum returns the synchronization quantum (0 on a single-rack cluster).

@@ -9,6 +9,7 @@ import (
 
 	"diablo/internal/obs"
 	"diablo/internal/sim"
+	"diablo/internal/topology"
 )
 
 // observedMemcached is the reduced-scale config the observability tests
@@ -96,8 +97,8 @@ func TestObservedManifest(t *testing.T) {
 	if m.Partitions != 17 { // 16 racks + fabric
 		t.Fatalf("partitions = %d, want 17", m.Partitions)
 	}
-	if m.Workers != 2 {
-		t.Fatalf("workers = %d, want 2", m.Workers)
+	if want := min(2, runtime.GOMAXPROCS(0)); m.Workers != want {
+		t.Fatalf("workers = %d, want %d", m.Workers, want)
 	}
 	if m.Events == 0 || m.ElapsedPs == 0 {
 		t.Fatalf("events/elapsed missing: %+v", m)
@@ -141,6 +142,35 @@ func TestObservedManifest(t *testing.T) {
 	}
 	if globals == 0 {
 		t.Fatal("fault markers missing from trace")
+	}
+}
+
+// TestPartitionedRunOnOneP runs a two-rack cluster with WithPartitions(2)
+// where there is a single P. A second worker there could only spin at the
+// barrier on the P its peer needs, so the engine must not start one: the
+// manifest, which carries the worker count, is the one-worker run's.
+func TestPartitionedRunOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func(workers int) []byte {
+		cfg := DefaultMemcached()
+		cfg.Topology = topology.Params{ServersPerRack: 8, RacksPerArray: 2, Arrays: 1}
+		cfg.ServersPerRack = 1
+		cfg.RequestsPerClient = 8
+		cfg.StartSpread = sim.Millisecond
+		cfg.Partitions = workers
+		_, o, err := RunMemcachedObserved(cfg, ObserveConfig{SampleEvery: sim.Millisecond, TraceEvents: -1})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := o.BuildManifest("one-p", cfg.Seed, nil).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want, got := run(1), run(2)
+	if !bytes.Equal(got, want) {
+		t.Errorf("WithPartitions(2) on one P: manifest differs from WithPartitions(1):\n got %s\nwant %s", got, want)
 	}
 }
 

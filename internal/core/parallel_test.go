@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -82,12 +83,13 @@ func TestClusterPartitionLayout(t *testing.T) {
 	if !c.Parallel() {
 		t.Fatal("multi-rack cluster did not build on the partitioned engine")
 	}
-	// 4 racks + 1 fabric partition; 8 requested workers clamp to 5.
+	// 4 racks + 1 fabric partition; 8 requested workers clamp to 5, and to
+	// the Ps there are to run them on.
 	if got := c.Partitions(); got != 5 {
 		t.Errorf("partitions = %d, want 5 (one per rack + fabric)", got)
 	}
-	if got := c.Workers(); got != 5 {
-		t.Errorf("workers = %d, want clamp to partition count 5", got)
+	if got, want := c.Workers(), min(5, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("workers = %d, want clamp to %d (partition count 5, GOMAXPROCS %d)", got, want, runtime.GOMAXPROCS(0))
 	}
 	// Default fabric: 500ns cable + min(1us port latency, 672ns min-frame
 	// serialization at 1 Gbps) = 1.172us.

@@ -1,88 +1,80 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// phaser is a reusable generation gate: waiters block until the generation
-// advances past the value they last observed. Two phasers compose into the
-// parallel engine's sense-reversing quantum barrier (the generation counter
-// is the sense: nobody resets anything between quanta, so the gate is safe
-// to reuse for millions of barriers with zero allocation).
+// rendezvous is the quantum barrier: the one point per quantum at which the
+// n workers meet. The last to arrive resets the count and bumps the
+// generation, everyone else waits for the bump, so nothing is reset between
+// quanta and millions of barriers allocate nothing. Everything a worker wrote
+// before arriving is visible to every worker returning from await
+// (release/acquire through the two atomics).
 //
-// await spins briefly on the atomic generation — a quantum on a balanced
-// model ends within microseconds, so the next release usually lands while
-// the waiter is still spinning — then parks on a condition variable so an
-// imbalanced or idle phase never burns a core. advance publishes the new
-// generation under the mutex, which is what makes the park path race-free:
-// a waiter that re-checks the generation while holding the lock cannot miss
-// a wakeup. Everything written before advance is visible to goroutines
-// returning from await (release/acquire via the generation atomic).
-type phaser struct {
-	gen  atomic.Uint64
-	mu   sync.Mutex
-	cond sync.Cond
-
-	// counting enables the wake-path diagnostics below (engine
-	// introspection). The counters record how each await resolved — within
-	// the spin budget or after a full park — which is a property of OS
-	// scheduling, not of the model; see sim.BarrierStats.
-	counting  bool
-	spinWakes atomic.Uint64
-	parkWakes atomic.Uint64
+// A waiter spins on the generation for a bounded number of plain loads, then
+// parks on the condition variable — and parks at once when a peer is still
+// asleep from an earlier park, because that peer, once woken, may be queued
+// behind this very goroutine: spinning for it would serialise the workers at
+// one spin budget per quantum, where parking hands it the P. The spin never
+// yields to the Go scheduler: the engine starts at most GOMAXPROCS workers, so
+// a peer that is awake has a P to run on. The generation is bumped under the
+// mutex, which makes the park race-free: a waiter that re-checks it while
+// holding the lock cannot miss the wake-up.
+type rendezvous struct {
+	_       [64]byte
+	n       int32
+	arrived atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond
+	// What the waiters spin on has a cache line to itself, so arrivals and
+	// the lock do not take it away from them.
+	_   [64]byte
+	gen atomic.Uint32
+	// asleep counts the workers that parked and are not running again yet.
+	asleep atomic.Int32
+	_      [56]byte
 }
 
-const (
-	// barrierActiveSpins pure-spins on the generation word; short enough to
-	// be harmless when the release is not imminent.
-	barrierActiveSpins = 64
-	// barrierYieldSpins additionally yields the OS thread between probes
-	// before giving up and parking.
-	barrierYieldSpins = 256
-)
+// barrierSpins bounds the spin, at 0.7 ns a probe, to a third of a
+// millisecond. A park costs its peers a thread wake-up — tens of microseconds
+// on a good day, over a millisecond on a busy virtual machine — so it pays
+// only for a peer that is not merely late but not running, and the host's
+// scheduler rarely takes a running thread away for less than this.
+const barrierSpins = 1 << 19
 
-func newPhaser() *phaser {
-	p := &phaser{}
-	p.cond.L = &p.mu
-	return p
+func (r *rendezvous) init(n int) {
+	r.n = int32(n)
+	r.cond.L = &r.mu
 }
 
-// current returns the present generation, for a later await.
-func (p *phaser) current() uint64 { return p.gen.Load() }
-
-// advance opens the gate: it bumps the generation and wakes every parked
-// waiter.
-func (p *phaser) advance() {
-	p.mu.Lock()
-	p.gen.Add(1)
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// await blocks until the generation differs from last, spinning first and
-// parking after the spin budget, and returns the generation it observed.
-func (p *phaser) await(last uint64) uint64 {
-	for i := 0; i < barrierActiveSpins+barrierYieldSpins; i++ {
-		if g := p.gen.Load(); g != last {
-			if p.counting {
-				p.spinWakes.Add(1)
-			}
-			return g
-		}
-		if i >= barrierActiveSpins {
-			runtime.Gosched()
+// await blocks until all n workers have arrived and records in st how the
+// wait resolved. The last arrival, and a lone worker, never wait.
+func (r *rendezvous) await(st *BarrierStats) {
+	if r.n == 1 {
+		return
+	}
+	gen := r.gen.Load() // cannot advance before this worker arrives
+	if r.arrived.Add(1) == r.n {
+		r.arrived.Store(0)
+		r.mu.Lock()
+		r.gen.Add(1)
+		r.mu.Unlock()
+		r.cond.Broadcast()
+		return
+	}
+	for i := 0; i < barrierSpins && r.asleep.Load() == 0; i++ {
+		if r.gen.Load() != gen {
+			st.SpinWakes++
+			return
 		}
 	}
-	p.mu.Lock()
-	for p.gen.Load() == last {
-		p.cond.Wait()
+	r.asleep.Add(1)
+	r.mu.Lock()
+	for r.gen.Load() == gen {
+		r.cond.Wait()
 	}
-	g := p.gen.Load()
-	p.mu.Unlock()
-	if p.counting {
-		p.parkWakes.Add(1)
-	}
-	return g
+	r.mu.Unlock()
+	r.asleep.Add(-1)
+	st.ParkWakes++
 }

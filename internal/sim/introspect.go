@@ -63,7 +63,7 @@ func (s PartitionStats) Utilization(quanta uint64) float64 {
 // for tuning the spin budget and must never feed a deterministic series or a
 // replay digest.
 type BarrierStats struct {
-	SpinWakes uint64 // awaits released within the spin/yield budget
+	SpinWakes uint64 // awaits released within the spin budget
 	ParkWakes uint64 // awaits that fully parked on the condition variable
 }
 
@@ -77,7 +77,7 @@ type EngineIntrospection struct {
 
 // engineIntro is the collection state behind EnableIntrospection. It lives
 // off the hot path: when nil, RunUntil pays a single pointer test per
-// quantum and the barrier counts nothing.
+// quantum.
 type engineIntro struct {
 	quanta   uint64
 	busy     []uint64
@@ -85,14 +85,17 @@ type engineIntro struct {
 	barrier  BarrierStats
 }
 
-// note records one executed quantum. Called on the coordinating goroutine
-// after the barrier, where every partition's Executed is stable.
-func (in *engineIntro) note(parts []*Partition) {
-	in.quanta++
-	for i, p := range parts {
-		if e := p.eng.Executed; e != in.lastExec[i] {
-			in.busy[i]++
-			in.lastExec[i] = e
+// note records one executed quantum for the partitions of one worker, which
+// calls it after running them, when their Executed is its own to read. The
+// quantum itself is counted once, by worker 0.
+func (in *engineIntro) note(first bool, parts []*Partition) {
+	if first {
+		in.quanta++
+	}
+	for _, p := range parts {
+		if e := p.eng.Executed; e != in.lastExec[p.id] {
+			in.busy[p.id]++
+			in.lastExec[p.id] = e
 		}
 	}
 }

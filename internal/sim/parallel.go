@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,16 +35,15 @@ import (
 // barrier either way. A one-partition engine has no barrier at all: RunUntil
 // and Halt are the plain Engine's.
 //
-// The per-quantum machinery is engineered to stay off the allocator and off
-// the scheduler: workers synchronize through a reusable spin-then-park
-// generation barrier (see barrier.go) instead of per-quantum channel sends,
-// each quantum's earliest-next-event time is maintained incrementally
-// (per-worker minima reduced at the barrier plus the timestamps of delivered
-// messages) instead of re-scanning every partition, and cross-partition
-// messages are batched per (edge, quantum) into reusable slabs — an event
-// record per message — then merged with one typed sort at the barrier
-// (SimBricks-style batched exchange rather than per-message handoff).
-// Barrier/sync cost is what bounds parallel-simulation scaling, so these
+// The per-quantum machinery stays off the allocator and off the scheduler.
+// There is no coordinator: RunUntil's caller is worker 0 and the workers meet
+// once per quantum (see barrier.go). Before arriving, each worker publishes
+// the earliest time anything it owns or sent can happen next, and whether it
+// was asked to halt; after the rendezvous every worker derives the same next
+// window from those slots. Cross-partition messages travel through
+// worker-to-worker mailboxes that the receiving worker drains, sorts and
+// schedules itself (SimBricks-style: each receiver polls its own inbound
+// queues). Barrier cost is what bounds parallel-simulation scaling, so these
 // paths are benchmarked in BenchmarkSection5EngineParallel and gated in CI
 // (cmd/benchjson).
 type ParallelEngine struct {
@@ -52,8 +53,6 @@ type ParallelEngine struct {
 	engines []*Engine
 	quantum Duration
 	now     Time
-	qEnd    Time // end of the quantum currently executing (SendEvent's horizon)
-	workers int
 	stop    atomic.Bool
 
 	// handlers is the jump table shared by every partition's engine, so an
@@ -61,19 +60,21 @@ type ParallelEngine struct {
 	// locally.
 	handlers *handlerTable
 
-	// edges[src*P+dst] is the reusable slab of messages queued on edge
-	// src->dst during the current quantum. A slab is only ever appended to
-	// by src's worker and drained by the coordinator at the barrier, and it
-	// keeps its capacity across quanta.
-	edges []xslab
-
-	// earliest caches the minimum NextEventTime across engines; it is exact
-	// at every quantum barrier (workers fold their engines' minima, message
-	// delivery folds in delivered timestamps).
-	earliest Time
-	// pending is the barrier-exchange merge buffer, emptied (capacity kept)
-	// at the end of every exchange.
-	pending []xmsg
+	// workers execute the partitions: worker w owns the contiguous range
+	// [w*P/W, (w+1)*P/W), a static assignment, so the mapping — and the
+	// results — never depend on scheduling luck. workers[0] runs on RunUntil's
+	// caller.
+	workers []*worker
+	// slots[parity][w] is what worker w published before the rendezvous of a
+	// quantum of that parity. Two sets, because a fast worker publishes for
+	// the next quantum while a slow one is still reading the last.
+	slots [2][]slot
+	// mail[parity][src*W+dst] holds the messages worker src's partitions sent
+	// to worker dst's in a quantum of that parity. Only src appends to it, and
+	// only dst empties it, one rendezvous later, while src fills the other
+	// parity; capacity is kept across quanta.
+	mail [2][]mailbox
+	gate rendezvous
 
 	// failedCrossCancels counts Cancel calls with a non-zero EventID through
 	// a Cross scheduler (see crossScheduler.Cancel). Atomic: workers may
@@ -91,21 +92,47 @@ type ParallelEngine struct {
 
 // Partition is the per-partition scheduling handle. It satisfies Scheduler,
 // so model components wired into partition i schedule local events through
-// it exactly as they would on a sequential Engine.
+// it exactly as they would on a sequential Engine. Nothing in it changes
+// during a run, so any worker may read any partition's handle.
 type Partition struct {
-	pe      *ParallelEngine
-	id      int
-	eng     *Engine
-	sendSeq uint64
-	// dirty lists the destination partitions this partition has queued
-	// messages for in the current quantum (first-touch order), so the
-	// barrier exchange visits only populated edges instead of all P^2.
-	dirty []int32
+	pe  *ParallelEngine
+	id  int
+	eng *Engine
+	w   *worker // the worker that runs this partition
 }
 
-// xslab is one edge's reusable message batch.
-type xslab struct {
-	recs []xmsg
+// worker is one executor's state. Peers read only the fields above the
+// padding, which never change during a run; the rest is private to the
+// worker's own goroutine until RunUntil has joined it.
+type worker struct {
+	pe      *ParallelEngine
+	id      int
+	parts   []*Partition
+	engines []*Engine
+	_       [64]byte
+
+	qEnd    Time   // end of the quantum executing (SendEvent's horizon)
+	parity  int    // of the quantum executing: which mailboxes and slot are being filled
+	sendSeq uint64 // orders this worker's sends, hence each of its partitions'
+	sentMin Time   // earliest timestamp sent since the last publish
+	inbox   []xmsg // receive's merge buffer, emptied (capacity kept) every time
+
+	stats    BarrierStats
+	panicked any // what a handler panicked with, for RunUntil to re-raise
+}
+
+// slot is what a worker tells its peers at the rendezvous, padded to a cache
+// line so concurrent publishes never false-share.
+type slot struct {
+	earliest Time // nothing the worker owns or sent happens before this
+	halt     bool // Halt was called, or a handler panicked
+	_        [48]byte
+}
+
+// mailbox is one worker-to-worker message batch, padded like slot.
+type mailbox struct {
+	msgs []xmsg
+	_    [40]byte
 }
 
 // xmsg is a cross-partition message: event ev bound for partition dst at
@@ -149,13 +176,13 @@ func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 	if quantum <= 0 {
 		panic("sim: quantum must be positive")
 	}
-	pe := &ParallelEngine{quantum: quantum, workers: 1, handlers: newHandlerTable()}
-	pe.edges = make([]xslab, n*n)
+	pe := &ParallelEngine{quantum: quantum, handlers: newHandlerTable()}
 	for i := 0; i < n; i++ {
 		eng := &Engine{handlers: pe.handlers} // one table for every partition
 		pe.engines = append(pe.engines, eng)
 		pe.parts = append(pe.parts, &Partition{pe: pe, id: i, eng: eng})
 	}
+	pe.SetWorkers(1)
 	return pe
 }
 
@@ -166,10 +193,10 @@ func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 // scheduled.
 func (pe *ParallelEngine) ShareQueue() {
 	pe.engines = pe.engines[:1]
-	pe.workers = 1
 	for _, p := range pe.parts {
 		p.eng = pe.engines[0]
 	}
+	pe.SetWorkers(1)
 }
 
 // RegisterHandler installs a typed-event handler on the table shared by all
@@ -204,17 +231,35 @@ func (pe *ParallelEngine) Quantum() Duration { return pe.quantum }
 // Now returns the last completed barrier time.
 func (pe *ParallelEngine) Now() Time { return pe.now }
 
-// SetWorkers sets the number of OS-level worker goroutines that execute
-// partitions each quantum. Worker count affects wall-clock speed only, never
-// results: partitions are statically assigned to workers and every quantum
-// is a full barrier. Values are clamped to [1, number of queues]; 1 (the
-// default) runs every partition inline on the caller's goroutine.
-func (pe *ParallelEngine) SetWorkers(w int) {
-	pe.workers = max(1, min(w, len(pe.engines)))
+// SetWorkers sets the number of workers that execute partitions each quantum:
+// RunUntil's caller plus n-1 goroutines. Worker count affects wall-clock
+// speed only, never results: partitions are statically assigned to workers
+// and every quantum is a full barrier. Values are clamped to [1, number of
+// queues] and to GOMAXPROCS, so a worker spinning at the barrier never holds
+// the P its peer needs; 1 (the default) runs every partition on the caller's
+// goroutine. Call before anything is sent across partitions.
+func (pe *ParallelEngine) SetWorkers(n int) {
+	n = max(1, min(n, len(pe.engines), runtime.GOMAXPROCS(0)))
+	pe.workers = make([]*worker, n)
+	pe.slots = [2][]slot{make([]slot, n), make([]slot, n)}
+	pe.mail = [2][]mailbox{make([]mailbox, n*n), make([]mailbox, n*n)}
+	pe.gate.init(n)
+	np := len(pe.parts)
+	for i := range pe.workers {
+		lo, hi := i*np/n, (i+1)*np/n
+		w := &worker{pe: pe, id: i, parts: pe.parts[lo:hi], engines: pe.engines, sentMin: Never}
+		if len(pe.engines) > 1 {
+			w.engines = pe.engines[lo:hi]
+		}
+		for _, p := range w.parts {
+			p.w = w
+		}
+		pe.workers[i] = w
+	}
 }
 
-// Workers returns the configured worker count.
-func (pe *ParallelEngine) Workers() int { return pe.workers }
+// Workers returns the effective worker count.
+func (pe *ParallelEngine) Workers() int { return len(pe.workers) }
 
 // Halt requests that the run stop at the next quantum barrier. It is safe to
 // call from any partition's event context during a run: the current quantum
@@ -283,30 +328,28 @@ func (pe *ParallelEngine) Send(src, dst int, at Time, fn func()) {
 // running on partition src's engine). at must not precede the end of the
 // executing quantum; this is the conservative-lookahead requirement that lets
 // partitions run a full quantum without hearing from their neighbours. The
-// message is batched into the reusable slab of the src->dst edge; its seq is
-// assigned here (per source partition), completing the (time, source,
-// sequence) merge key. On a single queue the message is just an event.
+// message goes into the sending worker's mailbox for the receiving worker;
+// its seq is assigned here, completing the (time, source, sequence) merge
+// key. On a single queue the message is just an event.
 func (pe *ParallelEngine) SendEvent(src, dst int, at Time, ev Event) {
 	checkKind(ev.Kind)
-	if at < pe.qEnd {
+	w := pe.parts[src].w
+	if at < w.qEnd {
 		panic(fmt.Sprintf(
 			"sim: cross-partition send %d->%d at %v violates conservative lookahead: "+
 				"the current quantum ends at %v (quantum %v), so cross-partition events must "+
 				"be scheduled at or after the barrier; lower the engine quantum below the "+
 				"minimum inter-partition link latency",
-			src, dst, at, pe.qEnd, pe.quantum))
+			src, dst, at, w.qEnd, pe.quantum))
 	}
 	if len(pe.engines) == 1 {
 		pe.engines[0].AtEvent(at, ev)
 		return
 	}
-	p := pe.parts[src]
-	p.sendSeq++
-	slab := &pe.edges[src*len(pe.parts)+dst]
-	if len(slab.recs) == 0 {
-		p.dirty = append(p.dirty, int32(dst))
-	}
-	slab.recs = append(slab.recs, xmsg{at: at, seq: p.sendSeq, src: int32(src), dst: int32(dst), ev: ev})
+	w.sendSeq++
+	w.sentMin = min(w.sentMin, at)
+	box := &pe.mail[w.parity][w.id*len(pe.workers)+pe.parts[dst].w.id]
+	box.msgs = append(box.msgs, xmsg{at: at, seq: w.sendSeq, src: int32(src), dst: int32(dst), ev: ev})
 }
 
 // gridNext returns the earliest quantum-grid boundary strictly after t.
@@ -323,7 +366,9 @@ func (pe *ParallelEngine) gridPrev(t Time) Time {
 
 // RunUntil advances all partitions to the deadline, one grid-aligned quantum
 // at a time, exchanging cross-partition messages at each barrier. It returns
-// early when every queue drains or when Halt is called.
+// early when every queue drains or when Halt is called. A panic raised by an
+// event on any worker ends the run at the next rendezvous and is re-raised
+// here, on the caller.
 func (pe *ParallelEngine) RunUntil(deadline Time) {
 	if len(pe.parts) == 1 {
 		e := pe.engines[0]
@@ -332,58 +377,43 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 		return
 	}
 	pe.stop.Store(false)
-	var pool *workerPool
-	if pe.workers > 1 {
-		pool = newWorkerPool(pe.engines, pe.workers, pe.intro != nil)
-		defer pool.close()
-		if pe.intro != nil {
-			// Collect barrier diagnostics before close releases the workers
-			// (LIFO: this defer runs first). Wakes from the final release are
-			// deliberately uncounted; these are best-effort diagnostics.
-			defer func() {
-				pe.intro.barrier.SpinWakes += pool.start.spinWakes.Load() + pool.done.spinWakes.Load()
-				pe.intro.barrier.ParkWakes += pool.start.parkWakes.Load() + pool.done.parkWakes.Load()
-			}()
-		}
-	}
-
-	// Prime the earliest-event cache once; from here on it is maintained
-	// incrementally at each barrier instead of re-scanning every queue.
-	pe.earliest = Never
+	// Scan the queues once; from here on the earliest event time comes out of
+	// each rendezvous.
+	earliest := Never
 	for _, e := range pe.engines {
-		pe.earliest = min(pe.earliest, e.NextEventTime())
+		earliest = min(earliest, e.NextEventTime())
 	}
 
-	for pe.now < deadline && !pe.stop.Load() {
-		// Skip ahead over quiet periods: if no partition has an event in the
-		// next quantum, jump to the quantum containing the earliest event.
-		// Outboxes are always empty here (flushed at the previous barrier).
-		if pe.earliest == Never || pe.earliest > deadline {
-			pe.now = deadline
-			break
-		}
-		pe.now = max(pe.now, pe.gridPrev(pe.earliest))
-		qEnd := min(pe.gridNext(pe.now), deadline)
-		pe.qEnd = qEnd
-
-		// Run every queue up to the barrier. Each executor also reports the
-		// minimum next-event time over the queues it ran.
-		if pool != nil {
-			pe.earliest = pool.runQuantum(qEnd)
-		} else {
-			pe.earliest = Never
-			for _, e := range pe.engines {
-				e.RunUntil(qEnd)
-				pe.earliest = min(pe.earliest, e.NextEventTime())
-			}
-		}
-		pe.now = qEnd
+	var wg sync.WaitGroup
+	start := pe.now
+	for _, w := range pe.workers[1:] {
+		wg.Add(1)
+		go func() { //simlint:allow detlint engine-owned workers: static partition assignment, one full rendezvous per quantum, joined before RunUntil returns
+			defer wg.Done()
+			w.run(start, earliest, deadline)
+		}()
+	}
+	now := pe.workers[0].run(start, earliest, deadline)
+	wg.Wait()
+	var panicked any
+	for _, w := range pe.workers {
 		if pe.intro != nil {
-			pe.intro.note(pe.parts)
+			pe.intro.barrier.SpinWakes += w.stats.SpinWakes
+			pe.intro.barrier.ParkWakes += w.stats.ParkWakes
 		}
-		if len(pe.engines) > 1 {
-			pe.exchange()
+		if panicked == nil {
+			panicked = w.panicked
 		}
+		w.stats, w.panicked = BarrierStats{}, nil
+	}
+	if panicked != nil {
+		panic(panicked)
+	}
+	pe.now = now
+	// The workers are gone; the caller takes in the last quantum's messages
+	// for them.
+	for _, w := range pe.workers {
+		w.receive(w.parity ^ 1)
 	}
 
 	// On a drained or deadline exit, advance lagging partition clocks to the
@@ -402,45 +432,103 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 	}
 }
 
-// exchange delivers the quantum's cross-partition messages deterministically:
-// gather the populated edge slabs (each partition's dirty list names them, so
-// cost scales with traffic, not with P^2), merge in (time, source partition,
-// send sequence) order — a total order that depends only on the model — and
-// bulk-schedule into the destination engines. The merge buffer and the edge
-// slabs are reused quantum after quantum: emptied, never reallocated.
-func (pe *ParallelEngine) exchange() {
-	pending := pe.pending
-	np := len(pe.parts)
-	for _, p := range pe.parts {
-		for _, dst := range p.dirty {
-			slab := &pe.edges[p.id*np+int(dst)]
-			pending = append(pending, slab.recs...)
-			clear(slab.recs) // drop payload references, keep capacity
-			slab.recs = slab.recs[:0]
+// run is one worker's whole run: the same loop on every worker, in lockstep.
+// now is the last completed barrier and earliest the soonest event anywhere;
+// both are recomputed identically by every worker after each rendezvous, so
+// all of them pick the same windows and leave the loop together. It returns
+// the barrier the run stopped at.
+func (w *worker) run(now, earliest, deadline Time) Time {
+	pe := w.pe
+	if len(pe.workers) > 1 {
+		defer w.bail()
+	}
+	for halt := false; now < deadline && !halt; {
+		// Skip ahead over quiet periods: if nothing happens in the next
+		// quantum, jump to the quantum containing the earliest event.
+		if earliest == Never || earliest > deadline {
+			return deadline
 		}
-		p.dirty = p.dirty[:0]
+		// The last quantum's messages are scheduled only now that the run is
+		// known to go on: should a queue reject one, the panic still has a
+		// rendezvous ahead of it that the peers will come to.
+		w.receive(w.parity ^ 1)
+		now = max(now, pe.gridPrev(earliest))
+		w.qEnd = min(pe.gridNext(now), deadline)
+		next := Never
+		for _, e := range w.engines {
+			e.RunUntil(w.qEnd)
+			next = min(next, e.NextEventTime())
+		}
+		now = w.qEnd
+		if pe.intro != nil {
+			pe.intro.note(w.id == 0, w.parts)
+		}
+
+		// The halt flag is read after this worker's own events ran: the
+		// worker whose event called Halt is sure to publish it, which is all
+		// the others need.
+		slots := pe.slots[w.parity]
+		slots[w.id].earliest, slots[w.id].halt = min(next, w.sentMin), pe.stop.Load()
+		w.sentMin = Never
+		w.parity ^= 1
+		pe.gate.await(&w.stats)
+		earliest = Never
+		for i := range slots {
+			earliest = min(earliest, slots[i].earliest)
+			halt = halt || slots[i].halt
+		}
 	}
-	if len(pending) > 1 {
-		slices.SortFunc(pending, xmsgCompare)
-	}
-	for i := range pending {
-		m := &pending[i]
-		pe.parts[m.dst].eng.AtEvent(m.at, m.ev)
-		pe.earliest = min(pe.earliest, m.at)
-	}
-	clear(pending) // release delivered payloads before the workers resume
-	pe.pending = pending[:0]
+	return now
 }
 
-// Drained reports whether every partition's queue is empty.
+// bail keeps a panicking worker from stranding its peers at the rendezvous:
+// it keeps the panic value for RunUntil, asks everyone to halt and arrives in
+// the panicking worker's place.
+func (w *worker) bail() {
+	if w.panicked = recover(); w.panicked != nil {
+		s := &w.pe.slots[w.parity][w.id]
+		s.earliest, s.halt = Never, true
+		w.parity ^= 1
+		w.pe.gate.await(&w.stats)
+	}
+}
+
+// receive schedules the messages sent to w's partitions in the last quantum,
+// of parity par, whose rendezvous has passed: gather the W mailboxes
+// addressed to w, merge in (time, source partition, send sequence) order — a
+// total order that depends only on the model — and schedule into w's own
+// queues. The senders will not touch these mailboxes again before the next
+// rendezvous. Mailboxes and the merge buffer are emptied, never reallocated.
+func (w *worker) receive(par int) {
+	in := w.inbox
+	n := len(w.pe.workers)
+	for from := 0; from < n; from++ {
+		box := &w.pe.mail[par][from*n+w.id]
+		in = append(in, box.msgs...)
+		clear(box.msgs) // drop payload references, keep capacity
+		box.msgs = box.msgs[:0]
+	}
+	if len(in) > 1 {
+		slices.SortFunc(in, xmsgCompare)
+	}
+	for i := range in {
+		m := &in[i]
+		w.pe.parts[m.dst].eng.AtEvent(m.at, m.ev)
+	}
+	clear(in)
+	w.inbox = in[:0]
+}
+
+// Drained reports whether every partition's queue is empty and no message is
+// waiting in a mailbox.
 func (pe *ParallelEngine) Drained() bool {
 	for _, e := range pe.engines {
 		if e.NextEventTime() != Never {
 			return false
 		}
 	}
-	for _, p := range pe.parts {
-		if len(p.dirty) > 0 { // some edge slab still holds messages
+	for _, w := range pe.workers {
+		if w.sentMin != Never { // sent, and no rendezvous since
 			return false
 		}
 	}
@@ -495,97 +583,4 @@ func (c crossScheduler) Cancel(id EventID) {
 		return
 	}
 	c.pe.failedCrossCancels.Add(1)
-}
-
-// workerMin is a per-worker minimum-next-event slot, padded to a cache line
-// so concurrent writes at the barrier never false-share.
-type workerMin struct {
-	t Time
-	_ [7]int64
-}
-
-// workerPool executes the partitions' engines across a fixed set of
-// goroutines with a static, contiguous assignment (worker w owns engines
-// [w*n/W, (w+1)*n/W)), so the mapping — and the results — never depend on
-// scheduling luck.
-//
-// Synchronization is two phaser gates per quantum instead of per-quantum
-// channel traffic: the main goroutine publishes qEnd and advances the start
-// gate; workers run their partitions, record the minimum next-event time of
-// what they own, and the last arrival advances the done gate. Workers spin
-// briefly and then park (see phaser), so an idle pool costs nothing and a
-// busy one never pays a scheduler round-trip per quantum.
-type workerPool struct {
-	start    *phaser
-	done     *phaser
-	arrived  atomic.Int32
-	workers  int32
-	qEnd     Time // published before start.advance, read after start.await
-	shutdown bool // likewise
-	mins     []workerMin
-}
-
-func newWorkerPool(engines []*Engine, workers int, counting bool) *workerPool {
-	pool := &workerPool{
-		start:   newPhaser(),
-		done:    newPhaser(),
-		workers: int32(workers),
-		mins:    make([]workerMin, workers),
-	}
-	pool.start.counting = counting
-	pool.done.counting = counting
-	n := len(engines)
-	// Capture the start generation before any worker launches: a worker that
-	// first reads the gate after the opening advance would wait one
-	// generation too far and deadlock the first quantum.
-	startGen := pool.start.current()
-	for w := 0; w < workers; w++ {
-		owned := engines[w*n/workers : (w+1)*n/workers]
-		w := w
-		go func() { //simlint:allow detlint engine-owned worker pool: static partition assignment, spin-then-park barrier, full barrier per quantum
-			gen := startGen
-			for {
-				gen = pool.start.await(gen)
-				if pool.shutdown {
-					return
-				}
-				qEnd := pool.qEnd
-				min := Never
-				for _, e := range owned {
-					e.RunUntil(qEnd)
-					if t := e.NextEventTime(); t < min {
-						min = t
-					}
-				}
-				pool.mins[w].t = min
-				if pool.arrived.Add(1) == pool.workers {
-					pool.arrived.Store(0)
-					pool.done.advance()
-				}
-			}
-		}()
-	}
-	return pool
-}
-
-// runQuantum advances every partition to qEnd, waits for the barrier, and
-// returns the minimum next-event time across all partitions.
-func (pool *workerPool) runQuantum(qEnd Time) Time {
-	last := pool.done.current()
-	pool.qEnd = qEnd
-	pool.start.advance()
-	pool.done.await(last)
-	min := Never
-	for i := range pool.mins {
-		if t := pool.mins[i].t; t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-// close releases the workers; they observe shutdown and exit.
-func (pool *workerPool) close() {
-	pool.shutdown = true
-	pool.start.advance()
 }

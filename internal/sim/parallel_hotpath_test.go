@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // twoPartTraffic builds a 2-partition model in which every quantum carries
@@ -24,39 +26,55 @@ func twoPartTraffic(workers int) *ParallelEngine {
 	return pe
 }
 
-// TestBarrierExchangeBufferReuse pins the allocation-free barrier contract:
-// once warmed, the reusable pending merge buffer and the per-edge slabs keep
-// their backing capacity across quanta instead of being reallocated, and
-// delivered closures are not pinned by the recycled storage.
-func TestBarrierExchangeBufferReuse(t *testing.T) {
-	pe := twoPartTraffic(1)
-	pe.RunUntil(Time(50 * Microsecond)) // warm up ~50 quanta
-	capPending := cap(pe.pending)
-	capEdge01 := cap(pe.edges[0*2+1].recs)
-	if capPending == 0 || capEdge01 == 0 {
-		t.Fatalf("exchange buffers never grew: pending %d edge 0->1 %d", capPending, capEdge01)
-	}
-	pe.RunUntil(Time(500 * Microsecond)) // ~450 more quanta, same load
-	if got := cap(pe.pending); got != capPending {
-		t.Errorf("pending buffer reallocated under steady load: cap %d -> %d", capPending, got)
-	}
-	if got := cap(pe.edges[0*2+1].recs); got != capEdge01 {
-		t.Errorf("edge slab reallocated under steady load: cap %d -> %d", capEdge01, got)
-	}
-	// The recycled buffers must not pin the payloads they carried.
-	for _, m := range pe.pending[:cap(pe.pending)] {
-		if m.ev.Tgt != nil || m.ev.Ref != nil {
-			t.Fatal("pending buffer retains a delivered payload")
+// TestBarrierExchangeAllocatesNothing pins the allocation-free barrier
+// contract: once warmed, a quantum with cross traffic — mailboxes filled,
+// emptied, merged and scheduled, the rendezvous crossed — allocates nothing,
+// and the recycled buffers do not pin the payloads they carried. RunUntil
+// itself allocates a few times per call (its WaitGroup, the goroutines it
+// starts), so the bound is a handful per 400 quanta.
+func TestBarrierExchangeAllocatesNothing(t *testing.T) {
+	const quanta = 400
+	check := func(pe *ParallelEngine) {
+		t.Helper()
+		for _, boxes := range pe.mail {
+			for _, box := range boxes {
+				for _, m := range box.msgs[:cap(box.msgs)] {
+					if m.ev.Tgt != nil || m.ev.Ref != nil {
+						t.Fatal("mailbox retains a delivered payload")
+					}
+				}
+			}
 		}
-	}
-	for i := range pe.edges {
-		recs := pe.edges[i].recs
-		for _, m := range recs[:cap(recs)] {
-			if m.ev.Tgt != nil || m.ev.Ref != nil {
-				t.Fatal("edge slab retains a flushed payload")
+		for _, w := range pe.workers {
+			for _, m := range w.inbox[:cap(w.inbox)] {
+				if m.ev.Tgt != nil || m.ev.Ref != nil {
+					t.Fatal("merge buffer retains a delivered payload")
+				}
 			}
 		}
 	}
+
+	pe := twoPartTraffic(1)
+	pe.RunUntil(Time(50 * Microsecond)) // warm up ~50 quanta
+	got := testing.AllocsPerRun(5, func() { pe.RunUntil(pe.Now() + Time(quanta*Microsecond)) })
+	if got > 4 {
+		t.Errorf("1 worker: %v allocations in %d steady-state quanta, want none per quantum", got, quanta)
+	}
+	check(pe)
+
+	// AllocsPerRun pins GOMAXPROCS to 1, which would starve a second worker,
+	// so two workers are counted by hand; the slack is for whatever else
+	// the test binary allocates meanwhile.
+	pe = twoPartTraffic(2)
+	pe.RunUntil(Time(50 * Microsecond))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pe.RunUntil(pe.Now() + Time(quanta*Microsecond))
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > quanta/10 {
+		t.Errorf("2 workers: %d allocations in %d steady-state quanta, want none per quantum", got, quanta)
+	}
+	check(pe)
 }
 
 // TestBarrierWorkerResultsMatchInline runs the fixed-traffic model inline and
@@ -100,19 +118,40 @@ func TestBarrierPoolReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPhaser exercises the generation gate directly: spin hand-off, parked
-// hand-off, and generation monotonicity.
-func TestPhaser(t *testing.T) {
-	p := newPhaser()
-	g0 := p.current()
-	done := make(chan uint64, 1)
-	go func() { done <- p.await(g0) }() //simlint:allow detlint test exercises the engine-owned barrier primitive
-	p.advance()
-	if got := <-done; got != g0+1 {
-		t.Fatalf("await returned generation %d, want %d", got, g0+1)
+// TestRendezvous exercises the barrier directly: nobody leaves before the
+// last arrival, whether the waiter is still spinning or — with the last
+// arrival held back ever longer, until it happens — has parked, and each
+// round counts exactly one wait.
+func TestRendezvous(t *testing.T) {
+	var r rendezvous
+	r.init(2)
+	var peer, mine BarrierStats
+	rounds := uint64(0)
+	for hold := time.Duration(0); peer.ParkWakes == 0; hold = 4*hold + time.Millisecond {
+		if hold > 10*time.Second {
+			t.Fatal("a waiter held back for seconds never parked")
+		}
+		rounds++
+		released := make(chan struct{})
+		go func() { //simlint:allow detlint test exercises the engine-owned barrier primitive
+			r.await(&peer)
+			close(released)
+		}()
+		if hold > 0 {
+			for r.arrived.Load() == 0 {
+				time.Sleep(10 * time.Microsecond)
+			}
+			time.Sleep(hold)
+			select {
+			case <-released:
+				t.Fatal("a waiter left the rendezvous before the last arrival")
+			default:
+			}
+		}
+		r.await(&mine)
+		<-released
 	}
-	// A waiter arriving after the advance returns immediately.
-	if got := p.await(g0); got != g0+1 {
-		t.Fatalf("late await returned %d, want %d", got, g0+1)
+	if got := peer.SpinWakes + peer.ParkWakes + mine.SpinWakes + mine.ParkWakes; got != rounds {
+		t.Fatalf("%d rounds of one waiter each counted %d waits", rounds, got)
 	}
 }
