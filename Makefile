@@ -103,7 +103,7 @@ campaign-nightly:
 	$(GO) run ./cmd/diablo validate CAMPAIGN_results.json
 
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/sim
 
 # Machine-readable engine microbench: runs the §5 engine-comparison probe,
 # writes BENCH_results.json plus a before/after BENCH_compare.json, and fails

@@ -225,10 +225,13 @@ func (m *Machine) TCPStats() tcp.Stats {
 	return total.Stats
 }
 
-type connKey struct {
-	local      packet.Port
-	remoteNode packet.NodeID
-	remotePort packet.Port
+// connKey identifies a connection on its machine: (local port, remote node,
+// remote port) packed into one word, so the per-segment lookup hashes a
+// uint64 and not a struct.
+type connKey uint64
+
+func newConnKey(local packet.Port, remote packet.Addr) connKey {
+	return connKey(local)<<48 | connKey(uint32(remote.Node))<<16 | connKey(remote.Port)
 }
 
 // New creates a machine. wire is the NIC's egress link toward the ToR; the
@@ -590,7 +593,7 @@ func (m *Machine) deliver(pkt *packet.Packet) {
 }
 
 func (m *Machine) deliverTCP(pkt *packet.Packet) {
-	key := connKey{local: pkt.Dst.Port, remoteNode: pkt.Src.Node, remotePort: pkt.Src.Port}
+	key := newConnKey(pkt.Dst.Port, pkt.Src)
 	if sock, ok := m.conns[key]; ok {
 		sock.conn.Input(pkt)
 		return

@@ -665,7 +665,7 @@ func (t *Thread) Connect(remote packet.Addr) (*TCPSocket, error) {
 	m := t.m
 	t.syscall(m.cfg.Profile.ConnectInstr)
 	local := packet.Addr{Node: m.node, Port: m.ephemeralPort()}
-	key := connKey{local: local.Port, remoteNode: remote.Node, remotePort: remote.Port}
+	key := newConnKey(local.Port, remote)
 	conn, err := tcp.NewClient(tcpEnv{m}, m.cfg.TCP, local, remote)
 	if err != nil {
 		return nil, err

@@ -17,10 +17,9 @@ type EventID struct {
 // at a time, in (time, schedule-order) order, so a simulation is a pure
 // function of its initial state and seeds.
 //
-// Events live in a tiered queue (near run / timing wheel / far heap, see
-// queue.go) that dispatches in exactly the order the original binary-heap
-// engine did, with O(1) scheduling and popping on the common near-future
-// path and no per-event map traffic.
+// Events live in a sorted near run fed by a hierarchical timing wheel (see
+// queue.go) that dispatches in exactly the order a single sorted list would,
+// with O(1) scheduling, cancelling and popping at every distance.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -75,8 +74,8 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 
 // AtEvent schedules an event record at the absolute time at; nothing is
 // allocated. Scheduling in the past (before Now) panics: it would silently
-// reorder causality. Scheduling past maxSchedulable (Never minus one wheel
-// span, ≈ 106 simulated days) panics too; use Never-bounded run deadlines,
+// reorder causality. Scheduling past maxSchedulable (Never minus three wheel
+// spans, ≈ 106 simulated days) panics too; use Never-bounded run deadlines,
 // not Never-adjacent events.
 func (e *Engine) AtEvent(at Time, ev Event) EventID {
 	checkKind(ev.Kind)
@@ -104,8 +103,10 @@ func (e *Engine) Cancel(id EventID) {
 	e.q.cancel(id)
 }
 
-// Pending reports the number of events still queued (including cancelled
-// events not yet popped).
+// Pending reports the number of events still queued, including cancelled
+// events not yet popped: one cancelled inside the wheel window (within a few
+// tens of microseconds of the head) stays queued until it surfaces, one
+// cancelled further out leaves at once.
 func (e *Engine) Pending() int { return e.q.size() }
 
 // ForEachPending invokes fn for every still-queued typed event record, in

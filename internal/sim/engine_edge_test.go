@@ -32,11 +32,15 @@ func TestEmptyEngineEdgeCases(t *testing.T) {
 
 func TestPendingAndNextEventTimeWithCancellations(t *testing.T) {
 	e := NewEngine()
+	e.At(0, func() {})
+	e.Step() // opens the wheel window, so the next two events queue inside it
 	first := e.At(Time(Nanosecond), func() {})
 	e.At(Time(2*Nanosecond), func() {})
+	far := e.At(Time(Second), func() {})
 	e.Cancel(first)
-	// Pending counts cancelled-but-unpopped events: it reports queue size,
-	// not liveness.
+	e.Cancel(far) // beyond the window: unlinked and freed by Cancel itself
+	// Pending counts cancelled-but-unpopped events inside the window: it
+	// reports queue size, not liveness.
 	if got := e.Pending(); got != 2 {
 		t.Fatalf("Pending = %d, want 2 (cancelled event still queued)", got)
 	}

@@ -12,20 +12,20 @@ package sim
 // that must stay out of any determinism-checked output.
 
 // QueueStats reports the occupancy of each tier of an engine's event queue:
-// the sorted near run, the timing wheel and the far heap. Counts include
-// cancelled entries that have not yet surfaced and been collected, mirroring
-// Pending.
+// the sorted near run, the rolling level-0 window of the timing wheel and
+// the coarse levels beyond it. Near and Wheel include cancelled entries that
+// have not yet surfaced and been collected, mirroring Pending.
 type QueueStats struct {
 	Near  int // sorted near-run entries not yet dispatched
-	Wheel int // entries waiting in the timing-wheel buckets
-	Far   int // entries in the far heap
+	Wheel int // entries waiting in the level-0 buckets
+	Far   int // entries chained in the upper wheel levels
 }
 
 // Total returns the summed occupancy across tiers.
 func (s QueueStats) Total() int { return s.Near + s.Wheel + s.Far }
 
 func (q *eventQueue) stats() QueueStats {
-	return QueueStats{Near: len(q.near) - q.nearPos, Wheel: q.inWheel, Far: len(q.far)}
+	return QueueStats{Near: len(q.near) - q.nearPos, Wheel: q.inWheel, Far: q.inUpper}
 }
 
 // QueueStats reports the engine's event-queue tier occupancy.

@@ -6,8 +6,8 @@ import (
 )
 
 // TestQueueStatsTiers checks that QueueStats reports occupancy per tier:
-// imminent events land in the near run (or wheel), distant ones in the far
-// heap, and the sum always matches Pending.
+// imminent events land in the near run (or level 0), distant ones in the
+// upper levels, and the sum always matches Pending.
 func TestQueueStatsTiers(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 8; i++ {
@@ -23,16 +23,16 @@ func TestQueueStatsTiers(t *testing.T) {
 	if qs.Near+qs.Wheel+qs.Far != 13 {
 		t.Fatalf("13 events queued, stats report %+v", qs)
 	}
-	// The first dispatch opens a wheel epoch at the earliest event; the
-	// imminent events then occupy the near run / wheel while the 10 s events
-	// stay in the far heap.
+	// The first dispatch moves the wheel window to the earliest event; the
+	// imminent events then occupy the near run / level 0 while the 10 s
+	// events stay in an upper level.
 	e.Step()
 	qs = e.QueueStats()
 	if qs.Near+qs.Wheel == 0 {
 		t.Fatalf("imminent events should occupy near run or wheel after a pop: %+v", qs)
 	}
 	if qs.Far == 0 {
-		t.Fatalf("events 10s out should occupy the far heap: %+v", qs)
+		t.Fatalf("events 10s out should occupy an upper level: %+v", qs)
 	}
 	if qs.Total() != e.Pending() {
 		t.Fatalf("after a pop Total()=%d, Pending()=%d", qs.Total(), e.Pending())

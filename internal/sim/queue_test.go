@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -49,91 +51,148 @@ func (r *refQueue) pop() (refEvent, bool) {
 	return ev, true
 }
 
+// checkInvariants walks the whole queue and fails on any entry filed where
+// the placement rules of queue.go do not put it.
+func (q *eventQueue) checkInvariants(t *testing.T, where string) {
+	t.Helper()
+	if w := q.wheelEnd - q.nearEnd; q.wheelEnd != 0 && (w < wheelSpan || w >= 2*wheelSpan || q.wheelEnd&(wheelSpan-1) != 0) {
+		t.Fatalf("%s: window [%d, %d) is not one to two spans ending on a span boundary", where, q.nearEnd, q.wheelEnd)
+	}
+	n := 0
+	for b := range q.buckets {
+		for _, ent := range q.buckets[b] {
+			n++
+			if ent.at < q.nearEnd || ent.at >= q.wheelEnd || int(ent.at>>wheelGranularityBits)&nearMask != b {
+				t.Fatalf("%s: level-0 bucket %d holds at=%d, window [%d, %d)", where, b, ent.at, q.nearEnd, q.wheelEnd)
+			}
+		}
+		if (len(q.buckets[b]) != 0) != (q.occ[b>>6]&(1<<uint(b&63)) != 0) {
+			t.Fatalf("%s: level-0 occupancy bit %d out of step", where, b)
+		}
+	}
+	if n != q.inWheel {
+		t.Fatalf("%s: inWheel = %d, counted %d", where, q.inWheel, n)
+	}
+	n = 0
+	for k := range q.upper {
+		shift := uint(spanBits + levelBits*k)
+		endByte := int(q.wheelEnd>>shift) & wheelMask
+		for b := range q.upper[k].head {
+			prev := uint32(0)
+			for s := q.upper[k].head[b]; s != 0; s = q.chain[s-1].slot {
+				n++
+				c := q.chain[s-1]
+				switch {
+				case c.prev != prev:
+					t.Fatalf("%s: level %d bucket %d: back link broken at slot %d", where, k+1, b, s-1)
+				case c.at < q.wheelEnd || int(c.at>>shift)&wheelMask != b || c.at>>(shift+levelBits) != q.wheelEnd>>(shift+levelBits):
+					t.Fatalf("%s: level %d bucket %d holds at=%d, wheelEnd=%d", where, k+1, b, c.at, q.wheelEnd)
+				case q.wheelEnd != 0 && (b < endByte || b == endByte && k > 0):
+					t.Fatalf("%s: level %d bucket %d (at=%d) is not ahead of wheelEnd=%d", where, k+1, b, c.at, q.wheelEnd)
+				case !q.slots[s-1].live() || q.slots[s-1].home != uint32(1+k<<levelBits+b):
+					t.Fatalf("%s: level %d bucket %d: slot %d is dead or records home %d", where, k+1, b, s-1, q.slots[s-1].home)
+				}
+				prev = s
+			}
+			if (q.upper[k].head[b] != 0) != (q.upper[k].occ[b>>6]&(1<<uint(b&63)) != 0) {
+				t.Fatalf("%s: level %d occupancy bit %d out of step", where, k+1, b)
+			}
+		}
+	}
+	if n != q.inUpper {
+		t.Fatalf("%s: inUpper = %d, counted %d", where, q.inUpper, n)
+	}
+	if q.size() != q.stats().Total() {
+		t.Fatalf("%s: %d slots in use, tiers hold %+v", where, q.size(), q.stats())
+	}
+}
+
 // TestTieredQueueVsReference drives the engine and a naive sorted-list
-// reference through the same randomized schedule/cancel/pop mix — including
-// same-timestamp ties, zero delays, wheel-horizon crossings and far-future
-// timers — and requires identical dispatch sequences.
+// reference through the same randomized mix of schedules, cancels, re-arms,
+// pops, peeks and bounded runs, with delays drawn across every level of the
+// wheel, and requires identical dispatch sequences and a queue that obeys its
+// placement rules after every operation.
 func TestTieredQueueVsReference(t *testing.T) {
-	// Delay palette stressing every tier: same-time ties (0), sub-bucket
-	// (<65.5ns), bucket-crossing, mid-wheel, horizon-crossing (>16.8µs) and
-	// far-future timers.
+	// Same-time ties, sub-bucket, bucket-crossing, inside one span, between
+	// one and two spans, and one or more steps into each upper level.
 	delays := []Duration{
-		0, 0, Nanosecond, 40 * Nanosecond, 70 * Nanosecond,
-		300 * Nanosecond, 3 * Microsecond, 17 * Microsecond,
-		120 * Microsecond, 5 * Millisecond, 200 * Millisecond,
+		0, 0, Nanosecond, 40 * Nanosecond, 70 * Nanosecond, 300 * Nanosecond,
+		3 * Microsecond, 12 * Microsecond, 17 * Microsecond, 30 * Microsecond,
+		120 * Microsecond, 5 * Millisecond, 200 * Millisecond, 250 * Millisecond,
+		2 * Second, 400 * Second, 30000 * Second,
 	}
 	rng := NewRand(DeriveSeed(1, "tiered-queue-vs-reference"))
-	for iter := 0; iter < 30; iter++ {
+	for iter := 0; iter < 60; iter++ {
 		e := NewEngine()
 		ref := &refQueue{}
-		var got, want []refEvent
-		nextTag := 0
-		ids := map[int]EventID{} // tag -> id, for cancels
-		seqOf := map[int]uint64{}
-		var seq uint64
-
+		var got []refEvent
+		var ids []EventID // by tag; the schedule sequence number is tag+1
 		schedule := func(at Time) {
-			tag := nextTag
-			nextTag++
-			seq++
-			ids[tag] = e.At(at, func() {
-				got = append(got, refEvent{at: e.Now(), seq: seqOf[tag], tag: tag})
+			tag := len(ids)
+			id := e.At(at, func() {
+				got = append(got, refEvent{at: e.Now(), seq: uint64(tag + 1), tag: tag})
 			})
-			seqOf[tag] = seq
-			ref.schedule(at, seq, tag)
+			ids = append(ids, id)
+			ref.schedule(at, uint64(tag+1), tag)
 		}
-
-		// Seed a batch, then interleave pops with schedules and cancels the
-		// way a simulation would (new events relative to current time).
-		for i := 0; i < 50; i++ {
-			schedule(Time(delays[rng.Intn(len(delays))]))
+		draw := func() Time {
+			return e.Now().Add(delays[rng.Intn(len(delays))] + Duration(rng.Intn(1000)))
 		}
+		pop := func(where string) bool {
+			want, ok := ref.pop()
+			if e.Step() != ok {
+				t.Fatalf("%s: engine dispatched = %v, reference had an event = %v", where, !ok, ok)
+			}
+			if ok && got[len(got)-1] != want {
+				t.Fatalf("%s: dispatched %+v, reference %+v", where, got[len(got)-1], want)
+			}
+			return ok
+		}
+		timer := -1 // tag of one timer that is only ever re-armed, like a TCP RTO
 		for ops := 0; ops < 3000; ops++ {
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3, 4, 5: // pop one event
-				wantEv, ok := ref.pop()
-				if !ok {
-					if e.Step() {
-						t.Fatalf("iter %d: engine dispatched with empty reference", iter)
+			where := fmt.Sprintf("iter %d op %d", iter, ops)
+			switch r := rng.Intn(16); {
+			case r < 6:
+				pop(where)
+			case r < 10:
+				schedule(draw())
+			case r < 12: // cancel a random known tag (live, fired, or cancelled)
+				if len(ids) > 0 {
+					tag := rng.Intn(len(ids))
+					e.Cancel(ids[tag])
+					ref.cancel(uint64(tag + 1))
+				}
+			case r < 13: // re-arm
+				if timer >= 0 {
+					e.Cancel(ids[timer])
+					ref.cancel(uint64(timer + 1))
+				}
+				timer = len(ids)
+				schedule(e.Now().Add(200 * Millisecond))
+			case r < 14: // peek, as the quantum loop does between runs
+				want := Never
+				if len(ref.events) > 0 {
+					want = ref.events[0].at
+				}
+				if at := e.NextEventTime(); at != want {
+					t.Fatalf("%s: NextEventTime = %v, reference %v", where, at, want)
+				}
+			default: // run to a deadline short of the next event, then go on from there
+				if len(ref.events) > 0 && ref.events[0].at > e.Now() {
+					gap := uint64(ref.events[0].at - e.Now())
+					deadline := e.Now() + Time(rng.Uint64()%gap)
+					e.RunUntil(deadline)
+					if e.Now() != deadline {
+						t.Fatalf("%s: RunUntil(%v) left the clock at %v", where, deadline, e.Now())
 					}
-					continue
 				}
-				if !e.Step() {
-					t.Fatalf("iter %d: engine empty, reference has %d events", iter, len(ref.events)+1)
-				}
-				want = append(want, wantEv)
-			case 6, 7, 8: // schedule relative to now
-				schedule(e.Now().Add(delays[rng.Intn(len(delays))]))
-			default: // cancel a random known tag (live, fired, or cancelled)
-				if nextTag == 0 {
-					continue
-				}
-				tag := rng.Intn(nextTag)
-				e.Cancel(ids[tag])
-				ref.cancel(seqOf[tag])
 			}
+			e.q.checkInvariants(t, where)
 		}
-		// Drain both completely.
-		for {
-			wantEv, ok := ref.pop()
-			if !ok {
-				break
-			}
-			want = append(want, wantEv)
-			if !e.Step() {
-				t.Fatalf("iter %d: engine drained before reference", iter)
-			}
+		for pop(fmt.Sprintf("iter %d drain", iter)) {
 		}
-		if e.Step() {
-			t.Fatalf("iter %d: engine had events after reference drained", iter)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: dispatched %d events, reference %d", iter, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("iter %d: dispatch %d = %+v, reference %+v", iter, i, got[i], want[i])
-			}
+		if e.Pending() != 0 {
+			t.Fatalf("iter %d: Pending = %d after drain", iter, e.Pending())
 		}
 	}
 }
@@ -186,10 +245,14 @@ func TestCancelAfterFireDoesNotGrow(t *testing.T) {
 
 // TestCancelReleasesClosureSlot asserts a cancelled event's callback is
 // dropped at cancel time (the slot record is cleared for the GC) and that the
-// freed slot is reused by later events instead of growing the table.
+// freed slot is reused by later events instead of growing the table. An event
+// inside the wheel window keeps its queue entry until it surfaces; one in an
+// upper level gives its slot back in Cancel.
 func TestCancelReleasesClosureSlot(t *testing.T) {
 	e := NewEngine()
-	id := e.After(Millisecond, func() {})
+	e.At(0, func() {})
+	e.Step() // open the window
+	id := e.After(Microsecond, func() {})
 	if got := len(e.q.slots); got != 1 {
 		t.Fatalf("slot table = %d, want 1", got)
 	}
@@ -221,39 +284,168 @@ func TestCancelReleasesClosureSlot(t *testing.T) {
 	if e.q.slots[0].ev.Tgt != nil {
 		t.Fatal("fresh EventID failed to cancel")
 	}
+	// Beyond the window nothing is left behind at all.
+	far := e.After(200*Millisecond, func() {})
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2 (dead near entry + live timer)", e.Pending())
+	}
+	e.Cancel(far)
+	if e.Pending() != 1 || e.q.inUpper != 0 {
+		t.Fatalf("cancelled timer still queued: Pending = %d, upper = %d", e.Pending(), e.q.inUpper)
+	}
 }
 
-// TestQueueEpochRefill exercises the wheel-epoch machinery directly: sparse
-// far-apart events force repeated epoch restarts from the far heap.
-func TestQueueEpochRefill(t *testing.T) {
+// TestQueueJumpsAcrossSparseEvents exercises the empty-window jump: events
+// far more than a span apart, up to hours, scheduled in reverse order.
+func TestQueueJumpsAcrossSparseEvents(t *testing.T) {
+	e := NewEngine()
+	var fired, want []Time
+	for _, step := range []Duration{100 * Microsecond, 7 * Millisecond, 3 * Second, 5000 * Second} {
+		for i := 20; i >= 1; i-- {
+			at := Time(i) * Time(step)
+			want = append(want, at)
+			e.At(at, func() { fired = append(fired, e.Now()) })
+		}
+	}
+	slices.Sort(want)
+	e.Run()
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestShortDelaysStayInLevelZero is the white-box half of the rolling
+// window: whatever the cursor's position inside a span, an event scheduled
+// from a handler less than one span ahead is filed in level 0 (or the near
+// run) and never touches an upper level.
+func TestShortDelaysStayInLevelZero(t *testing.T) {
+	e := NewEngine()
+	rng := NewRand(DeriveSeed(1, "short-delays"))
+	left := 20000
+	var hop func()
+	hop = func() {
+		if left--; left < 0 {
+			return
+		}
+		// 12 µs is a full-size frame at 1 Gb/s; the rest sweep [0, span).
+		d := 12 * Microsecond
+		if left%3 != 0 {
+			d = Duration(rng.Uint64() % uint64(wheelSpan))
+		}
+		before := e.q.inUpper
+		e.After(d, hop)
+		if e.q.inUpper != before {
+			t.Fatalf("t=%v: a %v delay was filed in an upper level (window [%d, %d))", e.Now(), d, e.q.nearEnd, e.q.wheelEnd)
+		}
+	}
+	// A few long timers keep the upper levels and the cascade busy meanwhile.
+	for i := 1; i <= 50; i++ {
+		e.At(Time(i)*Time(3*Millisecond), func() {})
+	}
+	e.At(0, hop)
+	e.At(0, hop)
+	e.Run()
+	if left >= 0 {
+		t.Fatalf("chain stopped with %d hops left", left)
+	}
+}
+
+// TestRearmLoopStaysSmall is the TCP retransmission-timer pattern: a 200 ms
+// timer cancelled and re-armed at every 12 µs hop, a million times over many
+// simulated seconds. The queue must hold the live timers, not the arms.
+func TestRearmLoopStaysSmall(t *testing.T) {
+	e := NewEngine()
+	const conns, arms = 8, 1_000_000
+	var timers [conns]EventID
+	n := 0
+	var hop func()
+	hop = func() {
+		c := n % conns
+		e.Cancel(timers[c])
+		timers[c] = e.After(200*Millisecond, func() {})
+		if n++; n < arms {
+			e.After(12*Microsecond, hop)
+		}
+		if p := e.Pending(); p > conns+1 {
+			t.Fatalf("arm %d: Pending = %d with %d live timers", n, p, conns)
+		}
+	}
+	e.At(0, hop)
+	e.RunUntil(Time(arms) * Time(12*Microsecond))
+	if got := len(e.q.slots); got > conns+2 {
+		t.Fatalf("slot table grew to %d for %d live timers and one hop", got, conns)
+	}
+	if e.Pending() != conns {
+		t.Fatalf("Pending = %d, want the %d live timers", e.Pending(), conns)
+	}
+}
+
+// TestSchedulableHorizon pins the documented limit from both sides: the last
+// schedulable instant is dispatched on time from any distance — through the
+// top wheel level, with no overflow in the window arithmetic — and one
+// picosecond beyond it is rejected loudly.
+func TestSchedulableHorizon(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	// All far beyond one wheel span (16.8µs) apart.
-	for i := 20; i >= 1; i-- {
-		at := Time(i) * Time(100*Microsecond)
-		e.At(at, func() { fired = append(fired, e.Now()) })
+	note := func() { fired = append(fired, e.Now()) }
+	want := []Time{1, Time(Second), maxSchedulable - Time(Second), maxSchedulable - 1, maxSchedulable, maxSchedulable}
+	for i := len(want) - 1; i >= 0; i-- {
+		e.At(want[i], note)
 	}
 	e.Run()
-	if len(fired) != 20 {
-		t.Fatalf("fired %d events, want 20", len(fired))
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
 	}
-	for i := range fired {
-		want := Time(i+1) * Time(100*Microsecond)
-		if fired[i] != want {
-			t.Fatalf("event %d fired at %v, want %v", i, fired[i], want)
-		}
+	e.After(0, note) // the clock now stands at the horizon itself
+	e.Run()
+	for _, at := range []Time{maxSchedulable + 1, Never} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("scheduling at %d, beyond the horizon, did not panic", at)
+				}
+			}()
+			e.At(at, note)
+		}()
 	}
 }
 
-// TestSchedulableHorizonPanics pins the documented limit: event times beyond
-// maxSchedulable (Never minus one wheel span) are rejected loudly rather
-// than corrupting wheel-epoch arithmetic.
-func TestSchedulableHorizonPanics(t *testing.T) {
+// BenchmarkQueueModelMix replays the schedule mix measured on the whole-model
+// benchmark workloads, which an engine microbenchmark of short chains never
+// leaves level 0 to see: 12 µs packet hops, a 200 ms retransmission timer
+// cancelled and re-armed at every hop, and 250 ms receive timeouts that are
+// never cancelled, about 50 k of them pending at any time.
+func BenchmarkQueueModelMix(b *testing.B) {
+	const (
+		chains         = 64
+		hop            = 12 * Microsecond
+		hopsPerTimeout = 27 // 64 chains / 12 µs / 27 × 250 ms ≈ 49 k pending
+		slice          = 25 * Millisecond
+	)
 	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling beyond the horizon did not panic")
+	var rto [chains]EventID
+	hops := 0
+	e.RegisterHandler(EvAppTick, func(_ Time, ev Event) {
+		if ev.Arg == 0 {
+			return // a timer firing
 		}
-	}()
-	e.At(Never, func() {})
+		e.Cancel(rto[ev.Obj])
+		rto[ev.Obj] = e.AfterEvent(200*Millisecond, Event{Kind: EvAppTick})
+		if hops++; hops%hopsPerTimeout == 0 {
+			e.AfterEvent(250*Millisecond, Event{Kind: EvAppTick})
+		}
+		e.AfterEvent(hop, ev)
+	})
+	for c := 0; c < chains; c++ {
+		e.AtEvent(Time(c)*Time(hop)/chains, Event{Kind: EvAppTick, Obj: uint32(c), Arg: 1})
+	}
+	e.RunUntil(Time(250 * Millisecond)) // fill the timeout pipeline
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := e.Executed
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now().Add(slice))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Executed-start), "ns/event")
+	b.ReportMetric(float64(e.Pending()), "pending")
 }

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"diablo/internal/packet"
@@ -23,6 +24,7 @@ const (
 )
 
 type oooSeg struct {
+	seq    uint32
 	length int
 	bounds []Boundary
 	fin    bool
@@ -72,13 +74,15 @@ type Conn struct {
 	delackCount  int
 	persistTimer sim.EventID
 	persistArmed bool
+	// One func value per timer, built on first arm: arming allocates nothing.
+	//diablo:transient method values over the Conn itself; rebuilt on the first arm after restore
+	rtoFn, delackFn, persistFn func()
 
 	// Receive state.
 	rcvNxt    uint32
-	readSeq   uint32 // application read cursor
-	unread    int    // in-order bytes not yet read
-	oooSegs   map[uint32]oooSeg
-	oooBytes  int
+	readSeq   uint32   // application read cursor
+	unread    int      // in-order bytes not yet read
+	oooSegs   []oooSeg // out-of-order segments, ascending seq
 	rcvBounds []Boundary
 	//diablo:transient opaque app messages; need a concrete-type registry (ROADMAP item 5)
 	ready   []any // completed messages awaiting Read
@@ -117,7 +121,6 @@ func newConn(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
 		rto:      initialRTO,
 		rcvNxt:   0,
 		readSeq:  1,
-		oooSegs:  make(map[uint32]oooSeg),
 	}
 	if c.rto < cfg.MinRTO {
 		c.rto = cfg.MinRTO
@@ -489,10 +492,7 @@ func (c *Conn) processData(pkt *packet.Packet) {
 			// Out of order: buffer if within the advertised window, and
 			// duplicate-ACK either way.
 			if int(segEnd-c.rcvNxt) <= c.rcvWindow() {
-				if _, dup := c.oooSegs[seq]; !dup {
-					c.oooSegs[seq] = oooSeg{length: length, bounds: bounds, fin: fin}
-					c.oooBytes += length
-				}
+				c.bufferOOO(oooSeg{seq: seq, length: length, bounds: bounds, fin: fin})
 			}
 			c.sendAck()
 			return
@@ -507,9 +507,7 @@ func (c *Conn) processData(pkt *packet.Packet) {
 		// An out-of-order FIN was already buffered with its segment above.
 		if length == 0 && seqLT(c.rcvNxt, finSeq) {
 			// FIN beyond a hole with no data (rare): record as ooo marker.
-			if _, dup := c.oooSegs[seq]; !dup {
-				c.oooSegs[seq] = oooSeg{length: 0, fin: true}
-			}
+			c.bufferOOO(oooSeg{seq: seq, fin: true})
 			c.sendAck()
 		}
 	}
@@ -554,29 +552,34 @@ func (c *Conn) absorbBounds(bounds []Boundary) {
 	}
 }
 
-// absorbOOO pulls buffered out-of-order segments that are now in order.
+// bufferOOO files an out-of-order segment by sequence number; one starting
+// where a buffered segment does is a retransmission and is ignored.
+func (c *Conn) bufferOOO(seg oooSeg) {
+	i := len(c.oooSegs)
+	for i > 0 && seqLT(seg.seq, c.oooSegs[i-1].seq) {
+		i--
+	}
+	if i == 0 || c.oooSegs[i-1].seq != seg.seq {
+		c.oooSegs = slices.Insert(c.oooSegs, i, seg)
+	}
+}
+
+// absorbOOO pulls buffered out-of-order segments that are now in order, and
+// purges stale ones left behind when differently-aligned in-order data
+// advanced past a buffered segment's start; any uncovered tail is
+// regenerated by the sender's go-back-N retransmission.
 func (c *Conn) absorbOOO() {
-	for {
-		seg, ok := c.oooSegs[c.rcvNxt]
-		if !ok {
-			break
+	for len(c.oooSegs) > 0 && seqLEQ(c.oooSegs[0].seq, c.rcvNxt) {
+		seg := c.oooSegs[0]
+		c.oooSegs = slices.Delete(c.oooSegs, 0, 1)
+		if seg.seq != c.rcvNxt {
+			continue
 		}
-		delete(c.oooSegs, c.rcvNxt)
-		c.oooBytes -= seg.length
 		c.rcvNxt += uint32(seg.length)
 		c.unread += seg.length
 		c.absorbBounds(seg.bounds)
 		if seg.fin && !c.peerFin {
 			c.acceptFin()
-		}
-	}
-	// Purge stale entries left behind when differently-aligned in-order data
-	// advanced past a buffered segment's start; any uncovered tail is
-	// regenerated by the sender's go-back-N retransmission.
-	for seq, seg := range c.oooSegs {
-		if seqLT(seq, c.rcvNxt) {
-			delete(c.oooSegs, seq)
-			c.oooBytes -= seg.length
 		}
 	}
 }
@@ -787,7 +790,10 @@ func (c *Conn) armRTO() {
 		return
 	}
 	c.rtoArmed = true
-	c.rtoTimer = c.env.At(c.env.Now().Add(c.rto), c.onRTO)
+	if c.rtoFn == nil {
+		c.rtoFn = c.onRTO
+	}
+	c.rtoTimer = c.env.At(c.env.Now().Add(c.rto), c.rtoFn)
 }
 
 func (c *Conn) rearmRTO() {
@@ -867,12 +873,17 @@ func (c *Conn) armDelack() {
 		return
 	}
 	c.delackArmed = true
-	c.delackTimer = c.env.At(c.env.Now().Add(c.cfg.DelAckTimeout), func() {
-		c.delackArmed = false
-		if c.state != StateClosed {
-			c.sendAck()
-		}
-	})
+	if c.delackFn == nil {
+		c.delackFn = c.onDelack
+	}
+	c.delackTimer = c.env.At(c.env.Now().Add(c.cfg.DelAckTimeout), c.delackFn)
+}
+
+func (c *Conn) onDelack() {
+	c.delackArmed = false
+	if c.state != StateClosed {
+		c.sendAck()
+	}
 }
 
 func (c *Conn) cancelDelack() {
@@ -888,21 +899,26 @@ func (c *Conn) armPersist() {
 		return
 	}
 	c.persistArmed = true
-	c.persistTimer = c.env.At(c.env.Now().Add(c.rto), func() {
-		c.persistArmed = false
-		if c.state == StateClosed {
-			return
+	if c.persistFn == nil {
+		c.persistFn = c.onPersist
+	}
+	c.persistTimer = c.env.At(c.env.Now().Add(c.rto), c.persistFn)
+}
+
+func (c *Conn) onPersist() {
+	c.persistArmed = false
+	if c.state == StateClosed {
+		return
+	}
+	if c.rwnd == 0 && seqLT(c.nxt, c.sndEnd) {
+		// Zero-window probe: one byte beyond the window.
+		c.emitData(c.nxt, 1)
+		c.nxt++
+		if seqLT(c.maxSent, c.nxt) {
+			c.maxSent = c.nxt
 		}
-		if c.rwnd == 0 && seqLT(c.nxt, c.sndEnd) {
-			// Zero-window probe: one byte beyond the window.
-			c.emitData(c.nxt, 1)
-			c.nxt++
-			if seqLT(c.maxSent, c.nxt) {
-				c.maxSent = c.nxt
-			}
-			c.armRTO()
-		}
-	})
+		c.armRTO()
+	}
 }
 
 func (c *Conn) enterTimeWait() {

@@ -2,6 +2,7 @@ package vswitch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"diablo/internal/link"
 	"diablo/internal/metrics"
@@ -66,14 +67,16 @@ type outPort struct {
 	idx      int // port index, the Obj payload of this port's typed events
 	link     *link.Link
 	occupied int // per-output buffer occupancy (ArchDropTail)
-	// voq[i] is the virtual output queue from input i (ArchVOQ); fifo is the
-	// single output queue (ArchSharedOutput / ArchDropTail).
-	voq    []qring
-	fifo   qring
-	queued int // packets waiting on this output
-	rr     int // round-robin pointer over inputs
-	busy   bool
-	wakeAt sim.Time
+	// voq[i] is the virtual output queue from input i (ArchVOQ) and bit i of
+	// backlog is set exactly while voq[i] is non-empty; fifo is the single
+	// output queue (ArchSharedOutput / ArchDropTail).
+	voq     []qring
+	backlog []uint64
+	fifo    qring
+	queued  int // packets waiting on this output
+	rr      int // round-robin pointer over inputs
+	busy    bool
+	wakeAt  sim.Time
 
 	Tx    metrics.Counter
 	Drops uint64
@@ -149,10 +152,13 @@ func New(sched sim.Scheduler, params Params) (*Switch, error) {
 	for i := range sw.in {
 		sw.in[i] = inPort{sw: sw, index: i}
 	}
+	words := (params.Ports + 63) / 64
+	bitmaps := make([]uint64, params.Ports*words) // one allocation for every port's backlog
 	for i := range sw.out {
 		op := &outPort{idx: i, wakeAt: sim.Never}
 		if params.Arch == ArchVOQ {
 			op.voq = make([]qring, params.Ports)
+			op.backlog = bitmaps[i*words : (i+1)*words : (i+1)*words]
 		}
 		sw.out[i] = op
 	}
@@ -312,6 +318,7 @@ func (s *Switch) receive(in int, pkt *packet.Packet) {
 	q := qpkt{pkt: pkt, eligible: eligible, bytes: size, input: in}
 	if s.params.Arch == ArchVOQ {
 		op.voq[in].push(q)
+		op.backlog[in>>6] |= 1 << uint(in&63)
 	} else {
 		op.fifo.push(q)
 	}
@@ -330,6 +337,39 @@ func (s *Switch) drop(op *outPort, in int, pkt *packet.Packet) {
 	s.pool.Release(pkt)
 }
 
+// arbitrate is the round-robin scheduler over inputs with eligible heads
+// (paper: "unified abstract virtual output-queue switch model with a simple
+// round-robin scheduler"): it returns the first input at or after the
+// round-robin pointer whose head is eligible, or -1 and the time the earliest
+// head it passed matures. Only backlogged inputs are visited: the bitmap is
+// walked from the pointer's word (high bits), through the other words in ring
+// order, back to that word's low bits.
+func (op *outPort) arbitrate(now sim.Time) (int, sim.Time) {
+	next := sim.Never
+	words, w := len(op.backlog), op.rr>>6
+	low := uint64(1)<<uint(op.rr&63) - 1
+	word := op.backlog[w] &^ low
+	for k := 1; ; k++ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if e := op.voq[i].headPkt().eligible; e <= now {
+				return i, next
+			} else if e < next {
+				next = e
+			}
+		}
+		if k > words {
+			return -1, next
+		}
+		if w++; w == words {
+			w = 0
+		}
+		if word = op.backlog[w]; k == words {
+			word &= low
+		}
+	}
+}
+
 // dispatch starts transmission on op if it is idle and a packet is eligible.
 func (s *Switch) dispatch(op *outPort) {
 	if op.busy || op.queued == 0 {
@@ -341,26 +381,14 @@ func (s *Switch) dispatch(op *outPort) {
 	var nextEligible = sim.Never
 
 	if s.params.Arch == ArchVOQ {
-		// Round-robin over inputs with eligible heads (paper: "unified
-		// abstract virtual output-queue switch model with a simple
-		// round-robin scheduler").
-		n := len(op.voq)
-		for k := 0; k < n; k++ {
-			i := (op.rr + k) % n
+		var i int
+		if i, nextEligible = op.arbitrate(now); i >= 0 {
 			r := &op.voq[i]
+			chosen, have = r.pop(), true
 			if r.empty() {
-				continue
+				op.backlog[i>>6] &^= 1 << uint(i&63)
 			}
-			h := r.headPkt()
-			if h.eligible <= now {
-				chosen = r.pop()
-				have = true
-				op.rr = (i + 1) % n
-				break
-			}
-			if h.eligible < nextEligible {
-				nextEligible = h.eligible
-			}
+			op.rr = (i + 1) % len(op.voq)
 		}
 	} else {
 		if !op.fifo.empty() {
@@ -442,6 +470,7 @@ func (s *Switch) ReleaseInFlight() {
 				s.pool.Release(r.pop().pkt)
 			}
 		}
+		clear(op.backlog)
 		for !op.fifo.empty() {
 			s.pool.Release(op.fifo.pop().pkt)
 		}
