@@ -23,7 +23,7 @@ LINT_BUDGET ?= 120s
 # bytes are identical at any value — only wall-clock time changes.
 CAMPAIGN_WORKERS ?= 0
 
-.PHONY: build test vet fmt-check lint race check cover bench bench-json bench-digest fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
+.PHONY: build test vet fmt-check lint race check cover bench bench-json bench-digest bench-pairs fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
 
 build:
 	$(GO) build ./...
@@ -118,3 +118,13 @@ bench-json:
 # timings in BENCH_digest.json are one sample each, not a measurement.
 bench-digest:
 	$(GO) run ./bench -reps 1 -json BENCH_digest.json
+
+# The paired protocol behind a performance claim: PARENT (a revision) against
+# the working tree on one WORKLOAD of the repository benchmark, PAIRS runs of
+# each in alternating order, medians, quartiles and wins for every end-to-end
+# metric. Ten 20 s pairs take about ten minutes.
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"

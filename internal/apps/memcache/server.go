@@ -149,8 +149,12 @@ type Server struct {
 // hands accepted connections over through queue and wakes the worker
 // through its epoll (notification-pipe style).
 type worker struct {
-	ep    *kernel.Epoll
+	ep *kernel.Epoll
+	// queue is head-indexed: popping advances head and the backing array is
+	// reused once drained (queue = queue[1:] strands the popped capacity and
+	// keeps the popped socket reachable).
 	queue []*kernel.TCPSocket
+	head  int
 }
 
 // InstallServer spawns the server threads on m and returns a handle for
@@ -211,9 +215,13 @@ func (srv *Server) runWorker(t *kernel.Thread, w *worker, udp *kernel.UDPSocket)
 	w.ep = t.EpollCreate()
 	w.ep.Add(t, udp, kernel.EpollIn, udp)
 	for {
-		for len(w.queue) > 0 {
-			conn := w.queue[0]
-			w.queue = w.queue[1:]
+		for w.head < len(w.queue) {
+			conn := w.queue[w.head]
+			w.queue[w.head] = nil
+			w.head++
+			if w.head == len(w.queue) {
+				w.queue, w.head = w.queue[:0], 0
+			}
 			w.ep.Add(t, conn, kernel.EpollIn, conn)
 		}
 		evs := w.ep.Wait(t, 64, 100*sim.Millisecond)

@@ -1,0 +1,75 @@
+package kernel
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"diablo/internal/packet"
+	"diablo/internal/sim"
+)
+
+// herd runs the memcached UDP server shape that dominates the benchmark: four
+// workers, each with its own epoll, all watching one UDP socket. Every
+// datagram wakes all four; one of them drains it and the other three find
+// nothing and block again. It returns the order in which workers got
+// datagrams (with the instant each returned from TryRecv) and the machine's
+// scheduler totals, using nothing but exported API and Stats — so the same
+// text can be produced at any commit.
+func herd(t *testing.T) string {
+	r := newRig(t, DefaultConfig())
+	var log strings.Builder
+	r.b.Spawn("main", func(th *Thread) {
+		sock, err := th.UDPSocket(7000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for w := 0; w < 4; w++ {
+			r.b.Spawn(fmt.Sprintf("w%d", w), func(wt *Thread) {
+				ep := wt.EpollCreate()
+				ep.Add(wt, sock, EpollIn, nil)
+				for {
+					for range ep.Wait(wt, 64, 100*sim.Millisecond) {
+						for {
+							_, _, payload, err := sock.TryRecv(wt)
+							if err != nil {
+								break
+							}
+							fmt.Fprintf(&log, "%s:%v@%d ", wt.Name(), payload, wt.Now())
+							wt.Compute(8000)
+							wt.Sleep(3 * sim.Microsecond) // lets a sibling take the next one
+						}
+					}
+				}
+			})
+		}
+	})
+	r.a.Spawn("client", func(th *Thread) {
+		sock, _ := th.UDPSocket(0)
+		th.Sleep(sim.Millisecond)
+		for i := 0; i < 12; i++ {
+			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 64, i)
+			if i%3 != 2 { // two back to back, then a gap
+				continue
+			}
+			th.Sleep(40 * sim.Microsecond)
+		}
+	})
+	r.run(250 * sim.Millisecond) // past two epoll timeouts: all four time out twice, empty-handed
+	fmt.Fprintf(&log, "| busy=%d ctx=%d sys=%d irq=%d", r.b.Util.Busy, r.b.Stats.CtxSwitches, r.b.Stats.Syscalls, r.b.Stats.Interrupts)
+	return log.String()
+}
+
+// herdAtParent is herd's output at the commit before blocking calls moved
+// their kernel half into engine context (03a452e): the wake order, every
+// instant, the CPU charged and the context-switch count must not move.
+const herdAtParent = "w0:0@1028763500 w1:1@1034862000 w2:2@1040960500 w0:3@1077063500 w1:4@1083162000 w2:5@1089260500 " +
+	"w0:6@1125363500 w1:7@1131462000 w2:8@1137560500 w0:9@1173663500 w1:10@1179762000 w2:11@1185860500 " +
+	"| busy=288107000 ctx=53 sys=69 irq=4"
+
+func TestThunderingHerdUnchanged(t *testing.T) {
+	if got := herd(t); got != herdAtParent {
+		t.Fatalf("herd run moved:\n got %s\nwant %s", got, herdAtParent)
+	}
+}

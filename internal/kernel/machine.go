@@ -340,8 +340,8 @@ func (m *Machine) kernelWorkPkt(kind KernelSpanKind, d sim.Duration, op kworkOp,
 }
 
 // scheduleCPU advances the CPU state machine. It is safe to call from any
-// engine-context site; while a thread coroutine is live it defers to the
-// resumeThread continuation.
+// engine-context site; while a thread coroutine is live, or a call's kernel
+// half is stepping, it defers to the resumeThread continuation.
 func (m *Machine) scheduleCPU() {
 	if m.inThread || m.kActive {
 		return
@@ -394,7 +394,7 @@ func (m *Machine) scheduleCPU() {
 	}
 	t := m.cur
 	if t.remaining <= 0 {
-		// The thread's pending CPU demand is satisfied: let it run app code.
+		// The thread's pending CPU demand is satisfied: let it run on.
 		m.resumeThread(t)
 		return
 	}
@@ -487,11 +487,15 @@ func (m *Machine) pauseChunk() {
 	m.chunkArmed = false
 }
 
-// resumeThread switches the (single) flow of control to t's coroutine until it
-// parks again or ends, then reschedules the CPU.
+// resumeThread grants t the CPU it was waiting for, then reschedules. Inside a
+// blocking call that is a step of the call's kernel half, right here; the
+// (single) flow of control switches to t's coroutine only to run app code.
 func (m *Machine) resumeThread(t *Thread) {
 	m.inThread = true
-	t.co.next()
+	if t.op.kind == opNone || t.step() {
+		t.resumes++
+		t.co.next()
+	}
 	m.inThread = false
 	m.scheduleCPU()
 }

@@ -71,12 +71,8 @@ type Epoll struct {
 	// make this the allocation hot spot of epoll servers otherwise.
 	ready     []*epollItem
 	readyHead int
-	// evbuf is the reusable result buffer Wait hands back to the caller; like
-	// the real epoll_wait events array it is valid until the next Wait on
-	// this instance.
-	evbuf   []EpollEvent
-	waiters waitQueue
-	kicked  bool
+	waiters   waitQueue
+	kicked    bool
 }
 
 // EpollCreate makes a new epoll instance (epoll_create1).
@@ -131,63 +127,58 @@ func (ep *Epoll) markReady(sock Pollable) {
 }
 
 // Wait blocks until at least one registered socket is ready, returning up to
-// maxEvents (epoll_wait). A negative timeout waits forever; zero polls.
+// maxEvents (epoll_wait). A negative timeout waits forever; zero polls. The
+// result lives in the calling thread's reusable buffer: like the real
+// epoll_wait events array it is valid until that thread's next Wait, whoever
+// else waits on this instance meanwhile.
 func (ep *Epoll) Wait(t *Thread, maxEvents int, timeout simDuration) []EpollEvent {
-	t.syscall(ep.m.cfg.Profile.EpollInstr)
 	if maxEvents <= 0 {
 		maxEvents = 64
 	}
-	// Typed wake-if-still-blocked timer; see UDPSocket.RecvFromTimeout for
-	// the stale-record discipline.
-	var deadline sim.Time
-	if timeout > 0 {
-		deadline = ep.m.eng.Now().Add(timeout)
-		ep.m.eng.AfterEvent(timeout, sim.Event{Kind: sim.EvThreadWakeBlocked, Tgt: t})
+	t.op = threadOp{kind: opEpollWait, ep: ep, extra: ep.m.cfg.Profile.EpollInstr, n: maxEvents,
+		timeout: timeout, timed: timeout > 0, nowait: timeout == 0}
+	return t.call().evs
+}
+
+func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
+	out := t.evbuf[:0]
+	// Harvest the ready list (level-triggered: items still ready are
+	// re-queued).
+	n := len(ep.ready) - ep.readyHead
+	for i := 0; i < n && len(out) < op.n; i++ {
+		it := ep.ready[ep.readyHead]
+		ep.ready[ep.readyHead] = nil
+		ep.readyHead++
+		it.inReady = false
+		if it.sock == nil {
+			continue // deleted
+		}
+		mask := it.sock.readyMask() & it.interest
+		if mask == 0 {
+			continue
+		}
+		out = append(out, EpollEvent{Sock: it.sock, Events: mask, Data: it.data})
+		// Still ready: keep it visible for the next Wait.
+		it.inReady = true
+		ep.ready = append(ep.ready, it)
 	}
-	blocked := false
-	for {
-		out := ep.evbuf[:0]
-		// Harvest the ready list (level-triggered: items still ready are
-		// re-queued).
-		n := len(ep.ready) - ep.readyHead
-		for i := 0; i < n && len(out) < maxEvents; i++ {
-			it := ep.ready[ep.readyHead]
-			ep.ready[ep.readyHead] = nil
-			ep.readyHead++
-			it.inReady = false
-			if it.sock == nil {
-				continue // deleted
-			}
-			mask := it.sock.readyMask() & it.interest
-			if mask == 0 {
-				continue
-			}
-			out = append(out, EpollEvent{Sock: it.sock, Events: mask, Data: it.data})
-			// Still ready: keep it visible for the next Wait.
-			it.inReady = true
-			ep.ready = append(ep.ready, it)
-		}
-		if ep.readyHead == len(ep.ready) {
-			ep.ready = ep.ready[:0]
-			ep.readyHead = 0
-		}
-		ep.evbuf = out
-		if len(out) > 0 {
-			// Charge the per-event dispatch cost.
-			t.Compute(int64(len(out)) * ep.m.cfg.Profile.EpollInstr / 4)
-			return out
-		}
-		if ep.kicked {
-			ep.kicked = false
-			return nil
-		}
-		if timeout == 0 || (timeout > 0 && blocked && ep.m.eng.Now() >= deadline) {
-			return nil
-		}
-		blocked = true
-		ep.waiters.enqueue(t)
-		t.block()
+	if ep.readyHead == len(ep.ready) {
+		ep.ready = ep.ready[:0]
+		ep.readyHead = 0
 	}
+	t.evbuf = out
+	switch {
+	case len(out) > 0:
+		op.evs = out
+		// Charge the per-event dispatch cost.
+		t.remaining += ep.m.instrTime(int64(len(out)) * ep.m.cfg.Profile.EpollInstr / 4)
+	case ep.kicked:
+		ep.kicked = false
+	case op.expired(ep.m.eng.Now()):
+	default:
+		return &ep.waiters, false
+	}
+	return nil, true
 }
 
 // simDuration aliases sim.Duration for brevity in the epoll API.
@@ -312,71 +303,41 @@ func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, payload any) error
 // RecvFrom blocks until a datagram arrives, then returns its source, size
 // and payload.
 func (s *UDPSocket) RecvFrom(t *Thread) (packet.Addr, int, any, error) {
-	m := s.m
-	t.syscall(m.cfg.Profile.RxUDPInstr / 4)
-	for {
-		if s.Pending() > 0 {
-			d := s.popDgram()
-			s.rcvBytes -= d.bytes
-			t.computeTime(m.copyCost(d.bytes))
-			return d.from, d.bytes, d.payload, nil
-		}
-		if s.closed {
-			return packet.Addr{}, 0, nil, ErrClosed
-		}
-		s.readers.enqueue(t)
-		t.block()
-	}
+	return s.recv(t, -1, false)
 }
 
 // RecvFromTimeout is RecvFrom with a receive deadline (SO_RCVTIMEO): it
 // returns ErrWouldBlock if no datagram arrives within d.
 func (s *UDPSocket) RecvFromTimeout(t *Thread, d sim.Duration) (packet.Addr, int, any, error) {
-	m := s.m
-	t.syscall(m.cfg.Profile.RxUDPInstr / 4)
-	// The timeout is a typed wake-if-still-blocked record plus a deadline
-	// comparison (a capturing closure here costs one allocation per receive).
-	// The record is not cancelled on early success; stale ones only ever wake
-	// a blocked thread, which the loop absorbs as a spurious wakeup.
-	var deadline sim.Time
-	if d >= 0 {
-		deadline = m.eng.Now().Add(d)
-		m.eng.AfterEvent(d, sim.Event{Kind: sim.EvThreadWakeBlocked, Tgt: t})
-	}
-	blocked := false // the deadline can only have passed after one block/wake cycle
-	for {
-		if s.Pending() > 0 {
-			dg := s.popDgram()
-			s.rcvBytes -= dg.bytes
-			t.computeTime(m.copyCost(dg.bytes))
-			return dg.from, dg.bytes, dg.payload, nil
-		}
-		if s.closed {
-			return packet.Addr{}, 0, nil, ErrClosed
-		}
-		if blocked && d >= 0 && m.eng.Now() >= deadline {
-			return packet.Addr{}, 0, nil, ErrWouldBlock
-		}
-		blocked = true
-		s.readers.enqueue(t)
-		t.block()
-	}
+	return s.recv(t, d, false)
 }
 
 // TryRecv is the non-blocking variant (MSG_DONTWAIT), for epoll users.
 func (s *UDPSocket) TryRecv(t *Thread) (packet.Addr, int, any, error) {
-	m := s.m
-	t.syscall(m.cfg.Profile.RxUDPInstr / 4)
-	if s.Pending() == 0 {
-		if s.closed {
-			return packet.Addr{}, 0, nil, ErrClosed
-		}
-		return packet.Addr{}, 0, nil, ErrWouldBlock
+	return s.recv(t, -1, true)
+}
+
+// recv is recvfrom with a receive deadline d (negative: none).
+func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, int, any, error) {
+	t.op = threadOp{kind: opUDPRecv, udp: s, extra: s.m.cfg.Profile.RxUDPInstr / 4, timeout: d, timed: d >= 0, nowait: nowait}
+	op := t.call()
+	return op.dg.from, op.dg.bytes, op.dg.payload, op.dyn.err
+}
+
+func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
+	switch {
+	case s.Pending() > 0:
+		op.dg = s.popDgram()
+		s.rcvBytes -= op.dg.bytes
+		t.remaining += s.m.copyCost(op.dg.bytes)
+	case s.closed:
+		op.dyn.err = ErrClosed
+	case op.expired(s.m.eng.Now()):
+		op.dyn.err = ErrWouldBlock
+	default:
+		return &s.readers, false
 	}
-	d := s.popDgram()
-	s.rcvBytes -= d.bytes
-	t.computeTime(m.copyCost(d.bytes))
-	return d.from, d.bytes, d.payload, nil
+	return nil, true
 }
 
 // popDgram removes the queue head. Callers must check Pending() first.
@@ -485,7 +446,8 @@ type TCPListener struct {
 	port    packet.Port
 	backlog int
 
-	pending    []*TCPSocket // established, waiting for Accept
+	pending    []*TCPSocket // established, waiting for Accept; head-indexed like Machine.kq
+	pendHead   int
 	synPending int
 
 	acceptQ  waitQueue
@@ -516,7 +478,7 @@ func (lis *TCPListener) Port() packet.Port { return lis.port }
 // incoming handles a SYN for this listener (softirq context).
 func (lis *TCPListener) incoming(pkt *packet.Packet, key connKey) {
 	m := lis.m
-	if lis.closed || len(lis.pending)+lis.synPending >= lis.backlog {
+	if lis.closed || lis.queued()+lis.synPending >= lis.backlog {
 		lis.Stats.Refused++
 		return // SYN dropped; client retries (listen queue overflow)
 	}
@@ -547,45 +509,46 @@ func (lis *TCPListener) incoming(pkt *packet.Packet, key connKey) {
 // accept4 variant (memcached >= 1.4.17) saves the extra fcntl syscall that
 // Accept4=false charges (§4.2 "Impact of application implementation").
 func (lis *TCPListener) Accept(t *Thread, accept4 bool) (*TCPSocket, error) {
-	extra := lis.m.cfg.Profile.AcceptInstr
-	if !accept4 {
-		// accept() + separate fcntl(O_NONBLOCK) syscall.
-		t.syscall(0)
-	}
-	t.syscall(extra)
-	for {
-		if len(lis.pending) > 0 {
-			s := lis.pending[0]
-			lis.pending = lis.pending[1:]
-			lis.Stats.Accepted++
-			return s, nil
-		}
-		if lis.closed {
-			return nil, ErrClosed
-		}
-		lis.acceptQ.enqueue(t)
-		t.block()
-	}
+	return lis.accept(t, accept4, false)
 }
 
 // TryAccept is the non-blocking accept for epoll-driven servers.
 func (lis *TCPListener) TryAccept(t *Thread, accept4 bool) (*TCPSocket, error) {
-	extra := lis.m.cfg.Profile.AcceptInstr
+	return lis.accept(t, accept4, true)
+}
+
+func (lis *TCPListener) accept(t *Thread, accept4, nowait bool) (*TCPSocket, error) {
 	if !accept4 {
+		// accept() + separate fcntl(O_NONBLOCK) syscall.
 		t.syscall(0)
 	}
-	t.syscall(extra)
-	if len(lis.pending) == 0 {
-		if lis.closed {
-			return nil, ErrClosed
-		}
-		return nil, ErrWouldBlock
-	}
-	s := lis.pending[0]
-	lis.pending = lis.pending[1:]
-	lis.Stats.Accepted++
-	return s, nil
+	t.op = threadOp{kind: opAccept, lis: lis, extra: lis.m.cfg.Profile.AcceptInstr, nowait: nowait}
+	op := t.call()
+	return op.tcp, op.dyn.err
 }
+
+func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
+	switch {
+	case lis.queued() > 0:
+		op.tcp = lis.pending[lis.pendHead]
+		lis.pending[lis.pendHead] = nil
+		lis.pendHead++
+		if lis.pendHead == len(lis.pending) {
+			lis.pending, lis.pendHead = lis.pending[:0], 0
+		}
+		lis.Stats.Accepted++
+	case lis.closed:
+		op.dyn.err = ErrClosed
+	case op.expired(lis.m.eng.Now()):
+		op.dyn.err = ErrWouldBlock
+	default:
+		return &lis.acceptQ, false
+	}
+	return nil, true
+}
+
+// queued returns the number of established connections waiting for Accept.
+func (lis *TCPListener) queued() int { return len(lis.pending) - lis.pendHead }
 
 // Close stops accepting.
 func (lis *TCPListener) Close(t *Thread) {
@@ -595,17 +558,17 @@ func (lis *TCPListener) Close(t *Thread) {
 	t.syscall(0)
 	lis.closed = true
 	delete(lis.m.listeners, lis.port)
-	for _, s := range lis.pending {
+	for _, s := range lis.pending[lis.pendHead:] {
 		s.conn.Abort()
 	}
-	lis.pending = nil
+	lis.pending, lis.pendHead = nil, 0
 	lis.acceptQ.wakeAll(lis.m)
 	lis.notifyWatchers()
 }
 
 func (lis *TCPListener) readyMask() EpollEvents {
 	var mask EpollEvents
-	if len(lis.pending) > 0 {
+	if lis.queued() > 0 {
 		mask |= EpollIn
 	}
 	if lis.closed {
@@ -662,31 +625,40 @@ func newTCPSocket(m *Machine, conn *tcp.Conn, key connKey) *TCPSocket {
 
 // Connect opens a connection to remote and blocks until it is established.
 func (t *Thread) Connect(remote packet.Addr) (*TCPSocket, error) {
-	m := t.m
-	t.syscall(m.cfg.Profile.ConnectInstr)
-	local := packet.Addr{Node: m.node, Port: m.ephemeralPort()}
-	key := newConnKey(local.Port, remote)
-	conn, err := tcp.NewClient(tcpEnv{m}, m.cfg.TCP, local, remote)
-	if err != nil {
-		return nil, err
+	t.op = threadOp{kind: opConnect, extra: t.m.cfg.Profile.ConnectInstr, remote: remote}
+	op := t.call()
+	return op.tcp, op.dyn.err
+}
+
+func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
+	m, s := t.m, op.tcp
+	if s == nil { // first pass: create the socket and send the SYN
+		local := packet.Addr{Node: m.node, Port: m.ephemeralPort()}
+		key := newConnKey(local.Port, op.remote)
+		conn, err := tcp.NewClient(tcpEnv{m}, m.cfg.TCP, local, op.remote)
+		if err != nil {
+			op.dyn.err = err
+			return nil, true
+		}
+		s = newTCPSocket(m, conn, key)
+		m.conns[key] = s
+		conn.OnConnected = func() {
+			if t.op.tcp == s {
+				t.op.connected = true
+			}
+			s.connectQ.wakeAll(m)
+			s.notifyWatchers()
+		}
+		op.tcp = s
+		conn.Open()
 	}
-	s := newTCPSocket(m, conn, key)
-	m.conns[key] = s
-	connected := false
-	conn.OnConnected = func() {
-		connected = true
-		s.connectQ.wakeAll(m)
-		s.notifyWatchers()
-	}
-	conn.Open()
-	for !connected && !s.done {
-		s.connectQ.enqueue(t)
-		t.block()
+	if !op.connected && !s.done {
+		return &s.connectQ, false
 	}
 	if s.done {
-		return nil, fmt.Errorf("%w: %v", ErrConnRefused, s.err)
+		op.tcp, op.dyn.err = nil, fmt.Errorf("%w: %v", ErrConnRefused, s.err)
 	}
-	return s, nil
+	return nil, true
 }
 
 // Conn exposes the protocol endpoint (for stats inspection).
@@ -701,66 +673,62 @@ func (s *TCPSocket) Err() error { return s.err }
 // Send writes an n-byte application message, blocking until the send buffer
 // accepts all of it. payload surfaces at the receiver with the final byte.
 func (s *TCPSocket) Send(t *Thread, n int, payload any) error {
-	m := s.m
-	t.syscall(0)
-	remaining := n
-	for remaining > 0 {
-		if s.done {
-			return s.errOrClosed()
-		}
-		accepted := s.conn.Send(remaining, payload)
-		if accepted == 0 {
-			s.writers.enqueue(t)
-			t.block()
-			continue
-		}
-		if !m.cfg.ZeroCopy {
-			t.computeTime(m.copyCost(accepted))
-		}
-		remaining -= accepted
+	t.op = threadOp{kind: opTCPSend, tcp: s, n: n}
+	t.op.dyn.payload = payload
+	return t.call().dyn.err
+}
+
+func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
+	if op.n <= 0 {
+		return nil, true
 	}
-	return nil
+	if s.done {
+		op.dyn.err = s.errOrClosed()
+		return nil, true
+	}
+	accepted := s.conn.Send(op.n, op.dyn.payload)
+	if accepted == 0 {
+		return &s.writers, false
+	}
+	if !s.m.cfg.ZeroCopy {
+		t.remaining += s.m.copyCost(accepted)
+	}
+	op.n -= accepted
+	return nil, op.n <= 0
 }
 
 // Recv blocks until data (or EOF) is available and returns the bytes
 // consumed and any completed application messages.
 func (s *TCPSocket) Recv(t *Thread, max int) (int, []any, error) {
-	m := s.m
-	t.syscall(0)
-	for {
-		if n := s.conn.Readable(); n > 0 {
-			got, msgs := s.conn.Read(max)
-			t.computeTime(m.copyCost(got))
-			return got, msgs, nil
-		}
-		if s.conn.EOF() {
-			return 0, nil, nil // clean EOF: (0, nil, nil)
-		}
-		if s.done {
-			return 0, nil, s.errOrClosed()
-		}
-		s.readers.enqueue(t)
-		t.block()
-	}
+	return s.recv(t, max, false)
 }
 
 // TryRecv is the non-blocking read for epoll users. It returns ErrWouldBlock
 // when nothing is available.
 func (s *TCPSocket) TryRecv(t *Thread, max int) (int, []any, error) {
-	m := s.m
-	t.syscall(0)
-	if n := s.conn.Readable(); n > 0 {
-		got, msgs := s.conn.Read(max)
-		t.computeTime(m.copyCost(got))
-		return got, msgs, nil
+	return s.recv(t, max, true)
+}
+
+func (s *TCPSocket) recv(t *Thread, max int, nowait bool) (int, []any, error) {
+	t.op = threadOp{kind: opTCPRecv, tcp: s, n: max, nowait: nowait}
+	op := t.call()
+	return op.got, op.dyn.msgs, op.dyn.err
+}
+
+func (s *TCPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
+	switch {
+	case s.conn.Readable() > 0:
+		op.got, op.dyn.msgs = s.conn.Read(op.n)
+		t.remaining += s.m.copyCost(op.got)
+	case s.conn.EOF(): // clean EOF: (0, nil, nil)
+	case s.done:
+		op.dyn.err = s.errOrClosed()
+	case op.expired(s.m.eng.Now()):
+		op.dyn.err = ErrWouldBlock
+	default:
+		return &s.readers, false
 	}
-	if s.conn.EOF() {
-		return 0, nil, nil
-	}
-	if s.done {
-		return 0, nil, s.errOrClosed()
-	}
-	return 0, nil, ErrWouldBlock
+	return nil, true
 }
 
 // Close performs an orderly shutdown.

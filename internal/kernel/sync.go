@@ -17,9 +17,8 @@ func NewCond(m *Machine) *Cond { return &Cond{m: m} }
 // Wait blocks t until Signal or Broadcast. As with pthreads, the caller must
 // re-check its predicate on wakeup.
 func (c *Cond) Wait(t *Thread) {
-	t.syscall(0) // futex wait
-	c.wq.enqueue(t)
-	t.block()
+	t.op = threadOp{kind: opCondWait, cond: c} // futex wait: block once
+	t.run()
 }
 
 // Signal wakes one waiter. Unlike Wait it is callable from any context
@@ -53,19 +52,23 @@ func NewBarrier(m *Machine, n int) *Barrier { return &Barrier{m: m, n: n} }
 
 // Wait blocks until n threads have arrived; the last arrival releases all.
 func (b *Barrier) Wait(t *Thread) {
-	t.syscall(0)
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.wq.wakeAll(b.m)
-		return
+	t.op = threadOp{kind: opBarrierWait, bar: b}
+	t.run()
+}
+
+func (b *Barrier) pollWait(op *threadOp) (*waitQueue, bool) {
+	if op.n == 0 { // arrival
+		op.n = b.gen + 1 // the generation that releases this thread
+		if b.count++; b.count == b.n {
+			b.count = 0
+			b.gen++
+			b.wq.wakeAll(b.m)
+		}
 	}
-	gen := b.gen
-	for gen == b.gen {
-		b.wq.enqueue(t)
-		t.block()
+	if b.gen < op.n {
+		return &b.wq, false
 	}
+	return nil, true
 }
 
 // WaitGroup counts completions (sync.WaitGroup-style).
@@ -92,8 +95,6 @@ func (w *WaitGroup) Done() {
 
 // Wait blocks t until the counter reaches zero.
 func (w *WaitGroup) Wait(t *Thread) {
-	for w.count > 0 {
-		w.wq.enqueue(t)
-		t.block()
-	}
+	t.op = threadOp{kind: opWaitGroup, phase: opPoll, wg: w}
+	t.run()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 
+	"diablo/internal/packet"
 	"diablo/internal/sim"
 )
 
@@ -42,6 +43,10 @@ type Thread struct {
 	}
 	remaining sim.Duration // CPU time owed before app code may continue
 	sliceLeft sim.Duration
+
+	op      threadOp     // the blocking call in flight (kind opNone: none)
+	evbuf   []EpollEvent // backing store of this thread's Epoll.Wait results
+	resumes uint64       // times resumeThread switched into the coroutine
 }
 
 // Spawn creates a thread running fn. The thread becomes runnable after the
@@ -59,6 +64,7 @@ func (m *Machine) Spawn(name string, fn func(*Thread)) *Thread {
 		t.co.yield = yield
 		defer func() {
 			t.state = threadDead
+			t.op, t.evbuf = threadOp{}, nil // a call cut short must not pin its sockets and payloads
 			if m.cur == t {
 				m.cur = nil
 			}
@@ -121,46 +127,209 @@ func (t *Thread) computeTime(d sim.Duration) {
 	t.park()
 }
 
+// opKind names the kernel half of a blocking call.
+type opKind uint8
+
+const (
+	opNone    opKind = iota
+	opSyscall        // the entry charge is the whole call
+	opSleep
+	opYield
+	opEpollWait
+	opUDPRecv
+	opTCPSend
+	opTCPRecv
+	opAccept
+	opConnect
+	opCondWait
+	opBarrierWait
+	opWaitGroup // not a syscall: enters at opPoll
+)
+
+// The phases of a call, in order.
+const (
+	opEnter uint8 = iota // charge the syscall entry cost
+	opArm                // entry charged: report the span, arm the timeout record
+	opPoll               // complete the call or block; re-entered after every wakeup
+	opDone               // the completion charge (copy, epoll dispatch) is paid
+)
+
+// threadOp is one blocking call in flight. The calling coroutine fills in the
+// arguments and parks once (Thread.run, Thread.call); Thread.step runs the
+// kernel half in engine context and leaves the results here. It is a tagged struct inside
+// Thread, so a call allocates nothing.
+type threadOp struct {
+	kind      opKind
+	phase     uint8
+	nowait    bool // MSG_DONTWAIT / zero epoll timeout: never block
+	timed     bool // timeout is a receive deadline, armed in opArm
+	waited    bool // the call gave up the CPU at least once
+	connected bool // opConnect: the handshake completed
+
+	extra    int64        // entry instructions beyond Profile.SyscallInstr
+	start    sim.Time     // entry instant, for OnSyscallSpan
+	timeout  sim.Duration // opSleep: how long; timed calls: how far off the deadline is
+	deadline sim.Time
+	n        int         // epoll: maxEvents; TCP: byte limit or bytes left to send; barrier: releasing generation
+	remote   packet.Addr // opConnect: the peer
+
+	// The object the call is on, by kind.
+	ep   *Epoll
+	udp  *UDPSocket
+	tcp  *TCPSocket // opAccept and opConnect: the result
+	lis  *TCPListener
+	cond *Cond
+	bar  *Barrier
+	wg   *WaitGroup
+
+	// Results.
+	got int          // TCP bytes read
+	dg  udpDgram     // UDP datagram received
+	evs []EpollEvent // ready events: a prefix of Thread.evbuf, or nil
+	//diablo:transient errno-style error and opaque app messages of the call in flight; they encode like TCPSocket.err and udpDgram.payload
+	dyn struct {
+		err     error
+		payload any   // opTCPSend: the message being written
+		msgs    []any // opTCPRecv: the messages completed
+	}
+}
+
+// expired reports whether the call must return empty-handed rather than block
+// (again). A deadline can only have passed after one block/wake cycle.
+func (op *threadOp) expired(now sim.Time) bool {
+	return op.nowait || op.timed && op.waited && now >= op.deadline
+}
+
+// run is the user half of the call the caller has put in t.op: the coroutine
+// parks at most once, however often the kernel half (step) charges CPU, blocks
+// or absorbs a wakeup that finds nothing. The record is cleared afterwards.
+func (t *Thread) run() {
+	if !t.step() {
+		t.park()
+	}
+	t.op = threadOp{}
+}
+
+// call is run for a call with results: it returns the finished record.
+func (t *Thread) call() (op threadOp) {
+	if !t.step() {
+		t.park()
+	}
+	op, t.op = t.op, threadOp{}
+	return op
+}
+
+// step runs the kernel half of the call in flight as far as it goes without
+// the CPU or an outside event, and reports whether the call has its result.
+// It runs with m.inThread set: on the coroutine at entry (so a call that needs
+// neither never parks), then from resumeThread at every instant the CPU is
+// granted back, in place of switching to the coroutine.
+func (t *Thread) step() bool {
+	m, op := t.m, &t.op
+	t.state = threadOnCPU
+	for {
+		switch op.phase {
+		case opEnter:
+			m.Stats.Syscalls++
+			op.start = m.eng.Now()
+			t.remaining += m.instrTime(m.cfg.Profile.SyscallInstr + op.extra)
+			op.phase = opArm
+		case opArm:
+			if m.OnSyscallSpan != nil {
+				m.OnSyscallSpan(t.name, op.start, m.eng.Now().Sub(op.start))
+			}
+			if op.timed {
+				// A typed wake-if-still-blocked record plus a deadline comparison.
+				// The record is not cancelled on early success: a stale one only
+				// ever wakes a blocked thread, whose poll then blocks again.
+				op.deadline = m.eng.Now().Add(op.timeout)
+				m.eng.AfterEvent(op.timeout, sim.Event{Kind: sim.EvThreadWakeBlocked, Tgt: t})
+			}
+			op.phase = opPoll
+		case opPoll:
+			q, done := t.poll()
+			if q != nil {
+				t.block(q)
+				return false
+			}
+			if t.state != threadOnCPU {
+				return false // asleep, or yielded to the runqueue
+			}
+			if done {
+				op.phase = opDone
+			}
+		case opDone:
+			return true
+		}
+		if t.remaining > 0 {
+			t.state = threadRunnable // remains current on the CPU; scheduleCPU steps again once it is paid
+			return false
+		}
+	}
+}
+
+// poll tries to complete the call in flight. It returns the wait queue to
+// block on, or nil and whether the call is complete (sleep and yield leave the
+// CPU by themselves); any CPU the attempt cost is added to t.remaining.
+func (t *Thread) poll() (*waitQueue, bool) {
+	m, op := t.m, &t.op
+	switch op.kind {
+	case opSleep:
+		if op.waited || op.timeout <= 0 {
+			return nil, true
+		}
+		t.offCPU(threadSleeping)
+		m.eng.AfterEvent(op.timeout, sim.Event{Kind: sim.EvThreadWake, Tgt: t})
+		return nil, false
+	case opYield:
+		if op.waited || m.RunQueueLen() == 0 {
+			return nil, true
+		}
+		t.offCPU(threadRunnable)
+		m.runq = append(m.runq, t)
+		return nil, false
+	case opEpollWait:
+		return op.ep.pollWait(t, op)
+	case opUDPRecv:
+		return op.udp.pollRecv(t, op)
+	case opTCPSend:
+		return op.tcp.pollSend(t, op)
+	case opTCPRecv:
+		return op.tcp.pollRecv(t, op)
+	case opAccept:
+		return op.lis.pollAccept(t, op)
+	case opConnect:
+		return t.pollConnect(op)
+	case opCondWait:
+		if !op.waited {
+			return &op.cond.wq, false
+		}
+	case opBarrierWait:
+		return op.bar.pollWait(op)
+	case opWaitGroup:
+		if op.wg.count > 0 {
+			return &op.wg.wq, false
+		}
+	}
+	return nil, true
+}
+
 // syscall charges the base syscall cost plus extra instructions.
 func (t *Thread) syscall(extra int64) {
-	t.m.Stats.Syscalls++
-	if t.m.OnSyscallSpan != nil {
-		start := t.Now()
-		t.Compute(t.m.cfg.Profile.SyscallInstr + extra)
-		t.m.OnSyscallSpan(t.name, start, t.Now().Sub(start))
-		return
-	}
-	t.Compute(t.m.cfg.Profile.SyscallInstr + extra)
+	t.op = threadOp{kind: opSyscall, extra: extra}
+	t.run()
 }
 
 // Sleep blocks the thread for d of simulated time (nanosleep).
 func (t *Thread) Sleep(d sim.Duration) {
-	t.syscall(0)
-	if d <= 0 {
-		return
-	}
-	m := t.m
-	t.state = threadSleeping
-	if m.cur == t {
-		m.cur = nil
-	}
-	m.eng.AfterEvent(d, sim.Event{Kind: sim.EvThreadWake, Tgt: t})
-	t.park()
+	t.op = threadOp{kind: opSleep, timeout: d}
+	t.run()
 }
 
 // Yield gives up the CPU voluntarily (sched_yield).
 func (t *Thread) Yield() {
-	m := t.m
-	t.syscall(0)
-	if m.RunQueueLen() == 0 {
-		return
-	}
-	t.state = threadRunnable
-	if m.cur == t {
-		m.cur = nil
-	}
-	m.runq = append(m.runq, t)
-	t.park()
+	t.op = threadOp{kind: opYield}
+	t.run()
 }
 
 // Exit terminates the thread from within (fn simply returning is
@@ -169,15 +338,21 @@ func (t *Thread) Exit() {
 	panic(killSentinel{})
 }
 
-// block parks the thread until q wakes it. The caller must have enqueued t
-// on q already.
-func (t *Thread) block() {
-	m := t.m
-	t.state = threadBlocked
-	if m.cur == t {
-		m.cur = nil
+// offCPU takes the running thread off the CPU in state s, inside a call (which
+// from then on counts as having waited).
+func (t *Thread) offCPU(s threadState) {
+	t.op.waited = true
+	t.state = s
+	if t.m.cur == t {
+		t.m.cur = nil
 	}
-	t.park()
+}
+
+// block enqueues t on q and takes it off the CPU until q (or a timeout
+// record) wakes it.
+func (t *Thread) block(q *waitQueue) {
+	q.enqueue(t)
+	t.offCPU(threadBlocked)
 }
 
 // waitQueue is a FIFO of threads blocked on a condition. Head-indexed like
