@@ -56,7 +56,7 @@ lint:
 	$(GO) run ./cmd/simlint -json LINT_findings.json -readiness STATE_readiness.json ./...
 
 # Race-check the concurrency-bearing packages (the parallel engine, the
-# partitioned cluster, and the thread coroutines its workers switch into).
+# partitioned cluster, and the kernel, whose tests switch Spawn coroutines).
 # The engine runs at 1, 2 and 4 Ps: one P clamps it to a single worker, two
 # let the barrier's spin succeed, four on a smaller host make waiters park.
 # Much faster than racing the whole tree; `make check` still races everything.
@@ -120,11 +120,12 @@ bench-digest:
 	$(GO) run ./bench -reps 1 -json BENCH_digest.json
 
 # The paired protocol behind a performance claim: PARENT (a revision) against
-# the working tree on one WORKLOAD of the repository benchmark, PAIRS runs of
-# each in alternating order, medians, quartiles and wins for every end-to-end
-# metric. Ten 20 s pairs take about ten minutes.
+# the working tree on each WORKLOAD (one name or a comma-separated list) of the
+# repository benchmark, PAIRS runs of each in alternating order, medians,
+# quartiles and wins for every end-to-end metric; logs stay in
+# .bench_build/pairs/<workload>/. Ten 20 s pairs take about ten minutes.
 PAIRS ?= 10
 SEED ?= 1
 bench-pairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]"; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1]"; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"

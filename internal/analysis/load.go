@@ -117,8 +117,8 @@ func (l *Loader) addExports(listOutput []byte) {
 	defer l.mu.Unlock()
 	for _, line := range strings.Split(string(listOutput), "\n") {
 		path, file, ok := strings.Cut(strings.TrimSpace(line), "=")
-		if !ok || file == "" || strings.Contains(path, " ") {
-			continue // no export data, or a test-variant pseudo-package
+		if !ok || file == "" {
+			continue // no export data
 		}
 		l.exports[path] = file
 	}
@@ -173,20 +173,32 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			files = append(files, filepath.Join(lp.Dir, f))
 		}
 		if len(files) > 0 {
-			pkg, err := l.check(lp.ImportPath, files)
+			pkg, err := l.check(l.imp, lp.ImportPath, files)
 			if err != nil {
 				return nil, err
 			}
 			pkgs = append(pkgs, pkg)
 		}
 		// External test packages (package foo_test) are separate compilation
-		// units importing the package under test via export data.
+		// units. As under go test, they import the package under test, and
+		// whatever imports it, in the test variants built with its in-package
+		// test files (so an export_test.go hook is visible).
 		if len(lp.XTestGoFiles) > 0 {
 			var xfiles []string
 			for _, f := range lp.XTestGoFiles {
 				xfiles = append(xfiles, filepath.Join(lp.Dir, f))
 			}
-			pkg, err := l.check(lp.ImportPath+"_test", xfiles)
+			variant := " [" + lp.ImportPath + ".test]"
+			imp := importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+				l.mu.Lock()
+				file, ok := l.exports[path+variant]
+				l.mu.Unlock()
+				if ok {
+					return os.Open(file)
+				}
+				return l.lookup(path)
+			})
+			pkg, err := l.check(imp, lp.ImportPath+"_test", xfiles)
 			if err != nil {
 				return nil, err
 			}
@@ -216,11 +228,12 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
 	}
 	sort.Strings(files)
-	return l.check(importPath, files)
+	return l.check(l.imp, importPath, files)
 }
 
-// check parses and type-checks one package from source files.
-func (l *Loader) check(importPath string, filenames []string) (*Package, error) {
+// check parses and type-checks one package from source files, resolving its
+// imports with imp.
+func (l *Loader) check(imp types.Importer, importPath string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments)
@@ -238,7 +251,7 @@ func (l *Loader) check(importPath string, filenames []string) (*Package, error) 
 	}
 	var typeErrs []string
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error: func(err error) {
 			typeErrs = append(typeErrs, err.Error())
 		},

@@ -36,48 +36,74 @@ func DefaultServer() ServerParams {
 	return ServerParams{Port: 5001, PerRequestInstr: 15_000}
 }
 
-// InstallServer spawns the storage server threads on m: an acceptor plus one
+// InstallServer starts the storage server threads on m: an acceptor plus one
 // handler thread per connection (the storage servers are not the bottleneck
-// in incast; threading model matters only on the client).
+// in incast; threading model matters only on the client). Every thread here
+// is a program (kernel.Program): each Next runs from one call to the next.
 func InstallServer(m *kernel.Machine, p ServerParams) {
-	m.Spawn("incast-server", func(t *kernel.Thread) {
-		lis, err := t.Listen(p.Port, 64)
-		if err != nil {
-			return
-		}
-		for {
-			sock, err := lis.Accept(t, true)
-			if err != nil {
-				return
-			}
-			m.Spawn("incast-handler", func(h *kernel.Thread) {
-				serveConn(h, sock, p)
-			})
-		}
-	})
+	m.Start("incast-server", &acceptor{p: p})
 }
 
-func serveConn(t *kernel.Thread, sock *kernel.TCPSocket, p ServerParams) {
-	for {
-		n, msgs, err := sock.Recv(t, 1<<20)
-		if err != nil {
-			return
-		}
-		if n == 0 && len(msgs) == 0 {
-			sock.Close(t)
-			return
-		}
-		for _, msg := range msgs {
-			req, ok := msg.(request)
-			if !ok {
-				continue
-			}
-			t.Compute(p.PerRequestInstr)
-			if err := sock.Send(t, req.SRU, response{}); err != nil {
-				return
-			}
-		}
+// acceptor listens, then starts a handler for every connection it accepts.
+type acceptor struct {
+	p   ServerParams
+	lis *kernel.TCPListener
+}
+
+func (a *acceptor) Next(t *kernel.Thread, res *kernel.Result) bool {
+	switch {
+	case res.Err() != nil:
+		return false
+	case a.lis == nil && res.Listener == nil:
+		t.Listen(a.p.Port, 64)
+		return true
+	case a.lis == nil:
+		a.lis = res.Listener
+	default:
+		t.Machine().Start("incast-handler", &handler{p: a.p, sock: res.TCP})
 	}
+	a.lis.Accept(t, true)
+	return true
+}
+
+// handler serves one connection: each request is answered with SRU bytes
+// once its handling cost is paid.
+type handler struct {
+	p    ServerParams
+	sock *kernel.TCPSocket
+	pc   int
+	msgs []any // requests read and not yet served
+	sru  int
+}
+
+func (h *handler) Next(t *kernel.Thread, res *kernel.Result) bool {
+	if res.Err() != nil || h.pc == 3 { // 3: closed
+		return false
+	}
+	switch h.pc {
+	case 0: // serve the next request, or read more
+		for len(h.msgs) > 0 {
+			req, ok := h.msgs[0].(request)
+			if h.msgs = h.msgs[1:]; ok {
+				h.sru, h.pc = req.SRU, 2
+				t.Compute(h.p.PerRequestInstr)
+				return true
+			}
+		}
+		h.sock.Recv(t, 1<<20)
+		h.pc = 1
+	case 1: // a read returned
+		if res.N == 0 && len(res.Msgs()) == 0 { // EOF
+			h.sock.Close(t)
+			h.pc = 3
+			break
+		}
+		h.msgs, h.pc = res.Msgs(), 0
+	case 2: // the handling cost is paid
+		h.sock.Send(t, h.sru, response{})
+		h.pc = 0
+	}
+	return true
 }
 
 // ClientParams configures the requesting client.
@@ -123,13 +149,15 @@ type Result struct {
 	Retransmits, Timeouts, FastRetransmits uint64
 }
 
-// InstallClient spawns the client on m; done is invoked (in simulation
+// InstallClient starts the client on m; done is invoked (in simulation
 // context) with the result when all iterations complete.
 func InstallClient(m *kernel.Machine, p ClientParams, done func(Result)) {
+	n := len(p.Servers)
+	c := &client{p: p, done: done, socks: make([]*kernel.TCPSocket, n), got: make([]int, n), iters: make([]sim.Duration, 0, p.Iterations), cur: -1}
 	if p.Epoll {
-		installEpollClient(m, p, done)
+		m.Start("incast-client-epoll", c)
 	} else {
-		installPthreadClient(m, p, done)
+		m.Start("incast-client", c)
 	}
 }
 
@@ -141,141 +169,182 @@ func (p ClientParams) sru() int {
 	return p.BlockBytes
 }
 
-func finish(p ClientParams, socks []*kernel.TCPSocket, start sim.Time, now sim.Time, iters []sim.Duration, done func(Result)) {
+// client is either client: it connects to every server in turn, runs the
+// iterations, delivers the result and closes every connection. The pthread
+// client paces one blocking worker thread per connection through a barrier;
+// the epoll client sends every request and reads every connection itself.
+type client struct {
+	p                ClientParams
+	done             func(Result)
+	socks            []*kernel.TCPSocket
+	pc, k            int // k: the server being connected to, sent to or closed
+	iters            []sim.Duration
+	start, iterStart sim.Time
+	barrier          *kernel.Barrier // pthread
+	ep               *kernel.Epoll   // epoll, and per iteration:
+	got              []int           // bytes received per server
+	remaining        int             // servers whose data unit is incomplete
+	evs              []kernel.EpollEvent
+	cur              int // the server being read (-1: none)
+}
+
+func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
+	m, sru := t.Machine(), c.p.sru()
+	switch c.pc {
+	case 0: // epoll: create the epoll
+		c.pc = 1
+		if c.p.Epoll {
+			t.EpollCreate()
+		}
+	case 1: // connect to server k; once all are connected, start
+		if res.Epoll != nil {
+			c.ep = res.Epoll
+		}
+		if c.k < len(c.socks) {
+			t.Connect(c.p.Servers[c.k])
+			c.pc = 2
+			break
+		}
+		if !c.p.Epoll {
+			c.barrier = kernel.NewBarrier(m, len(c.socks)+1)
+			for _, s := range c.socks {
+				m.Start("incast-worker", &worker{p: c.p, s: s, barrier: c.barrier})
+			}
+		}
+		c.start, c.pc = t.Now(), 3
+	case 2: // connected (epoll: register the socket)
+		if c.socks[c.k] = res.TCP; res.Err() != nil {
+			return false
+		}
+		if c.p.Epoll {
+			c.ep.Add(t, c.socks[c.k], kernel.EpollIn, c.k)
+		}
+		c.k, c.pc = c.k+1, 1
+	case 3: // start an iteration: release the workers, or send every request
+		c.iterStart, c.k = t.Now(), 0
+		switch {
+		case len(c.iters) == c.p.Iterations:
+			c.finish(t.Now())
+			c.pc = 8
+		case c.p.Epoll:
+			clear(c.got)
+			c.remaining, c.pc = len(c.socks), 5
+		default:
+			c.barrier.Wait(t)
+			c.pc = 4
+		}
+	case 4: // wait until every worker has its data unit
+		c.barrier.Wait(t)
+		c.pc = 6
+	case 5: // send server k its request
+		if res.Err() != nil {
+			return false
+		}
+		if c.k < len(c.socks) {
+			c.socks[c.k].Send(t, c.p.RequestBytes, request{SRU: sru})
+			c.k++
+			break
+		}
+		c.pc = 6
+	case 6: // epoll: read until every data unit is complete; then the block cost
+		if c.cur >= 0 { // a read returned
+			if res.Err() == nil && res.N > 0 {
+				if c.got[c.cur] += res.N; c.got[c.cur] < sru {
+					c.socks[c.cur].TryRecv(t, 1<<20)
+					break
+				}
+				c.remaining--
+			}
+			c.cur = -1
+		} else if res.Events != nil {
+			c.evs = res.Events
+		}
+		for len(c.evs) > 0 {
+			i := c.evs[0].Data.(int)
+			if c.evs = c.evs[1:]; c.got[i] < sru {
+				c.cur = i
+				c.socks[i].TryRecv(t, 1<<20)
+				return true
+			}
+		}
+		if c.remaining > 0 {
+			c.ep.Wait(t, 64, kernel.WaitForever)
+			break
+		}
+		t.Compute(c.p.PerIterInstr)
+		c.pc = 7
+	case 7: // the iteration is done
+		c.iters = append(c.iters, t.Now().Sub(c.iterStart))
+		if c.p.OnIteration != nil {
+			c.p.OnIteration(len(c.iters)-1, c.iterStart, t.Now())
+		}
+		c.pc = 3
+	case 8: // close connection k
+		if c.k == len(c.socks) {
+			return false
+		}
+		c.socks[c.k].Close(t)
+		c.k++
+	}
+	return true
+}
+
+func (c *client) finish(now sim.Time) {
 	res := Result{
-		Bytes:     uint64(p.sru()) * uint64(len(p.Servers)) * uint64(p.Iterations),
-		Elapsed:   now.Sub(start),
-		IterTimes: iters,
+		Bytes:     uint64(c.p.sru()) * uint64(len(c.p.Servers)) * uint64(c.p.Iterations),
+		Elapsed:   now.Sub(c.start),
+		IterTimes: c.iters,
 	}
 	if res.Elapsed > 0 {
 		res.GoodputBps = float64(res.Bytes) * 8 / res.Elapsed.Seconds()
 	}
-	for _, s := range socks {
+	for _, s := range c.socks {
 		st := s.Conn().Stats
 		res.Retransmits += st.Retransmits
 		res.Timeouts += st.Timeouts
 		res.FastRetransmits += st.FastRetransmits
 	}
-	done(res)
+	c.done(res)
 }
 
-// --- pthread client -----------------------------------------------------------
-
-func installPthreadClient(m *kernel.Machine, p ClientParams, done func(Result)) {
-	m.Spawn("incast-client", func(t *kernel.Thread) {
-		n := len(p.Servers)
-		socks := make([]*kernel.TCPSocket, n)
-		for i, addr := range p.Servers {
-			s, err := t.Connect(addr)
-			if err != nil {
-				return
-			}
-			socks[i] = s
-		}
-		barrier := kernel.NewBarrier(m, n+1)
-		sru := p.sru()
-		for i, s := range socks {
-			i, s := i, s
-			m.Spawn("incast-worker", func(w *kernel.Thread) {
-				_ = i
-				for iter := 0; iter < p.Iterations; iter++ {
-					barrier.Wait(w) // start of iteration
-					if err := s.Send(w, p.RequestBytes, request{SRU: sru}); err != nil {
-						return
-					}
-					got := 0
-					for got < sru {
-						rn, _, err := s.Recv(w, 1<<20)
-						if err != nil {
-							return
-						}
-						if rn == 0 {
-							return // EOF
-						}
-						got += rn
-					}
-					barrier.Wait(w) // end of iteration
-				}
-			})
-		}
-		start := t.Now()
-		iters := make([]sim.Duration, 0, p.Iterations)
-		for iter := 0; iter < p.Iterations; iter++ {
-			iterStart := t.Now()
-			barrier.Wait(t) // release workers
-			barrier.Wait(t) // all workers done
-			t.Compute(p.PerIterInstr)
-			iters = append(iters, t.Now().Sub(iterStart))
-			if p.OnIteration != nil {
-				p.OnIteration(iter, iterStart, t.Now())
-			}
-		}
-		finish(p, socks, start, t.Now(), iters, done)
-		for _, s := range socks {
-			s.Close(t)
-		}
-	})
+// worker is one pthread-client thread: it reads one server's data unit per
+// iteration on a blocking socket, between two barrier waits.
+type worker struct {
+	p       ClientParams
+	s       *kernel.TCPSocket
+	barrier *kernel.Barrier
+	pc      int
+	iter    int
+	got     int
 }
 
-// --- epoll client ---------------------------------------------------------------
-
-func installEpollClient(m *kernel.Machine, p ClientParams, done func(Result)) {
-	m.Spawn("incast-client-epoll", func(t *kernel.Thread) {
-		n := len(p.Servers)
-		socks := make([]*kernel.TCPSocket, n)
-		got := make([]int, n)
-		ep := t.EpollCreate()
-		for i, addr := range p.Servers {
-			s, err := t.Connect(addr)
-			if err != nil {
-				return
-			}
-			socks[i] = s
-			ep.Add(t, s, kernel.EpollIn, i)
+func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
+	if res.Err() != nil {
+		return false
+	}
+	switch w.pc {
+	case 0: // start of iteration
+		if w.iter >= w.p.Iterations {
+			return false
 		}
-		sru := p.sru()
-		start := t.Now()
-		iters := make([]sim.Duration, 0, p.Iterations)
-		for iter := 0; iter < p.Iterations; iter++ {
-			iterStart := t.Now()
-			for i := range got {
-				got[i] = 0
-			}
-			for _, s := range socks {
-				if err := s.Send(t, p.RequestBytes, request{SRU: sru}); err != nil {
-					return
-				}
-			}
-			remaining := n
-			for remaining > 0 {
-				evs := ep.Wait(t, 64, kernel.WaitForever)
-				for _, ev := range evs {
-					i := ev.Data.(int)
-					if got[i] >= sru {
-						continue
-					}
-					for {
-						rn, _, err := socks[i].TryRecv(t, 1<<20)
-						if err != nil || rn == 0 {
-							break
-						}
-						got[i] += rn
-						if got[i] >= sru {
-							remaining--
-							break
-						}
-					}
-				}
-			}
-			t.Compute(p.PerIterInstr)
-			iters = append(iters, t.Now().Sub(iterStart))
-			if p.OnIteration != nil {
-				p.OnIteration(iter, iterStart, t.Now())
-			}
+		w.barrier.Wait(t)
+	case 1:
+		w.s.Send(t, w.p.RequestBytes, request{SRU: w.p.sru()})
+	case 2:
+		w.got = 0
+		w.s.Recv(t, 1<<20)
+	case 3: // a read returned
+		if res.N == 0 { // EOF
+			return false
 		}
-		finish(p, socks, start, t.Now(), iters, done)
-		for _, s := range socks {
-			s.Close(t)
+		if w.got += res.N; w.got < w.p.sru() {
+			w.s.Recv(t, 1<<20)
+			return true
 		}
-	})
+		w.iter, w.pc = w.iter+1, 0
+		w.barrier.Wait(t) // end of iteration
+		return true
+	}
+	w.pc++
+	return true
 }

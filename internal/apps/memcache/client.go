@@ -76,162 +76,193 @@ func DefaultClient(servers []packet.Addr, requests int) ClientParams {
 	}
 }
 
-// InstallClient spawns the client thread on m.
+// InstallClient starts the client thread on m.
 func InstallClient(m *kernel.Machine, p ClientParams) {
+	c := &client{p: p, conns: make(map[packet.NodeID]*kernel.TCPSocket), reqsOnConn: make(map[packet.NodeID]int)}
 	if p.Proto == UDP {
-		m.Spawn("mc-client-udp", func(t *kernel.Thread) { runUDPClient(t, p) })
+		m.Start("mc-client-udp", c)
 	} else {
-		m.Spawn("mc-client-tcp", func(t *kernel.Thread) { runTCPClient(t, p) })
+		m.Start("mc-client-tcp", c)
 	}
 }
 
-func runUDPClient(t *kernel.Thread, p ClientParams) {
-	gen, err := workload.NewGenerator(p.Workload, t.Rand().Fork("mc-client"))
-	if err != nil {
-		return
-	}
-	sock, err := t.UDPSocket(0)
-	if err != nil {
-		return
-	}
-	defer func() {
-		if p.OnDone != nil {
-			p.OnDone()
-		}
-	}()
-	rng := t.Rand().Fork("mc-pick")
-	if p.StartSpread > 0 {
-		t.Sleep(sim.Duration(rng.Intn(int(p.StartSpread))))
-	}
-	var seq uint64
-	for i := 0; i < p.Requests; i++ {
-		if think := gen.Think(); think > 0 {
-			t.Sleep(think)
-		}
-		server := p.Servers[rng.Intn(len(p.Servers))]
-		r := gen.Next()
-		seq++
-		req := Request{Op: r.Op, Key: r.Key, ValueBytes: r.ValueBytes, Seq: seq}
-		t.Compute(p.PerRequestInstr)
+// client is the closed-loop client thread, a program (kernel.Program): each
+// Next runs from one call's result to the next call. Over UDP it retries a
+// request after UDPTimeout, up to Retries times; over TCP it keeps one
+// connection per server, cycled every ChurnEvery requests when set.
+type client struct {
+	p      ClientParams
+	pc     int
+	gen    *workload.Generator
+	rng    *sim.Rand
+	i      int    // requests done
+	seq    uint64 // of the request in flight
+	server packet.Addr
+	req    Request
+	wire   int // the request's wire bytes
+	start  sim.Time
 
-		start := t.Now()
-		retried := false
-		ok := false
-		for attempt := 0; attempt <= p.Retries && !ok; attempt++ {
-			if attempt > 0 {
-				retried = true
-			}
-			if err := sock.SendTo(t, server, req.wireBytes(r.KeyBytes), req); err != nil {
-				break
-			}
-			deadline := t.Now().Add(p.UDPTimeout)
-			for {
-				remain := deadline.Sub(t.Now())
-				if remain <= 0 {
-					break // timeout: retry
-				}
-				_, _, payload, err := sock.RecvFromTimeout(t, remain)
-				if err != nil {
-					break // timeout
-				}
-				resp, isResp := payload.(Response)
-				if !isResp || resp.Seq != seq {
-					continue // stale response from an earlier retry
-				}
-				ok = true
-				break
-			}
-		}
-		if ok && p.OnSample != nil {
-			p.OnSample(Sample{Server: server.Node, Op: r.Op, Latency: t.Now().Sub(start), Retried: retried})
-		}
-	}
+	sock     *kernel.UDPSocket
+	attempt  int // UDP attempts made for the request in flight
+	deadline sim.Time
+	// TCP: one connection per server, and requests sent on it.
+	conns      map[packet.NodeID]*kernel.TCPSocket
+	reqsOnConn map[packet.NodeID]int
+	conn       *kernel.TCPSocket
+	got        bool
 }
 
-func runTCPClient(t *kernel.Thread, p ClientParams) {
-	gen, err := workload.NewGenerator(p.Workload, t.Rand().Fork("mc-client"))
-	if err != nil {
-		return
-	}
-	defer func() {
-		if p.OnDone != nil {
-			p.OnDone()
-		}
-	}()
-	rng := t.Rand().Fork("mc-pick")
-	if p.StartSpread > 0 {
-		t.Sleep(sim.Duration(rng.Intn(int(p.StartSpread))))
-	}
-	conns := make(map[packet.NodeID]*kernel.TCPSocket)
-	reqsOnConn := make(map[packet.NodeID]int)
-	var seq uint64
+// The client's program counter.
+const (
+	cStart   = iota // create the generator (UDP: and the socket)
+	cSpread         // wait for the client's start
+	cThink          // think before the next request
+	cPick           // pick a server (TCP: connect if there is no connection)
+	cBuild          // build the request, charge its cost
+	cSend           // UDP: send the next attempt, or give up; TCP: send
+	cUDPSent        // the attempt's deadline runs from here
+	cUDPRecv        // wait for the response
+	cUDPGot         // a datagram, or the timeout
+	cTCPSent        // read the response
+	cTCPGot         // a read returned
+	cClose          // TCP: close the connections left; then end
+)
 
-	getConn := func(server packet.Addr) *kernel.TCPSocket {
-		if c, ok := conns[server.Node]; ok {
-			return c
+func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
+	p, node, udp := c.p, c.server.Node, c.p.Proto == UDP
+	switch c.pc {
+	case cStart:
+		gen, err := workload.NewGenerator(p.Workload, t.Rand().Fork("mc-client"))
+		if c.gen = gen; err != nil {
+			return false
 		}
-		c, err := t.Connect(server)
-		if err != nil {
-			return nil
+		if udp {
+			t.UDPSocket(0)
 		}
-		conns[server.Node] = c
-		reqsOnConn[server.Node] = 0
-		return c
-	}
-
-	for i := 0; i < p.Requests; i++ {
-		if think := gen.Think(); think > 0 {
+	case cSpread:
+		if c.sock = res.UDP; res.Err() != nil {
+			return false
+		}
+		c.rng = t.Rand().Fork("mc-pick")
+		if p.StartSpread > 0 {
+			t.Sleep(sim.Duration(c.rng.Intn(int(p.StartSpread))))
+		}
+	case cThink:
+		if c.i >= p.Requests {
+			c.i, c.pc = 0, cClose
+			return true
+		}
+		if think := c.gen.Think(); think > 0 {
 			t.Sleep(think)
 		}
-		server := p.Servers[rng.Intn(len(p.Servers))]
-		conn := getConn(server)
-		if conn == nil {
-			continue
+	case cPick:
+		c.server = p.Servers[c.rng.Intn(len(p.Servers))]
+		if c.conn = c.conns[c.server.Node]; !udp && c.conn == nil {
+			t.Connect(c.server)
 		}
-		r := gen.Next()
-		seq++
-		req := Request{Op: r.Op, Key: r.Key, ValueBytes: r.ValueBytes, Seq: seq}
-		t.Compute(p.PerRequestInstr)
-
-		start := t.Now()
-		if err := conn.Send(t, req.wireBytes(r.KeyBytes), req); err != nil {
-			delete(conns, server.Node)
-			continue
-		}
-		got := false
-		for !got {
-			n, msgs, err := conn.Recv(t, 1<<20)
-			if err != nil || (n == 0 && len(msgs) == 0) {
-				delete(conns, server.Node)
-				break
+	case cBuild:
+		if !udp && c.conn == nil {
+			if res.Err() != nil {
+				return c.completed(t, false)
 			}
-			for _, m := range msgs {
-				if resp, ok := m.(Response); ok && resp.Seq == seq {
-					got = true
+			c.conn = res.TCP
+			c.conns[node], c.reqsOnConn[node] = c.conn, 0
+		}
+		r := c.gen.Next()
+		c.seq++
+		c.req = Request{Op: r.Op, Key: r.Key, ValueBytes: r.ValueBytes, Seq: c.seq}
+		c.wire = c.req.wireBytes(r.KeyBytes)
+		t.Compute(p.PerRequestInstr)
+	case cSend:
+		if c.attempt == 0 {
+			c.start = t.Now()
+		}
+		if !udp {
+			c.conn.Send(t, c.wire, c.req)
+			c.pc = cTCPSent
+			return true
+		}
+		if c.attempt > p.Retries || c.sock.SendTo(t, c.server, c.wire, c.req) != nil {
+			return c.completed(t, false)
+		}
+		c.attempt++
+	case cUDPSent:
+		c.deadline = t.Now().Add(p.UDPTimeout)
+	case cUDPRecv:
+		remain := c.deadline.Sub(t.Now())
+		if remain <= 0 {
+			c.pc = cSend // timeout: retry
+			return true
+		}
+		c.sock.RecvFromTimeout(t, remain)
+	case cUDPGot:
+		resp, isResp := res.Payload().(Response)
+		switch {
+		case res.Err() != nil:
+			c.pc = cSend // timeout: retry
+		case !isResp || resp.Seq != c.seq:
+			c.pc = cUDPRecv // stale response from an earlier retry
+		default:
+			return c.completed(t, true)
+		}
+		return true
+	case cTCPSent:
+		if res.Err() != nil {
+			delete(c.conns, node)
+			return c.completed(t, false)
+		}
+		c.got = false
+		c.conn.Recv(t, 1<<20)
+	case cTCPGot:
+		if res.Err() != nil || (res.N == 0 && len(res.Msgs()) == 0) {
+			delete(c.conns, node)
+		} else {
+			for _, m := range res.Msgs() {
+				if resp, ok := m.(Response); ok && resp.Seq == c.seq {
+					c.got = true
 				}
 			}
+			if !c.got {
+				c.conn.Recv(t, 1<<20)
+				return true
+			}
 		}
-		if got && p.OnSample != nil {
-			p.OnSample(Sample{Server: server.Node, Op: r.Op, Latency: t.Now().Sub(start)})
-		}
-
+		c.completed(t, c.got)
 		// Connection churn: periodically cycle the connection so the accept
 		// path is exercised at a realistic rate.
 		if p.ChurnEvery > 0 {
-			reqsOnConn[server.Node]++
-			if reqsOnConn[server.Node] >= p.ChurnEvery {
-				conn.Close(t)
-				delete(conns, server.Node)
-				delete(reqsOnConn, server.Node)
+			if c.reqsOnConn[node]++; c.reqsOnConn[node] >= p.ChurnEvery {
+				c.conn.Close(t)
+				delete(c.conns, node)
+				delete(c.reqsOnConn, node)
 			}
 		}
-	}
-	// Close in server order: each Close advances simulated time, so map
-	// iteration order would leak into the run.
-	for _, server := range p.Servers {
-		if c, ok := conns[server.Node]; ok {
-			c.Close(t)
-			delete(conns, server.Node)
+		return true
+	case cClose:
+		// Close in server order: each Close advances simulated time, so map
+		// iteration order would leak into the run.
+		for ; c.i < len(p.Servers); c.i++ {
+			if conn, ok := c.conns[p.Servers[c.i].Node]; ok {
+				conn.Close(t)
+				delete(c.conns, p.Servers[c.i].Node)
+				return true
+			}
 		}
+		if p.OnDone != nil {
+			p.OnDone()
+		}
+		return false
 	}
+	c.pc++
+	return true
+}
+
+// completed ends the request in flight, reporting it if it got its response,
+// and moves on to the next.
+func (c *client) completed(t *kernel.Thread, ok bool) bool {
+	if ok && c.p.OnSample != nil {
+		c.p.OnSample(Sample{Server: c.server.Node, Op: c.req.Op, Latency: t.Now().Sub(c.start), Retried: c.attempt > 1})
+	}
+	c.i, c.attempt, c.pc = c.i+1, 0, cThink
+	return true
 }

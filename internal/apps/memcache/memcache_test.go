@@ -216,24 +216,17 @@ func TestSetsVisibleToGets(t *testing.T) {
 	wl.Keys = 10
 	sp := DefaultServer(V1417(), NewStore()) // empty store: all gets miss
 	srv := InstallServer(r.server, sp)
-	var missResp, hitResp Response
-	r.client.Spawn("probe", func(th *kernel.Thread) {
-		sock, _ := th.UDPSocket(0)
-		dst := packet.Addr{Node: 0, Port: sp.Port}
-		// Miss.
-		_ = sock.SendTo(th, dst, 60, Request{Op: workload.Get, Key: 3, Seq: 1})
-		_, _, p1, _ := sock.RecvFrom(th)
-		missResp = p1.(Response)
-		// Set.
-		_ = sock.SendTo(th, dst, 500, Request{Op: workload.Set, Key: 3, ValueBytes: 400, Seq: 2})
-		_, _, _, _ = sock.RecvFrom(th)
-		// Hit.
-		_ = sock.SendTo(th, dst, 60, Request{Op: workload.Get, Key: 3, Seq: 3})
-		_, _, p3, _ := sock.RecvFrom(th)
-		hitResp = p3.(Response)
-		r.eng.Halt()
-	})
+	pr := &probe{dst: packet.Addr{Node: 0, Port: sp.Port}, halt: r.eng.Halt, reqs: []Request{
+		{Op: workload.Get, Key: 3, Seq: 1},                  // miss
+		{Op: workload.Set, Key: 3, ValueBytes: 400, Seq: 2}, // set
+		{Op: workload.Get, Key: 3, Seq: 3},                  // hit
+	}}
+	r.client.Start("probe", pr)
 	r.eng.RunUntil(sim.Time(5 * sim.Second))
+	if len(pr.resps) != 3 {
+		t.Fatalf("got %d responses, want 3", len(pr.resps))
+	}
+	missResp, hitResp := pr.resps[0], pr.resps[2]
 	if missResp.Hit {
 		t.Fatal("get before set hit")
 	}
@@ -243,4 +236,42 @@ func TestSetsVisibleToGets(t *testing.T) {
 	if srv.Stats.Misses != 1 {
 		t.Fatalf("misses = %d", srv.Stats.Misses)
 	}
+}
+
+// probe sends its requests over UDP one at a time, keeping each response.
+type probe struct {
+	dst   packet.Addr
+	reqs  []Request
+	resps []Response
+	halt  func()
+	sock  *kernel.UDPSocket
+	pc    int
+}
+
+func (p *probe) Next(t *kernel.Thread, res *kernel.Result) bool {
+	switch p.pc {
+	case 0:
+		t.UDPSocket(0)
+		p.pc = 1
+	case 1: // the socket, or a response: send the next request
+		if res.UDP != nil {
+			p.sock = res.UDP
+		} else {
+			p.resps = append(p.resps, res.Payload().(Response))
+		}
+		if len(p.resps) == len(p.reqs) {
+			p.halt()
+			return false
+		}
+		req, n := p.reqs[len(p.resps)], 60
+		if req.Op == workload.Set {
+			n = 500
+		}
+		_ = p.sock.SendTo(t, p.dst, n, req)
+		p.pc = 2
+	case 2:
+		p.sock.RecvFrom(t)
+		p.pc = 1
+	}
+	return true
 }

@@ -12,6 +12,7 @@ package memcache
 
 import (
 	"fmt"
+	"slices"
 
 	"diablo/internal/kernel"
 	"diablo/internal/packet"
@@ -84,37 +85,51 @@ type Response struct {
 	ValueBytes int
 }
 
-// Store is the in-memory item store. Only value sizes are tracked: that is
-// all the timing model observes (the experiments measure request latency,
-// not data content).
+// Store is the in-memory item store, dense over the key space (keys are
+// 0..Keys-1). Only value sizes are tracked: that is all the timing model
+// observes (the experiments measure request latency, not data content).
 type Store struct {
-	sizes map[uint64]int
+	sizes []int32 // value size + 1 by key; 0: absent
+	n     int     // keys present
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{sizes: make(map[uint64]int)} }
+func NewStore() *Store { return &Store{} }
 
 // Prewarm populates every key with its deterministic steady-state value
 // size, so GET traffic hits as in the paper's steady-state measurements.
 func Prewarm(p workload.ETCParams) *Store {
-	s := NewStore()
-	for k := uint64(0); k < uint64(p.Keys); k++ {
-		s.sizes[k] = workload.ValueSizeForKey(p, k)
+	s := &Store{sizes: make([]int32, p.Keys), n: p.Keys}
+	for k := range s.sizes {
+		s.sizes[k] = int32(workload.ValueSizeForKey(p, uint64(k)) + 1)
 	}
 	return s
 }
 
+// Clone returns an independent copy of the store.
+func (s *Store) Clone() *Store { return &Store{sizes: slices.Clone(s.sizes), n: s.n} }
+
 // Get returns the stored size.
 func (s *Store) Get(key uint64) (int, bool) {
-	n, ok := s.sizes[key]
-	return n, ok
+	if key < uint64(len(s.sizes)) && s.sizes[key] > 0 {
+		return int(s.sizes[key]) - 1, true
+	}
+	return 0, false
 }
 
 // Set stores a size.
-func (s *Store) Set(key uint64, n int) { s.sizes[key] = n }
+func (s *Store) Set(key uint64, n int) {
+	if key >= uint64(len(s.sizes)) {
+		s.sizes = append(s.sizes, make([]int32, key+1-uint64(len(s.sizes)))...)
+	}
+	if s.sizes[key] == 0 {
+		s.n++
+	}
+	s.sizes[key] = int32(n + 1)
+}
 
 // Len returns the item count.
-func (s *Store) Len() int { return len(s.sizes) }
+func (s *Store) Len() int { return s.n }
 
 // ServerParams configures one memcached server process.
 type ServerParams struct {
@@ -145,19 +160,7 @@ type Server struct {
 	Stats ServerStats
 }
 
-// worker is one memcached worker thread's shared state; the dispatcher
-// hands accepted connections over through queue and wakes the worker
-// through its epoll (notification-pipe style).
-type worker struct {
-	ep *kernel.Epoll
-	// queue is head-indexed: popping advances head and the backing array is
-	// reused once drained (queue = queue[1:] strands the popped capacity and
-	// keeps the popped socket reachable).
-	queue []*kernel.TCPSocket
-	head  int
-}
-
-// InstallServer spawns the server threads on m and returns a handle for
+// InstallServer starts the server threads on m and returns a handle for
 // statistics.
 func InstallServer(m *kernel.Machine, p ServerParams) *Server {
 	if p.Store == nil {
@@ -170,142 +173,210 @@ func InstallServer(m *kernel.Machine, p ServerParams) *Server {
 		p.Backlog = 1024
 	}
 	srv := &Server{m: m, p: p}
-
-	m.Spawn("mc-main", func(t *kernel.Thread) {
-		// Bind the shared UDP socket and the TCP listener, then start the
-		// workers (memcached's main thread does the setup).
-		udp, err := t.UDPSocket(p.Port)
-		if err != nil {
-			return
-		}
-		lis, err := t.Listen(p.Port, p.Backlog)
-		if err != nil {
-			return
-		}
-		workers := make([]*worker, p.Workers)
-		for i := range workers {
-			w := &worker{}
-			workers[i] = w
-			m.Spawn("mc-worker", func(wt *kernel.Thread) {
-				srv.runWorker(wt, w, udp)
-			})
-		}
-
-		// Dispatcher loop: accept and hand off round-robin.
-		next := 0
-		for {
-			sock, err := lis.Accept(t, p.Version.Accept4)
-			if err != nil {
-				return
-			}
-			srv.Stats.Accepts++
-			w := workers[next]
-			next = (next + 1) % len(workers)
-			w.queue = append(w.queue, sock)
-			if w.ep != nil {
-				w.ep.Kick()
-			}
-		}
-	})
+	m.Start("mc-main", &dispatcher{srv: srv})
 	return srv
 }
 
-// runWorker is one worker thread's event loop.
-func (srv *Server) runWorker(t *kernel.Thread, w *worker, udp *kernel.UDPSocket) {
-	w.ep = t.EpollCreate()
-	w.ep.Add(t, udp, kernel.EpollIn, udp)
-	for {
-		for w.head < len(w.queue) {
-			conn := w.queue[w.head]
-			w.queue[w.head] = nil
-			w.head++
-			if w.head == len(w.queue) {
-				w.queue, w.head = w.queue[:0], 0
-			}
-			w.ep.Add(t, conn, kernel.EpollIn, conn)
-		}
-		evs := w.ep.Wait(t, 64, 100*sim.Millisecond)
-		for _, ev := range evs {
-			switch sock := ev.Data.(type) {
-			case *kernel.UDPSocket:
-				srv.serveUDP(t, sock)
-			case *kernel.TCPSocket:
-				if !srv.serveTCP(t, sock) {
-					w.ep.Del(t, sock)
-				}
-			}
-		}
-	}
+// dispatcher is memcached's main thread: it binds the shared UDP socket and
+// the TCP listener, starts the workers, then hands out connections. Server
+// threads are programs (kernel.Program): each Next runs from call to call.
+type dispatcher struct {
+	srv     *Server
+	pc      int
+	udp     *kernel.UDPSocket
+	lis     *kernel.TCPListener
+	workers []*worker
+	next    int
 }
 
-// serveUDP drains and answers datagrams (the memcached UDP fast path).
-func (srv *Server) serveUDP(t *kernel.Thread, sock *kernel.UDPSocket) {
-	for {
-		from, _, payload, err := sock.TryRecv(t)
-		if err != nil {
-			return
+func (d *dispatcher) Next(t *kernel.Thread, res *kernel.Result) bool {
+	p := d.srv.p
+	switch {
+	case res.Err() != nil:
+		return false
+	case d.pc == 0:
+		t.UDPSocket(p.Port)
+	case d.pc == 1:
+		d.udp = res.UDP
+		t.Listen(p.Port, p.Backlog)
+	case d.pc == 2: // listening: start the workers
+		d.lis = res.Listener
+		d.workers = make([]*worker, p.Workers)
+		for i := range d.workers {
+			d.workers[i] = &worker{srv: d.srv, udp: d.udp}
+			d.srv.m.Start("mc-worker", d.workers[i])
 		}
-		req, ok := payload.(Request)
-		if !ok {
-			continue
-		}
-		srv.Stats.UDPRequests++
-		resp, respBytes := srv.handle(t, req)
-		_ = sock.SendTo(t, from, respBytes, resp)
-	}
-}
-
-// serveTCP drains one connection; it reports false when the connection
-// should be removed from the epoll set.
-func (srv *Server) serveTCP(t *kernel.Thread, sock *kernel.TCPSocket) bool {
-	for {
-		n, msgs, err := sock.TryRecv(t, 1<<20)
-		if err != nil {
-			return err == kernel.ErrWouldBlock
-		}
-		if n == 0 && len(msgs) == 0 {
-			sock.Close(t) // EOF
-			return false
-		}
-		for _, m := range msgs {
-			req, ok := m.(Request)
-			if !ok {
-				continue
-			}
-			srv.Stats.TCPRequests++
-			resp, respBytes := srv.handle(t, req)
-			if respBytes > 8200 {
-				panic(fmt.Sprintf("memcache: oversized response %dB for %+v", respBytes, req))
-			}
-			if err := sock.Send(t, respBytes, resp); err != nil {
-				return false
-			}
+	default: // a connection: hand it off round-robin
+		d.srv.Stats.Accepts++
+		w := d.workers[d.next]
+		d.next = (d.next + 1) % len(d.workers)
+		w.queue = append(w.queue, res.TCP)
+		if w.ep != nil {
+			w.ep.Kick()
 		}
 	}
+	if d.pc >= 2 {
+		d.lis.Accept(t, p.Version.Accept4)
+	}
+	d.pc = min(d.pc+1, 3)
+	return true
 }
 
-// handle executes one request against the store, charging version-specific
-// CPU costs, and returns the response and its wire size.
-func (srv *Server) handle(t *kernel.Thread, req Request) (Response, int) {
-	v := srv.p.Version
-	t.Compute(v.BaseInstr)
-	resp := Response{Seq: req.Seq}
-	switch req.Op {
-	case workload.Get:
-		t.Compute(v.GetInstr)
-		srv.Stats.Gets++
-		if n, ok := srv.p.Store.Get(req.Key); ok {
-			resp.Hit = true
-			resp.ValueBytes = n
-			return resp, responseHeader + n
+// worker is one memcached worker thread: an epoll loop over the shared UDP
+// socket and the connections the dispatcher hands over through queue, waking
+// the worker through its epoll (notification-pipe style).
+type worker struct {
+	srv *Server
+	udp *kernel.UDPSocket
+	ep  *kernel.Epoll
+	// queue is head-indexed: popping advances head and the backing array is
+	// reused once drained (queue = queue[1:] strands the popped capacity and
+	// keeps the popped socket reachable).
+	queue []*kernel.TCPSocket
+	head  int
+
+	pc   int
+	evs  []kernel.EpollEvent // ready events not yet served
+	u    *kernel.UDPSocket   // the socket being served: u or c
+	c    *kernel.TCPSocket
+	msgs []any // TCP messages read and not yet handled
+	from packet.Addr
+	req  Request
+}
+
+// The worker's program counter.
+const (
+	wCreate   = iota // create the epoll
+	wRegister        // register the UDP socket
+	wLoop            // register handed-over connections, then wait
+	wEvent           // serve the next ready socket
+	wUDP             // read the UDP socket (the memcached UDP fast path)
+	wUDPRecv         // the UDP read returned
+	wTCPRecv         // the TCP read returned
+	wMsg             // handle the next TCP message (after a send: if it went out)
+	wBase            // the request's base cost is paid
+	wOp              // the op-specific cost is paid: reply
+	wDel             // drop the connection from the epoll set
+)
+
+func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
+	v := w.srv.p.Version
+	switch w.pc {
+	case wCreate:
+		t.EpollCreate()
+		w.pc = wRegister
+	case wRegister:
+		w.ep = res.Epoll
+		w.ep.Add(t, w.udp, kernel.EpollIn, w.udp)
+		w.pc = wLoop
+	case wLoop:
+		if w.head == len(w.queue) {
+			w.ep.Wait(t, 64, 100*sim.Millisecond)
+			w.evs, w.pc = nil, wEvent
+			break
 		}
-		srv.Stats.Misses++
-		return resp, responseHeader
-	default:
-		t.Compute(v.SetInstr)
+		conn := w.queue[w.head]
+		w.queue[w.head] = nil
+		if w.head++; w.head == len(w.queue) {
+			w.queue, w.head = w.queue[:0], 0
+		}
+		w.ep.Add(t, conn, kernel.EpollIn, conn)
+	case wEvent:
+		if res.Events != nil {
+			w.evs = res.Events
+		}
+		if len(w.evs) == 0 {
+			w.pc = wLoop
+			break
+		}
+		data := w.evs[0].Data
+		w.evs, w.u, w.c = w.evs[1:], nil, nil
+		switch sock := data.(type) {
+		case *kernel.UDPSocket:
+			w.u, w.pc = sock, wUDP
+		case *kernel.TCPSocket:
+			w.c, w.pc = sock, wTCPRecv
+			sock.TryRecv(t, 1<<20)
+		}
+	case wUDP:
+		w.u.TryRecv(t)
+		w.pc = wUDPRecv
+	case wUDPRecv:
+		req, ok := res.Payload().(Request)
+		switch {
+		case res.Err() != nil:
+			w.pc = wEvent
+		case !ok:
+			w.pc = wUDP
+		default:
+			w.srv.Stats.UDPRequests++
+			w.from, w.req, w.pc = res.From, req, wBase
+			t.Compute(v.BaseInstr)
+		}
+	case wTCPRecv:
+		switch err := res.Err(); {
+		case err == kernel.ErrWouldBlock:
+			w.pc = wEvent
+		case err != nil:
+			w.pc = wDel
+		case res.N == 0 && len(res.Msgs()) == 0: // EOF
+			w.c.Close(t)
+			w.pc = wDel
+		default:
+			w.msgs, w.pc = res.Msgs(), wMsg
+		}
+	case wMsg:
+		switch {
+		case res.Err() != nil:
+			w.pc = wDel
+		case len(w.msgs) == 0:
+			w.c.TryRecv(t, 1<<20)
+			w.pc = wTCPRecv
+		default:
+			req, ok := w.msgs[0].(Request)
+			if w.msgs = w.msgs[1:]; ok {
+				w.srv.Stats.TCPRequests++
+				w.req, w.pc = req, wBase
+				t.Compute(v.BaseInstr)
+			}
+		}
+	case wBase:
+		if w.pc = wOp; w.req.Op == workload.Get {
+			t.Compute(v.GetInstr)
+		} else {
+			t.Compute(v.SetInstr)
+		}
+	case wOp:
+		resp, respBytes := w.srv.apply(w.req)
+		if w.u != nil {
+			_ = w.u.SendTo(t, w.from, respBytes, resp)
+			w.pc = wUDP
+			break
+		}
+		if respBytes > 8200 {
+			panic(fmt.Sprintf("memcache: oversized response %dB for %+v", respBytes, w.req))
+		}
+		w.c.Send(t, respBytes, resp)
+		w.pc = wMsg
+	case wDel:
+		w.ep.Del(t, w.c)
+		w.pc = wEvent
+	}
+	return true
+}
+
+// apply executes a request against the store once its CPU cost is paid, and
+// returns the response and its wire size.
+func (srv *Server) apply(req Request) (Response, int) {
+	if req.Op != workload.Get {
 		srv.Stats.Sets++
 		srv.p.Store.Set(req.Key, req.ValueBytes)
-		resp.Hit = true
-		return resp, responseHeader
+		return Response{Seq: req.Seq, Hit: true}, responseHeader
 	}
+	srv.Stats.Gets++
+	n, ok := srv.p.Store.Get(req.Key)
+	if !ok {
+		srv.Stats.Misses++
+	}
+	return Response{Seq: req.Seq, Hit: ok, ValueBytes: n}, responseHeader + n
 }

@@ -429,8 +429,9 @@ func (c *Cluster) Run() { c.pe.RunUntil(sim.Never) }
 // after the current event.
 func (c *Cluster) Halt() { c.pe.Halt() }
 
-// Shutdown kills all application threads, releasing their goroutines. Call
-// once per cluster when the experiment is done; the engine must be stopped.
+// Shutdown ends all application threads (unwinding Spawn coroutines; no app
+// code runs). Call once per cluster when the experiment is done; the engine
+// must be stopped.
 func (c *Cluster) Shutdown() {
 	for _, m := range c.Machines {
 		m.Shutdown()

@@ -225,13 +225,7 @@ func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, m
 	for rack := 0; rack < topo.Racks(); rack++ {
 		for i := 0; i < cfg.ServersPerRack; i++ {
 			node := topo.Node(rack, i)
-			store := memcache.NewStore()
-			for k := uint64(0); k < uint64(wl.Keys); k++ {
-				if n, ok := template.Get(k); ok {
-					store.Set(k, n)
-				}
-			}
-			sp := memcache.DefaultServer(cfg.Version, store)
+			sp := memcache.DefaultServer(cfg.Version, template.Clone())
 			sp.Workers = cfg.Workers
 			memcache.InstallServer(cluster.Machine(node), sp)
 			serverAddrs = append(serverAddrs, packet.Addr{Node: node, Port: sp.Port})

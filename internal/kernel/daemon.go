@@ -38,30 +38,36 @@ func HeavyDaemon() DaemonConfig {
 	return DaemonConfig{Period: 6 * sim.Millisecond, BurstInstr: 320_000, MaxBurstInstr: 28_000_000}
 }
 
-// StartDaemon spawns the background-load thread on m. A zero Period or
+// StartDaemon starts the background-load thread on m. A zero Period or
 // BurstInstr disables it (no thread is created).
 func (m *Machine) StartDaemon(cfg DaemonConfig) *Thread {
 	if cfg.Period <= 0 || cfg.BurstInstr <= 0 {
 		return nil
 	}
-	max := cfg.MaxBurstInstr
-	if max <= 0 {
-		max = 50 * cfg.BurstInstr
+	if cfg.MaxBurstInstr <= 0 {
+		cfg.MaxBurstInstr = 50 * cfg.BurstInstr
 	}
-	return m.Spawn("kdaemon", func(t *Thread) {
-		rng := t.Rand().Fork("daemon")
-		for {
-			t.Sleep(rng.Exp(cfg.Period))
-			// Heavy-tailed burst (GP shape 0.7): mostly ~BurstInstr, with
-			// rare multi-millisecond housekeeping.
-			burst := int64(rng.Pareto(0, float64(cfg.BurstInstr), 0.7))
-			if burst < cfg.BurstInstr/4 {
-				burst = cfg.BurstInstr / 4
-			}
-			if burst > max {
-				burst = max
-			}
-			t.Compute(burst)
-		}
-	})
+	return m.Start("kdaemon", &daemon{cfg: cfg})
+}
+
+// daemon is the background-load program: it sleeps and bursts, alternately.
+type daemon struct {
+	cfg   DaemonConfig
+	rng   *sim.Rand
+	slept bool // the last call was the sleep: the burst is next
+}
+
+func (d *daemon) Next(t *Thread, _ *Result) bool {
+	if d.rng == nil {
+		d.rng = t.Rand().Fork("daemon")
+	}
+	if d.slept = !d.slept; d.slept {
+		t.Sleep(d.rng.Exp(d.cfg.Period))
+		return true
+	}
+	// Heavy-tailed burst (GP shape 0.7): mostly ~BurstInstr, with rare
+	// multi-millisecond housekeeping.
+	burst := int64(d.rng.Pareto(0, float64(d.cfg.BurstInstr), 0.7))
+	t.Compute(min(max(burst, d.cfg.BurstInstr/4), d.cfg.MaxBurstInstr))
+	return true
 }

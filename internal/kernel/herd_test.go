@@ -15,8 +15,9 @@ import (
 // nothing and block again. It returns the order in which workers got
 // datagrams (with the instant each returned from TryRecv) and the machine's
 // scheduler totals, using nothing but exported API and Stats — so the same
-// text can be produced at any commit.
-func herd(t *testing.T) string {
+// text can be produced at any commit. With programs set the workers are
+// herdWorker programs instead of Spawn functions.
+func herd(t *testing.T, programs bool) string {
 	r := newRig(t, DefaultConfig())
 	var log strings.Builder
 	r.b.Spawn("main", func(th *Thread) {
@@ -26,6 +27,10 @@ func herd(t *testing.T) string {
 			return
 		}
 		for w := 0; w < 4; w++ {
+			if programs {
+				r.b.Start(fmt.Sprintf("w%d", w), &herdWorker{sock: sock, log: &log})
+				continue
+			}
 			r.b.Spawn(fmt.Sprintf("w%d", w), func(wt *Thread) {
 				ep := wt.EpollCreate()
 				ep.Add(wt, sock, EpollIn, nil)
@@ -69,7 +74,60 @@ const herdAtParent = "w0:0@1028763500 w1:1@1034862000 w2:2@1040960500 w0:3@10770
 	"| busy=288107000 ctx=53 sys=69 irq=4"
 
 func TestThunderingHerdUnchanged(t *testing.T) {
-	if got := herd(t); got != herdAtParent {
+	if got := herd(t, false); got != herdAtParent {
 		t.Fatalf("herd run moved:\n got %s\nwant %s", got, herdAtParent)
 	}
+}
+
+// TestThunderingHerdAsPrograms: the same workers written as programs give the
+// same string.
+func TestThunderingHerdAsPrograms(t *testing.T) {
+	if got := herd(t, true); got != herdAtParent {
+		t.Fatalf("herd run with program workers:\n got %s\nwant %s", got, herdAtParent)
+	}
+}
+
+// herdWorker is herd's worker loop as a Program.
+type herdWorker struct {
+	sock  *UDPSocket
+	log   *strings.Builder
+	ep    *Epoll
+	pc    int
+	ready int // events of the last Wait not yet drained
+}
+
+func (w *herdWorker) Next(t *Thread, res *Result) bool {
+	switch w.pc {
+	case 0:
+		t.EpollCreate()
+	case 1:
+		w.ep = res.Epoll
+		w.ep.Add(t, w.sock, EpollIn, nil)
+	case 2:
+		w.ep.Wait(t, 64, 100*sim.Millisecond)
+	case 3:
+		w.ready, w.pc = len(res.Events), 4
+		return true
+	case 4: // drain the socket once per ready event
+		if w.ready == 0 {
+			w.pc = 2
+			return true
+		}
+		w.sock.TryRecv(t)
+	case 5:
+		if res.Err() != nil {
+			w.ready, w.pc = w.ready-1, 4
+			return true
+		}
+		fmt.Fprintf(w.log, "%s:%v@%d ", t.Name(), res.Payload(), t.Now())
+		t.Compute(8000)
+	case 6:
+		t.Sleep(3 * sim.Microsecond) // lets a sibling take the next one
+	case 7:
+		w.sock.TryRecv(t)
+		w.pc = 5
+		return true
+	}
+	w.pc++
+	return true
 }

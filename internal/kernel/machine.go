@@ -163,7 +163,7 @@ type Machine struct {
 	runqHead   int
 	runq0      [2]*Thread // runq's first backing array
 	lastRun    *Thread
-	inThread   bool // a thread coroutine is executing right now
+	inThread   bool // resumeThread is stepping a thread right now
 	threads    []*Thread
 
 	// Network state. qdisc is head-indexed like kq. pool is the partition's
@@ -340,8 +340,8 @@ func (m *Machine) kernelWorkPkt(kind KernelSpanKind, d sim.Duration, op kworkOp,
 }
 
 // scheduleCPU advances the CPU state machine. It is safe to call from any
-// engine-context site; while a thread coroutine is live, or a call's kernel
-// half is stepping, it defers to the resumeThread continuation.
+// engine-context site; while a thread's program or kernel half is stepping,
+// it defers to the resumeThread continuation.
 func (m *Machine) scheduleCPU() {
 	if m.inThread || m.kActive {
 		return
@@ -487,14 +487,18 @@ func (m *Machine) pauseChunk() {
 	m.chunkArmed = false
 }
 
-// resumeThread grants t the CPU it was waiting for, then reschedules. Inside a
-// blocking call that is a step of the call's kernel half, right here; the
-// (single) flow of control switches to t's coroutine only to run app code.
+// resumeThread grants t the CPU it was waiting for, then reschedules. It steps
+// the kernel half of the call in flight and, each time the thread has its
+// result, runs the program on to its next call.
 func (m *Machine) resumeThread(t *Thread) {
 	m.inThread = true
-	if t.op.kind == opNone || t.step() {
-		t.resumes++
-		t.co.next()
+	for t.op.kind == opNone || t.step() {
+		t.res, t.op = t.op.res, threadOp{}
+		t.state = threadOnCPU
+		if !t.prog.Next(t, &t.res) {
+			t.exit()
+			break
+		}
 	}
 	m.inThread = false
 	m.scheduleCPU()
@@ -686,12 +690,20 @@ func (m *Machine) ReleaseInFlight() {
 		m.pool.Release(m.kRun.pkt)
 		m.kRun = kwork{}
 	}
+	for _, t := range m.threads {
+		m.pool.Release(t.op.pkt) // a datagram fragment waiting for its charge
+		t.op.pkt = nil
+	}
 }
 
-// Shutdown kills every thread on the machine (used by experiment teardown to
-// release their coroutines). The engine must not be running.
+// Shutdown ends every thread on the machine (experiment teardown): a program
+// simply stops, running no app code; a Spawn coroutine is unwound. The engine
+// must not be running.
 func (m *Machine) Shutdown() {
 	for _, t := range m.threads {
-		t.co.stop()
+		if c, ok := t.prog.(*coroutine); ok && c.stop != nil {
+			c.stop()
+		}
+		t.exit()
 	}
 }

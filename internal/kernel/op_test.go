@@ -2,21 +2,15 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"diablo/internal/packet"
 	"diablo/internal/sim"
 )
-
-// resumesDuring counts how often the machine switched into th's coroutine
-// while call ran on it.
-func resumesDuring(th *Thread, call func()) uint64 {
-	before := th.resumes
-	call()
-	return th.resumes - before
-}
 
 // inject queues a datagram on machine m's socket at port, as the softirq path
 // would (a raw single-packet datagram; deliverUDP does not keep pkt).
@@ -38,12 +32,127 @@ func spuriously(r *rig, th *Thread) {
 	}
 }
 
-// TestOneResumePerCall: whatever a blocking call does inside — find its data
-// at once, block and be woken, absorb wakeups that find nothing, time out, or
-// find its socket closed — the kernel half runs in engine context and the
-// calling coroutine is resumed exactly once, when the call has its result. A
-// call that needs neither the CPU nor an event does not park at all.
-func TestOneResumePerCall(t *testing.T) {
+// vals packs a call's return values.
+func vals(v ...any) []any { return v }
+
+// A step is one call as both conventions make it: do makes it on c.th, last,
+// and returns what the call returned (in a program thread: zero values at
+// once); got reads the same values from the Result the next Next is handed.
+type step struct {
+	do  func(c *caller) []any
+	got func(r *Result) []any
+}
+
+// The Result views of the call shapes.
+func none(*Result) []any          { return nil }
+func errOnly(r *Result) []any     { return vals(r.Err()) }
+func events(r *Result) []any      { return vals(r.Events) }
+func udpGot(r *Result) []any      { return vals(r.From, r.N, r.Payload(), r.Err()) }
+func tcpGot(r *Result) []any      { return vals(r.N, r.Msgs(), r.Err()) }
+func tcpSock(r *Result) []any     { return vals(r.TCP, r.Err()) }
+func udpSockGot(r *Result) []any  { return vals(r.UDP, r.Err()) }
+func listenerGot(r *Result) []any { return vals(r.Listener, r.Err()) }
+
+// caller is the calling thread of a row, with the objects its calls returned.
+type caller struct {
+	r   *rig
+	th  *Thread
+	at  sim.Time // when the last call returned
+	udp *UDPSocket
+	ep  *Epoll
+	lis *TCPListener
+	tcp *TCPSocket
+}
+
+// keep remembers the objects a call returned.
+func (c *caller) keep(vs []any) {
+	for _, v := range vs {
+		switch o := v.(type) {
+		case *UDPSocket:
+			c.udp = o
+		case *Epoll:
+			c.ep = o
+		case *TCPListener:
+			c.lis = o
+		case *TCPSocket:
+			c.tcp = o
+		}
+	}
+}
+
+// show renders call results for a trace: objects by type, events by cookie.
+func show(vs []any) string {
+	var b strings.Builder
+	for _, v := range vs {
+		switch o := v.(type) {
+		case error:
+			fmt.Fprintf(&b, "%q ", o.Error())
+		case []EpollEvent:
+			fmt.Fprintf(&b, "%d events:", len(o))
+			for _, ev := range o {
+				fmt.Fprintf(&b, " (%d %v)", ev.Events, ev.Data)
+			}
+			b.WriteString(" ")
+		case *UDPSocket, *Epoll, *TCPListener, *TCPSocket:
+			if reflect.ValueOf(o).IsNil() {
+				b.WriteString("nil ")
+			} else {
+				fmt.Fprintf(&b, "%T ", o)
+			}
+		default:
+			fmt.Fprintf(&b, "%v ", o)
+		}
+	}
+	return b.String()
+}
+
+// script runs a row's steps as a Program: step k is made in the Next that is
+// handed step k-1's results.
+type script struct {
+	t     *testing.T
+	c     *caller
+	steps []step
+	pc    int
+	trace []string
+	last  []any
+}
+
+func (s *script) Next(th *Thread, res *Result) bool {
+	if s.pc > 0 {
+		s.last = s.steps[s.pc-1].got(res)
+		s.c.keep(s.last)
+		s.c.at = th.Now()
+		s.trace = append(s.trace, fmt.Sprintf("%d %s", th.Now(), show(s.last)))
+	}
+	if !reflect.ValueOf(th.op).IsZero() {
+		s.t.Errorf("finished call left its record behind: %+v", th.op)
+	}
+	if s.pc == len(s.steps) {
+		return false
+	}
+	for _, v := range s.steps[s.pc].do(s.c) {
+		if v != nil && !reflect.ValueOf(v).IsZero() {
+			s.t.Errorf("step %d: a program's call returned %v at once", s.pc, v)
+		}
+	}
+	s.pc++
+	return true
+}
+
+// opRow is one TestOneResumePerCall row: untimed set-up calls, then the call
+// under test.
+type opRow struct {
+	name    string
+	cfg     func(*Config)
+	peer    func(r *rig) // machine b's side, if any
+	steps   []step
+	wantErr error                                     // of the last call
+	check   func(t *testing.T, c *caller, last []any) // of the Spawn run's last results
+}
+
+// opRows covers every call × immediate / block-then-data / timeout / closed /
+// three spurious wakes.
+func opRows(t *testing.T) []opRow {
 	const port = 7000
 	server := packet.Addr{Node: 1, Port: 80}
 	after := 50 * sim.Microsecond // when the awaited event happens
@@ -67,19 +176,6 @@ func TestOneResumePerCall(t *testing.T) {
 			})
 		}
 	}
-	udp := func(th *Thread) *UDPSocket {
-		s, err := th.UDPSocket(port)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	epoll := func(th *Thread) (*Epoll, *UDPSocket) {
-		s := udp(th)
-		ep := th.EpollCreate()
-		ep.Add(th, s, EpollIn, "cookie")
-		return ep, s
-	}
 	// closer closes what close closes from a second thread on machine a.
 	closer := func(r *rig, close func(th *Thread)) {
 		r.a.Spawn("closer", func(th *Thread) {
@@ -87,282 +183,328 @@ func TestOneResumePerCall(t *testing.T) {
 			close(th)
 		})
 	}
-
-	cases := []struct {
-		name string
-		peer func(r *rig) // machine b's side, if any
-		// call runs on a thread of machine a: untimed set-up, then the one
-		// call under test inside resumesDuring. It returns the count and the
-		// call's error.
-		call    func(r *rig, th *Thread) (uint64, error)
-		extra   int // resumes beyond the one a call makes; -1: it never parks
-		wantErr error
-	}{
-		{name: "syscall", call: func(r *rig, th *Thread) (uint64, error) {
-			return resumesDuring(th, func() { th.syscall(100) }), nil
-		}},
-		{name: "Sleep", call: func(r *rig, th *Thread) (uint64, error) {
-			return resumesDuring(th, func() { th.Sleep(after) }), nil
-		}},
-		{name: "Sleep(0)", call: func(r *rig, th *Thread) (uint64, error) {
-			return resumesDuring(th, func() { th.Sleep(0) }), nil
-		}},
-		{name: "Yield/contended", call: func(r *rig, th *Thread) (uint64, error) {
-			r.a.Spawn("hog", func(h *Thread) { h.Compute(1_000_000) })
-			th.Compute(1000) // let the hog reach the runqueue
-			return resumesDuring(th, func() { th.Yield() }), nil
-		}},
-		{name: "Yield/alone", call: func(r *rig, th *Thread) (uint64, error) {
-			return resumesDuring(th, func() { th.Yield() }), nil
-		}},
-
-		{name: "RecvFrom/immediate", call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			inject(r.a, port, "x")
-			n = resumesDuring(th, func() { _, _, _, err = s.RecvFrom(th) })
-			return
-		}},
-		{name: "RecvFrom/block-then-data", call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			r.eng.After(after, func() { inject(r.a, port, "x") })
-			n = resumesDuring(th, func() { _, _, _, err = s.RecvFrom(th) })
-			return
-		}},
-		{name: "RecvFrom/three spurious wakes", call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			spuriously(r, th)
-			r.eng.After(after, func() { inject(r.a, port, "x") })
-			n = resumesDuring(th, func() { _, _, _, err = s.RecvFrom(th) })
-			return
-		}},
-		{name: "RecvFrom/closed", wantErr: ErrClosed, call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			closer(r, func(ct *Thread) { s.Close(ct) })
-			n = resumesDuring(th, func() { _, _, _, err = s.RecvFrom(th) })
-			return
-		}},
-		{name: "RecvFromTimeout/data in time", call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			r.eng.After(after, func() { inject(r.a, port, "x") })
-			n = resumesDuring(th, func() { _, _, _, err = s.RecvFromTimeout(th, sim.Millisecond) })
-			return
-		}},
-		{name: "RecvFromTimeout/timeout", wantErr: ErrWouldBlock, call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			spuriously(r, th)
-			n = resumesDuring(th, func() { _, _, _, err = s.RecvFromTimeout(th, sim.Millisecond) })
-			return
-		}},
-		{name: "UDP TryRecv/data", call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			inject(r.a, port, "x")
-			n = resumesDuring(th, func() { _, _, _, err = s.TryRecv(th) })
-			return
-		}},
-		{name: "UDP TryRecv/empty", wantErr: ErrWouldBlock, call: func(r *rig, th *Thread) (n uint64, err error) {
-			s := udp(th)
-			n = resumesDuring(th, func() { _, _, _, err = s.TryRecv(th) })
-			return
-		}},
-
-		{name: "Epoll.Wait/immediate", call: func(r *rig, th *Thread) (uint64, error) {
-			ep, _ := epoll(th)
-			inject(r.a, port, "x")
-			var evs []EpollEvent
-			n := resumesDuring(th, func() { evs = ep.Wait(th, 8, WaitForever) })
-			if len(evs) != 1 || evs[0].Data != "cookie" {
-				t.Errorf("events = %v", evs)
+	udpSock := step{func(c *caller) []any { return vals(c.th.UDPSocket(port)) }, udpSockGot}
+	epollOn := []step{udpSock,
+		{func(c *caller) []any { return vals(c.th.EpollCreate()) }, func(r *Result) []any { return vals(r.Epoll) }},
+		{func(c *caller) []any { c.ep.Add(c.th, c.udp, EpollIn, "cookie"); return nil }, none}}
+	then := func(first []step, last ...step) []step { return append(slices.Clip(first), last...) }
+	listener := step{func(c *caller) []any { return vals(c.th.Listen(80, 8)) }, listenerGot}
+	connect := step{func(c *caller) []any { return vals(c.th.Connect(server)) }, tcpSock}
+	compute := func(instr int64, setup func(c *caller)) step {
+		return step{func(c *caller) []any {
+			if setup != nil {
+				setup(c)
 			}
-			return n, nil
-		}},
-		{name: "Epoll.Wait/block-then-ready", call: func(r *rig, th *Thread) (uint64, error) {
-			ep, _ := epoll(th)
-			r.eng.After(after, func() { inject(r.a, port, "x") })
-			var evs []EpollEvent
-			n := resumesDuring(th, func() { evs = ep.Wait(th, 8, WaitForever) })
-			if len(evs) != 1 {
-				t.Errorf("events = %v", evs)
+			c.th.Compute(instr)
+			return nil
+		}, none}
+	}
+	recvFrom := func(setup func(c *caller)) step {
+		return step{func(c *caller) []any {
+			setup(c)
+			return vals(c.udp.RecvFrom(c.th))
+		}, udpGot}
+	}
+	wait := func(timeout sim.Duration, setup func(c *caller)) step {
+		return step{func(c *caller) []any {
+			setup(c)
+			return vals(c.ep.Wait(c.th, 8, timeout))
+		}, events}
+	}
+	oneEvent := func(t *testing.T, c *caller, last []any) {
+		if evs := last[0].([]EpollEvent); len(evs) != 1 || evs[0].Data != "cookie" {
+			t.Errorf("events = %v", evs)
+		}
+	}
+	nop := func(*caller) {}
+	// signal has the caller wake waiters it let block on a Cond.
+	signal := func(all bool) []step {
+		var cond *Cond
+		return []step{{func(c *caller) []any {
+			cond = NewCond(c.r.a)
+			for i := 0; i < 3; i++ {
+				c.r.a.Spawn("waiter", func(w *Thread) { cond.Wait(w) })
 			}
-			return n, nil
-		}},
-		{name: "Epoll.Wait/three spurious wakes", call: func(r *rig, th *Thread) (uint64, error) {
-			ep, _ := epoll(th)
-			spuriously(r, th)
-			r.eng.After(after, func() { inject(r.a, port, "x") })
-			var evs []EpollEvent
-			n := resumesDuring(th, func() { evs = ep.Wait(th, 8, sim.Millisecond) })
-			if len(evs) != 1 || th.Now() > sim.Time(500*sim.Microsecond) {
-				t.Errorf("events = %v at %v", evs, th.Now())
+			c.th.Sleep(after) // the waiters block meanwhile
+			return nil
+		}, none}, {func(c *caller) []any {
+			if all {
+				cond.Broadcast(c.th)
+			} else {
+				cond.Signal(c.th)
 			}
-			return n, nil
-		}},
-		{name: "Epoll.Wait/timeout", call: func(r *rig, th *Thread) (uint64, error) {
-			ep, _ := epoll(th)
-			var evs []EpollEvent
-			n := resumesDuring(th, func() { evs = ep.Wait(th, 8, sim.Millisecond) })
-			if evs != nil || th.Now() < sim.Time(sim.Millisecond) {
-				t.Errorf("events = %v at %v", evs, th.Now())
-			}
-			return n, nil
-		}},
-		{name: "Epoll.Wait/poll", call: func(r *rig, th *Thread) (uint64, error) {
-			ep, _ := epoll(th)
-			return resumesDuring(th, func() { ep.Wait(th, 8, 0) }), nil
-		}},
-		{name: "Epoll.Wait/kicked", call: func(r *rig, th *Thread) (uint64, error) {
-			ep, _ := epoll(th)
-			r.eng.After(after, ep.Kick)
-			return resumesDuring(th, func() { ep.Wait(th, 8, WaitForever) }), nil
-		}},
+			return nil
+		}, none}, {func(c *caller) []any { c.th.Sleep(after); return nil }, none}} // the woken run
+	}
 
-		{name: "Cond.Wait", call: func(r *rig, th *Thread) (uint64, error) {
-			c := NewCond(r.a)
-			r.eng.After(after, func() { c.Signal(nil) })
-			return resumesDuring(th, func() { c.Wait(th) }), nil
+	return []opRow{
+		{name: "syscall", steps: []step{{func(c *caller) []any { c.th.call(threadOp{kind: opSyscall, extra: 100}); return nil }, none}}},
+		{name: "Sleep", steps: []step{{func(c *caller) []any { c.th.Sleep(after); return nil }, none}}},
+		{name: "Sleep(0)", steps: []step{{func(c *caller) []any { c.th.Sleep(0); return nil }, none}}},
+		{name: "Compute", steps: []step{compute(1000, nil)}},
+		{name: "Yield/contended", steps: []step{
+			compute(1000, func(c *caller) { c.r.a.Spawn("hog", func(h *Thread) { h.Compute(1_000_000) }) }), // let the hog reach the runqueue
+			{func(c *caller) []any { c.th.Yield(); return nil }, none}}},
+		{name: "Yield/alone", steps: []step{{func(c *caller) []any { c.th.Yield(); return nil }, none}}},
+
+		{name: "UDPSocket", steps: []step{udpSock}},
+		{name: "UDPSocket/port in use", wantErr: ErrPortInUse, steps: []step{udpSock, udpSock}},
+		{name: "UDP Close", steps: []step{udpSock, {func(c *caller) []any { c.udp.Close(c.th); return nil }, none}}},
+		{name: "SendTo/three fragments", steps: []step{udpSock,
+			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, "big")) }, errOnly}}},
+		{name: "SendTo/three fragments copied", cfg: func(cfg *Config) { cfg.ZeroCopy = false }, steps: []step{udpSock,
+			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, "big")) }, errOnly}}},
+		{name: "RecvFrom/immediate", steps: []step{udpSock, recvFrom(func(c *caller) { inject(c.r.a, port, "x") })}},
+		{name: "RecvFrom/block-then-data", steps: []step{udpSock, recvFrom(func(c *caller) {
+			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+		})}},
+		{name: "RecvFrom/three spurious wakes", steps: []step{udpSock, recvFrom(func(c *caller) {
+			spuriously(c.r, c.th)
+			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+		})}},
+		{name: "RecvFrom/closed", wantErr: ErrClosed, steps: []step{udpSock, recvFrom(func(c *caller) {
+			s := c.udp
+			closer(c.r, func(ct *Thread) { s.Close(ct) })
+		})}},
+		{name: "RecvFromTimeout/data in time", steps: []step{udpSock, {func(c *caller) []any {
+			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+			return vals(c.udp.RecvFromTimeout(c.th, sim.Millisecond))
+		}, udpGot}}},
+		{name: "RecvFromTimeout/timeout", wantErr: ErrWouldBlock, steps: []step{udpSock, {func(c *caller) []any {
+			spuriously(c.r, c.th)
+			return vals(c.udp.RecvFromTimeout(c.th, sim.Millisecond))
+		}, udpGot}}},
+		{name: "UDP TryRecv/data", steps: []step{udpSock, {func(c *caller) []any {
+			inject(c.r.a, port, "x")
+			return vals(c.udp.TryRecv(c.th))
+		}, udpGot}}},
+		{name: "UDP TryRecv/empty", wantErr: ErrWouldBlock, steps: []step{udpSock,
+			{func(c *caller) []any { return vals(c.udp.TryRecv(c.th)) }, udpGot}}},
+
+		{name: "Epoll.Del", steps: then(epollOn, step{func(c *caller) []any { c.ep.Del(c.th, c.udp); return nil }, none})},
+		{name: "Epoll.Wait/immediate", check: oneEvent, steps: then(epollOn, wait(WaitForever, func(c *caller) { inject(c.r.a, port, "x") }))},
+		{name: "Epoll.Wait/block-then-ready", check: oneEvent, steps: then(epollOn, wait(WaitForever, func(c *caller) {
+			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+		}))},
+		{name: "Epoll.Wait/three spurious wakes", steps: then(epollOn, wait(sim.Millisecond, func(c *caller) {
+			spuriously(c.r, c.th)
+			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+		})), check: func(t *testing.T, c *caller, last []any) {
+			oneEvent(t, c, last)
+			if c.at > sim.Time(500*sim.Microsecond) {
+				t.Errorf("returned at %v", c.at)
+			}
 		}},
-		{name: "Barrier.Wait/first and last arrival", call: func(r *rig, th *Thread) (uint64, error) {
-			b := NewBarrier(r.a, 2)
-			var last uint64
-			r.a.Spawn("late", func(lt *Thread) {
+		{name: "Epoll.Wait/timeout", steps: then(epollOn, wait(sim.Millisecond, nop)), check: func(t *testing.T, c *caller, last []any) {
+			if evs := last[0].([]EpollEvent); evs != nil || c.at < sim.Time(sim.Millisecond) {
+				t.Errorf("events = %v at %v", evs, c.at)
+			}
+		}},
+		{name: "Epoll.Wait/poll", steps: then(epollOn, wait(0, nop))},
+		{name: "Epoll.Wait/kicked", steps: then(epollOn, wait(WaitForever, func(c *caller) { c.r.eng.After(after, c.ep.Kick) }))},
+
+		{name: "Cond.Wait", steps: []step{{func(c *caller) []any {
+			cond := NewCond(c.r.a)
+			c.r.eng.After(after, func() { cond.Signal(nil) })
+			cond.Wait(c.th)
+			return nil
+		}, none}}},
+		{name: "Cond.Signal", steps: signal(false)},
+		{name: "Cond.Broadcast", steps: signal(true)},
+		{name: "Barrier.Wait/first and last arrival", steps: []step{{func(c *caller) []any {
+			b := NewBarrier(c.r.a, 2)
+			c.r.a.Spawn("late", func(lt *Thread) {
 				lt.Sleep(after)
-				last = resumesDuring(lt, func() { b.Wait(lt) })
+				before := lt.resumes
+				b.Wait(lt)
+				if n := lt.resumes - before; n != 1 {
+					t.Errorf("last arrival resumed %d times", n)
+				}
 			})
-			first := resumesDuring(th, func() { b.Wait(th) })
-			th.Sleep(after) // let the late arrival return too
-			if last != 1 {
-				t.Errorf("last arrival resumed %d times", last)
-			}
-			return first, nil
-		}},
-		{name: "WaitGroup.Wait/blocks", call: func(r *rig, th *Thread) (uint64, error) {
-			wg := NewWaitGroup(r.a)
+			b.Wait(c.th)
+			return nil
+		}, none}, {func(c *caller) []any { c.th.Sleep(after); return nil }, none}}}, // let the late arrival return too
+		{name: "WaitGroup.Wait/blocks", steps: []step{{func(c *caller) []any {
+			wg := NewWaitGroup(c.r.a)
 			wg.Add(2)
-			r.eng.After(after, wg.Done)
-			r.eng.After(2*after, wg.Done)
-			spuriously(r, th)
-			return resumesDuring(th, func() { wg.Wait(th) }), nil
-		}},
-		{name: "WaitGroup.Wait/already zero", extra: -1, call: func(r *rig, th *Thread) (uint64, error) {
-			wg := NewWaitGroup(r.a)
-			return resumesDuring(th, func() { wg.Wait(th) }), nil
-		}},
+			c.r.eng.After(after, wg.Done)
+			c.r.eng.After(2*after, wg.Done)
+			spuriously(c.r, c.th)
+			wg.Wait(c.th)
+			return nil
+		}, none}}},
+		{name: "WaitGroup.Wait/already zero", steps: []step{{func(c *caller) []any { NewWaitGroup(c.r.a).Wait(c.th); return nil }, none}}},
 
-		{name: "Connect", peer: listen(func(*Thread, *TCPSocket) {}), call: func(r *rig, th *Thread) (n uint64, err error) {
-			n = resumesDuring(th, func() { _, err = th.Connect(server) })
-			return
-		}},
-		{name: "Connect/refused", wantErr: ErrConnRefused, call: func(r *rig, th *Thread) (n uint64, err error) {
-			var s *TCPSocket
-			n = resumesDuring(th, func() { s, err = th.Connect(server) })
-			if s != nil {
+		{name: "Connect", peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect}},
+		{name: "Connect/refused", wantErr: ErrConnRefused, steps: []step{connect}, check: func(t *testing.T, c *caller, last []any) {
+			if s := last[0].(*TCPSocket); s != nil {
 				t.Errorf("refused connect returned socket %v", s)
 			}
-			return
 		}},
-		{name: "TCP Send/fits the buffer", peer: listen(func(*Thread, *TCPSocket) {}), call: func(r *rig, th *Thread) (n uint64, err error) {
-			s, _ := th.Connect(server)
-			n = resumesDuring(th, func() { err = s.Send(th, 1000, "m") })
-			return
-		}},
+		{name: "TCP Send/fits the buffer", peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect,
+			{func(c *caller) []any { return vals(c.tcp.Send(c.th, 1000, "m")) }, errOnly}}},
 		{name: "TCP Send/blocks on the buffer", peer: listen(func(st *Thread, s *TCPSocket) {
 			for {
 				if n, _, err := s.Recv(st, 1<<20); n == 0 || err != nil {
 					return
 				}
 			}
-		}), call: func(r *rig, th *Thread) (n uint64, err error) {
-			s, _ := th.Connect(server)
-			n = resumesDuring(th, func() { err = s.Send(th, 4*r.a.cfg.TCP.SndBuf, "m") })
-			return
-		}},
+		}), steps: []step{connect, {func(c *caller) []any { return vals(c.tcp.Send(c.th, 4*c.r.a.cfg.TCP.SndBuf, "m")) }, errOnly}}},
 		{name: "TCP Recv/block-then-data", peer: listen(func(st *Thread, s *TCPSocket) {
 			st.Sleep(after)
 			_ = s.Send(st, 1000, "m")
-		}), call: func(r *rig, th *Thread) (n uint64, err error) {
-			s, _ := th.Connect(server)
-			spuriously(r, th)
-			var msgs []any
-			n = resumesDuring(th, func() { _, msgs, err = s.Recv(th, 1<<20) })
-			if len(msgs) != 1 || msgs[0] != "m" {
+		}), steps: []step{connect, {func(c *caller) []any {
+			spuriously(c.r, c.th)
+			return vals(c.tcp.Recv(c.th, 1<<20))
+		}, tcpGot}}, check: func(t *testing.T, c *caller, last []any) {
+			if msgs := last[1].([]any); len(msgs) != 1 || msgs[0] != "m" {
 				t.Errorf("messages = %v", msgs)
 			}
-			return
 		}},
 		{name: "TCP Recv/EOF", peer: listen(func(st *Thread, s *TCPSocket) {
 			st.Sleep(after)
 			s.Close(st)
-		}), call: func(r *rig, th *Thread) (n uint64, err error) {
-			s, _ := th.Connect(server)
-			got := -1
-			n = resumesDuring(th, func() { got, _, err = s.Recv(th, 1<<20) })
-			if got != 0 {
-				t.Errorf("EOF read %d bytes", got)
-			}
-			return
-		}},
-		{name: "TCP TryRecv/empty", wantErr: ErrWouldBlock, peer: listen(func(*Thread, *TCPSocket) {}), call: func(r *rig, th *Thread) (n uint64, err error) {
-			s, _ := th.Connect(server)
-			n = resumesDuring(th, func() { _, _, err = s.TryRecv(th, 1<<20) })
-			return
-		}},
+		}), steps: []step{connect, {func(c *caller) []any { return vals(c.tcp.Recv(c.th, 1<<20)) }, tcpGot}},
+			check: func(t *testing.T, c *caller, last []any) {
+				if got := last[0].(int); got != 0 {
+					t.Errorf("EOF read %d bytes", got)
+				}
+			}},
+		{name: "TCP TryRecv/empty", wantErr: ErrWouldBlock, peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect,
+			{func(c *caller) []any { return vals(c.tcp.TryRecv(c.th, 1<<20)) }, tcpGot}}},
+		{name: "TCP Close", peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect,
+			{func(c *caller) []any { c.tcp.Close(c.th); return nil }, none}}},
+		{name: "TCP Abort", peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect,
+			{func(c *caller) []any { c.tcp.Abort(c.th); return nil }, none}}},
+		{name: "Listen", steps: []step{listener}},
+		{name: "Listener Close", steps: []step{listener, {func(c *caller) []any { c.lis.Close(c.th); return nil }, none}}},
 		{name: "Accept/block-then-connection", peer: func(r *rig) {
 			r.b.Spawn("client", func(ct *Thread) {
 				ct.Sleep(after)
 				_, _ = ct.Connect(packet.Addr{Node: 0, Port: 80})
 			})
-		}, call: func(r *rig, th *Thread) (n uint64, err error) {
-			lis, _ := th.Listen(80, 8)
-			spuriously(r, th)
-			n = resumesDuring(th, func() { _, err = lis.Accept(th, true) })
-			return
-		}},
-		{name: "Accept/accept+fcntl is two syscalls", extra: 1, peer: func(r *rig) {
+		}, steps: []step{listener, {func(c *caller) []any {
+			spuriously(c.r, c.th)
+			return vals(c.lis.Accept(c.th, true))
+		}, tcpSock}}},
+		{name: "Accept/accept+fcntl is two syscalls", peer: func(r *rig) {
 			r.b.Spawn("client", func(ct *Thread) { _, _ = ct.Connect(packet.Addr{Node: 0, Port: 80}) })
-		}, call: func(r *rig, th *Thread) (n uint64, err error) {
-			lis, _ := th.Listen(80, 8)
-			n = resumesDuring(th, func() { _, err = lis.Accept(th, false) })
-			return
-		}},
-		{name: "Accept/closed", wantErr: ErrClosed, call: func(r *rig, th *Thread) (n uint64, err error) {
-			lis, _ := th.Listen(80, 8)
-			closer(r, func(ct *Thread) { lis.Close(ct) })
-			n = resumesDuring(th, func() { _, err = lis.Accept(th, true) })
-			return
-		}},
-		{name: "TryAccept/empty", wantErr: ErrWouldBlock, call: func(r *rig, th *Thread) (n uint64, err error) {
-			lis, _ := th.Listen(80, 8)
-			n = resumesDuring(th, func() { _, err = lis.TryAccept(th, true) })
-			return
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, DefaultConfig())
-			if tc.peer != nil {
-				tc.peer(r)
+		}, steps: []step{listener, {func(c *caller) []any {
+			before := c.r.a.Stats.Syscalls
+			s, err := c.lis.Accept(c.th, false)
+			if n := c.r.a.Stats.Syscalls - before; s != nil && n != 2 {
+				t.Errorf("accept took %d syscalls, want 2", n)
 			}
-			returned := false
-			var resumes uint64
-			var err error
-			r.a.Spawn("caller", func(th *Thread) {
-				resumes, err = tc.call(r, th)
-				returned = true
+			return vals(s, err)
+		}, tcpSock}}},
+		{name: "Accept/closed", wantErr: ErrClosed, steps: []step{listener, {func(c *caller) []any {
+			lis := c.lis
+			closer(c.r, func(ct *Thread) { lis.Close(ct) })
+			return vals(c.lis.Accept(c.th, true))
+		}, tcpSock}}},
+		{name: "TryAccept/empty", wantErr: ErrWouldBlock, steps: []step{listener,
+			{func(c *caller) []any { return vals(c.lis.TryAccept(c.th, true)) }, tcpSock}}},
+	}
+}
+
+// runRow runs a row's caller on machine a, as a Spawn function or as a
+// Program, and returns its (instant, result) trace and the machines' totals.
+func runRow(t *testing.T, row opRow, asProgram bool) (trace []string, last []any) {
+	cfg := DefaultConfig()
+	if row.cfg != nil {
+		row.cfg(&cfg)
+	}
+	r := newRig(t, cfg)
+	if row.peer != nil {
+		row.peer(r)
+	}
+	c := &caller{r: r}
+	s := &script{t: t, c: c, steps: row.steps}
+	if asProgram {
+		c.th = r.a.Start("caller", s)
+	} else {
+		c.th = r.a.Spawn("caller", func(th *Thread) {
+			for i, st := range row.steps {
+				before := th.resumes
+				last = st.do(c)
+				c.keep(last)
+				c.at = th.Now()
+				trace = append(trace, fmt.Sprintf("%d %s", th.Now(), show(last)))
+				if n := th.resumes - before; n != 1 {
+					t.Errorf("step %d: coroutine resumed %d times, want 1", i, n)
+				}
 				if !reflect.ValueOf(th.op).IsZero() {
 					t.Errorf("finished call left its record behind: %+v", th.op)
 				}
-			})
-			r.run(sim.Second)
-			want := uint64(1 + tc.extra)
-			switch {
-			case !returned:
-				t.Fatal("the call never returned")
-			case !errors.Is(err, tc.wantErr):
-				t.Fatalf("error = %v, want %v", err, tc.wantErr)
-			case resumes != want:
-				t.Fatalf("coroutine resumed %d times, want %d", resumes, want)
 			}
 		})
 	}
+	r.run(sim.Second)
+	if asProgram {
+		trace, last = s.trace, s.last
+		if c.th.resumes != 0 {
+			t.Errorf("a program thread resumed a coroutine %d times", c.th.resumes)
+		}
+	}
+	if row.check != nil && !asProgram && len(trace) == len(row.steps) {
+		row.check(t, c, last)
+	}
+	for _, m := range []*Machine{r.a, r.b} {
+		trace = append(trace, fmt.Sprintf("n%d busy=%d ctx=%d sys=%d", m.node, m.Util.Busy, m.Stats.CtxSwitches, m.Stats.Syscalls))
+	}
+	return trace, last
+}
+
+// TestOneResumePerCall: whatever a call does inside — find its data at once,
+// block and be woken, absorb wakeups that find nothing, time out, or find its
+// socket closed — the kernel half runs in engine context and the calling
+// coroutine is resumed exactly once, when the call has its result. Each row
+// also runs as a Program (the differential test): its calls return zero values
+// at once, and it must see the same results at the same instants, with the
+// same Syscalls, CtxSwitches and Util.Busy, as the Spawn reference.
+func TestOneResumePerCall(t *testing.T) {
+	for _, row := range opRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			ref, last := runRow(t, row, false)
+			if len(ref) != len(row.steps)+2 {
+				t.Fatalf("the calls never all returned: trace %q", ref)
+			}
+			var err error
+			if len(last) > 0 {
+				err, _ = last[len(last)-1].(error)
+			}
+			if !errors.Is(err, row.wantErr) {
+				t.Fatalf("error = %v, want %v", err, row.wantErr)
+			}
+			prog, _ := runRow(t, row, true)
+			if !slices.Equal(prog, ref) {
+				t.Fatalf("as a Program:\n got  %q\n want %q", prog, ref)
+			}
+		})
+	}
+}
+
+// twoCalls is a program that breaks the one-call rule.
+type twoCalls struct{}
+
+func (twoCalls) Next(t *Thread, _ *Result) bool {
+	t.Sleep(sim.Microsecond)
+	t.Compute(1000)
+	return true
+}
+
+// TestTwoCallsInOneNextPanics: a second call would silently replace the first
+// (and change the chunk boundaries every event count depends on).
+func TestTwoCallsInOneNextPanics(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	r.a.Start("greedy", twoCalls{})
+	defer func() {
+		if got := recover(); got == nil || !strings.Contains(fmt.Sprint(got), "second call in one Next") {
+			t.Fatalf("recovered %#v, want the one-call panic", got)
+		}
+	}()
+	r.run(sim.Second)
+	t.Fatal("run returned: two calls in one Next went through")
 }
 
 // TestStaleTimeoutRecordReblocks: RecvFromTimeout's wake-if-still-blocked

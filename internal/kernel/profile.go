@@ -1,10 +1,10 @@
 // Package kernel implements DIABLO's simulated operating system: the layer
 // that made the paper's results "change with the version of the full
 // software stack". Each simulated server runs a Machine — a single fixed-CPI
-// core (the paper's server timing model), a preemptive scheduler with
-// goroutine-backed threads, syscall costs, a socket layer with blocking and
-// epoll interfaces, a NIC device driver with interrupt mitigation and NAPI
-// polling, and the TCP/UDP protocol engines.
+// core (the paper's server timing model), a preemptive scheduler over threads
+// whose bodies are programs stepped in engine context, syscall costs, a socket
+// layer with blocking and epoll interfaces, a NIC device driver with interrupt
+// mitigation and NAPI polling, and the TCP/UDP protocol engines.
 //
 // Unlike DIABLO we cannot boot an unmodified Linux binary; instead the
 // timing-relevant kernel mechanisms are modeled explicitly and applications

@@ -77,29 +77,33 @@ type Epoll struct {
 
 // EpollCreate makes a new epoll instance (epoll_create1).
 func (t *Thread) EpollCreate() *Epoll {
-	t.syscall(0)
-	return &Epoll{m: t.m, items: make(map[Pollable]*epollItem)}
+	return t.call(threadOp{kind: opEpollCreate}).Epoll
 }
 
 // Add registers a socket with an interest mask and user data (epoll_ctl).
 func (ep *Epoll) Add(t *Thread, sock Pollable, interest EpollEvents, data any) {
-	t.syscall(0)
-	if _, dup := ep.items[sock]; dup {
-		return
-	}
-	it := &epollItem{sock: sock, interest: interest, data: data}
-	ep.items[sock] = it
-	sock.attach(ep)
-	ep.markReady(sock) // pick up already-ready state (level-triggered)
+	t.call(threadOp{kind: opEpollAdd, ep: ep, item: &epollItem{sock: sock, interest: interest, data: data}})
 }
 
-// Del removes a socket (epoll_ctl EPOLL_CTL_DEL).
+// Del removes the socket's registration as of the call (EPOLL_CTL_DEL).
 func (ep *Epoll) Del(t *Thread, sock Pollable) {
-	t.syscall(0)
-	if it, ok := ep.items[sock]; ok {
-		delete(ep.items, sock)
+	t.call(threadOp{kind: opEpollDel, ep: ep, item: ep.items[sock]})
+}
+
+func (ep *Epoll) add(it *epollItem) {
+	if _, dup := ep.items[it.sock]; dup {
+		return
+	}
+	ep.items[it.sock] = it
+	it.sock.attach(ep)
+	ep.markReady(it.sock) // pick up already-ready state (level-triggered)
+}
+
+func (ep *Epoll) del(it *epollItem) {
+	if it != nil && it.sock != nil {
+		delete(ep.items, it.sock)
+		it.sock.detach(ep)
 		it.sock = nil // lazily skipped in the ready list
-		sock.detach(ep)
 	}
 }
 
@@ -135,9 +139,8 @@ func (ep *Epoll) Wait(t *Thread, maxEvents int, timeout simDuration) []EpollEven
 	if maxEvents <= 0 {
 		maxEvents = 64
 	}
-	t.op = threadOp{kind: opEpollWait, ep: ep, extra: ep.m.cfg.Profile.EpollInstr, n: maxEvents,
-		timeout: timeout, timed: timeout > 0, nowait: timeout == 0}
-	return t.call().evs
+	return t.call(threadOp{kind: opEpollWait, ep: ep, extra: ep.m.cfg.Profile.EpollInstr, n: maxEvents,
+		timeout: timeout, timed: timeout > 0, nowait: timeout == 0}).Events
 }
 
 func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -169,7 +172,7 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 	t.evbuf = out
 	switch {
 	case len(out) > 0:
-		op.evs = out
+		op.res.Events = out
 		// Charge the per-event dispatch cost.
 		t.remaining += ep.m.instrTime(int64(len(out)) * ep.m.cfg.Profile.EpollInstr / 4)
 	case ep.kicked:
@@ -238,8 +241,11 @@ type UDPSocket struct {
 // UDPSocket creates and binds a datagram socket. Port 0 picks an ephemeral
 // port.
 func (t *Thread) UDPSocket(port packet.Port) (*UDPSocket, error) {
-	m := t.m
-	t.syscall(0)
+	r := t.call(threadOp{kind: opUDPSocket, port: port})
+	return r.UDP, r.Err()
+}
+
+func (m *Machine) bindUDP(port packet.Port) (*UDPSocket, error) {
 	if port == 0 {
 		port = m.ephemeralPort()
 	}
@@ -263,41 +269,53 @@ func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, payload any) error
 	if n <= 0 || n > MaxDatagram {
 		return ErrMsgTooLong
 	}
+	op := threadOp{kind: opSendTo, udp: s, extra: s.m.cfg.Profile.TxUDPInstr, n: n, remote: dst}
+	op.res.v.payload = payload
+	t.call(op)
+	return nil
+}
+
+// pollSend transmits the datagram once the entry (and copy) charge is paid, a
+// fragment per pass: each after the first goes out once its own charge is paid.
+func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 	m := s.m
-	t.syscall(m.cfg.Profile.TxUDPInstr)
-	if !m.cfg.ZeroCopy {
-		t.computeTime(m.copyCost(n))
+	if op.pkt != nil {
+		m.transmit(op.pkt)
+		op.pkt = nil
 	}
-	s.Stats.TxDatagrams++
-	s.nextFrag++
-	id := s.nextFrag
-	total := (n + packet.MaxUDPPayload - 1) / packet.MaxUDPPayload
-	remaining := n
-	for i := 0; i < total; i++ {
-		chunk := remaining
-		if chunk > packet.MaxUDPPayload {
-			chunk = packet.MaxUDPPayload
+	if op.id == 0 {
+		if !m.cfg.ZeroCopy && !op.copied {
+			op.copied = true
+			t.remaining += m.copyCost(op.n)
+			return false
 		}
-		remaining -= chunk
+		s.Stats.TxDatagrams++
+		s.nextFrag++
+		op.id = s.nextFrag
+	}
+	total := (op.n + packet.MaxUDPPayload - 1) / packet.MaxUDPPayload
+	for ; op.frag < total; op.frag++ {
+		i := op.frag
 		pkt := m.newPacket()
 		pkt.Src = packet.Addr{Node: m.node, Port: s.port}
-		pkt.Dst = dst
+		pkt.Dst = op.remote
 		pkt.Proto = packet.ProtoUDP
-		pkt.PayloadBytes = chunk
+		pkt.PayloadBytes = min(op.n-i*packet.MaxUDPPayload, packet.MaxUDPPayload)
 		// The fragment descriptor rides in the typed UDP header (boxing it
 		// into Payload would allocate per packet); the application reference
 		// is attached to the final fragment only.
-		pkt.UDP = packet.UDPHdr{FragID: id, Index: uint16(i), Total: uint16(total), Bytes: n}
+		pkt.UDP = packet.UDPHdr{FragID: op.id, Index: uint16(i), Total: uint16(total), Bytes: op.n}
 		if i == total-1 {
-			pkt.Payload = payload
+			pkt.Payload = op.res.v.payload
 		}
-		// Fragments beyond the first cost a reduced per-packet TX charge.
-		if i > 0 {
-			t.Compute(m.cfg.Profile.TxUDPInstr / 2)
+		if i > 0 { // fragments beyond the first cost a reduced per-packet TX charge
+			op.pkt, op.frag = pkt, i+1
+			t.remaining += m.instrTime(m.cfg.Profile.TxUDPInstr / 2)
+			return false
 		}
 		m.transmit(pkt)
 	}
-	return nil
+	return true
 }
 
 // RecvFrom blocks until a datagram arrives, then returns its source, size
@@ -319,21 +337,21 @@ func (s *UDPSocket) TryRecv(t *Thread) (packet.Addr, int, any, error) {
 
 // recv is recvfrom with a receive deadline d (negative: none).
 func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, int, any, error) {
-	t.op = threadOp{kind: opUDPRecv, udp: s, extra: s.m.cfg.Profile.RxUDPInstr / 4, timeout: d, timed: d >= 0, nowait: nowait}
-	op := t.call()
-	return op.dg.from, op.dg.bytes, op.dg.payload, op.dyn.err
+	r := t.call(threadOp{kind: opUDPRecv, udp: s, extra: s.m.cfg.Profile.RxUDPInstr / 4, timeout: d, timed: d >= 0, nowait: nowait})
+	return r.From, r.N, r.Payload(), r.Err()
 }
 
 func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case s.Pending() > 0:
-		op.dg = s.popDgram()
-		s.rcvBytes -= op.dg.bytes
-		t.remaining += s.m.copyCost(op.dg.bytes)
+		dg := s.popDgram()
+		s.rcvBytes -= dg.bytes
+		op.res.From, op.res.N, op.res.v.payload = dg.from, dg.bytes, dg.payload
+		t.remaining += s.m.copyCost(dg.bytes)
 	case s.closed:
-		op.dyn.err = ErrClosed
+		op.res.v.err = ErrClosed
 	case op.expired(s.m.eng.Now()):
-		op.dyn.err = ErrWouldBlock
+		op.res.v.err = ErrWouldBlock
 	default:
 		return &s.readers, false
 	}
@@ -357,10 +375,12 @@ func (s *UDPSocket) Pending() int { return len(s.rcvq) - s.rcvqHead }
 
 // Close unbinds the socket.
 func (s *UDPSocket) Close(t *Thread) {
-	if s.closed {
-		return
+	if !s.closed {
+		t.call(threadOp{kind: opClose, udp: s})
 	}
-	t.syscall(0)
+}
+
+func (s *UDPSocket) close() {
 	s.closed = true
 	delete(s.m.udpSocks, s.port)
 	s.readers.wakeAll(s.m)
@@ -459,8 +479,11 @@ type TCPListener struct {
 
 // Listen binds a listening socket (socket+bind+listen).
 func (t *Thread) Listen(port packet.Port, backlog int) (*TCPListener, error) {
-	m := t.m
-	t.syscall(0)
+	r := t.call(threadOp{kind: opListen, port: port, n: backlog})
+	return r.Listener, r.Err()
+}
+
+func (m *Machine) listen(port packet.Port, backlog int) (*TCPListener, error) {
 	if _, dup := m.listeners[port]; dup {
 		return nil, fmt.Errorf("%w: tcp %d", ErrPortInUse, port)
 	}
@@ -518,19 +541,14 @@ func (lis *TCPListener) TryAccept(t *Thread, accept4 bool) (*TCPSocket, error) {
 }
 
 func (lis *TCPListener) accept(t *Thread, accept4, nowait bool) (*TCPSocket, error) {
-	if !accept4 {
-		// accept() + separate fcntl(O_NONBLOCK) syscall.
-		t.syscall(0)
-	}
-	t.op = threadOp{kind: opAccept, lis: lis, extra: lis.m.cfg.Profile.AcceptInstr, nowait: nowait}
-	op := t.call()
-	return op.tcp, op.dyn.err
+	r := t.call(threadOp{kind: opAccept, lis: lis, extra: lis.m.cfg.Profile.AcceptInstr, nowait: nowait, fcntl: !accept4})
+	return r.TCP, r.Err()
 }
 
-func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
+func (lis *TCPListener) pollAccept(op *threadOp) (*waitQueue, bool) {
 	switch {
 	case lis.queued() > 0:
-		op.tcp = lis.pending[lis.pendHead]
+		op.res.TCP = lis.pending[lis.pendHead]
 		lis.pending[lis.pendHead] = nil
 		lis.pendHead++
 		if lis.pendHead == len(lis.pending) {
@@ -538,9 +556,9 @@ func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
 		}
 		lis.Stats.Accepted++
 	case lis.closed:
-		op.dyn.err = ErrClosed
+		op.res.v.err = ErrClosed
 	case op.expired(lis.m.eng.Now()):
-		op.dyn.err = ErrWouldBlock
+		op.res.v.err = ErrWouldBlock
 	default:
 		return &lis.acceptQ, false
 	}
@@ -552,10 +570,12 @@ func (lis *TCPListener) queued() int { return len(lis.pending) - lis.pendHead }
 
 // Close stops accepting.
 func (lis *TCPListener) Close(t *Thread) {
-	if lis.closed {
-		return
+	if !lis.closed {
+		t.call(threadOp{kind: opClose, lis: lis})
 	}
-	t.syscall(0)
+}
+
+func (lis *TCPListener) close() {
 	lis.closed = true
 	delete(lis.m.listeners, lis.port)
 	for _, s := range lis.pending[lis.pendHead:] {
@@ -625,9 +645,8 @@ func newTCPSocket(m *Machine, conn *tcp.Conn, key connKey) *TCPSocket {
 
 // Connect opens a connection to remote and blocks until it is established.
 func (t *Thread) Connect(remote packet.Addr) (*TCPSocket, error) {
-	t.op = threadOp{kind: opConnect, extra: t.m.cfg.Profile.ConnectInstr, remote: remote}
-	op := t.call()
-	return op.tcp, op.dyn.err
+	r := t.call(threadOp{kind: opConnect, extra: t.m.cfg.Profile.ConnectInstr, remote: remote})
+	return r.TCP, r.Err()
 }
 
 func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
@@ -637,7 +656,7 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 		key := newConnKey(local.Port, op.remote)
 		conn, err := tcp.NewClient(tcpEnv{m}, m.cfg.TCP, local, op.remote)
 		if err != nil {
-			op.dyn.err = err
+			op.res.v.err = err
 			return nil, true
 		}
 		s = newTCPSocket(m, conn, key)
@@ -656,7 +675,9 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 		return &s.connectQ, false
 	}
 	if s.done {
-		op.tcp, op.dyn.err = nil, fmt.Errorf("%w: %v", ErrConnRefused, s.err)
+		op.res.v.err = fmt.Errorf("%w: %v", ErrConnRefused, s.err)
+	} else {
+		op.res.TCP = s
 	}
 	return nil, true
 }
@@ -673,9 +694,9 @@ func (s *TCPSocket) Err() error { return s.err }
 // Send writes an n-byte application message, blocking until the send buffer
 // accepts all of it. payload surfaces at the receiver with the final byte.
 func (s *TCPSocket) Send(t *Thread, n int, payload any) error {
-	t.op = threadOp{kind: opTCPSend, tcp: s, n: n}
-	t.op.dyn.payload = payload
-	return t.call().dyn.err
+	op := threadOp{kind: opTCPSend, tcp: s, n: n}
+	op.res.v.payload = payload
+	return t.call(op).Err()
 }
 
 func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -683,10 +704,10 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 		return nil, true
 	}
 	if s.done {
-		op.dyn.err = s.errOrClosed()
+		op.res.v.err = s.errOrClosed()
 		return nil, true
 	}
-	accepted := s.conn.Send(op.n, op.dyn.payload)
+	accepted := s.conn.Send(op.n, op.res.v.payload)
 	if accepted == 0 {
 		return &s.writers, false
 	}
@@ -710,21 +731,20 @@ func (s *TCPSocket) TryRecv(t *Thread, max int) (int, []any, error) {
 }
 
 func (s *TCPSocket) recv(t *Thread, max int, nowait bool) (int, []any, error) {
-	t.op = threadOp{kind: opTCPRecv, tcp: s, n: max, nowait: nowait}
-	op := t.call()
-	return op.got, op.dyn.msgs, op.dyn.err
+	r := t.call(threadOp{kind: opTCPRecv, tcp: s, n: max, nowait: nowait})
+	return r.N, r.Msgs(), r.Err()
 }
 
 func (s *TCPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case s.conn.Readable() > 0:
-		op.got, op.dyn.msgs = s.conn.Read(op.n)
-		t.remaining += s.m.copyCost(op.got)
+		op.res.N, op.res.v.msgs = s.conn.Read(op.n)
+		t.remaining += s.m.copyCost(op.res.N)
 	case s.conn.EOF(): // clean EOF: (0, nil, nil)
 	case s.done:
-		op.dyn.err = s.errOrClosed()
+		op.res.v.err = s.errOrClosed()
 	case op.expired(s.m.eng.Now()):
-		op.dyn.err = ErrWouldBlock
+		op.res.v.err = ErrWouldBlock
 	default:
 		return &s.readers, false
 	}
@@ -733,14 +753,12 @@ func (s *TCPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 
 // Close performs an orderly shutdown.
 func (s *TCPSocket) Close(t *Thread) {
-	t.syscall(0)
-	s.conn.Close()
+	t.call(threadOp{kind: opClose, tcp: s})
 }
 
 // Abort resets the connection.
 func (s *TCPSocket) Abort(t *Thread) {
-	t.syscall(0)
-	s.conn.Abort()
+	t.call(threadOp{kind: opAbort, tcp: s})
 }
 
 func (s *TCPSocket) errOrClosed() error {

@@ -17,25 +17,26 @@ func NewCond(m *Machine) *Cond { return &Cond{m: m} }
 // Wait blocks t until Signal or Broadcast. As with pthreads, the caller must
 // re-check its predicate on wakeup.
 func (c *Cond) Wait(t *Thread) {
-	t.op = threadOp{kind: opCondWait, cond: c} // futex wait: block once
-	t.run()
+	t.call(threadOp{kind: opCondWait, cond: c}) // futex wait: block once
 }
 
 // Signal wakes one waiter. Unlike Wait it is callable from any context
-// (thread or event); the syscall cost is charged only when a thread calls it.
+// (thread or event); a thread pays the futex wake syscall first.
 func (c *Cond) Signal(t *Thread) {
-	if t != nil {
-		t.syscall(0) // futex wake
+	if t == nil {
+		c.wq.wakeOne(c.m)
+		return
 	}
-	c.wq.wakeOne(c.m)
+	t.call(threadOp{kind: opSignal, cond: c})
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast(t *Thread) {
-	if t != nil {
-		t.syscall(0)
+	if t == nil {
+		c.wq.wakeAll(c.m)
+		return
 	}
-	c.wq.wakeAll(c.m)
+	t.call(threadOp{kind: opBroadcast, cond: c})
 }
 
 // Barrier is a reusable pthread_barrier for n participants.
@@ -52,8 +53,7 @@ func NewBarrier(m *Machine, n int) *Barrier { return &Barrier{m: m, n: n} }
 
 // Wait blocks until n threads have arrived; the last arrival releases all.
 func (b *Barrier) Wait(t *Thread) {
-	t.op = threadOp{kind: opBarrierWait, bar: b}
-	t.run()
+	t.call(threadOp{kind: opBarrierWait, bar: b})
 }
 
 func (b *Barrier) pollWait(op *threadOp) (*waitQueue, bool) {
@@ -95,6 +95,5 @@ func (w *WaitGroup) Done() {
 
 // Wait blocks t until the counter reaches zero.
 func (w *WaitGroup) Wait(t *Thread) {
-	t.op = threadOp{kind: opWaitGroup, phase: opPoll, wg: w}
-	t.run()
+	t.call(threadOp{kind: opWaitGroup, phase: opPoll, wg: w})
 }

@@ -18,68 +18,77 @@ const (
 	threadDead
 )
 
-// killSentinel is the panic value that unwinds a thread: Exit raises it, and
-// so does park when Shutdown stops the coroutine.
+// killSentinel is the panic value that unwinds a Spawn thread's coroutine:
+// Exit raises it, and so does a parked call when Shutdown stops the coroutine.
 type killSentinel struct{}
 
-// Thread is one simulated kernel thread. Application code runs in a
-// coroutine that advances only when the machine's scheduler grants it the
-// simulated CPU; every interaction with the simulated world goes through
-// Thread methods, which charge CPU time and block deterministically.
-//
-// The coroutine and the simulation engine strictly alternate by direct
-// switch (iter.Pull: no Go-scheduler round trip), so simulations remain
-// single-threaded and deterministic.
+// Program is a thread's body as data: a struct with a program counter. Next
+// runs the thread on from the result of its last call (res; zero at the start
+// and after Compute) up to its next call — a syscall, Sleep or Compute — and
+// returns. In a program thread a call returns zero values at once; its results
+// arrive through res in the next Next, at the instant the call completes. One
+// Next makes at most one call (the kernel panics on a second), and a Next that
+// makes none is called again at once; returning false ends the thread.
+type Program interface {
+	Next(t *Thread, res *Result) bool
+}
+
+// Result is what a thread's last call returned: each field is set by the calls
+// named beside it, the rest are zero.
+type Result struct {
+	N        int          // TCP Recv/TryRecv: bytes read; UDP receives: datagram bytes
+	From     packet.Addr  // UDP receives: the sender
+	Events   []EpollEvent // Epoll.Wait: the ready events, valid until the thread's next Wait
+	Epoll    *Epoll       // EpollCreate
+	UDP      *UDPSocket   // UDPSocket
+	Listener *TCPListener // Listen
+	TCP      *TCPSocket   // Connect, Accept, TryAccept
+	//diablo:transient errno-style error and opaque app messages; they encode like TCPSocket.err and udpDgram.payload
+	v struct {
+		err     error
+		payload any   // the app message the call carried: received (UDP) or sent (SendTo, Send)
+		msgs    []any // TCP Recv/TryRecv: the messages completed
+	}
+}
+
+// Err returns the call's error.
+func (r Result) Err() error { return r.v.err }
+
+// Payload returns the application message the call carried: the datagram a
+// UDP receive got, or what SendTo or Send sent.
+func (r Result) Payload() any { return r.v.payload }
+
+// Msgs returns the application messages a TCP receive completed.
+func (r Result) Msgs() []any { return r.v.msgs }
+
+// Thread is one simulated kernel thread. Its Program advances only when the
+// machine's scheduler grants it the simulated CPU; every interaction with the
+// simulated world goes through Thread methods, which charge CPU time and block
+// deterministically. The program runs in engine context, so simulations
+// remain single-threaded and deterministic.
 type Thread struct {
 	m    *Machine
 	name string
 
 	state threadState
-	//diablo:transient coroutine handle; re-created by Spawn on restore (app stack state is not encodable — ROADMAP item 2b)
-	co struct {
-		next  func() (struct{}, bool) // run the thread until it parks or ends
-		stop  func()                  // unwind a parked thread for good
-		yield func(struct{}) bool     // park; false means the thread was stopped
-	}
-	remaining sim.Duration // CPU time owed before app code may continue
+	//diablo:transient application state; restore re-creates the program (Spawn coroutines are not encodable)
+	prog      Program
+	remaining sim.Duration // CPU time owed before the program may continue
 	sliceLeft sim.Duration
 
-	op      threadOp     // the blocking call in flight (kind opNone: none)
+	op      threadOp     // the call in flight (kind opNone: none)
+	res     Result       // what the last call returned, for the next Next
 	evbuf   []EpollEvent // backing store of this thread's Epoll.Wait results
-	resumes uint64       // times resumeThread switched into the coroutine
+	resumes uint64       // times a Spawn thread's coroutine was switched into
 }
 
-// Spawn creates a thread running fn. The thread becomes runnable after the
-// clone cost; Spawn may be called during cluster construction or from
+// Start creates a thread running program p. The thread becomes runnable after
+// the clone cost; Start may be called during cluster construction or from
 // another thread.
-func (m *Machine) Spawn(name string, fn func(*Thread)) *Thread {
-	t := &Thread{
-		m:     m,
-		name:  name,
-		state: threadRunnable,
-	}
+func (m *Machine) Start(name string, p Program) *Thread {
+	t := &Thread{m: m, name: name, state: threadRunnable, prog: p}
 	t.remaining = m.instrTime(m.cfg.Profile.SpawnInstr)
 	m.threads = append(m.threads, t)
-	t.co.next, t.co.stop = iter.Pull(func(yield func(struct{}) bool) {
-		t.co.yield = yield
-		defer func() {
-			t.state = threadDead
-			t.op, t.evbuf = threadOp{}, nil // a call cut short must not pin its sockets and payloads
-			if m.cur == t {
-				m.cur = nil
-			}
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					panic(r) // app bug: iter.Pull re-raises it in resumeThread's caller
-				}
-			}
-		}()
-		t.park() // until first scheduled
-		fn(t)
-	})
-	// Prime the coroutine up to that first park, so a thread spawned at set-up
-	// pays for its coroutine at set-up and not at its first dispatch.
-	t.co.next()
 	// Enqueue via an event so the runqueue push happens inside the engine's
 	// run loop regardless of the caller's context.
 	m.eng.At(m.eng.Now(), func() {
@@ -89,13 +98,49 @@ func (m *Machine) Spawn(name string, fn func(*Thread)) *Thread {
 	return t
 }
 
-// park hands control back to the machine and waits to be granted the CPU
-// again. Must only be called from the thread's own coroutine.
-func (t *Thread) park() {
-	if !t.co.yield(struct{}{}) {
-		panic(killSentinel{})
+// Spawn creates a thread running fn, a plain function: an adapter Program
+// runs fn on an iter.Pull coroutine that parks at every call, so each call
+// costs a stack switch. In-tree models are programs started with Start.
+func (m *Machine) Spawn(name string, fn func(*Thread)) *Thread {
+	return m.Start(name, &coroutine{fn: fn})
+}
+
+// coroutine is the Program behind Spawn: each Next switches into fn until its
+// next call parks it, or it ends.
+type coroutine struct {
+	fn    func(*Thread)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+func (c *coroutine) Next(t *Thread, _ *Result) bool {
+	if c.next == nil {
+		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(killSentinel); !ok {
+						panic(r) // app bug: iter.Pull re-raises it in resumeThread's caller
+					}
+				}
+			}()
+			c.fn(t)
+		})
 	}
-	t.state = threadOnCPU
+	t.resumes++
+	_, more := c.next()
+	return more
+}
+
+// exit ends the thread: a call cut short must not pin its sockets, payloads
+// or the program's state.
+func (t *Thread) exit() {
+	t.state = threadDead
+	t.op, t.res, t.evbuf, t.prog = threadOp{}, Result{}, nil, nil
+	if t.m.cur == t {
+		t.m.cur = nil
+	}
 }
 
 // Name returns the thread's name.
@@ -111,7 +156,7 @@ func (t *Thread) Now() sim.Time { return t.m.eng.Now() }
 func (t *Thread) Rand() *sim.Rand { return t.m.rng }
 
 // Compute burns the given number of instructions of CPU time (application
-// work). The call returns when the simulated core has executed them,
+// work). The thread continues when the simulated core has executed them,
 // accounting for preemption by interrupts and other threads.
 func (t *Thread) Compute(instructions int64) {
 	t.computeTime(t.m.instrTime(instructions))
@@ -119,20 +164,35 @@ func (t *Thread) Compute(instructions int64) {
 
 // computeTime burns d of CPU demand.
 func (t *Thread) computeTime(d sim.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		t.call(threadOp{kind: opCompute, phase: opPoll, timeout: d})
 	}
-	t.remaining += d
-	t.state = threadRunnable // remains current on the CPU
-	t.park()
 }
 
-// opKind names the kernel half of a blocking call.
+// call makes the call op describes. A Spawn thread's coroutine parks once
+// until the kernel half (step) has the results; a program gets zero values at
+// once. The calls of a program queue nothing, so a second in one Next panics.
+func (t *Thread) call(op threadOp) Result {
+	if t.op.kind != opNone {
+		panic(fmt.Sprintf("kernel: %v made a second call in one Next", t))
+	}
+	t.op = op
+	c, ok := t.prog.(*coroutine)
+	if !ok {
+		return Result{}
+	}
+	if !c.yield(struct{}{}) {
+		panic(killSentinel{})
+	}
+	return t.res
+}
+
+// opKind names the kernel half of a call.
 type opKind uint8
 
 const (
 	opNone    opKind = iota
-	opSyscall        // the entry charge is the whole call
+	opSyscall        // a bare syscall: the entry charge is the whole call
 	opSleep
 	opYield
 	opEpollWait
@@ -144,6 +204,18 @@ const (
 	opCondWait
 	opBarrierWait
 	opWaitGroup // not a syscall: enters at opPoll
+	opCompute   // not a syscall: enters at opPoll
+	// Calls whose effect follows the entry charge.
+	opEpollCreate
+	opEpollAdd
+	opEpollDel
+	opUDPSocket
+	opListen
+	opSendTo
+	opClose // of op.udp, op.lis or op.tcp
+	opAbort
+	opSignal
+	opBroadcast
 )
 
 // The phases of a call, in order.
@@ -154,10 +226,9 @@ const (
 	opDone               // the completion charge (copy, epoll dispatch) is paid
 )
 
-// threadOp is one blocking call in flight. The calling coroutine fills in the
-// arguments and parks once (Thread.run, Thread.call); Thread.step runs the
-// kernel half in engine context and leaves the results here. It is a tagged struct inside
-// Thread, so a call allocates nothing.
+// threadOp is one call in flight. The calling thread fills in the arguments;
+// Thread.step runs the kernel half in engine context and leaves the results
+// in res. It is a tagged struct inside Thread, so a call allocates nothing.
 type threadOp struct {
 	kind      opKind
 	phase     uint8
@@ -165,33 +236,31 @@ type threadOp struct {
 	timed     bool // timeout is a receive deadline, armed in opArm
 	waited    bool // the call gave up the CPU at least once
 	connected bool // opConnect: the handshake completed
+	fcntl     bool // opAccept: a separate fcntl(O_NONBLOCK) syscall comes first (no accept4)
+	copied    bool // opSendTo: the payload copy is charged
 
 	extra    int64        // entry instructions beyond Profile.SyscallInstr
 	start    sim.Time     // entry instant, for OnSyscallSpan
-	timeout  sim.Duration // opSleep: how long; timed calls: how far off the deadline is
+	timeout  sim.Duration // opSleep, opCompute: how long; timed calls: how far off the deadline is
 	deadline sim.Time
-	n        int         // epoll: maxEvents; TCP: byte limit or bytes left to send; barrier: releasing generation
-	remote   packet.Addr // opConnect: the peer
+	n        int            // epoll: maxEvents; TCP: byte limit or bytes left to send; UDP: datagram bytes; listen: backlog; barrier: releasing generation
+	remote   packet.Addr    // opConnect: the peer; opSendTo: the destination
+	port     packet.Port    // opUDPSocket, opListen
+	frag     int            // opSendTo: fragments built
+	id       uint64         // opSendTo: the datagram's fragment ID (0: not counted yet)
+	pkt      *packet.Packet // opSendTo: the fragment whose charge is being paid
 
 	// The object the call is on, by kind.
 	ep   *Epoll
+	item *epollItem // epoll_ctl: the registration
 	udp  *UDPSocket
-	tcp  *TCPSocket // opAccept and opConnect: the result
+	tcp  *TCPSocket // opConnect: the socket being connected
 	lis  *TCPListener
 	cond *Cond
 	bar  *Barrier
 	wg   *WaitGroup
 
-	// Results.
-	got int          // TCP bytes read
-	dg  udpDgram     // UDP datagram received
-	evs []EpollEvent // ready events: a prefix of Thread.evbuf, or nil
-	//diablo:transient errno-style error and opaque app messages of the call in flight; they encode like TCPSocket.err and udpDgram.payload
-	dyn struct {
-		err     error
-		payload any   // opTCPSend: the message being written
-		msgs    []any // opTCPRecv: the messages completed
-	}
+	res Result // the results; res.v.payload also carries a send's message in
 }
 
 // expired reports whether the call must return empty-handed rather than block
@@ -200,30 +269,9 @@ func (op *threadOp) expired(now sim.Time) bool {
 	return op.nowait || op.timed && op.waited && now >= op.deadline
 }
 
-// run is the user half of the call the caller has put in t.op: the coroutine
-// parks at most once, however often the kernel half (step) charges CPU, blocks
-// or absorbs a wakeup that finds nothing. The record is cleared afterwards.
-func (t *Thread) run() {
-	if !t.step() {
-		t.park()
-	}
-	t.op = threadOp{}
-}
-
-// call is run for a call with results: it returns the finished record.
-func (t *Thread) call() (op threadOp) {
-	if !t.step() {
-		t.park()
-	}
-	op, t.op = t.op, threadOp{}
-	return op
-}
-
 // step runs the kernel half of the call in flight as far as it goes without
 // the CPU or an outside event, and reports whether the call has its result.
-// It runs with m.inThread set: on the coroutine at entry (so a call that needs
-// neither never parks), then from resumeThread at every instant the CPU is
-// granted back, in place of switching to the coroutine.
+// resumeThread calls it at every instant the CPU is granted back.
 func (t *Thread) step() bool {
 	m, op := t.m, &t.op
 	t.state = threadOnCPU
@@ -232,11 +280,19 @@ func (t *Thread) step() bool {
 		case opEnter:
 			m.Stats.Syscalls++
 			op.start = m.eng.Now()
-			t.remaining += m.instrTime(m.cfg.Profile.SyscallInstr + op.extra)
+			instr := m.cfg.Profile.SyscallInstr
+			if !op.fcntl {
+				instr += op.extra
+			}
+			t.remaining += m.instrTime(instr)
 			op.phase = opArm
 		case opArm:
 			if m.OnSyscallSpan != nil {
 				m.OnSyscallSpan(t.name, op.start, m.eng.Now().Sub(op.start))
+			}
+			if op.fcntl { // that was fcntl; the accept itself follows
+				op.fcntl, op.phase = false, opEnter
+				break
 			}
 			if op.timed {
 				// A typed wake-if-still-blocked record plus a deadline comparison.
@@ -297,7 +353,7 @@ func (t *Thread) poll() (*waitQueue, bool) {
 	case opTCPRecv:
 		return op.tcp.pollRecv(t, op)
 	case opAccept:
-		return op.lis.pollAccept(t, op)
+		return op.lis.pollAccept(op)
 	case opConnect:
 		return t.pollConnect(op)
 	case opCondWait:
@@ -310,30 +366,51 @@ func (t *Thread) poll() (*waitQueue, bool) {
 		if op.wg.count > 0 {
 			return &op.wg.wq, false
 		}
+	case opCompute:
+		t.remaining += op.timeout
+	case opEpollCreate:
+		op.res.Epoll = &Epoll{m: m, items: make(map[Pollable]*epollItem)}
+	case opEpollAdd:
+		op.ep.add(op.item)
+	case opEpollDel:
+		op.ep.del(op.item)
+	case opUDPSocket:
+		op.res.UDP, op.res.v.err = m.bindUDP(op.port)
+	case opListen:
+		op.res.Listener, op.res.v.err = m.listen(op.port, op.n)
+	case opSendTo:
+		return nil, op.udp.pollSend(t, op)
+	case opClose:
+		switch {
+		case op.udp != nil:
+			op.udp.close()
+		case op.lis != nil:
+			op.lis.close()
+		default:
+			op.tcp.conn.Close()
+		}
+	case opAbort:
+		op.tcp.conn.Abort()
+	case opSignal:
+		op.cond.wq.wakeOne(m)
+	case opBroadcast:
+		op.cond.wq.wakeAll(m)
 	}
 	return nil, true
 }
 
-// syscall charges the base syscall cost plus extra instructions.
-func (t *Thread) syscall(extra int64) {
-	t.op = threadOp{kind: opSyscall, extra: extra}
-	t.run()
-}
-
 // Sleep blocks the thread for d of simulated time (nanosleep).
 func (t *Thread) Sleep(d sim.Duration) {
-	t.op = threadOp{kind: opSleep, timeout: d}
-	t.run()
+	t.call(threadOp{kind: opSleep, timeout: d})
 }
 
 // Yield gives up the CPU voluntarily (sched_yield).
 func (t *Thread) Yield() {
-	t.op = threadOp{kind: opYield}
-	t.run()
+	t.call(threadOp{kind: opYield})
 }
 
-// Exit terminates the thread from within (fn simply returning is
-// equivalent).
+// Exit terminates a Spawn thread from within (fn simply returning is
+// equivalent); a Program ends by returning false from Next.
 func (t *Thread) Exit() {
 	panic(killSentinel{})
 }

@@ -4,29 +4,33 @@
 # parent revision and on the working tree in alternating order, PAIRS times,
 # and print for every end-to-end metric each side's median and quartiles and
 # how many pairs the working tree won. Both sides are built and run by their
-# own bench/run.sh, exactly as the driver does.
+# own bench/run.sh, exactly as the driver does. WORKLOADS is one workload
+# name or a comma-separated list, measured one after the other.
 #
-#   scripts/bench-pairs.sh PARENT WORKLOAD [PAIRS=10] [SEED=1] [SECONDS=20]
-#   make bench-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]
+#   scripts/bench-pairs.sh PARENT WORKLOADS [PAIRS=10] [SEED=1] [SECONDS=20]
+#   make bench-pairs PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1]
 #
-# The parent is exported with `git archive` into .bench_build/pairs/ (ignored
-# by git, like everything else bench/run.sh builds), not checked out as a
-# worktree: nothing is registered in .git and a stale copy cannot linger.
+# The parent is exported with `git archive` into .bench_build/pairs/parent
+# (ignored by git, like everything else bench/run.sh builds), not checked out
+# as a worktree: nothing is registered in .git and a stale copy cannot linger.
+# Each workload's result logs (parent.jsonl, change.jsonl) go to
+# .bench_build/pairs/<workload>/ and stay; a later run replaces only the logs
+# of the workloads it measures.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,15p' "$0" >&2
+	sed -n '2,19p' "$0" >&2
 	exit 2
 fi
-parent="$1" workload="$2" pairs="${3:-10}" seed="${4:-1}" seconds="${5:-20}"
+parent="$1" workloads="$2" pairs="${3:-10}" seed="${4:-1}" seconds="${5:-20}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-work="$root/.bench_build/pairs"
+base="$root/.bench_build/pairs"
 rev="$(git -C "$root" rev-parse --verify "$parent^{commit}")"
-rm -rf "$work"
-mkdir -p "$work/parent"
-trap 'rm -rf "$work/parent"' EXIT # the copy and its build cache; the result logs stay
-git -C "$root" archive "$rev" | tar -x -C "$work/parent"
+rm -rf "$base/parent"
+mkdir -p "$base/parent"
+trap 'rm -rf "$base/parent"' EXIT # the copy and its build cache; the result logs stay
+git -C "$root" archive "$rev" | tar -x -C "$base/parent"
 
 # one SIDE DIR: run the benchmark in DIR and append its result line (the last
 # line of standard output) to SIDE's log.
@@ -38,19 +42,6 @@ one() {
 # value FILE METRIC: one value per run, in run order.
 value() { grep -o "\"$2\":{\"value\":[^,]*" "$1" | cut -d: -f3; }
 
-echo "bench-pairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=${rev:0:7} vs working tree"
-for i in $(seq 1 "$pairs"); do
-	if [ $((i % 2)) -eq 1 ]; then
-		one parent "$work/parent"
-		one change "$root"
-	else
-		one change "$root"
-		one parent "$work/parent"
-	fi
-	printf '  pair %2d  parent %s  change %s\n' "$i" \
-		"$(value "$work/parent.jsonl" cpu_s_per_sim_s | tail -n 1)" "$(value "$work/change.jsonl" cpu_s_per_sim_s | tail -n 1)"
-done
-
 # quartiles: q1, median, q3 of the numbers on standard input (linear
 # interpolation between order statistics).
 quartiles() {
@@ -59,19 +50,41 @@ quartiles() {
 		END { printf "%.6g %.6g %.6g\n", q(.25), q(.5), q(.75) }'
 }
 
-echo
-printf '%-18s %-36s %-36s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "change wins / ties / pairs"
-for metric in cpu_s_per_sim_s allocs_per_pkt peak_rss_mb setup_s; do
-	read -r pq1 pmed pq3 < <(value "$work/parent.jsonl" "$metric" | quartiles)
-	read -r cq1 cmed cq3 < <(value "$work/change.jsonl" "$metric" | quartiles)
-	read -r wins ties < <(paste <(value "$work/parent.jsonl" "$metric") <(value "$work/change.jsonl" "$metric") |
-		awk '$2 + 0 < $1 + 0 { w++ } $2 + 0 == $1 + 0 { t++ } END { print w + 0, t + 0 }')
-	delta="$(awk -v p="$pmed" -v c="$cmed" 'BEGIN { if (p + 0 == 0) print "n/a"; else printf "%+.1f%%", (c - p) / p * 100 }')"
-	printf '%-18s %-36s %-36s %s\n' "$metric" "$pmed [$pq1, $pq3]" "$cmed [$cq1, $cq3] ($delta)" "$wins / $ties / $pairs"
-done
 # sum FILE FIELD: the total of an integer field of the result lines.
 sum() { grep -o "\"$2\":[0-9]*" "$1" | cut -d: -f2 | awk '{ s += $1 } END { print s + 0 }'; }
-for side in parent change; do
-	echo "$side: failed/attempted $(sum "$work/$side.jsonl" failed)/$(sum "$work/$side.jsonl" attempted)," \
-		"incorrect runs $(grep -c -v '"correct":true' "$work/$side.jsonl" || true)"
+
+IFS=, read -r -a names <<<"$workloads"
+for workload in "${names[@]}"; do
+	work="$base/$workload"
+	rm -rf "$work"
+	mkdir -p "$work"
+
+	echo "bench-pairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=${rev:0:7} vs working tree"
+	for i in $(seq 1 "$pairs"); do
+		if [ $((i % 2)) -eq 1 ]; then
+			one parent "$base/parent"
+			one change "$root"
+		else
+			one change "$root"
+			one parent "$base/parent"
+		fi
+		printf '  pair %2d  parent %s  change %s\n' "$i" \
+			"$(value "$work/parent.jsonl" cpu_s_per_sim_s | tail -n 1)" "$(value "$work/change.jsonl" cpu_s_per_sim_s | tail -n 1)"
+	done
+
+	echo
+	printf '%-18s %-36s %-36s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "change wins / ties / pairs"
+	for metric in cpu_s_per_sim_s allocs_per_pkt peak_rss_mb setup_s; do
+		read -r pq1 pmed pq3 < <(value "$work/parent.jsonl" "$metric" | quartiles)
+		read -r cq1 cmed cq3 < <(value "$work/change.jsonl" "$metric" | quartiles)
+		read -r wins ties < <(paste <(value "$work/parent.jsonl" "$metric") <(value "$work/change.jsonl" "$metric") |
+			awk '$2 + 0 < $1 + 0 { w++ } $2 + 0 == $1 + 0 { t++ } END { print w + 0, t + 0 }')
+		delta="$(awk -v p="$pmed" -v c="$cmed" 'BEGIN { if (p + 0 == 0) print "n/a"; else printf "%+.1f%%", (c - p) / p * 100 }')"
+		printf '%-18s %-36s %-36s %s\n' "$metric" "$pmed [$pq1, $pq3]" "$cmed [$cq1, $cq3] ($delta)" "$wins / $ties / $pairs"
+	done
+	for side in parent change; do
+		echo "$side: failed/attempted $(sum "$work/$side.jsonl" failed)/$(sum "$work/$side.jsonl" attempted)," \
+			"incorrect runs $(grep -c -v '"correct":true' "$work/$side.jsonl" || true)"
+	done
+	echo
 done
