@@ -9,3 +9,9 @@ func Resumes(m *Machine) uint64 {
 	}
 	return n
 }
+
+// call makes the call a whole record describes, through enter like every
+// entry point: the op tests use it for a bare syscall.
+func (t *Thread) call(op threadOp) Result {
+	return *t.enter(op.kind, func(o *threadOp) { *o = op })
+}

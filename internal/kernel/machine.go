@@ -144,6 +144,8 @@ type Machine struct {
 	// straggler window (thermal throttling, a co-located noisy neighbour):
 	// the fault layer raises it for a bounded window and restores it to 1.
 	slowdown float64
+	// cost holds cfg.Profile's fixed charges at this slowdown (see SetSlowdown).
+	cost struct{ ctxSwitch, wakeup, irq, rxUDP, rxTCP, txTCP, txTCPHalf, txUDPHalf, spawn sim.Duration }
 
 	// CPU executor state. kq is a head-indexed FIFO: popping advances kqHead
 	// and the slot storage is reused once the queue drains, so steady-state
@@ -245,7 +247,6 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 		eng:       eng,
 		node:      node,
 		cfg:       cfg,
-		slowdown:  1,
 		rng:       sim.NewRand(sim.DeriveSeed(seed, fmt.Sprintf("machine-%d", node))),
 		dev:       dev,
 		router:    router,
@@ -255,6 +256,7 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 		nextPort:  32768,
 	}
 	m.kq, m.runq = m.kq0[:0], m.runq0[:0]
+	m.SetSlowdown(1)
 	dev.OnRxInterrupt = m.rxInterrupt
 	dev.OnTxDrain = m.drainQdisc
 	return m, nil
@@ -296,10 +298,10 @@ func (m *Machine) newPacket() *packet.Packet { return m.pool.Get() }
 // stretched by f (clamped to >= 1). CPU chunks already in flight complete at
 // their original length, so the window granularity is one scheduler chunk.
 func (m *Machine) SetSlowdown(f float64) {
-	if f < 1 {
-		f = 1
-	}
-	m.slowdown = f
+	m.slowdown = max(f, 1)
+	it, p, c := m.instrTime, &m.cfg.Profile, &m.cost
+	c.ctxSwitch, c.wakeup, c.irq, c.spawn, c.rxUDP = it(p.CtxSwitchInstr), it(p.WakeupInstr), it(p.IRQInstr), it(p.SpawnInstr), it(p.RxUDPInstr)
+	c.rxTCP, c.txTCP, c.txTCPHalf, c.txUDPHalf = it(p.RxTCPInstr), it(p.TxTCPInstr), it(p.TxTCPInstr/2), it(p.TxUDPInstr/2)
 }
 
 // Slowdown returns the current straggler factor (1 = nominal speed).
@@ -386,7 +388,7 @@ func (m *Machine) scheduleCPU() {
 			m.runqHead = 0
 		}
 		if m.lastRun != m.cur {
-			m.cur.remaining += m.instrTime(m.cfg.Profile.CtxSwitchInstr)
+			m.cur.remaining += m.cost.ctxSwitch
 			m.Stats.CtxSwitches++
 		}
 		m.cur.sliceLeft = m.cfg.Profile.TimeSlice
@@ -493,12 +495,13 @@ func (m *Machine) pauseChunk() {
 func (m *Machine) resumeThread(t *Thread) {
 	m.inThread = true
 	for t.op.kind == opNone || t.step() {
-		t.res, t.op = t.op.res, threadOp{}
+		t.op = threadOp{}
 		t.state = threadOnCPU
 		if !t.prog.Next(t, &t.res) {
 			t.exit()
 			break
 		}
+		t.res = Result{} // the call just made fills it in for the next Next
 	}
 	m.inThread = false
 	m.scheduleCPU()
@@ -511,7 +514,7 @@ func (m *Machine) wake(t *Thread) {
 		return
 	}
 	t.state = threadRunnable
-	t.remaining += m.instrTime(m.cfg.Profile.WakeupInstr)
+	t.remaining += m.cost.wakeup
 	m.runq = append(m.runq, t)
 	m.scheduleCPU()
 }
@@ -561,7 +564,7 @@ func (m *Machine) rxInterrupt() {
 	m.dev.SetRxIntEnabled(false)
 	// kwNapiPoll, not kernelWork(..., m.napiPoll): the method value would
 	// allocate a bound-closure per interrupt, i.e. per received packet.
-	m.kernelWorkPkt(KSpanIRQ, m.instrTime(m.cfg.Profile.IRQInstr), kwNapiPoll, nil)
+	m.kernelWorkPkt(KSpanIRQ, m.cost.irq, kwNapiPoll, nil)
 }
 
 // napiPoll processes one frame per kernel-work item until the ring drains,
@@ -572,12 +575,9 @@ func (m *Machine) napiPoll() {
 		m.dev.SetRxIntEnabled(true)
 		return
 	}
-	var cost sim.Duration
-	switch pkt.Proto {
-	case packet.ProtoTCP:
-		cost = m.instrTime(m.cfg.Profile.RxTCPInstr)
-	default:
-		cost = m.instrTime(m.cfg.Profile.RxUDPInstr)
+	cost := m.cost.rxUDP
+	if pkt.Proto == packet.ProtoTCP {
+		cost = m.cost.rxTCP
 	}
 	m.kernelWorkPkt(KSpanSoftIRQ, cost, kwDeliverNapi, pkt)
 }
@@ -626,7 +626,7 @@ func (m *Machine) deliverTCP(pkt *packet.Packet) {
 			Seq:   pkt.TCP.Ack,
 			Ack:   pkt.TCP.Seq + uint32(pkt.PayloadBytes),
 		}
-		m.kernelWorkPkt(KSpanTxTCP, m.instrTime(m.cfg.Profile.TxTCPInstr/2), kwTransmit, rst)
+		m.kernelWorkPkt(KSpanTxTCP, m.cost.txTCPHalf, kwTransmit, rst)
 	}
 }
 
@@ -658,7 +658,7 @@ func (e tcpEnv) Cancel(id sim.EventID)                { e.m.eng.Cancel(id) }
 // the segment to the driver. FIFO kernel work keeps segments ordered.
 func (e tcpEnv) Output(pkt *packet.Packet) {
 	m := e.m
-	m.kernelWorkPkt(KSpanTxTCP, m.instrTime(m.cfg.Profile.TxTCPInstr), kwTransmit, pkt)
+	m.kernelWorkPkt(KSpanTxTCP, m.cost.txTCP, kwTransmit, pkt)
 }
 
 // NewPacket allocates an outgoing segment from the machine's partition pool.

@@ -77,17 +77,17 @@ type Epoll struct {
 
 // EpollCreate makes a new epoll instance (epoll_create1).
 func (t *Thread) EpollCreate() *Epoll {
-	return t.call(threadOp{kind: opEpollCreate}).Epoll
+	return t.enter(opEpollCreate, func(*threadOp) {}).Epoll
 }
 
 // Add registers a socket with an interest mask and user data (epoll_ctl).
 func (ep *Epoll) Add(t *Thread, sock Pollable, interest EpollEvents, data any) {
-	t.call(threadOp{kind: opEpollAdd, ep: ep, item: &epollItem{sock: sock, interest: interest, data: data}})
+	t.enter(opEpollAdd, func(op *threadOp) { op.ep, op.item = ep, &epollItem{sock: sock, interest: interest, data: data} })
 }
 
 // Del removes the socket's registration as of the call (EPOLL_CTL_DEL).
 func (ep *Epoll) Del(t *Thread, sock Pollable) {
-	t.call(threadOp{kind: opEpollDel, ep: ep, item: ep.items[sock]})
+	t.enter(opEpollDel, func(op *threadOp) { op.ep, op.item = ep, ep.items[sock] })
 }
 
 func (ep *Epoll) add(it *epollItem) {
@@ -135,12 +135,14 @@ func (ep *Epoll) markReady(sock Pollable) {
 // result lives in the calling thread's reusable buffer: like the real
 // epoll_wait events array it is valid until that thread's next Wait, whoever
 // else waits on this instance meanwhile.
-func (ep *Epoll) Wait(t *Thread, maxEvents int, timeout simDuration) []EpollEvent {
+func (ep *Epoll) Wait(t *Thread, maxEvents int, timeout sim.Duration) []EpollEvent {
 	if maxEvents <= 0 {
 		maxEvents = 64
 	}
-	return t.call(threadOp{kind: opEpollWait, ep: ep, extra: ep.m.cfg.Profile.EpollInstr, n: maxEvents,
-		timeout: timeout, timed: timeout > 0, nowait: timeout == 0}).Events
+	return t.enter(opEpollWait, func(op *threadOp) {
+		op.ep, op.extra, op.n = ep, ep.m.cfg.Profile.EpollInstr, maxEvents
+		op.timeout, op.timed, op.nowait = timeout, timeout > 0, timeout == 0
+	}).Events
 }
 
 func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -172,7 +174,7 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 	t.evbuf = out
 	switch {
 	case len(out) > 0:
-		op.res.Events = out
+		t.res.Events = out
 		// Charge the per-event dispatch cost.
 		t.remaining += ep.m.instrTime(int64(len(out)) * ep.m.cfg.Profile.EpollInstr / 4)
 	case ep.kicked:
@@ -184,11 +186,8 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 	return nil, true
 }
 
-// simDuration aliases sim.Duration for brevity in the epoll API.
-type simDuration = sim.Duration
-
 // WaitForever is the infinite epoll timeout.
-const WaitForever simDuration = -1
+const WaitForever sim.Duration = -1
 
 // --- UDP ----------------------------------------------------------------------
 
@@ -241,8 +240,8 @@ type UDPSocket struct {
 // UDPSocket creates and binds a datagram socket. Port 0 picks an ephemeral
 // port.
 func (t *Thread) UDPSocket(port packet.Port) (*UDPSocket, error) {
-	r := t.call(threadOp{kind: opUDPSocket, port: port})
-	return r.UDP, r.Err()
+	r := t.enter(opUDPSocket, func(op *threadOp) { op.port = port })
+	return r.UDP, r.v.err
 }
 
 func (m *Machine) bindUDP(port packet.Port) (*UDPSocket, error) {
@@ -269,9 +268,9 @@ func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, payload any) error
 	if n <= 0 || n > MaxDatagram {
 		return ErrMsgTooLong
 	}
-	op := threadOp{kind: opSendTo, udp: s, extra: s.m.cfg.Profile.TxUDPInstr, n: n, remote: dst}
-	op.res.v.payload = payload
-	t.call(op)
+	t.enter(opSendTo, func(op *threadOp) {
+		op.udp, op.extra, op.n, op.remote, op.msg = s, s.m.cfg.Profile.TxUDPInstr, n, dst, payload
+	})
 	return nil
 }
 
@@ -306,11 +305,11 @@ func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 		// is attached to the final fragment only.
 		pkt.UDP = packet.UDPHdr{FragID: op.id, Index: uint16(i), Total: uint16(total), Bytes: op.n}
 		if i == total-1 {
-			pkt.Payload = op.res.v.payload
+			pkt.Payload = op.msg
 		}
 		if i > 0 { // fragments beyond the first cost a reduced per-packet TX charge
 			op.pkt, op.frag = pkt, i+1
-			t.remaining += m.instrTime(m.cfg.Profile.TxUDPInstr / 2)
+			t.remaining += m.cost.txUDPHalf
 			return false
 		}
 		m.transmit(pkt)
@@ -337,8 +336,10 @@ func (s *UDPSocket) TryRecv(t *Thread) (packet.Addr, int, any, error) {
 
 // recv is recvfrom with a receive deadline d (negative: none).
 func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, int, any, error) {
-	r := t.call(threadOp{kind: opUDPRecv, udp: s, extra: s.m.cfg.Profile.RxUDPInstr / 4, timeout: d, timed: d >= 0, nowait: nowait})
-	return r.From, r.N, r.Payload(), r.Err()
+	r := t.enter(opUDPRecv, func(op *threadOp) {
+		op.udp, op.extra, op.timeout, op.timed, op.nowait = s, s.m.cfg.Profile.RxUDPInstr/4, d, d >= 0, nowait
+	})
+	return r.From, r.N, r.v.payload, r.v.err
 }
 
 func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -346,12 +347,12 @@ func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	case s.Pending() > 0:
 		dg := s.popDgram()
 		s.rcvBytes -= dg.bytes
-		op.res.From, op.res.N, op.res.v.payload = dg.from, dg.bytes, dg.payload
+		t.res.From, t.res.N, t.res.v.payload = dg.from, dg.bytes, dg.payload
 		t.remaining += s.m.copyCost(dg.bytes)
 	case s.closed:
-		op.res.v.err = ErrClosed
+		t.res.v.err = ErrClosed
 	case op.expired(s.m.eng.Now()):
-		op.res.v.err = ErrWouldBlock
+		t.res.v.err = ErrWouldBlock
 	default:
 		return &s.readers, false
 	}
@@ -376,7 +377,7 @@ func (s *UDPSocket) Pending() int { return len(s.rcvq) - s.rcvqHead }
 // Close unbinds the socket.
 func (s *UDPSocket) Close(t *Thread) {
 	if !s.closed {
-		t.call(threadOp{kind: opClose, udp: s})
+		t.enter(opClose, func(op *threadOp) { op.udp = s })
 	}
 }
 
@@ -479,8 +480,8 @@ type TCPListener struct {
 
 // Listen binds a listening socket (socket+bind+listen).
 func (t *Thread) Listen(port packet.Port, backlog int) (*TCPListener, error) {
-	r := t.call(threadOp{kind: opListen, port: port, n: backlog})
-	return r.Listener, r.Err()
+	r := t.enter(opListen, func(op *threadOp) { op.port, op.n = port, backlog })
+	return r.Listener, r.v.err
 }
 
 func (m *Machine) listen(port packet.Port, backlog int) (*TCPListener, error) {
@@ -541,14 +542,16 @@ func (lis *TCPListener) TryAccept(t *Thread, accept4 bool) (*TCPSocket, error) {
 }
 
 func (lis *TCPListener) accept(t *Thread, accept4, nowait bool) (*TCPSocket, error) {
-	r := t.call(threadOp{kind: opAccept, lis: lis, extra: lis.m.cfg.Profile.AcceptInstr, nowait: nowait, fcntl: !accept4})
-	return r.TCP, r.Err()
+	r := t.enter(opAccept, func(op *threadOp) {
+		op.lis, op.extra, op.nowait, op.fcntl = lis, lis.m.cfg.Profile.AcceptInstr, nowait, !accept4
+	})
+	return r.TCP, r.v.err
 }
 
-func (lis *TCPListener) pollAccept(op *threadOp) (*waitQueue, bool) {
+func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case lis.queued() > 0:
-		op.res.TCP = lis.pending[lis.pendHead]
+		t.res.TCP = lis.pending[lis.pendHead]
 		lis.pending[lis.pendHead] = nil
 		lis.pendHead++
 		if lis.pendHead == len(lis.pending) {
@@ -556,9 +559,9 @@ func (lis *TCPListener) pollAccept(op *threadOp) (*waitQueue, bool) {
 		}
 		lis.Stats.Accepted++
 	case lis.closed:
-		op.res.v.err = ErrClosed
+		t.res.v.err = ErrClosed
 	case op.expired(lis.m.eng.Now()):
-		op.res.v.err = ErrWouldBlock
+		t.res.v.err = ErrWouldBlock
 	default:
 		return &lis.acceptQ, false
 	}
@@ -571,7 +574,7 @@ func (lis *TCPListener) queued() int { return len(lis.pending) - lis.pendHead }
 // Close stops accepting.
 func (lis *TCPListener) Close(t *Thread) {
 	if !lis.closed {
-		t.call(threadOp{kind: opClose, lis: lis})
+		t.enter(opClose, func(op *threadOp) { op.lis = lis })
 	}
 }
 
@@ -645,8 +648,8 @@ func newTCPSocket(m *Machine, conn *tcp.Conn, key connKey) *TCPSocket {
 
 // Connect opens a connection to remote and blocks until it is established.
 func (t *Thread) Connect(remote packet.Addr) (*TCPSocket, error) {
-	r := t.call(threadOp{kind: opConnect, extra: t.m.cfg.Profile.ConnectInstr, remote: remote})
-	return r.TCP, r.Err()
+	r := t.enter(opConnect, func(op *threadOp) { op.extra, op.remote = t.m.cfg.Profile.ConnectInstr, remote })
+	return r.TCP, r.v.err
 }
 
 func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
@@ -656,7 +659,7 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 		key := newConnKey(local.Port, op.remote)
 		conn, err := tcp.NewClient(tcpEnv{m}, m.cfg.TCP, local, op.remote)
 		if err != nil {
-			op.res.v.err = err
+			t.res.v.err = err
 			return nil, true
 		}
 		s = newTCPSocket(m, conn, key)
@@ -675,9 +678,9 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 		return &s.connectQ, false
 	}
 	if s.done {
-		op.res.v.err = fmt.Errorf("%w: %v", ErrConnRefused, s.err)
+		t.res.v.err = fmt.Errorf("%w: %v", ErrConnRefused, s.err)
 	} else {
-		op.res.TCP = s
+		t.res.TCP = s
 	}
 	return nil, true
 }
@@ -694,9 +697,7 @@ func (s *TCPSocket) Err() error { return s.err }
 // Send writes an n-byte application message, blocking until the send buffer
 // accepts all of it. payload surfaces at the receiver with the final byte.
 func (s *TCPSocket) Send(t *Thread, n int, payload any) error {
-	op := threadOp{kind: opTCPSend, tcp: s, n: n}
-	op.res.v.payload = payload
-	return t.call(op).Err()
+	return t.enter(opTCPSend, func(op *threadOp) { op.tcp, op.n, op.msg = s, n, payload }).v.err
 }
 
 func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -704,10 +705,10 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 		return nil, true
 	}
 	if s.done {
-		op.res.v.err = s.errOrClosed()
+		t.res.v.err = s.errOrClosed()
 		return nil, true
 	}
-	accepted := s.conn.Send(op.n, op.res.v.payload)
+	accepted := s.conn.Send(op.n, op.msg)
 	if accepted == 0 {
 		return &s.writers, false
 	}
@@ -731,20 +732,20 @@ func (s *TCPSocket) TryRecv(t *Thread, max int) (int, []any, error) {
 }
 
 func (s *TCPSocket) recv(t *Thread, max int, nowait bool) (int, []any, error) {
-	r := t.call(threadOp{kind: opTCPRecv, tcp: s, n: max, nowait: nowait})
-	return r.N, r.Msgs(), r.Err()
+	r := t.enter(opTCPRecv, func(op *threadOp) { op.tcp, op.n, op.nowait = s, max, nowait })
+	return r.N, r.v.msgs, r.v.err
 }
 
 func (s *TCPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case s.conn.Readable() > 0:
-		op.res.N, op.res.v.msgs = s.conn.Read(op.n)
-		t.remaining += s.m.copyCost(op.res.N)
+		t.res.N, t.res.v.msgs = s.conn.Read(op.n)
+		t.remaining += s.m.copyCost(t.res.N)
 	case s.conn.EOF(): // clean EOF: (0, nil, nil)
 	case s.done:
-		op.res.v.err = s.errOrClosed()
+		t.res.v.err = s.errOrClosed()
 	case op.expired(s.m.eng.Now()):
-		op.res.v.err = ErrWouldBlock
+		t.res.v.err = ErrWouldBlock
 	default:
 		return &s.readers, false
 	}
@@ -753,12 +754,12 @@ func (s *TCPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 
 // Close performs an orderly shutdown.
 func (s *TCPSocket) Close(t *Thread) {
-	t.call(threadOp{kind: opClose, tcp: s})
+	t.enter(opClose, func(op *threadOp) { op.tcp = s })
 }
 
 // Abort resets the connection.
 func (s *TCPSocket) Abort(t *Thread) {
-	t.call(threadOp{kind: opAbort, tcp: s})
+	t.enter(opAbort, func(op *threadOp) { op.tcp = s })
 }
 
 func (s *TCPSocket) errOrClosed() error {

@@ -17,7 +17,7 @@ func NewCond(m *Machine) *Cond { return &Cond{m: m} }
 // Wait blocks t until Signal or Broadcast. As with pthreads, the caller must
 // re-check its predicate on wakeup.
 func (c *Cond) Wait(t *Thread) {
-	t.call(threadOp{kind: opCondWait, cond: c}) // futex wait: block once
+	t.enter(opCondWait, func(op *threadOp) { op.cond = c }) // futex wait: block once
 }
 
 // Signal wakes one waiter. Unlike Wait it is callable from any context
@@ -27,7 +27,7 @@ func (c *Cond) Signal(t *Thread) {
 		c.wq.wakeOne(c.m)
 		return
 	}
-	t.call(threadOp{kind: opSignal, cond: c})
+	t.enter(opSignal, func(op *threadOp) { op.cond = c })
 }
 
 // Broadcast wakes all waiters.
@@ -36,7 +36,7 @@ func (c *Cond) Broadcast(t *Thread) {
 		c.wq.wakeAll(c.m)
 		return
 	}
-	t.call(threadOp{kind: opBroadcast, cond: c})
+	t.enter(opBroadcast, func(op *threadOp) { op.cond = c })
 }
 
 // Barrier is a reusable pthread_barrier for n participants.
@@ -53,7 +53,7 @@ func NewBarrier(m *Machine, n int) *Barrier { return &Barrier{m: m, n: n} }
 
 // Wait blocks until n threads have arrived; the last arrival releases all.
 func (b *Barrier) Wait(t *Thread) {
-	t.call(threadOp{kind: opBarrierWait, bar: b})
+	t.enter(opBarrierWait, func(op *threadOp) { op.bar = b })
 }
 
 func (b *Barrier) pollWait(op *threadOp) (*waitQueue, bool) {
@@ -95,5 +95,5 @@ func (w *WaitGroup) Done() {
 
 // Wait blocks t until the counter reaches zero.
 func (w *WaitGroup) Wait(t *Thread) {
-	t.call(threadOp{kind: opWaitGroup, phase: opPoll, wg: w})
+	t.enter(opWaitGroup, func(op *threadOp) { op.phase, op.wg = opPoll, w })
 }

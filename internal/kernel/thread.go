@@ -87,7 +87,7 @@ type Thread struct {
 // another thread.
 func (m *Machine) Start(name string, p Program) *Thread {
 	t := &Thread{m: m, name: name, state: threadRunnable, prog: p}
-	t.remaining = m.instrTime(m.cfg.Profile.SpawnInstr)
+	t.remaining = m.cost.spawn
 	m.threads = append(m.threads, t)
 	// Enqueue via an event so the runqueue push happens inside the engine's
 	// run loop regardless of the caller's context.
@@ -159,32 +159,31 @@ func (t *Thread) Rand() *sim.Rand { return t.m.rng }
 // work). The thread continues when the simulated core has executed them,
 // accounting for preemption by interrupts and other threads.
 func (t *Thread) Compute(instructions int64) {
-	t.computeTime(t.m.instrTime(instructions))
-}
-
-// computeTime burns d of CPU demand.
-func (t *Thread) computeTime(d sim.Duration) {
-	if d > 0 {
-		t.call(threadOp{kind: opCompute, phase: opPoll, timeout: d})
+	if d := t.m.instrTime(instructions); d > 0 {
+		t.enter(opCompute, func(op *threadOp) { op.phase, op.timeout = opPoll, d })
 	}
 }
 
-// call makes the call op describes. A Spawn thread's coroutine parks once
-// until the kernel half (step) has the results; a program gets zero values at
-// once. The calls of a program queue nothing, so a second in one Next panics.
-func (t *Thread) call(op threadOp) Result {
+var noResult Result // what every call of a program returns at once; never written
+
+// enter makes a call of kind k, fill writing its arguments into t.op in place.
+// A Spawn thread's coroutine then parks once, until the kernel half (step) has
+// filled in t.res; a program gets zero values at once. The calls of a program
+// queue nothing, so a second in one Next panics.
+func (t *Thread) enter(k opKind, fill func(*threadOp)) *Result {
 	if t.op.kind != opNone {
 		panic(fmt.Sprintf("kernel: %v made a second call in one Next", t))
 	}
-	t.op = op
+	t.op.kind = k
+	fill(&t.op)
 	c, ok := t.prog.(*coroutine)
 	if !ok {
-		return Result{}
+		return &noResult
 	}
 	if !c.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
-	return t.res
+	return &t.res
 }
 
 // opKind names the kernel half of a call.
@@ -226,9 +225,9 @@ const (
 	opDone               // the completion charge (copy, epoll dispatch) is paid
 )
 
-// threadOp is one call in flight. The calling thread fills in the arguments;
-// Thread.step runs the kernel half in engine context and leaves the results
-// in res. It is a tagged struct inside Thread, so a call allocates nothing.
+// threadOp is one call in flight, all zero between calls. The calling thread
+// fills in the arguments; Thread.step runs the kernel half in engine context
+// and leaves the results in Thread.res. A call allocates nothing.
 type threadOp struct {
 	kind      opKind
 	phase     uint8
@@ -259,8 +258,7 @@ type threadOp struct {
 	cond *Cond
 	bar  *Barrier
 	wg   *WaitGroup
-
-	res Result // the results; res.v.payload also carries a send's message in
+	msg  any //diablo:transient opaque app message a send carries, like udpDgram.payload
 }
 
 // expired reports whether the call must return empty-handed rather than block
@@ -279,7 +277,7 @@ func (t *Thread) step() bool {
 		switch op.phase {
 		case opEnter:
 			m.Stats.Syscalls++
-			op.start = m.eng.Now()
+			op.start, t.res.v.payload = m.eng.Now(), op.msg // a send's result carries its message
 			instr := m.cfg.Profile.SyscallInstr
 			if !op.fcntl {
 				instr += op.extra
@@ -353,7 +351,7 @@ func (t *Thread) poll() (*waitQueue, bool) {
 	case opTCPRecv:
 		return op.tcp.pollRecv(t, op)
 	case opAccept:
-		return op.lis.pollAccept(op)
+		return op.lis.pollAccept(t, op)
 	case opConnect:
 		return t.pollConnect(op)
 	case opCondWait:
@@ -369,15 +367,15 @@ func (t *Thread) poll() (*waitQueue, bool) {
 	case opCompute:
 		t.remaining += op.timeout
 	case opEpollCreate:
-		op.res.Epoll = &Epoll{m: m, items: make(map[Pollable]*epollItem)}
+		t.res.Epoll = &Epoll{m: m, items: make(map[Pollable]*epollItem)}
 	case opEpollAdd:
 		op.ep.add(op.item)
 	case opEpollDel:
 		op.ep.del(op.item)
 	case opUDPSocket:
-		op.res.UDP, op.res.v.err = m.bindUDP(op.port)
+		t.res.UDP, t.res.v.err = m.bindUDP(op.port)
 	case opListen:
-		op.res.Listener, op.res.v.err = m.listen(op.port, op.n)
+		t.res.Listener, t.res.v.err = m.listen(op.port, op.n)
 	case opSendTo:
 		return nil, op.udp.pollSend(t, op)
 	case opClose:
@@ -401,12 +399,12 @@ func (t *Thread) poll() (*waitQueue, bool) {
 
 // Sleep blocks the thread for d of simulated time (nanosleep).
 func (t *Thread) Sleep(d sim.Duration) {
-	t.call(threadOp{kind: opSleep, timeout: d})
+	t.enter(opSleep, func(op *threadOp) { op.timeout = d })
 }
 
 // Yield gives up the CPU voluntarily (sched_yield).
 func (t *Thread) Yield() {
-	t.call(threadOp{kind: opYield})
+	t.enter(opYield, func(*threadOp) {})
 }
 
 // Exit terminates a Spawn thread from within (fn simply returning is

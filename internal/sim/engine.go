@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // EventID identifies a scheduled event so it can be cancelled. It is a
-// (slot, generation) pair into the engine's slot table — see queue.go — so
+// (slot, generation) pair into the engine's slot pages — see queue.go — so
 // cancellation is O(1) and a stale ID (fired, already cancelled, or simply
 // fabricated) is rejected by the generation check without touching any
 // structure. The zero EventID is invalid and Cancel ignores it.
@@ -46,16 +46,18 @@ func NewEngine() *Engine {
 func (e *Engine) RegisterHandler(k EvKind, h Handler) { e.handlers.register(k, h) }
 
 // step pops the head event, advances the clock to it and runs it through the
-// jump table. Call only after a true peekLive.
+// jump table straight from its slot, which is freed when the handler returns.
+// Call only after a true peekLive.
 func (e *Engine) step(at Time) {
-	ev := e.q.popHead()
+	s, rec := e.q.popHead()
 	e.now = at
 	e.Executed++
-	h := e.handlers[ev.Kind]
+	h := e.handlers[rec.ev.Kind]
 	if h == nil {
-		panic(fmt.Sprintf("sim: no handler registered for %v: call RegisterHandler before scheduling typed events (core.New registers the model packages' handlers; tests driving an Engine directly must call the package RegisterEventHandlers helpers themselves)", ev.Kind))
+		panic(fmt.Sprintf("sim: no handler registered for %v: call RegisterHandler before scheduling typed events (core.New registers the model packages' handlers; tests driving an Engine directly must call the package RegisterEventHandlers helpers themselves)", rec.ev.Kind))
 	}
-	h(at, ev)
+	h(at, rec.ev)
+	e.q.release(s, rec)
 }
 
 // Now returns the current simulated time.
@@ -72,8 +74,9 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 	return e.AfterEvent(d, Event{Kind: evFunc, Tgt: fn})
 }
 
-// AtEvent schedules an event record at the absolute time at; nothing is
-// allocated. Scheduling in the past (before Now) panics: it would silently
+// AtEvent schedules an event record at the absolute time at, writing it once,
+// straight into its slot; nothing is allocated unless the queue outgrows its
+// storage. Scheduling in the past (before Now) panics: it would silently
 // reorder causality. Scheduling past maxSchedulable (Never minus three wheel
 // spans, ≈ 106 simulated days) panics too; use Never-bounded run deadlines,
 // not Never-adjacent events.
@@ -86,7 +89,10 @@ func (e *Engine) AtEvent(at Time, ev Event) EventID {
 		panic(fmt.Sprintf("sim: event time %d ps is beyond the schedulable horizon", int64(at)))
 	}
 	e.seq++
-	return e.q.schedule(at, e.seq, ev)
+	s, rec := e.q.allocSlot()
+	rec.ev = ev
+	e.q.place(entry{at: at, seq: e.seq, slot: s})
+	return EventID{slot: s + 1, gen: rec.gen}
 }
 
 // AfterEvent schedules an event record d after the current time.

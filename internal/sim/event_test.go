@@ -166,25 +166,25 @@ func TestCancelTypedEventReleasesPayload(t *testing.T) {
 	e.RegisterHandler(EvAppTick, func(Time, Event) { t.Fatal("cancelled typed event fired") })
 	ref := &struct{ x int }{}
 	id := e.AfterEvent(Millisecond, Event{Kind: EvAppTick, Tgt: ref, Ref: ref})
-	if got := len(e.q.slots); got != 1 {
-		t.Fatalf("slot table = %d, want 1", got)
+	if got := e.q.handedOut(); got != 1 {
+		t.Fatalf("slots handed out = %d, want 1", got)
 	}
 	e.Cancel(id)
-	if s := &e.q.slots[0]; s.ev.Tgt != nil || s.ev.Ref != nil || s.live() {
+	if s := e.q.rec(0); s.ev.Tgt != nil || s.ev.Ref != nil || s.live() {
 		t.Fatalf("cancel left typed payload pinned in its slot: %+v", s.ev)
 	}
 	e.Run()
 	// Slot reuse under a new generation; the stale ID must not touch it.
 	id2 := e.AfterEvent(Microsecond, Event{Kind: EvAppTick, Tgt: ref})
-	if len(e.q.slots) != 1 {
-		t.Fatalf("slot table grew to %d instead of reusing the freed slot", len(e.q.slots))
+	if e.q.handedOut() != 1 {
+		t.Fatalf("slots grew to %d instead of reusing the freed slot", e.q.handedOut())
 	}
 	e.Cancel(id)
-	if !e.q.slots[0].live() {
+	if !e.q.rec(0).live() {
 		t.Fatal("stale EventID cancelled the slot's new tenant")
 	}
 	e.Cancel(id2)
-	if e.q.slots[0].live() {
+	if e.q.rec(0).live() {
 		t.Fatal("fresh EventID failed to cancel the typed event")
 	}
 }

@@ -23,9 +23,9 @@ import (
 //     one below (16.8 µs, 4.3 ms, 1.1 s, 281 s, 20 h per bucket), together
 //     spanning every schedulable time. An event at or past wheelEnd goes to
 //     the level of the highest byte in which its time differs from wheelEnd.
-//     Buckets are intrusive doubly-linked chains threaded through a table
-//     parallel to the slot table, so an upper level costs 1 KB of heads and
-//     holding an event there costs nothing beyond its slot.
+//     Buckets are intrusive doubly-linked chains threaded through the event
+//     slots themselves, so an upper level costs 1 KB of heads and holding an
+//     event there costs nothing beyond its slot.
 //
 // What rolls: each time the cursor moves, wheelEnd is advanced span by span
 // until it is a full span ahead again, and each step drops the level-1 bucket
@@ -35,14 +35,20 @@ import (
 // most once per level. When level 0 runs empty the window jumps straight to
 // the earliest occupied upper bucket.
 //
-// Cancellation is O(1) and allocation-free: every queued event owns a slot
-// in a generation-tagged slot table, and an EventID is (slot, generation).
-// Cancel clears the slot's record (releasing its references to the GC). An
-// event still in an upper level is unlinked and its slot freed on the spot,
-// so arm-then-cancel timers (TCP's RTO) never accumulate; one already in
-// level 0 or the near run dies lazily when it surfaces at the head. A stale
-// EventID — already fired, already cancelled, or from another engine — fails
-// the generation check and touches nothing.
+// Slots: every queued event owns a generation-tagged slot, and an EventID is
+// (slot, generation). Slots live in pages that never move: the first holds 32
+// records, each next one twice as many, up to 4,096 (320 KB) for every page
+// from the eighth on. Growing the queue allocates one page and copies nothing,
+// so a record is written once, when its event is scheduled, and dispatched in
+// place.
+//
+// Cancellation is O(1) and allocation-free. Cancel clears the slot's record
+// (releasing its references to the GC). An event still in an upper level is
+// unlinked and its slot freed on the spot, so arm-then-cancel timers (TCP's
+// RTO) never accumulate; one already in level 0 or the near run dies lazily
+// when it surfaces at the head. A stale EventID — already fired, already
+// cancelled, or from another engine — fails the generation check and touches
+// nothing.
 //
 // Determinism: dispatch order is exactly ascending (time, schedule-seq),
 // which the randomized cross-check in queue_test.go asserts against a naive
@@ -69,18 +75,23 @@ const (
 	// costs one allocation for the whole level instead of log2(occupancy) per
 	// bucket.
 	bucketSeedCap = 8
+
+	// A slot number is page<<pageBits | offset. Page n holds
+	// pageSlots>>(pageRamp-n) records while n < pageRamp, so the small early
+	// pages leave numbers unused; every later page holds pageSlots.
+	pageBits  = 12
+	pageSlots = 1 << pageBits
+	pageMask  = pageSlots - 1
+	pageRamp  = 7
 )
 
-// entry is one queued event reference: 24 bytes, no pointers, so sorting
-// entries never traffics in closures and the near/bucket arrays are
-// invisible to the garbage collector. In an upper-level chain slot and prev
-// are the links (1-based slot numbers, 0 = none) and the entry's own slot is
-// its index in the chain table.
+// entry is one queued event reference in the near run or a level-0 bucket:
+// 24 bytes, no pointers, so sorting entries never traffics in closures and
+// the near/bucket arrays are invisible to the garbage collector.
 type entry struct {
 	at   Time
 	seq  uint64 // tie-break: schedule order, makes execution deterministic
 	slot uint32
-	prev uint32
 }
 
 // entryCompare orders entries by (time, seq) for slices.SortFunc.
@@ -98,15 +109,19 @@ func entryCompare(a, b entry) int {
 	return 0
 }
 
-// slotRec is a generation-tagged payload slot holding one event record;
-// ev.Kind == evNone marks a cancelled or free slot. gen increments every time
-// the slot is released, so stale EventIDs can never cancel the slot's next
-// tenant. home is 1 + k<<levelBits + b while the event is chained in bucket b
-// of upper[k], 0 otherwise.
+// slotRec is a generation-tagged slot holding one event record; ev.Kind ==
+// evNone marks a cancelled or free slot. gen increments every time the slot
+// is released (a dispatched one's before its handler runs), so stale EventIDs
+// can never cancel the slot's next tenant. While the event is chained in
+// bucket b of upper[k], home is 1 + k<<levelBits + b and at, seq, next and
+// prev (1-based slot numbers, 0 = none) are its chain links; home is 0
+// otherwise. A free slot's next links the free list.
 type slotRec struct {
-	gen  uint32
-	home uint32
-	ev   Event
+	gen, home  uint32
+	ev         Event
+	at         Time
+	seq        uint64
+	next, prev uint32
 }
 
 // live reports whether the slot still holds a dispatchable payload.
@@ -135,42 +150,63 @@ type eventQueue struct {
 	inWheel  int
 	wheelEnd Time // span-aligned; wheelSpan <= wheelEnd-nearEnd < 2*wheelSpan once open
 
-	// Upper levels hold the events with at >= wheelEnd; chain[s] is slot s's
-	// link record while slots[s].home != 0.
+	// Upper levels hold the events with at >= wheelEnd, chained through
+	// their slots.
 	upper   [upperLevels]upperLevel
-	chain   []entry
 	inUpper int
 
 	// slab carves bucketSeedCap-sized initial backing arrays for level-0
 	// buckets, so warming the level costs one allocation, not one per bucket.
 	slab []entry
 
-	// generation-tagged slot table + free list.
-	slots []slotRec
-	free  []uint32
+	// The slot pages, the next never-used slot number, the free list's head
+	// (a 1-based slot number) and the number of queued entries.
+	pages  [][]slotRec
+	fresh  uint32
+	free   uint32
+	queued int
 }
 
 // size reports the number of queued entries, including cancelled ones that
-// have not surfaced yet. A slot is allocated exactly while its entry is
-// queued, so this is O(1).
-func (q *eventQueue) size() int { return len(q.slots) - len(q.free) }
+// have not surfaced yet.
+func (q *eventQueue) size() int { return q.queued }
 
-func (q *eventQueue) allocSlot() uint32 {
-	if n := len(q.free); n > 0 {
-		s := q.free[n-1]
-		q.free = q.free[:n-1]
-		return s
+// rec returns slot s's record. Pages never move, so the pointer stays valid
+// however the queue grows.
+func (q *eventQueue) rec(s uint32) *slotRec { return &q.pages[s>>pageBits][s&pageMask] }
+
+// allocSlot takes the most recently freed slot, or else the next fresh one,
+// appending a page when the last is full; nothing already queued moves.
+func (q *eventQueue) allocSlot() (uint32, *slotRec) {
+	q.queued++
+	if s := q.free; s != 0 {
+		rec := q.rec(s - 1)
+		q.free = rec.next
+		return s - 1, rec
 	}
-	q.slots = append(q.slots, slotRec{})
-	q.chain = append(q.chain, entry{})
-	return uint32(len(q.slots) - 1)
+	if p := int(q.fresh >> pageBits); p == len(q.pages) || int(q.fresh&pageMask) == len(q.pages[p]) {
+		n := len(q.pages)
+		q.fresh = uint32(n) << pageBits
+		q.pages = append(q.pages, make([]slotRec, pageSlots>>max(pageRamp-n, 0)))
+	}
+	q.fresh++
+	return q.fresh - 1, q.rec(q.fresh - 1)
 }
 
+// freeSlot releases the slot of a queued event that will never run.
 func (q *eventQueue) freeSlot(s uint32) {
-	rec := &q.slots[s]
-	rec.ev = Event{} // release Tgt/Ref for GC
+	rec := q.rec(s)
 	rec.gen++
-	q.free = append(q.free, s)
+	q.queued--
+	q.release(s, rec)
+}
+
+// release clears a slot's record, dropping its references for the GC, and
+// pushes the slot on the free list.
+func (q *eventQueue) release(s uint32, rec *slotRec) {
+	rec.ev = Event{}
+	rec.next = q.free
+	q.free = s + 1
 }
 
 // place routes an entry into the tier covering its timestamp.
@@ -183,18 +219,6 @@ func (q *eventQueue) place(ent entry) {
 	default:
 		q.upperPush(ent)
 	}
-}
-
-// schedule inserts an event and returns its cancellation handle. The caller
-// guarantees now <= at <= maxSchedulable, a strictly increasing seq and a
-// validated ev.Kind. Nothing is allocated unless the slot table or a tier
-// array itself must grow.
-func (q *eventQueue) schedule(at Time, seq uint64, ev Event) EventID {
-	s := q.allocSlot()
-	rec := &q.slots[s]
-	rec.ev = ev
-	q.place(entry{at: at, seq: seq, slot: s})
-	return EventID{slot: s + 1, gen: rec.gen}
 }
 
 // bucketAppend places a level-0 entry, marking occupancy and seeding capacity
@@ -221,34 +245,34 @@ func (q *eventQueue) bucketAppend(b int, ent entry) {
 func (q *eventQueue) upperPush(ent entry) {
 	k := (bits.Len64(uint64(ent.at^q.wheelEnd)>>(spanBits+levelBits)) + levelBits - 1) / levelBits
 	b := int(ent.at>>(spanBits+levelBits*k)) & wheelMask
-	lv, s := &q.upper[k], ent.slot
+	lv := &q.upper[k]
 	next := lv.head[b]
 	if next == 0 {
 		lv.occ[b>>6] |= 1 << uint(b&63)
 	} else {
-		q.chain[next-1].prev = s + 1
+		q.rec(next - 1).prev = ent.slot + 1
 	}
-	q.chain[s] = entry{at: ent.at, seq: ent.seq, slot: next}
-	lv.head[b] = s + 1
-	q.slots[s].home = uint32(1 + k<<levelBits + b)
+	rec := q.rec(ent.slot)
+	rec.at, rec.seq, rec.next, rec.prev = ent.at, ent.seq, next, 0
+	rec.home = uint32(1 + k<<levelBits + b)
+	lv.head[b] = ent.slot + 1
 	q.inUpper++
 }
 
-// unlink removes slot s from its upper-level chain.
-func (q *eventQueue) unlink(s uint32) {
-	home := q.slots[s].home - 1
-	q.slots[s].home = 0
+// unlink removes a slot's record from its upper-level chain.
+func (q *eventQueue) unlink(rec *slotRec) {
+	home := rec.home - 1
+	rec.home = 0
 	q.inUpper--
-	c := q.chain[s]
-	if c.slot != 0 {
-		q.chain[c.slot-1].prev = c.prev
+	if rec.next != 0 {
+		q.rec(rec.next - 1).prev = rec.prev
 	}
-	if c.prev != 0 {
-		q.chain[c.prev-1].slot = c.slot
+	if rec.prev != 0 {
+		q.rec(rec.prev - 1).next = rec.next
 		return
 	}
 	lv, b := &q.upper[home>>levelBits], home&wheelMask
-	if lv.head[b] = c.slot; c.slot == 0 {
+	if lv.head[b] = rec.next; rec.next == 0 {
 		lv.occ[b>>6] &^= 1 << (b & 63)
 	}
 }
@@ -258,18 +282,19 @@ func (q *eventQueue) unlink(s uint32) {
 // The payload is released immediately; the slot is freed here if the event
 // waits in an upper level, and when its entry reaches the head otherwise.
 func (q *eventQueue) cancel(id EventID) bool {
-	if id.slot == 0 {
+	s := id.slot - 1 // the zero ID wraps to a page that cannot exist
+	if p := int(s >> pageBits); p >= len(q.pages) || int(s&pageMask) >= len(q.pages[p]) {
 		return false
 	}
-	s := id.slot - 1
-	if int(s) >= len(q.slots) || q.slots[s].gen != id.gen || !q.slots[s].live() {
+	rec := q.rec(s)
+	if rec.gen != id.gen || !rec.live() {
 		return false
 	}
-	if q.slots[s].home != 0 {
-		q.unlink(s)
+	if rec.home != 0 {
+		q.unlink(rec)
 		q.freeSlot(s)
 	} else {
-		q.slots[s].ev = Event{}
+		rec.ev = Event{}
 	}
 	return true
 }
@@ -383,12 +408,11 @@ func (q *eventQueue) cascade(k, b int) {
 	lv.head[b] = 0
 	lv.occ[b>>6] &^= 1 << uint(b&63)
 	for s != 0 {
-		ent := q.chain[s-1]
-		next := ent.slot
-		ent.slot, ent.prev = s-1, 0
-		q.slots[s-1].home = 0
+		rec := q.rec(s - 1)
+		next := rec.next
+		rec.home = 0
 		q.inUpper--
-		q.place(ent)
+		q.place(entry{at: rec.at, seq: rec.seq, slot: s - 1})
 		s = next
 	}
 }
@@ -441,7 +465,7 @@ func (q *eventQueue) peekLive() (Time, bool) {
 			return 0, false
 		}
 		ent := q.near[q.nearPos]
-		if q.slots[ent.slot].live() {
+		if q.rec(ent.slot).live() {
 			return ent.at, true
 		}
 		q.nearPos++
@@ -449,24 +473,28 @@ func (q *eventQueue) peekLive() (Time, bool) {
 	}
 }
 
-// popHead removes the head entry and returns its record. The payload is
-// copied out and the slot freed before the caller dispatches, so a handler
-// may schedule (and grow the slot table) freely. Call only after a true
-// peekLive, which guarantees the head is live.
-func (q *eventQueue) popHead() Event {
-	ent := q.near[q.nearPos]
+// popHead removes the head entry and hands out its slot, for the caller to
+// dispatch in place and then release: the record stays put while the handler
+// schedules. Its generation is bumped first, so the event's own EventID is
+// already stale inside its handler. Call only after a true peekLive, which
+// guarantees the head is live.
+func (q *eventQueue) popHead() (uint32, *slotRec) {
+	s := q.near[q.nearPos].slot
 	q.nearPos++
-	ev := q.slots[ent.slot].ev
-	q.freeSlot(ent.slot)
-	return ev
+	q.queued--
+	rec := q.rec(s)
+	rec.gen++
+	return s, rec
 }
 
 // forEachPending invokes fn for every still-queued typed record, in slot
 // order (not dispatch order). Closures and cancelled slots are skipped.
 func (q *eventQueue) forEachPending(fn func(Event)) {
-	for i := range q.slots {
-		if ev := q.slots[i].ev; ev.Kind != evNone && ev.Kind != evFunc {
-			fn(ev)
+	for _, page := range q.pages {
+		for i := range page {
+			if ev := page[i].ev; ev.Kind != evNone && ev.Kind != evFunc {
+				fn(ev)
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -51,10 +53,49 @@ func (r *refQueue) pop() (refEvent, bool) {
 	return ev, true
 }
 
+// handedOut returns how many slots the queue has ever handed out: the
+// high-water mark of its simultaneously allocated slots.
+func (q *eventQueue) handedOut() int {
+	if len(q.pages) == 0 {
+		return 0
+	}
+	n := int(q.fresh) - (len(q.pages)-1)<<pageBits
+	for _, p := range q.pages[:len(q.pages)-1] {
+		n += len(p)
+	}
+	return n
+}
+
+// freeCount returns the length of the free list.
+func (q *eventQueue) freeCount() int {
+	n := 0
+	for s := q.free; s != 0; s = q.rec(s - 1).next {
+		n++
+	}
+	return n
+}
+
 // checkInvariants walks the whole queue and fails on any entry filed where
-// the placement rules of queue.go do not put it.
+// the placement rules of queue.go do not put it, and walks the slot pages:
+// every slot handed out is named by exactly one tier entry or free-list link,
+// and no other slot is touched.
 func (q *eventQueue) checkInvariants(t *testing.T, where string) {
 	t.Helper()
+	seen := make([]bool, q.fresh) // by slot number; every one handed out is below fresh
+	mark := func(s uint32, what string) {
+		if p := int(s >> pageBits); p >= len(q.pages) || int(s&pageMask) >= len(q.pages[p]) || s >= q.fresh {
+			t.Fatalf("%s: %s names slot %d, never handed out", where, what, s)
+		}
+		if seen[s] {
+			t.Fatalf("%s: slot %d is named twice, the second time by %s", where, s, what)
+		}
+		seen[s] = true
+	}
+	for _, ent := range q.near[q.nearPos:] {
+		if mark(ent.slot, "the near run"); q.rec(ent.slot).home != 0 {
+			t.Fatalf("%s: near entry for slot %d records an upper home", where, ent.slot)
+		}
+	}
 	if w := q.wheelEnd - q.nearEnd; q.wheelEnd != 0 && (w < wheelSpan || w >= 2*wheelSpan || q.wheelEnd&(wheelSpan-1) != 0) {
 		t.Fatalf("%s: window [%d, %d) is not one to two spans ending on a span boundary", where, q.nearEnd, q.wheelEnd)
 	}
@@ -62,6 +103,7 @@ func (q *eventQueue) checkInvariants(t *testing.T, where string) {
 	for b := range q.buckets {
 		for _, ent := range q.buckets[b] {
 			n++
+			mark(ent.slot, "a level-0 bucket")
 			if ent.at < q.nearEnd || ent.at >= q.wheelEnd || int(ent.at>>wheelGranularityBits)&nearMask != b {
 				t.Fatalf("%s: level-0 bucket %d holds at=%d, window [%d, %d)", where, b, ent.at, q.nearEnd, q.wheelEnd)
 			}
@@ -79,9 +121,10 @@ func (q *eventQueue) checkInvariants(t *testing.T, where string) {
 		endByte := int(q.wheelEnd>>shift) & wheelMask
 		for b := range q.upper[k].head {
 			prev := uint32(0)
-			for s := q.upper[k].head[b]; s != 0; s = q.chain[s-1].slot {
+			for s := q.upper[k].head[b]; s != 0; s = q.rec(s - 1).next {
 				n++
-				c := q.chain[s-1]
+				mark(s-1, "an upper chain")
+				c := q.rec(s - 1)
 				switch {
 				case c.prev != prev:
 					t.Fatalf("%s: level %d bucket %d: back link broken at slot %d", where, k+1, b, s-1)
@@ -89,8 +132,8 @@ func (q *eventQueue) checkInvariants(t *testing.T, where string) {
 					t.Fatalf("%s: level %d bucket %d holds at=%d, wheelEnd=%d", where, k+1, b, c.at, q.wheelEnd)
 				case q.wheelEnd != 0 && (b < endByte || b == endByte && k > 0):
 					t.Fatalf("%s: level %d bucket %d (at=%d) is not ahead of wheelEnd=%d", where, k+1, b, c.at, q.wheelEnd)
-				case !q.slots[s-1].live() || q.slots[s-1].home != uint32(1+k<<levelBits+b):
-					t.Fatalf("%s: level %d bucket %d: slot %d is dead or records home %d", where, k+1, b, s-1, q.slots[s-1].home)
+				case !c.live() || c.home != uint32(1+k<<levelBits+b):
+					t.Fatalf("%s: level %d bucket %d: slot %d is dead or records home %d", where, k+1, b, s-1, c.home)
 				}
 				prev = s
 			}
@@ -104,6 +147,22 @@ func (q *eventQueue) checkInvariants(t *testing.T, where string) {
 	}
 	if q.size() != q.stats().Total() {
 		t.Fatalf("%s: %d slots in use, tiers hold %+v", where, q.size(), q.stats())
+	}
+	for s := q.free; s != 0; s = q.rec(s - 1).next {
+		if mark(s-1, "the free list"); q.rec(s-1).live() || q.rec(s-1).home != 0 {
+			t.Fatalf("%s: free slot %d holds an event or a home", where, s-1)
+		}
+	}
+	for p, page := range q.pages {
+		for off := range page {
+			s := uint32(p<<pageBits | off)
+			switch rec := &page[off]; {
+			case s < q.fresh && !seen[s]:
+				t.Fatalf("%s: slot %d is neither queued nor free", where, s)
+			case s >= q.fresh && (rec.gen != 0 || rec.home != 0 || rec.live()):
+				t.Fatalf("%s: slot %d was written before it was handed out", where, s)
+			}
+		}
 	}
 }
 
@@ -122,7 +181,11 @@ func TestTieredQueueVsReference(t *testing.T) {
 		2 * Second, 400 * Second, 30000 * Second,
 	}
 	rng := NewRand(DeriveSeed(1, "tiered-queue-vs-reference"))
+	maxPages := 0
 	for iter := 0; iter < 60; iter++ {
+		// Every tenth run also schedules in bursts, so its slots spread over
+		// four pages while it schedules, cancels and pops at every tier.
+		grow := iter%10 == 0
 		e := NewEngine()
 		ref := &refQueue{}
 		var got []refEvent
@@ -151,6 +214,11 @@ func TestTieredQueueVsReference(t *testing.T) {
 		timer := -1 // tag of one timer that is only ever re-armed, like a TCP RTO
 		for ops := 0; ops < 3000; ops++ {
 			where := fmt.Sprintf("iter %d op %d", iter, ops)
+			if grow && ops%50 == 0 && e.Pending() < 300 {
+				for range 60 {
+					schedule(draw())
+				}
+			}
 			switch r := rng.Intn(16); {
 			case r < 6:
 				pop(where)
@@ -189,11 +257,16 @@ func TestTieredQueueVsReference(t *testing.T) {
 			}
 			e.q.checkInvariants(t, where)
 		}
+		maxPages = max(maxPages, len(e.q.pages))
 		for pop(fmt.Sprintf("iter %d drain", iter)) {
 		}
 		if e.Pending() != 0 {
 			t.Fatalf("iter %d: Pending = %d after drain", iter, e.Pending())
 		}
+		e.q.checkInvariants(t, fmt.Sprintf("iter %d drained", iter))
+	}
+	if maxPages < 4 {
+		t.Fatalf("no run crossed three slot-page boundaries (at most %d pages)", maxPages)
 	}
 }
 
@@ -213,8 +286,8 @@ func TestCancelAfterFireDoesNotGrow(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", e.Pending())
 	}
-	slotsAfterDrain := len(e.q.slots)
-	freeAfterDrain := len(e.q.free)
+	slotsAfterDrain := e.q.handedOut()
+	freeAfterDrain := e.q.freeCount()
 	// Hammer stale cancels: every fired ID, many times over, plus the zero ID.
 	for i := 0; i < 10; i++ {
 		for _, id := range stale {
@@ -225,9 +298,9 @@ func TestCancelAfterFireDoesNotGrow(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("stale cancels changed Pending to %d", e.Pending())
 	}
-	if len(e.q.slots) != slotsAfterDrain || len(e.q.free) != freeAfterDrain {
-		t.Fatalf("stale cancels grew the slot table: slots %d->%d free %d->%d",
-			slotsAfterDrain, len(e.q.slots), freeAfterDrain, len(e.q.free))
+	if e.q.handedOut() != slotsAfterDrain || e.q.freeCount() != freeAfterDrain {
+		t.Fatalf("stale cancels grew the slot pages: slots %d->%d free %d->%d",
+			slotsAfterDrain, e.q.handedOut(), freeAfterDrain, e.q.freeCount())
 	}
 	// The engine must still work, reusing the freed slots rather than
 	// growing: steady-state churn with cancel-after-fire traffic keeps the
@@ -237,9 +310,9 @@ func TestCancelAfterFireDoesNotGrow(t *testing.T) {
 		e.Step()
 		e.Cancel(id) // always stale: the event just fired
 	}
-	if len(e.q.slots) != slotsAfterDrain {
-		t.Fatalf("steady-state churn grew the slot table %d -> %d",
-			slotsAfterDrain, len(e.q.slots))
+	if e.q.handedOut() != slotsAfterDrain {
+		t.Fatalf("steady-state churn grew the slot pages %d -> %d",
+			slotsAfterDrain, e.q.handedOut())
 	}
 }
 
@@ -253,11 +326,11 @@ func TestCancelReleasesClosureSlot(t *testing.T) {
 	e.At(0, func() {})
 	e.Step() // open the window
 	id := e.After(Microsecond, func() {})
-	if got := len(e.q.slots); got != 1 {
-		t.Fatalf("slot table = %d, want 1", got)
+	if got := e.q.handedOut(); got != 1 {
+		t.Fatalf("slots handed out = %d, want 1", got)
 	}
 	e.Cancel(id)
-	if fn := e.q.slots[0].ev.Tgt; fn != nil {
+	if fn := e.q.rec(0).ev.Tgt; fn != nil {
 		t.Fatal("cancel left the callback pinned in its slot")
 	}
 	// The dead entry still occupies the queue until it surfaces.
@@ -273,15 +346,15 @@ func TestCancelReleasesClosureSlot(t *testing.T) {
 	// A new event reuses slot 0 under a fresh generation; the stale ID
 	// cannot touch it.
 	id2 := e.After(Microsecond, func() {})
-	if len(e.q.slots) != 1 {
-		t.Fatalf("slot table grew to %d instead of reusing the freed slot", len(e.q.slots))
+	if e.q.handedOut() != 1 {
+		t.Fatalf("slots grew to %d instead of reusing the freed slot", e.q.handedOut())
 	}
 	e.Cancel(id) // stale generation: must not cancel the new tenant
-	if e.q.slots[0].ev.Tgt == nil {
+	if e.q.rec(0).ev.Tgt == nil {
 		t.Fatal("stale EventID cancelled the slot's new tenant")
 	}
 	e.Cancel(id2)
-	if e.q.slots[0].ev.Tgt != nil {
+	if e.q.rec(0).ev.Tgt != nil {
 		t.Fatal("fresh EventID failed to cancel")
 	}
 	// Beyond the window nothing is left behind at all.
@@ -372,11 +445,103 @@ func TestRearmLoopStaysSmall(t *testing.T) {
 	}
 	e.At(0, hop)
 	e.RunUntil(Time(arms) * Time(12*Microsecond))
-	if got := len(e.q.slots); got > conns+2 {
-		t.Fatalf("slot table grew to %d for %d live timers and one hop", got, conns)
+	if got := e.q.handedOut(); got > conns+2 {
+		t.Fatalf("slots grew to %d for %d live timers and one hop", got, conns)
 	}
 	if e.Pending() != conns {
 		t.Fatalf("Pending = %d, want the %d live timers", e.Pending(), conns)
+	}
+}
+
+// TestSlotPagesGrowWithoutCopying: 200 k far timers cost the pages that hold
+// their slots and next to nothing else (the old slot table was regrown and
+// copied about 20 times on the way), and re-arming them all into the slots
+// their cancels freed costs nothing.
+func TestSlotPagesGrowWithoutCopying(t *testing.T) {
+	pageSlotsOf := func(e *Engine) (n int) {
+		for _, p := range e.q.pages {
+			n += len(p)
+		}
+		return n
+	}
+	// A model as small as incast-tcp-16, 75 events pending at most, keeps
+	// its slot storage as small: the early pages are small.
+	small := NewEngine()
+	for i := range 75 {
+		small.After(Duration(i), func() {})
+	}
+	if n := pageSlotsOf(small); n > 2*75 {
+		t.Fatalf("75 pending events took %d slots of pages", n)
+	}
+
+	const timers = 200_000
+	e := NewEngine()
+	ids := make([]EventID, timers)
+	arm := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range ids {
+			ids[i] = e.AtEvent(Time(Second)+Time(i), Event{Kind: EvAppTick})
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	grown := arm()
+	slots := pageSlotsOf(e)
+	pageBytes := uint64(slots) * uint64(reflect.TypeFor[slotRec]().Size())
+	if slots < timers || grown > pageBytes*11/10 {
+		t.Fatalf("%d timers allocated %d B; their %d slots' pages take %d B", timers, grown, slots, pageBytes)
+	}
+	for _, id := range ids {
+		e.Cancel(id)
+	}
+	if rearmed := arm(); rearmed != 0 {
+		t.Fatalf("re-arming %d timers into freed slots allocated %d B", timers, rearmed)
+	}
+	e.q.checkInvariants(t, "re-armed")
+}
+
+// TestForEachPendingAcrossPages is the packet-leak audit's contract: every
+// typed record still queued — in the near run, level 0 or an upper level, on
+// any slot page — is visited exactly once, and nothing dispatched or
+// cancelled is.
+func TestForEachPendingAcrossPages(t *testing.T) {
+	e := NewEngine()
+	e.RegisterHandler(EvPacketHop, func(Time, Event) {})
+	delays := []Duration{0, 300 * Nanosecond, 12 * Microsecond, 200 * Millisecond}
+	const n = 3000
+	pkts := make([]int, n)
+	ids := make([]EventID, n)
+	for i := range pkts {
+		ids[i] = e.AfterEvent(delays[i%len(delays)]+Duration(i), Event{Kind: EvPacketHop, Ref: &pkts[i]})
+		e.After(Duration(i), func() {}) // closures are skipped
+	}
+	want := map[*int]bool{}
+	for i := range pkts {
+		if i%3 == 0 {
+			e.Cancel(ids[i])
+		} else {
+			want[&pkts[i]] = true
+		}
+	}
+	e.RunUntil(Time(n/2) * Time(Nanosecond)) // dispatch the earliest
+	for i := range pkts {
+		if at := Time(delays[i%len(delays)] + Duration(i)); at <= e.Now() {
+			delete(want, &pkts[i])
+		}
+	}
+	if len(e.q.pages) < 4 {
+		t.Fatalf("the queue spans %d slot pages, want at least 4", len(e.q.pages))
+	}
+	e.ForEachPending(func(ev Event) {
+		p := ev.Ref.(*int)
+		if ev.Kind != EvPacketHop || !want[p] {
+			t.Fatalf("visited %v carrying packet %p, which is not pending", ev.Kind, p)
+		}
+		delete(want, p)
+	})
+	if len(want) != 0 {
+		t.Fatalf("%d pending packets were not visited", len(want))
 	}
 }
 

@@ -53,6 +53,8 @@ quartiles() {
 # sum FILE FIELD: the total of an integer field of the result lines.
 sum() { grep -o "\"$2\":[0-9]*" "$1" | cut -d: -f2 | awk '{ s += $1 } END { print s + 0 }'; }
 
+metrics=(cpu_s_per_sim_s allocs_per_pkt peak_rss_mb setup_s)
+
 IFS=, read -r -a names <<<"$workloads"
 for workload in "${names[@]}"; do
 	work="$base/$workload"
@@ -68,13 +70,17 @@ for workload in "${names[@]}"; do
 			one change "$root"
 			one parent "$base/parent"
 		fi
-		printf '  pair %2d  parent %s  change %s\n' "$i" \
-			"$(value "$work/parent.jsonl" cpu_s_per_sim_s | tail -n 1)" "$(value "$work/change.jsonl" cpu_s_per_sim_s | tail -n 1)"
+		# Every end-to-end metric of this pair, parent/change.
+		printf '  pair %2d' "$i"
+		for metric in "${metrics[@]}"; do
+			printf '  %s %s/%s' "$metric" "$(value "$work/parent.jsonl" "$metric" | tail -n 1)" "$(value "$work/change.jsonl" "$metric" | tail -n 1)"
+		done
+		echo
 	done
 
 	echo
 	printf '%-18s %-36s %-36s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "change wins / ties / pairs"
-	for metric in cpu_s_per_sim_s allocs_per_pkt peak_rss_mb setup_s; do
+	for metric in "${metrics[@]}"; do
 		read -r pq1 pmed pq3 < <(value "$work/parent.jsonl" "$metric" | quartiles)
 		read -r cq1 cmed cq3 < <(value "$work/change.jsonl" "$metric" | quartiles)
 		read -r wins ties < <(paste <(value "$work/parent.jsonl" "$metric") <(value "$work/change.jsonl" "$metric") |
