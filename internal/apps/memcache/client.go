@@ -78,7 +78,10 @@ func DefaultClient(servers []packet.Addr, requests int) ClientParams {
 
 // InstallClient starts the client thread on m.
 func InstallClient(m *kernel.Machine, p ClientParams) {
-	c := &client{p: p, conns: make(map[packet.NodeID]*kernel.TCPSocket), reqsOnConn: make(map[packet.NodeID]int)}
+	c := &client{p: p}
+	if p.Proto == TCP {
+		c.conns, c.reqsOnConn = make([]*kernel.TCPSocket, len(p.Servers)), make([]int, len(p.Servers))
+	}
 	if p.Proto == UDP {
 		m.Start("mc-client-udp", c)
 	} else {
@@ -97,6 +100,7 @@ type client struct {
 	rng    *sim.Rand
 	i      int    // requests done
 	seq    uint64 // of the request in flight
+	si     int    // the server's ordinal in p.Servers
 	server packet.Addr
 	req    Request
 	wire   int // the request's wire bytes
@@ -105,9 +109,9 @@ type client struct {
 	sock     *kernel.UDPSocket
 	attempt  int // UDP attempts made for the request in flight
 	deadline sim.Time
-	// TCP: one connection per server, and requests sent on it.
-	conns      map[packet.NodeID]*kernel.TCPSocket
-	reqsOnConn map[packet.NodeID]int
+	// TCP: one connection per server, and requests sent on it, by ordinal.
+	conns      []*kernel.TCPSocket
+	reqsOnConn []int
 	conn       *kernel.TCPSocket
 	got        bool
 }
@@ -129,7 +133,7 @@ const (
 )
 
 func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
-	p, node, udp := c.p, c.server.Node, c.p.Proto == UDP
+	p, si, udp := c.p, c.si, c.p.Proto == UDP
 	switch c.pc {
 	case cStart:
 		gen, err := workload.NewGenerator(p.Workload, t.Rand().Fork("mc-client"))
@@ -156,9 +160,12 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			t.Sleep(think)
 		}
 	case cPick:
-		c.server = p.Servers[c.rng.Intn(len(p.Servers))]
-		if c.conn = c.conns[c.server.Node]; !udp && c.conn == nil {
-			t.Connect(c.server)
+		c.si = c.rng.Intn(len(p.Servers))
+		c.server = p.Servers[c.si]
+		if !udp {
+			if c.conn = c.conns[c.si]; c.conn == nil {
+				t.Connect(c.server)
+			}
 		}
 	case cBuild:
 		if !udp && c.conn == nil {
@@ -166,7 +173,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 				return c.completed(t, false)
 			}
 			c.conn = res.TCP
-			c.conns[node], c.reqsOnConn[node] = c.conn, 0
+			c.conns[si], c.reqsOnConn[si] = c.conn, 0
 		}
 		r := c.gen.Next()
 		c.seq++
@@ -208,14 +215,14 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 		return true
 	case cTCPSent:
 		if res.Err() != nil {
-			delete(c.conns, node)
+			c.conns[si] = nil
 			return c.completed(t, false)
 		}
 		c.got = false
 		c.conn.Recv(t, 1<<20)
 	case cTCPGot:
 		if res.Err() != nil || (res.N == 0 && len(res.Msgs()) == 0) {
-			delete(c.conns, node)
+			c.conns[si] = nil
 		} else {
 			for _, m := range res.Msgs() {
 				if resp, ok := m.(Response); ok && resp.Seq == c.seq {
@@ -231,20 +238,18 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 		// Connection churn: periodically cycle the connection so the accept
 		// path is exercised at a realistic rate.
 		if p.ChurnEvery > 0 {
-			if c.reqsOnConn[node]++; c.reqsOnConn[node] >= p.ChurnEvery {
+			if c.reqsOnConn[si]++; c.reqsOnConn[si] >= p.ChurnEvery {
 				c.conn.Close(t)
-				delete(c.conns, node)
-				delete(c.reqsOnConn, node)
+				c.conns[si], c.reqsOnConn[si] = nil, 0
 			}
 		}
 		return true
 	case cClose:
-		// Close in server order: each Close advances simulated time, so map
-		// iteration order would leak into the run.
-		for ; c.i < len(p.Servers); c.i++ {
-			if conn, ok := c.conns[p.Servers[c.i].Node]; ok {
+		// Close in server order: each Close advances simulated time.
+		for ; c.i < len(c.conns); c.i++ {
+			if conn := c.conns[c.i]; conn != nil {
 				conn.Close(t)
-				delete(c.conns, p.Servers[c.i].Node)
+				c.conns[c.i] = nil
 				return true
 			}
 		}

@@ -108,16 +108,10 @@ const (
 
 // String returns the trace label for the span kind.
 func (k KernelSpanKind) String() string {
-	switch k {
-	case KSpanIRQ:
-		return "irq"
-	case KSpanSoftIRQ:
-		return "softirq"
-	case KSpanTxTCP:
-		return "tcp_tx"
-	default:
-		return "kernel"
+	if k <= KSpanTxTCP {
+		return [...]string{"kernel", "irq", "softirq", "tcp_tx"}[k]
 	}
+	return "kernel"
 }
 
 // MachineStats aggregates per-server counters.
@@ -147,12 +141,8 @@ type Machine struct {
 	// cost holds cfg.Profile's fixed charges at this slowdown (see SetSlowdown).
 	cost struct{ ctxSwitch, wakeup, irq, rxUDP, rxTCP, txTCP, txTCPHalf, txUDPHalf, spawn sim.Duration }
 
-	// CPU executor state. kq is a head-indexed FIFO: popping advances kqHead
-	// and the slot storage is reused once the queue drains, so steady-state
-	// kernel work costs no allocations (a naive kq = kq[1:] re-allocates on
-	// every push once the spare capacity is consumed).
-	kq         []kwork
-	kqHead     int
+	// CPU executor state.
+	kq         fifo[kwork]
 	kq0        [4]kwork // kq's first backing array: most machines never queue deeper
 	kActive    bool
 	kRun       kwork   // the kernel work item executing (valid while kActive)
@@ -161,22 +151,19 @@ type Machine struct {
 	chunkArmed bool
 	chunkStart sim.Time
 	chunkLen   sim.Duration
-	runq       []*Thread // head-indexed like kq: context switches allocate nothing
-	runqHead   int
+	runq       fifo[*Thread]
 	runq0      [2]*Thread // runq's first backing array
 	lastRun    *Thread
 	inThread   bool // resumeThread is stepping a thread right now
 	threads    []*Thread
 
-	// Network state. qdisc is head-indexed like kq. pool is the partition's
-	// packet slab pool (nil = unpooled heap mode); see packet.Pool for the
-	// ownership rules.
+	// Network state. pool is the partition's packet slab pool (nil = unpooled
+	// heap mode); see packet.Pool for the ownership rules.
 	dev *nic.NIC
 	//diablo:transient routing strategy; re-installed by topology wiring on restore
 	router    Router
 	pool      *packet.Pool
-	qdisc     []*packet.Packet
-	qdiscHead int
+	qdisc     fifo[*packet.Packet]
 	udpSocks  map[packet.Port]*UDPSocket
 	listeners map[packet.Port]*TCPListener
 	conns     map[connKey]*TCPSocket
@@ -255,7 +242,7 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 		conns:     make(map[connKey]*TCPSocket),
 		nextPort:  32768,
 	}
-	m.kq, m.runq = m.kq0[:0], m.runq0[:0]
+	m.kq.q, m.runq.q = m.kq0[:0], m.runq0[:0]
 	m.SetSlowdown(1)
 	dev.OnRxInterrupt = m.rxInterrupt
 	dev.OnTxDrain = m.drainQdisc
@@ -329,7 +316,7 @@ func (m *Machine) copyCost(n int) sim.Duration {
 // softirq handling, protocol processing). Kernel work has priority over user
 // threads: a running user chunk is paused until the kernel queue drains.
 func (m *Machine) kernelWork(kind KernelSpanKind, d sim.Duration, fn func()) {
-	m.kq = append(m.kq, kwork{kind: kind, d: d, fn: fn})
+	m.kq.push(kwork{kind: kind, d: d, fn: fn})
 	m.scheduleCPU()
 }
 
@@ -337,7 +324,7 @@ func (m *Machine) kernelWork(kind KernelSpanKind, d sim.Duration, fn func()) {
 // per-packet continuations (kwDeliverNapi, kwTransmit): same FIFO, same
 // timing, no capture allocation.
 func (m *Machine) kernelWorkPkt(kind KernelSpanKind, d sim.Duration, op kworkOp, pkt *packet.Packet) {
-	m.kq = append(m.kq, kwork{kind: kind, d: d, op: op, pkt: pkt})
+	m.kq.push(kwork{kind: kind, d: d, op: op, pkt: pkt})
 	m.scheduleCPU()
 }
 
@@ -349,17 +336,11 @@ func (m *Machine) scheduleCPU() {
 		return
 	}
 	// Kernel work first.
-	if m.kqHead < len(m.kq) {
+	if m.kq.len() > 0 {
 		if m.chunkArmed {
 			m.pauseChunk()
 		}
-		w := m.kq[m.kqHead]
-		m.kq[m.kqHead] = kwork{}
-		m.kqHead++
-		if m.kqHead == len(m.kq) {
-			m.kq = m.kq[:0]
-			m.kqHead = 0
-		}
+		w := m.kq.pop()
 		m.kActive = true
 		m.kRun = w
 		m.Util.Charge(w.d)
@@ -380,13 +361,7 @@ func (m *Machine) scheduleCPU() {
 		if m.RunQueueLen() == 0 {
 			return // idle
 		}
-		m.cur = m.runq[m.runqHead]
-		m.runq[m.runqHead] = nil
-		m.runqHead++
-		if m.runqHead == len(m.runq) {
-			m.runq = m.runq[:0]
-			m.runqHead = 0
-		}
+		m.cur = m.runq.pop()
 		if m.lastRun != m.cur {
 			m.cur.remaining += m.cost.ctxSwitch
 			m.Stats.CtxSwitches++
@@ -474,7 +449,7 @@ func (m *Machine) chunkDone() {
 	t.sliceLeft -= m.chunkLen
 	if t.remaining > 0 {
 		// Slice expired with demand left: rotate to the runqueue tail.
-		m.runq = append(m.runq, t)
+		m.runq.push(t)
 		m.cur = nil
 	}
 	m.scheduleCPU()
@@ -515,7 +490,7 @@ func (m *Machine) wake(t *Thread) {
 	}
 	t.state = threadRunnable
 	t.remaining += m.cost.wakeup
-	m.runq = append(m.runq, t)
+	m.runq.push(t)
 	m.scheduleCPU()
 }
 
@@ -534,25 +509,19 @@ func (m *Machine) transmit(pkt *packet.Packet) {
 	if m.dev.Transmit(pkt) {
 		return
 	}
-	if len(m.qdisc)-m.qdiscHead >= m.cfg.QdiscLen {
+	if m.qdisc.len() >= m.cfg.QdiscLen {
 		m.Stats.QdiscDrops++
 		m.pool.Release(pkt) // drop site: nothing downstream will ever see it
 		return
 	}
-	m.qdisc = append(m.qdisc, pkt)
+	m.qdisc.push(pkt)
 }
 
 // drainQdisc pushes queued frames into freed TX descriptors.
 func (m *Machine) drainQdisc() {
-	for m.qdiscHead < len(m.qdisc) {
-		if !m.dev.Transmit(m.qdisc[m.qdiscHead]) {
-			return
-		}
-		m.qdisc[m.qdiscHead] = nil
-		m.qdiscHead++
+	for m.qdisc.len() > 0 && m.dev.Transmit(m.qdisc.live()[0]) {
+		m.qdisc.pop()
 	}
-	m.qdisc = m.qdisc[:0]
-	m.qdiscHead = 0
 }
 
 // --- receive path --------------------------------------------------------------
@@ -645,20 +614,21 @@ func (m *Machine) ephemeralPort() packet.Port {
 	}
 }
 
-// tcpEnv adapts the machine to tcp.Env, charging TX costs per segment.
+// tcpEnv adapts the machine to tcp.Env, charging TX costs per segment; its
+// AtEvent lets connections arm timers as allocation-free records.
 type tcpEnv struct {
 	m *Machine
 }
 
-func (e tcpEnv) Now() sim.Time                        { return e.m.eng.Now() }
-func (e tcpEnv) At(t sim.Time, fn func()) sim.EventID { return e.m.eng.At(t, fn) }
-func (e tcpEnv) Cancel(id sim.EventID)                { e.m.eng.Cancel(id) }
+func (e tcpEnv) Now() sim.Time                                { return e.m.eng.Now() }
+func (e tcpEnv) At(t sim.Time, fn func()) sim.EventID         { return e.m.eng.At(t, fn) }
+func (e tcpEnv) AtEvent(t sim.Time, ev sim.Event) sim.EventID { return e.m.eng.AtEvent(t, ev) }
+func (e tcpEnv) Cancel(id sim.EventID)                        { e.m.eng.Cancel(id) }
 
 // Output charges the per-segment transmit cost in kernel context, then hands
 // the segment to the driver. FIFO kernel work keeps segments ordered.
 func (e tcpEnv) Output(pkt *packet.Packet) {
-	m := e.m
-	m.kernelWorkPkt(KSpanTxTCP, m.cost.txTCP, kwTransmit, pkt)
+	e.m.kernelWorkPkt(KSpanTxTCP, e.m.cost.txTCP, kwTransmit, pkt)
 }
 
 // NewPacket allocates an outgoing segment from the machine's partition pool.
@@ -667,25 +637,25 @@ func (e tcpEnv) NewPacket() *packet.Packet { return e.m.newPacket() }
 // RunQueueLen returns the number of runnable threads waiting for the CPU
 // (excluding the one currently holding it). Observability accessor; call
 // from this machine's event context.
-func (m *Machine) RunQueueLen() int { return len(m.runq) - m.runqHead }
+func (m *Machine) RunQueueLen() int { return m.runq.len() }
 
 // QdiscQueued returns the number of packets queued between the stack and the
 // NIC ring. Observability accessor; call from this machine's event context.
-func (m *Machine) QdiscQueued() int { return len(m.qdisc) - m.qdiscHead }
+func (m *Machine) QdiscQueued() int { return m.qdisc.len() }
 
 // ReleaseInFlight releases every packet the machine still holds — the qdisc,
 // queued kernel work items and the executing one — into the pool. Post-run
 // accounting for the leak-balance gate (core.Cluster.ReleaseInFlight); must
 // not be called while the engine is running.
 func (m *Machine) ReleaseInFlight() {
-	for _, pkt := range m.qdisc[m.qdiscHead:] {
+	for _, pkt := range m.qdisc.live() {
 		m.pool.Release(pkt)
 	}
-	m.qdisc, m.qdiscHead = nil, 0
-	for _, w := range m.kq[m.kqHead:] {
+	m.qdisc = fifo[*packet.Packet]{}
+	for _, w := range m.kq.live() {
 		m.pool.Release(w.pkt) // nil for closure-op items: no-op
 	}
-	m.kq, m.kqHead = nil, 0
+	m.kq = fifo[kwork]{}
 	if m.kActive {
 		m.pool.Release(m.kRun.pkt)
 		m.kRun = kwork{}

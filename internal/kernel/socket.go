@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"diablo/internal/packet"
 	"diablo/internal/sim"
@@ -38,8 +39,44 @@ const (
 // Pollable is a socket that can be registered with an Epoll instance.
 type Pollable interface {
 	readyMask() EpollEvents
-	attach(*Epoll)
-	detach(*Epoll)
+	epolls() *epollSet
+}
+
+// epollSet is the epoll instances a socket is registered with, in
+// registration order. The first instance and the first registration record
+// live inline, like waitQueue's first waiter: registering a socket with one
+// instance allocates nothing.
+type epollSet struct {
+	eps   []*Epoll
+	first [1]*Epoll
+	item  epollItem
+}
+
+// newItem returns storage for a registration: the inline record unless an
+// instance still holds it, registered or left behind on a ready list.
+func (w *epollSet) newItem() *epollItem {
+	if w.item.sock != nil || w.item.inReady {
+		return new(epollItem)
+	}
+	return &w.item
+}
+
+func (w *epollSet) add(ep *Epoll) {
+	if w.eps == nil {
+		w.eps = w.first[:0]
+	}
+	w.eps = append(w.eps, ep)
+}
+
+func (w *epollSet) remove(ep *Epoll) {
+	w.eps = slices.DeleteFunc(w.eps, func(e *Epoll) bool { return e == ep })
+}
+
+// notify reports a readiness edge of sock to every instance.
+func (w *epollSet) notify(sock Pollable) {
+	for _, ep := range w.eps {
+		ep.markReady(sock)
+	}
 }
 
 // EpollEvent is one ready notification from Epoll.Wait.
@@ -53,11 +90,11 @@ type EpollEvent struct {
 
 type epollItem struct {
 	//diablo:transient socket identity; restore re-registers sockets by fd into fresh items
-	sock     Pollable
-	interest EpollEvents
+	sock Pollable
 	//diablo:transient application cookie; reattached by the app when epoll state replays
-	data    any
-	inReady bool
+	data     any
+	interest EpollEvents
+	inReady  bool
 }
 
 // Epoll is a level-triggered readiness multiplexer, the syscall interface
@@ -67,12 +104,11 @@ type Epoll struct {
 	m *Machine
 	//diablo:transient keyed by socket identity; rebuilt from fd registrations on restore
 	items map[Pollable]*epollItem
-	// ready is a head-indexed FIFO (see Machine.kq); level-triggered re-queues
-	// make this the allocation hot spot of epoll servers otherwise.
-	ready     []*epollItem
-	readyHead int
-	waiters   waitQueue
-	kicked    bool
+	// ready: level-triggered re-queues make this the allocation hot spot of
+	// epoll servers unless its storage is reused.
+	ready   fifo[*epollItem]
+	waiters waitQueue
+	kicked  bool
 }
 
 // EpollCreate makes a new epoll instance (epoll_create1).
@@ -82,7 +118,7 @@ func (t *Thread) EpollCreate() *Epoll {
 
 // Add registers a socket with an interest mask and user data (epoll_ctl).
 func (ep *Epoll) Add(t *Thread, sock Pollable, interest EpollEvents, data any) {
-	t.enter(opEpollAdd, func(op *threadOp) { op.ep, op.item = ep, &epollItem{sock: sock, interest: interest, data: data} })
+	t.enter(opEpollAdd, func(op *threadOp) { op.ep, op.reg = ep, epollItem{sock: sock, interest: interest, data: data} })
 }
 
 // Del removes the socket's registration as of the call (EPOLL_CTL_DEL).
@@ -90,19 +126,22 @@ func (ep *Epoll) Del(t *Thread, sock Pollable) {
 	t.enter(opEpollDel, func(op *threadOp) { op.ep, op.item = ep, ep.items[sock] })
 }
 
-func (ep *Epoll) add(it *epollItem) {
-	if _, dup := ep.items[it.sock]; dup {
+func (ep *Epoll) add(reg epollItem) {
+	if _, dup := ep.items[reg.sock]; dup {
 		return
 	}
-	ep.items[it.sock] = it
-	it.sock.attach(ep)
-	ep.markReady(it.sock) // pick up already-ready state (level-triggered)
+	w := reg.sock.epolls()
+	it := w.newItem()
+	*it = reg
+	ep.items[reg.sock] = it
+	w.add(ep)
+	ep.markReady(reg.sock) // pick up already-ready state (level-triggered)
 }
 
 func (ep *Epoll) del(it *epollItem) {
 	if it != nil && it.sock != nil {
 		delete(ep.items, it.sock)
-		it.sock.detach(ep)
+		it.sock.epolls().remove(ep)
 		it.sock = nil // lazily skipped in the ready list
 	}
 }
@@ -126,7 +165,7 @@ func (ep *Epoll) markReady(sock Pollable) {
 		return
 	}
 	it.inReady = true
-	ep.ready = append(ep.ready, it)
+	ep.ready.push(it)
 	ep.waiters.wakeOne(ep.m)
 }
 
@@ -149,11 +188,8 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 	out := t.evbuf[:0]
 	// Harvest the ready list (level-triggered: items still ready are
 	// re-queued).
-	n := len(ep.ready) - ep.readyHead
-	for i := 0; i < n && len(out) < op.n; i++ {
-		it := ep.ready[ep.readyHead]
-		ep.ready[ep.readyHead] = nil
-		ep.readyHead++
+	for i, n := 0, ep.ready.len(); i < n && len(out) < op.n; i++ {
+		it := ep.ready.pop()
 		it.inReady = false
 		if it.sock == nil {
 			continue // deleted
@@ -165,11 +201,7 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 		out = append(out, EpollEvent{Sock: it.sock, Events: mask, Data: it.data})
 		// Still ready: keep it visible for the next Wait.
 		it.inReady = true
-		ep.ready = append(ep.ready, it)
-	}
-	if ep.readyHead == len(ep.ready) {
-		ep.ready = ep.ready[:0]
-		ep.readyHead = 0
+		ep.ready.push(it)
 	}
 	t.evbuf = out
 	switch {
@@ -220,17 +252,13 @@ type UDPSocket struct {
 	m    *Machine
 	port packet.Port
 
-	// rcvq is a head-indexed FIFO (see Machine.kq): popping advances rcvqHead
-	// and the backing array is reused, so a steady request/response flow
-	// queues and drains datagrams without allocating.
-	rcvq     []udpDgram
-	rcvqHead int
+	rcvq     fifo[udpDgram]
 	rcvBytes int
 
 	frags map[fragKey]*fragState
 
 	readers  waitQueue
-	watchers []*Epoll
+	watchers epollSet
 	closed   bool
 	nextFrag uint64
 
@@ -345,7 +373,7 @@ func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, i
 func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case s.Pending() > 0:
-		dg := s.popDgram()
+		dg := s.rcvq.pop()
 		s.rcvBytes -= dg.bytes
 		t.res.From, t.res.N, t.res.v.payload = dg.from, dg.bytes, dg.payload
 		t.remaining += s.m.copyCost(dg.bytes)
@@ -359,20 +387,8 @@ func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	return nil, true
 }
 
-// popDgram removes the queue head. Callers must check Pending() first.
-func (s *UDPSocket) popDgram() udpDgram {
-	d := s.rcvq[s.rcvqHead]
-	s.rcvq[s.rcvqHead] = udpDgram{}
-	s.rcvqHead++
-	if s.rcvqHead == len(s.rcvq) {
-		s.rcvq = s.rcvq[:0]
-		s.rcvqHead = 0
-	}
-	return d
-}
-
 // Pending returns the queued datagram count.
-func (s *UDPSocket) Pending() int { return len(s.rcvq) - s.rcvqHead }
+func (s *UDPSocket) Pending() int { return s.rcvq.len() }
 
 // Close unbinds the socket.
 func (s *UDPSocket) Close(t *Thread) {
@@ -416,7 +432,7 @@ func (m *Machine) deliverUDP(pkt *packet.Packet) {
 		s.Stats.RxDropsFull++
 		return
 	}
-	s.rcvq = append(s.rcvq, udpDgram{from: pkt.Src, bytes: hdr.Bytes, payload: pkt.Payload})
+	s.rcvq.push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, payload: pkt.Payload})
 	s.rcvBytes += hdr.Bytes
 	s.Stats.RxDatagrams++
 	s.readers.wakeOne(m)
@@ -436,22 +452,8 @@ func (s *UDPSocket) readyMask() EpollEvents {
 	return mask
 }
 
-func (s *UDPSocket) attach(ep *Epoll) { s.watchers = append(s.watchers, ep) }
-func (s *UDPSocket) detach(ep *Epoll) { s.watchers = removeEpoll(s.watchers, ep) }
-func (s *UDPSocket) notifyWatchers() {
-	for _, ep := range s.watchers {
-		ep.markReady(s)
-	}
-}
-
-func removeEpoll(eps []*Epoll, ep *Epoll) []*Epoll {
-	for i, e := range eps {
-		if e == ep {
-			return append(eps[:i], eps[i+1:]...)
-		}
-	}
-	return eps
-}
+func (s *UDPSocket) epolls() *epollSet { return &s.watchers }
+func (s *UDPSocket) notifyWatchers()   { s.watchers.notify(s) }
 
 // --- TCP ----------------------------------------------------------------------
 
@@ -467,12 +469,11 @@ type TCPListener struct {
 	port    packet.Port
 	backlog int
 
-	pending    []*TCPSocket // established, waiting for Accept; head-indexed like Machine.kq
-	pendHead   int
+	pending    fifo[*TCPSocket] // established, waiting for Accept
 	synPending int
 
 	acceptQ  waitQueue
-	watchers []*Epoll
+	watchers epollSet
 	closed   bool
 
 	Stats TCPStats
@@ -502,31 +503,17 @@ func (lis *TCPListener) Port() packet.Port { return lis.port }
 // incoming handles a SYN for this listener (softirq context).
 func (lis *TCPListener) incoming(pkt *packet.Packet, key connKey) {
 	m := lis.m
-	if lis.closed || lis.queued()+lis.synPending >= lis.backlog {
+	if lis.closed || lis.pending.len()+lis.synPending >= lis.backlog {
 		lis.Stats.Refused++
 		return // SYN dropped; client retries (listen queue overflow)
 	}
-	local := packet.Addr{Node: m.node, Port: lis.port}
-	remote := pkt.Src
-	conn, err := tcp.NewServer(tcpEnv{m}, m.cfg.TCP, local, remote)
+	sock, err := m.newTCPSocket(packet.Addr{Node: m.node, Port: lis.port}, pkt.Src, key, lis)
 	if err != nil {
 		lis.Stats.Refused++
 		return
 	}
-	sock := newTCPSocket(m, conn, key)
-	m.conns[key] = sock
 	lis.synPending++
-	conn.OnConnected = func() {
-		lis.synPending--
-		if lis.closed {
-			sock.conn.Abort()
-			return
-		}
-		lis.pending = append(lis.pending, sock)
-		lis.acceptQ.wakeOne(m)
-		lis.notifyWatchers()
-	}
-	conn.HandleSyn(pkt)
+	sock.conn.HandleSyn(pkt)
 }
 
 // Accept blocks until a connection is established and returns it. The
@@ -550,13 +537,8 @@ func (lis *TCPListener) accept(t *Thread, accept4, nowait bool) (*TCPSocket, err
 
 func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
-	case lis.queued() > 0:
-		t.res.TCP = lis.pending[lis.pendHead]
-		lis.pending[lis.pendHead] = nil
-		lis.pendHead++
-		if lis.pendHead == len(lis.pending) {
-			lis.pending, lis.pendHead = lis.pending[:0], 0
-		}
+	case lis.pending.len() > 0:
+		t.res.TCP = lis.pending.pop()
 		lis.Stats.Accepted++
 	case lis.closed:
 		t.res.v.err = ErrClosed
@@ -568,9 +550,6 @@ func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
 	return nil, true
 }
 
-// queued returns the number of established connections waiting for Accept.
-func (lis *TCPListener) queued() int { return len(lis.pending) - lis.pendHead }
-
 // Close stops accepting.
 func (lis *TCPListener) Close(t *Thread) {
 	if !lis.closed {
@@ -581,17 +560,17 @@ func (lis *TCPListener) Close(t *Thread) {
 func (lis *TCPListener) close() {
 	lis.closed = true
 	delete(lis.m.listeners, lis.port)
-	for _, s := range lis.pending[lis.pendHead:] {
+	for _, s := range lis.pending.live() {
 		s.conn.Abort()
 	}
-	lis.pending, lis.pendHead = nil, 0
+	lis.pending = fifo[*TCPSocket]{}
 	lis.acceptQ.wakeAll(lis.m)
 	lis.notifyWatchers()
 }
 
 func (lis *TCPListener) readyMask() EpollEvents {
 	var mask EpollEvents
-	if lis.queued() > 0 {
+	if lis.pending.len() > 0 {
 		mask |= EpollIn
 	}
 	if lis.closed {
@@ -600,50 +579,84 @@ func (lis *TCPListener) readyMask() EpollEvents {
 	return mask
 }
 
-func (lis *TCPListener) attach(ep *Epoll) { lis.watchers = append(lis.watchers, ep) }
-func (lis *TCPListener) detach(ep *Epoll) { lis.watchers = removeEpoll(lis.watchers, ep) }
-func (lis *TCPListener) notifyWatchers() {
-	for _, ep := range lis.watchers {
-		ep.markReady(lis)
-	}
-}
+func (lis *TCPListener) epolls() *epollSet { return &lis.watchers }
+func (lis *TCPListener) notifyWatchers()   { lis.watchers.notify(lis) }
 
 // TCPSocket is one connection endpoint with blocking and epoll interfaces.
+// The protocol endpoint lives inside it, and the socket is that endpoint's
+// tcp.Owner, so a connection endpoint is one heap object.
 type TCPSocket struct {
+	conn tcp.Conn
 	m    *Machine
-	conn *tcp.Conn
 	key  connKey
+	// lis is the listener a passive open reports its handshake to; nil once
+	// the handshake completes, and for an active open.
+	lis *TCPListener
 
 	readers  waitQueue
 	writers  waitQueue
 	connectQ waitQueue
-	watchers []*Epoll
-	done     bool
+	watchers epollSet
+	// established is set by the handshake; done by the connection's end.
+	established, done bool
 	//diablo:transient one of a small closed error set; encodes as an errno-style code
 	err error
 }
 
-func newTCPSocket(m *Machine, conn *tcp.Conn, key connKey) *TCPSocket {
-	s := &TCPSocket{m: m, conn: conn, key: key}
-	conn.OnReadable = func() {
-		s.readers.wakeOne(m)
-		s.notifyWatchers()
+// newTCPSocket creates and registers the socket of a connection from local
+// to remote; lis is the listener of a passive open.
+func (m *Machine) newTCPSocket(local, remote packet.Addr, key connKey, lis *TCPListener) (*TCPSocket, error) {
+	s := &TCPSocket{m: m, key: key, lis: lis}
+	if err := s.conn.Init(tcpEnv{m}, (*tcpOwner)(s), &m.cfg.TCP, local, remote); err != nil {
+		return nil, err
 	}
-	conn.OnWritable = func() {
-		s.writers.wakeOne(m)
-		s.notifyWatchers()
+	m.conns[key] = s
+	return s, nil
+}
+
+// tcpOwner is the socket as its connection's tcp.Owner: a distinct method set
+// keeps the protocol callbacks off TCPSocket's API.
+type tcpOwner TCPSocket
+
+func (o *tcpOwner) Connected() {
+	s := (*TCPSocket)(o)
+	if lis := s.lis; lis != nil { // passive open: queue for Accept
+		s.lis = nil
+		lis.synPending--
+		if lis.closed {
+			s.conn.Abort()
+			return
+		}
+		lis.pending.push(s)
+		lis.acceptQ.wakeOne(s.m)
+		lis.notifyWatchers()
+		return
 	}
-	conn.OnClosed = func(err error) {
-		s.done = true
-		s.err = err
-		m.tcpClosed.accumulate(conn.Stats)
-		delete(m.conns, s.key)
-		s.readers.wakeAll(m)
-		s.writers.wakeAll(m)
-		s.connectQ.wakeAll(m)
-		s.notifyWatchers()
-	}
-	return s
+	s.established = true
+	s.connectQ.wakeAll(s.m)
+	s.notifyWatchers()
+}
+
+func (o *tcpOwner) CanRead() {
+	o.readers.wakeOne(o.m)
+	(*TCPSocket)(o).notifyWatchers()
+}
+
+func (o *tcpOwner) CanWrite() {
+	o.writers.wakeOne(o.m)
+	(*TCPSocket)(o).notifyWatchers()
+}
+
+func (o *tcpOwner) Closed(err error) {
+	s, m := (*TCPSocket)(o), o.m
+	s.done = true
+	s.err = err
+	m.tcpClosed.accumulate(s.conn.Stats)
+	delete(m.conns, s.key)
+	s.readers.wakeAll(m)
+	s.writers.wakeAll(m)
+	s.connectQ.wakeAll(m)
+	s.notifyWatchers()
 }
 
 // Connect opens a connection to remote and blocks until it is established.
@@ -656,25 +669,15 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 	m, s := t.m, op.tcp
 	if s == nil { // first pass: create the socket and send the SYN
 		local := packet.Addr{Node: m.node, Port: m.ephemeralPort()}
-		key := newConnKey(local.Port, op.remote)
-		conn, err := tcp.NewClient(tcpEnv{m}, m.cfg.TCP, local, op.remote)
-		if err != nil {
+		var err error
+		if s, err = m.newTCPSocket(local, op.remote, newConnKey(local.Port, op.remote), nil); err != nil {
 			t.res.v.err = err
 			return nil, true
 		}
-		s = newTCPSocket(m, conn, key)
-		m.conns[key] = s
-		conn.OnConnected = func() {
-			if t.op.tcp == s {
-				t.op.connected = true
-			}
-			s.connectQ.wakeAll(m)
-			s.notifyWatchers()
-		}
 		op.tcp = s
-		conn.Open()
+		s.conn.Open()
 	}
-	if !op.connected && !s.done {
+	if !s.established && !s.done {
 		return &s.connectQ, false
 	}
 	if s.done {
@@ -686,7 +689,7 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 }
 
 // Conn exposes the protocol endpoint (for stats inspection).
-func (s *TCPSocket) Conn() *tcp.Conn { return s.conn }
+func (s *TCPSocket) Conn() *tcp.Conn { return &s.conn }
 
 // Remote returns the peer address.
 func (s *TCPSocket) Remote() packet.Addr { return s.conn.Remote }
@@ -720,7 +723,8 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 }
 
 // Recv blocks until data (or EOF) is available and returns the bytes
-// consumed and any completed application messages.
+// consumed and any completed application messages. The message slice is the
+// connection's own, valid until the next Recv or TryRecv on this socket.
 func (s *TCPSocket) Recv(t *Thread, max int) (int, []any, error) {
 	return s.recv(t, max, false)
 }
@@ -783,10 +787,5 @@ func (s *TCPSocket) readyMask() EpollEvents {
 	return mask
 }
 
-func (s *TCPSocket) attach(ep *Epoll) { s.watchers = append(s.watchers, ep) }
-func (s *TCPSocket) detach(ep *Epoll) { s.watchers = removeEpoll(s.watchers, ep) }
-func (s *TCPSocket) notifyWatchers() {
-	for _, ep := range s.watchers {
-		ep.markReady(s)
-	}
-}
+func (s *TCPSocket) epolls() *epollSet { return &s.watchers }
+func (s *TCPSocket) notifyWatchers()   { s.watchers.notify(s) }

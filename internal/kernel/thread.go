@@ -58,7 +58,8 @@ func (r Result) Err() error { return r.v.err }
 // UDP receive got, or what SendTo or Send sent.
 func (r Result) Payload() any { return r.v.payload }
 
-// Msgs returns the application messages a TCP receive completed.
+// Msgs returns the application messages a TCP receive completed, valid until
+// the next receive on the same socket.
 func (r Result) Msgs() []any { return r.v.msgs }
 
 // Thread is one simulated kernel thread. Its Program advances only when the
@@ -92,7 +93,7 @@ func (m *Machine) Start(name string, p Program) *Thread {
 	// Enqueue via an event so the runqueue push happens inside the engine's
 	// run loop regardless of the caller's context.
 	m.eng.At(m.eng.Now(), func() {
-		m.runq = append(m.runq, t)
+		m.runq.push(t)
 		m.scheduleCPU()
 	})
 	return t
@@ -229,14 +230,13 @@ const (
 // fills in the arguments; Thread.step runs the kernel half in engine context
 // and leaves the results in Thread.res. A call allocates nothing.
 type threadOp struct {
-	kind      opKind
-	phase     uint8
-	nowait    bool // MSG_DONTWAIT / zero epoll timeout: never block
-	timed     bool // timeout is a receive deadline, armed in opArm
-	waited    bool // the call gave up the CPU at least once
-	connected bool // opConnect: the handshake completed
-	fcntl     bool // opAccept: a separate fcntl(O_NONBLOCK) syscall comes first (no accept4)
-	copied    bool // opSendTo: the payload copy is charged
+	kind   opKind
+	phase  uint8
+	nowait bool // MSG_DONTWAIT / zero epoll timeout: never block
+	timed  bool // timeout is a receive deadline, armed in opArm
+	waited bool // the call gave up the CPU at least once
+	fcntl  bool // opAccept: a separate fcntl(O_NONBLOCK) syscall comes first (no accept4)
+	copied bool // opSendTo: the payload copy is charged
 
 	extra    int64        // entry instructions beyond Profile.SyscallInstr
 	start    sim.Time     // entry instant, for OnSyscallSpan
@@ -251,7 +251,8 @@ type threadOp struct {
 
 	// The object the call is on, by kind.
 	ep   *Epoll
-	item *epollItem // epoll_ctl: the registration
+	item *epollItem // EPOLL_CTL_DEL: the registration
+	reg  epollItem  // EPOLL_CTL_ADD: the registration to make
 	udp  *UDPSocket
 	tcp  *TCPSocket // opConnect: the socket being connected
 	lis  *TCPListener
@@ -340,7 +341,7 @@ func (t *Thread) poll() (*waitQueue, bool) {
 			return nil, true
 		}
 		t.offCPU(threadRunnable)
-		m.runq = append(m.runq, t)
+		m.runq.push(t)
 		return nil, false
 	case opEpollWait:
 		return op.ep.pollWait(t, op)
@@ -369,7 +370,7 @@ func (t *Thread) poll() (*waitQueue, bool) {
 	case opEpollCreate:
 		t.res.Epoll = &Epoll{m: m, items: make(map[Pollable]*epollItem)}
 	case opEpollAdd:
-		op.ep.add(op.item)
+		op.ep.add(op.reg)
 	case opEpollDel:
 		op.ep.del(op.item)
 	case opUDPSocket:
@@ -430,41 +431,58 @@ func (t *Thread) block(q *waitQueue) {
 	t.offCPU(threadBlocked)
 }
 
-// waitQueue is a FIFO of threads blocked on a condition. Head-indexed like
-// Machine.kq: popping advances head and the backing array is reused, so the
-// block/wake cycle every request goes through allocates nothing in steady
-// state (a naive waiters = waiters[1:] strands the popped capacity and
-// re-allocates on every enqueue).
+// fifo is a head-indexed queue: pop advances head, and the backing array is
+// reused once the queue drains, so a steady push/pop flow allocates nothing (a
+// naive q = q[1:] strands the popped capacity and re-allocates on every push
+// once the spare capacity is consumed). The kernel's queues — CPU work,
+// runqueue, qdisc, datagrams, accept and epoll ready lists, waiters — are all
+// fifos.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+func (f *fifo[T]) push(x T) { f.q = append(f.q, x) }
+
+// len returns the number of queued items.
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+
+// live returns the queued items, oldest first.
+func (f *fifo[T]) live() []T { return f.q[f.head:] }
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (f *fifo[T]) pop() T {
+	x := f.q[f.head]
+	f.q[f.head] = *new(T)
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return x
+}
+
+// waitQueue is a FIFO of threads blocked on a condition; the block/wake
+// cycle every request goes through allocates nothing in steady state.
 type waitQueue struct {
-	waiters []*Thread
-	head    int
+	waiters fifo[*Thread]
 	first   [1]*Thread // waiters' first backing array: one waiter is the common case
 }
 
 func (q *waitQueue) enqueue(t *Thread) {
-	if q.waiters == nil {
-		q.waiters = q.first[:0]
+	if q.waiters.q == nil {
+		q.waiters.q = q.first[:0]
 	}
-	q.waiters = append(q.waiters, t)
+	q.waiters.push(t)
 }
 
 // wakeOne wakes the oldest still-blocked waiter; reports whether one was
 // woken. Stale entries (threads already woken by a timeout, or dead) are
 // skipped so wakeups are never lost.
 func (q *waitQueue) wakeOne(m *Machine) bool {
-	for q.head < len(q.waiters) {
-		t := q.waiters[q.head]
-		q.waiters[q.head] = nil
-		q.head++
-		if q.head == len(q.waiters) {
-			q.waiters = q.waiters[:0]
-			q.head = 0
+	for q.waiters.len() > 0 {
+		if t := q.waiters.pop(); t.state == threadBlocked {
+			m.wake(t)
+			return true
 		}
-		if t.state != threadBlocked {
-			continue
-		}
-		m.wake(t)
-		return true
 	}
 	return false
 }

@@ -112,6 +112,11 @@ type TCPHdr struct {
 	Seq    uint32 // first payload byte's sequence number
 	Ack    uint32 // cumulative acknowledgement
 	Window uint32 // advertised receive window in bytes
+	// EndSeq is the end of the one application message whose last byte this
+	// segment carries, the message itself riding in Payload (see package
+	// tcp): framing metadata, like UDPHdr, kept inline so that a segment
+	// carrying a message boxes nothing.
+	EndSeq uint32
 }
 
 // UDPHdr carries the stack's datagram fragmentation metadata inline — the
@@ -198,7 +203,15 @@ type Packet struct {
 	// Route is the inline source route; Hop is the index of the next switch
 	// to consume a route entry.
 	Route Route
-	Hop   int
+	// Pool-lifecycle bookkeeping (see Pool), in the padding after Route.
+	// pstate distinguishes heap-constructed packets (zero: untracked,
+	// GC-owned) from pool handles (live or on a freelist); pgen counts
+	// recycles of the slab slot so slabdebug builds can name stale handles.
+	// Both are rebuilt trivially on restore: a checkpoint only ever contains
+	// live packets.
+	pstate uint8
+	pgen   uint32
+	Hop    int
 
 	// PayloadBytes is the transport payload length. The full wire size is
 	// derived, not stored (see WireBytes).
@@ -220,14 +233,6 @@ type Packet struct {
 	// FirstBitArrival is maintained by links: the time the leading bit of
 	// this frame arrived at the current endpoint. Switch cut-through uses it.
 	FirstBitArrival sim.Time
-
-	// Pool-lifecycle bookkeeping (see Pool). pstate distinguishes
-	// heap-constructed packets (zero: untracked, GC-owned) from pool handles
-	// (live or on a freelist); pgen counts recycles of the slab slot so
-	// slabdebug builds can name stale handles. Both are rebuilt trivially on
-	// restore: a checkpoint only ever contains live packets.
-	pstate uint8
-	pgen   uint32
 }
 
 // headerBytes returns transport+IP header bytes for the packet's protocol.

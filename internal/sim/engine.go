@@ -116,10 +116,10 @@ func (e *Engine) Cancel(id EventID) {
 func (e *Engine) Pending() int { return e.q.size() }
 
 // ForEachPending invokes fn for every still-queued typed event record, in
-// slot order (not dispatch order). Closures are skipped — their captures are
-// opaque. Callers use this for accounting over a halted engine (the
-// packet-leak audit walks it to find frames carried by in-flight
-// EvPacketHop/EvLoopback events), never for simulation semantics.
+// slot order (not dispatch order). Closures and TimerEvent records are
+// skipped — their targets are opaque. Callers use this for accounting over a
+// halted engine (the packet-leak audit walks it to find frames carried by
+// in-flight EvPacketHop/EvLoopback events), never for simulation semantics.
 func (e *Engine) ForEachPending(fn func(Event)) { e.q.forEachPending(fn) }
 
 // Halt stops the run loop after the current event returns.

@@ -14,10 +14,12 @@ import "fmt"
 // core.New time; dispatch is one indexed load and an indirect call.
 //
 // A closure (At/After) is one more kind, evFunc, whose pre-installed handler
-// calls the func value carried in Tgt. There is therefore one queue-entry
-// shape, one sequence counter and one dispatch path: closures and typed
-// records interleave in exactly the ascending (time, schedule-order) total
-// order the determinism contract requires. Closures remain the right tool
+// calls the func value carried in Tgt; a model object's own timer
+// (TimerEvent) is another, evTimer, which calls Fire on the Timer in Tgt.
+// There is therefore one queue-entry shape, one sequence counter and one
+// dispatch path: closures, timers and typed records interleave in exactly the
+// ascending (time, schedule-order) total order the determinism contract
+// requires. Closures remain the right tool
 // for cold paths (connection setup, slow timers, test scaffolding); a hot
 // path that schedules one per packet pays for the captured environment.
 //
@@ -77,6 +79,10 @@ const (
 	// evFunc carries a closure scheduled through At/After: Tgt is the func().
 	// Unexported: models reach it only through those two methods.
 	evFunc
+	// evTimer fires a Timer: Tgt is the Timer, Obj which of its timers. Built
+	// only by TimerEvent, so a model with timers of its own arms them without
+	// a func value per object and without claiming a kind.
+	evTimer
 
 	numEvKinds // table size; must stay last
 )
@@ -95,6 +101,7 @@ var evKindNames = [numEvKinds]string{
 	EvThreadWake:        "EvThreadWake",
 	EvThreadWakeBlocked: "EvThreadWakeBlocked",
 	evFunc:              "evFunc",
+	evTimer:             "evTimer",
 }
 
 // String names the kind for panics and traces.
@@ -144,10 +151,23 @@ type HandlerRegistrar interface {
 // identically on every partition.
 type handlerTable [numEvKinds]Handler
 
-// newHandlerTable returns a table with the closure kind pre-installed.
+// Timer is a model object with timers of its own, numbered by the object.
+type Timer interface {
+	// Fire runs timer which, due at now.
+	Fire(now Time, which uint32)
+}
+
+// TimerEvent returns the record that fires timer which of t: scheduling it
+// allocates nothing, and no handler needs registering.
+func TimerEvent(t Timer, which uint32) Event {
+	return Event{Kind: evTimer, Obj: which, Tgt: t}
+}
+
+// newHandlerTable returns a table with the sim-owned kinds pre-installed.
 func newHandlerTable() *handlerTable {
 	t := new(handlerTable)
 	t[evFunc] = func(_ Time, ev Event) { ev.Tgt.(func())() }
+	t[evTimer] = func(now Time, ev Event) { ev.Tgt.(Timer).Fire(now, ev.Obj) }
 	return t
 }
 

@@ -299,3 +299,41 @@ func TestEvKindString(t *testing.T) {
 		t.Errorf("out-of-range kind String() = %q, want the numeric value", got)
 	}
 }
+
+// rearmer is a Timer with two timers, each re-arming itself once fired.
+type rearmer struct {
+	e     *Engine
+	fired [2]int
+	last  Time
+}
+
+func (r *rearmer) Fire(now Time, which uint32) {
+	r.fired[which]++
+	r.last = now
+	r.e.AtEvent(now.Add(Duration(which+1)*Microsecond), TimerEvent(r, which))
+}
+
+// TestTimerEventAllocatesNothing: a TimerEvent needs no registered handler,
+// fires Fire with its timer number at its time, shares the schedule order of
+// the other kinds, stays out of ForEachPending, and arming one allocates
+// nothing.
+func TestTimerEventAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	r := &rearmer{e: e}
+	closureFirst := false
+	e.At(Time(Microsecond), func() { closureFirst = r.fired[0] == 0 })
+	e.AtEvent(Time(Microsecond), TimerEvent(r, 0))
+	e.RunUntil(Time(Microsecond))
+	if !closureFirst || r.fired != [2]int{1, 0} || r.last != Time(Microsecond) {
+		t.Fatalf("fired %v at %v; the closure scheduled first ran first: %v", r.fired, r.last, closureFirst)
+	}
+	e.AtEvent(e.Now(), TimerEvent(r, 1))
+	e.ForEachPending(func(ev Event) { t.Errorf("ForEachPending yielded %v", ev.Kind) })
+	e.RunUntil(Time(100 * Microsecond)) // warm the queue to its working size
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(10, func() { e.RunUntil(e.Now().Add(100 * Microsecond)) }); got != 0 {
+		t.Errorf("%v allocations per 150 timer firings, want 0", got)
+	}
+}

@@ -488,11 +488,11 @@ func (q *eventQueue) popHead() (uint32, *slotRec) {
 }
 
 // forEachPending invokes fn for every still-queued typed record, in slot
-// order (not dispatch order). Closures and cancelled slots are skipped.
+// order (not dispatch order). Closures, timers and cancelled slots are skipped.
 func (q *eventQueue) forEachPending(fn func(Event)) {
 	for _, page := range q.pages {
 		for i := range page {
-			if ev := page[i].ev; ev.Kind != evNone && ev.Kind != evFunc {
+			if ev := page[i].ev; ev.Kind != evNone && ev.Kind < evFunc {
 				fn(ev)
 			}
 		}

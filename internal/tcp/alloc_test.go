@@ -1,0 +1,72 @@
+package tcp
+
+import (
+	"testing"
+
+	"diablo/internal/packet"
+	"diablo/internal/sim"
+)
+
+// TestAllocFreeExchange pins the allocation-free data path: once the
+// handshake and a warm-up are done, a request/response exchange with pointer
+// payloads allocates nothing — no boundary storage, no boxed segment
+// payload, no Read result, no timer closure.
+func TestAllocFreeExchange(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
+	type msg struct{ id int }
+	req, resp := &msg{1}, &msg{2}
+	got := 0
+	p.server.OnReadable = func() {
+		_, msgs := p.server.Read(1 << 20)
+		for range msgs {
+			p.server.Send(300, resp)
+		}
+	}
+	p.client.OnReadable = func() {
+		_, msgs := p.client.Read(1 << 20)
+		got += len(msgs)
+	}
+	p.connect(t)
+	run(p, 10*sim.Millisecond)
+	exchange := func() {
+		p.client.Send(100, req)
+		p.eng.RunUntil(p.eng.Now().Add(sim.Millisecond))
+	}
+	for range 10 {
+		exchange()
+	}
+	if got != 10 {
+		t.Fatalf("warm-up got %d responses, want 10", got)
+	}
+	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+		t.Errorf("%v allocations per steady-state exchange, want 0", allocs)
+	}
+	if got != 111 { // AllocsPerRun makes one extra, unmeasured run
+		t.Fatalf("got %d responses, want 111", got)
+	}
+}
+
+// TestPlainEnvTimers runs the timers through an Env without AtEvent, wrapped
+// to arm them as closures: a lost SYN must still be retransmitted.
+func TestPlainEnvTimers(t *testing.T) {
+	p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
+	p.client.env = p.client.eventEnv(plainEnv{p.cEnv})
+	up := false
+	p.client.OnConnected = func() { up = true }
+	dropped := false
+	p.cEnv.drop = func(i int, pkt *packet.Packet) bool {
+		if pkt.TCP.Flags&packet.FlagSYN != 0 && !dropped {
+			dropped = true
+			return true
+		}
+		return false
+	}
+	p.connect(t)
+	run(p, 5*sim.Second)
+	if !up || p.client.Stats.Timeouts == 0 {
+		t.Fatalf("established=%v after %d timeouts, want a retransmitted SYN", up, p.client.Stats.Timeouts)
+	}
+}

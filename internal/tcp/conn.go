@@ -3,13 +3,12 @@ package tcp
 import (
 	"errors"
 	"slices"
-	"sort"
 
 	"diablo/internal/packet"
 	"diablo/internal/sim"
 )
 
-// Errors surfaced through OnClosed.
+// Errors surfaced through Owner.Closed.
 var (
 	ErrReset   = errors.New("tcp: connection reset by peer")
 	ErrTimeout = errors.New("tcp: retransmission limit exceeded")
@@ -23,20 +22,93 @@ const (
 	initialRTO = sim.Second
 )
 
+// oooSeg is a buffered out-of-order segment.
 type oooSeg struct {
 	seq    uint32
 	length int
-	bounds []Boundary
+	bounds segBounds
 	fin    bool
 }
 
-// Conn is one TCP connection endpoint.
+// segBounds is the message boundaries one segment covers: none, one (in
+// one, whose Payload is then non-nil) or several (many).
+type segBounds struct {
+	one  Boundary
+	many boundList
+}
+
+// boundList is the Payload of a segment covering two or more boundaries. The
+// type is the package's own, so no application message is mistaken for one.
+type boundList []Boundary
+
+// boundsOf decodes the boundaries a received segment carries.
+func boundsOf(pkt *packet.Packet) segBounds {
+	if p, ok := pkt.Payload.(boundList); ok {
+		return segBounds{many: p}
+	}
+	return segBounds{one: Boundary{EndSeq: pkt.TCP.EndSeq, Payload: pkt.Payload}}
+}
+
+// boundQueue holds boundaries in ascending EndSeq order, head-indexed like
+// the kernel's FIFOs: popping advances head, and pushing slides the live
+// entries down before it would grow a full backing array, so a steady
+// message flow queues and retires boundaries without allocating. The first
+// backing array is inline (Conn.Init points q at it): one message in flight
+// is the common case.
+type boundQueue struct {
+	q     []Boundary
+	head  int
+	first [1]Boundary
+}
+
+func (b *boundQueue) live() []Boundary { return b.q[b.head:] }
+
+// due reports whether the earliest boundary ends at or before seq.
+func (b *boundQueue) due(seq uint32) bool {
+	return b.head < len(b.q) && seqLEQ(b.q[b.head].EndSeq, seq)
+}
+
+// pop removes and returns the earliest boundary; the queue must not be empty.
+func (b *boundQueue) pop() Boundary {
+	x := b.q[b.head]
+	b.q[b.head] = Boundary{}
+	if b.head++; b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
+	return x
+}
+
+// insert files x by EndSeq, ignoring one already queued (a retransmission);
+// boundaries nearly always arrive in order, so the scan starts at the back.
+func (b *boundQueue) insert(x Boundary) {
+	i := len(b.q)
+	for i > b.head && seqLT(x.EndSeq, b.q[i-1].EndSeq) {
+		i--
+	}
+	if i > b.head && b.q[i-1].EndSeq == x.EndSeq {
+		return
+	}
+	if len(b.q) == cap(b.q) && b.head > 0 {
+		n := copy(b.q, b.q[b.head:])
+		clear(b.q[n:])
+		b.q, i, b.head = b.q[:n], i-b.head, 0
+	}
+	b.q = slices.Insert(b.q, i, x)
+}
+
+// Conn is one TCP connection endpoint. The zero Conn is inert: Init it in
+// place, inside the socket that owns it.
 //
 //diablo:checkpoint-root
 type Conn struct {
 	//diablo:transient environment adapter; the owning socket re-binds it on restore
-	env Env
-	cfg Config
+	env eventEnv
+	//diablo:transient the owning socket; it re-binds itself on restore
+	owner Owner
+	// Hooks is the owner of a standalone connection, nil on a socket's: its
+	// fields are promoted, so callers set c.OnReadable and the like.
+	*Hooks
+	cfg *Config // shared with the machine's other connections
 
 	Local, Remote packet.Addr
 
@@ -53,7 +125,7 @@ type Conn struct {
 	dupacks          int
 	inRecovery       bool
 	recover          uint32
-	sndBounds        []Boundary
+	sndBounds        boundQueue
 	finQueued        bool
 	finSent          bool
 	finSeq           uint32
@@ -66,77 +138,70 @@ type Conn struct {
 	rttStart     sim.Time
 	retries      int
 
-	// Timers.
-	rtoTimer     sim.EventID
-	rtoArmed     bool
-	delackTimer  sim.EventID
-	delackArmed  bool
-	delackCount  int
-	persistTimer sim.EventID
-	persistArmed bool
-	// One func value per timer, built on first arm: arming allocates nothing.
-	//diablo:transient method values over the Conn itself; rebuilt on the first arm after restore
-	rtoFn, delackFn, persistFn func()
+	// Timers, indexed by timerRTO, timerDelack and timerPersist.
+	timer       [3]sim.EventID
+	armed       [3]bool
+	delackCount int
 
 	// Receive state.
 	rcvNxt    uint32
 	readSeq   uint32   // application read cursor
 	unread    int      // in-order bytes not yet read
 	oooSegs   []oooSeg // out-of-order segments, ascending seq
-	rcvBounds []Boundary
-	//diablo:transient opaque app messages; need a concrete-type registry (ROADMAP item 5)
-	ready   []any // completed messages awaiting Read
-	peerFin bool
-
-	// Callbacks (any may be nil).
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnConnected func()
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnReadable func()
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnWritable func()
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnClosed func(err error)
+	rcvBounds boundQueue
+	peerFin   bool
+	// msgs is Read's result, valid until the next Read; msgs0 is its first
+	// backing array.
+	//diablo:transient opaque app messages, handed out by the last Read
+	msgs []any
+	//diablo:transient opaque app messages, handed out by the last Read
+	msgs0 [1]any
 
 	Stats Stats
 	//diablo:transient one of a small closed error set; encodes as an errno-style code
 	err error
 }
 
-func newConn(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
+// Init makes c a fresh endpoint from local to remote that reports to owner: a
+// client then calls Open, a server HandleSyn with the peer's SYN. cfg is
+// validated in place and shared, not copied: it must not change while the
+// connection lives.
+func (c *Conn) Init(env Env, owner Owner, cfg *Config, local, remote packet.Addr) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	c := &Conn{
-		env:      env,
+	*c = Conn{
+		env:      c.eventEnv(env),
+		owner:    owner,
 		cfg:      cfg,
 		Local:    local,
 		Remote:   remote,
-		una:      0,
-		nxt:      0,
 		sndEnd:   1, // data begins after the SYN
 		rwnd:     cfg.MSS,
 		cwnd:     cfg.InitCwnd * cfg.MSS,
 		ssthresh: 1 << 30,
-		rto:      initialRTO,
-		rcvNxt:   0,
+		rto:      max(initialRTO, cfg.MinRTO),
 		readSeq:  1,
 	}
-	if c.rto < cfg.MinRTO {
-		c.rto = cfg.MinRTO
+	c.sndBounds.q, c.rcvBounds.q, c.msgs = c.sndBounds.first[:0], c.rcvBounds.first[:0], c.msgs0[:0]
+	return nil
+}
+
+// NewClient creates a standalone active-open endpoint that reports to its
+// Hooks; call Open to send the SYN.
+func NewClient(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
+	h, c := &Hooks{}, &Conn{}
+	if err := c.Init(env, (*hookOwner)(h), &cfg, local, remote); err != nil {
+		return nil, err
 	}
+	c.Hooks = h
 	return c, nil
 }
 
-// NewClient creates an active-open endpoint; call Open to send the SYN.
-func NewClient(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
-	return newConn(env, cfg, local, remote)
-}
-
-// NewServer creates a passive endpoint for a received SYN; call HandleSyn
-// with the SYN segment.
+// NewServer creates a standalone passive endpoint that reports to its Hooks;
+// call HandleSyn with the peer's SYN.
 func NewServer(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
-	return newConn(env, cfg, local, remote)
+	return NewClient(env, cfg, local, remote)
 }
 
 // State returns the connection state.
@@ -151,10 +216,9 @@ func (c *Conn) Open() {
 		return
 	}
 	c.state = StateSynSent
-	c.emit(0, 0, packet.FlagSYN, nil)
-	c.nxt = 1
-	c.maxSent = 1
-	c.armRTO()
+	c.emit(0, 0, packet.FlagSYN, segBounds{})
+	c.nxt, c.maxSent = 1, 1
+	c.arm(timerRTO, c.rto)
 }
 
 // HandleSyn processes the peer's SYN on a passive endpoint.
@@ -167,28 +231,20 @@ func (c *Conn) HandleSyn(pkt *packet.Packet) {
 	c.readSeq = c.rcvNxt // the application cursor starts at the first data byte
 	c.rwnd = int(pkt.TCP.Window)
 	c.state = StateSynRcvd
-	c.emit(0, 0, packet.FlagSYN|packet.FlagACK, nil)
-	c.nxt = 1
-	c.maxSent = 1
-	c.armRTO()
+	c.emit(0, 0, packet.FlagSYN|packet.FlagACK, segBounds{})
+	c.nxt, c.maxSent = 1, 1
+	c.arm(timerRTO, c.rto)
 }
 
 // --- application interface --------------------------------------------------
 
 // Writable returns the free send-buffer space in bytes.
 func (c *Conn) Writable() int {
-	used := 0
-	if seqLT(c.una, c.sndEnd) {
-		used = int(c.sndEnd - c.una)
-	}
+	used := c.queuedFrom(c.una)
 	if c.una == 0 { // SYN not yet acked: seq 0 occupied by SYN
 		used--
 	}
-	free := c.cfg.SndBuf - used
-	if free < 0 {
-		free = 0
-	}
-	return free
+	return max(c.cfg.SndBuf-used, 0)
 }
 
 // Send enqueues up to n bytes for transmission and returns the bytes
@@ -202,16 +258,13 @@ func (c *Conn) Send(n int, payload any) int {
 	if c.finQueued {
 		return 0
 	}
-	accept := n
-	if free := c.Writable(); accept > free {
-		accept = free
-	}
+	accept := min(n, c.Writable())
 	if accept <= 0 {
 		return 0
 	}
 	c.sndEnd += uint32(accept)
 	if accept == n && payload != nil {
-		c.sndBounds = append(c.sndBounds, Boundary{EndSeq: c.sndEnd, Payload: payload})
+		c.sndBounds.insert(Boundary{EndSeq: c.sndEnd, Payload: payload})
 	}
 	c.trySend()
 	return accept
@@ -224,31 +277,26 @@ func (c *Conn) Readable() int { return c.unread }
 // been read.
 func (c *Conn) EOF() bool { return c.peerFin && c.unread == 0 }
 
-// Read consumes up to max in-order bytes, returning the count and any
-// application messages whose final byte falls within the consumed range.
-func (c *Conn) Read(max int) (int, []any) {
-	n := c.unread
-	if n > max {
-		n = max
-	}
+// Read consumes up to limit in-order bytes, returning the count and any
+// application messages whose final byte falls within the consumed range. The
+// message slice is the connection's own buffer: it is valid until the next
+// Read on this connection.
+func (c *Conn) Read(limit int) (int, []any) {
+	n := min(c.unread, limit)
 	wasSmall := c.rcvWindow() < c.cfg.MSS
 	c.unread -= n
 	c.readSeq += uint32(n)
-	var msgs []any
-	if len(c.ready) > 0 {
-		msgs = c.ready
-		c.ready = nil
-	}
-	for len(c.rcvBounds) > 0 && seqLEQ(c.rcvBounds[0].EndSeq, c.readSeq) {
-		msgs = append(msgs, c.rcvBounds[0].Payload)
-		c.rcvBounds = c.rcvBounds[1:]
+	clear(c.msgs) // the previous Read's messages: drop the references
+	c.msgs = c.msgs[:0]
+	for c.rcvBounds.due(c.readSeq) {
+		c.msgs = append(c.msgs, c.rcvBounds.pop().Payload)
 	}
 	// Window update: if the advertised window was squeezed below an MSS and
 	// reading reopened it, tell the peer.
 	if n > 0 && wasSmall && c.rcvWindow() >= c.cfg.MSS && c.state == StateEstablished {
 		c.sendAck()
 	}
-	return n, msgs
+	return n, c.msgs
 }
 
 // Close initiates an orderly shutdown: pending data is sent, then a FIN.
@@ -269,7 +317,7 @@ func (c *Conn) Abort() {
 	if c.state == StateClosed {
 		return
 	}
-	c.emit(c.nxt, 0, packet.FlagRST|packet.FlagACK, nil)
+	c.emit(c.nxt, 0, packet.FlagRST|packet.FlagACK, segBounds{})
 	c.finish(ErrReset)
 }
 
@@ -296,27 +344,23 @@ func (c *Conn) Input(pkt *packet.Packet) {
 			c.readSeq = c.rcvNxt
 			c.rwnd = int(hdr.Window)
 			c.una = 1
-			c.disarmRTO()
+			c.disarm(timerRTO)
 			c.retries = 0
 			c.rto = c.clampRTO(initialRTO)
 			c.state = StateEstablished
 			c.sendAck()
-			if c.OnConnected != nil {
-				c.OnConnected()
-			}
+			c.owner.Connected()
 			c.trySend()
 		}
 		return
 	case StateSynRcvd:
 		if hdr.Flags&packet.FlagACK != 0 && hdr.Ack == 1 {
 			c.una = 1
-			c.disarmRTO()
+			c.disarm(timerRTO)
 			c.retries = 0
 			c.state = StateEstablished
 			c.rwnd = int(hdr.Window)
-			if c.OnConnected != nil {
-				c.OnConnected()
-			}
+			c.owner.Connected()
 			// Fall through: the ACK may carry data.
 		} else {
 			return
@@ -357,7 +401,9 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 			c.nxt = c.una
 		}
 		c.retries = 0
-		c.pruneSndBounds()
+		for c.sndBounds.due(c.una) {
+			c.sndBounds.pop()
+		}
 
 		// Congestion control.
 		mss := c.cfg.MSS
@@ -370,28 +416,17 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 			} else {
 				// Partial ACK (NewReno): retransmit the next hole, deflate.
 				c.retransmitHead()
-				c.cwnd -= acked
-				if c.cwnd < mss {
-					c.cwnd = mss
-				}
-				c.cwnd += mss
+				c.cwnd = max(c.cwnd-acked, mss) + mss
 			}
 		} else {
 			c.dupacks = 0
 			if c.cwnd < c.ssthresh {
-				// Slow start with appropriate byte counting.
-				inc := acked
-				if inc > mss {
-					inc = mss
-				}
-				c.cwnd += inc
+				c.cwnd += min(acked, mss) // slow start with appropriate byte counting
 			} else {
 				c.cwnd += mss * mss / c.cwnd
 			}
 		}
-		if c.cwnd > c.cfg.SndBuf {
-			c.cwnd = c.cfg.SndBuf
-		}
+		c.cwnd = min(c.cwnd, c.cfg.SndBuf)
 
 		// FIN accounting and state transitions.
 		if c.finSent && seqLT(c.finSeq, ackNo) {
@@ -407,13 +442,12 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 			}
 		}
 
-		if c.una == c.nxt {
-			c.disarmRTO()
-		} else {
-			c.rearmRTO()
+		c.disarm(timerRTO)
+		if c.una != c.nxt {
+			c.arm(timerRTO, c.rto)
 		}
-		if c.OnWritable != nil && c.Writable() > 0 {
-			c.OnWritable()
+		if c.Writable() > 0 {
+			c.owner.CanWrite()
 		}
 		c.trySend()
 		return
@@ -431,10 +465,7 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 			c.cwnd += mss
 			c.trySend()
 		} else if c.dupacks == 3 {
-			c.ssthresh = c.flight() / 2
-			if c.ssthresh < 2*mss {
-				c.ssthresh = 2 * mss
-			}
+			c.ssthresh = max(c.flight()/2, 2*mss)
 			c.cwnd = c.ssthresh + 3*mss
 			c.inRecovery = true
 			c.recover = c.nxt
@@ -454,7 +485,7 @@ func (c *Conn) processData(pkt *packet.Packet) {
 	hdr := pkt.TCP
 	seq := hdr.Seq
 	length := pkt.PayloadBytes
-	bounds, _ := pkt.Payload.([]Boundary)
+	bounds := boundsOf(pkt)
 	fin := hdr.Flags&packet.FlagFIN != 0
 	segEnd := seq + uint32(length)
 
@@ -483,10 +514,10 @@ func (c *Conn) processData(pkt *packet.Packet) {
 			if c.delackCount >= c.cfg.DelAckSegs || len(c.oooSegs) > 0 || fin || c.peerFin {
 				c.sendAck()
 			} else {
-				c.armDelack()
+				c.arm(timerDelack, c.cfg.DelAckTimeout)
 			}
-			if c.OnReadable != nil && c.unread > 0 {
-				c.OnReadable()
+			if c.unread > 0 {
+				c.owner.CanRead()
 			}
 		case seqLT(c.rcvNxt, seq):
 			// Out of order: buffer if within the advertised window, and
@@ -526,29 +557,21 @@ func (c *Conn) acceptFin() {
 			return
 		}
 	}
-	if c.OnReadable != nil {
-		c.OnReadable() // EOF is a readability event
-	}
+	c.owner.CanRead() // EOF is a readability event
 }
 
 // absorbBounds stores message boundaries (sorted, deduplicated). Boundaries
 // at or below the application's read cursor were already delivered — they
 // reappear when a retransmitted segment overlaps consumed data and must not
 // be surfaced twice.
-func (c *Conn) absorbBounds(bounds []Boundary) {
-	for _, b := range bounds {
-		if seqLEQ(b.EndSeq, c.readSeq) {
-			continue
+func (c *Conn) absorbBounds(sb segBounds) {
+	if sb.one.Payload != nil && seqLT(c.readSeq, sb.one.EndSeq) {
+		c.rcvBounds.insert(sb.one)
+	}
+	for _, b := range sb.many {
+		if seqLT(c.readSeq, b.EndSeq) {
+			c.rcvBounds.insert(b)
 		}
-		i := sort.Search(len(c.rcvBounds), func(i int) bool {
-			return !seqLT(c.rcvBounds[i].EndSeq, b.EndSeq)
-		})
-		if i < len(c.rcvBounds) && c.rcvBounds[i].EndSeq == b.EndSeq {
-			continue // retransmitted boundary
-		}
-		c.rcvBounds = append(c.rcvBounds, Boundary{})
-		copy(c.rcvBounds[i+1:], c.rcvBounds[i:])
-		c.rcvBounds[i] = b
 	}
 }
 
@@ -589,15 +612,18 @@ func (c *Conn) absorbOOO() {
 // rcvWindow computes the advertised receive window: how far beyond rcvNxt
 // the peer may send. Out-of-order bytes already occupy sequence space inside
 // this window, so they do not shrink it (only unread in-order data does).
-func (c *Conn) rcvWindow() int {
-	w := c.cfg.RcvBuf - c.unread
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
+func (c *Conn) rcvWindow() int { return max(c.cfg.RcvBuf-c.unread, 0) }
 
 func (c *Conn) flight() int { return int(c.nxt - c.una) }
+
+// queuedFrom returns the enqueued sequence space from seq up to sndEnd, zero
+// once seq has passed it.
+func (c *Conn) queuedFrom(seq uint32) int {
+	if seqLT(seq, c.sndEnd) {
+		return int(c.sndEnd - seq)
+	}
+	return 0
+}
 
 // trySend transmits whatever the congestion and peer windows allow.
 func (c *Conn) trySend() {
@@ -609,40 +635,18 @@ func (c *Conn) trySend() {
 	mss := c.cfg.MSS
 	sent := false
 	for {
-		// Unsent data. Note nxt passes sndEnd once the FIN is emitted (the
-		// FIN occupies a sequence number), so guard against underflow.
-		avail := 0
-		if seqLT(c.nxt, c.sndEnd) {
-			avail = int(c.sndEnd - c.nxt)
-		}
-		wnd := c.cwnd
-		if c.rwnd < wnd {
-			wnd = c.rwnd
-		}
-		room := wnd - c.flight()
-		n := mss
-		if avail < n {
-			n = avail
-		}
-		if room < n {
-			n = room
-		}
-		if n > 0 {
+		// Unsent data (nxt passes sndEnd once the FIN, which occupies a
+		// sequence number, is emitted).
+		if n := min(mss, c.queuedFrom(c.nxt), min(c.cwnd, c.rwnd)-c.flight()); n > 0 {
 			c.emitData(c.nxt, n)
-			c.nxt += uint32(n)
-			if seqLT(c.maxSent, c.nxt) {
-				c.maxSent = c.nxt
-			}
+			c.advance(uint32(n))
 			sent = true
 			continue
 		}
 		if c.finQueued && !c.finSent && c.nxt == c.sndEnd {
 			c.finSeq = c.nxt
-			c.emit(c.nxt, 0, packet.FlagFIN|packet.FlagACK, nil)
-			c.nxt++
-			if seqLT(c.maxSent, c.nxt) {
-				c.maxSent = c.nxt
-			}
+			c.emit(c.nxt, 0, packet.FlagFIN|packet.FlagACK, segBounds{})
+			c.advance(1)
 			c.finSent = true
 			sent = true
 			switch c.state {
@@ -659,9 +663,16 @@ func (c *Conn) trySend() {
 		c.cancelDelack() // data segments carry the ACK
 	}
 	if c.flight() > 0 {
-		c.armRTO()
+		c.arm(timerRTO, c.rto)
 	} else if seqLT(c.nxt, c.sndEnd) && c.rwnd == 0 {
-		c.armPersist()
+		c.arm(timerPersist, c.rto)
+	}
+}
+
+// advance moves nxt past n just-transmitted sequence numbers.
+func (c *Conn) advance(n uint32) {
+	if c.nxt += n; seqLT(c.maxSent, c.nxt) {
+		c.maxSent = c.nxt
 	}
 }
 
@@ -681,62 +692,45 @@ func (c *Conn) emitData(seq uint32, n int) {
 }
 
 // boundsIn returns the sender-side boundaries within (lo, hi].
-func (c *Conn) boundsIn(lo, hi uint32) []Boundary {
-	var out []Boundary
-	for _, b := range c.sndBounds {
-		if seqLT(lo, b.EndSeq) && seqLEQ(b.EndSeq, hi) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-func (c *Conn) pruneSndBounds() {
+func (c *Conn) boundsIn(lo, hi uint32) segBounds {
+	live := c.sndBounds.live()
 	i := 0
-	for i < len(c.sndBounds) && seqLEQ(c.sndBounds[i].EndSeq, c.una) {
+	for i < len(live) && seqLEQ(live[i].EndSeq, lo) {
 		i++
 	}
-	c.sndBounds = c.sndBounds[i:]
+	j := i
+	for j < len(live) && seqLEQ(live[j].EndSeq, hi) {
+		j++
+	}
+	if j-i > 1 {
+		return segBounds{many: boundList(slices.Clone(live[i:j]))}
+	} else if j-i == 1 {
+		return segBounds{one: live[i]}
+	}
+	return segBounds{}
 }
 
 // retransmitHead resends the oldest unacknowledged segment.
 func (c *Conn) retransmitHead() {
 	c.Stats.Retransmits++
 	c.rttPending = false // Karn's rule
-	n := 0
-	if seqLT(c.una, c.sndEnd) {
-		n = int(c.sndEnd - c.una)
-	}
-	if n > c.cfg.MSS {
-		n = c.cfg.MSS
-	}
-	if n > 0 {
-		bounds := c.boundsIn(c.una, c.una+uint32(n))
-		c.emit(c.una, n, packet.FlagACK, bounds)
+	if n := min(c.queuedFrom(c.una), c.cfg.MSS); n > 0 {
+		c.emit(c.una, n, packet.FlagACK, c.boundsIn(c.una, c.una+uint32(n)))
 	} else if c.finSent && c.una == c.finSeq {
-		c.emit(c.finSeq, 0, packet.FlagFIN|packet.FlagACK, nil)
+		c.emit(c.finSeq, 0, packet.FlagFIN|packet.FlagACK, segBounds{})
 	}
-	c.armRTO()
+	c.arm(timerRTO, c.rto)
 }
 
 // emit builds and transmits one segment.
-func (c *Conn) emit(seq uint32, n int, flags packet.TCPFlags, bounds []Boundary) {
-	var payload any
-	if len(bounds) > 0 {
-		payload = bounds
-	}
-	wnd := c.rcvWindow()
+func (c *Conn) emit(seq uint32, n int, flags packet.TCPFlags, bounds segBounds) {
 	pkt := c.env.NewPacket()
-	pkt.Src = c.Local
-	pkt.Dst = c.Remote
-	pkt.Proto = packet.ProtoTCP
-	pkt.PayloadBytes = n
-	pkt.Payload = payload
-	pkt.TCP = packet.TCPHdr{
-		Flags:  flags,
-		Seq:    seq,
-		Ack:    c.rcvNxt,
-		Window: uint32(wnd),
+	pkt.Src, pkt.Dst, pkt.Proto, pkt.PayloadBytes = c.Local, c.Remote, packet.ProtoTCP, n
+	pkt.TCP = packet.TCPHdr{Flags: flags, Seq: seq, Ack: c.rcvNxt, Window: uint32(c.rcvWindow())}
+	if bounds.many != nil {
+		pkt.Payload = bounds.many
+	} else if bounds.one.Payload != nil {
+		pkt.Payload, pkt.TCP.EndSeq = bounds.one.Payload, bounds.one.EndSeq
 	}
 	c.Stats.SegsOut++
 	c.env.Output(pkt)
@@ -745,20 +739,67 @@ func (c *Conn) emit(seq uint32, n int, flags packet.TCPFlags, bounds []Boundary)
 // sendAck emits an immediate pure ACK.
 func (c *Conn) sendAck() {
 	c.cancelDelack()
-	c.delackCount = 0
-	c.emit(c.nxt, 0, packet.FlagACK, nil)
+	c.emit(c.nxt, 0, packet.FlagACK, segBounds{})
 }
 
 // --- timers -------------------------------------------------------------------
 
+// The connection's timers, as numbered in their sim.TimerEvent records.
+const (
+	timerRTO uint32 = iota
+	timerDelack
+	timerPersist
+)
+
+// timers is the connection as the sim.Timer its timer records fire: a
+// distinct method set keeps Fire off Conn's API.
+type timers Conn
+
+func (t *timers) Fire(_ sim.Time, which uint32) {
+	c := (*Conn)(t)
+	c.armed[which] = false
+	switch which {
+	case timerRTO:
+		c.onRTO()
+	case timerDelack:
+		if c.state != StateClosed {
+			c.sendAck()
+		}
+	case timerPersist:
+		c.onPersist()
+	}
+}
+
+// arm schedules timer which d from now, unless it is already armed.
+func (c *Conn) arm(which uint32, d sim.Duration) {
+	if c.armed[which] {
+		return
+	}
+	c.armed[which] = true
+	c.timer[which] = c.env.AtEvent(c.env.Now().Add(d), sim.TimerEvent((*timers)(c), which))
+}
+
+// eventEnv returns env as c's eventEnv, wrapping a plain one. The assertion
+// runs once per connection: run-time type assertions may allocate.
+func (c *Conn) eventEnv(env Env) eventEnv {
+	if e, ok := env.(eventEnv); ok {
+		return e
+	}
+	t := (*timers)(c)
+	return &closureEnv{env, [3]func(){
+		func() { t.Fire(0, timerRTO) }, func() { t.Fire(0, timerDelack) }, func() { t.Fire(0, timerPersist) }}}
+}
+
+// disarm cancels timer which if it is armed.
+func (c *Conn) disarm(which uint32) {
+	if c.armed[which] {
+		c.env.Cancel(c.timer[which])
+		c.armed[which] = false
+	}
+}
+
 func (c *Conn) clampRTO(d sim.Duration) sim.Duration {
-	if d < c.cfg.MinRTO {
-		d = c.cfg.MinRTO
-	}
-	if d > c.cfg.MaxRTO {
-		d = c.cfg.MaxRTO
-	}
-	return d
+	return min(max(d, c.cfg.MinRTO), c.cfg.MaxRTO)
 }
 
 func (c *Conn) updateRTT(sample sim.Duration) {
@@ -769,10 +810,7 @@ func (c *Conn) updateRTT(sample sim.Duration) {
 		c.srtt = sample
 		c.rttvar = sample / 2
 	} else {
-		diff := c.srtt - sample
-		if diff < 0 {
-			diff = -diff
-		}
+		diff := max(c.srtt-sample, sample-c.srtt)
 		c.rttvar = (3*c.rttvar + diff) / 4
 		c.srtt = (7*c.srtt + sample) / 8
 	}
@@ -785,57 +823,26 @@ func (c *Conn) SRTT() sim.Duration { return c.srtt }
 // RTO exposes the current retransmission timeout (for instrumentation).
 func (c *Conn) RTO() sim.Duration { return c.rto }
 
-func (c *Conn) armRTO() {
-	if c.rtoArmed {
-		return
-	}
-	c.rtoArmed = true
-	if c.rtoFn == nil {
-		c.rtoFn = c.onRTO
-	}
-	c.rtoTimer = c.env.At(c.env.Now().Add(c.rto), c.rtoFn)
-}
-
-func (c *Conn) rearmRTO() {
-	c.disarmRTO()
-	c.armRTO()
-}
-
-func (c *Conn) disarmRTO() {
-	if c.rtoArmed {
-		c.env.Cancel(c.rtoTimer)
-		c.rtoArmed = false
-	}
-}
-
 func (c *Conn) onRTO() {
-	c.rtoArmed = false
 	if c.state == StateClosed {
 		return
 	}
 	c.Stats.Timeouts++
 	c.retries++
 
-	switch c.state {
-	case StateSynSent:
+	if c.state == StateSynSent || c.state == StateSynRcvd {
 		if c.retries > maxSynRetries {
 			c.finish(ErrTimeout)
 			return
 		}
-		c.emit(0, 0, packet.FlagSYN, nil)
-		c.Stats.Retransmits++
-		c.rto = c.clampRTO(c.rto * 2)
-		c.armRTO()
-		return
-	case StateSynRcvd:
-		if c.retries > maxSynRetries {
-			c.finish(ErrTimeout)
-			return
+		flags := packet.FlagSYN
+		if c.state == StateSynRcvd {
+			flags |= packet.FlagACK
 		}
-		c.emit(0, 0, packet.FlagSYN|packet.FlagACK, nil)
+		c.emit(0, 0, flags, segBounds{})
 		c.Stats.Retransmits++
 		c.rto = c.clampRTO(c.rto * 2)
-		c.armRTO()
+		c.arm(timerRTO, c.rto)
 		return
 	}
 
@@ -847,12 +854,8 @@ func (c *Conn) onRTO() {
 	// Loss recovery by timeout: collapse to one segment and go back to the
 	// oldest unacknowledged byte (the classic Incast stall). Regeneration
 	// goes through the normal send path with cwnd = 1 MSS.
-	mss := c.cfg.MSS
-	c.ssthresh = c.flight() / 2
-	if c.ssthresh < 2*mss {
-		c.ssthresh = 2 * mss
-	}
-	c.cwnd = mss
+	c.ssthresh = max(c.flight()/2, 2*c.cfg.MSS)
+	c.cwnd = c.cfg.MSS
 	c.inRecovery = false
 	c.dupacks = 0
 	c.nxt = c.una
@@ -864,60 +867,21 @@ func (c *Conn) onRTO() {
 	c.Stats.Retransmits++
 	c.trySend()
 	if c.flight() > 0 {
-		c.armRTO()
-	}
-}
-
-func (c *Conn) armDelack() {
-	if c.delackArmed {
-		return
-	}
-	c.delackArmed = true
-	if c.delackFn == nil {
-		c.delackFn = c.onDelack
-	}
-	c.delackTimer = c.env.At(c.env.Now().Add(c.cfg.DelAckTimeout), c.delackFn)
-}
-
-func (c *Conn) onDelack() {
-	c.delackArmed = false
-	if c.state != StateClosed {
-		c.sendAck()
+		c.arm(timerRTO, c.rto)
 	}
 }
 
 func (c *Conn) cancelDelack() {
-	if c.delackArmed {
-		c.env.Cancel(c.delackTimer)
-		c.delackArmed = false
-	}
+	c.disarm(timerDelack)
 	c.delackCount = 0
 }
 
-func (c *Conn) armPersist() {
-	if c.persistArmed {
-		return
-	}
-	c.persistArmed = true
-	if c.persistFn == nil {
-		c.persistFn = c.onPersist
-	}
-	c.persistTimer = c.env.At(c.env.Now().Add(c.rto), c.persistFn)
-}
-
 func (c *Conn) onPersist() {
-	c.persistArmed = false
-	if c.state == StateClosed {
-		return
-	}
-	if c.rwnd == 0 && seqLT(c.nxt, c.sndEnd) {
+	if c.state != StateClosed && c.rwnd == 0 && seqLT(c.nxt, c.sndEnd) {
 		// Zero-window probe: one byte beyond the window.
 		c.emitData(c.nxt, 1)
-		c.nxt++
-		if seqLT(c.maxSent, c.nxt) {
-			c.maxSent = c.nxt
-		}
-		c.armRTO()
+		c.advance(1)
+		c.arm(timerRTO, c.rto)
 	}
 }
 
@@ -933,13 +897,8 @@ func (c *Conn) finish(err error) {
 	}
 	c.state = StateClosed
 	c.err = err
-	c.disarmRTO()
+	c.disarm(timerRTO)
 	c.cancelDelack()
-	if c.persistArmed {
-		c.env.Cancel(c.persistTimer)
-		c.persistArmed = false
-	}
-	if c.OnClosed != nil {
-		c.OnClosed(err)
-	}
+	c.disarm(timerPersist)
+	c.owner.Closed(err)
 }

@@ -8,27 +8,78 @@ import (
 )
 
 // testEnv is a loopback host: segments are delivered to the peer connection
-// after a fixed one-way delay, with an optional drop function.
+// after a fixed one-way delay, with optional drop, extra-delay (reorder) and
+// duplicate functions. Like the kernel it schedules timer records, and it
+// recycles delivered segments, so the harness itself allocates nothing in
+// steady state; plainEnv hides AtEvent to exercise the closure fallback.
 type testEnv struct {
 	eng   sim.Runner
 	peer  *Conn
 	delay sim.Duration
 	drop  func(i int, pkt *packet.Packet) bool
 	sent  int
+	// jitter, if set, adds to the delay of segment i: a segment delayed past
+	// a later one arrives after it.
+	jitter func(i int, pkt *packet.Packet) sim.Duration
+	// dup, if set, delivers a copy of segment i that much later again.
+	dup  func(i int, pkt *packet.Packet) (sim.Duration, bool)
+	free []*packet.Packet // segments the peer has consumed
 }
 
-func (e *testEnv) NewPacket() *packet.Packet            { return &packet.Packet{} }
-func (e *testEnv) Now() sim.Time                        { return e.eng.Now() }
-func (e *testEnv) At(t sim.Time, fn func()) sim.EventID { return e.eng.At(t, fn) }
-func (e *testEnv) Cancel(id sim.EventID)                { e.eng.Cancel(id) }
+func (e *testEnv) NewPacket() *packet.Packet {
+	if n := len(e.free); n > 0 {
+		pkt := e.free[n-1]
+		e.free = e.free[:n-1]
+		return pkt
+	}
+	return &packet.Packet{}
+}
+
+func (e *testEnv) Now() sim.Time                                { return e.eng.Now() }
+func (e *testEnv) At(t sim.Time, fn func()) sim.EventID         { return e.eng.At(t, fn) }
+func (e *testEnv) AtEvent(t sim.Time, ev sim.Event) sim.EventID { return e.eng.AtEvent(t, ev) }
+func (e *testEnv) Cancel(id sim.EventID)                        { e.eng.Cancel(id) }
 func (e *testEnv) Output(pkt *packet.Packet) {
 	i := e.sent
 	e.sent++
 	if e.drop != nil && e.drop(i, pkt) {
 		return
 	}
-	e.eng.After(e.delay, func() { e.peer.Input(pkt) })
+	d := e.delay
+	if e.jitter != nil {
+		d += e.jitter(i, pkt)
+	}
+	if e.dup != nil {
+		if extra, ok := e.dup(i, pkt); ok {
+			cp := *pkt
+			e.deliver(d+extra, &cp)
+		}
+	}
+	e.deliver(d, pkt)
 }
+
+// deliver hands pkt to the peer d from now, as a typed record.
+func (e *testEnv) deliver(d sim.Duration, pkt *packet.Packet) {
+	e.eng.AtEvent(e.eng.Now().Add(d), sim.Event{Kind: sim.EvAppTick, Tgt: e, Ref: pkt})
+}
+
+// deliverSeg is the harness's EvAppTick handler: the peer consumes the
+// segment, which then returns to its sender's free list.
+func deliverSeg(_ sim.Time, ev sim.Event) {
+	e, pkt := ev.Tgt.(*testEnv), ev.Ref.(*packet.Packet)
+	e.peer.Input(pkt)
+	*pkt = packet.Packet{}
+	e.free = append(e.free, pkt)
+}
+
+// plainEnv is a testEnv without AtEvent.
+type plainEnv struct{ e *testEnv }
+
+func (p plainEnv) NewPacket() *packet.Packet            { return p.e.NewPacket() }
+func (p plainEnv) Now() sim.Time                        { return p.e.Now() }
+func (p plainEnv) At(t sim.Time, fn func()) sim.EventID { return p.e.At(t, fn) }
+func (p plainEnv) Cancel(id sim.EventID)                { p.e.Cancel(id) }
+func (p plainEnv) Output(pkt *packet.Packet)            { p.e.Output(pkt) }
 
 // pair builds a connected client/server pair over loopback envs.
 type pair struct {
@@ -42,6 +93,7 @@ type pair struct {
 func newPair(t *testing.T, cfg Config, delay sim.Duration) *pair {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.RegisterHandler(sim.EvAppTick, deliverSeg)
 	cEnv := &testEnv{eng: eng, delay: delay}
 	sEnv := &testEnv{eng: eng, delay: delay}
 	ca := packet.Addr{Node: 0, Port: 40000}

@@ -132,3 +132,109 @@ func TestSeededLossIsDeterministic(t *testing.T) {
 		t.Fatalf("seeded loss replay diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
+
+// TestMessageBoundaryProperty streams messages of 1 B to 3×MSS through loss,
+// reordering and duplication in both directions, read back in random-sized
+// chunks: every message must surface exactly once, in order, in the Read
+// whose consumed range first covers its last byte. Across the seeds the
+// data segments must have carried no, one and several boundaries, and some must
+// have carried a boundary the reader had already consumed (a retransmission
+// overlapping delivered data).
+func TestMessageBoundaryProperty(t *testing.T) {
+	var bare, one, many, stale int
+	for seed := uint64(1); seed <= 8; seed++ {
+		cfg := DefaultConfig()
+		cfg.MinRTO = 10 * sim.Millisecond
+		p := newPair(t, cfg, 50*sim.Microsecond)
+		r := sim.NewRand(sim.DeriveSeed(seed, "tcp/boundary-property"))
+		impair := func(e *testEnv) {
+			e.drop = func(i int, pkt *packet.Packet) bool { return r.Float64() < 0.05 }
+			e.jitter = func(i int, pkt *packet.Packet) sim.Duration {
+				if r.Float64() < 0.1 {
+					return sim.Duration(r.Intn(int(200 * sim.Microsecond)))
+				}
+				return 0
+			}
+			e.dup = func(i int, pkt *packet.Packet) (sim.Duration, bool) {
+				return sim.Duration(r.Intn(int(500 * sim.Microsecond))), r.Float64() < 0.05
+			}
+		}
+		impair(p.cEnv)
+		impair(p.sEnv)
+		drop := p.cEnv.drop
+		p.cEnv.drop = func(i int, pkt *packet.Packet) bool {
+			switch b := pkt.Payload.(type) {
+			case nil:
+				if pkt.PayloadBytes > 0 {
+					bare++
+				}
+			case boundList:
+				many++
+				if seqLEQ(b[0].EndSeq, p.server.readSeq) {
+					stale++
+				}
+			default:
+				one++
+				if seqLEQ(pkt.TCP.EndSeq, p.server.readSeq) {
+					stale++
+				}
+			}
+			return drop(i, pkt)
+		}
+
+		ends := make([]int, 200) // each message's end offset in the stream
+		for i, off := 0, 0; i < len(ends); i++ {
+			off += 1 + r.Intn(3*cfg.MSS)
+			ends[i] = off
+		}
+		read, next := 0, 0
+		p.server.OnReadable = func() {
+			for p.server.Readable() > 0 {
+				n, msgs := p.server.Read(1 + r.Intn(2*cfg.MSS))
+				lo := read
+				read += n
+				for _, m := range msgs {
+					i := m.(int)
+					if i != next {
+						t.Fatalf("seed %d: message %d surfaced, want %d", seed, i, next)
+					}
+					if ends[i] <= lo || ends[i] > read {
+						t.Fatalf("seed %d: message %d ends at byte %d, surfaced reading (%d, %d]", seed, i, ends[i], lo, read)
+					}
+					next++
+				}
+			}
+		}
+		p.client.OnConnected = func() {
+			msg, sentInMsg := 0, 0
+			var push func()
+			push = func() {
+				for msg < len(ends) {
+					size := ends[msg]
+					if msg > 0 {
+						size -= ends[msg-1]
+					}
+					n := p.client.Send(size-sentInMsg, msg)
+					if n == 0 {
+						p.client.OnWritable = push
+						return
+					}
+					if sentInMsg += n; sentInMsg == size {
+						msg, sentInMsg = msg+1, 0
+					}
+				}
+				p.client.OnWritable = nil
+			}
+			push()
+		}
+		p.connect(t)
+		run(p, 60*sim.Second)
+		if next != len(ends) || read != ends[len(ends)-1] {
+			t.Fatalf("seed %d: %d/%d messages, %d/%d bytes", seed, next, len(ends), read, ends[len(ends)-1])
+		}
+	}
+	if bare == 0 || one == 0 || many == 0 || stale == 0 {
+		t.Fatalf("segments by boundaries: %d none, %d one, %d several, %d stale; want each > 0", bare, one, many, stale)
+	}
+	t.Logf("segments by boundaries: %d none, %d one, %d several, %d stale", bare, one, many, stale)
+}

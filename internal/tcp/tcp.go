@@ -14,7 +14,15 @@
 // enqueue (length, message) pairs, segments carry the message boundaries
 // they cover, and receivers surface messages once the in-order byte stream
 // passes each boundary — exactly the framing a real application would
-// reconstruct by parsing.
+// reconstruct by parsing. A segment covering one boundary carries it inline
+// (TCPHdr.EndSeq, the message in Payload); only one covering two or more
+// carries a list.
+//
+// A connection allocates nothing per segment or message in steady state:
+// boundary queues are head-indexed and reused, timers are sim.TimerEvent
+// records (on an Env that schedules them), and Read returns a per-connection
+// buffer. A socket embeds its Conn and is its Owner, so an endpoint is one
+// heap object.
 package tcp
 
 import (
@@ -40,6 +48,65 @@ type Env interface {
 	// packet pool when it has one. Ownership transfers back to the host at
 	// Output; the connection never retains a segment it emitted.
 	NewPacket() *packet.Packet
+}
+
+// eventEnv is an Env that also schedules typed records, as sim.Scheduler
+// does. A connection arms its timers as sim.TimerEvent records through one;
+// Init wraps a plain Env in a closureEnv.
+type eventEnv interface {
+	Env
+	AtEvent(t sim.Time, ev sim.Event) sim.EventID
+}
+
+// closureEnv arms a plain Env's timers as closures, built once per connection.
+type closureEnv struct {
+	Env
+	fns [3]func()
+}
+
+func (e *closureEnv) AtEvent(t sim.Time, ev sim.Event) sim.EventID { return e.At(t, e.fns[ev.Obj]) }
+
+// Owner is the layer above a connection — the socket — told of its events.
+// Every method runs in the simulation event context, from inside the Conn
+// call (Input, a timer, Close, ...) that caused the event.
+type Owner interface {
+	// Connected reports the completed handshake.
+	Connected()
+	// CanRead reports new in-order data, or the peer's FIN.
+	CanRead()
+	// CanWrite reports send-buffer space freed by an ACK.
+	CanWrite()
+	// Closed reports the end of the connection: err is nil for an orderly
+	// close, ErrReset or ErrTimeout otherwise.
+	Closed(err error)
+}
+
+// Hooks are the callbacks of a standalone connection (NewClient, NewServer),
+// which reports to them instead of to a socket; nil ones are skipped.
+type Hooks struct {
+	//diablo:transient caller callbacks; re-registered by the caller on restore
+	OnConnected, OnReadable, OnWritable func()
+	//diablo:transient caller callback; re-registered by the caller on restore
+	OnClosed func(err error)
+}
+
+// hookOwner is Hooks as an Owner: a distinct method set, so that embedding
+// *Hooks in Conn promotes the fields only.
+type hookOwner Hooks
+
+func (h *hookOwner) Connected() { call(h.OnConnected) }
+func (h *hookOwner) CanRead()   { call(h.OnReadable) }
+func (h *hookOwner) CanWrite()  { call(h.OnWritable) }
+func (h *hookOwner) Closed(err error) {
+	if h.OnClosed != nil {
+		h.OnClosed(err)
+	}
+}
+
+func call(fn func()) {
+	if fn != nil {
+		fn()
+	}
 }
 
 // Config holds the tunables of the simulated stack.
@@ -108,27 +175,13 @@ const (
 	StateTimeWait
 )
 
+var stateNames = [...]string{"closed", "syn-sent", "syn-rcvd", "established", "fin-wait", "close-wait", "last-ack", "time-wait"}
+
 func (s State) String() string {
-	switch s {
-	case StateClosed:
-		return "closed"
-	case StateSynSent:
-		return "syn-sent"
-	case StateSynRcvd:
-		return "syn-rcvd"
-	case StateEstablished:
-		return "established"
-	case StateFinWait:
-		return "fin-wait"
-	case StateCloseWait:
-		return "close-wait"
-	case StateLastAck:
-		return "last-ack"
-	case StateTimeWait:
-		return "time-wait"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
 // Boundary marks the end of an application message within the stream:
