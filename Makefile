@@ -6,10 +6,6 @@ GO ?= go
 COVER_MIN ?= 71.0
 COVER_PROFILE ?= coverage.out
 
-# Event count per partition for the bench-json trajectory probe. The nightly
-# workflow raises it 10x to catch regressions that only show at scale.
-BENCH_EVENTS ?= 100000
-
 # Per-target budget for the fuzz smoke in `make fuzz-smoke`. CI runs the
 # default; raise it locally for deeper exploration.
 FUZZTIME ?= 10s
@@ -23,7 +19,7 @@ LINT_BUDGET ?= 120s
 # bytes are identical at any value — only wall-clock time changes.
 CAMPAIGN_WORKERS ?= 0
 
-.PHONY: build test vet fmt-check lint race check cover bench bench-json bench-digest bench-pairs fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
+.PHONY: build test vet fmt-check lint race check cover bench bench-digest bench-pairs fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
 
 build:
 	$(GO) build ./...
@@ -65,10 +61,11 @@ race:
 	$(GO) test -race ./internal/core ./internal/kernel
 
 # Short fuzz pass over the hardened input surfaces: the CLI fault-spec
-# grammar and the Chrome-trace encoder. Go fuzzes one target per invocation,
-# so each runs separately.
+# grammar, the campaign shape grammar and the Chrome-trace encoder. Go fuzzes
+# one target per invocation, so each runs separately.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzParseShape -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzChromeTraceJSON -fuzztime $(FUZZTIME)
 
 # The full gate: vet + simlint + race-enabled tests + fuzz smoke across every
@@ -79,8 +76,7 @@ check:
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 
-# Coverage gate: writes $(COVER_PROFILE) (uploaded by CI next to
-# BENCH_results.json) and fails if total statement coverage drops below the
+# Coverage gate: writes $(COVER_PROFILE) (uploaded by CI as an artifact) and fails if total statement coverage drops below the
 # committed COVER_MIN floor.
 cover:
 	$(GO) test -coverprofile=$(COVER_PROFILE) ./...
@@ -104,13 +100,6 @@ campaign-nightly:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/sim
-
-# Machine-readable engine microbench: runs the §5 engine-comparison probe,
-# writes BENCH_results.json plus a before/after BENCH_compare.json, and fails
-# if sequential throughput regresses >20% against the committed
-# bench_baseline.json or allocs/event rises more than the slack over it.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_results.json -baseline bench_baseline.json -events $(BENCH_EVENTS)
 
 # The behaviour oracle: one repetition of every whole-model workload of the
 # repository benchmark (bench/, BENCHMARK.json). Fails on any failed

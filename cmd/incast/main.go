@@ -7,10 +7,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"diablo"
 	"diablo/internal/core"
-	"diablo/internal/trace"
+	"diablo/internal/packet"
 )
 
 func main() {
@@ -52,14 +53,17 @@ func main() {
 		cfg.Faults = plan
 	}
 
-	var tr *trace.Tracer
+	var drops *dropLog
 	var cluster *core.Cluster
 	cfg.OnCluster = func(c *core.Cluster) {
 		cluster = c
 		if *traceDrops {
-			tr = trace.New(func() diablo.Time { return c.Scheduler().Now() }, 256, nil)
+			drops = newDropLog(256)
 			for i, sw := range c.Tors {
-				sw.OnDrop = tr.DropHook(fmt.Sprintf("tor-%d", i))
+				where := fmt.Sprintf("tor-%d", i)
+				sw.OnDrop = func(in int, pkt *packet.Packet) {
+					drops.add(dropLine(c.Scheduler().Now(), fmt.Sprintf("%s/in%d", where, in), pkt))
+				}
 			}
 		}
 	}
@@ -68,7 +72,7 @@ func main() {
 	var err error
 	if *traceOut != "" || *manifestOut != "" {
 		var obsn *diablo.Observation
-		res, obsn, err = diablo.RunIncastObserved(cfg, diablo.DefaultObserve())
+		res, obsn, err = diablo.RunIncastObserved(cfg, diablo.ObserveConfig{})
 		if err == nil {
 			err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
 		}
@@ -93,45 +97,62 @@ func main() {
 	for i, d := range res.IterTimes {
 		fmt.Printf("iter %2d   %v\n", i, d)
 	}
-	if tr != nil {
-		fmt.Printf("\n# dropped frames (last %d; %d older dropped from the ring)\n", tr.Len(), tr.Dropped)
-		fmt.Print(tr.String())
+	if drops != nil {
+		fmt.Printf("\n# dropped frames (last %d; %d older dropped from the ring)\n", len(drops.lines), drops.older)
+		fmt.Print(drops.String())
 	}
 }
 
+// dropLog keeps the last cap(lines) dropped frames as rendered lines, oldest
+// first from next once the ring has wrapped.
+type dropLog struct {
+	lines []string
+	next  int
+	older uint64 // lines overwritten by newer drops
+}
+
+func newDropLog(n int) *dropLog { return &dropLog{lines: make([]string, 0, n)} }
+
+func (l *dropLog) add(line string) {
+	if len(l.lines) < cap(l.lines) {
+		l.lines = append(l.lines, line)
+		return
+	}
+	l.lines[l.next] = line
+	l.next = (l.next + 1) % len(l.lines)
+	l.older++
+}
+
+// String renders the kept lines in drop order, one per line.
+func (l *dropLog) String() string {
+	var b strings.Builder
+	for i := range l.lines {
+		b.WriteString(l.lines[(l.next+i)%len(l.lines)])
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// dropLine renders one dropped frame tcpdump-style: time, switch input port,
+// headers and payload size.
+func dropLine(at diablo.Time, where string, pkt *packet.Packet) string {
+	return fmt.Sprintf("%-12v %-10s drop     %v", at, where, pkt)
+}
+
 func writeObservation(obsn *diablo.Observation, cfg diablo.IncastConfig, traceOut, manifestOut string) error {
+	m := obsn.BuildManifest("incast", cfg.Seed, map[string]any{
+		"senders":    cfg.Senders,
+		"block":      cfg.BlockBytes,
+		"iterations": cfg.Iterations,
+		"epoll":      cfg.Epoll,
+	})
+	if err := obsn.WriteFiles(traceOut, manifestOut, m); err != nil {
+		return err
+	}
 	if traceOut != "" && obsn.Trace != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		err = obsn.Trace.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Printf("trace     %d events -> %s (open in ui.perfetto.dev)\n", obsn.Trace.Len(), traceOut)
 	}
 	if manifestOut != "" {
-		m := obsn.BuildManifest("incast", cfg.Seed, map[string]any{
-			"senders":    cfg.Senders,
-			"block":      cfg.BlockBytes,
-			"iterations": cfg.Iterations,
-			"epoll":      cfg.Epoll,
-		})
-		f, err := os.Create(manifestOut)
-		if err != nil {
-			return err
-		}
-		err = m.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Printf("manifest  %s -> %s\n", m.Schema, manifestOut)
 	}
 	return nil

@@ -1,0 +1,45 @@
+package main
+
+import (
+	"fmt"
+	"testing"
+
+	"diablo"
+	"diablo/internal/packet"
+)
+
+func TestDropLogFormat(t *testing.T) {
+	pkt := &packet.Packet{
+		Src:          packet.Addr{Node: 6, Port: 5001},
+		Dst:          packet.Addr{Node: 0, Port: 32773},
+		Proto:        packet.ProtoTCP,
+		PayloadBytes: 1460,
+	}
+	pkt.TCP.Flags = packet.FlagACK
+	pkt.TCP.Seq = 809793
+	pkt.TCP.Ack = 257
+	got := dropLine(diablo.Time(3185*diablo.Millisecond), "tor-0/in6", pkt)
+	want := "3.185s       tor-0/in6  drop     n6:5001>n0:32773 tcp[A seq=809793 ack=257] 1460B"
+	if got != want {
+		t.Errorf("dropLine:\n got %q\nwant %q", got, want)
+	}
+}
+
+func TestDropLogRing(t *testing.T) {
+	l := newDropLog(4)
+	for i := 0; i < 3; i++ {
+		l.add(fmt.Sprint(i))
+	}
+	if got := l.String(); got != "0\n1\n2\n" || l.older != 0 {
+		t.Fatalf("before wrap: %q, %d older", got, l.older)
+	}
+	for i := 3; i < 10; i++ {
+		l.add(fmt.Sprint(i))
+	}
+	if got := l.String(); got != "6\n7\n8\n9\n" {
+		t.Errorf("ring keeps %q, want the last four in order", got)
+	}
+	if l.older != 6 || len(l.lines) != 4 {
+		t.Errorf("older = %d, kept = %d; want 6 and 4", l.older, len(l.lines))
+	}
+}

@@ -69,7 +69,7 @@ func main() {
 	var err error
 	if *traceOut != "" || *manifestOut != "" {
 		var obsn *diablo.Observation
-		res, obsn, err = diablo.RunMemcachedObserved(cfg, diablo.DefaultObserve())
+		res, obsn, err = diablo.RunMemcachedObserved(cfg, diablo.ObserveConfig{})
 		if err == nil {
 			err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
 		}
@@ -106,39 +106,20 @@ func main() {
 }
 
 func writeObservation(obsn *diablo.Observation, cfg diablo.MemcachedConfig, traceOut, manifestOut string) error {
+	m := obsn.BuildManifest("memcache", cfg.Seed, map[string]any{
+		"arrays":              cfg.Arrays,
+		"requests_per_client": cfg.RequestsPerClient,
+		"proto":               fmt.Sprint(cfg.Proto),
+		"kernel":              cfg.Profile.Name,
+		"version":             cfg.Version.Name,
+	})
+	if err := obsn.WriteFiles(traceOut, manifestOut, m); err != nil {
+		return err
+	}
 	if traceOut != "" && obsn.Trace != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		err = obsn.Trace.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Printf("trace      %d events -> %s (open in ui.perfetto.dev)\n", obsn.Trace.Len(), traceOut)
 	}
 	if manifestOut != "" {
-		m := obsn.BuildManifest("memcache", cfg.Seed, map[string]any{
-			"arrays":              cfg.Arrays,
-			"requests_per_client": cfg.RequestsPerClient,
-			"proto":               fmt.Sprint(cfg.Proto),
-			"kernel":              cfg.Profile.Name,
-			"version":             cfg.Version.Name,
-		})
-		f, err := os.Create(manifestOut)
-		if err != nil {
-			return err
-		}
-		err = m.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Printf("manifest   %s -> %s\n", m.Schema, manifestOut)
 	}
 	return nil

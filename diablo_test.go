@@ -158,6 +158,21 @@ func TestObservedExperimentWritesArtifacts(t *testing.T) {
 	if m["stats_hash"] == "" || m["stats_hash"] == nil {
 		t.Fatal("manifest stats hash missing")
 	}
+	checkGolden(t, "testdata/faultincast.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
+}
+
+// checkGolden compares an experiment's rendered output with the recorded
+// text: the built-in fault schedules, their degradation names and every
+// number the two runs produce must not drift.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
 }
 
 func TestObservedFaultMCExperiment(t *testing.T) {
@@ -187,4 +202,5 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "trace.json")); !os.IsNotExist(err) {
 		t.Fatal("trace written without TraceOut")
 	}
+	checkGolden(t, "testdata/faultmc.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
 }

@@ -2,7 +2,6 @@ package diablo
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -11,6 +10,7 @@ import (
 	"diablo/internal/fpga"
 	"diablo/internal/metrics"
 	"diablo/internal/obs"
+	"diablo/internal/sim"
 	"diablo/internal/survey"
 )
 
@@ -53,34 +53,15 @@ func (o ExperimentOptions) observing() bool {
 // writeObservation writes the requested trace/manifest files and returns a
 // human-readable note describing what landed where.
 func (o ExperimentOptions) writeObservation(obsn *core.Observation, m *obs.Manifest) (string, error) {
+	if err := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m); err != nil {
+		return "", err
+	}
 	var notes []string
 	if o.TraceOut != "" && obsn.Trace != nil {
-		f, err := os.Create(o.TraceOut)
-		if err != nil {
-			return "", err
-		}
-		err = obsn.Trace.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return "", err
-		}
 		notes = append(notes, fmt.Sprintf("trace: %d events -> %s (open in ui.perfetto.dev)",
 			obsn.Trace.Len(), o.TraceOut))
 	}
 	if o.ManifestOut != "" {
-		f, err := os.Create(o.ManifestOut)
-		if err != nil {
-			return "", err
-		}
-		err = m.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return "", err
-		}
 		notes = append(notes, fmt.Sprintf("manifest: %s -> %s", m.Schema, o.ManifestOut))
 	}
 	return strings.Join(notes, "; "), nil
@@ -311,38 +292,57 @@ func runFig15(o ExperimentOptions) (*ExperimentOutput, error) {
 	return &ExperimentOutput{Series: series}, nil
 }
 
+// customFaults parses o.Faults, seeded with the run's seed like the
+// built-in schedules; nil means no schedule was given.
+func (o ExperimentOptions) customFaults(seed uint64) (*fault.Plan, error) {
+	if o.Faults == "" {
+		return nil, nil
+	}
+	return fault.ParseSpec(seed, o.Faults)
+}
+
+// observeLast returns an OnCluster hook that, with observation requested,
+// attaches to every cluster the experiment builds; *obsn keeps the last —
+// the faulted run.
+func (o ExperimentOptions) observeLast(obsn **core.Observation) func(*core.Cluster) {
+	if !o.observing() {
+		return nil
+	}
+	return func(c *core.Cluster) { *obsn = core.Observe(c, core.ObserveConfig{}) }
+}
+
 func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
-	cfg := core.DefaultToRFlap()
+	cfg := core.DefaultMemcached()
+	cfg.Arrays = 1
+	cfg.RequestsPerClient = 40
+	cfg.MaxClients = 64
+	cfg.Warmup = 2
 	if o.Requests > 0 {
-		cfg.Memcached.RequestsPerClient = o.Requests
+		cfg.RequestsPerClient = o.Requests
 	}
 	if o.Seed != 0 {
-		cfg.Memcached.Seed = o.Seed
+		cfg.Seed = o.Seed
 	}
-	cfg.Memcached.Partitions = o.Partitions
-
-	// With observation requested, attach to every cluster the experiment
-	// builds and keep the last — the faulted run.
+	cfg.Partitions = o.Partitions
 	var obsn *core.Observation
-	if o.observing() {
-		cfg.Memcached.OnCluster = func(c *core.Cluster) {
-			obsn = core.Observe(c, core.DefaultObserve())
-		}
-	}
+	cfg.OnCluster = o.observeLast(&obsn)
 
-	var r *core.FaultedMemcachedResult
-	var err error
-	if o.Faults != "" {
-		plan, perr := fault.ParseSpec(cfg.Memcached.Seed, o.Faults)
-		if perr != nil {
-			return nil, perr
-		}
-		r, err = core.RunMemcachedFaulted(cfg.Memcached, plan)
-	} else {
-		r, err = core.RunMemcachedToRFlap(cfg)
-	}
+	plan, err := o.customFaults(cfg.Seed)
 	if err != nil {
 		return nil, err
+	}
+	builtin := plan == nil
+	// Built in: rack 0's uplink drops half its frames for 200 ms from 30 ms.
+	rack, at, dur, loss := 0, sim.Time(30*sim.Millisecond), 200*sim.Millisecond, 0.5
+	if builtin {
+		plan = fault.NewPlan(cfg.Seed).DegradeRackUplink(rack, at, dur, loss, 0)
+	}
+	r, err := core.RunMemcachedFaulted(cfg, plan)
+	if err != nil {
+		return nil, err
+	}
+	if builtin {
+		r.Degradation.Name = fmt.Sprintf("memcached under ToR flap (rack %d, %v for %v, loss %g)", rack, at, dur, loss)
 	}
 	out := &ExperimentOutput{Tables: []*metrics.Table{r.Degradation.Table()}}
 	out.Notes = append(out.Notes,
@@ -353,8 +353,8 @@ func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
 			100*metrics.LossRate(r.Faulted.Lost(), r.Faulted.Attempted)))
 	if obsn != nil {
 		obsn.Finish()
-		m := obsn.BuildManifest("faultmc", cfg.Memcached.Seed, map[string]any{
-			"requests_per_client": cfg.Memcached.RequestsPerClient,
+		m := obsn.BuildManifest("faultmc", cfg.Seed, map[string]any{
+			"requests_per_client": cfg.RequestsPerClient,
 			"faults":              r.Plan.String(),
 		})
 		m.Degradation = core.ManifestDegradation(r.Degradation, r.Faulted.Attempted)
@@ -368,34 +368,34 @@ func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFaultIncast(o ExperimentOptions) (*ExperimentOutput, error) {
-	cfg := core.DefaultLossyUplink()
+	cfg := core.DefaultIncast(8)
+	cfg.Iterations = 10
 	if o.Iterations > 0 {
-		cfg.Incast.Iterations = o.Iterations
+		cfg.Iterations = o.Iterations
 	}
 	if o.Seed != 0 {
-		cfg.Incast.Seed = o.Seed
+		cfg.Seed = o.Seed
 	}
-
 	var obsn *core.Observation
-	if o.observing() {
-		cfg.Incast.OnCluster = func(c *core.Cluster) {
-			obsn = core.Observe(c, core.DefaultObserve())
-		}
-	}
+	cfg.OnCluster = o.observeLast(&obsn)
 
-	var r *core.FaultedIncastResult
-	var err error
-	if o.Faults != "" {
-		plan, perr := fault.ParseSpec(cfg.Incast.Seed, o.Faults)
-		if perr != nil {
-			return nil, perr
-		}
-		r, err = core.RunIncastFaulted(cfg.Incast, plan)
-	} else {
-		r, err = core.RunIncastLossyUplink(cfg)
-	}
+	plan, err := o.customFaults(cfg.Seed)
 	if err != nil {
 		return nil, err
+	}
+	builtin := plan == nil
+	// Built in: the switch->client direction of the client's edge link (node
+	// 0), where the incast aggregate flows, drops 10% of frames all run long.
+	loss := 0.1
+	if builtin {
+		plan = fault.NewPlan(cfg.Seed).DegradeEdge(0, fault.Down, 0, 600*sim.Second, loss, 0)
+	}
+	r, err := core.RunIncastFaulted(cfg, plan)
+	if err != nil {
+		return nil, err
+	}
+	if builtin {
+		r.Degradation.Name = fmt.Sprintf("incast with lossy downlink (%d senders, loss %g)", cfg.Senders, loss)
 	}
 	out := &ExperimentOutput{Tables: []*metrics.Table{r.Degradation.Table()}}
 	out.Notes = append(out.Notes,
@@ -406,9 +406,9 @@ func runFaultIncast(o ExperimentOptions) (*ExperimentOutput, error) {
 			r.Baseline.Timeouts, r.Faulted.Timeouts))
 	if obsn != nil {
 		obsn.Finish()
-		m := obsn.BuildManifest("faultincast", cfg.Incast.Seed, map[string]any{
-			"senders":    cfg.Incast.Senders,
-			"iterations": cfg.Incast.Iterations,
+		m := obsn.BuildManifest("faultincast", cfg.Seed, map[string]any{
+			"senders":    cfg.Senders,
+			"iterations": cfg.Iterations,
 			"faults":     r.Plan.String(),
 		})
 		// Incast degrades goodput, not a request count; loss rate is not a
@@ -433,14 +433,10 @@ func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
 		return nil, err
 	}
 	out := &ExperimentOutput{Tables: []*metrics.Table{core.PerfTable(points)}}
-	st := core.EngineComparisonMeasured(8, 100_000)
+	seq, par := core.EngineComparison(8, 100_000)
 	out.Notes = append(out.Notes, fmt.Sprintf(
 		"engine comparison (8 partitions): sequential %.2fM ev/s, quantum-barrier parallel %.2fM ev/s (%.1fx)",
-		st.SeqEventsPerSec/1e6, st.ParEventsPerSec/1e6, st.Speedup()))
-	out.Notes = append(out.Notes, fmt.Sprintf(
-		"typed-event lane: %.2fM ev/s at %.3f allocs/ev vs capturing closures %.2fM ev/s at %.2f allocs/ev (%.2fx)",
-		st.TypedEventsPerSec/1e6, st.TypedAllocsPerEvent,
-		st.CaptureEventsPerSec/1e6, st.CaptureAllocsPerEvent, st.TypedSpeedup()))
+		seq/1e6, par/1e6, par/seq))
 	if o.observing() {
 		cfg := core.DefaultMemcached()
 		cfg.Arrays = 1
@@ -452,7 +448,7 @@ func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
 		if o.Seed != 0 {
 			cfg.Seed = o.Seed
 		}
-		_, obsn, err := core.RunMemcachedObserved(cfg, core.DefaultObserve())
+		_, obsn, err := core.RunMemcachedObserved(cfg, core.ObserveConfig{})
 		if err != nil {
 			return nil, err
 		}

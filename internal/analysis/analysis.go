@@ -171,7 +171,6 @@ var modelPrefixes = []string{
 	"diablo/internal/apps",
 	"diablo/internal/topology",
 	"diablo/internal/workload",
-	"diablo/internal/trace",
 	"diablo/internal/obs",
 }
 

@@ -8,7 +8,6 @@ import (
 	"diablo/internal/link"
 	"diablo/internal/packet"
 	"diablo/internal/sim"
-	"diablo/internal/trace"
 )
 
 // WithFaults installs a fault schedule over the wired cluster. The plan is
@@ -57,15 +56,6 @@ func (c *Cluster) FaultEdges() []FaultEdge {
 		return a.Detail < b.Detail
 	})
 	return out
-}
-
-// RenderFaults appends the recorded fault edges to t (KindFault events) in
-// deterministic order. Call after the run; the tracer is not thread-safe, so
-// edges are buffered during the run and rendered here.
-func (c *Cluster) RenderFaults(t *trace.Tracer) {
-	for _, e := range c.FaultEdges() {
-		t.FaultAt(e.At, e.Where, "%s", e.Detail)
-	}
 }
 
 // FaultDrops sums frames removed by the fault layer across every link and

@@ -6,55 +6,12 @@ import (
 	"diablo/internal/apps/incast"
 	"diablo/internal/fault"
 	"diablo/internal/metrics"
-	"diablo/internal/sim"
 )
 
-// This file holds the §6-style graceful-degradation experiments: each runs
-// a workload twice — healthy and under an injected fault schedule — and
-// quantifies the degradation. Both runs use identical seeds, so every
-// difference is attributable to the faults.
-
-// ToRFlapConfig parameterizes the memcached-under-ToR-flap experiment: a
-// rack's uplink degrades (or goes dark) mid-run while clients fan requests
-// out across the array.
-type ToRFlapConfig struct {
-	// Memcached is the workload; its Faults field is overwritten.
-	Memcached MemcachedConfig
-	// Rack is the rack whose uplink flaps.
-	Rack int
-	// At and Dur bound the flap window.
-	At  sim.Time
-	Dur sim.Duration
-	// Loss is the per-frame drop probability during the window; 0 means the
-	// uplink goes hard down instead.
-	Loss float64
-}
-
-// DefaultToRFlap returns a reduced-scale single-array run with a 50%-lossy
-// 200 ms flap of rack 0's uplink starting at 30 ms.
-func DefaultToRFlap() ToRFlapConfig {
-	mc := DefaultMemcached()
-	mc.Arrays = 1
-	mc.RequestsPerClient = 40
-	mc.MaxClients = 64
-	mc.Warmup = 2
-	return ToRFlapConfig{
-		Memcached: mc,
-		Rack:      0,
-		At:        sim.Time(30 * sim.Millisecond),
-		Dur:       200 * sim.Millisecond,
-		Loss:      0.5,
-	}
-}
-
-// Plan renders the flap as a fault schedule.
-func (c ToRFlapConfig) Plan() *fault.Plan {
-	p := fault.NewPlan(c.Memcached.Seed)
-	if c.Loss > 0 {
-		return p.DegradeRackUplink(c.Rack, c.At, c.Dur, c.Loss, 0)
-	}
-	return p.FlapRackUplink(c.Rack, c.At, c.Dur)
-}
+// This file holds the §6-style graceful-degradation runners: each runs a
+// workload twice — healthy and under an injected fault plan — and quantifies
+// the degradation. Both runs use identical seeds, so every difference is
+// attributable to the faults.
 
 // FaultedMemcachedResult pairs the two runs with their computed degradation.
 type FaultedMemcachedResult struct {
@@ -99,49 +56,6 @@ func RunMemcachedFaulted(cfg MemcachedConfig, plan *fault.Plan) (*FaultedMemcach
 			FaultDrops:      fr.FaultDrops,
 		},
 	}, nil
-}
-
-// RunMemcachedToRFlap executes the experiment.
-func RunMemcachedToRFlap(cfg ToRFlapConfig) (*FaultedMemcachedResult, error) {
-	r, err := RunMemcachedFaulted(cfg.Memcached, cfg.Plan())
-	if err != nil {
-		return nil, err
-	}
-	r.Degradation.Name = fmt.Sprintf("memcached under ToR flap (rack %d, %v for %v, loss %g)", cfg.Rack, cfg.At, cfg.Dur, cfg.Loss)
-	return r, nil
-}
-
-// LossyUplinkConfig parameterizes the incast-under-loss experiment: the
-// ToR->client edge link (the incast bottleneck) drops a fraction of frames
-// for the whole run, compounding the synchronized-read collapse.
-type LossyUplinkConfig struct {
-	// Incast is the workload; its Faults field is overwritten.
-	Incast IncastConfig
-	// At and Dur bound the lossy window.
-	At  sim.Time
-	Dur sim.Duration
-	// Loss is the per-frame drop probability on the client's downlink.
-	Loss float64
-}
-
-// DefaultLossyUplink returns an 8-sender incast with 10 iterations and a 10%
-// lossy client downlink covering the whole run.
-func DefaultLossyUplink() LossyUplinkConfig {
-	ic := DefaultIncast(8)
-	ic.Iterations = 10
-	return LossyUplinkConfig{
-		Incast: ic,
-		At:     0,
-		Dur:    600 * sim.Second,
-		Loss:   0.1,
-	}
-}
-
-// Plan renders the lossy window as a fault schedule (the client is node 0;
-// only the switch->client direction is degraded, where the incast aggregate
-// flows).
-func (c LossyUplinkConfig) Plan() *fault.Plan {
-	return fault.NewPlan(c.Incast.Seed).DegradeEdge(0, fault.Down, c.At, c.Dur, c.Loss, 0)
 }
 
 // FaultedIncastResult pairs the two runs with their computed degradation.
@@ -213,14 +127,4 @@ func RunIncastFaulted(cfg IncastConfig, plan *fault.Plan) (*FaultedIncastResult,
 			FaultDrops:      faultDrops,
 		},
 	}, nil
-}
-
-// RunIncastLossyUplink executes the experiment.
-func RunIncastLossyUplink(cfg LossyUplinkConfig) (*FaultedIncastResult, error) {
-	r, err := RunIncastFaulted(cfg.Incast, cfg.Plan())
-	if err != nil {
-		return nil, err
-	}
-	r.Degradation.Name = fmt.Sprintf("incast with lossy downlink (%d senders, loss %g)", cfg.Incast.Senders, cfg.Loss)
-	return r, nil
 }

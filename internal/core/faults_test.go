@@ -6,7 +6,6 @@ import (
 
 	"diablo/internal/fault"
 	"diablo/internal/sim"
-	"diablo/internal/trace"
 )
 
 // The graceful-degradation experiments must show measurable, attributable
@@ -16,13 +15,16 @@ import (
 // layer at all.
 
 func TestMemcachedToRFlapDegrades(t *testing.T) {
-	cfg := DefaultToRFlap()
-	cfg.Memcached.MaxClients = 48
-	cfg.Memcached.RequestsPerClient = 20
-	cfg.At = sim.Time(25 * sim.Millisecond)
-	cfg.Dur = 150 * sim.Millisecond
+	cfg := DefaultMemcached()
+	cfg.Arrays = 1
+	cfg.MaxClients = 48
+	cfg.RequestsPerClient = 20
+	cfg.Warmup = 2
+	// Rack 0's uplink drops half its frames for 150 ms from 25 ms.
+	plan := fault.NewPlan(cfg.Seed).
+		DegradeRackUplink(0, sim.Time(25*sim.Millisecond), 150*sim.Millisecond, 0.5, 0)
 
-	r, err := RunMemcachedToRFlap(cfg)
+	r, err := RunMemcachedFaulted(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,12 @@ func TestMemcachedToRFlapDegrades(t *testing.T) {
 }
 
 func TestIncastLossyUplinkDegrades(t *testing.T) {
-	cfg := DefaultLossyUplink()
-	cfg.Incast.Senders = 6
-	cfg.Incast.Iterations = 8
+	cfg := DefaultIncast(6)
+	cfg.Iterations = 8
+	// The client's downlink (switch->node 0) drops 10% of frames all run long.
+	plan := fault.NewPlan(cfg.Seed).DegradeEdge(0, fault.Down, 0, 600*sim.Second, 0.1, 0)
 
-	r, err := RunIncastLossyUplink(cfg)
+	r, err := RunIncastFaulted(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +83,8 @@ func TestIncastLossyUplinkDegrades(t *testing.T) {
 	}
 }
 
-// TestFaultTraceRendering runs a faulted cluster with a tracer attached and
-// checks that fault edges land in the trace as KindFault events in
-// deterministic order.
+// TestFaultTraceRendering runs a faulted cluster and checks that the fault
+// edges it records come back in deterministic (time, target, detail) order.
 func TestFaultTraceRendering(t *testing.T) {
 	cfg := smallMemcached()
 	cfg.RequestsPerClient = 8
@@ -90,29 +92,19 @@ func TestFaultTraceRendering(t *testing.T) {
 	cfg.Faults = fault.NewPlan(cfg.Seed).
 		FlapRackUplink(1, sim.Time(10*sim.Millisecond), 5*sim.Millisecond)
 
-	var tr *trace.Tracer
 	var cluster *Cluster
-	cfg.OnCluster = func(c *Cluster) {
-		cluster = c
-		tr = trace.New(func() sim.Time { return c.Now() }, 64, nil)
-	}
+	cfg.OnCluster = func(c *Cluster) { cluster = c }
 	if _, err := RunMemcached(cfg); err != nil {
 		t.Fatal(err)
 	}
-	cluster.RenderFaults(tr)
-	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("rendered %d fault events, want 4:\n%s", len(events), tr.String())
+	edges := cluster.FaultEdges()
+	if len(edges) != 4 {
+		t.Fatalf("recorded %d fault edges, want 4: %v", len(edges), edges)
 	}
-	for _, e := range events {
-		if e.Kind != trace.KindFault {
-			t.Fatalf("event kind %v, want fault", e.Kind)
-		}
+	if edges[0].At != sim.Time(10*sim.Millisecond) || !strings.Contains(edges[0].Detail, "apply") {
+		t.Fatalf("first edge = %v", edges[0])
 	}
-	if events[0].At != sim.Time(10*sim.Millisecond) || !strings.Contains(events[0].Note, "apply") {
-		t.Fatalf("first edge = %v", events[0])
-	}
-	if events[2].At != sim.Time(15*sim.Millisecond) || !strings.Contains(events[2].Note, "clear") {
-		t.Fatalf("third edge = %v", events[2])
+	if edges[2].At != sim.Time(15*sim.Millisecond) || !strings.Contains(edges[2].Detail, "clear") {
+		t.Fatalf("third edge = %v", edges[2])
 	}
 }

@@ -37,11 +37,6 @@ type IncastConfig struct {
 	Deadline sim.Duration
 	// Seed is the master seed.
 	Seed uint64
-	// Partitions sets the parallel worker count (see core.WithPartitions).
-	// The single-switch incast topology is one rack, hence one partition, so
-	// the knob changes nothing; it exists for API symmetry and becomes
-	// meaningful for multi-rack incast variants.
-	Partitions int
 	// Faults is an optional fault schedule injected into the run (nil =
 	// healthy cluster). See package fault.
 	Faults *fault.Plan
@@ -85,7 +80,7 @@ func RunIncast(cfg IncastConfig) (incast.Result, error) {
 	if cfg.MinRTO > 0 {
 		cc.Server.TCP.MinRTO = cfg.MinRTO
 	}
-	copts := []Option{WithPartitions(cfg.Partitions), WithFaults(cfg.Faults)}
+	copts := []Option{WithFaults(cfg.Faults)}
 	if cfg.Unpooled {
 		copts = append(copts, WithoutPacketPools())
 	}

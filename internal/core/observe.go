@@ -15,6 +15,8 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"diablo/internal/apps/incast"
 	"diablo/internal/apps/memcache"
@@ -26,7 +28,10 @@ import (
 	"diablo/internal/vswitch"
 )
 
-// ObserveConfig selects what an Observation collects.
+// ObserveConfig selects what an Observation collects. The zero value samples
+// cluster-level gauges and traces every span source: kernel-context work
+// (irq/softirq/tcp_tx), per-thread syscalls and packet lifetimes (first bit
+// on the wire at the source NIC to socket demux at the destination).
 type ObserveConfig struct {
 	// SampleEvery is the registry sampling tick in simulated time
 	// (0 = obs.DefaultSampleEvery).
@@ -38,19 +43,6 @@ type ObserveConfig struct {
 	// retransmits). Off by default: a 2,000-node cluster would register
 	// 10,000 series.
 	PerNode bool
-	// KernelSpans traces kernel-context work (irq/softirq/tcp_tx) per node.
-	KernelSpans bool
-	// SyscallSpans traces per-thread syscall spans per node.
-	SyscallSpans bool
-	// PacketSpans traces packet lifetimes (first bit on the wire at the
-	// source NIC to socket demux at the destination).
-	PacketSpans bool
-}
-
-// DefaultObserve enables the trace span sources and cluster-level gauges;
-// per-node gauges stay off.
-func DefaultObserve() ObserveConfig {
-	return ObserveConfig{KernelSpans: true, SyscallSpans: true, PacketSpans: true}
 }
 
 // Observation is a registry plus trace attached to one cluster.
@@ -59,7 +51,6 @@ type Observation struct {
 	Trace    *obs.Trace
 
 	cluster  *Cluster
-	cfg      ObserveConfig
 	finished bool
 }
 
@@ -70,7 +61,6 @@ func Observe(c *Cluster, cfg ObserveConfig) *Observation {
 	o := &Observation{
 		Registry: obs.NewRegistry(cfg.SampleEvery),
 		cluster:  c,
-		cfg:      cfg,
 	}
 	if cfg.TraceEvents >= 0 {
 		o.Trace = obs.NewTrace(cfg.TraceEvents)
@@ -184,28 +174,22 @@ func (o *Observation) observeMachine(m *kernel.Machine) {
 // partition lane.
 func (o *Observation) traceMachine(m *kernel.Machine, pid int, node packet.NodeID) {
 	tr := o.Trace
-	if o.cfg.KernelSpans {
-		tid := fmt.Sprintf("node%d kernel", node)
-		m.OnKernelSpan = func(kind kernel.KernelSpanKind, start sim.Time, d sim.Duration) {
-			tr.Span(pid, tid, "kernel", kind.String(), start, d)
-		}
+	kernelTid := fmt.Sprintf("node%d kernel", node)
+	m.OnKernelSpan = func(kind kernel.KernelSpanKind, start sim.Time, d sim.Duration) {
+		tr.Span(pid, kernelTid, "kernel", kind.String(), start, d)
 	}
-	if o.cfg.SyscallSpans {
-		tid := fmt.Sprintf("node%d user", node)
-		m.OnSyscallSpan = func(thread string, start sim.Time, d sim.Duration) {
-			tr.Span(pid, tid, "syscall", thread, start, d)
-		}
+	userTid := fmt.Sprintf("node%d user", node)
+	m.OnSyscallSpan = func(thread string, start sim.Time, d sim.Duration) {
+		tr.Span(pid, userTid, "syscall", thread, start, d)
 	}
-	if o.cfg.PacketSpans {
-		tid := fmt.Sprintf("node%d net", node)
-		m.OnPacketDelivered = func(pkt *packet.Packet, at sim.Time) {
-			// Loopback packets never cross a NIC, so SentAt stays zero.
-			if pkt.SentAt <= 0 || at < pkt.SentAt {
-				return
-			}
-			name := fmt.Sprintf("%s %d->%d", protoName(pkt.Proto), pkt.Src.Node, pkt.Dst.Node)
-			tr.Span(pid, tid, "packet", name, pkt.SentAt, at.Sub(pkt.SentAt))
+	netTid := fmt.Sprintf("node%d net", node)
+	m.OnPacketDelivered = func(pkt *packet.Packet, at sim.Time) {
+		// Loopback packets never cross a NIC, so SentAt stays zero.
+		if pkt.SentAt <= 0 || at < pkt.SentAt {
+			return
 		}
+		name := fmt.Sprintf("%s %d->%d", protoName(pkt.Proto), pkt.Src.Node, pkt.Dst.Node)
+		tr.Span(pid, netTid, "packet", name, pkt.SentAt, at.Sub(pkt.SentAt))
 	}
 }
 
@@ -260,6 +244,32 @@ func (o *Observation) BuildManifest(experiment string, seed uint64, config map[s
 		})
 	}
 	return m
+}
+
+// WriteFiles writes the Chrome trace to tracePath and m to manifestPath. An
+// empty path skips that file, as does a disabled trace.
+func (o *Observation) WriteFiles(tracePath, manifestPath string, m *obs.Manifest) error {
+	if tracePath != "" && o.Trace != nil {
+		if err := writeFile(tracePath, o.Trace.WriteJSON); err != nil {
+			return err
+		}
+	}
+	if manifestPath != "" {
+		return writeFile(manifestPath, m.WriteJSON)
+	}
+	return nil
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ManifestDegradation converts a degradation table for the manifest.

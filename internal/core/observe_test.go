@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"diablo/internal/fault"
 	"diablo/internal/obs"
 	"diablo/internal/sim"
 	"diablo/internal/topology"
@@ -74,11 +75,10 @@ func TestObservedSeriesWorkerInvariant(t *testing.T) {
 // checks the manifest carries the run's identity, series, engine balance and
 // fault edges — and round-trips as JSON.
 func TestObservedManifest(t *testing.T) {
-	flap := DefaultToRFlap()
 	cfg := observedMemcached()
 	cfg.Seed = 11
-	flapCfg := ToRFlapConfig{Memcached: cfg, Rack: 0, At: sim.Time(5 * sim.Millisecond), Dur: 20 * sim.Millisecond, Loss: flap.Loss}
-	cfg.Faults = flapCfg.Plan()
+	cfg.Faults = fault.NewPlan(cfg.Seed).
+		DegradeRackUplink(0, sim.Time(5*sim.Millisecond), 20*sim.Millisecond, 0.5, 0)
 
 	res, o, err := RunMemcachedObserved(cfg, ObserveConfig{SampleEvery: 2 * sim.Millisecond})
 	if err != nil {
@@ -180,9 +180,7 @@ func TestIncastObservedTrace(t *testing.T) {
 	cfg := DefaultIncast(4)
 	cfg.Iterations = 4
 	cfg.BlockBytes = 64 * 1024
-	ocfg := DefaultObserve()
-	ocfg.PerNode = true
-	ocfg.SampleEvery = sim.Millisecond
+	ocfg := ObserveConfig{PerNode: true, SampleEvery: sim.Millisecond}
 	res, o, err := RunIncastObserved(cfg, ocfg)
 	if err != nil {
 		t.Fatal(err)

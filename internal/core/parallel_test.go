@@ -52,27 +52,6 @@ func TestMemcachedWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-func TestIncastPartitionsDeterminism(t *testing.T) {
-	// Incast is a single-rack topology, so it runs on the sequential engine;
-	// the Partitions knob must be accepted and must not change anything.
-	run := func(partitions int) interface{} {
-		cfg := DefaultIncast(4)
-		cfg.Iterations = 4
-		cfg.Partitions = partitions
-		res, err := RunIncast(cfg)
-		if err != nil {
-			t.Fatalf("partitions=%d: %v", partitions, err)
-		}
-		return res
-	}
-	want := run(1)
-	for _, p := range []int{2, 4} {
-		if got := run(p); !reflect.DeepEqual(got, want) {
-			t.Errorf("partitions=%d diverged:\n got %+v\nwant %+v", p, got, want)
-		}
-	}
-}
-
 func TestClusterPartitionLayout(t *testing.T) {
 	cfg := DefaultConfig(topology.Params{ServersPerRack: 4, RacksPerArray: 2, Arrays: 2})
 	c, err := New(cfg, WithPartitions(8))

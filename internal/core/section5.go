@@ -79,109 +79,6 @@ func PerfTable(points []PerfPoint) *metrics.Table {
 	return tb
 }
 
-// EngineComparisonStats reports the engine-comparison probe (§5): event
-// throughput of the same synthetic communicating-racks model on the
-// sequential and quantum-barrier parallel engines, plus heap allocations per
-// dispatched event. Allocation counts come from runtime.MemStats deltas
-// around each run, so they include the model's own closure allocations —
-// what they track across PRs is the engine's hot-path contribution shrinking
-// toward that model floor.
-type EngineComparisonStats struct {
-	SeqEventsPerSec   float64
-	ParEventsPerSec   float64
-	SeqEvents         uint64
-	ParEvents         uint64
-	SeqAllocsPerEvent float64
-	ParAllocsPerEvent float64
-
-	// The capture run prices the pre-v2 hot-path idiom on the sequential
-	// engine: every schedule allocates a fresh closure capturing per-event
-	// state, as link/vswitch/nic did before the typed lane. (The Seq run
-	// keeps its historical static-closure chain — the committed baseline
-	// gates against it — which is the closure lane's best case, not what
-	// per-packet code can write.)
-	CaptureEventsPerSec   float64
-	CaptureEvents         uint64
-	CaptureAllocsPerEvent float64
-
-	// The typed-lane run is the same chain scheduled through AfterEvent
-	// records (Scheduler API v2's hot-path lane): per-event state rides in
-	// Arg/Tgt, so steady-state scheduling allocates nothing.
-	TypedEventsPerSec   float64
-	TypedEvents         uint64
-	TypedAllocsPerEvent float64
-}
-
-// Speedup returns the parallel/sequential throughput ratio.
-func (s EngineComparisonStats) Speedup() float64 {
-	if s.SeqEventsPerSec == 0 {
-		return 0
-	}
-	return s.ParEventsPerSec / s.SeqEventsPerSec
-}
-
-// TypedSpeedup returns the typed-lane throughput relative to the
-// capturing-closure idiom it replaced on the hot paths — the before/after of
-// the Scheduler API v2 migration in isolation.
-func (s EngineComparisonStats) TypedSpeedup() float64 {
-	if s.CaptureEventsPerSec == 0 {
-		return 0
-	}
-	return s.TypedEventsPerSec / s.CaptureEventsPerSec
-}
-
-// ecCaptureChain is one partition's chain state in the capturing-closure
-// probe: the hop count is per-event state, so every schedule allocates a
-// fresh closure environment to carry it — exactly the cost the typed lane
-// removes.
-type ecCaptureChain struct {
-	eng       *sim.Engine
-	count     int
-	limit     int
-	lookahead sim.Duration
-}
-
-func (c *ecCaptureChain) tick(hop int) {
-	c.count++
-	if c.count >= c.limit {
-		return
-	}
-	next := hop + 1
-	c.eng.After(100*sim.Nanosecond, func() { c.tick(next) })
-	if c.count%16 == 0 {
-		c.eng.After(c.lookahead, func() { _ = next })
-	}
-}
-
-// ecTypedChain is one partition's chain state in the typed-lane probe: the
-// hop count rides in the record's Arg, so nothing is allocated per event. A
-// zero-limit chain acts as the sink for the no-op neighbour messages.
-type ecTypedChain struct {
-	eng       *sim.Engine
-	count     int
-	limit     int
-	sink      *ecTypedChain
-	lookahead sim.Duration
-}
-
-func (c *ecTypedChain) tick(hop uint64) {
-	c.count++
-	if c.count >= c.limit {
-		return
-	}
-	c.eng.AfterEvent(100*sim.Nanosecond, sim.Event{Kind: sim.EvAppTick, Tgt: c, Arg: hop + 1})
-	if c.count%16 == 0 {
-		c.eng.AfterEvent(c.lookahead, sim.Event{Kind: sim.EvAppTick, Tgt: c.sink, Arg: hop})
-	}
-}
-
-// mallocs reads the cumulative heap allocation count.
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
 // EngineComparison measures the sequential engine against the partitioned
 // parallel engine (DIABLO's multi-FPGA structure) on a synthetic
 // communicating-racks model: each partition runs a local event chain and
@@ -191,23 +88,13 @@ func mallocs() uint64 {
 // inter-FPGA synchronization). It returns events/second for both
 // executions of the same model.
 func EngineComparison(partitions, eventsPerPartition int) (seqRate, parRate float64) {
-	st := EngineComparisonMeasured(partitions, eventsPerPartition)
-	return st.SeqEventsPerSec, st.ParEventsPerSec
-}
-
-// EngineComparisonMeasured is EngineComparison with the full measurement:
-// throughput plus allocs/event for both engines. It is the probe behind
-// BenchmarkSection5EngineParallel and cmd/benchjson's trajectory file.
-func EngineComparisonMeasured(partitions, eventsPerPartition int) EngineComparisonStats {
 	const lookahead = 100 * sim.Microsecond
 	deadline := sim.Time(sim.Second)
-	var st EngineComparisonStats
 
 	// Sequential run.
 	{
 		eng := sim.NewEngine()
 		for p := 0; p < partitions; p++ {
-			p := p
 			var tick func()
 			count := 0
 			tick = func() {
@@ -215,71 +102,19 @@ func EngineComparisonMeasured(partitions, eventsPerPartition int) EngineComparis
 				if count >= eventsPerPartition {
 					return
 				}
-				// Local work plus occasional neighbour message.
+				// Local work plus occasional neighbour message: on one
+				// engine, neighbour events are just events.
 				eng.After(100*sim.Nanosecond, tick)
 				if count%16 == 0 {
-					_ = p // same engine: neighbour events are just events
 					eng.After(lookahead, func() {})
 				}
 			}
 			eng.At(0, tick)
 		}
-		allocs := mallocs()
 		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of the sequential engine
 		eng.RunUntil(deadline)
 		//simlint:allow detlint host-side self-measurement (wall-clock denominator)
-		wall := time.Since(start).Seconds()
-		allocs = mallocs() - allocs
-		st.SeqEvents = eng.Executed
-		st.SeqEventsPerSec = float64(eng.Executed) / wall
-		st.SeqAllocsPerEvent = float64(allocs) / float64(eng.Executed)
-	}
-
-	// Capturing-closure run: the same chain, but every schedule allocates a
-	// fresh environment-capturing closure — the pre-v2 hot-path idiom, where
-	// per-packet state (the frame, the hop count) has to ride in the capture.
-	// The static chain above is the closure lane's unreachable best case; this
-	// run is what link/vswitch/nic actually paid before the typed lane.
-	{
-		eng := sim.NewEngine()
-		for p := 0; p < partitions; p++ {
-			c := &ecCaptureChain{eng: eng, limit: eventsPerPartition, lookahead: lookahead}
-			eng.At(0, func() { c.tick(0) })
-		}
-		allocs := mallocs()
-		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of the capturing-closure idiom
-		eng.RunUntil(deadline)
-		//simlint:allow detlint host-side self-measurement (wall-clock denominator)
-		wall := time.Since(start).Seconds()
-		allocs = mallocs() - allocs
-		st.CaptureEvents = eng.Executed
-		st.CaptureEventsPerSec = float64(eng.Executed) / wall
-		st.CaptureAllocsPerEvent = float64(allocs) / float64(eng.Executed)
-	}
-
-	// Typed-lane run of the same structure on the sequential engine: the
-	// chain state lives in a heap object referenced by the record's Tgt and
-	// the hop count rides in Arg, so steady-state scheduling allocates
-	// nothing — the record replaces the capture the run above allocates.
-	{
-		eng := sim.NewEngine()
-		eng.RegisterHandler(sim.EvAppTick, func(_ sim.Time, ev sim.Event) {
-			ev.Tgt.(*ecTypedChain).tick(ev.Arg)
-		})
-		sink := &ecTypedChain{} // limit 0: neighbour messages are no-op events
-		for p := 0; p < partitions; p++ {
-			c := &ecTypedChain{eng: eng, limit: eventsPerPartition, sink: sink, lookahead: lookahead}
-			eng.AtEvent(0, sim.Event{Kind: sim.EvAppTick, Tgt: c, Arg: 0})
-		}
-		allocs := mallocs()
-		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of the typed lane
-		eng.RunUntil(deadline)
-		//simlint:allow detlint host-side self-measurement (wall-clock denominator)
-		wall := time.Since(start).Seconds()
-		allocs = mallocs() - allocs
-		st.TypedEvents = eng.Executed
-		st.TypedEventsPerSec = float64(eng.Executed) / wall
-		st.TypedAllocsPerEvent = float64(allocs) / float64(eng.Executed)
+		seqRate = float64(eng.Executed) / time.Since(start).Seconds()
 	}
 
 	// Parallel run of the same structure.
@@ -304,15 +139,10 @@ func EngineComparisonMeasured(partitions, eventsPerPartition int) EngineComparis
 			}
 			eng.At(0, tick)
 		}
-		allocs := mallocs()
 		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of the parallel engine
 		pe.RunUntil(deadline)
 		//simlint:allow detlint host-side self-measurement (wall-clock denominator)
-		wall := time.Since(start).Seconds()
-		allocs = mallocs() - allocs
-		st.ParEvents = pe.Executed
-		st.ParEventsPerSec = float64(pe.Executed) / wall
-		st.ParAllocsPerEvent = float64(allocs) / float64(pe.Executed)
+		parRate = float64(pe.Executed) / time.Since(start).Seconds()
 	}
-	return st
+	return seqRate, parRate
 }

@@ -44,8 +44,8 @@ import (
 // worker-to-worker mailboxes that the receiving worker drains, sorts and
 // schedules itself (SimBricks-style: each receiver polls its own inbound
 // queues). Barrier cost is what bounds parallel-simulation scaling, so these
-// paths are benchmarked in BenchmarkSection5EngineParallel and gated in CI
-// (cmd/benchjson).
+// paths are benchmarked in BenchmarkSection5EngineParallel and timed per
+// quantum by the repository benchmark's sim.quantum_ns probe (bench/).
 type ParallelEngine struct {
 	parts []*Partition
 	// engines are the distinct event queues: one per partition, or a single

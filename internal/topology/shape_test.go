@@ -18,7 +18,8 @@ func TestShapeNameRoundTrip(t *testing.T) {
 }
 
 func TestParseShapeErrors(t *testing.T) {
-	for _, s := range []string{"", "31x16", "31-16-1", "0x16x1", "31x0x1", "31x16x0", "axbxc"} {
+	for _, s := range []string{"", "31x16", "31-16-1", "0x16x1", "31x0x1", "31x16x0", "axbxc",
+		"31x16x4x2", "31x16x4junk", "31x16x4 ", " 31x16x4", "+31x16x4", "031x16x4"} {
 		if _, err := ParseShape(s); err == nil {
 			t.Errorf("ParseShape(%q) accepted", s)
 		}
@@ -36,4 +37,24 @@ func TestOversubscription(t *testing.T) {
 	if p.ShapeName() != "31x16x1" {
 		t.Errorf("shape name = %s", p.ShapeName())
 	}
+}
+
+// FuzzParseShape: ParseShape never panics, and every shape it accepts is
+// valid and names itself canonically.
+func FuzzParseShape(f *testing.F) {
+	for _, s := range []string{"31x16x1", "4x2x3", "31x16x4x2", "31x16x4junk", "+1x1x1", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseShape(s)
+		if err != nil {
+			return
+		}
+		if p.ShapeName() != s {
+			t.Fatalf("ParseShape(%q) accepted a non-canonical shape (%s)", s, p.ShapeName())
+		}
+		if _, err := New(p); err != nil {
+			t.Fatalf("ParseShape(%q) accepted invalid params: %v", s, err)
+		}
+	})
 }

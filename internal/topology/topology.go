@@ -44,11 +44,13 @@ func (p Params) RackOversubscription() int { return p.ServersPerRack }
 func (p Params) ArrayOversubscription() int { return p.RacksPerArray }
 
 // ParseShape parses the canonical "SxRxA" form ("31x16x4") into validated
-// params. It is the campaign sweep's topology-axis grammar.
+// params. It is the campaign sweep's topology-axis grammar. Only the form
+// ShapeName writes is accepted: trailing input, signs, spaces and leading
+// zeros are errors, so a shape string always names the cell that runs.
 func ParseShape(s string) (Params, error) {
 	var p Params
 	n, err := fmt.Sscanf(s, "%dx%dx%d", &p.ServersPerRack, &p.RacksPerArray, &p.Arrays)
-	if err != nil || n != 3 {
+	if err != nil || n != 3 || p.ShapeName() != s {
 		return Params{}, fmt.Errorf("topology: shape %q is not SxRxA (e.g. 31x16x4)", s)
 	}
 	if _, err := New(p); err != nil {
