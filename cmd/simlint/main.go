@@ -12,8 +12,8 @@
 // -json writes every finding — suppressed ones included, with the suppressed
 // flag set — as a machine-readable report (the CI artifact). -readiness
 // writes the per-package serialization-readiness reports produced by
-// statelint's state walk, the worklist for checkpoint/restore (ROADMAP item
-// 5). -budget fails the run if analysis wall-clock exceeds the duration, so
+// statelint's state walk, the worklist for checkpoint/restore (DESIGN.md
+// §5.10). -budget fails the run if analysis wall-clock exceeds the duration, so
 // the lint gate cannot quietly eat the edit-compile loop.
 package main
 

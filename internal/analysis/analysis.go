@@ -3,9 +3,11 @@
 // errors. DIABLO's headline property is deterministic, cycle-level
 // reproducibility at any partition/worker count; the rules that make that
 // true (model code schedules only through sim.Scheduler, never reads the
-// wall clock or unseeded randomness, never leaks events across partitions
-// outside quantum barriers) used to live only in comments. The analyzers in
-// this package enforce them over every model package on each `make lint`.
+// wall clock or unseeded randomness, never names the partitioning machinery
+// that could leak events across quantum barriers) used to live only in
+// comments. The analyzers in this package enforce them over every model
+// package on each `make lint`; the behavioural halves of the contract
+// (allocation budgets, leak balance, golden digests) are tests.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Reportf, testdata fixtures with `// want` expectations) but is built on
@@ -54,7 +56,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	pkg         *Package // the loaded package, for call-graph reuse
 	diagnostics []Diagnostic
 }
 
@@ -101,7 +102,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			pkg:      pkg,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
@@ -256,6 +256,17 @@ func simMethod(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 		return "", false
 	}
 	return fn.Name(), true
+}
+
+// pointsTo reports whether t is a pointer to the named type pkgPath.name.
+func pointsTo(t types.Type, pkgPath, name string) bool {
+	ptr, ok := types.Unalias(t).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named := namedOf(ptr.Elem())
+	return named != nil && named.Obj().Name() == name &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath
 }
 
 // simObject reports whether obj is a package-level object of package sim

@@ -2,7 +2,7 @@ package analysis
 
 // All returns the full simlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Schedlint, Unitlint, Crosslint, Evlint, Ownlint, Poollint, Statelint}
+	return []*Analyzer{Detlint, Schedlint, Unitlint, Statelint}
 }
 
 // ByName returns the named analyzer, or nil.

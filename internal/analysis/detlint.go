@@ -7,17 +7,18 @@ import (
 )
 
 // Detlint bans nondeterminism vectors from model packages: wall-clock reads,
-// the global math/rand generator, goroutine launches, and map iteration that
-// feeds the event queue or a result slice. Any one of these makes a run's
-// outcome depend on the host instead of on (configuration, seeds), which is
-// the property every byte-identical-replay test in this repo asserts.
+// the global math/rand generator, goroutine launches, sync.Pool, and map
+// iteration that feeds the event queue or a result slice. Any one of these
+// makes a run's outcome depend on the host instead of on (configuration,
+// seeds), which is the property every byte-identical-replay test in this repo
+// asserts.
 //
 // Test files are covered too: a test that schedules from a map range or
 // draws from math/rand flakes in exactly the way model code would.
 var Detlint = &Analyzer{
 	Name: "detlint",
 	Doc: "forbid nondeterminism vectors (wall clock, math/rand, go statements, " +
-		"order-sensitive map iteration) in model packages",
+		"sync.Pool, order-sensitive map iteration) in model packages",
 	Run: runDetlint,
 }
 
@@ -44,6 +45,12 @@ func runDetlint(pass *Pass) error {
 					"go statement in model code: model execution must be single-threaded under its "+
 						"sim.Scheduler; host concurrency belongs to the engine (sim) and harness layers")
 			case *ast.SelectorExpr:
+				if tn, ok := pass.Info.Uses[n.Sel].(*types.TypeName); ok &&
+					tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+					pass.Reportf(n.Pos(),
+						"sync.Pool in model code: its per-P caches drain on GC, so reuse order "+
+							"varies run to run; use the partition's packet.Pool (deterministic LIFO)")
+				}
 				if fn, ok := pass.Info.Uses[n.Sel].(*types.Func); ok &&
 					fn.Pkg() != nil && fn.Pkg().Path() == "time" {
 					switch fn.Name() {

@@ -18,3 +18,9 @@ func TestDetlintFaultCallbacks(t *testing.T) {
 func TestDetlintSilentOutsideModelPackages(t *testing.T) {
 	RunFixture(t, Detlint, "testdata/src/scope_nonmodel", "diablo/internal/metrics/fixture")
 }
+
+// sync.Pool in a model package fires wherever the type is named; the rest of
+// package sync stays usable, and a //simlint:allow covers a deliberate use.
+func TestPoollintFixture(t *testing.T) {
+	RunFixture(t, Detlint, "testdata/src/poollint", "diablo/internal/kernel/poolfixture")
+}

@@ -27,8 +27,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	cg *CallGraph // lazily built interprocedural layer (see callgraph.go)
 }
 
 // Loader parses and type-checks packages of the enclosing module. Imports —

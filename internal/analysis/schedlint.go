@@ -5,17 +5,20 @@ import (
 	"go/types"
 )
 
-// Schedlint enforces the Scheduler seam PR 1 introduced: model components
-// must program against the engine-agnostic sim.Scheduler interface — never
-// the concrete *sim.Engine or the sim.Runner run-control surface — so the
-// same NIC/switch/kernel code runs unchanged under the sequential engine or
-// inside one partition of a parallel run. Run control (Run, RunUntil, Step,
-// Halt) is the harness's job: it is allowed only in sim itself, core, cmd,
-// examples, the root package, and tests.
+// Schedlint enforces the Scheduler seam: model components must program
+// against the engine-agnostic sim.Scheduler interface — never the concrete
+// *sim.Engine, the sim.Runner run-control surface, or the partitioning
+// machinery (*sim.ParallelEngine, *sim.Partition) — so the same
+// NIC/switch/kernel code runs unchanged under the sequential engine or inside
+// one partition of a parallel run. sim.Scheduler exposes no cross-partition
+// Send, SendEvent or Cross, so banning the concrete types keeps those in the
+// wiring layer too. Run control (Run, RunUntil, Step, Halt) is the harness's
+// job: it is allowed only in sim itself, core, cmd, examples, the root
+// package, and tests.
 var Schedlint = &Analyzer{
 	Name: "schedlint",
-	Doc: "model code depends on sim.Scheduler, not concrete engines; " +
-		"run control stays in the harness layer",
+	Doc: "model code depends on sim.Scheduler, not concrete engines or " +
+		"partitions; run control stays in the harness layer",
 	Run: runSchedlint,
 }
 
@@ -35,17 +38,19 @@ func runSchedlint(pass *Pass) error {
 					return true
 				}
 				obj := pass.Info.Uses[n]
-				if tn, ok := obj.(*types.TypeName); ok &&
-					(simObject(tn, "Engine") || simObject(tn, "Runner")) {
-					pass.Reportf(n.Pos(),
-						"model code must program against sim.Scheduler, not sim.%s: the same "+
-							"component has to run under the sequential engine and inside a "+
-							"parallel partition", tn.Name())
+				if tn, ok := obj.(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == SimPath {
+					switch tn.Name() {
+					case "Engine", "Runner", "ParallelEngine", "Partition":
+						pass.Reportf(n.Pos(),
+							"model code must program against sim.Scheduler, not sim.%s: the same "+
+								"component has to run under the sequential engine and inside a "+
+								"parallel partition", tn.Name())
+					}
 				}
-				if fn, ok := obj.(*types.Func); ok && simObject(fn, "NewEngine") {
+				if fn, ok := obj.(*types.Func); ok && (simObject(fn, "NewEngine") || simObject(fn, "NewParallelEngine")) {
 					pass.Reportf(n.Pos(),
 						"model code must receive its Scheduler from the wiring layer (core), "+
-							"not construct a sim.Engine itself")
+							"not construct an engine itself (sim.%s)", fn.Name())
 				}
 			case *ast.SelectorExpr:
 				if runControlFree || pass.InTestFile(n.Pos()) {

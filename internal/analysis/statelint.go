@@ -1,12 +1,12 @@
 package analysis
 
 // Statelint is the serialization half of the checkpoint/sharding contract
-// (ROADMAP item 5, LiveStack's full-stack-snapshot constraint): every model
-// object must be checkpointable at a quantum boundary, which means its
-// transitive state must decompose into plain data plus references that the
-// wiring layer can rebuild on restore. The analyzer walks the state graph
-// of each checkpoint root — owned structs (they hold a scheduler, so they
-// ARE the per-partition state) plus types marked
+// (LiveStack's full-stack-snapshot constraint): every model object must be
+// checkpointable at a quantum boundary, which means its transitive state must
+// decompose into plain data plus references that the wiring layer can rebuild
+// on restore. The analyzer walks the state graph of each checkpoint root —
+// owned structs (they hold a scheduler, so they ARE the per-partition state)
+// plus types marked
 //
 //	//diablo:checkpoint-root
 //
@@ -39,6 +39,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -69,10 +70,7 @@ func runStatelint(pass *Pass) error {
 	if !IsModelPackage(pass.Pkg.Path()) {
 		return nil
 	}
-	pkg := pass.pkg
-	if pkg == nil {
-		pkg = &Package{Path: pass.Pkg.Path(), Fset: pass.Fset, Files: pass.Files, Types: pass.Pkg, Info: pass.Info}
-	}
+	pkg := &Package{Path: pass.Pkg.Path(), Fset: pass.Fset, Files: pass.Files, Types: pass.Pkg, Info: pass.Info}
 	rep := BuildStateReport(pkg)
 	for _, f := range rep.Fields {
 		switch f.Class {
@@ -124,8 +122,9 @@ type StateReport struct {
 	// Roots lists the audited checkpoint roots (owned structs and marked
 	// types) in source order.
 	Roots []string `json:"roots"`
-	// Ready means no blockers remain: everything reachable either
-	// serializes or is declared transient.
+	// Ready means at least one root was audited and no blockers remain:
+	// everything reachable either serializes or is declared transient. A
+	// package with no roots has nothing audited, so it is not ready.
 	Ready bool `json:"ready"`
 	// Blockers / Transient / Total count the classified fields.
 	Blockers  int          `json:"blockers"`
@@ -141,7 +140,6 @@ type StateReport struct {
 func BuildStateReport(pkg *Package) *StateReport {
 	w := &stateWalker{
 		pkg:        pkg,
-		g:          pkg.CallGraph(),
 		transient:  collectMarkedLines(pkg, transientPrefix),
 		rootMarks:  collectMarkedLines(pkg, checkpointRootPrefix),
 		transUsed:  make(map[markKey]bool),
@@ -149,10 +147,9 @@ func BuildStateReport(pkg *Package) *StateReport {
 	}
 	rep := &StateReport{Package: pkg.Path}
 
-	var roots []*types.Named
-	roots = append(roots, w.g.OwnedStructs()...)
+	roots := ownedStructs(pkg)
 	for _, n := range w.markedRoots() {
-		if w.g.owned[n] == nil {
+		if !slices.Contains(roots, n) {
 			roots = append(roots, n)
 		}
 	}
@@ -167,7 +164,7 @@ func BuildStateReport(pkg *Package) *StateReport {
 	}
 	w.reportStaleTransients(rep)
 
-	rep.Ready = true
+	rep.Ready = len(rep.Roots) > 0
 	for _, f := range rep.Fields {
 		if f.Class == stateStaleTransient {
 			continue
@@ -185,6 +182,35 @@ func BuildStateReport(pkg *Package) *StateReport {
 	return rep
 }
 
+// ownedStructs returns the package's owned structs: struct types declared
+// here with at least one sim.Scheduler field. Holding a scheduler makes a
+// struct per-partition state, so every one of them is a checkpoint root.
+func ownedStructs(pkg *Package) []*types.Named {
+	var out []*types.Named
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if typeIs(st.Field(i).Type(), SimPath, "Scheduler") {
+				out = append(out, named)
+				break
+			}
+		}
+	}
+	return out
+}
+
 type markKey struct {
 	file string
 	line int
@@ -192,7 +218,6 @@ type markKey struct {
 
 type stateWalker struct {
 	pkg       *Package
-	g         *CallGraph
 	transient map[markKey]string // annotated line -> reason ("" = missing)
 	rootMarks map[markKey]string
 

@@ -84,4 +84,36 @@ func TestStateReport(t *testing.T) {
 			t.Errorf("%s.%s classified %s, want %s", c.s, c.f, got, c.want)
 		}
 	}
+
+	// Readiness is a claim about audited state: a model package with no
+	// checkpoint roots has audited nothing, so it is not ready either.
+	rootless, err := loader.LoadDir("testdata/src/scope_nonmodel", "diablo/internal/apps/rootless")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := BuildStateReport(rootless); len(rep.Roots) != 0 || rep.Blockers != 0 || rep.Ready {
+		t.Errorf("rootless package: roots %v, %d blockers, ready %v; want none, 0, false",
+			rep.Roots, rep.Blockers, rep.Ready)
+	}
+}
+
+// Owned-struct discovery: exactly the structs holding a sim.Scheduler field
+// are owned (Comp, Covered). Frame is a checkpoint root only by its
+// //diablo:checkpoint-root mark, and nested and orphan hold no scheduler.
+func TestCallGraphOwnedStructs(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir("testdata/src/statelint", "diablo/internal/nic/statefixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, named := range ownedStructs(pkg) {
+		got = append(got, named.Obj().Name())
+	}
+	if strings.Join(got, ",") != "Comp,Covered" {
+		t.Fatalf("ownedStructs = %v, want [Comp Covered]", got)
+	}
 }

@@ -1,82 +1,22 @@
-// Package fixture exercises poollint in a model package (the synthetic
-// import path places it under diablo/internal/kernel). Rule A bans the
-// sync.Pool type outright; Rule B demands that every (*packet.Pool).Get has
-// a Release reachable through the package call graph or returns the packet
-// to transfer ownership.
+// Package fixture exercises detlint's sync.Pool rule in a model package (the
+// synthetic import path places it under diablo/internal/kernel): the type
+// fires wherever its name appears, while the rest of package sync stays
+// usable.
 package fixture
 
-import (
-	"sync"
-
-	"diablo/internal/packet"
-)
-
-// --- Rule A: sync.Pool fires wherever the type name appears -----------------
+import "sync"
 
 type cache struct {
-	frames sync.Pool // want `sync\.Pool in a model package`
+	frames sync.Pool // want `sync.Pool in model code`
 	mu     sync.Mutex
 }
 
 func freshPool() any {
-	return &sync.Pool{} // want `sync\.Pool in a model package`
+	return &sync.Pool{} // want `sync.Pool in model code`
 }
 
-// The rest of package sync stays usable.
 func (c *cache) locked(fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fn()
-}
-
-// --- Rule B: Get without a reachable Release --------------------------------
-
-type machine struct {
-	pool *packet.Pool
-}
-
-// leak takes a packet and drops it on the floor: no Release is reachable and
-// the packet is not handed off.
-func (m *machine) leak() int {
-	pkt := m.pool.Get() // want `packet\.Pool\.Get with no reachable Release`
-	return pkt.PayloadBytes
-}
-
-// leakViaHelper is the interprocedural shape: the helper neither releases
-// nor returns the packet, and nothing reachable from here does either.
-func (m *machine) leakViaHelper() {
-	m.stash(m.pool.Get()) // want `packet\.Pool\.Get with no reachable Release`
-}
-
-func (m *machine) stash(pkt *packet.Packet) {
-	_ = pkt
-}
-
-// --- Rule B: the sanctioned lifecycles stay silent ---------------------------
-
-// balanced releases what it took, in the same body.
-func (m *machine) balanced() {
-	pkt := m.pool.Get()
-	m.pool.Release(pkt)
-}
-
-// balancedViaHelper discharges ownership two frames down: drop is reachable
-// from here on the package call graph.
-func (m *machine) balancedViaHelper() {
-	pkt := m.pool.Get()
-	m.consume(pkt)
-}
-
-func (m *machine) consume(pkt *packet.Packet) {
-	m.drop(pkt)
-}
-
-func (m *machine) drop(pkt *packet.Packet) {
-	m.pool.Release(pkt)
-}
-
-// newPacket is the hand-off shape: returning the *packet.Packet transfers
-// ownership to the caller (the kernel's allocation-site idiom).
-func (m *machine) newPacket() *packet.Packet {
-	return m.pool.Get()
 }

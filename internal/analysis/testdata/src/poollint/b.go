@@ -1,15 +1,10 @@
-// Suppression path: both rules are deliberately violated here, covered by
-// //simlint:allow comments and no wants — RunFixture fails if either finding
+// Suppression path: the rule is deliberately violated here, covered by a
+// //simlint:allow comment and no want — RunFixture fails if the finding
 // escapes suppression.
 package fixture
 
 import "sync"
 
 type scratch struct {
-	buf sync.Pool //simlint:allow poollint fixture: documents the suppression path
-}
-
-func (m *machine) sampleHeader() int {
-	pkt := m.pool.Get() //simlint:allow poollint fixture: probe packet, swept by ReleaseInFlight
-	return pkt.PayloadBytes
+	buf sync.Pool //simlint:allow detlint fixture: documents the suppression path
 }

@@ -1,5 +1,6 @@
 // Package fixture exercises schedlint in a strict model package: concrete
-// engine types and run control are both banned outside the harness layer.
+// engine types and run control are both banned outside the harness layer
+// (the partition types are in the crosslint fixture).
 package fixture
 
 import "diablo/internal/sim"

@@ -1,6 +1,6 @@
 // Package fixture holds harness-layer patterns: constructing engines,
 // driving runs and wiring partitions is exactly what core and cmd do. Under
-// a harness import path, schedlint and crosslint must stay silent on all of
+// a harness import path, schedlint must stay silent on all of
 // it (and detlint/unitlint find nothing to object to either).
 package fixture
 

@@ -1,4 +1,4 @@
-// Package fixture commits every detlint/unitlint/crosslint sin at once;
+// Package fixture commits every detlint/unitlint sin at once;
 // under a non-model import path (metrics, survey, fpga, the CLI) those
 // analyzers stay silent — the determinism contract binds the simulated
 // world, not the reporting around it.

@@ -54,32 +54,50 @@ func TestMemcachedPacketLeakBalance(t *testing.T) {
 // TestFaultedIncastPacketLeakBalance runs the same ledger gate over the TCP
 // incast collapse under a lossy fault window: retransmissions, switch-buffer
 // drops and fault-layer drops all exercise release sites the healthy UDP
-// path never reaches.
+// path never reaches. Each plan must drop at the site it names: a lossy
+// edge link on the wire, a degraded ToR ingress port in the switch.
 func TestFaultedIncastPacketLeakBalance(t *testing.T) {
-	var drops uint64
-	gets, releases, live := poolAudit(t, func(onCluster func(*Cluster)) {
-		cfg := DefaultIncast(12)
-		cfg.Iterations = 8
-		cfg.Faults = fault.NewPlan(cfg.Seed).
-			DegradeEdge(0, fault.Down, 0, 600*sim.Second, 0.1, 0)
-		var cluster *Cluster
-		cfg.OnCluster = func(c *Cluster) {
-			cluster = c
-			onCluster(c)
+	for _, tc := range []struct {
+		name  string
+		plan  func(seed uint64) *fault.Plan
+		drops func(c *Cluster) uint64
+	}{
+		{"lossy-edge", func(seed uint64) *fault.Plan {
+			return fault.NewPlan(seed).DegradeEdge(0, fault.Down, 0, 600*sim.Second, 0.1, 0)
+		}, func(c *Cluster) uint64 { return c.FaultDrops() + c.SwitchDrops() }},
+		{"degraded-tor-port", func(seed uint64) *fault.Plan {
+			return fault.NewPlan(seed).DegradePort(fault.ToR, 0, 1, 0, 600*sim.Second, 0.05, 0.05)
+		}, func(c *Cluster) (n uint64) {
+			for _, sw := range c.Tors {
+				n += sw.Stats.FaultDrops.Packets
+			}
+			return n
+		}},
+	} {
+		var drops uint64
+		gets, releases, live := poolAudit(t, func(onCluster func(*Cluster)) {
+			cfg := DefaultIncast(12)
+			cfg.Iterations = 8
+			cfg.Faults = tc.plan(cfg.Seed)
+			var cluster *Cluster
+			cfg.OnCluster = func(c *Cluster) {
+				cluster = c
+				onCluster(c)
+			}
+			if _, err := RunIncast(cfg); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			drops = tc.drops(cluster)
+		})
+		if gets == 0 {
+			t.Fatalf("%s: pooled incast run allocated no packets from the pools", tc.name)
 		}
-		if _, err := RunIncast(cfg); err != nil {
-			t.Fatal(err)
+		if drops == 0 {
+			t.Fatalf("%s: faulted incast dropped nothing; the drop release sites went unexercised", tc.name)
 		}
-		drops = cluster.FaultDrops() + cluster.SwitchDrops()
-	})
-	if gets == 0 {
-		t.Fatal("pooled incast run allocated no packets from the pools")
-	}
-	if drops == 0 {
-		t.Fatal("faulted incast dropped nothing; the drop release sites went unexercised")
-	}
-	if live != 0 || gets != releases {
-		t.Fatalf("packet leak under faults: %d gets, %d releases, %d live", gets, releases, live)
+		if live != 0 || gets != releases {
+			t.Fatalf("%s: packet leak under faults: %d gets, %d releases, %d live", tc.name, gets, releases, live)
+		}
 	}
 }
 
