@@ -61,12 +61,15 @@ race:
 	$(GO) test -race ./internal/core ./internal/kernel
 
 # Short fuzz pass over the hardened input surfaces: the CLI fault-spec
-# grammar, the campaign shape grammar and the Chrome-trace encoder. Go fuzzes
-# one target per invocation, so each runs separately.
+# grammar, the campaign shape grammar, the Chrome-trace encoder, campaign spec
+# decoding and cell enumeration, and the artifact validator. Go fuzzes one
+# target per invocation, so each runs separately.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzParseShape -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzChromeTraceJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCampaignSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzValidateArtifact -fuzztime $(FUZZTIME)
 
 # The full gate: vet + simlint + race-enabled tests + fuzz smoke across every
 # package.

@@ -20,12 +20,12 @@ import (
 // benchSenders keeps the incast sweeps bench-sized.
 var benchSenders = []int{1, 2, 4, 8, 16, 24}
 
-func benchIncastSweep() IncastSweep {
-	return IncastSweep{Senders: benchSenders, Iterations: 8, Seed: 1}
+func benchIncastSweep() Sweep {
+	return Sweep{Senders: benchSenders, Iterations: 8, Seed: 1}
 }
 
-func benchMcSweep() MemcachedSweep {
-	return MemcachedSweep{RequestsPerClient: 80, Seed: 1}
+func benchMcSweep() Sweep {
+	return Sweep{Requests: 80, Seed: 1}
 }
 
 func BenchmarkFigure2Survey(b *testing.B) {
@@ -98,10 +98,7 @@ func BenchmarkFigure6bIncast10G(b *testing.B) {
 
 func BenchmarkFigure8RackValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := DefaultFigure8()
-		opts.Clients = []int{2, 8, 14}
-		opts.RequestsPerClient = 250
-		th, lat, err := Figure8(opts)
+		th, lat, err := Figure8(Sweep{Senders: []int{2, 8, 14}, Requests: 250})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +172,7 @@ func BenchmarkFigure12SwitchLatency(b *testing.B) {
 func BenchmarkFigure13TcpVsUdp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sweep := benchMcSweep()
-		sweep.RequestsPerClient = 60
+		sweep.Requests = 60
 		series, err := Figure13(sweep)
 		if err != nil {
 			b.Fatal(err)

@@ -104,7 +104,7 @@ func parseOpts(args []string) diablo.ExperimentOptions {
 	fs := flag.NewFlagSet("diablo", flag.ExitOnError)
 	requests := fs.Int("requests", 0, "requests per memcached client (0 = reduced default; paper uses 30000)")
 	iterations := fs.Int("iterations", 0, "incast iterations per point (0 = default; paper uses 40)")
-	senders := fs.String("senders", "", "comma-separated incast sender counts (default 1..24)")
+	senders := fs.String("senders", "", "comma-separated incast sender counts (default 1..24), or fig8 client counts (default 2..14)")
 	seed := fs.Uint64("seed", 0, "master seed (0 = default)")
 	partitions := fs.Int("partitions", 0, "workers for multi-rack runs (0 = sequential, n = partitioned engine on n workers; results are identical at any value)")
 	faults := fs.String("faults", "", `fault schedule for faultmc/faultincast, e.g. "tordegrade rack=0 at=30ms dur=200ms loss=0.5" (empty = the experiment's built-in schedule)`)

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"diablo"
-	"diablo/internal/core"
 	"diablo/internal/packet"
 )
 
@@ -54,8 +53,9 @@ func main() {
 	}
 
 	var drops *dropLog
-	var cluster *core.Cluster
-	cfg.OnCluster = func(c *core.Cluster) {
+	var cluster *diablo.Cluster
+	var obsn *diablo.Observation
+	cfg.OnCluster = func(c *diablo.Cluster) {
 		cluster = c
 		if *traceDrops {
 			drops = newDropLog(256)
@@ -66,18 +66,14 @@ func main() {
 				}
 			}
 		}
+		if *traceOut != "" || *manifestOut != "" {
+			obsn = diablo.Observe(c, diablo.ObserveConfig{})
+		}
 	}
 
-	var res diablo.IncastResult
-	var err error
-	if *traceOut != "" || *manifestOut != "" {
-		var obsn *diablo.Observation
-		res, obsn, err = diablo.RunIncastObserved(cfg, diablo.ObserveConfig{})
-		if err == nil {
-			err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
-		}
-	} else {
-		res, err = diablo.RunIncast(cfg)
+	res, err := diablo.RunIncast(cfg)
+	if err == nil && obsn != nil {
+		err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "incast:", err)

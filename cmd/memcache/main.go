@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"diablo"
+	"diablo/internal/kernel"
 )
 
 func main() {
@@ -16,7 +17,7 @@ func main() {
 	proto := flag.String("proto", "udp", "transport: udp or tcp")
 	workers := flag.Int("workers", 4, "memcached worker threads")
 	version := flag.String("version", "1.4.17", "memcached version: 1.4.15 or 1.4.17")
-	kernelV := flag.String("kernel", "2.6.39", "kernel profile: 2.6.39 or 3.5.7")
+	kernelV := flag.String("kernel", "2.6.39", "kernel profile: 2.6.39, 3.5.7 or ideal")
 	tenG := flag.Bool("10g", false, "10 Gbps interconnect")
 	churn := flag.Int("churn", 0, "reconnect TCP every N requests (0 = persistent)")
 	extraNs := flag.Int("extra-latency-ns", 0, "extra switch port-to-port latency in ns")
@@ -49,7 +50,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memcache: unknown -version", *version)
 		os.Exit(2)
 	}
-	if p, err := kernelByName(*kernelV); err == nil {
+	if p, err := kernel.ProfileByName(*kernelV); err == nil {
 		cfg.Profile = p
 	} else {
 		fmt.Fprintln(os.Stderr, "memcache:", err)
@@ -65,16 +66,13 @@ func main() {
 		cfg.Faults = plan
 	}
 
-	var res *diablo.MemcachedResult
-	var err error
+	var obsn *diablo.Observation
 	if *traceOut != "" || *manifestOut != "" {
-		var obsn *diablo.Observation
-		res, obsn, err = diablo.RunMemcachedObserved(cfg, diablo.ObserveConfig{})
-		if err == nil {
-			err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
-		}
-	} else {
-		res, err = diablo.RunMemcached(cfg)
+		cfg.OnCluster = func(c *diablo.Cluster) { obsn = diablo.Observe(c, diablo.ObserveConfig{}) }
+	}
+	res, err := diablo.RunMemcached(cfg)
+	if err == nil && obsn != nil {
+		err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memcache:", err)
@@ -133,14 +131,4 @@ func versionByName(name string) (diablo.MemcachedVersion, bool) {
 		return diablo.V1417(), true
 	}
 	return diablo.MemcachedVersion{}, false
-}
-
-func kernelByName(name string) (diablo.KernelProfile, error) {
-	switch name {
-	case "2.6.39", "2.6.39.3":
-		return diablo.Linux2639(), nil
-	case "3.5.7":
-		return diablo.Linux357(), nil
-	}
-	return diablo.KernelProfile{}, fmt.Errorf("unknown kernel %q", name)
 }

@@ -116,14 +116,12 @@ type (
 	IncastConfig = core.IncastConfig
 	// IncastResult is a finished incast run.
 	IncastResult = incast.Result
-	// IncastSweep parameterizes the Figure 6 sweeps.
-	IncastSweep = core.IncastSweep
 	// MemcachedConfig parameterizes a §4.2 memcached experiment.
 	MemcachedConfig = core.MemcachedConfig
 	// MemcachedResult aggregates a memcached experiment.
 	MemcachedResult = core.MemcachedResult
-	// MemcachedSweep parameterizes the §4.2 figure reproductions.
-	MemcachedSweep = core.MemcachedSweep
+	// Sweep sizes the figure reproductions (Figure6a through Figure15).
+	Sweep = core.Sweep
 	// MemcachedVersion is a memcached release profile.
 	MemcachedVersion = memcache.Version
 )
@@ -162,7 +160,6 @@ var (
 	DefaultMemcached = core.DefaultMemcached
 	RunMemcached     = core.RunMemcached
 	Figure8          = core.Figure8
-	DefaultFigure8   = core.DefaultFigure8
 	Figure9          = core.Figure9
 	Figure11         = core.Figure11
 	Figure12         = core.Figure12
@@ -187,14 +184,16 @@ type (
 	ObserveConfig = core.ObserveConfig
 	// Observation bundles the stats registry and trace attached to a cluster.
 	Observation = core.Observation
+	// Cluster is a wired cluster, as NewCluster and the OnCluster hooks see it.
+	Cluster = core.Cluster
 )
 
-// Observed runs and fault injection.
+// Observation and fault injection.
 var (
-	// RunMemcachedObserved and RunIncastObserved run a workload with an
-	// Observation attached and return it finished.
-	RunMemcachedObserved = core.RunMemcachedObserved
-	RunIncastObserved    = core.RunIncastObserved
+	// Observe attaches an Observation to a cluster: from a config's OnCluster
+	// hook, RunMemcached or RunIncast then traces every request or iteration
+	// and returns the observation finished.
+	Observe = core.Observe
 	// ParseFaultSpec parses the CLI fault grammar (see package fault and
 	// DESIGN.md §5.7), e.g.
 	// "tordegrade rack=0 at=30ms dur=200ms loss=0.5; nicstall node=3 at=1ms dur=500us".

@@ -89,7 +89,7 @@ func TestFacadeQuickstart(t *testing.T) {
 func TestExperimentSmallRuns(t *testing.T) {
 	// One dynamic experiment end-to-end through the registry at tiny scale.
 	out, err := RunExperiment("fig6a", ExperimentOptions{
-		Senders: []int{1, 4}, Iterations: 3,
+		Sweep: Sweep{Senders: []int{1, 4}, Iterations: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestObservedExperimentWritesArtifacts(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	manifestPath := filepath.Join(dir, "manifest.json")
 	out, err := RunExperiment("faultincast", ExperimentOptions{
-		Iterations:  2,
+		Sweep:       Sweep{Iterations: 2},
 		TraceOut:    tracePath,
 		ManifestOut: manifestPath,
 	})
@@ -136,6 +136,20 @@ func TestObservedExperimentWritesArtifacts(t *testing.T) {
 	}
 	if len(tf.TraceEvents) == 0 {
 		t.Fatal("trace is empty")
+	}
+	// The faulted run's one trace carries both its app spans (one per
+	// iteration) and its fault edges.
+	iterations, faults := 0, 0
+	for _, ev := range tf.TraceEvents {
+		switch {
+		case ev["ph"] == "X" && ev["cat"] == "iteration":
+			iterations++
+		case ev["ph"] == "i" && ev["cat"] == "fault":
+			faults++
+		}
+	}
+	if iterations != 2 || faults == 0 {
+		t.Fatalf("trace holds %d iteration spans (want 2) and %d fault instants (want > 0)", iterations, faults)
 	}
 
 	manifestData, err := os.ReadFile(manifestPath)
@@ -179,7 +193,7 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	dir := t.TempDir()
 	manifestPath := filepath.Join(dir, "m.json")
 	out, err := RunExperiment("faultmc", ExperimentOptions{
-		Requests:    5,
+		Sweep:       Sweep{Requests: 5},
 		ManifestOut: manifestPath, // manifest only: TraceOut stays optional
 	})
 	if err != nil {

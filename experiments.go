@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"diablo/internal/apps/incast"
 	"diablo/internal/core"
 	"diablo/internal/fault"
 	"diablo/internal/fpga"
@@ -18,17 +19,9 @@ import (
 // bench-scale defaults documented in DESIGN.md; the paper's full parameters
 // are reachable by raising Requests/Iterations.
 type ExperimentOptions struct {
-	// Requests per memcached client (paper: 30,000).
-	Requests int
-	// Iterations per incast point (paper: 40).
-	Iterations int
-	// Senders for the incast sweeps (default 1..24).
-	Senders []int
-	// Seed is the master seed.
-	Seed uint64
-	// Partitions is the parallel worker count for multi-rack runs (0 or 1 =
-	// single-threaded; any value yields identical results).
-	Partitions int
+	// Sweep sizes the figure reproductions; perf, faultmc and faultincast
+	// read its Requests, Iterations, Seed and Partitions too.
+	Sweep
 	// Faults overrides the fault schedule of the graceful-degradation
 	// experiments (faultmc, faultincast) with a spec in the fault.ParseSpec
 	// grammar, e.g. "tordegrade rack=0 at=30ms dur=200ms loss=0.5". Empty
@@ -131,32 +124,6 @@ func RunExperiment(id string, opts ExperimentOptions) (*ExperimentOutput, error)
 	return nil, fmt.Errorf("diablo: unknown experiment %q (try cmd/diablo list)", id)
 }
 
-func (o ExperimentOptions) incastSweep() core.IncastSweep {
-	s := core.DefaultIncastSweep()
-	if len(o.Senders) > 0 {
-		s.Senders = o.Senders
-	}
-	if o.Iterations > 0 {
-		s.Iterations = o.Iterations
-	}
-	if o.Seed != 0 {
-		s.Seed = o.Seed
-	}
-	return s
-}
-
-func (o ExperimentOptions) mcSweep() core.MemcachedSweep {
-	s := core.DefaultMemcachedSweep()
-	if o.Requests > 0 {
-		s.RequestsPerClient = o.Requests
-	}
-	if o.Seed != 0 {
-		s.Seed = o.Seed
-	}
-	s.Partitions = o.Partitions
-	return s
-}
-
 func runFig2(ExperimentOptions) (*ExperimentOutput, error) {
 	return &ExperimentOutput{
 		Series: []*metrics.Series{survey.Figure2()},
@@ -199,7 +166,7 @@ func runProto(ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig6a(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure6a(o.incastSweep())
+	series, err := core.Figure6a(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +174,7 @@ func runFig6a(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig6b(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure6b(o.incastSweep())
+	series, err := core.Figure6b(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -215,15 +182,7 @@ func runFig6b(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig8(o ExperimentOptions) (*ExperimentOutput, error) {
-	opts := core.DefaultFigure8()
-	if o.Requests > 0 {
-		opts.RequestsPerClient = o.Requests
-	}
-	if o.Seed != 0 {
-		opts.Seed = o.Seed
-	}
-	opts.Partitions = o.Partitions
-	th, lat, err := core.Figure8(opts)
+	th, lat, err := core.Figure8(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +190,7 @@ func runFig8(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig9(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure9(o.mcSweep())
+	series, err := core.Figure9(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +198,7 @@ func runFig9(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig10(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure10(o.mcSweep())
+	series, err := core.Figure10(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +206,7 @@ func runFig10(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig11(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure11(o.mcSweep())
+	series, err := core.Figure11(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +214,7 @@ func runFig11(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig12(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure12(o.mcSweep())
+	series, err := core.Figure12(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +222,7 @@ func runFig12(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig13(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure13(o.mcSweep())
+	series, err := core.Figure13(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +230,7 @@ func runFig13(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig14(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, results, err := core.Figure14(o.mcSweep())
+	series, results, err := core.Figure14(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +244,7 @@ func runFig14(o ExperimentOptions) (*ExperimentOutput, error) {
 }
 
 func runFig15(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure15(o.mcSweep())
+	series, err := core.Figure15(o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -301,10 +260,9 @@ func (o ExperimentOptions) customFaults(seed uint64) (*fault.Plan, error) {
 	return fault.ParseSpec(seed, o.Faults)
 }
 
-// observeLast returns an OnCluster hook that, with observation requested,
-// attaches to every cluster the experiment builds; *obsn keeps the last —
-// the faulted run.
-func (o ExperimentOptions) observeLast(obsn **core.Observation) func(*core.Cluster) {
+// observe returns an OnCluster hook that, with observation requested,
+// attaches one to the run's cluster and keeps it in *obsn.
+func (o ExperimentOptions) observe(obsn **core.Observation) func(*core.Cluster) {
 	if !o.observing() {
 		return nil
 	}
@@ -324,40 +282,53 @@ func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
 		cfg.Seed = o.Seed
 	}
 	cfg.Partitions = o.Partitions
-	var obsn *core.Observation
-	cfg.OnCluster = o.observeLast(&obsn)
 
 	plan, err := o.customFaults(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	builtin := plan == nil
-	// Built in: rack 0's uplink drops half its frames for 200 ms from 30 ms.
-	rack, at, dur, loss := 0, sim.Time(30*sim.Millisecond), 200*sim.Millisecond, 0.5
-	if builtin {
+	name := "memcached under faults"
+	if plan == nil {
+		// Built in: rack 0's uplink drops half its frames for 200 ms from 30 ms.
+		rack, at, dur, loss := 0, sim.Time(30*sim.Millisecond), 200*sim.Millisecond, 0.5
 		plan = fault.NewPlan(cfg.Seed).DegradeRackUplink(rack, at, dur, loss, 0)
+		name = fmt.Sprintf("memcached under ToR flap (rack %d, %v for %v, loss %g)", rack, at, dur, loss)
 	}
-	r, err := core.RunMemcachedFaulted(cfg, plan)
+	// The same config twice, healthy and then under plan: with identical
+	// seeds every difference is the faults'. Only the faulted run is observed.
+	base, err := core.RunMemcached(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("faultmc: baseline run: %w", err)
 	}
-	if builtin {
-		r.Degradation.Name = fmt.Sprintf("memcached under ToR flap (rack %d, %v for %v, loss %g)", rack, at, dur, loss)
+	var obsn *core.Observation
+	cfg.Faults = plan
+	cfg.OnCluster = o.observe(&obsn)
+	r, err := core.RunMemcached(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("faultmc: faulted run: %w", err)
 	}
-	out := &ExperimentOutput{Tables: []*metrics.Table{r.Degradation.Table()}}
+	d := &metrics.Degradation{
+		Name:            name,
+		Baseline:        base.Overall,
+		Faulted:         r.Overall,
+		BaselineLost:    base.Lost(),
+		FaultedLost:     r.Lost(),
+		BaselineRetried: base.Retried,
+		FaultedRetried:  r.Retried,
+		FaultDrops:      r.FaultDrops,
+	}
+	out := &ExperimentOutput{Tables: []*metrics.Table{d.Table()}}
 	out.Notes = append(out.Notes,
-		fmt.Sprintf("schedule:\n%s", r.Plan),
+		fmt.Sprintf("schedule:\n%s", plan),
 		fmt.Sprintf("fault edges fired: %d; p99.9 inflation %.2fx; lost %d of %d requests (%.3g%%)",
-			len(r.Faulted.FaultEdges), r.Degradation.Inflation(0.999),
-			r.Faulted.Lost(), r.Faulted.Attempted,
-			100*metrics.LossRate(r.Faulted.Lost(), r.Faulted.Attempted)))
+			len(r.FaultEdges), d.Inflation(0.999), r.Lost(), r.Attempted,
+			100*metrics.LossRate(r.Lost(), r.Attempted)))
 	if obsn != nil {
-		obsn.Finish()
 		m := obsn.BuildManifest("faultmc", cfg.Seed, map[string]any{
 			"requests_per_client": cfg.RequestsPerClient,
-			"faults":              r.Plan.String(),
+			"faults":              plan.String(),
 		})
-		m.Degradation = core.ManifestDegradation(r.Degradation, r.Faulted.Attempted)
+		m.Degradation = core.ManifestDegradation(d, r.Attempted)
 		note, werr := o.writeObservation(obsn, m)
 		if werr != nil {
 			return nil, werr
@@ -376,44 +347,73 @@ func runFaultIncast(o ExperimentOptions) (*ExperimentOutput, error) {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	var obsn *core.Observation
-	cfg.OnCluster = o.observeLast(&obsn)
 
 	plan, err := o.customFaults(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	builtin := plan == nil
-	// Built in: the switch->client direction of the client's edge link (node
-	// 0), where the incast aggregate flows, drops 10% of frames all run long.
-	loss := 0.1
-	if builtin {
+	name := "incast under faults"
+	if plan == nil {
+		// Built in: the switch->client direction of the client's edge link
+		// (node 0), where the incast aggregate flows, drops 10% of frames all
+		// run long.
+		loss := 0.1
 		plan = fault.NewPlan(cfg.Seed).DegradeEdge(0, fault.Down, 0, 600*sim.Second, loss, 0)
+		name = fmt.Sprintf("incast with lossy downlink (%d senders, loss %g)", cfg.Senders, loss)
 	}
-	r, err := core.RunIncastFaulted(cfg, plan)
+	base, err := core.RunIncast(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("faultincast: baseline run: %w", err)
 	}
-	if builtin {
-		r.Degradation.Name = fmt.Sprintf("incast with lossy downlink (%d senders, loss %g)", cfg.Senders, loss)
+	var cluster *core.Cluster
+	var obsn *core.Observation
+	cfg.Faults = plan
+	cfg.OnCluster = func(c *core.Cluster) {
+		cluster = c
+		if o.observing() {
+			obsn = core.Observe(c, core.ObserveConfig{})
+		}
 	}
-	out := &ExperimentOutput{Tables: []*metrics.Table{r.Degradation.Table()}}
+	r, err := core.RunIncast(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("faultincast: faulted run: %w", err)
+	}
+	// The degradation histograms hold per-iteration completion times.
+	iters := func(r incast.Result) *metrics.Histogram {
+		h := metrics.NewHistogram()
+		for _, d := range r.IterTimes {
+			h.Record(d)
+		}
+		return h
+	}
+	d := &metrics.Degradation{
+		Name:            name,
+		Baseline:        iters(base),
+		Faulted:         iters(r),
+		BaselineRetried: base.Retransmits,
+		FaultedRetried:  r.Retransmits,
+		FaultDrops:      cluster.FaultDrops(),
+	}
+	goodputRatio := 0.0
+	if base.GoodputBps > 0 {
+		goodputRatio = r.GoodputBps / base.GoodputBps
+	}
+	out := &ExperimentOutput{Tables: []*metrics.Table{d.Table()}}
 	out.Notes = append(out.Notes,
-		fmt.Sprintf("schedule:\n%s", r.Plan),
+		fmt.Sprintf("schedule:\n%s", plan),
 		fmt.Sprintf("goodput %.1f -> %.1f Mbps (%.2fx); retransmits %d -> %d; timeouts %d -> %d",
-			r.Baseline.GoodputBps/1e6, r.Faulted.GoodputBps/1e6, r.GoodputRatio(),
-			r.Baseline.Retransmits, r.Faulted.Retransmits,
-			r.Baseline.Timeouts, r.Faulted.Timeouts))
+			base.GoodputBps/1e6, r.GoodputBps/1e6, goodputRatio,
+			base.Retransmits, r.Retransmits,
+			base.Timeouts, r.Timeouts))
 	if obsn != nil {
-		obsn.Finish()
 		m := obsn.BuildManifest("faultincast", cfg.Seed, map[string]any{
 			"senders":    cfg.Senders,
 			"iterations": cfg.Iterations,
-			"faults":     r.Plan.String(),
+			"faults":     plan.String(),
 		})
 		// Incast degrades goodput, not a request count; loss rate is not a
 		// per-request notion here, so attempted stays 0.
-		m.Degradation = core.ManifestDegradation(r.Degradation, 0)
+		m.Degradation = core.ManifestDegradation(d, 0)
 		note, werr := o.writeObservation(obsn, m)
 		if werr != nil {
 			return nil, werr
@@ -448,8 +448,9 @@ func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
 		if o.Seed != 0 {
 			cfg.Seed = o.Seed
 		}
-		_, obsn, err := core.RunMemcachedObserved(cfg, core.ObserveConfig{})
-		if err != nil {
+		var obsn *core.Observation
+		cfg.OnCluster = o.observe(&obsn)
+		if _, err := core.RunMemcached(cfg); err != nil {
 			return nil, err
 		}
 		m := obsn.BuildManifest("perf/memcached-1array", cfg.Seed, map[string]any{

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -45,6 +46,8 @@ func TestSpecValidate(t *testing.T) {
 		{"warmup >= requests", func(s *Spec) { s.Workloads[0].Warmup = 5 }},
 		{"negative clients", func(s *Spec) { s.Workloads[0].MaxClients = -1 }},
 		{"negative draws", func(s *Spec) { s.Faults.Draws = -1 }},
+		{"too many cells", func(s *Spec) { s.Faults.Draws = maxCells }},
+		{"draws overflow", func(s *Spec) { s.Faults.Draws = math.MaxInt }},
 		{"draws without events", func(s *Spec) { s.Faults.Events = 0 }},
 		{"draws without horizon", func(s *Spec) { s.Faults.HorizonMs = 0 }},
 	}

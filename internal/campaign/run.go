@@ -136,7 +136,9 @@ func RunCell(spec *Spec, cell Cell) (*CellResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", cell.Name, err)
 	}
-	res, o, err := core.RunMemcachedObserved(mc, core.ObserveConfig{TraceEvents: -1})
+	var o *core.Observation
+	mc.OnCluster = func(c *core.Cluster) { o = core.Observe(c, core.ObserveConfig{TraceEvents: -1}) }
+	res, err := core.RunMemcached(mc)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", cell.Name, err)
 	}

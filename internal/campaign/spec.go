@@ -24,6 +24,10 @@ import (
 // SpecSchema identifies the campaign spec JSON layout.
 const SpecSchema = "diablo/campaign-spec/v1"
 
+// maxCells bounds a spec's cell count (the nightly preset has 240), so a typo
+// such as draws = 1e9 fails validation instead of exhausting memory in Cells.
+const maxCells = 1 << 16
+
 // Spec declares a campaign: the cross-product of its axes is the cell set.
 // Cell enumeration order is part of the spec's identity — topologies
 // (outer), then profiles, then workloads, then fault draws.
@@ -154,6 +158,12 @@ func (s *Spec) Validate() error {
 	f := s.Faults
 	if f.Draws < 0 {
 		return fmt.Errorf("campaign: negative fault draws %d", f.Draws)
+	}
+	cells := 1
+	for _, k := range []int{len(s.Topologies), len(s.Profiles), len(s.Workloads), min(f.Draws, maxCells) + 1} {
+		if cells *= k; cells > maxCells {
+			return fmt.Errorf("campaign: spec enumerates more than %d cells", maxCells)
+		}
 	}
 	if f.Draws > 0 {
 		if f.Events <= 0 {

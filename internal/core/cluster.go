@@ -27,11 +27,6 @@ type Config struct {
 	// Server configures every machine (CPU, kernel profile, NIC, TCP).
 	Server kernel.Config
 
-	// ServerFor optionally overrides the configuration per node (e.g. a
-	// mixed-speed validation cluster). It receives the default and the node
-	// id and returns the config to use.
-	ServerFor func(node packet.NodeID, def kernel.Config) kernel.Config
-
 	// ToR, Array and DC are the switch models per level. Ports counts are
 	// filled by the builder from the topology; the other parameters (rate,
 	// latency, buffering, architecture) are taken as given.
@@ -112,6 +107,10 @@ type Cluster struct {
 	// run, so recording is mutex-guarded; FaultEdges sorts before returning.
 	faultMu    sync.Mutex
 	faultEdges []FaultEdge
+
+	// observation is the one Observe attached (nil = unobserved). RunMemcached
+	// and RunIncast feed it their request or iteration spans and finish it.
+	observation *Observation
 }
 
 // Option customizes cluster execution without touching the model Config.
@@ -283,19 +282,14 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		tor := c.Tors[rack]
 		rsched := sched(rack)
 
-		serverCfg := cfg.Server
-		if cfg.ServerFor != nil {
-			serverCfg = cfg.ServerFor(node, serverCfg)
-		}
-
 		up := link.New(rsched, tor.Input(idx), cfg.ToR.LinkRate, cfg.CableProp)
 		up.SetPool(pool(rack))
-		dev, err := nic.New(rsched, serverCfg.NIC, up)
+		dev, err := nic.New(rsched, cfg.Server.NIC, up)
 		if err != nil {
 			return nil, err
 		}
 		dev.SetPool(pool(rack))
-		m, err := kernel.New(rsched, node, serverCfg, topo, dev, cfg.Seed)
+		m, err := kernel.New(rsched, node, cfg.Server, topo, dev, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -90,27 +90,6 @@ func TestCrossRackMessaging(t *testing.T) {
 	}
 }
 
-func TestServerForOverride(t *testing.T) {
-	cfg := DefaultConfig(topology.Params{ServersPerRack: 2, RacksPerArray: 1, Arrays: 1})
-	cfg.ServerFor = func(node packet.NodeID, def kernel.Config) kernel.Config {
-		if node == 1 {
-			def.CPU.FreqHz = 2_000_000_000
-		}
-		return def
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if c.Machines[0].Config().CPU.FreqHz != 4_000_000_000 {
-		t.Fatal("node 0 should keep the default CPU")
-	}
-	if c.Machines[1].Config().CPU.FreqHz != 2_000_000_000 {
-		t.Fatal("node 1 override not applied")
-	}
-}
-
 func TestIncastBaselines(t *testing.T) {
 	// One sender saturates the link (~930 Mbps).
 	cfg := DefaultIncast(1)
@@ -181,7 +160,7 @@ func TestIncastDeterminism(t *testing.T) {
 }
 
 func TestFigure6aShape(t *testing.T) {
-	sweep := IncastSweep{Senders: []int{1, 4, 12}, Iterations: 5}
+	sweep := Sweep{Senders: []int{1, 4, 12}, Iterations: 5}
 	series, err := Figure6a(sweep)
 	if err != nil {
 		t.Fatal(err)

@@ -11,52 +11,19 @@ import (
 	"diablo/internal/vswitch"
 )
 
-// Figure8Options parameterizes the single-rack memcached validation
-// (§4.2 "Validating memcached on real clusters"): a 16-node testbed with two
-// memcached servers, sweeping the client count and measuring server
-// throughput and mean client latency.
-type Figure8Options struct {
-	// Clients lists the x-axis points (paper: up to 14 clients).
-	Clients []int
-	// RequestsPerClient per point (paper: 30K "till completion").
-	RequestsPerClient int
-	// Workers is the memcached worker count (paper compares 4 and 8).
-	Workers int
-	// UseUDP selects the transport.
-	UseUDP bool
-	Seed   uint64
-	// Partitions is the parallel worker count (0 or 1 = single-threaded);
-	// the Figure 8 topology is a single rack, so it runs serial regardless.
-	Partitions int
-}
+// figure8Clients is the Figure 8 x-axis: up to the 14 clients the paper's
+// 16-node testbed leaves beside its two memcached servers.
+var figure8Clients = []int{2, 4, 6, 8, 10, 12, 14}
 
-// DefaultFigure8 returns the paper's sweep at reduced request counts.
-func DefaultFigure8() Figure8Options {
-	return Figure8Options{
-		Clients:           []int{2, 4, 6, 8, 10, 12, 14},
-		RequestsPerClient: 600,
-		Workers:           4,
-		Seed:              1,
-	}
-}
-
-// Figure8 returns four series: server throughput and mean client latency
-// versus client count, for the physical-testbed proxy (3 GHz, shared-buffer
-// switch, heavy background) and for DIABLO. The load test is closed-loop
-// (no think time), as the paper's "send 30,000 requests till completion".
-func Figure8(opts Figure8Options) (throughput, latency []*metrics.Series, err error) {
-	if len(opts.Clients) == 0 {
-		opts.Clients = DefaultFigure8().Clients
-	}
-	if opts.RequestsPerClient <= 0 {
-		opts.RequestsPerClient = 600
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+// Figure8 reproduces the single-rack memcached validation (§4.2 "Validating
+// memcached on real clusters"): a 16-node testbed with two memcached servers
+// (4 workers, TCP clients), sweeping the client count over sweep.Senders. It
+// returns four series: server throughput and mean client latency versus
+// client count, for the physical-testbed proxy (3 GHz, shared-buffer switch,
+// heavy background) and for DIABLO. The load test is closed-loop (no think
+// time), as the paper's "send 30,000 requests till completion".
+func Figure8(sweep Sweep) (throughput, latency []*metrics.Series, err error) {
+	sweep = sweep.withDefaults(600, figure8Clients)
 	for _, physical := range []bool{true, false} {
 		name := "DIABLO"
 		if physical {
@@ -64,8 +31,8 @@ func Figure8(opts Figure8Options) (throughput, latency []*metrics.Series, err er
 		}
 		th := &metrics.Series{Name: name, XLabel: "clients", YLabel: "requests_per_sec_per_server"}
 		lat := &metrics.Series{Name: name, XLabel: "clients", YLabel: "mean_latency_us"}
-		for _, nClients := range opts.Clients {
-			res, e := runFigure8Point(opts, physical, nClients)
+		for _, nClients := range sweep.Senders {
+			res, e := runFigure8Point(sweep, physical, nClients)
 			if e != nil {
 				return nil, nil, fmt.Errorf("figure 8 %s clients=%d: %w", name, nClients, e)
 			}
@@ -78,21 +45,16 @@ func Figure8(opts Figure8Options) (throughput, latency []*metrics.Series, err er
 	return throughput, latency, nil
 }
 
-func runFigure8Point(opts Figure8Options, physical bool, nClients int) (*MemcachedResult, error) {
+func runFigure8Point(sweep Sweep, physical bool, nClients int) (*MemcachedResult, error) {
 	cfg := DefaultMemcached()
 	cfg.Arrays = 1
-	cfg.RequestsPerClient = opts.RequestsPerClient
-	cfg.Workers = opts.Workers
+	cfg.RequestsPerClient = sweep.Requests
 	cfg.MaxClients = nClients
-	cfg.Seed = opts.Seed
-	cfg.Partitions = opts.Partitions
+	cfg.Seed = sweep.Seed
+	cfg.Partitions = sweep.Partitions
 	cfg.StartSpread = sim.Millisecond
 	cfg.Warmup = 20
-	if opts.UseUDP {
-		cfg.Proto = memcache.UDP
-	} else {
-		cfg.Proto = memcache.TCP
-	}
+	cfg.Proto = memcache.TCP
 	// Closed-loop load test: no think time.
 	wl := cfg.Workload
 	wl.ThinkTime = 0

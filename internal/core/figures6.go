@@ -9,44 +9,16 @@ import (
 	"diablo/internal/vswitch"
 )
 
-// IncastSweep holds common sweep options for the Figure 6 experiments.
-type IncastSweep struct {
-	// Senders lists the x-axis points (paper: up to 24 ports).
-	Senders []int
-	// Iterations per point (paper: 40; benches reduce this).
-	Iterations int
-	// Seed is the master seed.
-	Seed uint64
-}
-
-// DefaultIncastSweep returns the paper's Figure 6 sweep.
-func DefaultIncastSweep() IncastSweep {
-	return IncastSweep{
-		Senders:    []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24},
-		Iterations: 40,
-		Seed:       1,
-	}
-}
-
-func (s *IncastSweep) normalize() {
-	if len(s.Senders) == 0 {
-		s.Senders = DefaultIncastSweep().Senders
-	}
-	if s.Iterations <= 0 {
-		s.Iterations = 40
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-}
+// incastSenders is the Figure 6 x-axis: up to the paper's 24 switch ports.
+var incastSenders = []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24}
 
 // Figure6a reproduces "Reproducing the goodput of TCP Incast" on the 1 Gbps
 // shallow-buffer switch: the DIABLO model (abstract VOQ switch + full
 // software stack), an ns2-style baseline (drop-tail queues, near-zero-cost
 // hosts), and the real-hardware proxy (shared-buffer commodity switch).
 // Each series maps sender count to average application goodput in Mbps.
-func Figure6a(sweep IncastSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure6a(sweep Sweep) ([]*metrics.Series, error) {
+	sweep = sweep.withDefaults(0, incastSenders)
 	type curve struct {
 		name string
 		cfg  func(n int) IncastConfig
@@ -91,8 +63,8 @@ func Figure6a(sweep IncastSweep) ([]*metrics.Series, error) {
 // configuration on a 10 Gbps fabric, sweeping client syscall style (pthread
 // vs epoll) and CPU speed (4 GHz vs 2 GHz). "CPU speed and choice of OS
 // syscalls significantly affects the application throughput."
-func Figure6b(sweep IncastSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure6b(sweep Sweep) ([]*metrics.Series, error) {
+	sweep = sweep.withDefaults(0, incastSenders)
 	type variant struct {
 		name  string
 		ghz   float64

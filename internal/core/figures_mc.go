@@ -11,35 +11,48 @@ import (
 	"diablo/internal/vswitch"
 )
 
-// MemcachedSweep holds the common knobs of the §4.2 figure reproductions.
-type MemcachedSweep struct {
-	// RequestsPerClient per configuration (paper: 30K; reduced by default —
-	// see DESIGN.md).
-	RequestsPerClient int
-	// Seed is the master seed.
+// Sweep holds the knobs every figure reproduction shares. A zero field takes
+// the figure's default, so the zero Sweep reproduces every figure at the
+// reduced scale DESIGN.md documents.
+type Sweep struct {
+	// Requests per memcached client (paper: 30K; default 150, 600 for
+	// Figure 8).
+	Requests int
+	// Iterations per incast point (paper and default: 40).
+	Iterations int
+	// Senders lists the x-axis points: sender counts for Figure 6 (default
+	// 1..24), client counts for Figure 8 (default 2..14).
+	Senders []int
+	// Seed is the master seed (default 1).
 	Seed uint64
-	// Partitions is the parallel worker count for every run in the sweep
-	// (0 or 1 = single-threaded; results are identical either way).
+	// Partitions is the parallel worker count for every memcached run (0 or
+	// 1 = single-threaded; results are identical either way).
 	Partitions int
 }
 
-// DefaultMemcachedSweep returns bench-friendly defaults.
-func DefaultMemcachedSweep() MemcachedSweep {
-	return MemcachedSweep{RequestsPerClient: 150, Seed: 1}
-}
-
-func (s *MemcachedSweep) normalize() {
-	if s.RequestsPerClient <= 0 {
-		s.RequestsPerClient = 150
+// withDefaults fills s's zero fields with a figure's defaults.
+func (s Sweep) withDefaults(requests int, senders []int) Sweep {
+	if s.Requests <= 0 {
+		s.Requests = requests
+	}
+	if s.Iterations <= 0 {
+		s.Iterations = 40
+	}
+	if len(s.Senders) == 0 {
+		s.Senders = senders
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
+	return s
 }
 
-func (s MemcachedSweep) base() MemcachedConfig {
+// memcached returns the §4.2 figures' base configuration, with s's defaults
+// filled in.
+func (s Sweep) memcached() MemcachedConfig {
+	s = s.withDefaults(150, nil)
 	cfg := DefaultMemcached()
-	cfg.RequestsPerClient = s.RequestsPerClient
+	cfg.RequestsPerClient = s.Requests
 	cfg.Seed = s.Seed
 	cfg.Partitions = s.Partitions
 	return cfg
@@ -52,8 +65,7 @@ func (s MemcachedSweep) base() MemcachedConfig {
 // why its tail is fatter than DIABLO's — "the simulated 120-node setup is a
 // more ideal environment with less software services running in the
 // background").
-func Figure9(sweep MemcachedSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure9(sweep Sweep) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, system := range []string{"Physical", "DIABLO"} {
 		for _, ver := range []memcache.Version{memcache.V1417(), memcache.V1415()} {
@@ -71,8 +83,8 @@ func Figure9(sweep MemcachedSweep) ([]*metrics.Series, error) {
 // runMemcached120 runs the 8-rack, 120-node configuration of Figure 9
 // (15 nodes per rack: the paper's physical testbed was an 8-rack 120-node
 // cluster; we keep 2 servers per rack => 16 servers, 104 clients).
-func runMemcached120(sweep MemcachedSweep, physical bool, ver memcache.Version) (*MemcachedResult, error) {
-	cfg := sweep.base()
+func runMemcached120(sweep Sweep, physical bool, ver memcache.Version) (*MemcachedResult, error) {
+	cfg := sweep.memcached()
 	cfg.Version = ver
 	cfg.Proto = memcache.TCP // the validation used memcached over TCP
 	cfg.ChurnEvery = 40
@@ -97,11 +109,10 @@ func runMemcached120(sweep MemcachedSweep, physical bool, ver memcache.Version) 
 // Figure10 reproduces the PMF of client request latency at the 2,000-node
 // scale over UDP, classified by switch hops, for the 1 Gbps and 10 Gbps
 // interconnects.
-func Figure10(sweep MemcachedSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure10(sweep Sweep) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, tenG := range []bool{false, true} {
-		cfg := sweep.base()
+		cfg := sweep.memcached()
 		cfg.Proto = memcache.UDP
 		cfg.Use10G = tenG
 		res, err := RunMemcached(cfg)
@@ -125,11 +136,10 @@ func Figure10(sweep MemcachedSweep) ([]*metrics.Series, error) {
 // Figure11 reproduces the 95th-100th percentile latency CDF at the three
 // scales on the 1 Gbps interconnect over UDP: the tail worsens by an order
 // of magnitude from 500 to 2,000 nodes.
-func Figure11(sweep MemcachedSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure11(sweep Sweep) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, arrays := range []int{1, 2, 4} {
-		cfg := sweep.base()
+		cfg := sweep.memcached()
 		cfg.Arrays = arrays
 		cfg.Proto = memcache.UDP
 		res, err := RunMemcached(cfg)
@@ -145,11 +155,10 @@ func Figure11(sweep MemcachedSweep) ([]*metrics.Series, error) {
 // tail at 2,000 nodes / 10 Gbps with +0, +50 and +100 ns of port-to-port
 // latency at every switch level. "The extra switch latency does not affect
 // the shape of the tail curves."
-func Figure12(sweep MemcachedSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure12(sweep Sweep) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, extra := range []sim.Duration{0, 50 * sim.Nanosecond, 100 * sim.Nanosecond} {
-		cfg := sweep.base()
+		cfg := sweep.memcached()
 		cfg.Proto = memcache.UDP
 		cfg.Use10G = true
 		cfg.ExtraSwitchLatency = extra
@@ -165,13 +174,12 @@ func Figure12(sweep MemcachedSweep) ([]*metrics.Series, error) {
 // Figure13 reproduces the TCP vs UDP comparison across {500,1000,2000} nodes
 // x {1,10} Gbps — the experiment whose 500-node conclusion reverses at
 // 2,000 nodes.
-func Figure13(sweep MemcachedSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure13(sweep Sweep) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, tenG := range []bool{false, true} {
 		for _, arrays := range []int{1, 2, 4} {
 			for _, proto := range []memcache.Proto{memcache.UDP, memcache.TCP} {
-				cfg := sweep.base()
+				cfg := sweep.memcached()
 				cfg.Arrays = arrays
 				cfg.Proto = proto
 				cfg.Use10G = tenG
@@ -193,12 +201,11 @@ func Figure13(sweep MemcachedSweep) ([]*metrics.Series, error) {
 
 // Figure14 reproduces the kernel comparison at 2,000 nodes / 10 Gbps:
 // Linux 2.6.39.3 vs 3.5.7 ("the average request latency is almost halved").
-func Figure14(sweep MemcachedSweep) ([]*metrics.Series, []*MemcachedResult, error) {
-	sweep.normalize()
+func Figure14(sweep Sweep) ([]*metrics.Series, []*MemcachedResult, error) {
 	var out []*metrics.Series
 	var results []*MemcachedResult
 	for _, prof := range []kernel.Profile{kernel.Linux2639(), kernel.Linux357()} {
-		cfg := sweep.base()
+		cfg := sweep.memcached()
 		cfg.Proto = memcache.UDP
 		cfg.Use10G = true
 		cfg.Profile = prof
@@ -215,12 +222,11 @@ func Figure14(sweep MemcachedSweep) ([]*metrics.Series, []*MemcachedResult, erro
 // Figure15 reproduces the memcached version comparison (1.4.15 vs 1.4.17,
 // TCP with connection churn) at the 500- and 2,000-node scales: the accept4
 // saving is marginal at 500 nodes and pronounced at 2,000.
-func Figure15(sweep MemcachedSweep) ([]*metrics.Series, error) {
-	sweep.normalize()
+func Figure15(sweep Sweep) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, arrays := range []int{1, 4} {
 		for _, ver := range []memcache.Version{memcache.V1417(), memcache.V1415()} {
-			cfg := sweep.base()
+			cfg := sweep.memcached()
 			cfg.Arrays = arrays
 			cfg.Proto = memcache.TCP
 			cfg.Version = ver

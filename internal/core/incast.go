@@ -43,11 +43,10 @@ type IncastConfig struct {
 	// Unpooled disables the packet slab pools (see core.WithoutPacketPools).
 	Unpooled bool
 	// OnCluster, if set, observes the wired cluster before the run starts —
-	// the hook for attaching tracers and custom instrumentation.
+	// the hook for attaching tracers and custom instrumentation. An
+	// Observation attached here with Observe gets a span per iteration and
+	// is finished when RunIncast returns.
 	OnCluster func(*Cluster)
-	// OnIteration, if set, observes each completed synchronized read on the
-	// client's thread (used by the observability layer to trace iterations).
-	OnIteration func(iter int, start, end sim.Time)
 }
 
 // DefaultIncast returns the Figure 6a setup for n senders: 1 Gbps
@@ -109,7 +108,9 @@ func RunIncast(cfg IncastConfig) (incast.Result, error) {
 	if cfg.Iterations > 0 {
 		clientParams.Iterations = cfg.Iterations
 	}
-	clientParams.OnIteration = cfg.OnIteration
+	if o := cluster.observation; o != nil {
+		clientParams.OnIteration = o.traceIteration
+	}
 
 	var result *incast.Result
 	incast.InstallClient(cluster.Machine(0), clientParams, func(r incast.Result) {
@@ -128,6 +129,7 @@ func RunIncast(cfg IncastConfig) (incast.Result, error) {
 		deadline = 60*sim.Second + sim.Duration(iters)*15*sim.Second
 	}
 	cluster.RunUntil(deadline)
+	cluster.observation.Finish()
 	if result == nil {
 		return incast.Result{}, fmt.Errorf("core: incast run with %d senders did not finish by %v", cfg.Senders, deadline)
 	}

@@ -82,12 +82,10 @@ type MemcachedConfig struct {
 	// healthy cluster). See package fault.
 	Faults *fault.Plan
 	// OnCluster, if set, observes the wired cluster before the run starts —
-	// the hook for attaching tracers and custom instrumentation.
+	// the hook for attaching tracers and custom instrumentation. An
+	// Observation attached here with Observe gets a span per request
+	// (warmup included) and is finished when RunMemcached returns.
 	OnCluster func(*Cluster)
-	// OnSample, if set, observes every client sample (including warmup) with
-	// the client's node. It fires on the client machine's partition, before
-	// aggregation; used by the observability layer to trace request spans.
-	OnSample func(node packet.NodeID, s memcache.Sample)
 }
 
 // DefaultMemcached returns the paper's 2,000-node UDP configuration at a
@@ -209,6 +207,7 @@ func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, m
 	if cfg.OnCluster != nil {
 		cfg.OnCluster(cluster)
 	}
+	obsn := cluster.observation
 	topo := cluster.Topo
 
 	wl := cfg.Workload
@@ -269,9 +268,7 @@ func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, m
 		}
 		seen := 0 // per-client, only touched from its own partition
 		cp.OnSample = func(s memcache.Sample) {
-			if cfg.OnSample != nil {
-				cfg.OnSample(node, s)
-			}
+			obsn.traceRequest(node, s)
 			seen++
 			if seen <= cfg.Warmup {
 				mu.Lock()
@@ -313,6 +310,7 @@ func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, m
 		deadline = sim.Duration(cfg.RequestsPerClient)*per + 5*sim.Second
 	}
 	cluster.RunUntil(deadline)
+	obsn.Finish()
 	res.ClientsDone = done
 	if res.Elapsed == 0 { // deadline hit before every client finished
 		res.Elapsed = sim.Duration(cluster.Now())

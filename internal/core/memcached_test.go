@@ -149,10 +149,7 @@ func TestNewerKernelHalvesLatency(t *testing.T) {
 }
 
 func TestFigure8Shapes(t *testing.T) {
-	opts := DefaultFigure8()
-	opts.Clients = []int{2, 8, 14}
-	opts.RequestsPerClient = 200
-	th, lat, err := Figure8(opts)
+	th, lat, err := Figure8(Sweep{Senders: []int{2, 8, 14}, Requests: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

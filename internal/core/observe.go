@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 
-	"diablo/internal/apps/incast"
 	"diablo/internal/apps/memcache"
 	"diablo/internal/kernel"
 	"diablo/internal/metrics"
@@ -54,14 +53,16 @@ type Observation struct {
 	finished bool
 }
 
-// Observe wires an Observation into a cluster. Call after New (the hook
-// OnCluster in the experiment configs fires at the right moment) and before
-// the run; call Finish after the run returns.
+// Observe wires an Observation into a cluster. Call after New and before the
+// run: from the OnCluster hook of MemcachedConfig or IncastConfig, whose run
+// functions then trace every request or iteration and finish the
+// observation, or on a hand-driven cluster, which calls Finish after its run.
 func Observe(c *Cluster, cfg ObserveConfig) *Observation {
 	o := &Observation{
 		Registry: obs.NewRegistry(cfg.SampleEvery),
 		cluster:  c,
 	}
+	c.observation = o
 	if cfg.TraceEvents >= 0 {
 		o.Trace = obs.NewTrace(cfg.TraceEvents)
 	}
@@ -204,11 +205,34 @@ func protoName(p packet.Proto) string {
 	}
 }
 
+// traceRequest renders one memcached client sample as a span on the client's
+// app lane, with an instant if it was retried. It fires on the client
+// machine's partition; a nil Observation (unobserved run) ignores it.
+func (o *Observation) traceRequest(node packet.NodeID, s memcache.Sample) {
+	if o == nil || o.Trace == nil {
+		return
+	}
+	pid := o.cluster.Topo.RackOf(node)
+	tid := fmt.Sprintf("node%d app", node)
+	end := o.cluster.Machine(node).Now()
+	o.Trace.Span(pid, tid, "request", s.Op.String(), end.Add(-s.Latency), s.Latency)
+	if s.Retried {
+		o.Trace.Instant(pid, tid, "request", "retry", end)
+	}
+}
+
+// traceIteration renders one incast iteration as a span on the client's
+// (node 0's) app lane.
+func (o *Observation) traceIteration(iter int, start, end sim.Time) {
+	o.Trace.Span(0, "node0 app", "iteration", fmt.Sprintf("iteration %d", iter), start, end.Sub(start))
+}
+
 // Finish seals the observation after the run: sampling stops and the fault
 // edges recorded by the cluster render as global trace instants (vertical
-// lines across every lane in Perfetto).
+// lines across every lane in Perfetto). Finishing twice, or a nil
+// Observation, is a no-op.
 func (o *Observation) Finish() {
-	if o.finished {
+	if o == nil || o.finished {
 		return
 	}
 	o.finished = true
@@ -297,67 +321,19 @@ func ManifestDegradation(d *metrics.Degradation, attempted uint64) *obs.Degradat
 	return out
 }
 
-// RunMemcachedObserved runs a memcached experiment with an Observation
-// attached: cluster-level gauges sample throughout, and (if tracing is on)
-// every request renders as an app-lane span. The returned Observation is
-// finished and ready for BuildManifest / WriteJSON.
+// RunMemcachedObserved is RunMemcached with Observe(c, ocfg) chained after
+// cfg.OnCluster; it returns the finished Observation. It adds nothing to that
+// pair and exists only because the benchmark harness (bench/report.go)
+// calls it.
 func RunMemcachedObserved(cfg MemcachedConfig, ocfg ObserveConfig) (*MemcachedResult, *Observation, error) {
 	var o *Observation
-	prevCluster := cfg.OnCluster
+	prev := cfg.OnCluster
 	cfg.OnCluster = func(c *Cluster) {
-		if prevCluster != nil {
-			prevCluster(c)
+		if prev != nil {
+			prev(c)
 		}
 		o = Observe(c, ocfg)
-	}
-	prevSample := cfg.OnSample
-	cfg.OnSample = func(node packet.NodeID, s memcache.Sample) {
-		if prevSample != nil {
-			prevSample(node, s)
-		}
-		if o == nil || o.Trace == nil {
-			return
-		}
-		pid := o.cluster.Topo.RackOf(node)
-		tid := fmt.Sprintf("node%d app", node)
-		end := o.cluster.Machine(node).Now()
-		o.Trace.Span(pid, tid, "request", s.Op.String(), end.Add(-s.Latency), s.Latency)
-		if s.Retried {
-			o.Trace.Instant(pid, tid, "request", "retry", end)
-		}
 	}
 	res, err := RunMemcached(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	o.Finish()
-	return res, o, nil
-}
-
-// RunIncastObserved is RunMemcachedObserved's incast counterpart: iteration
-// spans land on the client's app lane.
-func RunIncastObserved(cfg IncastConfig, ocfg ObserveConfig) (incast.Result, *Observation, error) {
-	var o *Observation
-	prevCluster := cfg.OnCluster
-	cfg.OnCluster = func(c *Cluster) {
-		if prevCluster != nil {
-			prevCluster(c)
-		}
-		o = Observe(c, ocfg)
-	}
-	prevIter := cfg.OnIteration
-	cfg.OnIteration = func(iter int, start, end sim.Time) {
-		if prevIter != nil {
-			prevIter(iter, start, end)
-		}
-		if o != nil {
-			o.Trace.Span(0, "node0 app", "iteration", fmt.Sprintf("iteration %d", iter), start, end.Sub(start))
-		}
-	}
-	res, err := RunIncast(cfg)
-	if err != nil {
-		return incast.Result{}, nil, err
-	}
-	o.Finish()
-	return res, o, nil
+	return res, o, err
 }

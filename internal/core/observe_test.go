@@ -180,10 +180,16 @@ func TestIncastObservedTrace(t *testing.T) {
 	cfg := DefaultIncast(4)
 	cfg.Iterations = 4
 	cfg.BlockBytes = 64 * 1024
-	ocfg := ObserveConfig{PerNode: true, SampleEvery: sim.Millisecond}
-	res, o, err := RunIncastObserved(cfg, ocfg)
+	var o *Observation
+	cfg.OnCluster = func(c *Cluster) {
+		o = Observe(c, ObserveConfig{PerNode: true, SampleEvery: sim.Millisecond})
+	}
+	res, err := RunIncast(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !o.finished {
+		t.Fatal("RunIncast left the observation unfinished")
 	}
 	if len(res.IterTimes) != 4 {
 		t.Fatalf("iterations = %d", len(res.IterTimes))
@@ -240,6 +246,62 @@ func TestIncastObservedTrace(t *testing.T) {
 	if len(f.TraceEvents) == 0 {
 		t.Fatal("empty trace")
 	}
+}
+
+// TestObservedFaultedRuns: one run carries faults (cfg.Faults) and an
+// observation (Observe from OnCluster) at once, and its single trace holds
+// both the workload's app spans and the fault edges as global instants.
+func TestObservedFaultedRuns(t *testing.T) {
+	// count returns the trace's spans of category cat and its global
+	// instants.
+	count := func(o *Observation, cat string) (spans, globals int) {
+		for _, ev := range o.Trace.Events() {
+			switch {
+			case ev.Ph == "i" && ev.Scope == "g":
+				globals++
+			case ev.Ph == "X" && ev.Cat == cat:
+				spans++
+			}
+		}
+		return spans, globals
+	}
+	t.Run("memcached", func(t *testing.T) {
+		cfg := observedMemcached()
+		cfg.Faults = fault.NewPlan(cfg.Seed).
+			DegradeRackUplink(0, sim.Time(5*sim.Millisecond), 20*sim.Millisecond, 0.5, 0)
+		var o *Observation
+		cfg.OnCluster = func(c *Cluster) { o = Observe(c, ObserveConfig{}) }
+		res, err := RunMemcached(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans, globals := count(o, "request")
+		if uint64(spans) != res.Completed {
+			t.Errorf("%d request spans, want one per completed request (%d)", spans, res.Completed)
+		}
+		if globals != len(res.FaultEdges) || globals == 0 {
+			t.Errorf("%d fault instants, want one per fault edge (%d)", globals, len(res.FaultEdges))
+		}
+	})
+	t.Run("incast", func(t *testing.T) {
+		cfg := DefaultIncast(4)
+		cfg.Iterations = 3
+		cfg.BlockBytes = 64 * 1024
+		cfg.Faults = fault.NewPlan(cfg.Seed).DegradeEdge(0, fault.Down, 0, 600*sim.Second, 0.1, 0)
+		var o *Observation
+		cfg.OnCluster = func(c *Cluster) { o = Observe(c, ObserveConfig{}) }
+		res, err := RunIncast(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans, globals := count(o, "iteration")
+		if spans != len(res.IterTimes) {
+			t.Errorf("%d iteration spans, want %d", spans, len(res.IterTimes))
+		}
+		if globals == 0 {
+			t.Error("fault markers missing from trace")
+		}
+	})
 }
 
 // TestObserveDoesNotPerturbResults: an attached observation must not change

@@ -484,7 +484,9 @@ func TestShutdownReleasesThreads(t *testing.T) {
 				t.Fatalf("thread %v not dead after shutdown", th)
 			}
 		}
-		if n := runtime.NumGoroutine(); n != before {
+		// A leak shows as more goroutines; fewer only means some unrelated
+		// goroutine (the runtime's or another test's) exited meanwhile.
+		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("pass %d: %d goroutines after Shutdown, %d before the rig was built", pass, n, before)
 		}
 	}
