@@ -42,14 +42,13 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# simlint: the custom go/analysis suite enforcing the determinism and
-# scheduler contracts (see internal/analysis and DESIGN.md). Covers test
-# files; zero unsuppressed findings is a merge gate. Writes the
-# machine-readable findings report (suppressed findings included) and the
-# per-package serialization-readiness report — both uploaded by CI as the
-# checkpoint/restore worklist.
+# simlint: the custom go/analysis suite (detlint, schedlint, unitlint)
+# enforcing the determinism, scheduler and unit contracts (see
+# internal/analysis and DESIGN.md). Covers test files; zero unsuppressed
+# findings is a merge gate. Writes the machine-readable findings report
+# (suppressed findings included), which CI uploads.
 lint:
-	$(GO) run ./cmd/simlint -json LINT_findings.json -readiness STATE_readiness.json ./...
+	$(GO) run ./cmd/simlint -json LINT_findings.json ./...
 
 # Race-check the concurrency-bearing packages (the parallel engine, the
 # partitioned cluster, and the kernel, whose tests switch Spawn coroutines).

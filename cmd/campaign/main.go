@@ -7,12 +7,12 @@
 //	campaign cells (-preset P | -spec FILE)
 //	campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE]
 //	campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]
-//	campaign validate FILE...
 //
 // The same spec + master seed yields a byte-identical report at any -workers
 // value; every cell is replayable byte-for-byte from the seed its manifest
 // records. `campaign diff` compares two reports (typically two git
-// revisions) and exits 1 when a cell regresses past the threshold.
+// revisions) and exits 1 when a cell regresses past the threshold; `diablo
+// validate` checks a written report against its schema.
 package main
 
 import (
@@ -41,8 +41,6 @@ func main() {
 		err = cmdReplay(os.Args[2:])
 	case "diff":
 		err = cmdDiff(os.Args[2:])
-	case "validate":
-		err = cmdValidate(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -232,29 +230,10 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
-func cmdValidate(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("validate needs at least one file")
-	}
-	for _, path := range args {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		kind, err := campaign.ValidateArtifact(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("ok %-16s %s\n", kind, path)
-	}
-	return nil
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   campaign run  (-preset smoke|nightly | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
   campaign cells (-preset P | -spec FILE)
   campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE]
-  campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]
-  campaign validate FILE...`)
+  campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]`)
 }

@@ -275,7 +275,7 @@ func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
 	cfg.RequestsPerClient = 40
 	cfg.MaxClients = 64
 	cfg.Warmup = 2
-	if o.Requests > 0 {
+	if o.Requests != 0 {
 		cfg.RequestsPerClient = o.Requests
 	}
 	if o.Seed != 0 {
@@ -341,7 +341,7 @@ func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
 func runFaultIncast(o ExperimentOptions) (*ExperimentOutput, error) {
 	cfg := core.DefaultIncast(8)
 	cfg.Iterations = 10
-	if o.Iterations > 0 {
+	if o.Iterations != 0 {
 		cfg.Iterations = o.Iterations
 	}
 	if o.Seed != 0 {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"regexp"
 	"strconv"
 	"strings"
@@ -137,7 +136,3 @@ func cutQuoted(s string) (lit, rest string, err error) {
 	}
 	return "", "", fmt.Errorf("unterminated string literal")
 }
-
-// FixtureFiles returns the fixture's parsed files; used by tests that poke
-// the suppression collector directly.
-func (p *Package) FixtureFiles() []*ast.File { return p.Files }

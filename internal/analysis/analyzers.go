@@ -2,7 +2,7 @@ package analysis
 
 // All returns the full simlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Schedlint, Unitlint, Statelint}
+	return []*Analyzer{Detlint, Schedlint, Unitlint}
 }
 
 // ByName returns the named analyzer, or nil.

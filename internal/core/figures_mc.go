@@ -30,12 +30,13 @@ type Sweep struct {
 	Partitions int
 }
 
-// withDefaults fills s's zero fields with a figure's defaults.
+// withDefaults fills s's zero fields with a figure's defaults. A negative
+// field stays as it is, for the run function to reject.
 func (s Sweep) withDefaults(requests int, senders []int) Sweep {
-	if s.Requests <= 0 {
+	if s.Requests == 0 {
 		s.Requests = requests
 	}
-	if s.Iterations <= 0 {
+	if s.Iterations == 0 {
 		s.Iterations = 40
 	}
 	if len(s.Senders) == 0 {

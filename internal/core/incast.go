@@ -26,11 +26,11 @@ type IncastConfig struct {
 	Profile kernel.Profile
 	// Epoll selects the epoll client implementation.
 	Epoll bool
-	// BlockBytes is the striped block size per iteration (256 KB).
+	// BlockBytes is the striped block size per iteration (0 = 256 KB).
 	BlockBytes int
-	// Iterations is the number of synchronized reads (40).
+	// Iterations is the number of synchronized reads (0 = 40).
 	Iterations int
-	// MinRTO overrides TCP's minimum retransmission timeout (200 ms).
+	// MinRTO overrides TCP's minimum retransmission timeout (0 = 200 ms).
 	MinRTO sim.Duration
 	// Deadline bounds the simulated time (a collapsed run with 40
 	// iterations of 200ms+ stalls needs tens of simulated seconds).
@@ -69,6 +69,16 @@ func DefaultIncast(n int) IncastConfig {
 func RunIncast(cfg IncastConfig) (incast.Result, error) {
 	if cfg.Senders <= 0 {
 		return incast.Result{}, fmt.Errorf("core: incast needs at least one sender")
+	}
+	// Zero keeps each field's default, so a negative value would otherwise
+	// pass for one.
+	switch {
+	case cfg.Iterations < 0:
+		return incast.Result{}, fmt.Errorf("core: Iterations must not be negative (got %d)", cfg.Iterations)
+	case cfg.BlockBytes < 0:
+		return incast.Result{}, fmt.Errorf("core: BlockBytes must not be negative (got %d)", cfg.BlockBytes)
+	case cfg.MinRTO < 0:
+		return incast.Result{}, fmt.Errorf("core: MinRTO must not be negative (got %v)", cfg.MinRTO)
 	}
 	topo := topology.Params{ServersPerRack: cfg.Senders + 1, RacksPerArray: 1, Arrays: 1}
 	cc := DefaultConfig(topo)

@@ -33,7 +33,7 @@ type MemcachedConfig struct {
 	// RequestsPerClient is the per-client request count (paper: 30K; the
 	// benches default lower — see DESIGN.md's reduced-scale policy).
 	RequestsPerClient int
-	// Workers is the memcached worker thread count (paper: 4 or 8).
+	// Workers is the memcached worker thread count (paper: 4 or 8; 0 = 4).
 	Workers int
 	// Version is the memcached release profile.
 	Version memcache.Version
@@ -166,10 +166,34 @@ func RunMemcached(cfg MemcachedConfig) (*MemcachedResult, error) {
 	return runMemcachedWithTopology(cfg, topoParams, nil)
 }
 
+// validate rejects negative counts. Zero keeps each field's documented
+// meaning, so a negative value would otherwise pass for a default.
+func (cfg *MemcachedConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"RequestsPerClient", cfg.RequestsPerClient},
+		{"Workers", cfg.Workers},
+		{"ChurnEvery", cfg.ChurnEvery},
+		{"Warmup", cfg.Warmup},
+		{"MaxClients", cfg.MaxClients},
+		{"Partitions", cfg.Partitions},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: %s must not be negative (got %d)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // runMemcachedWithTopology runs a memcached experiment on an explicit
 // topology, optionally mutating the cluster config before construction
 // (used by the validation-cluster proxies).
 func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, mutate func(*Config)) (*MemcachedResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.ServersPerRack <= 0 || cfg.ServersPerRack >= topoParams.ServersPerRack {
 		return nil, fmt.Errorf("core: ServersPerRack out of range")
 	}

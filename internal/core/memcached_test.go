@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"diablo/internal/apps/memcache"
@@ -175,4 +176,63 @@ func TestEngineComparisonSpeedup(t *testing.T) {
 		t.Fatalf("rates: seq=%v par=%v", seq, par)
 	}
 	t.Logf("sequential %.0f ev/s, parallel %.0f ev/s (%.1fx)", seq, par, par/seq)
+}
+
+// A negative count is an error naming the field, never a silent default:
+// zero is the only value that means "default".
+func TestNegativeRunParametersAreErrors(t *testing.T) {
+	mc := func(set func(*MemcachedConfig)) func() error {
+		return func() error {
+			cfg := DefaultMemcached()
+			cfg.Topology = topology.Params{ServersPerRack: 4, RacksPerArray: 1, Arrays: 1}
+			cfg.ServersPerRack = 1
+			cfg.RequestsPerClient = 2
+			set(&cfg)
+			_, err := RunMemcached(cfg)
+			return err
+		}
+	}
+	in := func(set func(*IncastConfig)) func() error {
+		return func() error {
+			cfg := DefaultIncast(1)
+			cfg.Iterations = 2
+			set(&cfg)
+			_, err := RunIncast(cfg)
+			return err
+		}
+	}
+	cases := []struct {
+		name, field string
+		run         func() error
+	}{
+		{"memcached requests", "RequestsPerClient", mc(func(c *MemcachedConfig) { c.RequestsPerClient = -5 })},
+		{"memcached workers", "Workers", mc(func(c *MemcachedConfig) { c.Workers = -1 })},
+		{"memcached churn", "ChurnEvery", mc(func(c *MemcachedConfig) { c.ChurnEvery = -1 })},
+		{"memcached warmup", "Warmup", mc(func(c *MemcachedConfig) { c.Warmup = -1 })},
+		{"memcached max clients", "MaxClients", mc(func(c *MemcachedConfig) { c.MaxClients = -1 })},
+		{"memcached partitions", "Partitions", mc(func(c *MemcachedConfig) { c.Partitions = -1 })},
+		{"incast iterations", "Iterations", in(func(c *IncastConfig) { c.Iterations = -1 })},
+		{"incast block", "BlockBytes", in(func(c *IncastConfig) { c.BlockBytes = -5 })},
+		{"incast min RTO", "MinRTO", in(func(c *IncastConfig) { c.MinRTO = -sim.Millisecond })},
+		{"figure 6a iterations", "Iterations", func() error {
+			_, err := Figure6a(Sweep{Iterations: -2, Senders: []int{1}})
+			return err
+		}},
+		{"figure 8 requests", "RequestsPerClient", func() error {
+			_, _, err := Figure8(Sweep{Requests: -1, Senders: []int{2}})
+			return err
+		}},
+		{"figure 8 partitions", "Partitions", func() error {
+			_, _, err := Figure8(Sweep{Requests: 5, Partitions: -1, Senders: []int{2}})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("err = %v, want an error naming %s", err, c.field)
+			}
+		})
+	}
 }

@@ -38,7 +38,7 @@ func Section5Performance(arrays []int, requestsPerClient int) ([]PerfPoint, erro
 	if len(arrays) == 0 {
 		arrays = []int{1, 2, 4}
 	}
-	if requestsPerClient <= 0 {
+	if requestsPerClient == 0 {
 		requestsPerClient = 60
 	}
 	var out []PerfPoint

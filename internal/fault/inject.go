@@ -23,8 +23,7 @@ type Slower interface {
 // scheduler of the partition that owns its transmit side and a stable label
 // used to derive its loss stream and to name it in traces.
 type BoundLink struct {
-	Link *link.Link
-	//diablo:transient re-resolved from the Target by the Binder on restore
+	Link  *link.Link
 	Sched sim.Scheduler
 	Label string
 }
@@ -32,9 +31,8 @@ type BoundLink struct {
 // BoundSwitch is a switch resolved from a Target with its owning scheduler.
 type BoundSwitch struct {
 	Switch *vswitch.Switch
-	//diablo:transient re-resolved from the Target by the Binder on restore
-	Sched sim.Scheduler
-	Label string
+	Sched  sim.Scheduler
+	Label  string
 }
 
 // Binder resolves declarative Targets to live components and the schedulers

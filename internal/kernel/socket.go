@@ -12,12 +12,11 @@ import (
 
 // Socket-layer errors.
 var (
-	ErrPortInUse    = errors.New("kernel: port in use")
-	ErrWouldBlock   = errors.New("kernel: operation would block")
-	ErrClosed       = errors.New("kernel: socket closed")
-	ErrConnRefused  = errors.New("kernel: connection refused")
-	ErrMsgTooLong   = errors.New("kernel: datagram exceeds maximum size")
-	ErrNotConnected = errors.New("kernel: socket not connected")
+	ErrPortInUse   = errors.New("kernel: port in use")
+	ErrWouldBlock  = errors.New("kernel: operation would block")
+	ErrClosed      = errors.New("kernel: socket closed")
+	ErrConnRefused = errors.New("kernel: connection refused")
+	ErrMsgTooLong  = errors.New("kernel: datagram exceeds maximum size")
 )
 
 // MaxDatagram is the largest UDP datagram the stack accepts (fragmented
@@ -81,17 +80,13 @@ func (w *epollSet) notify(sock Pollable) {
 
 // EpollEvent is one ready notification from Epoll.Wait.
 type EpollEvent struct {
-	//diablo:transient scratch result row; Wait rebuilds it from live socket state
 	Sock   Pollable
 	Events EpollEvents
-	//diablo:transient application cookie; reattached by the app when epoll state replays
-	Data any
+	Data   any
 }
 
 type epollItem struct {
-	//diablo:transient socket identity; restore re-registers sockets by fd into fresh items
-	sock Pollable
-	//diablo:transient application cookie; reattached by the app when epoll state replays
+	sock     Pollable
 	data     any
 	interest EpollEvents
 	inReady  bool
@@ -101,8 +96,7 @@ type epollItem struct {
 // the paper contrasts with blocking pthread sockets (§4.1): applications
 // using it "proactively poll the kernel for available data".
 type Epoll struct {
-	m *Machine
-	//diablo:transient keyed by socket identity; rebuilt from fd registrations on restore
+	m     *Machine
 	items map[Pollable]*epollItem
 	// ready: level-triggered re-queues make this the allocation hot spot of
 	// epoll servers unless its storage is reused.
@@ -225,9 +219,8 @@ const WaitForever sim.Duration = -1
 
 // udpDgram is one reassembled datagram in a socket's receive queue.
 type udpDgram struct {
-	from  packet.Addr
-	bytes int
-	//diablo:transient opaque app payload; needs a concrete-type registry (ROADMAP item 5)
+	from    packet.Addr
+	bytes   int
 	payload any
 }
 
@@ -599,8 +592,7 @@ type TCPSocket struct {
 	watchers epollSet
 	// established is set by the handshake; done by the connection's end.
 	established, done bool
-	//diablo:transient one of a small closed error set; encodes as an errno-style code
-	err error
+	err               error
 }
 
 // newTCPSocket creates and registers the socket of a connection from local

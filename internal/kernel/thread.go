@@ -43,8 +43,7 @@ type Result struct {
 	UDP      *UDPSocket   // UDPSocket
 	Listener *TCPListener // Listen
 	TCP      *TCPSocket   // Connect, Accept, TryAccept
-	//diablo:transient errno-style error and opaque app messages; they encode like TCPSocket.err and udpDgram.payload
-	v struct {
+	v        struct {
 		err     error
 		payload any   // the app message the call carried: received (UDP) or sent (SendTo, Send)
 		msgs    []any // TCP Recv/TryRecv: the messages completed
@@ -71,8 +70,7 @@ type Thread struct {
 	m    *Machine
 	name string
 
-	state threadState
-	//diablo:transient application state; restore re-creates the program (Spawn coroutines are not encodable)
+	state     threadState
 	prog      Program
 	remaining sim.Duration // CPU time owed before the program may continue
 	sliceLeft sim.Duration
@@ -259,7 +257,7 @@ type threadOp struct {
 	cond *Cond
 	bar  *Barrier
 	wg   *WaitGroup
-	msg  any //diablo:transient opaque app message a send carries, like udpDgram.payload
+	msg  any
 }
 
 // expired reports whether the call must return empty-handed rather than block

@@ -56,14 +56,11 @@ func (i Impairment) active() bool { return i.Down || i.Loss > 0 || i.ExtraProp >
 
 // Link is a simplex link from a transmitter to an endpoint.
 type Link struct {
-	//diablo:transient partition wiring; core re-attaches schedulers on restore
-	sched sim.Scheduler
-	//diablo:transient partition wiring; core re-attaches schedulers on restore
+	sched   sim.Scheduler
 	deliver sim.Scheduler // scheduler for the delivery event; defaults to sched
-	//diablo:transient endpoint identity; re-resolved by topology wiring on restore
-	dst  Endpoint
-	rate int64        // bits per second
-	prop sim.Duration // propagation delay
+	dst     Endpoint
+	rate    int64        // bits per second
+	prop    sim.Duration // propagation delay
 
 	nextFree sim.Time // when the transmit side is next idle
 
@@ -72,7 +69,6 @@ type Link struct {
 	pool      *packet.Pool
 
 	// OnFaultDrop, if set, observes every frame removed by the fault layer.
-	//diablo:transient observability hook; re-registered by the fault layer on restore
 	OnFaultDrop func(pkt *packet.Packet)
 
 	// Stats counts frames and bytes clocked onto the wire (the transmit side

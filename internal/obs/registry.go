@@ -51,10 +51,8 @@ type TimeSeries struct {
 // only appended from the owning scheduler's event context, so no lock is
 // needed even in a partitioned run.
 type instrument struct {
-	name string
-	//diablo:transient partition wiring; re-attached when probes re-register on restore
-	sched sim.Scheduler
-	//diablo:transient probe closure; re-registered by the instrumented component on restore
+	name    string
+	sched   sim.Scheduler
 	probe   func() float64
 	samples []Sample
 }

@@ -194,8 +194,6 @@ func (r Route) String() string {
 }
 
 // Packet is one simulated frame in flight.
-//
-//diablo:checkpoint-root
 type Packet struct {
 	Src, Dst Addr
 	Proto    Proto
@@ -207,8 +205,6 @@ type Packet struct {
 	// pstate distinguishes heap-constructed packets (zero: untracked,
 	// GC-owned) from pool handles (live or on a freelist); pgen counts
 	// recycles of the slab slot so slabdebug builds can name stale handles.
-	// Both are rebuilt trivially on restore: a checkpoint only ever contains
-	// live packets.
 	pstate uint8
 	pgen   uint32
 	Hop    int
@@ -225,7 +221,6 @@ type Packet struct {
 
 	// Payload is an opaque application reference (e.g. a request object)
 	// used by endpoints to reconstruct messages without simulating bytes.
-	//diablo:transient opaque app payload; needs a concrete-type registry (ROADMAP item 5)
 	Payload any
 
 	// Instrumentation.

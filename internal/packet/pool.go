@@ -14,20 +14,15 @@ import "fmt"
 // point: sync.Pool's reuse order depends on which goroutine ran last and on
 // GC timing, so two runs of the same workload would hand out different packet
 // identities and any identity-dependent behavior (diagnostics, slabdebug
-// sites, future checkpoint encodings) would diverge. A plain freelist makes
-// packet recycling a pure function of the event history, which the replay
-// contract already fixes.
+// sites) would diverge. A plain freelist makes packet recycling a pure
+// function of the event history, which the replay contract already fixes.
 //
 // The zero Packet from Get is indistinguishable from &Packet{} to the model:
 // a nil *Pool degrades every Get to a plain heap allocation and every Release
 // to a no-op, which is how the unpooled comparison mode (and direct
 // construction in tests) works.
-//
-//diablo:checkpoint-root
 type Pool struct {
-	// free is the LIFO freelist of recycled slots. On restore it is rebuilt
-	// empty: a checkpoint only contains live packets, and fresh slabs are
-	// grown on demand.
+	// free is the LIFO freelist of recycled slots.
 	free []*Packet
 	// slabs pins the backing arrays so slot pointers stay valid for the
 	// pool's lifetime. Slots are handed out in slab order, then LIFO.

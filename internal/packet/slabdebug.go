@@ -79,7 +79,7 @@ func slabdebugSite(pkt *Packet) string {
 
 // checkLive panics when a hot-path accessor touches a released packet: the
 // holder kept a handle past the owner's Release, exactly the bug class the
-// ownership rules in DESIGN.md §5.11 exist to prevent.
+// ownership rules in DESIGN.md §5.10 exist to prevent.
 func checkLive(p *Packet) {
 	if p == nil || p.pstate != psReleased {
 		return

@@ -7,8 +7,6 @@ import "math"
 // from the experiment's master seed and a component label, so adding or
 // reordering components does not perturb the random streams of the others —
 // the property DIABLO gets for free from per-model hardware LFSRs.
-//
-//diablo:checkpoint-root
 type Rand struct {
 	s [4]uint64
 }

@@ -98,12 +98,8 @@ func (b *boundQueue) insert(x Boundary) {
 
 // Conn is one TCP connection endpoint. The zero Conn is inert: Init it in
 // place, inside the socket that owns it.
-//
-//diablo:checkpoint-root
 type Conn struct {
-	//diablo:transient environment adapter; the owning socket re-binds it on restore
-	env eventEnv
-	//diablo:transient the owning socket; it re-binds itself on restore
+	env   eventEnv
 	owner Owner
 	// Hooks is the owner of a standalone connection, nil on a socket's: its
 	// fields are promoted, so callers set c.OnReadable and the like.
@@ -152,14 +148,11 @@ type Conn struct {
 	peerFin   bool
 	// msgs is Read's result, valid until the next Read; msgs0 is its first
 	// backing array.
-	//diablo:transient opaque app messages, handed out by the last Read
-	msgs []any
-	//diablo:transient opaque app messages, handed out by the last Read
+	msgs  []any
 	msgs0 [1]any
 
 	Stats Stats
-	//diablo:transient one of a small closed error set; encodes as an errno-style code
-	err error
+	err   error
 }
 
 // Init makes c a fresh endpoint from local to remote that reports to owner: a

@@ -84,10 +84,8 @@ type Owner interface {
 // Hooks are the callbacks of a standalone connection (NewClient, NewServer),
 // which reports to them instead of to a socket; nil ones are skipped.
 type Hooks struct {
-	//diablo:transient caller callbacks; re-registered by the caller on restore
 	OnConnected, OnReadable, OnWritable func()
-	//diablo:transient caller callback; re-registered by the caller on restore
-	OnClosed func(err error)
+	OnClosed                            func(err error)
 }
 
 // hookOwner is Hooks as an Owner: a distinct method set, so that embedding
@@ -188,8 +186,7 @@ func (s State) String() string {
 // the message Payload is complete when the receiver's in-order stream
 // reaches EndSeq.
 type Boundary struct {
-	EndSeq uint32
-	//diablo:transient opaque app message; needs a concrete-type registry (ROADMAP item 5)
+	EndSeq  uint32
 	Payload any
 }
 
