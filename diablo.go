@@ -100,6 +100,8 @@ type (
 	Thread = kernel.Thread
 	// Addr is a transport address.
 	Addr = packet.Addr
+	// Msg is the fixed-size message a UDP datagram carries by value.
+	Msg = packet.Msg
 )
 
 // Measurement.

@@ -61,28 +61,28 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 	defer cluster.Shutdown()
 
-	var got any
+	var got Msg
 	cluster.Machine(0).Spawn("server", func(th *Thread) {
 		sock, err := th.UDPSocket(7000)
 		if err != nil {
 			return
 		}
-		_, _, payload, err := sock.RecvFrom(th)
+		_, _, msg, err := sock.RecvFrom(th)
 		if err != nil {
 			return
 		}
-		got = payload
+		got = msg
 	})
 	cluster.Machine(1).Spawn("client", func(th *Thread) {
 		sock, err := th.UDPSocket(0)
 		if err != nil {
 			return
 		}
-		_ = sock.SendTo(th, Addr{Node: 0, Port: 7000}, 64, "hello")
+		_ = sock.SendTo(th, Addr{Node: 0, Port: 7000}, 64, Msg{Kind: 1, A: 42})
 	})
 	cluster.RunUntil(Second)
-	if got != "hello" {
-		t.Fatalf("payload = %v", got)
+	if want := (Msg{Kind: 1, A: 42}); got != want {
+		t.Fatalf("msg = %+v, want %+v", got, want)
 	}
 }
 

@@ -34,12 +34,12 @@ func main() {
 			return
 		}
 		for {
-			from, n, payload, err := sock.RecvFrom(t)
+			from, n, msg, err := sock.RecvFrom(t)
 			if err != nil {
 				return
 			}
 			t.Compute(2000) // pretend to think about it
-			_ = sock.SendTo(t, from, n, payload)
+			_ = sock.SendTo(t, from, n, msg)
 		}
 	})
 	cluster.Machine(0).Spawn("tcp-sink", func(t *diablo.Thread) {
@@ -73,7 +73,7 @@ func main() {
 		}
 		for i := 0; i < 3; i++ {
 			start := t.Now()
-			_ = sock.SendTo(t, diablo.Addr{Node: 0, Port: 9000}, 200, i)
+			_ = sock.SendTo(t, diablo.Addr{Node: 0, Port: 9000}, 200, diablo.Msg{Kind: 1, A: uint64(i)})
 			_, _, _, err := sock.RecvFrom(t)
 			if err != nil {
 				return

@@ -189,7 +189,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			c.pc = cTCPSent
 			return true
 		}
-		if c.attempt > p.Retries || c.sock.SendTo(t, c.server, c.wire, c.req) != nil {
+		if c.attempt > p.Retries || c.sock.SendTo(t, c.server, c.wire, c.req.msg()) != nil {
 			return c.completed(t, false)
 		}
 		c.attempt++
@@ -203,7 +203,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 		}
 		c.sock.RecvFromTimeout(t, remain)
 	case cUDPGot:
-		resp, isResp := res.Payload().(Response)
+		resp, isResp := responseOf(res.Msg())
 		switch {
 		case res.Err() != nil:
 			c.pc = cSend // timeout: retry

@@ -208,15 +208,30 @@ func TestOldVersionCostsMoreSyscallsOnAccept(t *testing.T) {
 	}
 }
 
+func TestMsgRoundTrip(t *testing.T) {
+	req := Request{Op: workload.Set, Key: 1<<40 + 3, ValueBytes: 1 << 20, Seq: 7}
+	if got, ok := requestOf(req.msg()); !ok || got != req {
+		t.Fatalf("request %+v came back as %+v (ok=%v)", req, got, ok)
+	}
+	resp := Response{Seq: 7, Hit: true, ValueBytes: 4096}
+	if got, ok := responseOf(resp.msg()); !ok || got != resp {
+		t.Fatalf("response %+v came back as %+v (ok=%v)", resp, got, ok)
+	}
+	if _, ok := responseOf(req.msg()); ok {
+		t.Fatal("a request decoded as a response")
+	}
+	if _, ok := requestOf(packet.Msg{}); ok {
+		t.Fatal("the empty message decoded as a request")
+	}
+}
+
 func TestSetsVisibleToGets(t *testing.T) {
 	// A SET followed by a GET of the same key returns the new size: the
 	// store is live, not just static.
 	r := newRig(t)
-	wl := workload.ETC()
-	wl.Keys = 10
 	sp := DefaultServer(V1417(), NewStore()) // empty store: all gets miss
 	srv := InstallServer(r.server, sp)
-	pr := &probe{dst: packet.Addr{Node: 0, Port: sp.Port}, halt: r.eng.Halt, reqs: []Request{
+	pr := &probe{dst: packet.Addr{Node: 0, Port: sp.Port}, halt: r.eng.Halt, lockstep: true, script: []Request{
 		{Op: workload.Get, Key: 3, Seq: 1},                  // miss
 		{Op: workload.Set, Key: 3, ValueBytes: 400, Seq: 2}, // set
 		{Op: workload.Get, Key: 3, Seq: 3},                  // hit
@@ -238,40 +253,138 @@ func TestSetsVisibleToGets(t *testing.T) {
 	}
 }
 
-// probe sends its requests over UDP one at a time, keeping each response.
+// TestDuplicateServedAsSent: a request sent twice, whose duplicate reaches the
+// server after the client has built its next request in the same variable, is
+// served both times with its own key and size. A message that shared the
+// client's storage would arrive as the next request.
+func TestDuplicateServedAsSent(t *testing.T) {
+	r := newRig(t)
+	sp := DefaultServer(V1417(), NewStore())
+	srv := InstallServer(r.server, sp)
+	first := Request{Op: workload.Set, Key: 3, ValueBytes: 400, Seq: 1}
+	pr := &probe{dst: packet.Addr{Node: 0, Port: sp.Port}, halt: r.eng.Halt, script: []Request{
+		first, first, {Op: workload.Set, Key: 5, ValueBytes: 900, Seq: 2},
+	}}
+	r.client.Start("probe", pr)
+	r.eng.RunUntil(sim.Time(5 * sim.Second))
+	if len(pr.resps) != 3 {
+		t.Fatalf("got %d responses, want 3", len(pr.resps))
+	}
+	seqs := map[uint64]int{}
+	for _, resp := range pr.resps {
+		seqs[resp.Seq]++
+	}
+	if seqs[1] != 2 || seqs[2] != 1 {
+		t.Fatalf("responses %+v, want two for Seq 1 and one for Seq 2", pr.resps)
+	}
+	for key, want := range map[uint64]int{3: 400, 5: 900} {
+		if n, ok := sp.Store.Get(key); !ok || n != want {
+			t.Fatalf("key %d holds %d (present %v), want %d", key, n, ok, want)
+		}
+	}
+	if srv.Stats.Sets != 3 {
+		t.Fatalf("sets = %d, want 3", srv.Stats.Sets)
+	}
+}
+
+// TestLateResponseDiscardedBySeq: against a server that answers each request
+// only on its retry, and then answers the first attempt too, the late answer
+// reaches the client while it waits on its next request. The client must
+// discard it by Seq: every request completes on its own retry.
+func TestLateResponseDiscardedBySeq(t *testing.T) {
+	r := newRig(t)
+	const requests, timeout = 5, sim.Millisecond
+	st := &staller{}
+	r.server.Start("staller", st)
+	var samples []Sample
+	cp := DefaultClient([]packet.Addr{{Node: 0, Port: 11211}}, requests)
+	cp.UDPTimeout = timeout
+	cp.StartSpread = 0
+	cp.OnSample = func(s Sample) { samples = append(samples, s) }
+	cp.OnDone = r.eng.Halt
+	InstallClient(r.client, cp)
+	r.eng.RunUntil(sim.Time(5 * sim.Second))
+	if len(samples) != requests {
+		t.Fatalf("samples = %d, want %d", len(samples), requests)
+	}
+	for i, s := range samples {
+		if !s.Retried || s.Latency < timeout {
+			t.Fatalf("request %d: %+v completed without its retry's answer", i, s)
+		}
+	}
+	if st.answered != 2*requests {
+		t.Fatalf("server answered %d times, want %d", st.answered, 2*requests)
+	}
+}
+
+// staller is a UDP server that leaves the first attempt of each request
+// unanswered until its retry arrives, then answers both, the retry first.
+type staller struct {
+	sock     *kernel.UDPSocket
+	from     packet.Addr
+	seq      uint64 // of the last request received
+	late     int    // answers still to send for seq
+	answered int
+}
+
+func (s *staller) Next(t *kernel.Thread, res *kernel.Result) bool {
+	if s.sock == nil {
+		if s.sock = res.UDP; s.sock == nil {
+			t.UDPSocket(11211)
+			return true
+		}
+	}
+	if req, ok := requestOf(res.Msg()); ok {
+		if req.Seq == s.seq {
+			s.late = 2 // the retry: answer it, then the first attempt
+		}
+		s.from, s.seq = res.From, req.Seq
+	}
+	if s.late == 0 {
+		s.sock.RecvFrom(t)
+		return true
+	}
+	s.late--
+	s.answered++
+	_ = s.sock.SendTo(t, s.from, responseHeader, Response{Seq: s.seq, Hit: true}.msg())
+	return true
+}
+
+// probe sends its script of requests over UDP, building each in the same
+// variable, and keeps a response for each. In lockstep it waits for each
+// response before building the next request; otherwise it sends the whole
+// script back to back and then reads the responses.
 type probe struct {
-	dst   packet.Addr
-	reqs  []Request
-	resps []Response
-	halt  func()
-	sock  *kernel.UDPSocket
-	pc    int
+	dst      packet.Addr
+	script   []Request
+	lockstep bool
+	resps    []Response
+	halt     func()
+	sock     *kernel.UDPSocket
+	req      Request // the request being sent
+	sent     int
 }
 
 func (p *probe) Next(t *kernel.Thread, res *kernel.Result) bool {
-	switch p.pc {
-	case 0:
-		t.UDPSocket(0)
-		p.pc = 1
-	case 1: // the socket, or a response: send the next request
-		if res.UDP != nil {
-			p.sock = res.UDP
-		} else {
-			p.resps = append(p.resps, res.Payload().(Response))
+	if p.sock == nil {
+		if p.sock = res.UDP; p.sock == nil {
+			t.UDPSocket(0)
+			return true
 		}
-		if len(p.resps) == len(p.reqs) {
-			p.halt()
-			return false
-		}
-		req, n := p.reqs[len(p.resps)], 60
-		if req.Op == workload.Set {
-			n = 500
-		}
-		_ = p.sock.SendTo(t, p.dst, n, req)
-		p.pc = 2
-	case 2:
+	}
+	if resp, ok := responseOf(res.Msg()); ok {
+		p.resps = append(p.resps, resp)
+	}
+	switch {
+	case p.sent < len(p.script) && (!p.lockstep || len(p.resps) == p.sent):
+		p.req = p.script[p.sent]
+		p.sent++
+		_ = p.sock.SendTo(t, p.dst, p.req.wireBytes(16), p.req.msg())
+	case len(p.resps) < len(p.script):
 		p.sock.RecvFrom(t)
-		p.pc = 1
+	default:
+		p.halt()
+		return false
 	}
 	return true
 }

@@ -85,6 +85,35 @@ type Response struct {
 	ValueBytes int
 }
 
+// Datagram message kinds (packet.Msg.Kind). A request's words are its Seq,
+// its Key, and its Op and ValueBytes in the high and low halves; a response's
+// are its Seq, its ValueBytes and whether it hit. requestOf and responseOf
+// decode a message, reporting whether it is of their kind.
+const (
+	kindRequest uint8 = 1 + iota
+	kindResponse
+)
+
+func (r Request) msg() packet.Msg {
+	return packet.Msg{Kind: kindRequest, A: r.Seq, B: r.Key, C: uint64(r.Op)<<32 | uint64(uint32(r.ValueBytes))}
+}
+
+func requestOf(m packet.Msg) (Request, bool) {
+	return Request{Op: workload.Op(m.C >> 32), Key: m.B, ValueBytes: int(uint32(m.C)), Seq: m.A}, m.Kind == kindRequest
+}
+
+func (r Response) msg() packet.Msg {
+	m := packet.Msg{Kind: kindResponse, A: r.Seq, B: uint64(r.ValueBytes)}
+	if r.Hit {
+		m.C = 1
+	}
+	return m
+}
+
+func responseOf(m packet.Msg) (Response, bool) {
+	return Response{Seq: m.A, Hit: m.C != 0, ValueBytes: int(m.B)}, m.Kind == kindResponse
+}
+
 // Store is the in-memory item store, dense over the key space (keys are
 // 0..Keys-1). Only value sizes are tracked: that is all the timing model
 // observes (the experiments measure request latency, not data content).
@@ -302,7 +331,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 		w.u.TryRecv(t)
 		w.pc = wUDPRecv
 	case wUDPRecv:
-		req, ok := res.Payload().(Request)
+		req, ok := requestOf(res.Msg())
 		switch {
 		case res.Err() != nil:
 			w.pc = wEvent
@@ -349,7 +378,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 	case wOp:
 		resp, respBytes := w.srv.apply(w.req)
 		if w.u != nil {
-			_ = w.u.SendTo(t, w.from, respBytes, resp)
+			_ = w.u.SendTo(t, w.from, respBytes, resp.msg())
 			w.pc = wUDP
 			break
 		}

@@ -60,7 +60,7 @@ func TestCrossRackMessaging(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_ = sock.SendTo(t, from, 100, nil)
+			_ = sock.SendTo(t, from, 100, packet.Msg{})
 		}
 	})
 	for _, n := range []packet.NodeID{1, 4, 8} {
@@ -69,7 +69,7 @@ func TestCrossRackMessaging(t *testing.T) {
 			t.Sleep(sim.Duration(n) * sim.Millisecond) // avoid overlap
 			sock, _ := t.UDPSocket(0)
 			start := t.Now()
-			_ = sock.SendTo(t, packet.Addr{Node: 0, Port: 9000}, 100, nil)
+			_ = sock.SendTo(t, packet.Addr{Node: 0, Port: 9000}, 100, packet.Msg{})
 			_, _, _, err := sock.RecvFrom(t)
 			if err != nil {
 				return

@@ -147,3 +147,106 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 		t.Errorf("%d exchanges allocated %d objects, want none", conns*rounds, exchanged)
 	}
 }
+
+// TestAllocBudgetUDPExchange runs a program client and server exchanging
+// datagrams — a one-packet request answered by a three-fragment response,
+// each carrying its message by value — and counts the host allocations of
+// the exchanges once a warm-up round has run: there are none.
+func TestAllocBudgetUDPExchange(t *testing.T) {
+	if instrumented {
+		t.Skip("-race and slabdebug builds allocate on their own")
+	}
+	const rounds, cycles = 50, 3
+	r := newRig(t, DefaultConfig())
+	pool := packet.NewPool()
+	r.a.SetPool(pool)
+	r.b.SetPool(pool)
+	r.b.Start("echo", &udpEcho{port: 9000})
+	cli := &udpPinger{dst: packet.Addr{Node: r.b.Node(), Port: 9000}, rounds: rounds}
+	r.a.Start("client", cli)
+
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	r.run(sim.Second) // warm-up: cycle 0
+	// Cycle k exchanges from k simulated seconds. As in the TCP budget, the
+	// reassembly map's occasional regrowth under insert/delete churn is
+	// amortized: the budget holds the cheapest cycle.
+	exchanged := uint64(1 << 62)
+	for k := 1; k <= cycles; k++ {
+		before := mallocs()
+		r.run(sim.Duration(k+1) * sim.Second)
+		exchanged = min(exchanged, mallocs()-before)
+	}
+	if want := uint64(rounds * (cycles + 1)); cli.got != want {
+		t.Fatalf("client got %d matching replies, want %d", cli.got, want)
+	}
+	t.Logf("best of %d cycles: %d exchanges, %d objects", cycles, rounds, exchanged)
+	if exchanged != 0 {
+		t.Errorf("%d exchanges allocated %d objects, want none", rounds, exchanged)
+	}
+}
+
+// udpEcho answers every datagram with a 3,000-byte one (three fragments)
+// carrying the request's number.
+type udpEcho struct {
+	port packet.Port
+	sock *UDPSocket
+}
+
+func (e *udpEcho) Next(t *Thread, res *Result) bool {
+	switch {
+	case e.sock == nil && res.UDP == nil:
+		t.UDPSocket(e.port)
+		return true
+	case e.sock == nil:
+		e.sock = res.UDP
+	case res.Msg().Kind == 1:
+		e.sock.SendTo(t, res.From, 3000, packet.Msg{Kind: 2, A: res.Msg().A})
+		return true
+	}
+	e.sock.RecvFrom(t)
+	return true
+}
+
+// udpPinger makes rounds request/response exchanges at the start of every
+// simulated second, counting the replies that carry their request's number.
+type udpPinger struct {
+	dst    packet.Addr
+	rounds int
+	sock   *UDPSocket
+	pc     int
+	round  int
+	cycle  int
+	seq    uint64
+	got    uint64
+}
+
+func (p *udpPinger) Next(t *Thread, res *Result) bool {
+	switch p.pc {
+	case 0:
+		t.UDPSocket(0)
+	case 1: // the socket, a reply or the next second: send a request
+		if p.sock == nil {
+			p.sock = res.UDP
+		}
+		p.seq++
+		p.sock.SendTo(t, p.dst, 100, packet.Msg{Kind: 1, A: p.seq})
+	case 2:
+		p.sock.RecvFrom(t)
+	case 3:
+		if res.Msg() == (packet.Msg{Kind: 2, A: p.seq}) {
+			p.got++
+		}
+		p.pc = 1
+		if p.round++; p.round == p.rounds {
+			p.round, p.cycle = 0, p.cycle+1
+			t.Sleep(sim.Time(sim.Duration(p.cycle) * sim.Second).Sub(t.Now()))
+		}
+		return true
+	}
+	p.pc++
+	return true
+}

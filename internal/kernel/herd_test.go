@@ -37,11 +37,11 @@ func herd(t *testing.T, programs bool) string {
 				for {
 					for range ep.Wait(wt, 64, 100*sim.Millisecond) {
 						for {
-							_, _, payload, err := sock.TryRecv(wt)
+							_, _, msg, err := sock.TryRecv(wt)
 							if err != nil {
 								break
 							}
-							fmt.Fprintf(&log, "%s:%v@%d ", wt.Name(), payload, wt.Now())
+							fmt.Fprintf(&log, "%s:%v@%d ", wt.Name(), msg.A, wt.Now())
 							wt.Compute(8000)
 							wt.Sleep(3 * sim.Microsecond) // lets a sibling take the next one
 						}
@@ -54,7 +54,7 @@ func herd(t *testing.T, programs bool) string {
 		sock, _ := th.UDPSocket(0)
 		th.Sleep(sim.Millisecond)
 		for i := 0; i < 12; i++ {
-			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 64, i)
+			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 64, msgOf(i))
 			if i%3 != 2 { // two back to back, then a gap
 				continue
 			}
@@ -119,7 +119,7 @@ func (w *herdWorker) Next(t *Thread, res *Result) bool {
 			w.ready, w.pc = w.ready-1, 4
 			return true
 		}
-		fmt.Fprintf(w.log, "%s:%v@%d ", t.Name(), res.Payload(), t.Now())
+		fmt.Fprintf(w.log, "%s:%v@%d ", t.Name(), res.Msg().A, t.Now())
 		t.Compute(8000)
 	case 6:
 		t.Sleep(3 * sim.Microsecond) // lets a sibling take the next one

@@ -57,6 +57,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 
 func (r *rig) run(d sim.Duration) { r.eng.RunUntil(sim.Time(d)) }
 
+// msgOf is the test datagram message numbered n.
+func msgOf(n int) packet.Msg { return packet.Msg{Kind: 1, A: uint64(n)} }
+
 func TestThreadComputeTiming(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	var done sim.Time
@@ -118,7 +121,7 @@ func TestSleepWakesOnTime(t *testing.T) {
 
 func TestUDPPingPong(t *testing.T) {
 	r := newRig(t, DefaultConfig())
-	var reply any
+	var reply packet.Msg
 	var rtt sim.Duration
 
 	r.b.Spawn("server", func(th *Thread) {
@@ -132,11 +135,11 @@ func TestUDPPingPong(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if n != 100 || payload != "ping" {
+		if n != 100 || payload != msgOf(1) {
 			t.Errorf("server got n=%d payload=%v", n, payload)
 		}
 		th.Compute(5000) // handle the request
-		if err := sock.SendTo(th, from, 200, "pong"); err != nil {
+		if err := sock.SendTo(th, from, 200, msgOf(2)); err != nil {
 			t.Error(err)
 		}
 	})
@@ -148,7 +151,7 @@ func TestUDPPingPong(t *testing.T) {
 		}
 		start := th.Now()
 		dst := packet.Addr{Node: 1, Port: 7000}
-		if err := sock.SendTo(th, dst, 100, "ping"); err != nil {
+		if err := sock.SendTo(th, dst, 100, msgOf(1)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -164,7 +167,7 @@ func TestUDPPingPong(t *testing.T) {
 		rtt = th.Now().Sub(start)
 	})
 	r.run(sim.Second)
-	if reply != "pong" {
+	if reply != msgOf(2) {
 		t.Fatalf("reply = %v", reply)
 	}
 	// RTT sanity: at least two serializations + interrupt handling; well
@@ -177,7 +180,7 @@ func TestUDPPingPong(t *testing.T) {
 func TestUDPFragmentation(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	var gotN int
-	var gotPayload any
+	var gotPayload packet.Msg
 	r.b.Spawn("server", func(th *Thread) {
 		sock, _ := th.UDPSocket(7000)
 		_, n, p, err := sock.RecvFrom(th)
@@ -189,12 +192,12 @@ func TestUDPFragmentation(t *testing.T) {
 	})
 	r.a.Spawn("client", func(th *Thread) {
 		sock, _ := th.UDPSocket(0)
-		if err := sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 10_000, "big"); err != nil {
+		if err := sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 10_000, msgOf(3)); err != nil {
 			t.Error(err)
 		}
 	})
 	r.run(sim.Second)
-	if gotN != 10_000 || gotPayload != "big" {
+	if gotN != 10_000 || gotPayload != msgOf(3) {
 		t.Fatalf("reassembly failed: n=%d payload=%v", gotN, gotPayload)
 	}
 	// 10 KB = 7 fragments on the wire.
@@ -208,7 +211,7 @@ func TestUDPOversizeRejected(t *testing.T) {
 	var err error
 	r.a.Spawn("client", func(th *Thread) {
 		sock, _ := th.UDPSocket(0)
-		err = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, MaxDatagram+1, nil)
+		err = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, MaxDatagram+1, packet.Msg{})
 	})
 	r.run(sim.Millisecond * 10)
 	if err != ErrMsgTooLong {
@@ -228,7 +231,7 @@ func TestUDPRcvBufOverflow(t *testing.T) {
 	r.a.Spawn("client", func(th *Thread) {
 		sock, _ := th.UDPSocket(0)
 		for i := 0; i < 10; i++ {
-			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 1200, i)
+			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 1200, msgOf(i))
 		}
 	})
 	r.run(sim.Second)
@@ -328,7 +331,7 @@ func TestTCPEndToEnd(t *testing.T) {
 
 func TestEpollServer(t *testing.T) {
 	r := newRig(t, DefaultConfig())
-	var got []any
+	var got []packet.Msg
 	r.b.Spawn("server", func(th *Thread) {
 		s1, _ := th.UDPSocket(7001)
 		s2, _ := th.UDPSocket(7002)
@@ -352,8 +355,8 @@ func TestEpollServer(t *testing.T) {
 	r.a.Spawn("client", func(th *Thread) {
 		sock, _ := th.UDPSocket(0)
 		for i := 0; i < 2; i++ {
-			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7001}, 100, i)
-			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7002}, 100, i+10)
+			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7001}, 100, msgOf(i))
+			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7002}, 100, msgOf(i+10))
 			th.Sleep(sim.Millisecond)
 		}
 	})
@@ -399,7 +402,7 @@ func TestInterruptsPreemptCompute(t *testing.T) {
 			r.a.Spawn("blaster", func(th *Thread) {
 				sock, _ := th.UDPSocket(0)
 				for i := 0; i < 800; i++ {
-					_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 1400, nil)
+					_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 1400, packet.Msg{})
 				}
 			})
 		}
@@ -428,14 +431,14 @@ func TestDeterminism(t *testing.T) {
 					return
 				}
 				th.Compute(int64(1000 + n))
-				_ = sock.SendTo(th, from, 64, nil)
+				_ = sock.SendTo(th, from, 64, packet.Msg{})
 			}
 		})
 		r.a.Spawn("client", func(th *Thread) {
 			sock, _ := th.UDPSocket(0)
 			rng := th.Rand().Fork("client")
 			for i := 0; i < 20; i++ {
-				_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 100+rng.Intn(1000), nil)
+				_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 100+rng.Intn(1000), packet.Msg{})
 				_, _, _, err := sock.RecvFrom(th)
 				if err != nil {
 					return
@@ -576,11 +579,11 @@ func TestPortConflicts(t *testing.T) {
 
 func TestLoopbackDelivery(t *testing.T) {
 	r := newRig(t, DefaultConfig())
-	var got any
+	var got packet.Msg
 	r.a.Spawn("self", func(th *Thread) {
 		srv, _ := th.UDPSocket(6000)
 		cli, _ := th.UDPSocket(0)
-		_ = cli.SendTo(th, packet.Addr{Node: 0, Port: 6000}, 100, "loop")
+		_ = cli.SendTo(th, packet.Addr{Node: 0, Port: 6000}, 100, msgOf(4))
 		_, _, payload, err := srv.RecvFrom(th)
 		if err != nil {
 			t.Error(err)
@@ -589,7 +592,7 @@ func TestLoopbackDelivery(t *testing.T) {
 		got = payload
 	})
 	r.run(sim.Second)
-	if got != "loop" {
+	if got != msgOf(4) {
 		t.Fatalf("loopback payload = %v", got)
 	}
 	if r.a.Stats.LoopbackPkts == 0 {
@@ -630,13 +633,13 @@ func TestNewerKernelIsFaster(t *testing.T) {
 				if err != nil {
 					return
 				}
-				_ = sock.SendTo(th, from, 100, nil)
+				_ = sock.SendTo(th, from, 100, packet.Msg{})
 			}
 		})
 		r.a.Spawn("client", func(th *Thread) {
 			sock, _ := th.UDPSocket(0)
 			for i := 0; i < 50; i++ {
-				_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 100, nil)
+				_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 7000}, 100, packet.Msg{})
 				_, _, _, err := sock.RecvFrom(th)
 				if err != nil {
 					return

@@ -14,13 +14,13 @@ import (
 
 // inject queues a datagram on machine m's socket at port, as the softirq path
 // would (a raw single-packet datagram; deliverUDP does not keep pkt).
-func inject(m *Machine, port packet.Port, payload any) {
+func inject(m *Machine, port packet.Port, msg packet.Msg) {
 	m.deliverUDP(&packet.Packet{
 		Src:          packet.Addr{Node: 9, Port: 9},
 		Dst:          packet.Addr{Node: m.node, Port: port},
 		Proto:        packet.ProtoUDP,
 		PayloadBytes: 32,
-		Payload:      payload,
+		UDP:          packet.UDPHdr{Msg: msg},
 	})
 }
 
@@ -47,7 +47,7 @@ type step struct {
 func none(*Result) []any          { return nil }
 func errOnly(r *Result) []any     { return vals(r.Err()) }
 func events(r *Result) []any      { return vals(r.Events) }
-func udpGot(r *Result) []any      { return vals(r.From, r.N, r.Payload(), r.Err()) }
+func udpGot(r *Result) []any      { return vals(r.From, r.N, r.Msg(), r.Err()) }
 func tcpGot(r *Result) []any      { return vals(r.N, r.Msgs(), r.Err()) }
 func tcpSock(r *Result) []any     { return vals(r.TCP, r.Err()) }
 func udpSockGot(r *Result) []any  { return vals(r.UDP, r.Err()) }
@@ -251,23 +251,23 @@ func opRows(t *testing.T) []opRow {
 		{name: "UDPSocket/port in use", wantErr: ErrPortInUse, steps: []step{udpSock, udpSock}},
 		{name: "UDP Close", steps: []step{udpSock, {func(c *caller) []any { c.udp.Close(c.th); return nil }, none}}},
 		{name: "SendTo/three fragments", steps: []step{udpSock,
-			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, "big")) }, errOnly}}},
+			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, msgOf(3))) }, errOnly}}},
 		{name: "SendTo/three fragments copied", cfg: func(cfg *Config) { cfg.ZeroCopy = false }, steps: []step{udpSock,
-			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, "big")) }, errOnly}}},
-		{name: "RecvFrom/immediate", steps: []step{udpSock, recvFrom(func(c *caller) { inject(c.r.a, port, "x") })}},
+			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, msgOf(3))) }, errOnly}}},
+		{name: "RecvFrom/immediate", steps: []step{udpSock, recvFrom(func(c *caller) { inject(c.r.a, port, msgOf(1)) })}},
 		{name: "RecvFrom/block-then-data", steps: []step{udpSock, recvFrom(func(c *caller) {
-			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+			c.r.eng.After(after, func() { inject(c.r.a, port, msgOf(1)) })
 		})}},
 		{name: "RecvFrom/three spurious wakes", steps: []step{udpSock, recvFrom(func(c *caller) {
 			spuriously(c.r, c.th)
-			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+			c.r.eng.After(after, func() { inject(c.r.a, port, msgOf(1)) })
 		})}},
 		{name: "RecvFrom/closed", wantErr: ErrClosed, steps: []step{udpSock, recvFrom(func(c *caller) {
 			s := c.udp
 			closer(c.r, func(ct *Thread) { s.Close(ct) })
 		})}},
 		{name: "RecvFromTimeout/data in time", steps: []step{udpSock, {func(c *caller) []any {
-			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+			c.r.eng.After(after, func() { inject(c.r.a, port, msgOf(1)) })
 			return vals(c.udp.RecvFromTimeout(c.th, sim.Millisecond))
 		}, udpGot}}},
 		{name: "RecvFromTimeout/timeout", wantErr: ErrWouldBlock, steps: []step{udpSock, {func(c *caller) []any {
@@ -275,20 +275,20 @@ func opRows(t *testing.T) []opRow {
 			return vals(c.udp.RecvFromTimeout(c.th, sim.Millisecond))
 		}, udpGot}}},
 		{name: "UDP TryRecv/data", steps: []step{udpSock, {func(c *caller) []any {
-			inject(c.r.a, port, "x")
+			inject(c.r.a, port, msgOf(1))
 			return vals(c.udp.TryRecv(c.th))
 		}, udpGot}}},
 		{name: "UDP TryRecv/empty", wantErr: ErrWouldBlock, steps: []step{udpSock,
 			{func(c *caller) []any { return vals(c.udp.TryRecv(c.th)) }, udpGot}}},
 
 		{name: "Epoll.Del", steps: then(epollOn, step{func(c *caller) []any { c.ep.Del(c.th, c.udp); return nil }, none})},
-		{name: "Epoll.Wait/immediate", check: oneEvent, steps: then(epollOn, wait(WaitForever, func(c *caller) { inject(c.r.a, port, "x") }))},
+		{name: "Epoll.Wait/immediate", check: oneEvent, steps: then(epollOn, wait(WaitForever, func(c *caller) { inject(c.r.a, port, msgOf(1)) }))},
 		{name: "Epoll.Wait/block-then-ready", check: oneEvent, steps: then(epollOn, wait(WaitForever, func(c *caller) {
-			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+			c.r.eng.After(after, func() { inject(c.r.a, port, msgOf(1)) })
 		}))},
 		{name: "Epoll.Wait/three spurious wakes", steps: then(epollOn, wait(sim.Millisecond, func(c *caller) {
 			spuriously(c.r, c.th)
-			c.r.eng.After(after, func() { inject(c.r.a, port, "x") })
+			c.r.eng.After(after, func() { inject(c.r.a, port, msgOf(1)) })
 		})), check: func(t *testing.T, c *caller, last []any) {
 			oneEvent(t, c, last)
 			if c.at > sim.Time(500*sim.Microsecond) {
@@ -521,7 +521,7 @@ func TestStaleTimeoutRecordReblocks(t *testing.T) {
 		s, _ := th.UDPSocket(7000)
 		ep := th.EpollCreate()
 		ep.Add(th, s, EpollIn, nil)
-		inject(r.a, 7000, "early")
+		inject(r.a, 7000, msgOf(1))
 		if _, _, _, err := s.RecvFromTimeout(th, sim.Millisecond); err != nil {
 			t.Error(err)
 		}
@@ -563,8 +563,8 @@ func TestEpollResultsPerThread(t *testing.T) {
 			seen[1] = got[1][0].Data
 		})
 		r.eng.After(100*sim.Microsecond, func() {
-			inject(r.a, 7001, "a")
-			inject(r.a, 7002, "b")
+			inject(r.a, 7001, msgOf(1))
+			inject(r.a, 7002, msgOf(2))
 		})
 		got[0] = ep.Wait(th, 1, WaitForever)
 		th.Compute(400_000) // hold the result across the sibling's harvest
@@ -598,7 +598,7 @@ func TestTeardownMidCall(t *testing.T) {
 		s, _ := th.UDPSocket(7001)
 		ep := th.EpollCreate()
 		ep.Add(th, s, EpollIn, nil)
-		inject(r.a, 7001, "x")
+		inject(r.a, 7001, msgOf(1))
 		ep.Wait(th, 8, WaitForever) // fills the thread's result buffer
 		_, _, _, _ = s.TryRecv(th)
 		ep.Wait(th, 8, WaitForever)
@@ -612,7 +612,7 @@ func TestTeardownMidCall(t *testing.T) {
 	r.a.Spawn("mid completion charge", func(th *Thread) {
 		s, _ := th.UDPSocket(7002)
 		th.Sleep(sim.Millisecond) // the others are parked by now
-		r.a.deliverUDP(&packet.Packet{Dst: packet.Addr{Port: 7002}, Proto: packet.ProtoUDP, PayloadBytes: 1 << 36, Payload: "huge"})
+		r.a.deliverUDP(&packet.Packet{Dst: packet.Addr{Port: 7002}, Proto: packet.ProtoUDP, PayloadBytes: 1 << 36})
 		_, _, _, _ = s.RecvFrom(th) // the copy outlasts the run
 	})
 	r.b.Spawn("mid entry charge", func(th *Thread) {
@@ -648,7 +648,7 @@ func TestAppPanicAfterCall(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.a.Spawn("buggy", func(th *Thread) {
 		s, _ := th.UDPSocket(7000)
-		r.eng.After(50*sim.Microsecond, func() { inject(r.a, 7000, "x") })
+		r.eng.After(50*sim.Microsecond, func() { inject(r.a, 7000, msgOf(1)) })
 		_, _, _, _ = s.RecvFrom(th) // blocks, is woken, pays the copy, returns
 		panic("app bug")
 	})

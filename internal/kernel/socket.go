@@ -219,19 +219,14 @@ const WaitForever sim.Duration = -1
 
 // udpDgram is one reassembled datagram in a socket's receive queue.
 type udpDgram struct {
-	from    packet.Addr
-	bytes   int
-	payload any
+	from  packet.Addr
+	bytes int
+	msg   packet.Msg
 }
 
 type fragKey struct {
 	from packet.Addr
 	id   uint64
-}
-
-type fragState struct {
-	got   int
-	total int
 }
 
 // UDPStats counts socket-level events.
@@ -248,7 +243,7 @@ type UDPSocket struct {
 	rcvq     fifo[udpDgram]
 	rcvBytes int
 
-	frags map[fragKey]*fragState
+	frags map[fragKey]int // fragments received of each datagram in reassembly
 
 	readers  waitQueue
 	watchers epollSet
@@ -272,7 +267,7 @@ func (m *Machine) bindUDP(port packet.Port) (*UDPSocket, error) {
 	if _, dup := m.udpSocks[port]; dup {
 		return nil, fmt.Errorf("%w: udp %d", ErrPortInUse, port)
 	}
-	s := &UDPSocket{m: m, port: port, frags: make(map[fragKey]*fragState)}
+	s := &UDPSocket{m: m, port: port, frags: make(map[fragKey]int)}
 	m.udpSocks[port] = s
 	return s, nil
 }
@@ -280,9 +275,9 @@ func (m *Machine) bindUDP(port packet.Port) (*UDPSocket, error) {
 // Port returns the bound port.
 func (s *UDPSocket) Port() packet.Port { return s.port }
 
-// SendTo transmits one datagram of n bytes to dst. payload is the opaque
-// application message surfaced at the receiver.
-func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, payload any) error {
+// SendTo transmits one datagram of n bytes to dst, carrying msg by value to
+// the receiver.
+func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, msg packet.Msg) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -290,7 +285,7 @@ func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, payload any) error
 		return ErrMsgTooLong
 	}
 	t.enter(opSendTo, func(op *threadOp) {
-		op.udp, op.extra, op.n, op.remote, op.msg = s, s.m.cfg.Profile.TxUDPInstr, n, dst, payload
+		op.udp, op.extra, op.n, op.remote, op.dgram = s, s.m.cfg.Profile.TxUDPInstr, n, dst, msg
 	})
 	return nil
 }
@@ -321,12 +316,11 @@ func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 		pkt.Dst = op.remote
 		pkt.Proto = packet.ProtoUDP
 		pkt.PayloadBytes = min(op.n-i*packet.MaxUDPPayload, packet.MaxUDPPayload)
-		// The fragment descriptor rides in the typed UDP header (boxing it
-		// into Payload would allocate per packet); the application reference
-		// is attached to the final fragment only.
+		// The fragment descriptor rides in the typed UDP header, and the
+		// message with it on the final fragment only.
 		pkt.UDP = packet.UDPHdr{FragID: op.id, Index: uint16(i), Total: uint16(total), Bytes: op.n}
 		if i == total-1 {
-			pkt.Payload = op.msg
+			pkt.UDP.Msg = op.dgram
 		}
 		if i > 0 { // fragments beyond the first cost a reduced per-packet TX charge
 			op.pkt, op.frag = pkt, i+1
@@ -339,28 +333,28 @@ func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 }
 
 // RecvFrom blocks until a datagram arrives, then returns its source, size
-// and payload.
-func (s *UDPSocket) RecvFrom(t *Thread) (packet.Addr, int, any, error) {
+// and message.
+func (s *UDPSocket) RecvFrom(t *Thread) (packet.Addr, int, packet.Msg, error) {
 	return s.recv(t, -1, false)
 }
 
 // RecvFromTimeout is RecvFrom with a receive deadline (SO_RCVTIMEO): it
 // returns ErrWouldBlock if no datagram arrives within d.
-func (s *UDPSocket) RecvFromTimeout(t *Thread, d sim.Duration) (packet.Addr, int, any, error) {
+func (s *UDPSocket) RecvFromTimeout(t *Thread, d sim.Duration) (packet.Addr, int, packet.Msg, error) {
 	return s.recv(t, d, false)
 }
 
 // TryRecv is the non-blocking variant (MSG_DONTWAIT), for epoll users.
-func (s *UDPSocket) TryRecv(t *Thread) (packet.Addr, int, any, error) {
+func (s *UDPSocket) TryRecv(t *Thread) (packet.Addr, int, packet.Msg, error) {
 	return s.recv(t, -1, true)
 }
 
 // recv is recvfrom with a receive deadline d (negative: none).
-func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, int, any, error) {
+func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, int, packet.Msg, error) {
 	r := t.enter(opUDPRecv, func(op *threadOp) {
 		op.udp, op.extra, op.timeout, op.timed, op.nowait = s, s.m.cfg.Profile.RxUDPInstr/4, d, d >= 0, nowait
 	})
-	return r.From, r.N, r.v.payload, r.v.err
+	return r.From, r.N, r.v.msg, r.v.err
 }
 
 func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -368,7 +362,7 @@ func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	case s.Pending() > 0:
 		dg := s.rcvq.pop()
 		s.rcvBytes -= dg.bytes
-		t.res.From, t.res.N, t.res.v.payload = dg.from, dg.bytes, dg.payload
+		t.res.From, t.res.N, t.res.v.msg = dg.from, dg.bytes, dg.msg
 		t.remaining += s.m.copyCost(dg.bytes)
 	case s.closed:
 		t.res.v.err = ErrClosed
@@ -406,17 +400,12 @@ func (m *Machine) deliverUDP(pkt *packet.Packet) {
 	hdr := pkt.UDP
 	if hdr.Total == 0 {
 		// Raw single-packet datagram (from tests or simple senders).
-		hdr = packet.UDPHdr{Total: 1, Bytes: pkt.PayloadBytes}
+		hdr.Total, hdr.Bytes = 1, pkt.PayloadBytes
 	}
 	if hdr.Total > 1 {
 		key := fragKey{from: pkt.Src, id: hdr.FragID}
-		st := s.frags[key]
-		if st == nil {
-			st = &fragState{total: int(hdr.Total)}
-			s.frags[key] = st
-		}
-		st.got++
-		if st.got < st.total {
+		if got := s.frags[key] + 1; got < int(hdr.Total) {
+			s.frags[key] = got
 			return // waiting for the rest (loss of any fragment loses all)
 		}
 		delete(s.frags, key)
@@ -425,7 +414,7 @@ func (m *Machine) deliverUDP(pkt *packet.Packet) {
 		s.Stats.RxDropsFull++
 		return
 	}
-	s.rcvq.push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, payload: pkt.Payload})
+	s.rcvq.push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, msg: hdr.Msg})
 	s.rcvBytes += hdr.Bytes
 	s.Stats.RxDatagrams++
 	s.readers.wakeOne(m)

@@ -22,7 +22,7 @@ func TestRecvFromTimeout(t *testing.T) {
 	r.b.Spawn("sender", func(th *Thread) {
 		th.Sleep(30 * sim.Millisecond)
 		sock, _ := th.UDPSocket(0)
-		_ = sock.SendTo(th, packet.Addr{Node: 0, Port: 6000}, 100, "late")
+		_ = sock.SendTo(th, packet.Addr{Node: 0, Port: 6000}, 100, msgOf(1))
 	})
 	r.run(sim.Second)
 	if first != ErrWouldBlock {
@@ -109,8 +109,8 @@ func TestEpollDel(t *testing.T) {
 	r.b.Spawn("sender", func(th *Thread) {
 		sock, _ := th.UDPSocket(0)
 		th.Sleep(sim.Millisecond)
-		_ = sock.SendTo(th, packet.Addr{Node: 0, Port: 7001}, 100, nil)
-		_ = sock.SendTo(th, packet.Addr{Node: 0, Port: 7002}, 100, nil)
+		_ = sock.SendTo(th, packet.Addr{Node: 0, Port: 7001}, 100, packet.Msg{})
+		_ = sock.SendTo(th, packet.Addr{Node: 0, Port: 7002}, 100, packet.Msg{})
 	})
 	r.run(sim.Second)
 	if got == 0 {
@@ -129,7 +129,7 @@ func TestQdiscBackpressureAndDrops(t *testing.T) {
 	r.a.Spawn("blaster", func(th *Thread) {
 		sock, _ := th.UDPSocket(0)
 		for i := 0; i < burst; i++ {
-			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 9999}, 1400, nil)
+			_ = sock.SendTo(th, packet.Addr{Node: 1, Port: 9999}, 1400, packet.Msg{})
 		}
 	})
 	r.run(sim.Second)

@@ -44,18 +44,17 @@ type Result struct {
 	Listener *TCPListener // Listen
 	TCP      *TCPSocket   // Connect, Accept, TryAccept
 	v        struct {
-		err     error
-		payload any   // the app message the call carried: received (UDP) or sent (SendTo, Send)
-		msgs    []any // TCP Recv/TryRecv: the messages completed
+		err  error
+		msg  packet.Msg // UDP receives: the datagram's message
+		msgs []any      // TCP Recv/TryRecv: the messages completed
 	}
 }
 
 // Err returns the call's error.
 func (r Result) Err() error { return r.v.err }
 
-// Payload returns the application message the call carried: the datagram a
-// UDP receive got, or what SendTo or Send sent.
-func (r Result) Payload() any { return r.v.payload }
+// Msg returns the message of the datagram a UDP receive got.
+func (r Result) Msg() packet.Msg { return r.v.msg }
 
 // Msgs returns the application messages a TCP receive completed, valid until
 // the next receive on the same socket.
@@ -246,6 +245,8 @@ type threadOp struct {
 	frag     int            // opSendTo: fragments built
 	id       uint64         // opSendTo: the datagram's fragment ID (0: not counted yet)
 	pkt      *packet.Packet // opSendTo: the fragment whose charge is being paid
+	dgram    packet.Msg     // opSendTo: the datagram's message
+	msg      any            // opTCPSend: the message
 
 	// The object the call is on, by kind.
 	ep   *Epoll
@@ -257,7 +258,6 @@ type threadOp struct {
 	cond *Cond
 	bar  *Barrier
 	wg   *WaitGroup
-	msg  any
 }
 
 // expired reports whether the call must return empty-handed rather than block
@@ -276,7 +276,7 @@ func (t *Thread) step() bool {
 		switch op.phase {
 		case opEnter:
 			m.Stats.Syscalls++
-			op.start, t.res.v.payload = m.eng.Now(), op.msg // a send's result carries its message
+			op.start = m.eng.Now()
 			instr := m.cfg.Profile.SyscallInstr
 			if !op.fcntl {
 				instr += op.extra

@@ -1,11 +1,12 @@
 // Package packet defines the on-the-wire unit exchanged by DIABLO's NIC and
 // switch models: an abstract Ethernet frame with a pre-computed source route
-// (the paper's "simplified source routing", §3.3), transport headers, and a
-// logical payload reference.
+// (the paper's "simplified source routing", §3.3), transport headers, and the
+// application message.
 //
 // Payload bytes are accounted for in timing but never materialized: a packet
-// carries the byte counts that determine serialization and buffering, plus an
-// opaque reference the endpoints use to reconstruct application messages.
+// carries the byte counts that determine serialization and buffering, plus the
+// message the endpoints hand to the application — a fixed-size Msg on a UDP
+// datagram, an opaque reference marking a TCP message boundary.
 // This mirrors DIABLO, where the functional model moved real bytes but the
 // experiments only observe timing and sizes.
 package packet
@@ -119,17 +120,25 @@ type TCPHdr struct {
 	EndSeq uint32
 }
 
-// UDPHdr carries the stack's datagram fragmentation metadata inline — the
+// Msg is an application message carried by value, like the fixed-format
+// records DIABLO's models exchange: a Kind the application defines (zero: no
+// message) and three words whose meaning the Kind gives. Holding no pointers,
+// it allocates nothing and the receiver's copy never aliases the sender's.
+type Msg struct {
+	Kind    uint8
+	A, B, C uint64
+}
+
+// UDPHdr carries a datagram's fragmentation metadata and message inline, the
 // moral equivalent of the IP fragment header. A Total of zero marks a raw
-// unfragmented packet whose Payload is the whole datagram (direct
-// construction in tests and simple senders). Storing the descriptor as a
-// typed field instead of boxing it into Payload removes one heap allocation
-// per UDP packet.
+// unfragmented packet that is the whole datagram (direct construction in
+// tests and simple senders). Nothing in it is boxed.
 type UDPHdr struct {
 	FragID uint64 // datagram ID the fragment belongs to (per source socket)
 	Index  uint16 // fragment index within the datagram
 	Total  uint16 // fragment count (0 = raw unfragmented packet)
 	Bytes  int    // whole-datagram payload size
+	Msg    Msg    // the datagram's message, on its final fragment only
 }
 
 // MaxRouteHops bounds the inline source route. The deepest fabric today is
@@ -219,8 +228,9 @@ type Packet struct {
 	// UDP holds datagram fragmentation metadata when Proto == ProtoUDP.
 	UDP UDPHdr
 
-	// Payload is an opaque application reference (e.g. a request object)
-	// used by endpoints to reconstruct messages without simulating bytes.
+	// Payload is TCP's message boundary: the opaque application message the
+	// segment's last byte completes, or a list of them (see package tcp).
+	// A UDP datagram's message rides in UDP.Msg.
 	Payload any
 
 	// Instrumentation.
