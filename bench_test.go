@@ -12,6 +12,7 @@ import (
 
 	"testing"
 
+	"diablo/internal/campaign"
 	"diablo/internal/core"
 	"diablo/internal/fpga"
 	"diablo/internal/survey"
@@ -134,74 +135,69 @@ func BenchmarkFigure10PmfHops(b *testing.B) {
 	}
 }
 
+// benchFigure runs a campaign-preset figure through the registry.
+func benchFigure(b *testing.B, id string, requests int) *ExperimentOutput {
+	b.Helper()
+	out, err := RunExperiment(id, ExperimentOptions{Sweep: Sweep{Requests: requests}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
+// benchFigureCells runs a figure's campaign preset at 80 requests per client
+// and returns its cells, for the metrics a figure's series do not carry.
+func benchFigureCells(b *testing.B, preset string) []*campaign.CellResult {
+	b.Helper()
+	spec, err := campaign.Preset(preset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range spec.Workloads {
+		spec.Workloads[i].Requests = 80
+	}
+	cells, err := campaign.RunCells(spec, campaign.RunConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cells
+}
+
 func BenchmarkFigure11ScaleTail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := Figure11(benchMcSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = series
-	}
-	// Report the scale amplification directly.
-	for _, arrays := range []int{1, 4} {
-		cfg := DefaultMemcached()
-		cfg.Arrays = arrays
-		cfg.RequestsPerClient = 80
-		res, err := RunMemcached(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := "p99-500node-us"
-		if arrays == 4 {
-			name = "p99-2000node-us"
-		}
-		b.ReportMetric(res.Overall.Percentile(.99).Microseconds(), name)
+		cells := benchFigureCells(b, "fig11")
+		// Report the scale amplification directly: 496 vs 1,984 nodes.
+		b.ReportMetric(cells[0].Result.Overall.Percentile(.99).Microseconds(), "p99-500node-us")
+		b.ReportMetric(cells[2].Result.Overall.Percentile(.99).Microseconds(), "p99-2000node-us")
 	}
 }
 
 func BenchmarkFigure12SwitchLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := Figure12(benchMcSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = series
+		benchFigure(b, "fig12", 80)
 	}
 }
 
 func BenchmarkFigure13TcpVsUdp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sweep := benchMcSweep()
-		sweep.Requests = 60
-		series, err := Figure13(sweep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 12 {
-			b.Fatalf("want 12 curves, got %d", len(series))
+		if out := benchFigure(b, "fig13", 60); len(out.Series) != 12 {
+			b.Fatalf("want 12 curves, got %d", len(out.Series))
 		}
 	}
 }
 
 func BenchmarkFigure14KernelVersions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, results, err := Figure14(benchMcSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(results[0].Overall.Mean().Microseconds(), "mean-2.6.39-us")
-		b.ReportMetric(results[1].Overall.Mean().Microseconds(), "mean-3.5.7-us")
+		cells := benchFigureCells(b, "fig14")
+		b.ReportMetric(cells[0].Result.Overall.Mean().Microseconds(), "mean-2.6.39-us")
+		b.ReportMetric(cells[1].Result.Overall.Mean().Microseconds(), "mean-3.5.7-us")
 	}
 }
 
 func BenchmarkFigure15MemcachedVersions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := Figure15(benchMcSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 4 {
-			b.Fatalf("want 4 curves, got %d", len(series))
+		if out := benchFigure(b, "fig15", 80); len(out.Series) != 4 {
+			b.Fatalf("want 4 curves, got %d", len(out.Series))
 		}
 	}
 }

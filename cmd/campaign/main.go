@@ -1,9 +1,9 @@
 // Command campaign drives deterministic Monte-Carlo sweeps over
-// topology × faults × kernel profiles × workload mixes (ROADMAP item 4).
+// topology × faults × kernel profiles × workload mixes.
 //
 // Usage:
 //
-//	campaign run  (-preset smoke|nightly | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
+//	campaign run  (-preset P | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
 //	campaign cells (-preset P | -spec FILE)
 //	campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE]
 //	campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]
@@ -94,7 +94,11 @@ func cmdRun(args []string) error {
 		}
 	}
 	start := time.Now()
-	rep, err := campaign.Run(spec, rc)
+	results, err := campaign.RunCells(spec, rc)
+	if err != nil {
+		return err
+	}
+	rep, err := campaign.BuildReport(spec, results)
 	if err != nil {
 		return err
 	}
@@ -102,7 +106,7 @@ func cmdRun(args []string) error {
 		fmt.Fprintf(os.Stderr, "campaign %s: %d cells in %v\n", spec.Name, len(rep.Cells), time.Since(start).Round(time.Millisecond))
 	}
 	if *cellsDir != "" {
-		if err := writeCellManifests(spec, rep, *cellsDir); err != nil {
+		if err := writeCellManifests(results, *cellsDir); err != nil {
 			return err
 		}
 	}
@@ -118,19 +122,13 @@ func cmdRun(args []string) error {
 	return rep.RenderText(os.Stdout)
 }
 
-// writeCellManifests re-renders each cell's manifest next to the report.
-// Cells re-run here (the aggregate path does not retain every manifest's
-// bytes for hundreds of cells); replay determinism makes the copies exact.
-func writeCellManifests(spec *campaign.Spec, rep *campaign.Report, dir string) error {
+// writeCellManifests writes each cell's run manifest next to the report.
+func writeCellManifests(results []*campaign.CellResult, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, c := range rep.Cells {
-		cr, err := campaign.ReplayCell(spec, c.Name, c.Seed)
-		if err != nil {
-			return err
-		}
-		name := strings.ReplaceAll(c.Name, "/", "_") + ".json"
+	for _, cr := range results {
+		name := strings.ReplaceAll(cr.Cell.Name, "/", "_") + ".json"
 		if err := os.WriteFile(filepath.Join(dir, name), cr.ManifestJSON, 0o644); err != nil {
 			return err
 		}
@@ -232,7 +230,7 @@ func cmdDiff(args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  campaign run  (-preset smoke|nightly | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
+  campaign run  (-preset P | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
   campaign cells (-preset P | -spec FILE)
   campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE]
   campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]`)

@@ -106,7 +106,7 @@ func parseOpts(args []string) diablo.ExperimentOptions {
 	iterations := fs.Int("iterations", 0, "incast iterations per point (0 = default; paper uses 40)")
 	senders := fs.String("senders", "", "comma-separated incast sender counts (default 1..24), or fig8 client counts (default 2..14)")
 	seed := fs.Uint64("seed", 0, "master seed (0 = default)")
-	partitions := fs.Int("partitions", 0, "workers for multi-rack runs (0 = sequential, n = partitioned engine on n workers; results are identical at any value)")
+	partitions := fs.Int("partitions", 0, "workers for the memcached runs of fig8, fig9, perf and faultmc (0 = sequential, n = partitioned engine on n workers; results are identical at any value); fig10-fig15 run their cells in parallel instead")
 	faults := fs.String("faults", "", `fault schedule for faultmc/faultincast, e.g. "tordegrade rack=0 at=30ms dur=200ms loss=0.5" (empty = the experiment's built-in schedule)`)
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the observed run (perf/faultmc/faultincast; open in ui.perfetto.dev)")
 	manifestOut := fs.String("manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1) of the observed run")

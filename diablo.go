@@ -122,7 +122,7 @@ type (
 	MemcachedConfig = core.MemcachedConfig
 	// MemcachedResult aggregates a memcached experiment.
 	MemcachedResult = core.MemcachedResult
-	// Sweep sizes the figure reproductions (Figure6a through Figure15).
+	// Sweep sizes figures 6a, 6b, 8 and 9, perf and the fault experiments.
 	Sweep = core.Sweep
 	// MemcachedVersion is a memcached release profile.
 	MemcachedVersion = memcache.Version
@@ -163,11 +163,6 @@ var (
 	RunMemcached     = core.RunMemcached
 	Figure8          = core.Figure8
 	Figure9          = core.Figure9
-	Figure11         = core.Figure11
-	Figure12         = core.Figure12
-	Figure13         = core.Figure13
-	Figure14         = core.Figure14
-	Figure15         = core.Figure15
 
 	// Memcached versions.
 	V1415 = memcache.V1415

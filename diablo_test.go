@@ -218,3 +218,18 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	}
 	checkGolden(t, "testdata/faultmc.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
 }
+
+// TestFigureGoldens pins the reduced-scale figures byte for byte: fig8 runs
+// in Go, figs 10-15 are campaign presets, and each must render exactly the
+// recorded text at 20 requests per client and the default seed.
+func TestFigureGoldens(t *testing.T) {
+	for _, id := range []string{"fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"} {
+		t.Run(id, func(t *testing.T) {
+			out, err := RunExperiment(id, ExperimentOptions{Sweep: Sweep{Requests: 20}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "testdata/figures/"+id+".golden", out.String())
+		})
+	}
+}

@@ -1,11 +1,13 @@
 package diablo
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
 
 	"diablo/internal/apps/incast"
+	"diablo/internal/campaign"
 	"diablo/internal/core"
 	"diablo/internal/fault"
 	"diablo/internal/fpga"
@@ -19,8 +21,9 @@ import (
 // bench-scale defaults documented in DESIGN.md; the paper's full parameters
 // are reachable by raising Requests/Iterations.
 type ExperimentOptions struct {
-	// Sweep sizes the figure reproductions; perf, faultmc and faultincast
-	// read its Requests, Iterations, Seed and Partitions too.
+	// Sweep sizes figures 6a, 6b, 8 and 9; perf, faultmc and faultincast
+	// read its Requests, Iterations, Seed and Partitions too. Figures 10-15
+	// are campaign presets and read only its Requests and Seed.
 	Sweep
 	// Faults overrides the fault schedule of the graceful-degradation
 	// experiments (faultmc, faultincast) with a spec in the fault.ParseSpec
@@ -96,16 +99,16 @@ func Experiments() []Experiment {
 		{"table1", "Table 1: workloads in surveyed papers", runTable1},
 		{"table2", "Table 2: Rack FPGA resource utilization", runTable2},
 		{"proto", "Section 3.4: prototype capacity and cost", runProto},
-		{"fig6a", "Figure 6a: TCP Incast goodput, 1 Gbps shallow-buffer switch", runFig6a},
-		{"fig6b", "Figure 6b: TCP Incast at 10 Gbps, pthread/epoll x 2/4 GHz", runFig6b},
+		{"fig6a", "Figure 6a: TCP Incast goodput, 1 Gbps shallow-buffer switch", runSeries(core.Figure6a)},
+		{"fig6b", "Figure 6b: TCP Incast at 10 Gbps, pthread/epoll x 2/4 GHz", runSeries(core.Figure6b)},
 		{"fig8", "Figure 8: single-rack memcached validation", runFig8},
-		{"fig9", "Figure 9: 120-node latency CDF, memcached versions", runFig9},
-		{"fig10", "Figure 10: latency PMF by hop count at 2,000 nodes", runFig10},
-		{"fig11", "Figure 11: 95-100th pct latency CDF across scales", runFig11},
-		{"fig12", "Figure 12: +0/+50/+100 ns switch latency sensitivity", runFig12},
-		{"fig13", "Figure 13: TCP vs UDP across scales and fabrics", runFig13},
-		{"fig14", "Figure 14: Linux 2.6.39.3 vs 3.5.7 at 2,000 nodes", runFig14},
-		{"fig15", "Figure 15: memcached 1.4.15 vs 1.4.17 at scale", runFig15},
+		{"fig9", "Figure 9: 120-node latency CDF, memcached versions", runSeries(core.Figure9)},
+		{"fig10", "Figure 10: latency PMF by hop count at 2,000 nodes", runFigure("fig10", drawFig10)},
+		{"fig11", "Figure 11: 95-100th pct latency CDF across scales", runFigure("fig11", tails(0.95, nodes))},
+		{"fig12", "Figure 12: +0/+50/+100 ns switch latency sensitivity", runFigure("fig12", tails(0.96, func(c campaign.Cell) string { return c.Workload.Name }))},
+		{"fig13", "Figure 13: TCP vs UDP across scales and fabrics", runFigure("fig13", drawFig13)},
+		{"fig14", "Figure 14: Linux 2.6.39.3 vs 3.5.7 at 2,000 nodes", runFigure("fig14", drawFig14)},
+		{"fig15", "Figure 15: memcached 1.4.15 vs 1.4.17 at scale", runFigure("fig15", tails(0.95, func(c campaign.Cell) string { return nodes(c) + " memcached " + c.Workload.Version }))},
 		{"perf", "Section 5: simulator performance and scaling", runPerf},
 		{"faultmc", "Fault injection: memcached fan-out latency under a ToR uplink flap", runFaultMC},
 		{"faultincast", "Fault injection: TCP incast with a lossy client downlink", runFaultIncast},
@@ -165,20 +168,15 @@ func runProto(ExperimentOptions) (*ExperimentOutput, error) {
 	return &ExperimentOutput{Tables: []*metrics.Table{tb}}, nil
 }
 
-func runFig6a(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure6a(o.Sweep)
-	if err != nil {
-		return nil, err
+// runSeries adapts a figure reproduced in Go to the registry.
+func runSeries(fig func(core.Sweep) ([]*metrics.Series, error)) func(ExperimentOptions) (*ExperimentOutput, error) {
+	return func(o ExperimentOptions) (*ExperimentOutput, error) {
+		series, err := fig(o.Sweep)
+		if err != nil {
+			return nil, err
+		}
+		return &ExperimentOutput{Series: series}, nil
 	}
-	return &ExperimentOutput{Series: series}, nil
-}
-
-func runFig6b(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure6b(o.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	return &ExperimentOutput{Series: series}, nil
 }
 
 func runFig8(o ExperimentOptions) (*ExperimentOutput, error) {
@@ -189,66 +187,82 @@ func runFig8(o ExperimentOptions) (*ExperimentOutput, error) {
 	return &ExperimentOutput{Series: append(th, lat...)}, nil
 }
 
-func runFig9(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure9(o.Sweep)
-	if err != nil {
-		return nil, err
+// runFigure returns the runner of a figure that is a campaign preset: it
+// runs the preset's cells at one seed (Seed, default 1) with Requests per
+// client (0 keeps the preset's) and draws the figure from the cell results,
+// in enumeration order. Cells run in parallel, each on the sequential
+// engine, so Partitions does not apply.
+func runFigure(preset string, draw func([]*campaign.CellResult) *ExperimentOutput) func(ExperimentOptions) (*ExperimentOutput, error) {
+	return func(o ExperimentOptions) (*ExperimentOutput, error) {
+		spec, err := campaign.Preset(preset)
+		if err != nil {
+			return nil, err
+		}
+		spec.Seeds = []uint64{cmp.Or(o.Seed, 1)}
+		for i := range spec.Workloads {
+			spec.Workloads[i].Requests = cmp.Or(o.Requests, spec.Workloads[i].Requests)
+		}
+		cells, err := campaign.RunCells(spec, campaign.RunConfig{})
+		if err != nil {
+			return nil, err
+		}
+		return draw(cells), nil
 	}
-	return &ExperimentOutput{Series: series}, nil
 }
 
-func runFig10(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure10(o.Sweep)
-	if err != nil {
-		return nil, err
+// tails draws each cell's latency CDF from quantile from on, named by label.
+func tails(from float64, label func(campaign.Cell) string) func([]*campaign.CellResult) *ExperimentOutput {
+	return func(cells []*campaign.CellResult) *ExperimentOutput {
+		out := &ExperimentOutput{}
+		for _, cr := range cells {
+			out.Series = append(out.Series, metrics.FromCDF(label(cr.Cell), cr.Result.Overall.TailCDF(from)))
+		}
+		return out
 	}
-	return &ExperimentOutput{Series: series}, nil
 }
 
-func runFig11(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure11(o.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	return &ExperimentOutput{Series: series}, nil
+// nodes and rate label a cell's cluster size and interconnect.
+func nodes(c campaign.Cell) string {
+	return fmt.Sprintf("%d-node", c.Shape.ServersPerRack*c.Shape.RacksPerArray*c.Shape.Arrays)
 }
 
-func runFig12(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure12(o.Sweep)
-	if err != nil {
-		return nil, err
+func rate(c campaign.Cell) string {
+	if c.Workload.Use10G {
+		return "10Gbps"
 	}
-	return &ExperimentOutput{Series: series}, nil
+	return "1Gbps"
 }
 
-func runFig13(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure13(o.Sweep)
-	if err != nil {
-		return nil, err
+// drawFig10: the latency PMF of each hop class and overall, per fabric.
+func drawFig10(cells []*campaign.CellResult) *ExperimentOutput {
+	out := &ExperimentOutput{}
+	for _, cr := range cells {
+		label, res := rate(cr.Cell), cr.Result
+		out.Series = append(out.Series,
+			metrics.FromPMF(label+" Local", res.ByHop[Local].PMF(10)),
+			metrics.FromPMF(label+" 1-Hop", res.ByHop[OneHop].PMF(10)),
+			metrics.FromPMF(label+" 2-Hop", res.ByHop[TwoHop].PMF(10)),
+			metrics.FromPMF(label+" Overall", res.Overall.PMF(10)),
+		)
 	}
-	return &ExperimentOutput{Series: series}, nil
+	return out
 }
 
-func runFig14(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, results, err := core.Figure14(o.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	out := &ExperimentOutput{Series: series}
-	if len(results) == 2 {
-		out.Notes = append(out.Notes, fmt.Sprintf(
-			"mean latency: %v (2.6.39.3) vs %v (3.5.7); paper: 'almost halved'",
-			results[0].Overall.Mean(), results[1].Overall.Mean()))
-	}
-	return out, nil
+// drawFig13 lists the 1 Gbps curves before the 10 Gbps ones, each fabric
+// by scale then protocol.
+func drawFig13(cells []*campaign.CellResult) *ExperimentOutput {
+	sort.SliceStable(cells, func(i, j int) bool {
+		return !cells[i].Cell.Workload.Use10G && cells[j].Cell.Workload.Use10G
+	})
+	return tails(0.97, func(c campaign.Cell) string { return rate(c) + " " + nodes(c) + " " + c.Workload.Proto })(cells)
 }
 
-func runFig15(o ExperimentOptions) (*ExperimentOutput, error) {
-	series, err := core.Figure15(o.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	return &ExperimentOutput{Series: series}, nil
+func drawFig14(cells []*campaign.CellResult) *ExperimentOutput {
+	out := tails(0.95, func(c campaign.Cell) string { return c.Profile })(cells)
+	out.Notes = append(out.Notes, fmt.Sprintf(
+		"mean latency: %v (2.6.39.3) vs %v (3.5.7); paper: 'almost halved'",
+		cells[0].Result.Overall.Mean(), cells[1].Result.Overall.Mean()))
+	return out
 }
 
 // customFaults parses o.Faults, seeded with the run's seed like the

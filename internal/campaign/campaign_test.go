@@ -45,6 +45,11 @@ func TestSpecValidate(t *testing.T) {
 		{"zero requests", func(s *Spec) { s.Workloads[0].Requests = 0 }},
 		{"warmup >= requests", func(s *Spec) { s.Workloads[0].Warmup = 5 }},
 		{"negative clients", func(s *Spec) { s.Workloads[0].MaxClients = -1 }},
+		{"unknown version", func(s *Spec) { s.Workloads[0].Version = "1.6.0" }},
+		{"negative churn", func(s *Spec) { s.Workloads[0].ChurnEvery = -1 }},
+		{"negative switch latency", func(s *Spec) { s.Workloads[0].ExtraSwitchNs = -50 }},
+		{"duplicate seeds", func(s *Spec) { s.Seeds = []uint64{1, 2, 1} }},
+		{"too many seeds", func(s *Spec) { s.Seeds = make([]uint64, maxCells/4+1) }},
 		{"negative draws", func(s *Spec) { s.Faults.Draws = -1 }},
 		{"too many cells", func(s *Spec) { s.Faults.Draws = maxCells }},
 		{"draws overflow", func(s *Spec) { s.Faults.Draws = math.MaxInt }},
@@ -113,6 +118,60 @@ func TestCellEnumeration(t *testing.T) {
 	}
 	if _, err := s.CellByName("no/such/cell"); err == nil {
 		t.Error("CellByName accepted an unknown name")
+	}
+}
+
+// TestSeedReplicates runs the tiny sweep at three seeds: three times the
+// cells, each seed's faulted cell measured against that seed's baseline, the
+// report identical at any worker count, and a replicate summary rendered.
+func TestSeedReplicates(t *testing.T) {
+	spec := tinySpec()
+	spec.Seeds = []uint64{1, 2, 3}
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 12 {
+		t.Fatalf("got %d cells, want 12", len(cells))
+	}
+	if want := "4x2x1/linux-2.6.39.3/udp/s2/fault-01"; cells[3].Name != want {
+		t.Errorf("cells[3] = %s, want %s", cells[3].Name, want)
+	}
+	for _, c := range cells {
+		if base := cells[c.BaselineIndex]; base.Seed != c.Seed || !base.Baseline() {
+			t.Errorf("cell %s (seed %d) points at baseline %s (seed %d)", c.Name, c.Seed, base.Name, base.Seed)
+		}
+	}
+	var golden []byte
+	var rep *Report
+	for _, workers := range []int{1, 3} {
+		rep, err = Run(spec, RunConfig{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		b, err := rep.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if golden != nil && !bytes.Equal(golden, b) {
+			t.Fatalf("workers=%d: report bytes differ from workers=1", workers)
+		}
+		golden = b
+	}
+	var text strings.Builder
+	if err := rep.RenderText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "replicates: median [min-max] over 3 seeds") {
+		t.Errorf("rendering lacks the replicate summary:\n%s", text.String())
+	}
+	// One summary row per (profile, draw) point of the tiny sweep.
+	rows := rep.replicateTable().Rows
+	if len(rows) != 4 {
+		t.Fatalf("replicate summary has %d rows, want 4", len(rows))
+	}
+	if got := strings.Join(rows[3][:4], " "); got != "4x2x1 linux-3.5.7 udp fault-01" {
+		t.Errorf("last summary row is %q", got)
 	}
 }
 

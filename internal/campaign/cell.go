@@ -13,11 +13,13 @@ type Cell struct {
 	// Index is the cell's position in enumeration order — the order results
 	// aggregate in, whatever order execution completes in.
 	Index int
-	// Name is the canonical "<shape>/<profile>/<workload>/<draw>" cell id.
+	// Name is the canonical "<shape>/<profile>/<workload>/<draw>" cell id;
+	// with Spec.Seeds set it is "<shape>/<profile>/<workload>/s<seed>/<draw>".
 	Name string
-	// Seed is the cell's master seed, derived from the campaign seed and the
-	// cell name. It seeds the cluster and (on faulted cells) the fault plan;
-	// recording it in the cell manifest is what makes the cell replayable.
+	// Seed is the cell's master seed: its replicate's entry of Spec.Seeds, or
+	// else derived from the campaign seed and the cell name. It seeds the
+	// cluster and (on faulted cells) the fault plan; recording it in the cell
+	// manifest is what makes the cell replayable.
 	Seed uint64
 
 	Topology TopologyAxis
@@ -26,16 +28,13 @@ type Cell struct {
 	Workload WorkloadAxis
 	// Draw is the Monte-Carlo fault draw: 0 = unfaulted baseline.
 	Draw int
-	// BaselineIndex locates the combo's unfaulted baseline cell (== Index on
-	// baseline cells themselves).
+	// BaselineIndex locates the unfaulted baseline cell of the same combo
+	// and seed (== Index on baseline cells themselves).
 	BaselineIndex int
 }
 
 // Baseline reports whether the cell is its combination's unfaulted baseline.
 func (c Cell) Baseline() bool { return c.Draw == 0 }
-
-// DrawName renders the fault-draw coordinate ("baseline", "fault-01", ...).
-func (c Cell) DrawName() string { return drawName(c.Draw) }
 
 func drawName(draw int) string {
 	if draw == 0 {
@@ -45,12 +44,15 @@ func drawName(draw int) string {
 }
 
 // Cells enumerates the spec's cell set in the canonical order: topologies
-// (outer), profiles, workloads, then draw 0..Draws. The enumeration is a
-// pure function of the spec — same spec, same cells, same seeds.
+// (outer), profiles, workloads, seeds, then draw 0..Draws. The enumeration is
+// a pure function of the spec — same spec, same cells, same seeds.
 func (s *Spec) Cells() ([]Cell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	// One replicate per seed; without Seeds, a single replicate whose cells
+	// derive their seeds from their names.
+	replicates := max(len(s.Seeds), 1)
 	var cells []Cell
 	for _, t := range s.Topologies {
 		shape, err := topology.ParseShape(t.Shape)
@@ -59,20 +61,30 @@ func (s *Spec) Cells() ([]Cell, error) {
 		}
 		for _, prof := range s.Profiles {
 			for _, wl := range s.Workloads {
-				baseline := len(cells)
-				for draw := 0; draw <= s.Faults.Draws; draw++ {
-					name := fmt.Sprintf("%s/%s/%s/%s", shape.ShapeName(), prof, wl.Name, drawName(draw))
-					cells = append(cells, Cell{
-						Index:         len(cells),
-						Name:          name,
-						Seed:          sim.DeriveSeed(s.MasterSeed, "campaign/"+s.Name+"/cell/"+name),
-						Topology:      t,
-						Shape:         shape,
-						Profile:       prof,
-						Workload:      wl,
-						Draw:          draw,
-						BaselineIndex: baseline,
-					})
+				for r := 0; r < replicates; r++ {
+					baseline := len(cells)
+					for draw := 0; draw <= s.Faults.Draws; draw++ {
+						name := fmt.Sprintf("%s/%s/%s/", shape.ShapeName(), prof, wl.Name)
+						if len(s.Seeds) > 0 {
+							name += fmt.Sprintf("s%d/", s.Seeds[r])
+						}
+						name += drawName(draw)
+						seed := sim.DeriveSeed(s.MasterSeed, "campaign/"+s.Name+"/cell/"+name)
+						if len(s.Seeds) > 0 {
+							seed = s.Seeds[r]
+						}
+						cells = append(cells, Cell{
+							Index:         len(cells),
+							Name:          name,
+							Seed:          seed,
+							Topology:      t,
+							Shape:         shape,
+							Profile:       prof,
+							Workload:      wl,
+							Draw:          draw,
+							BaselineIndex: baseline,
+						})
+					}
 				}
 			}
 		}

@@ -25,6 +25,7 @@ func FuzzCampaignSpec(f *testing.F) {
 	tiny, _ := json.Marshal(tinySpec())
 	f.Add(tiny)
 	f.Add([]byte(`{"name":"x","topologies":[{"shape":"4x2x1"}],"profiles":["ideal"],"workloads":[{"name":"w","proto":"tcp","requests":1}]}`))
+	f.Add([]byte(`{"name":"x","seeds":[3,1],"topologies":[{"shape":"4x2x1"}],"profiles":["ideal"],"workloads":[{"name":"w","proto":"tcp","requests":2,"version":"1.4.15","churn_every":1,"extra_switch_ns":50}]}`))
 	f.Add([]byte(`{"name":"x","faults":{"draws":9223372036854775807}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))

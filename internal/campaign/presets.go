@@ -3,7 +3,9 @@ package campaign
 import "fmt"
 
 // Presets returns the built-in campaign names.
-func Presets() []string { return []string{"smoke", "nightly"} }
+func Presets() []string {
+	return []string{"smoke", "nightly", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
+}
 
 // Preset returns a built-in campaign spec by name.
 //
@@ -13,6 +15,8 @@ func Presets() []string { return []string{"smoke", "nightly"} }
 //   - "nightly": the full-scale sweep — three paper-class shapes × two
 //     kernels × UDP and TCP mixes × (baseline + 19 fault draws) = 240
 //     cells of 248–496 nodes each.
+//   - "fig10" … "fig15": the paper's §4.2 memcached figures at seed 1 (see
+//     figure). `diablo run figN` runs them at its -seed and -requests.
 func Preset(name string) (*Spec, error) {
 	switch name {
 	case "smoke":
@@ -47,7 +51,52 @@ func Preset(name string) (*Spec, error) {
 			},
 			Faults: FaultAxis{Draws: 19, Events: 3, StartMs: 5, HorizonMs: 200, MeanDurMs: 100},
 		}, nil
+	case "fig10": // latency PMF by hop count, 1 vs 10 Gbps
+		return figure(name, []int{4}, nil,
+			WorkloadAxis{Name: "1g-udp", Proto: "udp"},
+			WorkloadAxis{Name: "10g-udp", Proto: "udp", Use10G: true}), nil
+	case "fig11": // the tail across scales
+		return figure(name, []int{1, 2, 4}, nil,
+			WorkloadAxis{Name: "1g-udp", Proto: "udp"}), nil
+	case "fig12": // switch-latency sensitivity
+		return figure(name, []int{4}, nil,
+			WorkloadAxis{Name: "+0ns", Proto: "udp", Use10G: true},
+			WorkloadAxis{Name: "+50ns", Proto: "udp", Use10G: true, ExtraSwitchNs: 50},
+			WorkloadAxis{Name: "+100ns", Proto: "udp", Use10G: true, ExtraSwitchNs: 100}), nil
+	case "fig13": // TCP vs UDP across scales and fabrics
+		return figure(name, []int{1, 2, 4}, nil,
+			WorkloadAxis{Name: "1g-udp", Proto: "udp"},
+			WorkloadAxis{Name: "1g-tcp", Proto: "tcp"},
+			WorkloadAxis{Name: "10g-udp", Proto: "udp", Use10G: true},
+			WorkloadAxis{Name: "10g-tcp", Proto: "tcp", Use10G: true}), nil
+	case "fig14": // kernel versions
+		return figure(name, []int{4}, []string{"linux-2.6.39.3", "linux-3.5.7"},
+			WorkloadAxis{Name: "10g-udp", Proto: "udp", Use10G: true}), nil
+	case "fig15": // memcached versions under TCP connection churn
+		return figure(name, []int{1, 4}, nil,
+			WorkloadAxis{Name: "tcp-1.4.17", Proto: "tcp", Version: "1.4.17", ChurnEvery: 25},
+			WorkloadAxis{Name: "tcp-1.4.15", Proto: "tcp", Version: "1.4.15", ChurnEvery: 25}), nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown preset %q (known: %v)", name, Presets())
 	}
+}
+
+// figure builds a paper-figure preset on the Figure 7 topology: 31 servers
+// per rack and 16 racks per array, at the given array counts (1, 2, 4 =
+// 496, 992, 1,984 nodes), with 2 memcached servers per rack. Every workload
+// runs 150 requests per client after 5 warmup requests, at seed 1 only.
+// profiles defaults to Linux 2.6.39.3.
+func figure(name string, arrays []int, profiles []string, workloads ...WorkloadAxis) *Spec {
+	if profiles == nil {
+		profiles = []string{"linux-2.6.39.3"}
+	}
+	s := &Spec{Schema: SpecSchema, Name: name, MasterSeed: 1, Seeds: []uint64{1}, Profiles: profiles}
+	for _, a := range arrays {
+		s.Topologies = append(s.Topologies, TopologyAxis{Shape: fmt.Sprintf("31x16x%d", a), MemcachedServersPerRack: 2})
+	}
+	for _, w := range workloads {
+		w.Requests, w.Warmup = 150, 5
+		s.Workloads = append(s.Workloads, w)
+	}
+	return s
 }

@@ -4,12 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
+	"sort"
 
 	"diablo/internal/core"
 	"diablo/internal/metrics"
 	"diablo/internal/obs"
-	"diablo/internal/topology"
 )
 
 // ReportSchema identifies the campaign report JSON layout.
@@ -71,9 +70,9 @@ type CellReport struct {
 	Degradation *obs.DegradationJSON `json:"degradation,omitempty"`
 }
 
-// buildReport aggregates executed cells (already in enumeration order) into
+// BuildReport aggregates executed cells (RunCells, in enumeration order) into
 // the report. Pure: no clocks, no map iteration, no worker-count residue.
-func buildReport(spec *Spec, results []*CellResult) (*Report, error) {
+func BuildReport(spec *Spec, results []*CellResult) (*Report, error) {
 	rep := &Report{
 		Schema:     ReportSchema,
 		Name:       spec.Name,
@@ -140,24 +139,23 @@ func buildReport(spec *Spec, results []*CellResult) (*Report, error) {
 // buildSurfaces lays the cell grid out as p99.9 heatmaps: one surface per
 // (profile, workload) pane with topology shapes as rows and fault draws as
 // columns, plus a p99.9-inflation degradation surface per pane when the
-// sweep has fault draws.
+// sweep has fault draws. With several seeds each entry is the median over
+// the replicates.
 func buildSurfaces(spec *Spec, cells []CellReport) []*metrics.Surface {
+	// A valid spec spells each shape canonically (topology.ParseShape), so
+	// the spec's shape strings are the cells' shape names.
 	rows := make([]string, len(spec.Topologies))
 	index := map[string]int{}
 	for i, t := range spec.Topologies {
-		p, err := ParseShapeName(t.Shape)
-		if err != nil {
-			rows[i] = t.Shape
-		} else {
-			rows[i] = p
-		}
-		index[rows[i]] = i
+		rows[i] = t.Shape
+		index[t.Shape] = i
 	}
 	cols := make([]string, spec.Faults.Draws+1)
 	for d := range cols {
 		cols[d] = drawName(d)
 	}
 
+	groups := replicates(cells)
 	var out []*metrics.Surface
 	for _, prof := range spec.Profiles {
 		for _, wl := range spec.Workloads {
@@ -167,7 +165,8 @@ func buildSurfaces(spec *Spec, cells []CellReport) []*metrics.Surface {
 			if spec.Faults.Draws > 0 {
 				infl = metrics.NewSurface("p99.9 inflation vs baseline "+pane, "x", rows, cols[1:])
 			}
-			for _, c := range cells {
+			for _, g := range groups {
+				c := g[0]
 				if c.Profile != prof || c.Workload != wl.Name {
 					continue
 				}
@@ -175,9 +174,11 @@ func buildSurfaces(spec *Spec, cells []CellReport) []*metrics.Surface {
 				if !ok {
 					continue
 				}
-				p999.Set(r, c.Draw, c.P999Us)
+				med, _, _ := spread(g, func(c CellReport) float64 { return c.P999Us })
+				p999.Set(r, c.Draw, med)
 				if infl != nil && c.Degradation != nil {
-					infl.Set(r, c.Draw-1, c.Degradation.P999Inflation)
+					med, _, _ := spread(g, func(c CellReport) float64 { return c.Degradation.P999Inflation })
+					infl.Set(r, c.Draw-1, med)
 				}
 			}
 			out = append(out, p999)
@@ -189,33 +190,50 @@ func buildSurfaces(spec *Spec, cells []CellReport) []*metrics.Surface {
 	return out
 }
 
-// ParseShapeName canonicalizes a shape string through the topology grammar.
-func ParseShapeName(s string) (string, error) {
-	p, err := topology.ParseShape(s)
-	if err != nil {
-		return "", err
+// replicates groups the cells by (shape, profile, workload, draw), in
+// enumeration order: each group holds one point's cells across the seeds.
+func replicates(cells []CellReport) [][]CellReport {
+	var groups [][]CellReport
+	index := map[string]int{}
+	for _, c := range cells {
+		k := fmt.Sprintf("%s/%s/%s/%d", c.Shape, c.Profile, c.Workload, c.Draw)
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
 	}
-	return p.ShapeName(), nil
+	return groups
 }
 
-// WriteJSON writes the report as indented JSON — the byte-stable
+// spread returns the median, minimum and maximum of f over the cells.
+func spread(cells []CellReport, f func(CellReport) float64) (med, lo, hi float64) {
+	xs := make([]float64, len(cells))
+	for i, c := range cells {
+		xs[i] = f(c)
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	med = xs[n/2]
+	if n%2 == 0 {
+		med = (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return med, xs[0], xs[n-1]
+}
+
+// EncodeJSON renders the report as indented JSON — the byte-stable
 // CAMPAIGN_results.json artifact.
-func (r *Report) WriteJSON(w io.Writer) error {
+func (r *Report) EncodeJSON() ([]byte, error) {
 	if r.Schema == "" {
 		r.Schema = ReportSchema
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// EncodeJSON renders the report to its canonical byte form.
-func (r *Report) EncodeJSON() ([]byte, error) {
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	return []byte(b.String()), nil
+	return append(b, '\n'), nil
 }
 
 // DecodeReport parses an encoded report and checks its schema tag.
@@ -231,7 +249,8 @@ func DecodeReport(data []byte) (*Report, error) {
 }
 
 // RenderText renders the human-readable summary: the per-cell table, the
-// cross-cell degradation table, and the ASCII heatmaps.
+// replicate summary when the spec has several seeds, the cross-cell
+// degradation table, and the ASCII heatmaps.
 func (r *Report) RenderText(w io.Writer) error {
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("campaign %s (%d cells, seed %d, %s)", r.Name, len(r.Cells), r.MasterSeed, r.AggregateHash),
@@ -248,6 +267,11 @@ func (r *Report) RenderText(w io.Writer) error {
 	}
 	if _, err := io.WriteString(w, t.String()); err != nil {
 		return err
+	}
+	if len(r.Spec.Seeds) >= 2 {
+		if _, err := io.WriteString(w, r.replicateTable().String()); err != nil {
+			return err
+		}
 	}
 	var degRows []metrics.DegradationRow
 	for _, c := range r.Cells {
@@ -275,4 +299,27 @@ func (r *Report) RenderText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// replicateTable summarizes each (shape, profile, workload, draw) point over
+// the spec's seeds: median [min-max] of its latency statistics.
+func (r *Report) replicateTable() *metrics.Table {
+	t := &metrics.Table{
+		Title:   fmt.Sprintf("replicates: median [min-max] over %d seeds", len(r.Spec.Seeds)),
+		Columns: []string{"shape", "profile", "workload", "draw", "mean", "p50", "p99", "p99.9"},
+	}
+	for _, g := range replicates(r.Cells) {
+		row := []string{g[0].Shape, g[0].Profile, g[0].Workload, drawName(g[0].Draw)}
+		for _, f := range []func(CellReport) float64{
+			func(c CellReport) float64 { return c.MeanUs },
+			func(c CellReport) float64 { return c.P50Us },
+			func(c CellReport) float64 { return c.P99Us },
+			func(c CellReport) float64 { return c.P999Us },
+		} {
+			med, lo, hi := spread(g, f)
+			row = append(row, fmt.Sprintf("%.4gus [%.4g-%.4g]", med, lo, hi))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }

@@ -83,6 +83,11 @@ func cellConfig(spec *Spec, cell Cell) (core.MemcachedConfig, error) {
 	mc.MaxClients = cell.Workload.MaxClients
 	mc.Warmup = cell.Workload.Warmup
 	mc.Use10G = cell.Workload.Use10G
+	if cell.Workload.Version != "" {
+		mc.Version, _ = memcache.VersionByName(cell.Workload.Version)
+	}
+	mc.ChurnEvery = cell.Workload.ChurnEvery
+	mc.ExtraSwitchLatency = sim.Duration(cell.Workload.ExtraSwitchNs) * sim.Nanosecond
 	mc.Seed = cell.Seed
 	// Cells run sequentially (Partitions stays 0): results do not depend on
 	// how a cluster is executed (DESIGN.md §5.9), and the campaign worker pool
@@ -116,6 +121,17 @@ func configMap(spec *Spec, cell Cell) map[string]any {
 		"use_10g":             cell.Workload.Use10G,
 		"draw":                cell.Draw,
 		"engine":              "sequential",
+	}
+	// The newer workload knobs are recorded only when set, so manifests of
+	// specs that do not use them keep their bytes.
+	if w := cell.Workload; w.Version != "" {
+		m["version"] = w.Version
+	}
+	if w := cell.Workload; w.ChurnEvery != 0 {
+		m["churn_every"] = w.ChurnEvery
+	}
+	if w := cell.Workload; w.ExtraSwitchNs != 0 {
+		m["extra_switch_ns"] = w.ExtraSwitchNs
 	}
 	if !cell.Baseline() {
 		m["fault_events"] = spec.Faults.Events
@@ -172,11 +188,20 @@ func ReplayCell(spec *Spec, name string, seed uint64) (*CellResult, error) {
 	return RunCell(spec, cell)
 }
 
-// Run executes the whole campaign across rc.Workers goroutines and
-// aggregates the cells (in enumeration order) into the report. The report
-// bytes are a pure function of the spec: worker count and completion order
-// never leak in.
+// Run executes the whole campaign (RunCells) and aggregates the cells into
+// the report. The report bytes are a pure function of the spec: worker count
+// and completion order never leak in.
 func Run(spec *Spec, rc RunConfig) (*Report, error) {
+	results, err := RunCells(spec, rc)
+	if err != nil {
+		return nil, err
+	}
+	return BuildReport(spec, results)
+}
+
+// RunCells executes every cell of the spec across rc.Workers goroutines and
+// returns the results in enumeration order.
+func RunCells(spec *Spec, rc RunConfig) ([]*CellResult, error) {
 	cells, err := spec.Cells()
 	if err != nil {
 		return nil, err
@@ -223,7 +248,7 @@ func Run(spec *Spec, rc RunConfig) (*Report, error) {
 			return nil, fmt.Errorf("campaign: %d/%d cells ran, first failure: %w", len(cells)-countErrs(errs), len(cells), errs[i])
 		}
 	}
-	return buildReport(spec, results)
+	return results, nil
 }
 
 func countErrs(errs []error) int {

@@ -1,5 +1,5 @@
-// Package campaign is the deterministic Monte-Carlo sweep orchestrator
-// (ROADMAP item 4): it enumerates scenario cells over the sweep axes
+// Package campaign is the deterministic Monte-Carlo sweep orchestrator: it
+// enumerates scenario cells over the sweep axes
 // (topology shape/oversubscription × kernel profile × workload mix ×
 // fault-plan draw), runs each cell as a full core cluster simulation, and
 // aggregates the per-cell run manifests (diablo/run-manifest/v1) into one
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"diablo/internal/apps/memcache"
 	"diablo/internal/kernel"
 	"diablo/internal/topology"
 )
@@ -30,13 +31,19 @@ const maxCells = 1 << 16
 
 // Spec declares a campaign: the cross-product of its axes is the cell set.
 // Cell enumeration order is part of the spec's identity — topologies
-// (outer), then profiles, then workloads, then fault draws.
+// (outer), then profiles, then workloads, then seeds, then fault draws.
 type Spec struct {
 	Schema string `json:"schema"`
 	// Name labels the campaign and salts every cell seed.
 	Name string `json:"name"`
-	// MasterSeed is the campaign-level seed every cell seed derives from.
+	// MasterSeed is the campaign-level seed every cell seed derives from
+	// when Seeds is empty.
 	MasterSeed uint64 `json:"master_seed"`
+	// Seeds, when set, replicates the sweep once per seed: every cell of
+	// replicate r runs at Seeds[r], so the cells compared inside one
+	// replicate differ only in their axis values (common random numbers).
+	// Empty derives each cell's seed from MasterSeed and the cell name.
+	Seeds []uint64 `json:"seeds,omitempty"`
 
 	// Topologies is the shape/oversubscription axis.
 	Topologies []TopologyAxis `json:"topologies"`
@@ -84,6 +91,15 @@ type WorkloadAxis struct {
 	Warmup int `json:"warmup,omitempty"`
 	// Use10G upgrades the interconnect to the paper's 10 Gbps variant.
 	Use10G bool `json:"use_10g,omitempty"`
+	// Version is the memcached release (memcache.VersionByName; empty =
+	// 1.4.17).
+	Version string `json:"version,omitempty"`
+	// ChurnEvery cycles each client's TCP connection every N requests
+	// (0 = never).
+	ChurnEvery int `json:"churn_every,omitempty"`
+	// ExtraSwitchNs adds port-to-port latency at every switch level, in
+	// simulated nanoseconds.
+	ExtraSwitchNs int64 `json:"extra_switch_ns,omitempty"`
 }
 
 // FaultAxis parameterizes the Monte-Carlo fault draws. Each draw d >= 1
@@ -154,16 +170,32 @@ func (s *Spec) Validate() error {
 		if w.MaxClients < 0 {
 			return fmt.Errorf("campaign: workloads[%d] %s: negative max_clients", i, w.Name)
 		}
+		if _, ok := memcache.VersionByName(w.Version); w.Version != "" && !ok {
+			return fmt.Errorf("campaign: workloads[%d] %s: unknown memcached version %q", i, w.Name, w.Version)
+		}
+		if w.ChurnEvery < 0 {
+			return fmt.Errorf("campaign: workloads[%d] %s: negative churn_every", i, w.Name)
+		}
+		if w.ExtraSwitchNs < 0 {
+			return fmt.Errorf("campaign: workloads[%d] %s: negative extra_switch_ns", i, w.Name)
+		}
 	}
 	f := s.Faults
 	if f.Draws < 0 {
 		return fmt.Errorf("campaign: negative fault draws %d", f.Draws)
 	}
 	cells := 1
-	for _, k := range []int{len(s.Topologies), len(s.Profiles), len(s.Workloads), min(f.Draws, maxCells) + 1} {
+	for _, k := range []int{len(s.Topologies), len(s.Profiles), len(s.Workloads), max(len(s.Seeds), 1), min(f.Draws, maxCells) + 1} {
 		if cells *= k; cells > maxCells {
 			return fmt.Errorf("campaign: spec enumerates more than %d cells", maxCells)
 		}
+	}
+	seeds := map[uint64]bool{}
+	for i, seed := range s.Seeds {
+		if seeds[seed] {
+			return fmt.Errorf("campaign: seeds[%d]: duplicate seed %d", i, seed)
+		}
+		seeds[seed] = true
 	}
 	if f.Draws > 0 {
 		if f.Events <= 0 {

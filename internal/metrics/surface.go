@@ -83,18 +83,6 @@ type DegradationRow struct {
 	FaultDrops                                uint64
 }
 
-// Row reduces a Degradation to its cross-cell summary row.
-func (d *Degradation) Row(attempted uint64) DegradationRow {
-	return DegradationRow{
-		Cell:          d.Name,
-		P50Inflation:  d.Inflation(0.50),
-		P99Inflation:  d.Inflation(0.99),
-		P999Inflation: d.Inflation(0.999),
-		LossRate:      LossRate(d.FaultedLost, attempted),
-		FaultDrops:    d.FaultDrops,
-	}
-}
-
 // DegradationSummaryTable renders many faulted cells against their baselines
 // in one cross-cell table — one row per cell, the campaign-report
 // counterpart of the single-run Degradation.Table.
