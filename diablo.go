@@ -100,7 +100,8 @@ type (
 	Thread = kernel.Thread
 	// Addr is a transport address.
 	Addr = packet.Addr
-	// Msg is the fixed-size message a UDP datagram carries by value.
+	// Msg is the fixed-size application message a UDP datagram or a TCP
+	// message boundary carries by value (TCPSocket.Send, Recv).
 	Msg = packet.Msg
 )
 

@@ -88,7 +88,7 @@ func main() {
 		}
 		start := t.Now()
 		const total = 1 << 20
-		if err := conn.Send(t, total, "bulk"); err != nil {
+		if err := conn.Send(t, total, diablo.Msg{Kind: 1}); err != nil {
 			return
 		}
 		conn.Close(t)

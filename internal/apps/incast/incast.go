@@ -15,13 +15,15 @@ import (
 	"diablo/internal/sim"
 )
 
-// request is the application message a client sends to a server.
-type request struct {
-	SRU int // bytes the server should return
-}
+// The application's message kinds (packet.Msg.Kind): a request, whose A is
+// the bytes the server should return (the SRU), and the response marking the
+// end of a server's data unit.
+const (
+	kindRequest uint8 = 1 + iota
+	kindResponse
+)
 
-// response marks the end of a server's data unit.
-type response struct{}
+func request(sru int) packet.Msg { return packet.Msg{Kind: kindRequest, A: uint64(sru)} }
 
 // ServerParams configures a storage server.
 type ServerParams struct {
@@ -72,7 +74,7 @@ type handler struct {
 	p    ServerParams
 	sock *kernel.TCPSocket
 	pc   int
-	msgs []any // requests read and not yet served
+	msgs []packet.Msg // requests read and not yet served
 	sru  int
 }
 
@@ -83,9 +85,9 @@ func (h *handler) Next(t *kernel.Thread, res *kernel.Result) bool {
 	switch h.pc {
 	case 0: // serve the next request, or read more
 		for len(h.msgs) > 0 {
-			req, ok := h.msgs[0].(request)
-			if h.msgs = h.msgs[1:]; ok {
-				h.sru, h.pc = req.SRU, 2
+			req := h.msgs[0]
+			if h.msgs = h.msgs[1:]; req.Kind == kindRequest {
+				h.sru, h.pc = int(req.A), 2
 				t.Compute(h.p.PerRequestInstr)
 				return true
 			}
@@ -100,7 +102,7 @@ func (h *handler) Next(t *kernel.Thread, res *kernel.Result) bool {
 		}
 		h.msgs, h.pc = res.Msgs(), 0
 	case 2: // the handling cost is paid
-		h.sock.Send(t, h.sru, response{})
+		h.sock.Send(t, h.sru, packet.Msg{Kind: kindResponse})
 		h.pc = 0
 	}
 	return true
@@ -241,7 +243,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			return false
 		}
 		if c.k < len(c.socks) {
-			c.socks[c.k].Send(t, c.p.RequestBytes, request{SRU: sru})
+			c.socks[c.k].Send(t, c.p.RequestBytes, request(sru))
 			c.k++
 			break
 		}
@@ -329,7 +331,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 		}
 		w.barrier.Wait(t)
 	case 1:
-		w.s.Send(t, w.p.RequestBytes, request{SRU: w.p.sru()})
+		w.s.Send(t, w.p.RequestBytes, request(w.p.sru()))
 	case 2:
 		w.got = 0
 		w.s.Recv(t, 1<<20)

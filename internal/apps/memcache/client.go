@@ -185,7 +185,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			c.start = t.Now()
 		}
 		if !udp {
-			c.conn.Send(t, c.wire, c.req)
+			c.conn.Send(t, c.wire, c.req.msg())
 			c.pc = cTCPSent
 			return true
 		}
@@ -225,7 +225,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			c.conns[si] = nil
 		} else {
 			for _, m := range res.Msgs() {
-				if resp, ok := m.(Response); ok && resp.Seq == c.seq {
+				if resp, ok := responseOf(m); ok && resp.Seq == c.seq {
 					c.got = true
 				}
 			}

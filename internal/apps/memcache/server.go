@@ -85,10 +85,11 @@ type Response struct {
 	ValueBytes int
 }
 
-// Datagram message kinds (packet.Msg.Kind). A request's words are its Seq,
-// its Key, and its Op and ValueBytes in the high and low halves; a response's
-// are its Seq, its ValueBytes and whether it hit. requestOf and responseOf
-// decode a message, reporting whether it is of their kind.
+// Message kinds (packet.Msg.Kind), the same over UDP and TCP. A request's
+// words are its Seq, its Key, and its Op and ValueBytes in the high and low
+// halves; a response's are its Seq, its ValueBytes and whether it hit.
+// requestOf and responseOf decode a message, reporting whether it is of
+// their kind.
 const (
 	kindRequest uint8 = 1 + iota
 	kindResponse
@@ -268,7 +269,7 @@ type worker struct {
 	evs  []kernel.EpollEvent // ready events not yet served
 	u    *kernel.UDPSocket   // the socket being served: u or c
 	c    *kernel.TCPSocket
-	msgs []any // TCP messages read and not yet handled
+	msgs []packet.Msg // TCP messages read and not yet handled
 	from packet.Addr
 	req  Request
 }
@@ -362,7 +363,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 			w.c.TryRecv(t, 1<<20)
 			w.pc = wTCPRecv
 		default:
-			req, ok := w.msgs[0].(Request)
+			req, ok := requestOf(w.msgs[0])
 			if w.msgs = w.msgs[1:]; ok {
 				w.srv.Stats.TCPRequests++
 				w.req, w.pc = req, wBase
@@ -385,7 +386,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 		if respBytes > 8200 {
 			panic(fmt.Sprintf("memcache: oversized response %dB for %+v", respBytes, w.req))
 		}
-		w.c.Send(t, respBytes, resp)
+		w.c.Send(t, respBytes, resp.msg())
 		w.pc = wMsg
 	case wDel:
 		w.ep.Del(t, w.c)

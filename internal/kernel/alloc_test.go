@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"diablo/internal/packet"
 	"diablo/internal/sim"
@@ -10,8 +12,9 @@ import (
 
 // TestAllocBudgetToyMemcached runs a toy memcached over TCP — an epoll
 // server answering every request on each of its connections, a client
-// keeping conns connections and making one request at a time on each, with
-// pointer payloads — and counts the host allocations of its phases. Once a
+// keeping conns connections and making one request at a time on each, every
+// request and response a distinct packet.Msg value — and counts the host
+// allocations of its phases. Once a
 // warm-up round of connections has come and gone, opening a connection
 // allocates at most one object per endpoint (its socket), and a
 // request/response exchange allocates nothing.
@@ -25,8 +28,7 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 	r.a.SetPool(pool)
 	r.b.SetPool(pool)
 	srv := packet.Addr{Node: r.b.Node(), Port: 11211}
-	type msg struct{ id int }
-	req, resp := &msg{1}, &msg{2}
+	respTo := func(req packet.Msg) packet.Msg { return packet.Msg{Kind: 2, A: req.A, B: req.B + 1} }
 
 	r.b.Spawn("memcached", func(th *Thread) {
 		lis, err := th.Listen(srv.Port, 128)
@@ -50,8 +52,8 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 					ep.Del(th, s)
 					s.Close(th)
 				default:
-					for range msgs {
-						s.Send(th, 300, resp)
+					for _, m := range msgs {
+						s.Send(th, 300, respTo(m))
 					}
 				}
 			}
@@ -72,9 +74,12 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 				socks[i] = s
 			}
 		}
+		var seq uint64
 		exchange := func(n int) {
 			for range n {
 				for _, s := range socks {
+					seq++
+					req := packet.Msg{Kind: 1, A: seq, B: seq << 8}
 					s.Send(th, 100, req)
 					for got := false; !got; {
 						_, msgs, err := s.Recv(th, 1<<20)
@@ -82,7 +87,7 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 							panic(err)
 						}
 						for _, m := range msgs {
-							got = got || m == resp
+							got = got || m == respTo(req)
 						}
 					}
 				}
@@ -146,6 +151,149 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 	if exchanged != 0 {
 		t.Errorf("%d exchanges allocated %d objects, want none", conns*rounds, exchanged)
 	}
+}
+
+// TestTCPSocketSize pins the per-endpoint record on 64-bit hosts: a socket,
+// with its connection embedded, is the one object a TCP endpoint allocates.
+// The runtime prefixes an object over 512 bytes that holds pointers with an
+// 8-byte header, so at most 760 bytes keeps it in the 768-byte size class;
+// the next class is 896.
+func TestTCPSocketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(TCPSocket{}); got > 760 {
+		t.Errorf("TCPSocket is %d bytes, want at most 760", got)
+	}
+}
+
+// TestAllocBudgetTCPMessages runs a program client and server making
+// request/response exchanges over one TCP connection — each message a
+// packet.Msg value the receiver checks — and counts the host allocations of
+// the exchanges once a warm-up round has run: there are none.
+func TestAllocBudgetTCPMessages(t *testing.T) {
+	if instrumented {
+		t.Skip("-race and slabdebug builds allocate on their own")
+	}
+	const rounds, cycles = 50, 3
+	r := newRig(t, DefaultConfig())
+	pool := packet.NewPool()
+	r.a.SetPool(pool)
+	r.b.SetPool(pool)
+	r.b.Start("server", &tcpEcho{port: 80})
+	cli := &tcpPinger{dst: packet.Addr{Node: r.b.Node(), Port: 80}, rounds: rounds}
+	r.a.Start("client", cli)
+
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	r.run(sim.Second) // warm-up: connect, cycle 0
+	// Cycle k exchanges from k simulated seconds; as in the other budgets,
+	// the cheapest cycle counts.
+	exchanged := uint64(1 << 62)
+	for k := 1; k <= cycles; k++ {
+		before := mallocs()
+		r.run(sim.Duration(k+1) * sim.Second)
+		exchanged = min(exchanged, mallocs()-before)
+	}
+	if want := uint64(rounds * (cycles + 1)); cli.got != want {
+		t.Fatalf("client got %d matching responses, want %d", cli.got, want)
+	}
+	t.Logf("best of %d cycles: %d exchanges, %d objects", cycles, rounds, exchanged)
+	if exchanged != 0 {
+		t.Errorf("%d exchanges allocated %d objects, want none", rounds, exchanged)
+	}
+}
+
+// tcpEcho accepts one connection and answers every request (Kind 1) on it
+// with a 300-byte response (Kind 2) carrying the request's words.
+type tcpEcho struct {
+	port packet.Port
+	sock *TCPSocket
+	pc   int
+	msgs []packet.Msg // read and not yet answered
+}
+
+func (e *tcpEcho) Next(t *Thread, res *Result) bool {
+	if res.Err() != nil {
+		return false
+	}
+	switch e.pc {
+	case 0:
+		t.Listen(e.port, 8)
+	case 1:
+		res.Listener.Accept(t, true)
+	case 2:
+		e.sock = res.TCP
+		e.sock.Recv(t, 1<<20)
+	case 3: // a read returned
+		if res.N == 0 && len(res.Msgs()) == 0 { // EOF
+			return false
+		}
+		e.msgs = res.Msgs()
+	case 4: // answer the next request, or read more
+		if len(e.msgs) == 0 {
+			e.sock.Recv(t, 1<<20)
+			e.pc = 3
+			return true
+		}
+		if m := e.msgs[0]; m.Kind == 1 {
+			e.sock.Send(t, 300, packet.Msg{Kind: 2, A: m.A, B: m.B, C: m.A + m.B})
+		}
+		e.msgs = e.msgs[1:]
+		return true
+	}
+	e.pc++
+	return true
+}
+
+// tcpPinger connects, then makes rounds request/response exchanges at the
+// start of every simulated second, counting the responses that carry their
+// request's words.
+type tcpPinger struct {
+	dst    packet.Addr
+	rounds int
+	sock   *TCPSocket
+	pc     int
+	round  int
+	cycle  int
+	seq    uint64
+	got    uint64
+}
+
+func (p *tcpPinger) Next(t *Thread, res *Result) bool {
+	if res.Err() != nil {
+		return false
+	}
+	switch p.pc {
+	case 0:
+		t.Connect(p.dst)
+	case 1: // connected, or the next round: send a request
+		if p.sock == nil {
+			p.sock = res.TCP
+		}
+		p.seq++
+		p.sock.Send(t, 100, packet.Msg{Kind: 1, A: p.seq, B: p.seq << 16})
+	case 2:
+		p.sock.Recv(t, 1<<20)
+	case 3: // a read returned
+		want := packet.Msg{Kind: 2, A: p.seq, B: p.seq << 16, C: p.seq + p.seq<<16}
+		if !slices.Contains(res.Msgs(), want) {
+			p.sock.Recv(t, 1<<20)
+			return true
+		}
+		p.got++
+		p.pc = 1
+		if p.round++; p.round == p.rounds {
+			p.round, p.cycle = 0, p.cycle+1
+			t.Sleep(sim.Time(sim.Duration(p.cycle) * sim.Second).Sub(t.Now()))
+		}
+		return true
+	}
+	p.pc++
+	return true
 }
 
 // TestAllocBudgetUDPExchange runs a program client and server exchanging

@@ -252,8 +252,9 @@ func TestUDPRcvBufOverflow(t *testing.T) {
 
 func TestTCPEndToEnd(t *testing.T) {
 	r := newRig(t, DefaultConfig())
-	var serverGot []any
-	var clientGot []any
+	req1, req2, response := packet.Msg{Kind: 1, A: 1}, packet.Msg{Kind: 1, A: 2}, packet.Msg{Kind: 2, A: 3}
+	var serverGot []packet.Msg
+	var clientGot []packet.Msg
 	var cleanClose bool
 
 	r.b.Spawn("server", func(th *Thread) {
@@ -281,7 +282,7 @@ func TestTCPEndToEnd(t *testing.T) {
 				th.Compute(20000)
 			}
 			if len(serverGot) == 2 {
-				if err := sock.Send(th, 50_000, "response"); err != nil {
+				if err := sock.Send(th, 50_000, response); err != nil {
 					t.Errorf("server send: %v", err)
 				}
 			}
@@ -295,10 +296,10 @@ func TestTCPEndToEnd(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		if err := sock.Send(th, 300, "req-1"); err != nil {
+		if err := sock.Send(th, 300, req1); err != nil {
 			t.Error(err)
 		}
-		if err := sock.Send(th, 100_000, "req-2"); err != nil {
+		if err := sock.Send(th, 100_000, req2); err != nil {
 			t.Error(err)
 		}
 		for {
@@ -318,10 +319,10 @@ func TestTCPEndToEnd(t *testing.T) {
 		sock.Close(th)
 	})
 	r.run(10 * sim.Second)
-	if len(serverGot) != 2 || serverGot[0] != "req-1" || serverGot[1] != "req-2" {
+	if len(serverGot) != 2 || serverGot[0] != req1 || serverGot[1] != req2 {
 		t.Fatalf("server messages = %v", serverGot)
 	}
-	if len(clientGot) != 1 || clientGot[0] != "response" {
+	if len(clientGot) != 1 || clientGot[0] != response {
 		t.Fatalf("client messages = %v", clientGot)
 	}
 	if !cleanClose {

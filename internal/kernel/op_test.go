@@ -20,7 +20,7 @@ func inject(m *Machine, port packet.Port, msg packet.Msg) {
 		Dst:          packet.Addr{Node: m.node, Port: port},
 		Proto:        packet.ProtoUDP,
 		PayloadBytes: 32,
-		UDP:          packet.UDPHdr{Msg: msg},
+		Msg:          msg,
 	})
 }
 
@@ -34,6 +34,9 @@ func spuriously(r *rig, th *Thread) {
 
 // vals packs a call's return values.
 func vals(v ...any) []any { return v }
+
+// tcpMsg is the message the TCP rows send.
+var tcpMsg = packet.Msg{Kind: 1, A: 7}
 
 // A step is one call as both conventions make it: do makes it on c.th, last,
 // and returns what the call returned (in a program thread: zero values at
@@ -342,22 +345,22 @@ func opRows(t *testing.T) []opRow {
 			}
 		}},
 		{name: "TCP Send/fits the buffer", peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect,
-			{func(c *caller) []any { return vals(c.tcp.Send(c.th, 1000, "m")) }, errOnly}}},
+			{func(c *caller) []any { return vals(c.tcp.Send(c.th, 1000, tcpMsg)) }, errOnly}}},
 		{name: "TCP Send/blocks on the buffer", peer: listen(func(st *Thread, s *TCPSocket) {
 			for {
 				if n, _, err := s.Recv(st, 1<<20); n == 0 || err != nil {
 					return
 				}
 			}
-		}), steps: []step{connect, {func(c *caller) []any { return vals(c.tcp.Send(c.th, 4*c.r.a.cfg.TCP.SndBuf, "m")) }, errOnly}}},
+		}), steps: []step{connect, {func(c *caller) []any { return vals(c.tcp.Send(c.th, 4*c.r.a.cfg.TCP.SndBuf, tcpMsg)) }, errOnly}}},
 		{name: "TCP Recv/block-then-data", peer: listen(func(st *Thread, s *TCPSocket) {
 			st.Sleep(after)
-			_ = s.Send(st, 1000, "m")
+			_ = s.Send(st, 1000, tcpMsg)
 		}), steps: []step{connect, {func(c *caller) []any {
 			spuriously(c.r, c.th)
 			return vals(c.tcp.Recv(c.th, 1<<20))
 		}, tcpGot}}, check: func(t *testing.T, c *caller, last []any) {
-			if msgs := last[1].([]any); len(msgs) != 1 || msgs[0] != "m" {
+			if msgs := last[1].([]packet.Msg); len(msgs) != 1 || msgs[0] != tcpMsg {
 				t.Errorf("messages = %v", msgs)
 			}
 		}},

@@ -285,7 +285,7 @@ func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, msg packet.Msg) er
 		return ErrMsgTooLong
 	}
 	t.enter(opSendTo, func(op *threadOp) {
-		op.udp, op.extra, op.n, op.remote, op.dgram = s, s.m.cfg.Profile.TxUDPInstr, n, dst, msg
+		op.udp, op.extra, op.n, op.remote, op.msg = s, s.m.cfg.Profile.TxUDPInstr, n, dst, msg
 	})
 	return nil
 }
@@ -317,10 +317,10 @@ func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 		pkt.Proto = packet.ProtoUDP
 		pkt.PayloadBytes = min(op.n-i*packet.MaxUDPPayload, packet.MaxUDPPayload)
 		// The fragment descriptor rides in the typed UDP header, and the
-		// message with it on the final fragment only.
+		// message on the final fragment only.
 		pkt.UDP = packet.UDPHdr{FragID: op.id, Index: uint16(i), Total: uint16(total), Bytes: op.n}
 		if i == total-1 {
-			pkt.UDP.Msg = op.dgram
+			pkt.Msg = op.msg
 		}
 		if i > 0 { // fragments beyond the first cost a reduced per-packet TX charge
 			op.pkt, op.frag = pkt, i+1
@@ -414,7 +414,7 @@ func (m *Machine) deliverUDP(pkt *packet.Packet) {
 		s.Stats.RxDropsFull++
 		return
 	}
-	s.rcvq.push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, msg: hdr.Msg})
+	s.rcvq.push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, msg: pkt.Msg})
 	s.rcvBytes += hdr.Bytes
 	s.Stats.RxDatagrams++
 	s.readers.wakeOne(m)
@@ -579,9 +579,9 @@ type TCPSocket struct {
 	writers  waitQueue
 	connectQ waitQueue
 	watchers epollSet
-	// established is set by the handshake; done by the connection's end.
+	// established is set by the handshake; done by the connection's end,
+	// whose error the connection keeps (conn.Err).
 	established, done bool
-	err               error
 }
 
 // newTCPSocket creates and registers the socket of a connection from local
@@ -628,10 +628,9 @@ func (o *tcpOwner) CanWrite() {
 	(*TCPSocket)(o).notifyWatchers()
 }
 
-func (o *tcpOwner) Closed(err error) {
+func (o *tcpOwner) Closed(error) {
 	s, m := (*TCPSocket)(o), o.m
 	s.done = true
-	s.err = err
 	m.tcpClosed.accumulate(s.conn.Stats)
 	delete(m.conns, s.key)
 	s.readers.wakeAll(m)
@@ -662,7 +661,7 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 		return &s.connectQ, false
 	}
 	if s.done {
-		t.res.v.err = fmt.Errorf("%w: %v", ErrConnRefused, s.err)
+		t.res.v.err = fmt.Errorf("%w: %v", ErrConnRefused, s.conn.Err())
 	} else {
 		t.res.TCP = s
 	}
@@ -676,12 +675,13 @@ func (s *TCPSocket) Conn() *tcp.Conn { return &s.conn }
 func (s *TCPSocket) Remote() packet.Addr { return s.conn.Remote }
 
 // Err returns the terminal error after the connection closed.
-func (s *TCPSocket) Err() error { return s.err }
+func (s *TCPSocket) Err() error { return s.conn.Err() }
 
 // Send writes an n-byte application message, blocking until the send buffer
-// accepts all of it. payload surfaces at the receiver with the final byte.
-func (s *TCPSocket) Send(t *Thread, n int, payload any) error {
-	return t.enter(opTCPSend, func(op *threadOp) { op.tcp, op.n, op.msg = s, n, payload }).v.err
+// accepts all of it. msg, unless its Kind is zero, surfaces at the receiver
+// with the final byte.
+func (s *TCPSocket) Send(t *Thread, n int, msg packet.Msg) error {
+	return t.enter(opTCPSend, func(op *threadOp) { op.tcp, op.n, op.msg = s, n, msg }).v.err
 }
 
 func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
@@ -692,7 +692,7 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 		t.res.v.err = s.errOrClosed()
 		return nil, true
 	}
-	accepted := s.conn.Send(op.n, op.msg)
+	accepted := s.conn.Send(op.n, &op.msg)
 	if accepted == 0 {
 		return &s.writers, false
 	}
@@ -706,17 +706,17 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 // Recv blocks until data (or EOF) is available and returns the bytes
 // consumed and any completed application messages. The message slice is the
 // connection's own, valid until the next Recv or TryRecv on this socket.
-func (s *TCPSocket) Recv(t *Thread, max int) (int, []any, error) {
+func (s *TCPSocket) Recv(t *Thread, max int) (int, []packet.Msg, error) {
 	return s.recv(t, max, false)
 }
 
 // TryRecv is the non-blocking read for epoll users. It returns ErrWouldBlock
 // when nothing is available.
-func (s *TCPSocket) TryRecv(t *Thread, max int) (int, []any, error) {
+func (s *TCPSocket) TryRecv(t *Thread, max int) (int, []packet.Msg, error) {
 	return s.recv(t, max, true)
 }
 
-func (s *TCPSocket) recv(t *Thread, max int, nowait bool) (int, []any, error) {
+func (s *TCPSocket) recv(t *Thread, max int, nowait bool) (int, []packet.Msg, error) {
 	r := t.enter(opTCPRecv, func(op *threadOp) { op.tcp, op.n, op.nowait = s, max, nowait })
 	return r.N, r.v.msgs, r.v.err
 }
@@ -748,8 +748,8 @@ func (s *TCPSocket) Abort(t *Thread) {
 }
 
 func (s *TCPSocket) errOrClosed() error {
-	if s.err != nil {
-		return s.err
+	if err := s.conn.Err(); err != nil {
+		return err
 	}
 	return ErrClosed
 }

@@ -60,7 +60,7 @@ func TestTCPStatsAggregation(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_ = sock.Send(th, 10_000, nil)
+			_ = sock.Send(th, 10_000, packet.Msg{})
 			sock.Close(th)
 			th.Sleep(10 * sim.Millisecond)
 		}

@@ -45,8 +45,8 @@ type Result struct {
 	TCP      *TCPSocket   // Connect, Accept, TryAccept
 	v        struct {
 		err  error
-		msg  packet.Msg // UDP receives: the datagram's message
-		msgs []any      // TCP Recv/TryRecv: the messages completed
+		msg  packet.Msg   // UDP receives: the datagram's message
+		msgs []packet.Msg // TCP Recv/TryRecv: the messages completed
 	}
 }
 
@@ -58,7 +58,7 @@ func (r Result) Msg() packet.Msg { return r.v.msg }
 
 // Msgs returns the application messages a TCP receive completed, valid until
 // the next receive on the same socket.
-func (r Result) Msgs() []any { return r.v.msgs }
+func (r Result) Msgs() []packet.Msg { return r.v.msgs }
 
 // Thread is one simulated kernel thread. Its Program advances only when the
 // machine's scheduler grants it the simulated CPU; every interaction with the
@@ -245,8 +245,7 @@ type threadOp struct {
 	frag     int            // opSendTo: fragments built
 	id       uint64         // opSendTo: the datagram's fragment ID (0: not counted yet)
 	pkt      *packet.Packet // opSendTo: the fragment whose charge is being paid
-	dgram    packet.Msg     // opSendTo: the datagram's message
-	msg      any            // opTCPSend: the message
+	msg      packet.Msg     // opSendTo, opTCPSend: the message
 
 	// The object the call is on, by kind.
 	ep   *Epoll

@@ -5,8 +5,9 @@
 //
 // Payload bytes are accounted for in timing but never materialized: a packet
 // carries the byte counts that determine serialization and buffering, plus the
-// message the endpoints hand to the application — a fixed-size Msg on a UDP
-// datagram, an opaque reference marking a TCP message boundary.
+// message the endpoints hand to the application: a fixed-size Msg, by value,
+// on a UDP datagram's final fragment or on the TCP segment whose last byte
+// ends it.
 // This mirrors DIABLO, where the functional model moved real bytes but the
 // experiments only observe timing and sizes.
 package packet
@@ -114,9 +115,9 @@ type TCPHdr struct {
 	Ack    uint32 // cumulative acknowledgement
 	Window uint32 // advertised receive window in bytes
 	// EndSeq is the end of the one application message whose last byte this
-	// segment carries, the message itself riding in Payload (see package
-	// tcp): framing metadata, like UDPHdr, kept inline so that a segment
-	// carrying a message boxes nothing.
+	// segment carries, the message itself in Packet.Msg (see package tcp):
+	// framing metadata, like UDPHdr, kept inline so that a segment carrying a
+	// message allocates nothing.
 	EndSeq uint32
 }
 
@@ -129,16 +130,22 @@ type Msg struct {
 	A, B, C uint64
 }
 
-// UDPHdr carries a datagram's fragmentation metadata and message inline, the
-// moral equivalent of the IP fragment header. A Total of zero marks a raw
+// Bound marks the end of an application message within a TCP byte stream:
+// Msg is complete when the receiver's in-order stream reaches EndSeq.
+type Bound struct {
+	EndSeq uint32
+	Msg    Msg
+}
+
+// UDPHdr carries a datagram's fragmentation metadata inline, the moral
+// equivalent of the IP fragment header. A Total of zero marks a raw
 // unfragmented packet that is the whole datagram (direct construction in
-// tests and simple senders). Nothing in it is boxed.
+// tests and simple senders).
 type UDPHdr struct {
 	FragID uint64 // datagram ID the fragment belongs to (per source socket)
 	Index  uint16 // fragment index within the datagram
 	Total  uint16 // fragment count (0 = raw unfragmented packet)
 	Bytes  int    // whole-datagram payload size
-	Msg    Msg    // the datagram's message, on its final fragment only
 }
 
 // MaxRouteHops bounds the inline source route. The deepest fabric today is
@@ -228,10 +235,14 @@ type Packet struct {
 	// UDP holds datagram fragmentation metadata when Proto == ProtoUDP.
 	UDP UDPHdr
 
-	// Payload is TCP's message boundary: the opaque application message the
-	// segment's last byte completes, or a list of them (see package tcp).
-	// A UDP datagram's message rides in UDP.Msg.
-	Payload any
+	// Msg is the application message the packet completes, by value: a UDP
+	// datagram's, on its final fragment; a TCP segment's one message
+	// boundary, ending at TCP.EndSeq. Kind zero means none.
+	Msg Msg
+	// Bounds lists the boundaries of a TCP segment covering two or more, in
+	// EndSeq order (Msg is then unset); nil on every other packet. It is the
+	// one reference a packet holds, allocated only for such a segment.
+	Bounds *[]Bound
 
 	// Instrumentation.
 	SentAt sim.Time // when the first bit left the source NIC

@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestWireSizes(t *testing.T) {
@@ -135,5 +136,17 @@ func TestStringers(t *testing.T) {
 	u := &Packet{Src: a, Dst: Addr{Node: 8, Port: 81}, Proto: ProtoUDP, PayloadBytes: 10}
 	if u.String() == "" {
 		t.Fatal("empty packet string")
+	}
+}
+
+// TestPacketSize pins the frame record's size on 64-bit hosts: transports
+// share one inline Msg, and the only reference left is a TCP segment's list
+// of several boundaries. A field that makes every packet larger shows here.
+func TestPacketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Packet{}); got > 152 {
+		t.Errorf("Packet is %d bytes, want at most 152", got)
 	}
 }

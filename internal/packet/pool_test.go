@@ -35,7 +35,8 @@ func TestPoolGetReturnsZeroedPacket(t *testing.T) {
 	pkt.Src = Addr{Node: 3, Port: 80}
 	pkt.Route = MakeRoute(1, 2)
 	pkt.Hop = 1
-	pkt.Payload = "stale"
+	pkt.Msg = Msg{Kind: 1, A: 7}
+	pkt.Bounds = &[]Bound{{EndSeq: 9}}
 	pkt.PayloadBytes = 99
 	p.Release(pkt)
 	got := p.Get()
@@ -43,7 +44,7 @@ func TestPoolGetReturnsZeroedPacket(t *testing.T) {
 		t.Fatal("expected the released slot back")
 	}
 	if got.Src != (Addr{}) || got.Route.Len() != 0 || got.Hop != 0 ||
-		got.Payload != nil || got.PayloadBytes != 0 {
+		got.Msg != (Msg{}) || got.Bounds != nil || got.PayloadBytes != 0 {
 		t.Fatalf("recycled packet not zeroed: %+v", got)
 	}
 	if got.pgen != 2 {

@@ -8,31 +8,40 @@ import (
 )
 
 // TestAllocFreeExchange pins the allocation-free data path: once the
-// handshake and a warm-up are done, a request/response exchange with pointer
-// payloads allocates nothing — no boundary storage, no boxed segment
-// payload, no Read result, no timer closure.
+// handshake and a warm-up are done, a request/response exchange allocates
+// nothing — no boundary storage, no message on the segment, no Read result,
+// no timer closure. Every request and response is a distinct packet.Msg
+// value, as an application's are, and each response must arrive carrying
+// what the server put in it for that request.
 func TestAllocFreeExchange(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates")
 	}
 	p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
-	type msg struct{ id int }
-	req, resp := &msg{1}, &msg{2}
-	got := 0
+	const kindReq, kindResp = 1, 2
+	respTo := func(m packet.Msg) packet.Msg { return packet.Msg{Kind: kindResp, A: m.A, B: 3 * m.A, C: m.B} }
 	p.server.OnReadable = func() {
 		_, msgs := p.server.Read(1 << 20)
-		for range msgs {
-			p.server.Send(300, resp)
+		for _, m := range msgs {
+			resp := respTo(m)
+			p.server.Send(300, &resp)
 		}
 	}
+	var seq uint64
+	got, bad := 0, 0
 	p.client.OnReadable = func() {
 		_, msgs := p.client.Read(1 << 20)
-		got += len(msgs)
+		for _, m := range msgs {
+			if got++; m != respTo(packet.Msg{Kind: kindReq, A: seq, B: seq << 32}) {
+				bad++
+			}
+		}
 	}
 	p.connect(t)
 	run(p, 10*sim.Millisecond)
 	exchange := func() {
-		p.client.Send(100, req)
+		seq++
+		p.client.Send(100, &packet.Msg{Kind: kindReq, A: seq, B: seq << 32})
 		p.eng.RunUntil(p.eng.Now().Add(sim.Millisecond))
 	}
 	for range 10 {
@@ -46,6 +55,9 @@ func TestAllocFreeExchange(t *testing.T) {
 	}
 	if got != 111 { // AllocsPerRun makes one extra, unmeasured run
 		t.Fatalf("got %d responses, want 111", got)
+	}
+	if bad != 0 {
+		t.Fatalf("%d of %d responses carried another request's content", bad, got)
 	}
 }
 

@@ -31,22 +31,19 @@ type oooSeg struct {
 }
 
 // segBounds is the message boundaries one segment covers: none, one (in
-// one, whose Payload is then non-nil) or several (many).
+// one, whose Msg.Kind is then non-zero) or several (many, the segment's
+// Packet.Bounds).
 type segBounds struct {
-	one  Boundary
-	many boundList
+	one  packet.Bound
+	many *[]packet.Bound
 }
-
-// boundList is the Payload of a segment covering two or more boundaries. The
-// type is the package's own, so no application message is mistaken for one.
-type boundList []Boundary
 
 // boundsOf decodes the boundaries a received segment carries.
 func boundsOf(pkt *packet.Packet) segBounds {
-	if p, ok := pkt.Payload.(boundList); ok {
-		return segBounds{many: p}
+	if pkt.Bounds != nil {
+		return segBounds{many: pkt.Bounds}
 	}
-	return segBounds{one: Boundary{EndSeq: pkt.TCP.EndSeq, Payload: pkt.Payload}}
+	return segBounds{one: packet.Bound{EndSeq: pkt.TCP.EndSeq, Msg: pkt.Msg}}
 }
 
 // boundQueue holds boundaries in ascending EndSeq order, head-indexed like
@@ -56,12 +53,12 @@ func boundsOf(pkt *packet.Packet) segBounds {
 // backing array is inline (Conn.Init points q at it): one message in flight
 // is the common case.
 type boundQueue struct {
-	q     []Boundary
+	q     []packet.Bound
 	head  int
-	first [1]Boundary
+	first [1]packet.Bound
 }
 
-func (b *boundQueue) live() []Boundary { return b.q[b.head:] }
+func (b *boundQueue) live() []packet.Bound { return b.q[b.head:] }
 
 // due reports whether the earliest boundary ends at or before seq.
 func (b *boundQueue) due(seq uint32) bool {
@@ -69,9 +66,8 @@ func (b *boundQueue) due(seq uint32) bool {
 }
 
 // pop removes and returns the earliest boundary; the queue must not be empty.
-func (b *boundQueue) pop() Boundary {
+func (b *boundQueue) pop() packet.Bound {
 	x := b.q[b.head]
-	b.q[b.head] = Boundary{}
 	if b.head++; b.head == len(b.q) {
 		b.q, b.head = b.q[:0], 0
 	}
@@ -80,7 +76,7 @@ func (b *boundQueue) pop() Boundary {
 
 // insert files x by EndSeq, ignoring one already queued (a retransmission);
 // boundaries nearly always arrive in order, so the scan starts at the back.
-func (b *boundQueue) insert(x Boundary) {
+func (b *boundQueue) insert(x packet.Bound) {
 	i := len(b.q)
 	for i > b.head && seqLT(x.EndSeq, b.q[i-1].EndSeq) {
 		i--
@@ -90,7 +86,6 @@ func (b *boundQueue) insert(x Boundary) {
 	}
 	if len(b.q) == cap(b.q) && b.head > 0 {
 		n := copy(b.q, b.q[b.head:])
-		clear(b.q[n:])
 		b.q, i, b.head = b.q[:n], i-b.head, 0
 	}
 	b.q = slices.Insert(b.q, i, x)
@@ -113,17 +108,20 @@ type Conn struct {
 	// Send state. Sequence numbers: the SYN occupies seq 0; application
 	// data starts at seq 1. sndEnd is the sequence after the last enqueued
 	// byte; nxt is the next sequence to transmit; una is the oldest
-	// unacknowledged sequence.
+	// unacknowledged sequence. The flags sit together, with the receive
+	// side's peerFin, to pack the struct: a socket embeds its Conn, and
+	// TestTCPSocketSize holds the two in one size class.
 	una, nxt, sndEnd uint32
 	maxSent          uint32 // highest sequence ever transmitted
+	recover          uint32 // NewReno: the recovery point, while inRecovery
 	rwnd             int    // peer's advertised window
 	cwnd, ssthresh   int    // bytes
 	dupacks          int
-	inRecovery       bool
-	recover          uint32
 	sndBounds        boundQueue
+	inRecovery       bool
 	finQueued        bool
 	finSent          bool
+	peerFin          bool // the peer's FIN arrived
 	finSeq           uint32
 
 	// RTT estimation (Jacobson/Karn).
@@ -145,11 +143,10 @@ type Conn struct {
 	unread    int      // in-order bytes not yet read
 	oooSegs   []oooSeg // out-of-order segments, ascending seq
 	rcvBounds boundQueue
-	peerFin   bool
 	// msgs is Read's result, valid until the next Read; msgs0 is its first
 	// backing array.
-	msgs  []any
-	msgs0 [1]any
+	msgs  []packet.Msg
+	msgs0 [1]packet.Msg
 
 	Stats Stats
 	err   error
@@ -241,10 +238,10 @@ func (c *Conn) Writable() int {
 }
 
 // Send enqueues up to n bytes for transmission and returns the bytes
-// accepted. If all n bytes were accepted and payload is non-nil, a message
-// boundary carrying payload is attached to the last byte, to surface at the
-// receiver when its in-order stream passes it.
-func (c *Conn) Send(n int, payload any) int {
+// accepted. If all n bytes were accepted and msg is a message (non-nil, with
+// a non-zero Kind), a boundary carrying a copy of *msg is attached to the
+// last byte, to surface at the receiver when its in-order stream passes it.
+func (c *Conn) Send(n int, msg *packet.Msg) int {
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return 0
 	}
@@ -256,8 +253,8 @@ func (c *Conn) Send(n int, payload any) int {
 		return 0
 	}
 	c.sndEnd += uint32(accept)
-	if accept == n && payload != nil {
-		c.sndBounds.insert(Boundary{EndSeq: c.sndEnd, Payload: payload})
+	if accept == n && msg != nil && msg.Kind != 0 {
+		c.sndBounds.insert(packet.Bound{EndSeq: c.sndEnd, Msg: *msg})
 	}
 	c.trySend()
 	return accept
@@ -274,15 +271,14 @@ func (c *Conn) EOF() bool { return c.peerFin && c.unread == 0 }
 // application messages whose final byte falls within the consumed range. The
 // message slice is the connection's own buffer: it is valid until the next
 // Read on this connection.
-func (c *Conn) Read(limit int) (int, []any) {
+func (c *Conn) Read(limit int) (int, []packet.Msg) {
 	n := min(c.unread, limit)
 	wasSmall := c.rcvWindow() < c.cfg.MSS
 	c.unread -= n
 	c.readSeq += uint32(n)
-	clear(c.msgs) // the previous Read's messages: drop the references
 	c.msgs = c.msgs[:0]
 	for c.rcvBounds.due(c.readSeq) {
-		c.msgs = append(c.msgs, c.rcvBounds.pop().Payload)
+		c.msgs = append(c.msgs, c.rcvBounds.pop().Msg)
 	}
 	// Window update: if the advertised window was squeezed below an MSS and
 	// reading reopened it, tell the peer.
@@ -558,10 +554,13 @@ func (c *Conn) acceptFin() {
 // reappear when a retransmitted segment overlaps consumed data and must not
 // be surfaced twice.
 func (c *Conn) absorbBounds(sb segBounds) {
-	if sb.one.Payload != nil && seqLT(c.readSeq, sb.one.EndSeq) {
+	if sb.one.Msg.Kind != 0 && seqLT(c.readSeq, sb.one.EndSeq) {
 		c.rcvBounds.insert(sb.one)
 	}
-	for _, b := range sb.many {
+	if sb.many == nil {
+		return
+	}
+	for _, b := range *sb.many {
 		if seqLT(c.readSeq, b.EndSeq) {
 			c.rcvBounds.insert(b)
 		}
@@ -684,7 +683,9 @@ func (c *Conn) emitData(seq uint32, n int) {
 	}
 }
 
-// boundsIn returns the sender-side boundaries within (lo, hi].
+// boundsIn returns the sender-side boundaries within (lo, hi]. Several are
+// copied into a list the segment keeps once the queue reuses its storage:
+// the data path's only allocation, made only for such a segment.
 func (c *Conn) boundsIn(lo, hi uint32) segBounds {
 	live := c.sndBounds.live()
 	i := 0
@@ -696,7 +697,8 @@ func (c *Conn) boundsIn(lo, hi uint32) segBounds {
 		j++
 	}
 	if j-i > 1 {
-		return segBounds{many: boundList(slices.Clone(live[i:j]))}
+		many := slices.Clone(live[i:j])
+		return segBounds{many: &many}
 	} else if j-i == 1 {
 		return segBounds{one: live[i]}
 	}
@@ -721,9 +723,9 @@ func (c *Conn) emit(seq uint32, n int, flags packet.TCPFlags, bounds segBounds) 
 	pkt.Src, pkt.Dst, pkt.Proto, pkt.PayloadBytes = c.Local, c.Remote, packet.ProtoTCP, n
 	pkt.TCP = packet.TCPHdr{Flags: flags, Seq: seq, Ack: c.rcvNxt, Window: uint32(c.rcvWindow())}
 	if bounds.many != nil {
-		pkt.Payload = bounds.many
-	} else if bounds.one.Payload != nil {
-		pkt.Payload, pkt.TCP.EndSeq = bounds.one.Payload, bounds.one.EndSeq
+		pkt.Bounds = bounds.many
+	} else if bounds.one.Msg.Kind != 0 {
+		pkt.Msg, pkt.TCP.EndSeq = bounds.one.Msg, bounds.one.EndSeq
 	}
 	c.Stats.SegsOut++
 	c.env.Output(pkt)

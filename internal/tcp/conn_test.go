@@ -185,7 +185,7 @@ func TestSynLossRetransmitted(t *testing.T) {
 func TestBulkTransferLossless(t *testing.T) {
 	p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
 	var gotBytes int
-	var gotMsgs []any
+	var gotMsgs []packet.Msg
 	p.server.OnReadable = func() {
 		n, msgs := p.server.Read(1 << 30)
 		gotBytes += n
@@ -197,7 +197,7 @@ func TestBulkTransferLossless(t *testing.T) {
 		var push func()
 		push = func() {
 			for sent < total {
-				n := p.client.Send(total-sent, "block-done")
+				n := p.client.Send(total-sent, &packet.Msg{Kind: 1, A: total})
 				if n == 0 {
 					p.client.OnWritable = push
 					return
@@ -215,7 +215,7 @@ func TestBulkTransferLossless(t *testing.T) {
 	if gotBytes != total {
 		t.Fatalf("received %d/%d bytes", gotBytes, total)
 	}
-	if len(gotMsgs) != 1 || gotMsgs[0] != "block-done" {
+	if len(gotMsgs) != 1 || gotMsgs[0] != (packet.Msg{Kind: 1, A: total}) {
 		t.Fatalf("messages = %v", gotMsgs)
 	}
 	if p.client.Stats.Retransmits != 0 {
@@ -335,7 +335,7 @@ func TestOrderlyClose(t *testing.T) {
 		}
 	}
 	p.client.OnConnected = func() {
-		p.client.Send(1000, "bye")
+		p.client.Send(1000, &packet.Msg{Kind: 1})
 		p.client.Close()
 	}
 	p.connect(t)
@@ -418,7 +418,7 @@ func TestMessageBoundariesWithLoss(t *testing.T) {
 		sizes[i] = 1 + szRng.Intn(20000)
 	}
 
-	var got []any
+	var got []packet.Msg
 	p.server.OnReadable = func() {
 		_, msgs := p.server.Read(1 << 30)
 		got = append(got, msgs...)
@@ -430,7 +430,7 @@ func TestMessageBoundariesWithLoss(t *testing.T) {
 		push = func() {
 			for msg < len(sizes) {
 				remaining := sizes[msg] - sentInMsg
-				n := p.client.Send(remaining, msg)
+				n := p.client.Send(remaining, &packet.Msg{Kind: 1, A: uint64(msg), B: uint64(sizes[msg])})
 				if n == 0 {
 					p.client.OnWritable = push
 					return
@@ -451,8 +451,8 @@ func TestMessageBoundariesWithLoss(t *testing.T) {
 		t.Fatalf("delivered %d/%d messages", len(got), len(sizes))
 	}
 	for i, m := range got {
-		if m != i {
-			t.Fatalf("message %d out of order: got %v", i, m)
+		if m != (packet.Msg{Kind: 1, A: uint64(i), B: uint64(sizes[i])}) {
+			t.Fatalf("message %d out of order: got %+v", i, m)
 		}
 	}
 }

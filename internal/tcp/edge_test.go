@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 
 	"diablo/internal/packet"
@@ -163,22 +164,22 @@ func TestRetransmittedDataNotDeliveredTwice(t *testing.T) {
 		return false
 	}
 	var bytes int
-	var msgs []any
+	var msgs []packet.Msg
 	p.server.OnReadable = func() {
 		n, ms := p.server.Read(1 << 20)
 		bytes += n
 		msgs = append(msgs, ms...)
 	}
 	p.client.OnConnected = func() {
-		p.client.Send(1200, "msg-a")
-		p.eng.After(100*sim.Millisecond, func() { p.client.Send(800, "msg-b") })
+		p.client.Send(1200, &packet.Msg{Kind: 1, A: 'a'})
+		p.eng.After(100*sim.Millisecond, func() { p.client.Send(800, &packet.Msg{Kind: 1, A: 'b'}) })
 	}
 	p.connect(t)
 	run(p, 10*sim.Second)
 	if bytes != 2000 {
 		t.Fatalf("delivered %d bytes, want exactly 2000 (no duplicates)", bytes)
 	}
-	if len(msgs) != 2 || msgs[0] != "msg-a" || msgs[1] != "msg-b" {
+	if len(msgs) != 2 || msgs[0] != (packet.Msg{Kind: 1, A: 'a'}) || msgs[1] != (packet.Msg{Kind: 1, A: 'b'}) {
 		t.Fatalf("messages = %v", msgs)
 	}
 	if p.client.Stats.Retransmits == 0 {
@@ -257,5 +258,95 @@ func TestRTOExponentialBackoff(t *testing.T) {
 	}
 	if g2 < 2*g1*9/10 || g3 < 2*g2*9/10 {
 		t.Fatalf("backoff not doubling: %v %v %v", g1, g2, g3)
+	}
+}
+
+// TestSendBoundaryTable pins what Send attaches: nil and a zero-Kind message
+// attach no boundary, any other message one, which surfaces exactly once —
+// also when a retransmission carries it again over data already read, and
+// when a retransmission coalesces several into one segment's list.
+func TestSendBoundaryTable(t *testing.T) {
+	a, b := packet.Msg{Kind: 1, A: 10, B: 20, C: 30}, packet.Msg{Kind: 2, A: 11}
+	lostData := func(n *int) func(int, *packet.Packet) bool {
+		return func(_ int, pkt *packet.Packet) bool {
+			if pkt.PayloadBytes > 0 && *n > 0 {
+				*n--
+				return true
+			}
+			return false
+		}
+	}
+	lostAcks := func(n *int) func(int, *packet.Packet) bool {
+		return func(_ int, pkt *packet.Packet) bool {
+			if pkt.PayloadBytes == 0 && pkt.TCP.Flags == packet.FlagACK && *n > 0 {
+				*n--
+				return true
+			}
+			return false
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		sends     []*packet.Msg // one 500-byte Send each
+		dropData  int           // the client's first data segments lost
+		dropAcks  int           // the server's first pure ACKs lost
+		want      []packet.Msg
+		one, many int // client data segments carrying one boundary, a list
+	}{
+		{name: "nil", sends: []*packet.Msg{nil}},
+		{name: "zero Kind", sends: []*packet.Msg{{A: 1, B: 2}}},
+		{name: "Kind set", sends: []*packet.Msg{&a}, want: []packet.Msg{a}, one: 1},
+		{name: "nil then Kind set", sends: []*packet.Msg{nil, &b}, want: []packet.Msg{b}, one: 1},
+		{name: "retransmission over read data", sends: []*packet.Msg{&a}, dropAcks: 3, want: []packet.Msg{a}, one: 4},
+		{name: "several in one retransmission", sends: []*packet.Msg{&a, &b}, dropData: 2, want: []packet.Msg{a, b}, one: 2, many: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
+			dropData, dropAcks := tc.dropData, tc.dropAcks
+			lose := lostData(&dropData)
+			one, many := 0, 0
+			p.cEnv.drop = func(i int, pkt *packet.Packet) bool {
+				switch {
+				case pkt.Bounds != nil:
+					if many++; pkt.Msg != (packet.Msg{}) || len(*pkt.Bounds) < 2 {
+						t.Errorf("a list segment carries %+v and %d bounds", pkt.Msg, len(*pkt.Bounds))
+					}
+				case pkt.Msg.Kind != 0:
+					one++
+				case pkt.Msg != (packet.Msg{}):
+					t.Errorf("segment carries a zero-Kind message %+v", pkt.Msg)
+				}
+				return lose(i, pkt)
+			}
+			p.sEnv.drop = lostAcks(&dropAcks)
+			var got []packet.Msg
+			read := 0
+			p.server.OnReadable = func() {
+				n, msgs := p.server.Read(1 << 20)
+				read += n
+				got = append(got, msgs...)
+			}
+			p.client.OnConnected = func() {
+				for _, m := range tc.sends {
+					if n := p.client.Send(500, m); n != 500 {
+						t.Fatalf("Send accepted %d of 500 bytes", n)
+					}
+				}
+			}
+			p.connect(t)
+			run(p, 10*sim.Second)
+			if read != 500*len(tc.sends) {
+				t.Fatalf("read %d bytes, want %d", read, 500*len(tc.sends))
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("messages %+v, want %+v", got, tc.want)
+			}
+			if one != tc.one || many != tc.many {
+				t.Errorf("data segments: %d with one boundary, %d with a list; want %d and %d", one, many, tc.one, tc.many)
+			}
+			if (tc.dropData > 0 || tc.dropAcks > 0) && p.client.Stats.Retransmits == 0 {
+				t.Error("the scenario forced no retransmission")
+			}
+		})
 	}
 }

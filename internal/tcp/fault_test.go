@@ -135,8 +135,9 @@ func TestSeededLossIsDeterministic(t *testing.T) {
 
 // TestMessageBoundaryProperty streams messages of 1 B to 3×MSS through loss,
 // reordering and duplication in both directions, read back in random-sized
-// chunks: every message must surface exactly once, in order, in the Read
-// whose consumed range first covers its last byte. Across the seeds the
+// chunks: every message must surface exactly once, in order, with the content
+// it was sent with (its index and size), in the Read whose consumed range
+// first covers its last byte. Across the seeds the
 // data segments must have carried no, one and several boundaries, and some must
 // have carried a boundary the reader had already consumed (a retransmission
 // overlapping delivered data).
@@ -163,21 +164,19 @@ func TestMessageBoundaryProperty(t *testing.T) {
 		impair(p.sEnv)
 		drop := p.cEnv.drop
 		p.cEnv.drop = func(i int, pkt *packet.Packet) bool {
-			switch b := pkt.Payload.(type) {
-			case nil:
-				if pkt.PayloadBytes > 0 {
-					bare++
-				}
-			case boundList:
+			switch {
+			case pkt.Bounds != nil:
 				many++
-				if seqLEQ(b[0].EndSeq, p.server.readSeq) {
+				if seqLEQ((*pkt.Bounds)[0].EndSeq, p.server.readSeq) {
 					stale++
 				}
-			default:
+			case pkt.Msg.Kind != 0:
 				one++
 				if seqLEQ(pkt.TCP.EndSeq, p.server.readSeq) {
 					stale++
 				}
+			case pkt.PayloadBytes > 0:
+				bare++
 			}
 			return drop(i, pkt)
 		}
@@ -187,6 +186,13 @@ func TestMessageBoundaryProperty(t *testing.T) {
 			off += 1 + r.Intn(3*cfg.MSS)
 			ends[i] = off
 		}
+		sizeOf := func(i int) int {
+			if i == 0 {
+				return ends[0]
+			}
+			return ends[i] - ends[i-1]
+		}
+		msgOf := func(i int) packet.Msg { return packet.Msg{Kind: 1, A: uint64(i), B: uint64(sizeOf(i))} }
 		read, next := 0, 0
 		p.server.OnReadable = func() {
 			for p.server.Readable() > 0 {
@@ -194,9 +200,12 @@ func TestMessageBoundaryProperty(t *testing.T) {
 				lo := read
 				read += n
 				for _, m := range msgs {
-					i := m.(int)
+					i := int(m.A)
 					if i != next {
 						t.Fatalf("seed %d: message %d surfaced, want %d", seed, i, next)
+					}
+					if m != msgOf(i) {
+						t.Fatalf("seed %d: message %d surfaced as %+v, want %+v", seed, i, m, msgOf(i))
 					}
 					if ends[i] <= lo || ends[i] > read {
 						t.Fatalf("seed %d: message %d ends at byte %d, surfaced reading (%d, %d]", seed, i, ends[i], lo, read)
@@ -210,11 +219,8 @@ func TestMessageBoundaryProperty(t *testing.T) {
 			var push func()
 			push = func() {
 				for msg < len(ends) {
-					size := ends[msg]
-					if msg > 0 {
-						size -= ends[msg-1]
-					}
-					n := p.client.Send(size-sentInMsg, msg)
+					size, m := sizeOf(msg), msgOf(msg)
+					n := p.client.Send(size-sentInMsg, &m)
 					if n == 0 {
 						p.client.OnWritable = push
 						return

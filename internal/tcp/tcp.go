@@ -14,9 +14,10 @@
 // enqueue (length, message) pairs, segments carry the message boundaries
 // they cover, and receivers surface messages once the in-order byte stream
 // passes each boundary — exactly the framing a real application would
-// reconstruct by parsing. A segment covering one boundary carries it inline
-// (TCPHdr.EndSeq, the message in Payload); only one covering two or more
-// carries a list.
+// reconstruct by parsing. Messages are packet.Msg values, copied at Send and
+// never referenced: a segment covering one boundary carries it inline
+// (TCPHdr.EndSeq, the message in Packet.Msg); only one covering two or more
+// carries a list (Packet.Bounds).
 //
 // A connection allocates nothing per segment or message in steady state:
 // boundary queues are head-indexed and reused, timers are sim.TimerEvent
@@ -180,14 +181,6 @@ func (s State) String() string {
 		return stateNames[s]
 	}
 	return fmt.Sprintf("state(%d)", uint8(s))
-}
-
-// Boundary marks the end of an application message within the stream:
-// the message Payload is complete when the receiver's in-order stream
-// reaches EndSeq.
-type Boundary struct {
-	EndSeq  uint32
-	Payload any
 }
 
 // Stats counts per-connection protocol events.
