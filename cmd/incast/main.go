@@ -73,7 +73,16 @@ func main() {
 
 	res, err := diablo.RunIncast(cfg)
 	if err == nil && obsn != nil {
-		err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
+		m := obsn.BuildManifest("incast", cfg.Seed, map[string]any{
+			"senders":    cfg.Senders,
+			"block":      cfg.BlockBytes,
+			"iterations": cfg.Iterations,
+			"epoll":      cfg.Epoll,
+		})
+		var note string
+		if note, err = obsn.WriteFiles(*traceOut, *manifestOut, m); err == nil {
+			fmt.Printf("observed  %s\n", note)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "incast:", err)
@@ -133,25 +142,6 @@ func (l *dropLog) String() string {
 // headers and payload size.
 func dropLine(at diablo.Time, where string, pkt *packet.Packet) string {
 	return fmt.Sprintf("%-12v %-10s drop     %v", at, where, pkt)
-}
-
-func writeObservation(obsn *diablo.Observation, cfg diablo.IncastConfig, traceOut, manifestOut string) error {
-	m := obsn.BuildManifest("incast", cfg.Seed, map[string]any{
-		"senders":    cfg.Senders,
-		"block":      cfg.BlockBytes,
-		"iterations": cfg.Iterations,
-		"epoll":      cfg.Epoll,
-	})
-	if err := obsn.WriteFiles(traceOut, manifestOut, m); err != nil {
-		return err
-	}
-	if traceOut != "" && obsn.Trace != nil {
-		fmt.Printf("trace     %d events -> %s (open in ui.perfetto.dev)\n", obsn.Trace.Len(), traceOut)
-	}
-	if manifestOut != "" {
-		fmt.Printf("manifest  %s -> %s\n", m.Schema, manifestOut)
-	}
-	return nil
 }
 
 func clientName(epoll bool) string {

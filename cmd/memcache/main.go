@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"diablo"
+	"diablo/internal/apps/memcache"
 	"diablo/internal/kernel"
 )
 
@@ -44,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memcache: -proto must be udp or tcp")
 		os.Exit(2)
 	}
-	if v, ok := versionByName(*version); ok {
+	if v, ok := memcache.VersionByName(*version); ok {
 		cfg.Version = v
 	} else {
 		fmt.Fprintln(os.Stderr, "memcache: unknown -version", *version)
@@ -72,7 +73,17 @@ func main() {
 	}
 	res, err := diablo.RunMemcached(cfg)
 	if err == nil && obsn != nil {
-		err = writeObservation(obsn, cfg, *traceOut, *manifestOut)
+		m := obsn.BuildManifest("memcache", cfg.Seed, map[string]any{
+			"arrays":              cfg.Arrays,
+			"requests_per_client": cfg.RequestsPerClient,
+			"proto":               fmt.Sprint(cfg.Proto),
+			"kernel":              cfg.Profile.Name,
+			"version":             cfg.Version.Name,
+		})
+		var note string
+		if note, err = obsn.WriteFiles(*traceOut, *manifestOut, m); err == nil {
+			fmt.Printf("observed   %s\n", note)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memcache:", err)
@@ -101,34 +112,4 @@ func main() {
 	for _, p := range res.Overall.TailCDF(0.95) {
 		fmt.Printf("%12.1f %.5f\n", p.Value.Microseconds(), p.Fraction)
 	}
-}
-
-func writeObservation(obsn *diablo.Observation, cfg diablo.MemcachedConfig, traceOut, manifestOut string) error {
-	m := obsn.BuildManifest("memcache", cfg.Seed, map[string]any{
-		"arrays":              cfg.Arrays,
-		"requests_per_client": cfg.RequestsPerClient,
-		"proto":               fmt.Sprint(cfg.Proto),
-		"kernel":              cfg.Profile.Name,
-		"version":             cfg.Version.Name,
-	})
-	if err := obsn.WriteFiles(traceOut, manifestOut, m); err != nil {
-		return err
-	}
-	if traceOut != "" && obsn.Trace != nil {
-		fmt.Printf("trace      %d events -> %s (open in ui.perfetto.dev)\n", obsn.Trace.Len(), traceOut)
-	}
-	if manifestOut != "" {
-		fmt.Printf("manifest   %s -> %s\n", m.Schema, manifestOut)
-	}
-	return nil
-}
-
-func versionByName(name string) (diablo.MemcachedVersion, bool) {
-	switch name {
-	case "1.4.15":
-		return diablo.V1415(), true
-	case "1.4.17":
-		return diablo.V1417(), true
-	}
-	return diablo.MemcachedVersion{}, false
 }

@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"diablo/internal/obs"
 )
 
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
@@ -189,11 +193,15 @@ func checkGolden(t *testing.T, path, got string) {
 	}
 }
 
+// TestObservedFaultMCExperiment runs faultmc observed on the partitioned
+// engine, whose manifest fills every field: the manifest's top-level keys are
+// exactly the JSON names of obs.Manifest's fields, so the schema holds no
+// field that no run fills.
 func TestObservedFaultMCExperiment(t *testing.T) {
 	dir := t.TempDir()
 	manifestPath := filepath.Join(dir, "m.json")
 	out, err := RunExperiment("faultmc", ExperimentOptions{
-		Sweep:       Sweep{Requests: 5},
+		Sweep:       Sweep{Requests: 5, Partitions: 2},
 		ManifestOut: manifestPath, // manifest only: TraceOut stays optional
 	})
 	if err != nil {
@@ -212,6 +220,20 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	}
 	if m["experiment"] != "faultmc" || m["degradation"] == nil {
 		t.Fatalf("manifest incomplete: experiment=%v", m["experiment"])
+	}
+	var fields, keys []string
+	mt := reflect.TypeFor[obs.Manifest]()
+	for i := range mt.NumField() {
+		name, _, _ := strings.Cut(mt.Field(i).Tag.Get("json"), ",")
+		fields = append(fields, name)
+	}
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(fields)
+	slices.Sort(keys)
+	if !slices.Equal(keys, fields) {
+		t.Fatalf("manifest keys %v, want the obs.Manifest fields %v", keys, fields)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "trace.json")); !os.IsNotExist(err) {
 		t.Fatal("trace written without TraceOut")

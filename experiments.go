@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
-	"strings"
 
 	"diablo/internal/apps/incast"
 	"diablo/internal/campaign"
@@ -12,7 +11,6 @@ import (
 	"diablo/internal/fault"
 	"diablo/internal/fpga"
 	"diablo/internal/metrics"
-	"diablo/internal/obs"
 	"diablo/internal/sim"
 	"diablo/internal/survey"
 )
@@ -44,23 +42,6 @@ type ExperimentOptions struct {
 // observing reports whether any observation output was requested.
 func (o ExperimentOptions) observing() bool {
 	return o.TraceOut != "" || o.ManifestOut != ""
-}
-
-// writeObservation writes the requested trace/manifest files and returns a
-// human-readable note describing what landed where.
-func (o ExperimentOptions) writeObservation(obsn *core.Observation, m *obs.Manifest) (string, error) {
-	if err := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m); err != nil {
-		return "", err
-	}
-	var notes []string
-	if o.TraceOut != "" && obsn.Trace != nil {
-		notes = append(notes, fmt.Sprintf("trace: %d events -> %s (open in ui.perfetto.dev)",
-			obsn.Trace.Len(), o.TraceOut))
-	}
-	if o.ManifestOut != "" {
-		notes = append(notes, fmt.Sprintf("manifest: %s -> %s", m.Schema, o.ManifestOut))
-	}
-	return strings.Join(notes, "; "), nil
 }
 
 // ExperimentOutput is the rendered result of one experiment.
@@ -343,7 +324,7 @@ func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
 			"faults":              plan.String(),
 		})
 		m.Degradation = core.ManifestDegradation(d, r.Attempted)
-		note, werr := o.writeObservation(obsn, m)
+		note, werr := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m)
 		if werr != nil {
 			return nil, werr
 		}
@@ -428,7 +409,7 @@ func runFaultIncast(o ExperimentOptions) (*ExperimentOutput, error) {
 		// Incast degrades goodput, not a request count; loss rate is not a
 		// per-request notion here, so attempted stays 0.
 		m.Degradation = core.ManifestDegradation(d, 0)
-		note, werr := o.writeObservation(obsn, m)
+		note, werr := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m)
 		if werr != nil {
 			return nil, werr
 		}
@@ -472,7 +453,7 @@ func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
 			"requests_per_client": cfg.RequestsPerClient,
 			"partitions":          cfg.Partitions,
 		})
-		note, werr := o.writeObservation(obsn, m)
+		note, werr := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m)
 		if werr != nil {
 			return nil, werr
 		}

@@ -22,7 +22,7 @@ import (
 // model-owned series, histogram, fault edge and the elapsed clock — describes
 // what the model did and must not depend on the engine.
 func TestEngineSelectionResultInvariance(t *testing.T) {
-	ocfg := ObserveConfig{SampleEvery: 2 * sim.Millisecond, TraceEvents: -1}
+	ocfg := ObserveConfig{TraceEvents: -1}
 	manifest := func(name string, mut func(*MemcachedConfig)) []byte {
 		cfg := observedMemcached()
 		cfg.Partitions = 0

@@ -106,7 +106,7 @@ func TestFaultedIncastPacketLeakBalance(t *testing.T) {
 // workload must produce byte-identical obs manifests — no normalization,
 // since pooling must not perturb a single observable, engine fields included.
 func TestPooledManifestInvariance(t *testing.T) {
-	ocfg := ObserveConfig{SampleEvery: 2 * sim.Millisecond, TraceEvents: -1}
+	ocfg := ObserveConfig{TraceEvents: -1}
 	manifest := func(workers int, unpooled bool) []byte {
 		cfg := observedMemcached()
 		cfg.Partitions = workers

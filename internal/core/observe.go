@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"diablo/internal/apps/memcache"
 	"diablo/internal/kernel"
@@ -32,16 +33,9 @@ import (
 // (irq/softirq/tcp_tx), per-thread syscalls and packet lifetimes (first bit
 // on the wire at the source NIC to socket demux at the destination).
 type ObserveConfig struct {
-	// SampleEvery is the registry sampling tick in simulated time
-	// (0 = obs.DefaultSampleEvery).
-	SampleEvery sim.Duration
 	// TraceEvents bounds the trace buffer (0 = obs.DefaultTraceCapacity,
 	// < 0 disables the trace entirely).
 	TraceEvents int
-	// PerNode adds per-node gauges (runq, qdisc, NIC rings, TCP
-	// retransmits). Off by default: a 2,000-node cluster would register
-	// 10,000 series.
-	PerNode bool
 }
 
 // Observation is a registry plus trace attached to one cluster.
@@ -59,7 +53,7 @@ type Observation struct {
 // observation, or on a hand-driven cluster, which calls Finish after its run.
 func Observe(c *Cluster, cfg ObserveConfig) *Observation {
 	o := &Observation{
-		Registry: obs.NewRegistry(cfg.SampleEvery),
+		Registry: obs.NewRegistry(),
 		cluster:  c,
 	}
 	c.observation = o
@@ -119,13 +113,9 @@ func Observe(c *Cluster, cfg ObserveConfig) *Observation {
 		}
 	}
 
-	// Per-node gauges and trace hooks. A machine's scheduler is its rack's
-	// partition handle, so each instrument lands on its owning partition.
-	for _, m := range c.Machines {
-		if cfg.PerNode {
-			o.observeMachine(m)
-		}
-		if o.Trace != nil {
+	// Per-node trace hooks, emitting into the rack's partition lane.
+	if o.Trace != nil {
+		for _, m := range c.Machines {
 			o.traceMachine(m, topo.RackOf(m.Node()), m.Node())
 		}
 	}
@@ -148,27 +138,6 @@ func (o *Observation) observeSwitch(sched sim.Scheduler, prefix string, sw *vswi
 			return float64(sw.PortQueueDepth(port))
 		})
 	}
-}
-
-// observeMachine registers per-node gauges on the machine's own scheduler.
-func (o *Observation) observeMachine(m *kernel.Machine) {
-	sched := m.Scheduler()
-	prefix := fmt.Sprintf("node%d", m.Node())
-	o.Registry.GaugeFunc(sched, prefix+"/runq", func() float64 {
-		return float64(m.RunQueueLen())
-	})
-	o.Registry.GaugeFunc(sched, prefix+"/qdisc", func() float64 {
-		return float64(m.QdiscQueued())
-	})
-	o.Registry.GaugeFunc(sched, prefix+"/nic/rxq", func() float64 {
-		return float64(m.NIC().RxPending())
-	})
-	o.Registry.GaugeFunc(sched, prefix+"/nic/txq", func() float64 {
-		return float64(m.NIC().TxPending())
-	})
-	o.Registry.GaugeFunc(sched, prefix+"/tcp/retransmits", func() float64 {
-		return float64(m.TCPStats().Retransmits)
-	})
 }
 
 // traceMachine installs the machine's span hooks, emitting into the rack's
@@ -259,7 +228,6 @@ func (o *Observation) BuildManifest(experiment string, seed uint64, config map[s
 		Events:     c.Events(),
 		StatsHash:  o.Registry.Hash(),
 		Series:     obs.SeriesFromRegistry(o.Registry),
-		Histograms: obs.HistogramsFromRegistry(o.Registry),
 	}
 	m.Engine = obs.EngineFromIntrospection(c.pe.Introspection()) // Observe enabled it
 	for _, e := range c.FaultEdges() {
@@ -270,18 +238,24 @@ func (o *Observation) BuildManifest(experiment string, seed uint64, config map[s
 	return m
 }
 
-// WriteFiles writes the Chrome trace to tracePath and m to manifestPath. An
-// empty path skips that file, as does a disabled trace.
-func (o *Observation) WriteFiles(tracePath, manifestPath string, m *obs.Manifest) error {
+// WriteFiles writes the Chrome trace to tracePath and m to manifestPath and
+// returns a note saying what landed where. An empty path skips that file, as
+// does a disabled trace.
+func (o *Observation) WriteFiles(tracePath, manifestPath string, m *obs.Manifest) (string, error) {
+	var notes []string
 	if tracePath != "" && o.Trace != nil {
 		if err := writeFile(tracePath, o.Trace.WriteJSON); err != nil {
-			return err
+			return "", err
 		}
+		notes = append(notes, fmt.Sprintf("trace: %d events -> %s (open in ui.perfetto.dev)", o.Trace.Len(), tracePath))
 	}
 	if manifestPath != "" {
-		return writeFile(manifestPath, m.WriteJSON)
+		if err := writeFile(manifestPath, m.WriteJSON); err != nil {
+			return "", err
+		}
+		notes = append(notes, fmt.Sprintf("manifest: %s -> %s", m.Schema, manifestPath))
 	}
-	return nil
+	return strings.Join(notes, "; "), nil
 }
 
 func writeFile(path string, write func(io.Writer) error) error {

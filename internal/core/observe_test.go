@@ -31,7 +31,6 @@ func observedMemcached() MemcachedConfig {
 // worker count must not leak into any sampled value.
 func TestObservedSeriesWorkerInvariant(t *testing.T) {
 	ocfg := ObserveConfig{
-		SampleEvery: 2 * sim.Millisecond,
 		TraceEvents: -1, // series invariance is the subject; skip the trace
 	}
 	run := func(workers int) (string, string) {
@@ -80,7 +79,7 @@ func TestObservedManifest(t *testing.T) {
 	cfg.Faults = fault.NewPlan(cfg.Seed).
 		DegradeRackUplink(0, sim.Time(5*sim.Millisecond), 20*sim.Millisecond, 0.5, 0)
 
-	res, o, err := RunMemcachedObserved(cfg, ObserveConfig{SampleEvery: 2 * sim.Millisecond})
+	res, o, err := RunMemcachedObserved(cfg, ObserveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestPartitionedRunOnOneP(t *testing.T) {
 		cfg.RequestsPerClient = 8
 		cfg.StartSpread = sim.Millisecond
 		cfg.Partitions = workers
-		_, o, err := RunMemcachedObserved(cfg, ObserveConfig{SampleEvery: sim.Millisecond, TraceEvents: -1})
+		_, o, err := RunMemcachedObserved(cfg, ObserveConfig{TraceEvents: -1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -175,14 +174,14 @@ func TestPartitionedRunOnOneP(t *testing.T) {
 }
 
 // TestIncastObservedTrace checks the serial-engine path end to end: lanes,
-// kernel/syscall/packet spans, app iteration spans, per-node gauges.
+// kernel/syscall/packet spans, app iteration spans.
 func TestIncastObservedTrace(t *testing.T) {
 	cfg := DefaultIncast(4)
 	cfg.Iterations = 4
 	cfg.BlockBytes = 64 * 1024
 	var o *Observation
 	cfg.OnCluster = func(c *Cluster) {
-		o = Observe(c, ObserveConfig{PerNode: true, SampleEvery: sim.Millisecond})
+		o = Observe(c, ObserveConfig{})
 	}
 	res, err := RunIncast(cfg)
 	if err != nil {
@@ -216,20 +215,6 @@ func TestIncastObservedTrace(t *testing.T) {
 	}
 	if !names["node0 app"] {
 		t.Errorf("client app lane missing: %v", names)
-	}
-
-	// Per-node gauges landed in the registry.
-	series := o.Registry.Series()
-	want := map[string]bool{"node0/runq": false, "node0/nic/rxq": false, "node0/tcp/retransmits": false}
-	for _, s := range series {
-		if _, ok := want[s.Name]; ok {
-			want[s.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("per-node series %q missing", name)
-		}
 	}
 
 	// Whole trace serializes to valid JSON.
@@ -312,7 +297,7 @@ func TestObserveDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, o, err := RunMemcachedObserved(cfg, ObserveConfig{SampleEvery: 2 * sim.Millisecond})
+	observed, o, err := RunMemcachedObserved(cfg, ObserveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (c *Config) Validate() error {
 type kworkOp uint8
 
 const (
-	kwFn          kworkOp = iota // run fn (cold control paths)
+	kwNone        kworkOp = iota // the zero op: never dispatched
 	kwDeliverNapi                // deliver pkt, then continue the NAPI poll loop
 	kwTransmit                   // transmit pkt (TCP segment / RST output)
 	kwNapiPoll                   // enter the NAPI poll loop (IRQ entry, no pkt)
@@ -91,7 +91,6 @@ type kwork struct {
 	d    sim.Duration
 	op   kworkOp
 	pkt  *packet.Packet
-	fn   func()
 }
 
 // KernelSpanKind classifies kernel-context CPU work for observability
@@ -305,17 +304,10 @@ func (m *Machine) copyCost(n int) sim.Duration {
 
 // --- CPU executor ------------------------------------------------------------
 
-// kernelWork queues non-preemptible kernel-context CPU work (interrupt and
-// softirq handling, protocol processing). Kernel work has priority over user
-// threads: a running user chunk is paused until the kernel queue drains.
-func (m *Machine) kernelWork(kind KernelSpanKind, d sim.Duration, fn func()) {
-	m.kq.push(kwork{kind: kind, d: d, fn: fn})
-	m.scheduleCPU()
-}
-
-// kernelWorkPkt is the closure-free spelling of kernelWork for the fixed
-// per-packet continuations (kwDeliverNapi, kwTransmit): same FIFO, same
-// timing, no capture allocation.
+// kernelWorkPkt queues non-preemptible kernel-context CPU work (interrupt
+// and softirq handling, protocol processing) whose continuation is op on
+// pkt. Kernel work has priority over user threads: a running user chunk is
+// paused until the kernel queue drains.
 func (m *Machine) kernelWorkPkt(kind KernelSpanKind, d sim.Duration, op kworkOp, pkt *packet.Packet) {
 	m.kq.push(kwork{kind: kind, d: d, op: op, pkt: pkt})
 	m.scheduleCPU()
@@ -351,7 +343,7 @@ func (m *Machine) scheduleCPU() {
 	}
 	// Pick a user thread.
 	if m.cur == nil {
-		if m.RunQueueLen() == 0 {
+		if m.runq.len() == 0 {
 			return // idle
 		}
 		m.cur = m.runq.pop()
@@ -369,7 +361,7 @@ func (m *Machine) scheduleCPU() {
 		return
 	}
 	chunk := t.remaining
-	if m.RunQueueLen() > 0 && chunk > t.sliceLeft {
+	if m.runq.len() > 0 && chunk > t.sliceLeft {
 		chunk = t.sliceLeft
 	}
 	if chunk <= 0 {
@@ -382,11 +374,10 @@ func (m *Machine) scheduleCPU() {
 }
 
 // kernelSpanDone completes the executing kernel work item (the EvKernelSpan
-// handler): the continuation runs with the CPU released, exactly as the old
-// per-item closure did.
+// handler): the continuation runs with the CPU released.
 func (m *Machine) kernelSpanDone() {
 	w := m.kRun
-	m.kRun = kwork{} // release the continuation closure / packet reference
+	m.kRun = kwork{} // release the packet reference
 	m.kActive = false
 	switch w.op {
 	case kwDeliverNapi:
@@ -396,10 +387,6 @@ func (m *Machine) kernelSpanDone() {
 		m.transmit(w.pkt)
 	case kwNapiPoll:
 		m.napiPoll()
-	default:
-		if w.fn != nil {
-			w.fn()
-		}
 	}
 	m.scheduleCPU()
 }
@@ -524,8 +511,8 @@ func (m *Machine) drainQdisc() {
 func (m *Machine) rxInterrupt() {
 	m.Stats.Interrupts++
 	m.dev.SetRxIntEnabled(false)
-	// kwNapiPoll, not kernelWork(..., m.napiPoll): the method value would
-	// allocate a bound-closure per interrupt, i.e. per received packet.
+	// An op code, not a m.napiPoll method value: that would allocate a
+	// bound closure per interrupt, i.e. per received packet.
 	m.kernelWorkPkt(KSpanIRQ, m.cost.irq, kwNapiPoll, nil)
 }
 
@@ -627,15 +614,6 @@ func (e tcpEnv) Output(pkt *packet.Packet) {
 // NewPacket allocates an outgoing segment from the machine's partition pool.
 func (e tcpEnv) NewPacket() *packet.Packet { return e.m.newPacket() }
 
-// RunQueueLen returns the number of runnable threads waiting for the CPU
-// (excluding the one currently holding it). Observability accessor; call
-// from this machine's event context.
-func (m *Machine) RunQueueLen() int { return m.runq.len() }
-
-// QdiscQueued returns the number of packets queued between the stack and the
-// NIC ring. Observability accessor; call from this machine's event context.
-func (m *Machine) QdiscQueued() int { return m.qdisc.len() }
-
 // ReleaseInFlight releases every packet the machine still holds — the qdisc,
 // queued kernel work items and the executing one — into the pool. Post-run
 // accounting for the leak-balance gate (core.Cluster.ReleaseInFlight); must
@@ -646,7 +624,7 @@ func (m *Machine) ReleaseInFlight() {
 	}
 	m.qdisc = fifo[*packet.Packet]{}
 	for _, w := range m.kq.live() {
-		m.pool.Release(w.pkt) // nil for closure-op items: no-op
+		m.pool.Release(w.pkt) // nil for kwNapiPoll items: no-op
 	}
 	m.kq = fifo[kwork]{}
 	if m.kActive {

@@ -334,7 +334,7 @@ func (t *Thread) poll() (*waitQueue, bool) {
 		m.eng.AfterEvent(op.timeout, sim.Event{Kind: sim.EvThreadWake, Tgt: t})
 		return nil, false
 	case opYield:
-		if op.waited || m.RunQueueLen() == 0 {
+		if op.waited || m.runq.len() == 0 {
 			return nil, true
 		}
 		t.offCPU(threadRunnable)

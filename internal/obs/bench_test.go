@@ -1,45 +1,10 @@
 package obs
 
-import (
-	"testing"
+import "testing"
 
-	"diablo/internal/sim"
-)
-
-// The detached fast path: components hold nil handles when no registry is
-// attached, so the per-call cost must be a single nil test. These benches
-// pin that cost (compare Benchmark*Detached against *Attached).
-
-func BenchmarkCounterDetached(b *testing.B) {
-	var c *Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterAttached(b *testing.B) {
-	eng := sim.NewEngine()
-	r := NewRegistry(0)
-	c := r.Counter(eng, "bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkGaugeDetached(b *testing.B) {
-	var g *Gauge
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
-	}
-}
-
-func BenchmarkHistogramDetached(b *testing.B) {
-	var h *Histogram
-	for i := 0; i < b.N; i++ {
-		h.Record(sim.Microsecond)
-	}
-}
+// A detached trace is a nil *Trace: the model's span hooks stay nil, and a
+// nil trace's methods cost one nil test (Observe and Finish call them with
+// the trace disabled).
 
 func BenchmarkTraceSpanDetached(b *testing.B) {
 	var tr *Trace

@@ -73,7 +73,6 @@ type Trace struct {
 	events   []rawEvent
 	dropped  uint64
 	procs    map[int]string
-	threads  map[int]map[string]string
 }
 
 // NewTrace creates a trace buffer holding at most capacity events
@@ -84,11 +83,7 @@ func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Trace{
-		capacity: capacity,
-		procs:    make(map[int]string),
-		threads:  make(map[int]map[string]string),
-	}
+	return &Trace{capacity: capacity, procs: make(map[int]string)}
 }
 
 // SetProcessName labels a pid lane (we use one pid per engine partition).
@@ -98,22 +93,6 @@ func (t *Trace) SetProcessName(pid int, name string) {
 	}
 	t.mu.Lock()
 	t.procs[pid] = name
-	t.mu.Unlock()
-}
-
-// SetThreadName labels a tid lane within a pid with a display name; unlabeled
-// tids display their key.
-func (t *Trace) SetThreadName(pid int, tid, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	m := t.threads[pid]
-	if m == nil {
-		m = make(map[string]string)
-		t.threads[pid] = m
-	}
-	m[tid] = name
 	t.mu.Unlock()
 }
 
@@ -136,18 +115,6 @@ func (t *Trace) Span(pid int, tid, cat, name string, start sim.Time, dur sim.Dur
 		dur = 0
 	}
 	t.add(rawEvent{name: name, cat: cat, ph: "X", at: start, dur: dur, pid: pid, tid: tid})
-}
-
-// SpanArgs is Span with key/value arguments shown in the Perfetto detail
-// panel. Nil-safe.
-func (t *Trace) SpanArgs(pid int, tid, cat, name string, start sim.Time, dur sim.Duration, args map[string]string) {
-	if t == nil {
-		return
-	}
-	if dur < 0 {
-		dur = 0
-	}
-	t.add(rawEvent{name: name, cat: cat, ph: "X", at: start, dur: dur, pid: pid, tid: tid, args: args})
 }
 
 // Instant records a thread-scoped instant marker on (pid, tid). Nil-safe.
@@ -208,11 +175,6 @@ func (t *Trace) render() []TraceEvent {
 	for _, ev := range t.events {
 		keys[pidTid{ev.pid, ev.tid}] = true
 	}
-	for pid, m := range t.threads {
-		for tid := range m {
-			keys[pidTid{pid, tid}] = true
-		}
-	}
 	byPid := make(map[int][]string)
 	for k := range keys {
 		byPid[k.pid] = append(byPid[k.pid], k.tid)
@@ -242,13 +204,9 @@ func (t *Trace) render() []TraceEvent {
 			})
 		}
 		for i, tidKey := range byPid[pid] {
-			display := tidKey
-			if m := t.threads[pid]; m != nil && m[tidKey] != "" {
-				display = m[tidKey]
-			}
 			out = append(out, TraceEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: i,
-				Args: map[string]string{"name": display},
+				Args: map[string]string{"name": tidKey},
 			})
 		}
 	}

@@ -27,7 +27,7 @@ func FuzzChromeTraceJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := NewTrace(256)
 		for len(data) >= 12 {
-			op := data[0] % 5
+			op := data[0] % 4
 			pid := int(data[1] % 4)
 			tid := tids[data[2]%byte(len(tids))]
 			at := sim.Time(binary.LittleEndian.Uint32(data[3:7])) * sim.Time(sim.Nanosecond)
@@ -43,8 +43,6 @@ func FuzzChromeTraceJSON(f *testing.F) {
 				tr.GlobalInstant("fault", name, at, map[string]string{"detail": name})
 			case 3:
 				tr.SetProcessName(pid, name)
-			case 4:
-				tr.SetThreadName(pid, tid, name)
 			}
 		}
 

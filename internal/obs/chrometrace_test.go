@@ -26,7 +26,6 @@ func TestTraceWriteJSON(t *testing.T) {
 	tr := NewTrace(0)
 	tr.SetProcessName(0, "partition 0 (rack 0)")
 	tr.SetProcessName(1, "partition 1 (fabric)")
-	tr.SetThreadName(0, "node0 kernel", "node0 kernel work")
 	tr.Span(0, "node0 kernel", "kernel", "softirq", sim.Time(2*sim.Microsecond), 3*sim.Microsecond)
 	tr.Span(1, "switch", "switch", "forward", sim.Time(sim.Microsecond), sim.Microsecond)
 	tr.Instant(0, "node0 kernel", "kernel", "drop", sim.Time(4*sim.Microsecond))
@@ -34,11 +33,15 @@ func TestTraceWriteJSON(t *testing.T) {
 
 	f := decodeTrace(t, tr)
 	var meta, spans, instants, globals int
+	lanes := map[string]bool{}
 	lastTs := -1.0
 	for _, ev := range f.TraceEvents {
 		switch ev.Ph {
 		case "M":
 			meta++
+			if ev.Name == "thread_name" {
+				lanes[ev.Args["name"]] = true
+			}
 			continue
 		case "X":
 			spans++
@@ -58,6 +61,12 @@ func TestTraceWriteJSON(t *testing.T) {
 	}
 	if spans != 2 || instants != 2 || globals != 1 {
 		t.Fatalf("event mix wrong: spans=%d instants=%d globals=%d", spans, instants, globals)
+	}
+	// Lanes are named by their tid key.
+	for _, lane := range []string{"node0 kernel", "switch", "global"} {
+		if !lanes[lane] {
+			t.Fatalf("lane %q unnamed: %v", lane, lanes)
+		}
 	}
 	// Times are microseconds.
 	found := false
@@ -132,11 +141,9 @@ func TestTraceCapacityAndDropMarker(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Span(0, "t", "c", "n", 0, 0)
-	tr.SpanArgs(0, "t", "c", "n", 0, 0, nil)
 	tr.Instant(0, "t", "c", "n", 0)
 	tr.GlobalInstant("c", "n", 0, nil)
 	tr.SetProcessName(0, "p")
-	tr.SetThreadName(0, "t", "n")
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil trace must read as empty")
 	}

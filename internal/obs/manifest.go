@@ -3,16 +3,14 @@ package obs
 // The run manifest is the machine-readable record of one observed run:
 // enough to identify the configuration (experiment, seed, worker/partition
 // topology), reproduce the result (the stats hash doubles as a replay
-// digest), and post-process it (full stats series, histogram summaries,
-// engine balance, degradation table, fault edges). EXPERIMENTS.md documents
-// the schema; ManifestSchema versions it.
+// digest), and post-process it (full stats series, engine balance,
+// degradation table, fault edges). EXPERIMENTS.md documents the schema;
+// ManifestSchema versions it.
 
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
-	"diablo/internal/metrics"
 	"diablo/internal/sim"
 )
 
@@ -34,15 +32,12 @@ type Manifest struct {
 	ElapsedPs int64  `json:"elapsed_ps"`
 	Events    uint64 `json:"events"`
 
-	StatsHash  string          `json:"stats_hash"`
-	Series     []SeriesJSON    `json:"series"`
-	Histograms []HistogramJSON `json:"histograms,omitempty"`
+	StatsHash string       `json:"stats_hash"`
+	Series    []SeriesJSON `json:"series"`
 
 	Engine      *EngineJSON      `json:"engine,omitempty"`
 	Degradation *DegradationJSON `json:"degradation,omitempty"`
 	FaultEdges  []FaultEdgeJSON  `json:"fault_edges,omitempty"`
-
-	Notes []string `json:"notes,omitempty"`
 }
 
 // SeriesJSON is one sampled time series in columnar form (parallel arrays
@@ -51,17 +46,6 @@ type SeriesJSON struct {
 	Name   string    `json:"name"`
 	AtPs   []int64   `json:"at_ps"`
 	Values []float64 `json:"values"`
-}
-
-// HistogramJSON summarizes one registered latency histogram.
-type HistogramJSON struct {
-	Name   string  `json:"name"`
-	Count  uint64  `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	P999Us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
 }
 
 // EngineJSON reports the parallel engine's execution balance. Barrier
@@ -126,30 +110,6 @@ func SeriesFromRegistry(r *Registry) []SeriesJSON {
 		}
 		out = append(out, s)
 	}
-	return out
-}
-
-// HistogramsFromRegistry summarizes the registry's histograms in name order.
-func HistogramsFromRegistry(r *Registry) []HistogramJSON {
-	var out []HistogramJSON
-	for _, h := range r.Histograms() {
-		out = append(out, summarizeHistogram(h.Name(), h.Snapshot()))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func summarizeHistogram(name string, h *metrics.Histogram) HistogramJSON {
-	out := HistogramJSON{Name: name}
-	if h == nil || h.Count() == 0 {
-		return out
-	}
-	out.Count = h.Count()
-	out.MeanUs = h.Mean().Microseconds()
-	out.P50Us = h.Percentile(0.50).Microseconds()
-	out.P99Us = h.Percentile(0.99).Microseconds()
-	out.P999Us = h.Percentile(0.999).Microseconds()
-	out.MaxUs = h.Max().Microseconds()
 	return out
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,132 +10,91 @@ import (
 
 func TestRegistrySamplesOnSimTimeGrid(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRegistry(10 * sim.Microsecond)
-	c := r.Counter(eng, "a/count")
-	g := r.Gauge(eng, "a/gauge")
-	v := 0.0
+	r := NewRegistry()
+	count, v := 0.0, 0.0
 	r.GaugeFunc(eng, "a/pull", func() float64 { return v })
+	r.GaugeFunc(eng, "a/count", func() float64 { return count })
 	r.Start()
 
-	eng.At(sim.Time(5*sim.Microsecond), func() { c.Inc(); g.Set(7); v = 3 })
-	eng.At(sim.Time(15*sim.Microsecond), func() { c.Add(2) })
-	eng.RunUntil(sim.Time(30 * sim.Microsecond))
+	ms := sim.Time(sim.Millisecond)
+	eng.At(ms/2, func() { count++; v = 3 })
+	eng.At(3*ms/2, func() { count += 2 })
+	eng.RunUntil(3 * ms)
 	r.Stop()
 
 	series := r.Series()
-	if len(series) != 3 {
-		t.Fatalf("want 3 series, got %d", len(series))
+	if len(series) != 2 {
+		t.Fatalf("want 2 series, got %d", len(series))
 	}
-	// Sorted by name.
-	for i, name := range []string{"a/count", "a/gauge", "a/pull"} {
+	// Sorted by name, not by registration order.
+	for i, name := range []string{"a/count", "a/pull"} {
 		if series[i].Name != name {
 			t.Fatalf("series[%d].Name=%q, want %q", i, series[i].Name, name)
 		}
 	}
-	count := series[0]
-	// Ticks at 0, 10, 20, 30 µs.
-	if len(count.Samples) != 4 {
-		t.Fatalf("want 4 samples, got %d: %+v", len(count.Samples), count.Samples)
+	count0 := series[0]
+	// Ticks at 0, 1, 2, 3 ms.
+	if len(count0.Samples) != 4 {
+		t.Fatalf("want 4 samples, got %d: %+v", len(count0.Samples), count0.Samples)
 	}
-	wantAt := []sim.Time{0, sim.Time(10 * sim.Microsecond), sim.Time(20 * sim.Microsecond), sim.Time(30 * sim.Microsecond)}
 	wantVal := []float64{0, 1, 3, 3}
-	for i, s := range count.Samples {
-		if s.At != wantAt[i] || s.Value != wantVal[i] {
-			t.Fatalf("sample %d = %+v, want at=%v value=%v", i, s, wantAt[i], wantVal[i])
+	for i, s := range count0.Samples {
+		if s.At != sim.Time(i)*ms || s.Value != wantVal[i] {
+			t.Fatalf("sample %d = %+v, want at=%v value=%v", i, s, sim.Time(i)*ms, wantVal[i])
 		}
 	}
-	if got := series[1].Samples[1].Value; got != 7 {
-		t.Fatalf("gauge at 10µs = %v, want 7", got)
-	}
-	if got := series[2].Samples[1].Value; got != 3 {
-		t.Fatalf("pull gauge at 10µs = %v, want 3", got)
+	if got := series[1].Samples[1].Value; got != 3 {
+		t.Fatalf("pull gauge at 1ms = %v, want 3", got)
 	}
 }
 
 func TestRegistryStopEndsTicks(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRegistry(sim.Microsecond)
-	r.Counter(eng, "x")
+	r := NewRegistry()
+	r.GaugeFunc(eng, "x", func() float64 { return 0 })
 	r.Start()
-	eng.RunUntil(sim.Time(3 * sim.Microsecond))
+	eng.RunUntil(sim.Time(3 * sim.Millisecond))
 	r.Stop()
 	// The already-scheduled tick fires as a no-op; no further samples.
-	eng.RunUntil(sim.Time(10 * sim.Microsecond))
+	eng.RunUntil(sim.Time(10 * sim.Millisecond))
 	if n := len(r.Series()[0].Samples); n != 4 {
-		t.Fatalf("samples after Stop: %d, want 4 (ticks 0..3µs)", n)
-	}
-}
-
-func TestNilHandlesAreSafe(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	c.Inc()
-	c.Add(2)
-	g.Set(1)
-	h.Record(sim.Microsecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Name() != "" || h.Snapshot() != nil {
-		t.Fatal("nil handles must read as zero")
-	}
-}
-
-func TestRegistryHistogram(t *testing.T) {
-	eng := sim.NewEngine()
-	r := NewRegistry(10 * sim.Microsecond)
-	h := r.Histogram(eng, "lat")
-	r.Start()
-	eng.At(sim.Time(2*sim.Microsecond), func() {
-		h.Record(5 * sim.Microsecond)
-		h.Record(7 * sim.Microsecond)
-	})
-	eng.RunUntil(sim.Time(10 * sim.Microsecond))
-	r.Stop()
-	hs := r.Histograms()
-	if len(hs) != 1 || hs[0].Name() != "lat" {
-		t.Fatalf("Histograms() = %+v", hs)
-	}
-	if got := hs[0].Snapshot().Count(); got != 2 {
-		t.Fatalf("histogram count = %d, want 2", got)
-	}
-	// The sampled series carries the cumulative count.
-	s := r.Series()[0]
-	if s.Samples[0].Value != 0 || s.Samples[1].Value != 2 {
-		t.Fatalf("sampled counts = %+v, want 0 then 2", s.Samples)
+		t.Fatalf("samples after Stop: %d, want 4 (ticks 0..3ms)", n)
 	}
 }
 
 func TestRegistryDuplicateNamePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRegistry(0)
-	r.Counter(eng, "dup")
+	r := NewRegistry()
+	r.GaugeFunc(eng, "dup", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate name did not panic")
 		}
 	}()
-	r.Gauge(eng, "dup")
+	r.GaugeFunc(eng, "dup", func() float64 { return 1 })
 }
 
 func TestRegistryRegisterAfterStartPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Start()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("register after Start did not panic")
 		}
 	}()
-	r.Counter(eng, "late")
+	r.GaugeFunc(eng, "late", func() float64 { return 0 })
 }
 
 func TestEncodeTextAndHashStable(t *testing.T) {
 	build := func() *Registry {
 		eng := sim.NewEngine()
-		r := NewRegistry(sim.Millisecond)
-		c := r.Counter(eng, "z/count")
-		r.Gauge(eng, "a/gauge")
+		r := NewRegistry()
+		v := 0.0
+		r.GaugeFunc(eng, "z/count", func() float64 { return v })
+		r.GaugeFunc(eng, "a/gauge", func() float64 { return 0 })
 		r.Start()
-		eng.At(sim.Time(500*sim.Microsecond), func() { c.Add(1.5) })
+		eng.At(sim.Time(500*sim.Microsecond), func() { v += 1.5 })
 		eng.RunUntil(sim.Time(2 * sim.Millisecond))
 		r.Stop()
 		return r
@@ -162,15 +122,30 @@ func TestEncodeTextAndHashStable(t *testing.T) {
 		t.Fatalf("series not name-sorted:\n%s", txt)
 	}
 	if !strings.Contains(txt, "1.5") {
-		t.Fatalf("counter value missing from encoding:\n%s", txt)
+		t.Fatalf("gauge value missing from encoding:\n%s", txt)
 	}
 }
 
+// TestDefaultInterval: the registry ticks every SampleInterval and its
+// text encoding (the input to Hash) names that interval in its header.
 func TestDefaultInterval(t *testing.T) {
-	if got := NewRegistry(0).Interval(); got != DefaultSampleEvery {
-		t.Fatalf("Interval() = %v, want %v", got, DefaultSampleEvery)
+	eng := sim.NewEngine()
+	r := NewRegistry()
+	r.GaugeFunc(eng, "x", func() float64 { return 0 })
+	r.Start()
+	eng.RunUntil(sim.Time(2 * SampleInterval))
+	r.Stop()
+	for i, s := range r.Series()[0].Samples {
+		if want := sim.Time(i) * sim.Time(SampleInterval); s.At != want {
+			t.Fatalf("sample %d at %v, want %v", i, s.At, want)
+		}
 	}
-	if got := NewRegistry(-5).Interval(); got != DefaultSampleEvery {
-		t.Fatalf("Interval() = %v, want %v", got, DefaultSampleEvery)
+	var b strings.Builder
+	if err := r.EncodeText(&b); err != nil {
+		t.Fatal(err)
+	}
+	header := fmt.Sprintf("# diablo stats series v1\n# interval_ps %d\n", int64(SampleInterval))
+	if !strings.HasPrefix(b.String(), header) {
+		t.Fatalf("encoding header:\n%s\nwant prefix:\n%s", b.String(), header)
 	}
 }
