@@ -148,6 +148,8 @@ type Result struct {
 	GoodputBps float64
 	IterTimes  []sim.Duration
 
+	// The client machine's TCP counts: its connections carry the requests
+	// and the ACKs of the data.
 	Retransmits, Timeouts, FastRetransmits uint64
 }
 
@@ -219,14 +221,14 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			return false
 		}
 		if c.p.Epoll {
-			c.ep.Add(t, c.socks[c.k], kernel.EpollIn, c.k)
+			c.ep.Add(t, c.socks[c.k], kernel.EpollIn, uint64(c.k))
 		}
 		c.k, c.pc = c.k+1, 1
 	case 3: // start an iteration: release the workers, or send every request
 		c.iterStart, c.k = t.Now(), 0
 		switch {
 		case len(c.iters) == c.p.Iterations:
-			c.finish(t.Now())
+			c.finish(t)
 			c.pc = 8
 		case c.p.Epoll:
 			clear(c.got)
@@ -262,7 +264,7 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 			c.evs = res.Events
 		}
 		for len(c.evs) > 0 {
-			i := c.evs[0].Data.(int)
+			i := int(c.evs[0].Data)
 			if c.evs = c.evs[1:]; c.got[i] < sru {
 				c.cur = i
 				c.socks[i].TryRecv(t, 1<<20)
@@ -291,7 +293,8 @@ func (c *client) Next(t *kernel.Thread, res *kernel.Result) bool {
 	return true
 }
 
-func (c *client) finish(now sim.Time) {
+func (c *client) finish(t *kernel.Thread) {
+	now := t.Now()
 	res := Result{
 		Bytes:     uint64(c.p.sru()) * uint64(len(c.p.Servers)) * uint64(c.p.Iterations),
 		Elapsed:   now.Sub(c.start),
@@ -300,12 +303,8 @@ func (c *client) finish(now sim.Time) {
 	if res.Elapsed > 0 {
 		res.GoodputBps = float64(res.Bytes) * 8 / res.Elapsed.Seconds()
 	}
-	for _, s := range c.socks {
-		st := s.Conn().Stats
-		res.Retransmits += st.Retransmits
-		res.Timeouts += st.Timeouts
-		res.FastRetransmits += st.FastRetransmits
-	}
+	st := t.Machine().TCPStats()
+	res.Retransmits, res.Timeouts, res.FastRetransmits = st.Retransmits, st.Timeouts, st.FastRetransmits
 	c.done(res)
 }
 

@@ -297,7 +297,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 		w.pc = wRegister
 	case wRegister:
 		w.ep = res.Epoll
-		w.ep.Add(t, w.udp, kernel.EpollIn, w.udp)
+		w.ep.Add(t, w.udp, kernel.EpollIn, 0)
 		w.pc = wLoop
 	case wLoop:
 		if w.head == len(w.queue) {
@@ -310,7 +310,7 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 		if w.head++; w.head == len(w.queue) {
 			w.queue, w.head = w.queue[:0], 0
 		}
-		w.ep.Add(t, conn, kernel.EpollIn, conn)
+		w.ep.Add(t, conn, kernel.EpollIn, 0)
 	case wEvent:
 		if res.Events != nil {
 			w.evs = res.Events
@@ -319,9 +319,9 @@ func (w *worker) Next(t *kernel.Thread, res *kernel.Result) bool {
 			w.pc = wLoop
 			break
 		}
-		data := w.evs[0].Data
+		ready := w.evs[0].Sock
 		w.evs, w.u, w.c = w.evs[1:], nil, nil
-		switch sock := data.(type) {
+		switch sock := ready.(type) {
 		case *kernel.UDPSocket:
 			w.u, w.pc = sock, wUDP
 		case *kernel.TCPSocket:

@@ -36,12 +36,12 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 			panic(err)
 		}
 		ep := th.EpollCreate()
-		ep.Add(th, lis, EpollIn, nil)
+		ep.Add(th, lis, EpollIn, 0)
 		for {
 			for _, ev := range ep.Wait(th, 64, WaitForever) {
 				if ev.Sock == Pollable(lis) {
 					if s, err := lis.TryAccept(th, true); err == nil {
-						ep.Add(th, s, EpollIn, nil)
+						ep.Add(th, s, EpollIn, 0)
 					}
 					continue
 				}
@@ -155,15 +155,98 @@ func TestAllocBudgetToyMemcached(t *testing.T) {
 
 // TestTCPSocketSize pins the per-endpoint record on 64-bit hosts: a socket,
 // with its connection embedded, is the one object a TCP endpoint allocates.
-// The runtime prefixes an object over 512 bytes that holds pointers with an
-// 8-byte header, so at most 760 bytes keeps it in the 768-byte size class;
-// the next class is 896.
+// 512 bytes is the largest size class whose objects carry no header: the
+// runtime prefixes a larger object that holds pointers with 8 bytes, and
+// the next class is 576.
 func TestTCPSocketSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(TCPSocket{}); got > 760 {
-		t.Errorf("TCPSocket is %d bytes, want at most 760", got)
+	if got := unsafe.Sizeof(TCPSocket{}); got > 512 {
+		t.Errorf("TCPSocket is %d bytes, want at most 512", got)
+	}
+}
+
+// TestTCPEndpointBytes measures what an established connection costs the
+// host heap, both endpoints together: the bytes allocated while conns
+// connections connect and are accepted, divided among them. A warm-up round
+// first brings the socket maps, the packet pool and the event queue to their
+// working size, and the budget holds the cheapest of three cycles, as the
+// other budgets do. Each endpoint is one socket of at most 512 bytes
+// (TestTCPSocketSize); the allowance covers the socket maps' occasional
+// regrowth under delete and insert churn. Any field moved out of the socket
+// into a side allocation shows up here.
+func TestTCPEndpointBytes(t *testing.T) {
+	if instrumented {
+		t.Skip("-race and slabdebug builds allocate on their own")
+	}
+	const conns, cycles, allowance = 64, 3, 64
+	r := newRig(t, DefaultConfig())
+	pool := packet.NewPool()
+	r.a.SetPool(pool)
+	r.b.SetPool(pool)
+	srv := packet.Addr{Node: r.b.Node(), Port: 80}
+	// Cycle k (the warm-up is cycle 0) connects from k simulated seconds;
+	// both sides close their ends at k+0.5.
+	until := func(th *Thread, at sim.Duration) { th.Sleep(sim.Time(at).Sub(th.Now())) }
+	closeAll := func(th *Thread, socks []*TCPSocket) {
+		for _, s := range socks {
+			s.Close(th)
+		}
+	}
+	r.b.Spawn("server", func(th *Thread) {
+		lis, _ := th.Listen(srv.Port, conns)
+		socks := make([]*TCPSocket, conns)
+		for k := 0; ; k++ {
+			for i := range socks {
+				s, err := lis.Accept(th, true)
+				if err != nil {
+					panic(err)
+				}
+				socks[i] = s
+			}
+			until(th, sim.Duration(k)*sim.Second+sim.Second/2)
+			closeAll(th, socks)
+		}
+	})
+	r.a.Spawn("client", func(th *Thread) {
+		socks := make([]*TCPSocket, conns)
+		for k := 0; k <= cycles; k++ {
+			until(th, sim.Duration(k)*sim.Second)
+			for i := range socks {
+				s, err := th.Connect(srv)
+				if err != nil {
+					panic(err)
+				}
+				socks[i] = s
+			}
+			until(th, sim.Duration(k)*sim.Second+sim.Second/2)
+			closeAll(th, socks)
+		}
+	})
+	var ms runtime.MemStats
+	totalAlloc := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	r.run(sim.Second) // warm-up
+	if n := len(r.a.conns) + len(r.b.conns); n != 0 {
+		t.Fatalf("%d connections left after the warm-up closed them all", n)
+	}
+	per := uint64(1 << 62)
+	for k := 1; k <= cycles; k++ {
+		base := sim.Duration(k) * sim.Second
+		before := totalAlloc()
+		r.run(base + sim.Second/2)
+		per = min(per, (totalAlloc()-before)/conns)
+		if na, nb := len(r.a.conns), len(r.b.conns); na != conns || nb != conns {
+			t.Fatalf("cycle %d: %d and %d connections established, want %d", k, na, nb, conns)
+		}
+		r.run(base + sim.Second)
+	}
+	t.Logf("best of %d cycles: %d bytes per established connection (both endpoints)", cycles, per)
+	if per > 2*512+allowance {
+		t.Errorf("an established connection allocated %d bytes, want at most %d (two 512-byte sockets and %d for map growth)", per, 2*512+allowance, allowance)
 	}
 }
 

@@ -33,7 +33,7 @@ func herd(t *testing.T, programs bool) string {
 			}
 			r.b.Spawn(fmt.Sprintf("w%d", w), func(wt *Thread) {
 				ep := wt.EpollCreate()
-				ep.Add(wt, sock, EpollIn, nil)
+				ep.Add(wt, sock, EpollIn, 0)
 				for {
 					for range ep.Wait(wt, 64, 100*sim.Millisecond) {
 						for {
@@ -102,7 +102,7 @@ func (w *herdWorker) Next(t *Thread, res *Result) bool {
 		t.EpollCreate()
 	case 1:
 		w.ep = res.Epoll
-		w.ep.Add(t, w.sock, EpollIn, nil)
+		w.ep.Add(t, w.sock, EpollIn, 0)
 	case 2:
 		w.ep.Wait(t, 64, 100*sim.Millisecond)
 	case 3:

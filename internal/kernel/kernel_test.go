@@ -337,8 +337,8 @@ func TestEpollServer(t *testing.T) {
 		s1, _ := th.UDPSocket(7001)
 		s2, _ := th.UDPSocket(7002)
 		ep := th.EpollCreate()
-		ep.Add(th, s1, EpollIn, "one")
-		ep.Add(th, s2, EpollIn, "two")
+		ep.Add(th, s1, EpollIn, 1)
+		ep.Add(th, s2, EpollIn, 2)
 		for len(got) < 4 {
 			evs := ep.Wait(th, 8, WaitForever)
 			for _, ev := range evs {
@@ -374,7 +374,7 @@ func TestEpollTimeout(t *testing.T) {
 	r.a.Spawn("poller", func(th *Thread) {
 		s, _ := th.UDPSocket(9000)
 		ep := th.EpollCreate()
-		ep.Add(th, s, EpollIn, nil)
+		ep.Add(th, s, EpollIn, 0)
 		evs := ep.Wait(th, 8, 20*sim.Millisecond)
 		nev = len(evs)
 		woke = th.Now()

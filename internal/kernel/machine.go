@@ -164,9 +164,9 @@ type Machine struct {
 	conns     map[connKey]*TCPSocket
 	nextPort  packet.Port
 
-	Util      cpu.Util
-	Stats     MachineStats
-	tcpClosed tcpStatsTotal
+	Util     cpu.Util
+	Stats    MachineStats
+	tcpStats tcp.Stats // every connection's counts, live or closed
 
 	// Observability hooks (internal/obs). All are optional; every call site
 	// guards with a nil check so a detached machine pays one pointer test.
@@ -182,29 +182,9 @@ type Machine struct {
 	OnPacketDelivered func(pkt *packet.Packet, at sim.Time)
 }
 
-// tcpStatsTotal accumulates protocol stats of closed connections.
-type tcpStatsTotal struct{ tcp.Stats }
-
-func (t *tcpStatsTotal) accumulate(s tcp.Stats) {
-	t.SegsOut += s.SegsOut
-	t.SegsIn += s.SegsIn
-	t.BytesOut += s.BytesOut
-	t.BytesIn += s.BytesIn
-	t.Retransmits += s.Retransmits
-	t.FastRetransmits += s.FastRetransmits
-	t.Timeouts += s.Timeouts
-	t.DupAcksIn += s.DupAcksIn
-}
-
 // TCPStats returns the machine's aggregate TCP protocol statistics across
-// live and closed connections.
-func (m *Machine) TCPStats() tcp.Stats {
-	total := m.tcpClosed
-	for _, s := range m.conns {
-		total.accumulate(s.conn.Stats)
-	}
-	return total.Stats
-}
+// live and closed connections: each counts straight into them.
+func (m *Machine) TCPStats() tcp.Stats { return m.tcpStats }
 
 // connKey identifies a connection on its machine: (local port, remote node,
 // remote port) packed into one word, so the per-segment lookup hashes a
@@ -558,7 +538,7 @@ func (m *Machine) deliverTCP(pkt *packet.Packet) {
 	// No connection: a SYN for a listening port creates one.
 	if pkt.TCP.Flags&packet.FlagSYN != 0 && pkt.TCP.Flags&packet.FlagACK == 0 {
 		if lis, ok := m.listeners[pkt.Dst.Port]; ok {
-			lis.incoming(pkt, key)
+			lis.incoming(pkt)
 			return
 		}
 	}
@@ -593,26 +573,6 @@ func (m *Machine) ephemeralPort() packet.Port {
 		return p
 	}
 }
-
-// tcpEnv adapts the machine to tcp.Env, charging TX costs per segment; its
-// AtEvent lets connections arm timers as allocation-free records.
-type tcpEnv struct {
-	m *Machine
-}
-
-func (e tcpEnv) Now() sim.Time                                { return e.m.eng.Now() }
-func (e tcpEnv) At(t sim.Time, fn func()) sim.EventID         { return e.m.eng.At(t, fn) }
-func (e tcpEnv) AtEvent(t sim.Time, ev sim.Event) sim.EventID { return e.m.eng.AtEvent(t, ev) }
-func (e tcpEnv) Cancel(id sim.EventID)                        { e.m.eng.Cancel(id) }
-
-// Output charges the per-segment transmit cost in kernel context, then hands
-// the segment to the driver. FIFO kernel work keeps segments ordered.
-func (e tcpEnv) Output(pkt *packet.Packet) {
-	e.m.kernelWorkPkt(KSpanTxTCP, e.m.cost.txTCP, kwTransmit, pkt)
-}
-
-// NewPacket allocates an outgoing segment from the machine's partition pool.
-func (e tcpEnv) NewPacket() *packet.Packet { return e.m.newPacket() }
 
 // ReleaseInFlight releases every packet the machine still holds — the qdisc,
 // queued kernel work items and the executing one — into the pool. Post-run

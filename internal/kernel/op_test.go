@@ -38,6 +38,9 @@ func vals(v ...any) []any { return v }
 // tcpMsg is the message the TCP rows send.
 var tcpMsg = packet.Msg{Kind: 1, A: 7}
 
+// cookie is the epoll rows' registration cookie.
+const cookie = 0xc00c1e
+
 // A step is one call as both conventions make it: do makes it on c.th, last,
 // and returns what the call returned (in a program thread: zero values at
 // once); got reads the same values from the Result the next Next is handed.
@@ -189,7 +192,7 @@ func opRows(t *testing.T) []opRow {
 	udpSock := step{func(c *caller) []any { return vals(c.th.UDPSocket(port)) }, udpSockGot}
 	epollOn := []step{udpSock,
 		{func(c *caller) []any { return vals(c.th.EpollCreate()) }, func(r *Result) []any { return vals(r.Epoll) }},
-		{func(c *caller) []any { c.ep.Add(c.th, c.udp, EpollIn, "cookie"); return nil }, none}}
+		{func(c *caller) []any { c.ep.Add(c.th, c.udp, EpollIn, cookie); return nil }, none}}
 	then := func(first []step, last ...step) []step { return append(slices.Clip(first), last...) }
 	listener := step{func(c *caller) []any { return vals(c.th.Listen(80, 8)) }, listenerGot}
 	connect := step{func(c *caller) []any { return vals(c.th.Connect(server)) }, tcpSock}
@@ -215,7 +218,7 @@ func opRows(t *testing.T) []opRow {
 		}, events}
 	}
 	oneEvent := func(t *testing.T, c *caller, last []any) {
-		if evs := last[0].([]EpollEvent); len(evs) != 1 || evs[0].Data != "cookie" {
+		if evs := last[0].([]EpollEvent); len(evs) != 1 || evs[0].Data != cookie {
 			t.Errorf("events = %v", evs)
 		}
 	}
@@ -523,7 +526,7 @@ func TestStaleTimeoutRecordReblocks(t *testing.T) {
 	th = r.a.Spawn("caller", func(th *Thread) {
 		s, _ := th.UDPSocket(7000)
 		ep := th.EpollCreate()
-		ep.Add(th, s, EpollIn, nil)
+		ep.Add(th, s, EpollIn, 0)
 		inject(r.a, 7000, msgOf(1))
 		if _, _, _, err := s.RecvFromTimeout(th, sim.Millisecond); err != nil {
 			t.Error(err)
@@ -554,13 +557,13 @@ func TestEpollResultsPerThread(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	var ep *Epoll
 	got := make([][]EpollEvent, 2)
-	seen := make([]any, 2)
+	seen := make([]uint64, 2)
 	r.a.Spawn("first", func(th *Thread) {
 		s1, _ := th.UDPSocket(7001)
 		s2, _ := th.UDPSocket(7002)
 		ep = th.EpollCreate()
-		ep.Add(th, s1, EpollIn, "one")
-		ep.Add(th, s2, EpollIn, "two")
+		ep.Add(th, s1, EpollIn, 1)
+		ep.Add(th, s2, EpollIn, 2)
 		r.a.Spawn("second", func(th *Thread) {
 			got[1] = ep.Wait(th, 1, WaitForever)
 			seen[1] = got[1][0].Data
@@ -600,7 +603,7 @@ func TestTeardownMidCall(t *testing.T) {
 	r.a.Spawn("blocked in epoll", func(th *Thread) {
 		s, _ := th.UDPSocket(7001)
 		ep := th.EpollCreate()
-		ep.Add(th, s, EpollIn, nil)
+		ep.Add(th, s, EpollIn, 0)
 		inject(r.a, 7001, msgOf(1))
 		ep.Wait(th, 8, WaitForever) // fills the thread's result buffer
 		_, _, _, _ = s.TryRecv(th)

@@ -82,12 +82,12 @@ func (w *epollSet) notify(sock Pollable) {
 type EpollEvent struct {
 	Sock   Pollable
 	Events EpollEvents
-	Data   any
+	Data   uint64 // the registration's cookie, like Linux's epoll_data.u64
 }
 
 type epollItem struct {
 	sock     Pollable
-	data     any
+	data     uint64
 	interest EpollEvents
 	inReady  bool
 }
@@ -110,8 +110,9 @@ func (t *Thread) EpollCreate() *Epoll {
 	return t.enter(opEpollCreate, func(*threadOp) {}).Epoll
 }
 
-// Add registers a socket with an interest mask and user data (epoll_ctl).
-func (ep *Epoll) Add(t *Thread, sock Pollable, interest EpollEvents, data any) {
+// Add registers a socket with an interest mask and a cookie that its events
+// carry (epoll_ctl).
+func (ep *Epoll) Add(t *Thread, sock Pollable, interest EpollEvents, data uint64) {
 	t.enter(opEpollAdd, func(op *threadOp) { op.ep, op.reg = ep, epollItem{sock: sock, interest: interest, data: data} })
 }
 
@@ -483,17 +484,13 @@ func (m *Machine) listen(port packet.Port, backlog int) (*TCPListener, error) {
 func (lis *TCPListener) Port() packet.Port { return lis.port }
 
 // incoming handles a SYN for this listener (softirq context).
-func (lis *TCPListener) incoming(pkt *packet.Packet, key connKey) {
+func (lis *TCPListener) incoming(pkt *packet.Packet) {
 	m := lis.m
 	if lis.closed || lis.pending.len()+lis.synPending >= lis.backlog {
 		lis.Stats.Refused++
 		return // SYN dropped; client retries (listen queue overflow)
 	}
-	sock, err := m.newTCPSocket(packet.Addr{Node: m.node, Port: lis.port}, pkt.Src, key, lis)
-	if err != nil {
-		lis.Stats.Refused++
-		return
-	}
+	sock := m.newTCPSocket(packet.Addr{Node: m.node, Port: lis.port}, pkt.Src, lis)
 	lis.synPending++
 	sock.conn.HandleSyn(pkt)
 }
@@ -566,41 +563,58 @@ func (lis *TCPListener) notifyWatchers()   { lis.watchers.notify(lis) }
 
 // TCPSocket is one connection endpoint with blocking and epoll interfaces.
 // The protocol endpoint lives inside it, and the socket is that endpoint's
-// tcp.Owner, so a connection endpoint is one heap object.
+// tcp.Host, so a connection endpoint is one heap object. Its state is the
+// connection's: the socket is established once the connection is past the
+// handshake, and done once it is closed again.
 type TCPSocket struct {
 	conn tcp.Conn
 	m    *Machine
-	key  connKey
 	// lis is the listener a passive open reports its handshake to; nil once
 	// the handshake completes, and for an active open.
 	lis *TCPListener
-
-	readers  waitQueue
-	writers  waitQueue
-	connectQ waitQueue
+	// wq holds the threads blocked on the socket — readers, writers and
+	// connectors — and wakes each kind in its own arrival order.
+	wq       waitQueue
 	watchers epollSet
-	// established is set by the handshake; done by the connection's end,
-	// whose error the connection keeps (conn.Err).
-	established, done bool
 }
 
 // newTCPSocket creates and registers the socket of a connection from local
 // to remote; lis is the listener of a passive open.
-func (m *Machine) newTCPSocket(local, remote packet.Addr, key connKey, lis *TCPListener) (*TCPSocket, error) {
-	s := &TCPSocket{m: m, key: key, lis: lis}
-	if err := s.conn.Init(tcpEnv{m}, (*tcpOwner)(s), &m.cfg.TCP, local, remote); err != nil {
-		return nil, err
-	}
-	m.conns[key] = s
-	return s, nil
+func (m *Machine) newTCPSocket(local, remote packet.Addr, lis *TCPListener) *TCPSocket {
+	s := &TCPSocket{m: m, lis: lis}
+	// New validated m.cfg.TCP once for all the machine's connections.
+	s.conn.Init((*tcpHost)(s), &m.cfg.TCP, &m.tcpStats, local, remote)
+	m.conns[s.key()] = s
+	return s
 }
 
-// tcpOwner is the socket as its connection's tcp.Owner: a distinct method set
-// keeps the protocol callbacks off TCPSocket's API.
-type tcpOwner TCPSocket
+func (s *TCPSocket) key() connKey { return newConnKey(s.conn.Local.Port, s.conn.Remote) }
 
-func (o *tcpOwner) Connected() {
-	s := (*TCPSocket)(o)
+// done reports whether the connection has ended.
+func (s *TCPSocket) done() bool { return s.conn.State() == tcp.StateClosed }
+
+// tcpHost is the socket as its connection's tcp.Host: a distinct method set
+// keeps the protocol callbacks off TCPSocket's API. It charges TX costs per
+// segment, and its AtEvent lets the connection arm timers as allocation-free
+// records.
+type tcpHost TCPSocket
+
+func (h *tcpHost) Now() sim.Time                                { return h.m.eng.Now() }
+func (h *tcpHost) At(t sim.Time, fn func()) sim.EventID         { return h.m.eng.At(t, fn) }
+func (h *tcpHost) AtEvent(t sim.Time, ev sim.Event) sim.EventID { return h.m.eng.AtEvent(t, ev) }
+func (h *tcpHost) Cancel(id sim.EventID)                        { h.m.eng.Cancel(id) }
+
+// Output charges the per-segment transmit cost in kernel context, then hands
+// the segment to the driver. FIFO kernel work keeps segments ordered.
+func (h *tcpHost) Output(pkt *packet.Packet) {
+	h.m.kernelWorkPkt(KSpanTxTCP, h.m.cost.txTCP, kwTransmit, pkt)
+}
+
+// NewPacket allocates an outgoing segment from the machine's partition pool.
+func (h *tcpHost) NewPacket() *packet.Packet { return h.m.newPacket() }
+
+func (h *tcpHost) Connected() {
+	s := (*TCPSocket)(h)
 	if lis := s.lis; lis != nil { // passive open: queue for Accept
 		s.lis = nil
 		lis.synPending--
@@ -613,29 +627,26 @@ func (o *tcpOwner) Connected() {
 		lis.notifyWatchers()
 		return
 	}
-	s.established = true
-	s.connectQ.wakeAll(s.m)
+	s.wq.wakeAllOf(s.m, opConnect)
 	s.notifyWatchers()
 }
 
-func (o *tcpOwner) CanRead() {
-	o.readers.wakeOne(o.m)
-	(*TCPSocket)(o).notifyWatchers()
+func (h *tcpHost) CanRead() {
+	h.wq.wakeOneOf(h.m, opTCPRecv)
+	(*TCPSocket)(h).notifyWatchers()
 }
 
-func (o *tcpOwner) CanWrite() {
-	o.writers.wakeOne(o.m)
-	(*TCPSocket)(o).notifyWatchers()
+func (h *tcpHost) CanWrite() {
+	h.wq.wakeOneOf(h.m, opTCPSend)
+	(*TCPSocket)(h).notifyWatchers()
 }
 
-func (o *tcpOwner) Closed(error) {
-	s, m := (*TCPSocket)(o), o.m
-	s.done = true
-	m.tcpClosed.accumulate(s.conn.Stats)
-	delete(m.conns, s.key)
-	s.readers.wakeAll(m)
-	s.writers.wakeAll(m)
-	s.connectQ.wakeAll(m)
+func (h *tcpHost) Closed(error) {
+	s, m := (*TCPSocket)(h), h.m
+	delete(m.conns, s.key())
+	s.wq.wakeAllOf(m, opTCPRecv)
+	s.wq.wakeAllOf(m, opTCPSend)
+	s.wq.wakeAllOf(m, opConnect)
 	s.notifyWatchers()
 }
 
@@ -648,28 +659,20 @@ func (t *Thread) Connect(remote packet.Addr) (*TCPSocket, error) {
 func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 	m, s := t.m, op.tcp
 	if s == nil { // first pass: create the socket and send the SYN
-		local := packet.Addr{Node: m.node, Port: m.ephemeralPort()}
-		var err error
-		if s, err = m.newTCPSocket(local, op.remote, newConnKey(local.Port, op.remote), nil); err != nil {
-			t.res.v.err = err
-			return nil, true
-		}
+		s = m.newTCPSocket(packet.Addr{Node: m.node, Port: m.ephemeralPort()}, op.remote, nil)
 		op.tcp = s
 		s.conn.Open()
 	}
-	if !s.established && !s.done {
-		return &s.connectQ, false
-	}
-	if s.done {
+	switch s.conn.State() {
+	case tcp.StateSynSent:
+		return &s.wq, false
+	case tcp.StateClosed:
 		t.res.v.err = fmt.Errorf("%w: %v", ErrConnRefused, s.conn.Err())
-	} else {
+	default:
 		t.res.TCP = s
 	}
 	return nil, true
 }
-
-// Conn exposes the protocol endpoint (for stats inspection).
-func (s *TCPSocket) Conn() *tcp.Conn { return &s.conn }
 
 // Remote returns the peer address.
 func (s *TCPSocket) Remote() packet.Addr { return s.conn.Remote }
@@ -688,13 +691,13 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 	if op.n <= 0 {
 		return nil, true
 	}
-	if s.done {
+	if s.done() {
 		t.res.v.err = s.errOrClosed()
 		return nil, true
 	}
 	accepted := s.conn.Send(op.n, &op.msg)
 	if accepted == 0 {
-		return &s.writers, false
+		return &s.wq, false
 	}
 	if !s.m.cfg.ZeroCopy {
 		t.remaining += s.m.copyCost(accepted)
@@ -705,7 +708,7 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 
 // Recv blocks until data (or EOF) is available and returns the bytes
 // consumed and any completed application messages. The message slice is the
-// connection's own, valid until the next Recv or TryRecv on this socket.
+// calling thread's buffer, valid until its next TCP Recv or TryRecv.
 func (s *TCPSocket) Recv(t *Thread, max int) (int, []packet.Msg, error) {
 	return s.recv(t, max, false)
 }
@@ -724,15 +727,16 @@ func (s *TCPSocket) recv(t *Thread, max int, nowait bool) (int, []packet.Msg, er
 func (s *TCPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case s.conn.Readable() > 0:
-		t.res.N, t.res.v.msgs = s.conn.Read(op.n)
+		t.res.N, t.msgs = s.conn.ReadAppend(t.msgs[:0], op.n)
+		t.res.v.msgs = t.msgs
 		t.remaining += s.m.copyCost(t.res.N)
 	case s.conn.EOF(): // clean EOF: (0, nil, nil)
-	case s.done:
+	case s.done():
 		t.res.v.err = s.errOrClosed()
 	case op.expired(s.m.eng.Now()):
 		t.res.v.err = ErrWouldBlock
 	default:
-		return &s.readers, false
+		return &s.wq, false
 	}
 	return nil, true
 }
@@ -756,13 +760,14 @@ func (s *TCPSocket) errOrClosed() error {
 
 func (s *TCPSocket) readyMask() EpollEvents {
 	var mask EpollEvents
-	if s.conn.Readable() > 0 || s.conn.EOF() || s.done {
+	done := s.done()
+	if s.conn.Readable() > 0 || s.conn.EOF() || done {
 		mask |= EpollIn
 	}
-	if !s.done && s.conn.State() == tcp.StateEstablished && s.conn.Writable() > 0 {
+	if s.conn.State() == tcp.StateEstablished && s.conn.Writable() > 0 {
 		mask |= EpollOut
 	}
-	if s.done {
+	if done {
 		mask |= EpollHup
 	}
 	return mask

@@ -36,6 +36,11 @@ func TestRecvFromTimeout(t *testing.T) {
 	}
 }
 
+// TestTCPStatsAggregation checks the machine totals over three connections
+// on the lossless rig: every segment one machine sends, the other receives,
+// and so every byte. It reads them once mid-connection, while the second
+// connection idles between its send and its close, and once after all three
+// closed.
 func TestTCPStatsAggregation(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.b.Spawn("server", func(th *Thread) {
@@ -61,23 +66,32 @@ func TestTCPStatsAggregation(t *testing.T) {
 				return
 			}
 			_ = sock.Send(th, 10_000, packet.Msg{})
+			th.Sleep(20 * sim.Millisecond)
 			sock.Close(th)
 			th.Sleep(10 * sim.Millisecond)
 		}
 	})
+	balanced := func(when string, bytes uint64) {
+		t.Helper()
+		a, b := r.a.TCPStats(), r.b.TCPStats()
+		if a.SegsOut == 0 || a.SegsOut != b.SegsIn || b.SegsOut != a.SegsIn {
+			t.Fatalf("%s: segments out/in %d/%d (client), %d/%d (server): want each side's out the other's in", when, a.SegsOut, a.SegsIn, b.SegsOut, b.SegsIn)
+		}
+		if a.BytesOut != bytes || b.BytesIn != bytes || b.BytesOut != 0 || a.BytesIn != 0 {
+			t.Fatalf("%s: bytes out/in %d/%d (client), %d/%d (server): want %d one way", when, a.BytesOut, a.BytesIn, b.BytesOut, b.BytesIn, bytes)
+		}
+	}
+	r.run(40 * sim.Millisecond) // the second connection is open and idle
+	if n := len(r.a.conns); n != 1 {
+		t.Fatalf("client holds %d connections mid-run, want 1", n)
+	}
+	balanced("mid-connection", 20_000)
 	r.run(5 * sim.Second)
 	// Closed-connection stats must be preserved in the machine aggregate.
-	st := r.a.TCPStats()
-	if st.BytesOut != 30_000 {
-		t.Fatalf("aggregate BytesOut = %d, want 30000 across 3 closed conns", st.BytesOut)
+	if n := len(r.a.conns) + len(r.b.conns); n != 0 {
+		t.Fatalf("%d connections left after all closed", n)
 	}
-	if st.SegsOut == 0 || st.SegsIn == 0 {
-		t.Fatalf("aggregate segments empty: %+v", st)
-	}
-	srvStats := r.b.TCPStats()
-	if srvStats.BytesIn != 30_000 {
-		t.Fatalf("server BytesIn = %d, want 30000", srvStats.BytesIn)
-	}
+	balanced("after close", 30_000)
 }
 
 func TestEpollDel(t *testing.T) {
@@ -93,7 +107,7 @@ func TestEpollDel(t *testing.T) {
 		for th.Now() < sim.Time(50*sim.Millisecond) {
 			evs := ep.Wait(th, 8, 10*sim.Millisecond)
 			for _, ev := range evs {
-				if ev.Data.(int) == 1 {
+				if ev.Data == 1 {
 					t.Error("event for deleted registration")
 				}
 				got++

@@ -105,7 +105,7 @@ func TestEpollKick(t *testing.T) {
 	r.a.Spawn("poller", func(th *Thread) {
 		s, _ := th.UDPSocket(9100)
 		ep = th.EpollCreate()
-		ep.Add(th, s, EpollIn, nil)
+		ep.Add(th, s, EpollIn, 0)
 		for rounds < 2 {
 			evs := ep.Wait(th, 8, WaitForever)
 			rounds++

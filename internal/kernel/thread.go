@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"diablo/internal/packet"
 	"diablo/internal/sim"
@@ -57,7 +58,7 @@ func (r Result) Err() error { return r.v.err }
 func (r Result) Msg() packet.Msg { return r.v.msg }
 
 // Msgs returns the application messages a TCP receive completed, valid until
-// the next receive on the same socket.
+// the thread's next TCP receive.
 func (r Result) Msgs() []packet.Msg { return r.v.msgs }
 
 // Thread is one simulated kernel thread. Its Program advances only when the
@@ -74,10 +75,12 @@ type Thread struct {
 	remaining sim.Duration // CPU time owed before the program may continue
 	sliceLeft sim.Duration
 
-	op      threadOp     // the call in flight (kind opNone: none)
-	res     Result       // what the last call returned, for the next Next
-	evbuf   []EpollEvent // backing store of this thread's Epoll.Wait results
-	resumes uint64       // times a Spawn thread's coroutine was switched into
+	op      threadOp      // the call in flight (kind opNone: none)
+	res     Result        // what the last call returned, for the next Next
+	evbuf   []EpollEvent  // backing store of this thread's Epoll.Wait results
+	msgs    []packet.Msg  // backing store of this thread's TCP receive results
+	msgs0   [1]packet.Msg // msgs' first backing array: one message is the common case
+	resumes uint64        // times a Spawn thread's coroutine was switched into
 }
 
 // Start creates a thread running program p. The thread becomes runnable after
@@ -85,7 +88,7 @@ type Thread struct {
 // another thread.
 func (m *Machine) Start(name string, p Program) *Thread {
 	t := &Thread{m: m, name: name, state: threadRunnable, prog: p}
-	t.remaining = m.cost.spawn
+	t.remaining, t.msgs = m.cost.spawn, t.msgs0[:0]
 	m.threads = append(m.threads, t)
 	// Enqueue via an event so the runqueue push happens inside the engine's
 	// run loop regardless of the caller's context.
@@ -431,9 +434,8 @@ func (t *Thread) block(q *waitQueue) {
 // fifo is a head-indexed queue: pop advances head, and the backing array is
 // reused once the queue drains, so a steady push/pop flow allocates nothing (a
 // naive q = q[1:] strands the popped capacity and re-allocates on every push
-// once the spare capacity is consumed). The kernel's queues — CPU work,
-// runqueue, qdisc, datagrams, accept and epoll ready lists, waiters — are all
-// fifos.
+// once the spare capacity is consumed). The kernel's long queues — CPU work,
+// runqueue, qdisc, datagrams, accept and epoll ready lists — are fifos.
 type fifo[T any] struct {
 	q    []T
 	head int
@@ -457,26 +459,42 @@ func (f *fifo[T]) pop() T {
 	return x
 }
 
-// waitQueue is a FIFO of threads blocked on a condition; the block/wake
+// waitQueue is the threads blocked on a condition, oldest first. Waking one
+// slides the rest down in place: the queues are short, and the block/wake
 // cycle every request goes through allocates nothing in steady state.
 type waitQueue struct {
-	waiters fifo[*Thread]
-	first   [1]*Thread // waiters' first backing array: one waiter is the common case
+	q     []*Thread
+	first [1]*Thread // q's first backing array: one waiter is the common case
 }
 
 func (q *waitQueue) enqueue(t *Thread) {
-	if q.waiters.q == nil {
-		q.waiters.q = q.first[:0]
+	if q.q == nil {
+		q.q = q.first[:0]
 	}
-	q.waiters.push(t)
+	q.q = append(q.q, t)
 }
 
 // wakeOne wakes the oldest still-blocked waiter; reports whether one was
 // woken. Stale entries (threads already woken by a timeout, or dead) are
 // skipped so wakeups are never lost.
-func (q *waitQueue) wakeOne(m *Machine) bool {
-	for q.waiters.len() > 0 {
-		if t := q.waiters.pop(); t.state == threadBlocked {
+func (q *waitQueue) wakeOne(m *Machine) bool { return q.wakeOneOf(m, opNone) }
+
+// wakeAll wakes every waiter.
+func (q *waitQueue) wakeAll(m *Machine) { q.wakeAllOf(m, opNone) }
+
+// wakeOneOf is wakeOne among the waiters blocked in a call of kind k (opNone:
+// any). The others keep their places, so a queue shared by several kinds of
+// call — a TCP socket's readers, writers and connectors — wakes each kind in
+// its own arrival order.
+func (q *waitQueue) wakeOneOf(m *Machine, k opKind) bool {
+	for i := 0; i < len(q.q); {
+		t := q.q[i]
+		if t.state == threadBlocked && k != opNone && t.op.kind != k {
+			i++
+			continue
+		}
+		q.q = slices.Delete(q.q, i, i+1)
+		if t.state == threadBlocked {
 			m.wake(t)
 			return true
 		}
@@ -484,9 +502,9 @@ func (q *waitQueue) wakeOne(m *Machine) bool {
 	return false
 }
 
-// wakeAll wakes every waiter.
-func (q *waitQueue) wakeAll(m *Machine) {
-	for q.wakeOne(m) {
+// wakeAllOf wakes every waiter blocked in a call of kind k (opNone: any).
+func (q *waitQueue) wakeAllOf(m *Machine, k opKind) {
+	for q.wakeOneOf(m, k) {
 	}
 }
 

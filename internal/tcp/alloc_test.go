@@ -61,11 +61,16 @@ func TestAllocFreeExchange(t *testing.T) {
 	}
 }
 
-// TestPlainEnvTimers runs the timers through an Env without AtEvent, wrapped
-// to arm them as closures: a lost SYN must still be retransmitted.
+// TestPlainEnvTimers runs the client's timers through an Env without AtEvent,
+// which NewClient wraps to arm them as closures: a lost SYN must still be
+// retransmitted.
 func TestPlainEnvTimers(t *testing.T) {
 	p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
-	p.client.env = p.client.eventEnv(plainEnv{p.cEnv})
+	c, err := NewClient(plainEnv{p.cEnv}, DefaultConfig(), p.client.Local, p.client.Remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.client, p.sEnv.peer = c, c
 	up := false
 	p.client.OnConnected = func() { up = true }
 	dropped := false

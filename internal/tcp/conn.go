@@ -14,6 +14,15 @@ var (
 	ErrTimeout = errors.New("tcp: retransmission limit exceeded")
 )
 
+// How a connection ended, as the one-byte Conn.end: an index into ends.
+const (
+	endOrderly uint8 = iota
+	endReset
+	endTimeout
+)
+
+var ends = [...]error{endOrderly: nil, endReset: ErrReset, endTimeout: ErrTimeout}
+
 // Retry limits (Linux tcp_retries2 / tcp_syn_retries).
 const (
 	maxDataRetries = 15
@@ -46,145 +55,143 @@ func boundsOf(pkt *packet.Packet) segBounds {
 	return segBounds{one: packet.Bound{EndSeq: pkt.TCP.EndSeq, Msg: pkt.Msg}}
 }
 
-// boundQueue holds boundaries in ascending EndSeq order, head-indexed like
-// the kernel's FIFOs: popping advances head, and pushing slides the live
-// entries down before it would grow a full backing array, so a steady
-// message flow queues and retires boundaries without allocating. The first
-// backing array is inline (Conn.Init points q at it): one message in flight
-// is the common case.
+// boundQueue holds boundaries in ascending EndSeq order. Retiring the due
+// ones slides the rest down in place, so a steady message flow queues and
+// retires boundaries without allocating; a queue holds at most a window's
+// worth of messages, and usually one. Its first backing array is inline
+// (Conn.Init points q at it).
 type boundQueue struct {
 	q     []packet.Bound
-	head  int
 	first [1]packet.Bound
 }
 
-func (b *boundQueue) live() []packet.Bound { return b.q[b.head:] }
-
-// due reports whether the earliest boundary ends at or before seq.
-func (b *boundQueue) due(seq uint32) bool {
-	return b.head < len(b.q) && seqLEQ(b.q[b.head].EndSeq, seq)
+// due returns how many boundaries end at or before seq: they lead the queue.
+func (b *boundQueue) due(seq uint32) int {
+	n := 0
+	for n < len(b.q) && seqLEQ(b.q[n].EndSeq, seq) {
+		n++
+	}
+	return n
 }
 
-// pop removes and returns the earliest boundary; the queue must not be empty.
-func (b *boundQueue) pop() packet.Bound {
-	x := b.q[b.head]
-	if b.head++; b.head == len(b.q) {
-		b.q, b.head = b.q[:0], 0
+// drop removes the first n boundaries.
+func (b *boundQueue) drop(n int) {
+	if n > 0 {
+		b.q = b.q[:copy(b.q, b.q[n:])]
 	}
-	return x
 }
 
 // insert files x by EndSeq, ignoring one already queued (a retransmission);
 // boundaries nearly always arrive in order, so the scan starts at the back.
 func (b *boundQueue) insert(x packet.Bound) {
 	i := len(b.q)
-	for i > b.head && seqLT(x.EndSeq, b.q[i-1].EndSeq) {
+	for i > 0 && seqLT(x.EndSeq, b.q[i-1].EndSeq) {
 		i--
 	}
-	if i > b.head && b.q[i-1].EndSeq == x.EndSeq {
-		return
+	if i == 0 || b.q[i-1].EndSeq != x.EndSeq {
+		b.q = slices.Insert(b.q, i, x)
 	}
-	if len(b.q) == cap(b.q) && b.head > 0 {
-		n := copy(b.q, b.q[b.head:])
-		b.q, i, b.head = b.q[:n], i-b.head, 0
-	}
-	b.q = slices.Insert(b.q, i, x)
 }
 
 // Conn is one TCP connection endpoint. The zero Conn is inert: Init it in
-// place, inside the socket that owns it.
+// place, inside the Host that owns it.
 type Conn struct {
-	env   eventEnv
-	owner Owner
-	// Hooks is the owner of a standalone connection, nil on a socket's: its
+	host Host
+	// Hooks are a standalone connection's callbacks, nil on a socket's: its
 	// fields are promoted, so callers set c.OnReadable and the like.
 	*Hooks
-	cfg *Config // shared with the machine's other connections
+	cfg *Config // validated, and shared with the host's other connections
+	// Stats is where the connection counts: its machine's totals on a
+	// socket, its own on a standalone connection.
+	Stats *Stats
 
 	Local, Remote packet.Addr
 
-	state State
+	// The 4- and 1-byte fields come first and together, so the struct packs:
+	// a socket embeds its Conn, and TestTCPSocketSize holds the two to 512
+	// bytes. Windows and byte counts are 32-bit, as Validate bounds the
+	// buffers.
 
 	// Send state. Sequence numbers: the SYN occupies seq 0; application
 	// data starts at seq 1. sndEnd is the sequence after the last enqueued
 	// byte; nxt is the next sequence to transmit; una is the oldest
-	// unacknowledged sequence. The flags sit together, with the receive
-	// side's peerFin, to pack the struct: a socket embeds its Conn, and
-	// TestTCPSocketSize holds the two in one size class.
+	// unacknowledged sequence.
 	una, nxt, sndEnd uint32
 	maxSent          uint32 // highest sequence ever transmitted
 	recover          uint32 // NewReno: the recovery point, while inRecovery
-	rwnd             int    // peer's advertised window
-	cwnd, ssthresh   int    // bytes
-	dupacks          int
-	sndBounds        boundQueue
-	inRecovery       bool
-	finQueued        bool
-	finSent          bool
-	peerFin          bool // the peer's FIN arrived
 	finSeq           uint32
+	rwnd             int32 // peer's advertised window
+	cwnd, ssthresh   int32 // bytes
+	dupacks          int32
+	retries          int32
+
+	// Receive state.
+	rcvNxt      uint32
+	readSeq     uint32 // application read cursor
+	unread      int32  // in-order bytes not yet read
+	delackCount int32
+
+	rttSeq uint32 // the segment being timed, while rttPending
+
+	state      State
+	inRecovery bool
+	finQueued  bool
+	finSent    bool
+	peerFin    bool // the peer's FIN arrived
+	rttPending bool
+	end        uint8 // how the connection ended, once closed
+
+	sndBounds boundQueue
+	rcvBounds boundQueue
+	oooSegs   []oooSeg // out-of-order segments, ascending seq
 
 	// RTT estimation (Jacobson/Karn).
 	srtt, rttvar sim.Duration
 	rto          sim.Duration
-	rttPending   bool
-	rttSeq       uint32
 	rttStart     sim.Time
-	retries      int
 
-	// Timers, indexed by timerRTO, timerDelack and timerPersist.
-	timer       [3]sim.EventID
-	armed       [3]bool
-	delackCount int
-
-	// Receive state.
-	rcvNxt    uint32
-	readSeq   uint32   // application read cursor
-	unread    int      // in-order bytes not yet read
-	oooSegs   []oooSeg // out-of-order segments, ascending seq
-	rcvBounds boundQueue
-	// msgs is Read's result, valid until the next Read; msgs0 is its first
-	// backing array.
-	msgs  []packet.Msg
-	msgs0 [1]packet.Msg
-
-	Stats Stats
-	err   error
+	// Timers, indexed by timerRTO, timerDelack and timerPersist; the zero
+	// ID is a disarmed timer.
+	timer [3]sim.EventID
 }
 
-// Init makes c a fresh endpoint from local to remote that reports to owner: a
-// client then calls Open, a server HandleSyn with the peer's SYN. cfg is
-// validated in place and shared, not copied: it must not change while the
-// connection lives.
-func (c *Conn) Init(env Env, owner Owner, cfg *Config, local, remote packet.Addr) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// Init makes c a fresh endpoint from local to remote in host h, counting into
+// stats: a client then calls Open, a server HandleSyn with the peer's SYN.
+// cfg must be validated; it is shared, not copied, so it must not change
+// while the connection lives.
+func (c *Conn) Init(h Host, cfg *Config, stats *Stats, local, remote packet.Addr) {
 	*c = Conn{
-		env:      c.eventEnv(env),
-		owner:    owner,
+		host:     h,
 		cfg:      cfg,
+		Stats:    stats,
 		Local:    local,
 		Remote:   remote,
 		sndEnd:   1, // data begins after the SYN
-		rwnd:     cfg.MSS,
-		cwnd:     cfg.InitCwnd * cfg.MSS,
+		rwnd:     int32(cfg.MSS),
+		cwnd:     int32(cfg.InitCwnd * cfg.MSS),
 		ssthresh: 1 << 30,
 		rto:      max(initialRTO, cfg.MinRTO),
 		readSeq:  1,
 	}
-	c.sndBounds.q, c.rcvBounds.q, c.msgs = c.sndBounds.first[:0], c.rcvBounds.first[:0], c.msgs0[:0]
-	return nil
+	c.sndBounds.q, c.rcvBounds.q = c.sndBounds.first[:0], c.rcvBounds.first[:0]
 }
 
 // NewClient creates a standalone active-open endpoint that reports to its
-// Hooks; call Open to send the SYN.
+// Hooks and counts in its own Stats; call Open to send the SYN.
 func NewClient(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
-	h, c := &Hooks{}, &Conn{}
-	if err := c.Init(env, (*hookOwner)(h), &cfg, local, remote); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c.Hooks = h
+	s := &standalone{Env: env, cfg: cfg}
+	c := &s.conn
+	if e, ok := env.(eventEnv); ok { // asserted here, not per timer: a run-time type assertion may allocate
+		s.events = e
+	} else {
+		t := (*timers)(c)
+		s.fns = [3]func(){func() { t.Fire(0, timerRTO) }, func() { t.Fire(0, timerDelack) }, func() { t.Fire(0, timerPersist) }}
+	}
+	c.Init(s, &s.cfg, &s.stats, local, remote)
+	c.Hooks, s.msgs = &s.hooks, s.msgs0[:0]
 	return c, nil
 }
 
@@ -198,7 +205,7 @@ func NewServer(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
 func (c *Conn) State() State { return c.state }
 
 // Err returns the terminal error, if any.
-func (c *Conn) Err() error { return c.err }
+func (c *Conn) Err() error { return ends[c.end] }
 
 // Open sends the initial SYN (client side).
 func (c *Conn) Open() {
@@ -219,7 +226,7 @@ func (c *Conn) HandleSyn(pkt *packet.Packet) {
 	c.Stats.SegsIn++
 	c.rcvNxt = pkt.TCP.Seq + 1
 	c.readSeq = c.rcvNxt // the application cursor starts at the first data byte
-	c.rwnd = int(pkt.TCP.Window)
+	c.rwnd = int32(pkt.TCP.Window)
 	c.state = StateSynRcvd
 	c.emit(0, 0, packet.FlagSYN|packet.FlagACK, segBounds{})
 	c.nxt, c.maxSent = 1, 1
@@ -261,31 +268,40 @@ func (c *Conn) Send(n int, msg *packet.Msg) int {
 }
 
 // Readable returns the in-order bytes available to Read.
-func (c *Conn) Readable() int { return c.unread }
+func (c *Conn) Readable() int { return int(c.unread) }
 
 // EOF reports whether the peer has closed its direction and all data has
 // been read.
 func (c *Conn) EOF() bool { return c.peerFin && c.unread == 0 }
 
-// Read consumes up to limit in-order bytes, returning the count and any
-// application messages whose final byte falls within the consumed range. The
-// message slice is the connection's own buffer: it is valid until the next
-// Read on this connection.
-func (c *Conn) Read(limit int) (int, []packet.Msg) {
-	n := min(c.unread, limit)
+// ReadAppend consumes up to limit in-order bytes, returning the count and
+// msgs with the application messages appended whose final byte falls within
+// the consumed range.
+func (c *Conn) ReadAppend(msgs []packet.Msg, limit int) (int, []packet.Msg) {
+	n := min(int(c.unread), limit)
 	wasSmall := c.rcvWindow() < c.cfg.MSS
-	c.unread -= n
+	c.unread -= int32(n)
 	c.readSeq += uint32(n)
-	c.msgs = c.msgs[:0]
-	for c.rcvBounds.due(c.readSeq) {
-		c.msgs = append(c.msgs, c.rcvBounds.pop().Msg)
+	due := c.rcvBounds.due(c.readSeq)
+	for _, b := range c.rcvBounds.q[:due] {
+		msgs = append(msgs, b.Msg)
 	}
+	c.rcvBounds.drop(due)
 	// Window update: if the advertised window was squeezed below an MSS and
 	// reading reopened it, tell the peer.
 	if n > 0 && wasSmall && c.rcvWindow() >= c.cfg.MSS && c.state == StateEstablished {
 		c.sendAck()
 	}
-	return n, c.msgs
+	return n, msgs
+}
+
+// Read is ReadAppend for a standalone connection: the message slice is the
+// connection's own buffer, valid until its next Read.
+func (c *Conn) Read(limit int) (int, []packet.Msg) {
+	s := c.host.(*standalone)
+	n, msgs := c.ReadAppend(s.msgs[:0], limit)
+	s.msgs = msgs
+	return n, msgs
 }
 
 // Close initiates an orderly shutdown: pending data is sent, then a FIN.
@@ -307,7 +323,7 @@ func (c *Conn) Abort() {
 		return
 	}
 	c.emit(c.nxt, 0, packet.FlagRST|packet.FlagACK, segBounds{})
-	c.finish(ErrReset)
+	c.finish(endReset)
 }
 
 // --- segment input -----------------------------------------------------------
@@ -322,7 +338,7 @@ func (c *Conn) Input(pkt *packet.Packet) {
 	hdr := pkt.TCP
 
 	if hdr.Flags&packet.FlagRST != 0 {
-		c.finish(ErrReset)
+		c.finish(endReset)
 		return
 	}
 
@@ -331,14 +347,14 @@ func (c *Conn) Input(pkt *packet.Packet) {
 		if hdr.Flags&(packet.FlagSYN|packet.FlagACK) == packet.FlagSYN|packet.FlagACK && hdr.Ack == 1 {
 			c.rcvNxt = hdr.Seq + 1
 			c.readSeq = c.rcvNxt
-			c.rwnd = int(hdr.Window)
+			c.rwnd = int32(hdr.Window)
 			c.una = 1
 			c.disarm(timerRTO)
 			c.retries = 0
 			c.rto = c.clampRTO(initialRTO)
 			c.state = StateEstablished
 			c.sendAck()
-			c.owner.Connected()
+			c.host.Connected()
 			c.trySend()
 		}
 		return
@@ -348,8 +364,8 @@ func (c *Conn) Input(pkt *packet.Packet) {
 			c.disarm(timerRTO)
 			c.retries = 0
 			c.state = StateEstablished
-			c.rwnd = int(hdr.Window)
-			c.owner.Connected()
+			c.rwnd = int32(hdr.Window)
+			c.host.Connected()
 			// Fall through: the ACK may carry data.
 		} else {
 			return
@@ -371,15 +387,15 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 	hdr := pkt.TCP
 	ackNo := hdr.Ack
 	oldRwnd := c.rwnd
-	c.rwnd = int(hdr.Window)
+	c.rwnd = int32(hdr.Window)
 
 	if seqLT(c.una, ackNo) && seqLEQ(ackNo, c.maxSent) {
-		acked := int(ackNo - c.una)
+		acked := int32(ackNo - c.una)
 
 		// RTT sample (Karn: only when the timed segment was not
 		// retransmitted).
 		if c.rttPending && seqLT(c.rttSeq, ackNo) {
-			c.updateRTT(c.env.Now().Sub(c.rttStart))
+			c.updateRTT(c.host.Now().Sub(c.rttStart))
 			c.rttPending = false
 		}
 
@@ -390,12 +406,10 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 			c.nxt = c.una
 		}
 		c.retries = 0
-		for c.sndBounds.due(c.una) {
-			c.sndBounds.pop()
-		}
+		c.sndBounds.drop(c.sndBounds.due(c.una))
 
 		// Congestion control.
-		mss := c.cfg.MSS
+		mss := int32(c.cfg.MSS)
 		if c.inRecovery {
 			if seqLEQ(c.recover, ackNo) {
 				// Full ACK: leave recovery.
@@ -415,7 +429,7 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 				c.cwnd += mss * mss / c.cwnd
 			}
 		}
-		c.cwnd = min(c.cwnd, c.cfg.SndBuf)
+		c.cwnd = min(c.cwnd, int32(c.cfg.SndBuf))
 
 		// FIN accounting and state transitions.
 		if c.finSent && seqLT(c.finSeq, ackNo) {
@@ -426,7 +440,7 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 					return
 				}
 			case StateLastAck:
-				c.finish(nil)
+				c.finish(endOrderly)
 				return
 			}
 		}
@@ -436,7 +450,7 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 			c.arm(timerRTO, c.rto)
 		}
 		if c.Writable() > 0 {
-			c.owner.CanWrite()
+			c.host.CanWrite()
 		}
 		c.trySend()
 		return
@@ -449,7 +463,7 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 		c.rwnd == oldRwnd && c.flight() > 0 {
 		c.Stats.DupAcksIn++
 		c.dupacks++
-		mss := c.cfg.MSS
+		mss := int32(c.cfg.MSS)
 		if c.inRecovery {
 			c.cwnd += mss
 			c.trySend()
@@ -489,24 +503,24 @@ func (c *Conn) processData(pkt *packet.Packet) {
 		case seqLEQ(seq, c.rcvNxt) && seqLT(c.rcvNxt, segEnd):
 			// In-order (possibly with an old prefix).
 			advance := int(segEnd - c.rcvNxt)
-			if c.unread+advance > c.cfg.RcvBuf {
+			if int(c.unread)+advance > c.cfg.RcvBuf {
 				// No buffer space: drop, re-ACK with the (small) window.
 				c.sendAck()
 				return
 			}
 			c.rcvNxt = segEnd
-			c.unread += advance
+			c.unread += int32(advance)
 			c.Stats.BytesIn += uint64(advance)
 			c.absorbBounds(bounds)
 			c.absorbOOO()
 			c.delackCount++
-			if c.delackCount >= c.cfg.DelAckSegs || len(c.oooSegs) > 0 || fin || c.peerFin {
+			if int(c.delackCount) >= c.cfg.DelAckSegs || len(c.oooSegs) > 0 || fin || c.peerFin {
 				c.sendAck()
 			} else {
 				c.arm(timerDelack, c.cfg.DelAckTimeout)
 			}
 			if c.unread > 0 {
-				c.owner.CanRead()
+				c.host.CanRead()
 			}
 		case seqLT(c.rcvNxt, seq):
 			// Out of order: buffer if within the advertised window, and
@@ -546,7 +560,7 @@ func (c *Conn) acceptFin() {
 			return
 		}
 	}
-	c.owner.CanRead() // EOF is a readability event
+	c.host.CanRead() // EOF is a readability event
 }
 
 // absorbBounds stores message boundaries (sorted, deduplicated). Boundaries
@@ -591,7 +605,7 @@ func (c *Conn) absorbOOO() {
 			continue
 		}
 		c.rcvNxt += uint32(seg.length)
-		c.unread += seg.length
+		c.unread += int32(seg.length)
 		c.absorbBounds(seg.bounds)
 		if seg.fin && !c.peerFin {
 			c.acceptFin()
@@ -604,9 +618,9 @@ func (c *Conn) absorbOOO() {
 // rcvWindow computes the advertised receive window: how far beyond rcvNxt
 // the peer may send. Out-of-order bytes already occupy sequence space inside
 // this window, so they do not shrink it (only unread in-order data does).
-func (c *Conn) rcvWindow() int { return max(c.cfg.RcvBuf-c.unread, 0) }
+func (c *Conn) rcvWindow() int { return max(c.cfg.RcvBuf-int(c.unread), 0) }
 
-func (c *Conn) flight() int { return int(c.nxt - c.una) }
+func (c *Conn) flight() int32 { return int32(c.nxt - c.una) }
 
 // queuedFrom returns the enqueued sequence space from seq up to sndEnd, zero
 // once seq has passed it.
@@ -629,7 +643,7 @@ func (c *Conn) trySend() {
 	for {
 		// Unsent data (nxt passes sndEnd once the FIN, which occupies a
 		// sequence number, is emitted).
-		if n := min(mss, c.queuedFrom(c.nxt), min(c.cwnd, c.rwnd)-c.flight()); n > 0 {
+		if n := min(mss, c.queuedFrom(c.nxt), int(min(c.cwnd, c.rwnd)-c.flight())); n > 0 {
 			c.emitData(c.nxt, n)
 			c.advance(uint32(n))
 			sent = true
@@ -679,7 +693,7 @@ func (c *Conn) emitData(seq uint32, n int) {
 	if !c.rttPending {
 		c.rttPending = true
 		c.rttSeq = seq
-		c.rttStart = c.env.Now()
+		c.rttStart = c.host.Now()
 	}
 }
 
@@ -687,7 +701,7 @@ func (c *Conn) emitData(seq uint32, n int) {
 // copied into a list the segment keeps once the queue reuses its storage:
 // the data path's only allocation, made only for such a segment.
 func (c *Conn) boundsIn(lo, hi uint32) segBounds {
-	live := c.sndBounds.live()
+	live := c.sndBounds.q
 	i := 0
 	for i < len(live) && seqLEQ(live[i].EndSeq, lo) {
 		i++
@@ -719,7 +733,7 @@ func (c *Conn) retransmitHead() {
 
 // emit builds and transmits one segment.
 func (c *Conn) emit(seq uint32, n int, flags packet.TCPFlags, bounds segBounds) {
-	pkt := c.env.NewPacket()
+	pkt := c.host.NewPacket()
 	pkt.Src, pkt.Dst, pkt.Proto, pkt.PayloadBytes = c.Local, c.Remote, packet.ProtoTCP, n
 	pkt.TCP = packet.TCPHdr{Flags: flags, Seq: seq, Ack: c.rcvNxt, Window: uint32(c.rcvWindow())}
 	if bounds.many != nil {
@@ -728,7 +742,7 @@ func (c *Conn) emit(seq uint32, n int, flags packet.TCPFlags, bounds segBounds) 
 		pkt.Msg, pkt.TCP.EndSeq = bounds.one.Msg, bounds.one.EndSeq
 	}
 	c.Stats.SegsOut++
-	c.env.Output(pkt)
+	c.host.Output(pkt)
 }
 
 // sendAck emits an immediate pure ACK.
@@ -752,7 +766,7 @@ type timers Conn
 
 func (t *timers) Fire(_ sim.Time, which uint32) {
 	c := (*Conn)(t)
-	c.armed[which] = false
+	c.timer[which] = sim.EventID{}
 	switch which {
 	case timerRTO:
 		c.onRTO()
@@ -767,29 +781,17 @@ func (t *timers) Fire(_ sim.Time, which uint32) {
 
 // arm schedules timer which d from now, unless it is already armed.
 func (c *Conn) arm(which uint32, d sim.Duration) {
-	if c.armed[which] {
+	if c.timer[which] != (sim.EventID{}) {
 		return
 	}
-	c.armed[which] = true
-	c.timer[which] = c.env.AtEvent(c.env.Now().Add(d), sim.TimerEvent((*timers)(c), which))
-}
-
-// eventEnv returns env as c's eventEnv, wrapping a plain one. The assertion
-// runs once per connection: run-time type assertions may allocate.
-func (c *Conn) eventEnv(env Env) eventEnv {
-	if e, ok := env.(eventEnv); ok {
-		return e
-	}
-	t := (*timers)(c)
-	return &closureEnv{env, [3]func(){
-		func() { t.Fire(0, timerRTO) }, func() { t.Fire(0, timerDelack) }, func() { t.Fire(0, timerPersist) }}}
+	c.timer[which] = c.host.AtEvent(c.host.Now().Add(d), sim.TimerEvent((*timers)(c), which))
 }
 
 // disarm cancels timer which if it is armed.
 func (c *Conn) disarm(which uint32) {
-	if c.armed[which] {
-		c.env.Cancel(c.timer[which])
-		c.armed[which] = false
+	if c.timer[which] != (sim.EventID{}) {
+		c.host.Cancel(c.timer[which])
+		c.timer[which] = sim.EventID{}
 	}
 }
 
@@ -827,7 +829,7 @@ func (c *Conn) onRTO() {
 
 	if c.state == StateSynSent || c.state == StateSynRcvd {
 		if c.retries > maxSynRetries {
-			c.finish(ErrTimeout)
+			c.finish(endTimeout)
 			return
 		}
 		flags := packet.FlagSYN
@@ -842,15 +844,15 @@ func (c *Conn) onRTO() {
 	}
 
 	if c.retries > maxDataRetries {
-		c.finish(ErrTimeout)
+		c.finish(endTimeout)
 		return
 	}
 
 	// Loss recovery by timeout: collapse to one segment and go back to the
 	// oldest unacknowledged byte (the classic Incast stall). Regeneration
 	// goes through the normal send path with cwnd = 1 MSS.
-	c.ssthresh = max(c.flight()/2, 2*c.cfg.MSS)
-	c.cwnd = c.cfg.MSS
+	c.ssthresh = max(c.flight()/2, 2*int32(c.cfg.MSS))
+	c.cwnd = int32(c.cfg.MSS)
 	c.inRecovery = false
 	c.dupacks = 0
 	c.nxt = c.una
@@ -882,18 +884,18 @@ func (c *Conn) onPersist() {
 
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
-	c.finish(nil)
+	c.finish(endOrderly)
 }
 
-// finish tears down the connection and reports err (nil for orderly close).
-func (c *Conn) finish(err error) {
-	if c.state == StateClosed && c.err != nil {
+// finish tears down the connection and reports how it ended.
+func (c *Conn) finish(end uint8) {
+	if c.state == StateClosed && c.end != endOrderly {
 		return
 	}
 	c.state = StateClosed
-	c.err = err
+	c.end = end
 	c.disarm(timerRTO)
 	c.cancelDelack()
 	c.disarm(timerPersist)
-	c.owner.Closed(err)
+	c.host.Closed(ends[end])
 }

@@ -508,7 +508,7 @@ func TestCwndGrowth(t *testing.T) {
 		t.Fatalf("received %d/%d", gotBytes, total)
 	}
 	// cwnd must have grown beyond the initial window.
-	if p.client.cwnd <= cfg.InitCwnd*cfg.MSS {
+	if int(p.client.cwnd) <= cfg.InitCwnd*cfg.MSS {
 		t.Fatalf("cwnd = %d never grew past initial %d", p.client.cwnd, cfg.InitCwnd*cfg.MSS)
 	}
 	if p.client.SRTT() <= 0 {

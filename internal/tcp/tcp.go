@@ -5,10 +5,10 @@
 // RTO with the configurable 200 ms Linux minimum that drives the TCP Incast
 // throughput collapse (§4.1, [60]).
 //
-// The package is host-agnostic: a Conn talks to its kernel through the Env
-// interface (timers + segment output), so the protocol logic is unit-testable
-// over a loopback harness and the simulated kernel charges CPU costs around
-// it.
+// The package is host-agnostic: a Conn talks to its kernel socket through
+// the Host interface (timers, segment output, event callbacks), so the
+// protocol logic is unit-testable over a loopback Env and the simulated
+// kernel charges CPU costs around it.
 //
 // Byte streams are modeled without materializing payload bytes: senders
 // enqueue (length, message) pairs, segments carry the message boundaries
@@ -20,10 +20,10 @@
 // carries a list (Packet.Bounds).
 //
 // A connection allocates nothing per segment or message in steady state:
-// boundary queues are head-indexed and reused, timers are sim.TimerEvent
-// records (on an Env that schedules them), and Read returns a per-connection
-// buffer. A socket embeds its Conn and is its Owner, so an endpoint is one
-// heap object.
+// boundary queues reuse their storage, timers are sim.TimerEvent
+// records (on an Env that schedules them), and Read appends to a buffer the
+// caller reuses. A socket embeds its Conn and is its Host, so an endpoint is
+// one heap object.
 package tcp
 
 import (
@@ -33,12 +33,12 @@ import (
 	"diablo/internal/sim"
 )
 
-// Env is the host environment a connection runs in. All methods are invoked
-// from the simulation event context.
+// Env is the host environment of a standalone connection (NewClient,
+// NewServer). All methods are invoked from the simulation event context.
 type Env interface {
 	// Now returns the current simulated time.
 	Now() sim.Time
-	// At schedules a timer callback.
+	// At schedules a timer callback and returns its ID, never the zero one.
 	At(t sim.Time, fn func()) sim.EventID
 	// Cancel cancels a timer.
 	Cancel(id sim.EventID)
@@ -52,24 +52,15 @@ type Env interface {
 }
 
 // eventEnv is an Env that also schedules typed records, as sim.Scheduler
-// does. A connection arms its timers as sim.TimerEvent records through one;
-// Init wraps a plain Env in a closureEnv.
+// does. A connection arms its timers as sim.TimerEvent records through one.
 type eventEnv interface {
 	Env
 	AtEvent(t sim.Time, ev sim.Event) sim.EventID
 }
 
-// closureEnv arms a plain Env's timers as closures, built once per connection.
-type closureEnv struct {
-	Env
-	fns [3]func()
-}
-
-func (e *closureEnv) AtEvent(t sim.Time, ev sim.Event) sim.EventID { return e.At(t, e.fns[ev.Obj]) }
-
-// Owner is the layer above a connection — the socket — told of its events.
-// Every method runs in the simulation event context, from inside the Conn
-// call (Input, a timer, Close, ...) that caused the event.
+// Owner is the layer above a connection told of its events. Every method
+// runs in the simulation event context, from inside the Conn call (Input, a
+// timer, Close, ...) that caused the event.
 type Owner interface {
 	// Connected reports the completed handshake.
 	Connected()
@@ -82,23 +73,49 @@ type Owner interface {
 	Closed(err error)
 }
 
-// Hooks are the callbacks of a standalone connection (NewClient, NewServer),
-// which reports to them instead of to a socket; nil ones are skipped.
+// Host is the one object a connection lives in and talks to — a kernel
+// socket, which embeds its Conn: the Owner of its events and the
+// environment its segments and timers go through.
+type Host interface {
+	eventEnv
+	Owner
+}
+
+// Hooks are the callbacks of a standalone connection, which reports to them
+// instead of to a socket; nil ones are skipped.
 type Hooks struct {
 	OnConnected, OnReadable, OnWritable func()
 	OnClosed                            func(err error)
 }
 
-// hookOwner is Hooks as an Owner: a distinct method set, so that embedding
-// *Hooks in Conn promotes the fields only.
-type hookOwner Hooks
+// standalone is the Host of a NewClient/NewServer connection, holding it
+// with everything a socket would otherwise provide: the Env, the Hooks, a
+// validated Config, the counters and Read's result buffer.
+type standalone struct {
+	conn Conn
+	Env
+	events eventEnv  // Env itself, when it schedules records
+	fns    [3]func() // otherwise, the timers as closures
+	hooks  Hooks
+	cfg    Config
+	stats  Stats
+	msgs   []packet.Msg
+	msgs0  [1]packet.Msg // msgs' first backing array
+}
 
-func (h *hookOwner) Connected() { call(h.OnConnected) }
-func (h *hookOwner) CanRead()   { call(h.OnReadable) }
-func (h *hookOwner) CanWrite()  { call(h.OnWritable) }
-func (h *hookOwner) Closed(err error) {
-	if h.OnClosed != nil {
-		h.OnClosed(err)
+func (s *standalone) AtEvent(t sim.Time, ev sim.Event) sim.EventID {
+	if s.events != nil {
+		return s.events.AtEvent(t, ev)
+	}
+	return s.At(t, s.fns[ev.Obj])
+}
+
+func (s *standalone) Connected() { call(s.hooks.OnConnected) }
+func (s *standalone) CanRead()   { call(s.hooks.OnReadable) }
+func (s *standalone) CanWrite()  { call(s.hooks.OnWritable) }
+func (s *standalone) Closed(err error) {
+	if s.hooks.OnClosed != nil {
+		s.hooks.OnClosed(err)
 	}
 }
 
@@ -136,16 +153,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks and normalizes the configuration.
+// maxBuf bounds the buffers and the initial window: a connection keeps its
+// windows and byte counts in 32 bits.
+const maxBuf = 1 << 30
+
+// Validate checks and normalizes the configuration. A connection takes its
+// Config validated: the kernel validates one per machine, and NewClient and
+// NewServer their own copy.
 func (c *Config) Validate() error {
 	if c.MSS <= 0 || c.MSS > packet.MSS {
 		return fmt.Errorf("tcp: MSS %d out of range (0,%d]", c.MSS, packet.MSS)
 	}
-	if c.SndBuf < c.MSS || c.RcvBuf < c.MSS {
-		return fmt.Errorf("tcp: buffers must hold at least one segment")
+	if c.SndBuf < c.MSS || c.RcvBuf < c.MSS || c.SndBuf > maxBuf || c.RcvBuf > maxBuf {
+		return fmt.Errorf("tcp: buffers must hold at least one segment and at most %d bytes", maxBuf)
 	}
-	if c.InitCwnd <= 0 {
-		return fmt.Errorf("tcp: InitCwnd must be positive")
+	if c.InitCwnd <= 0 || c.InitCwnd > maxBuf/c.MSS {
+		return fmt.Errorf("tcp: InitCwnd %d out of range (0,%d]", c.InitCwnd, maxBuf/c.MSS)
 	}
 	if c.MinRTO <= 0 || c.MaxRTO < c.MinRTO {
 		return fmt.Errorf("tcp: bad RTO bounds [%v,%v]", c.MinRTO, c.MaxRTO)
@@ -183,7 +206,8 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// Stats counts per-connection protocol events.
+// Stats counts protocol events: a socket's connection adds them to its
+// machine's totals, a standalone connection to its own.
 type Stats struct {
 	SegsOut, SegsIn   uint64
 	BytesOut, BytesIn uint64
