@@ -19,7 +19,7 @@ LINT_BUDGET ?= 120s
 # bytes are identical at any value — only wall-clock time changes.
 CAMPAIGN_WORKERS ?= 0
 
-.PHONY: build test vet fmt-check lint race check cover bench bench-digest bench-pairs fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
+.PHONY: build test vet fmt-check lint race check cover bench bench-digest bench-pairs identity fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
 
 build:
 	$(GO) build ./...
@@ -120,3 +120,12 @@ SEED ?= 1
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1]"; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
+
+# Byte-identity of every simulated output against PARENT (a revision): the
+# figures, perf's trace and manifest, the fault experiments, memcache, incast,
+# two campaigns and the quickstart example, run on both sides in the same
+# directory; stops at the first differing file. Outputs stay in
+# .identity_build/<side>/<name>. About 35 s per side.
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
+	bash scripts/identity.sh "$(PARENT)"

@@ -223,16 +223,6 @@ func BenchmarkSection5Scaling(b *testing.B) {
 	}
 }
 
-func BenchmarkSection5EngineParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		seq, par := EngineComparison(8, 100_000)
-		b.ReportMetric(seq/1e6, "seq-Mev/s")
-		b.ReportMetric(par/1e6, "par-Mev/s")
-		b.ReportMetric(par/seq, "speedup-x")
-	}
-}
-
 // BenchmarkParallelClusterSpeedup runs the same multi-rack memcached model
 // single-threaded and with one worker per CPU, reporting the wall-clock
 // ratio. The two runs produce identical simulation results (asserted by

@@ -13,6 +13,43 @@ import (
 	"diablo/internal/packet"
 )
 
+// runFlags are the command-line settings that shape the run.
+type runFlags struct {
+	senders, block, iterations, minRTOms int
+	epoll, tenG, shared                  bool
+	ghz                                  float64
+	seed                                 uint64
+	faults                               string
+}
+
+// incastConfig maps the flags onto a run configuration. -10g and -shared each
+// pick the ToR switch model, so giving both is an error, not a silent choice.
+func incastConfig(f runFlags) (diablo.IncastConfig, error) {
+	cfg := diablo.DefaultIncast(f.senders)
+	cfg.BlockBytes = f.block
+	cfg.Iterations = f.iterations
+	cfg.Epoll = f.epoll
+	cfg.CPU = diablo.GHz(f.ghz)
+	cfg.MinRTO = diablo.Duration(f.minRTOms) * diablo.Millisecond
+	cfg.Seed = f.seed
+	switch {
+	case f.tenG && f.shared:
+		return cfg, fmt.Errorf("-10g and -shared each pick the switch model; give at most one")
+	case f.tenG:
+		cfg.Switch = diablo.TenGigLowLatency("tor", 0)
+	case f.shared:
+		cfg.Switch = diablo.SharedBufferCommodity("tor", 0)
+	}
+	if f.faults != "" {
+		plan, err := diablo.ParseFaultSpec(cfg.Seed, f.faults)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Faults = plan
+	}
+	return cfg, nil
+}
+
 func main() {
 	senders := flag.Int("senders", 8, "storage servers returning data")
 	block := flag.Int("block", 256*1024, "bytes per server per iteration")
@@ -29,27 +66,13 @@ func main() {
 	manifestOut := flag.String("manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1)")
 	flag.Parse()
 
-	cfg := diablo.DefaultIncast(*senders)
-	cfg.BlockBytes = *block
-	cfg.Iterations = *iterations
-	cfg.Epoll = *epoll
-	cfg.CPU = diablo.GHz(*ghz)
-	cfg.MinRTO = diablo.Duration(*minRTOms) * diablo.Millisecond
-	cfg.Seed = *seed
-	if *tenG {
-		cfg.Switch = diablo.TenGigLowLatency("tor", 0)
-	}
-	if *shared {
-		cfg.Switch = diablo.SharedBufferCommodity("tor", 0)
-	}
-
-	if *faults != "" {
-		plan, err := diablo.ParseFaultSpec(cfg.Seed, *faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incast:", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
+	cfg, err := incastConfig(runFlags{
+		senders: *senders, block: *block, iterations: *iterations, epoll: *epoll,
+		tenG: *tenG, shared: *shared, ghz: *ghz, minRTOms: *minRTOms, seed: *seed, faults: *faults,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "incast:", err)
+		os.Exit(2)
 	}
 
 	var drops *dropLog

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"diablo"
@@ -41,5 +43,30 @@ func TestDropLogRing(t *testing.T) {
 	}
 	if l.older != 6 || len(l.lines) != 4 {
 		t.Errorf("older = %d, kept = %d; want 6 and 4", l.older, len(l.lines))
+	}
+}
+
+func TestSwitchFlagsConflict(t *testing.T) {
+	base := runFlags{senders: 2, iterations: 1, ghz: 4, minRTOms: 200, seed: 1}
+	for _, c := range []struct {
+		tenG, shared bool
+		want         diablo.SwitchParams
+	}{
+		{false, false, diablo.DefaultIncast(2).Switch},
+		{true, false, diablo.TenGigLowLatency("tor", 0)},
+		{false, true, diablo.SharedBufferCommodity("tor", 0)},
+	} {
+		f := base
+		f.tenG, f.shared = c.tenG, c.shared
+		cfg, err := incastConfig(f)
+		if err != nil || !reflect.DeepEqual(cfg.Switch, c.want) {
+			t.Errorf("-10g=%v -shared=%v: switch %+v, err %v; want %+v", c.tenG, c.shared, cfg.Switch, err, c.want)
+		}
+	}
+	f := base
+	f.tenG, f.shared = true, true
+	_, err := incastConfig(f)
+	if err == nil || !strings.Contains(err.Error(), "-10g") || !strings.Contains(err.Error(), "-shared") {
+		t.Fatalf("-10g -shared: err = %v, want an error naming both flags", err)
 	}
 }

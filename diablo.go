@@ -171,7 +171,6 @@ var (
 
 	// Simulator performance (§5).
 	Section5Performance = core.Section5Performance
-	EngineComparison    = core.EngineComparison
 )
 
 // Observability: deterministic simulated-time stats and Chrome-trace export

@@ -241,17 +241,26 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	checkGolden(t, "testdata/faultmc.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
 }
 
-// TestFigureGoldens pins the reduced-scale figures byte for byte: fig8 runs
-// in Go, figs 10-15 are campaign presets, and each must render exactly the
-// recorded text at 20 requests per client and the default seed.
+// TestFigureGoldens pins the reduced-scale figures byte for byte: figs 6a,
+// 6b, 8 and 9 run in Go, figs 10-15 are campaign presets, and each must
+// render exactly the recorded text at the default seed, the incast figures at
+// 2 iterations per point and the memcached ones at 20 requests per client.
 func TestFigureGoldens(t *testing.T) {
-	for _, id := range []string{"fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"} {
-		t.Run(id, func(t *testing.T) {
-			out, err := RunExperiment(id, ExperimentOptions{Sweep: Sweep{Requests: 20}})
+	incast, memcached := Sweep{Iterations: 2}, Sweep{Requests: 20}
+	for _, c := range []struct {
+		id    string
+		sweep Sweep
+	}{
+		{"fig6a", incast}, {"fig6b", incast}, {"fig8", memcached}, {"fig9", memcached},
+		{"fig10", memcached}, {"fig11", memcached}, {"fig12", memcached}, {"fig13", memcached},
+		{"fig14", memcached}, {"fig15", memcached},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			out, err := RunExperiment(c.id, ExperimentOptions{Sweep: c.sweep})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "testdata/figures/"+id+".golden", out.String())
+			checkGolden(t, "testdata/figures/"+c.id+".golden", out.String())
 		})
 	}
 }

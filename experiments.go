@@ -428,10 +428,6 @@ func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
 		return nil, err
 	}
 	out := &ExperimentOutput{Tables: []*metrics.Table{core.PerfTable(points)}}
-	seq, par := core.EngineComparison(8, 100_000)
-	out.Notes = append(out.Notes, fmt.Sprintf(
-		"engine comparison (8 partitions): sequential %.2fM ev/s, quantum-barrier parallel %.2fM ev/s (%.1fx)",
-		seq/1e6, par/1e6, par/seq))
 	if o.observing() {
 		cfg := core.DefaultMemcached()
 		cfg.Arrays = 1

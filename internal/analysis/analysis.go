@@ -244,8 +244,8 @@ func isStdDuration(t types.Type) bool {
 }
 
 // simMethod resolves sel to a method declared in package sim and returns its
-// name. Interface methods of sim.Scheduler/sim.Runner and concrete methods
-// of *sim.Engine, *sim.Partition and *sim.ParallelEngine all resolve here.
+// name. Interface methods of sim.Scheduler and concrete methods of
+// *sim.Engine, *sim.Partition and *sim.ParallelEngine all resolve here.
 func simMethod(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != SimPath {

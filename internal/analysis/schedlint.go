@@ -7,14 +7,13 @@ import (
 
 // Schedlint enforces the Scheduler seam: model components must program
 // against the engine-agnostic sim.Scheduler interface — never the concrete
-// *sim.Engine, the sim.Runner run-control surface, or the partitioning
-// machinery (*sim.ParallelEngine, *sim.Partition) — so the same
-// NIC/switch/kernel code runs unchanged under the sequential engine or inside
-// one partition of a parallel run. sim.Scheduler exposes no cross-partition
-// Send, SendEvent or Cross, so banning the concrete types keeps those in the
-// wiring layer too. Run control (Run, RunUntil, Step, Halt) is the harness's
-// job: it is allowed only in sim itself, core, cmd, examples, the root
-// package, and tests.
+// *sim.Engine or the partitioning machinery (*sim.ParallelEngine,
+// *sim.Partition) — so the same NIC/switch/kernel code runs unchanged under
+// the sequential engine or inside one partition of a parallel run.
+// sim.Scheduler exposes no cross-partition Send, SendEvent or Cross, so
+// banning the concrete types keeps those in the wiring layer too. Run control
+// (Run, RunUntil, Step, Halt) is the harness's job: it is allowed only in sim
+// itself, core, cmd, examples, the root package, and tests.
 var Schedlint = &Analyzer{
 	Name: "schedlint",
 	Doc: "model code depends on sim.Scheduler, not concrete engines or " +
@@ -40,7 +39,7 @@ func runSchedlint(pass *Pass) error {
 				obj := pass.Info.Uses[n]
 				if tn, ok := obj.(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == SimPath {
 					switch tn.Name() {
-					case "Engine", "Runner", "ParallelEngine", "Partition":
+					case "Engine", "ParallelEngine", "Partition":
 						pass.Reportf(n.Pos(),
 							"model code must program against sim.Scheduler, not sim.%s: the same "+
 								"component has to run under the sequential engine and inside a "+

@@ -13,7 +13,7 @@ func construct() {
 	_ = sim.NewEngine() // want `must receive its Scheduler from the wiring layer`
 }
 
-func drive(r sim.Runner) { // want `model code must program against sim.Scheduler, not sim.Runner`
+func drive(r *sim.Engine) { // want `model code must program against sim.Scheduler, not sim.Engine`
 	r.Run()                 // want `engine run control \(Run\) outside the harness layer`
 	r.RunUntil(sim.Time(0)) // want `engine run control \(RunUntil\) outside the harness layer`
 	_ = r.Step()            // want `engine run control \(Step\) outside the harness layer`

@@ -76,7 +76,7 @@ func TestRequestWireBytes(t *testing.T) {
 
 // rig wires a server machine and a client machine back-to-back.
 type rig struct {
-	eng            sim.Runner
+	eng            *sim.Engine
 	server, client *kernel.Machine
 }
 

@@ -10,6 +10,15 @@ import (
 	"diablo/internal/obs"
 )
 
+// runReport runs every cell of spec and aggregates them, as cmd/campaign does.
+func runReport(spec *Spec, rc RunConfig) (*Report, error) {
+	results, err := RunCells(spec, rc)
+	if err != nil {
+		return nil, err
+	}
+	return BuildReport(spec, results)
+}
+
 // tinySpec is the smallest useful sweep: 1 shape × 2 profiles × 1 workload ×
 // (baseline + 1 fault draw) = 4 cells, each an 8-node cluster.
 func tinySpec() *Spec {
@@ -145,7 +154,7 @@ func TestSeedReplicates(t *testing.T) {
 	var golden []byte
 	var rep *Report
 	for _, workers := range []int{1, 3} {
-		rep, err = Run(spec, RunConfig{Workers: workers})
+		rep, err = runReport(spec, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -202,12 +211,13 @@ func TestPresets(t *testing.T) {
 
 // TestCampaignWorkerInvariance is the campaign-level determinism gate:
 // the aggregate report must be byte-identical at campaign workers 1, 2 and
-// NumCPU (whatever order the cells actually complete in).
+// NumCPU (whatever order the cells actually complete in). A negative worker
+// count is an error naming the field, never a silent GOMAXPROCS.
 func TestCampaignWorkerInvariance(t *testing.T) {
 	spec := tinySpec()
 	var golden []byte
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		rep, err := Run(spec, RunConfig{Workers: workers})
+		rep, err := runReport(spec, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -222,6 +232,9 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 		if !bytes.Equal(golden, b) {
 			t.Fatalf("workers=%d: report bytes differ from workers=1 (%d vs %d bytes)", workers, len(golden), len(b))
 		}
+	}
+	if _, err := RunCells(spec, RunConfig{Workers: -2}); err == nil || !strings.Contains(err.Error(), "RunConfig.Workers") {
+		t.Fatalf("workers=-2: err = %v, want an error naming RunConfig.Workers", err)
 	}
 }
 
@@ -301,7 +314,7 @@ func TestCellPlanDeterministic(t *testing.T) {
 }
 
 func TestRenderTextDeterministic(t *testing.T) {
-	rep, err := Run(tinySpec(), RunConfig{Workers: 2})
+	rep, err := runReport(tinySpec(), RunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

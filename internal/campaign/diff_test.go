@@ -13,7 +13,7 @@ var tinyReport *Report
 func tinyRun(t *testing.T) *Report {
 	t.Helper()
 	if tinyReport == nil {
-		rep, err := Run(tinySpec(), RunConfig{Workers: 2})
+		rep, err := runReport(tinySpec(), RunConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

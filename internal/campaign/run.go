@@ -188,20 +188,14 @@ func ReplayCell(spec *Spec, name string, seed uint64) (*CellResult, error) {
 	return RunCell(spec, cell)
 }
 
-// Run executes the whole campaign (RunCells) and aggregates the cells into
-// the report. The report bytes are a pure function of the spec: worker count
-// and completion order never leak in.
-func Run(spec *Spec, rc RunConfig) (*Report, error) {
-	results, err := RunCells(spec, rc)
-	if err != nil {
-		return nil, err
-	}
-	return BuildReport(spec, results)
-}
-
 // RunCells executes every cell of the spec across rc.Workers goroutines and
-// returns the results in enumeration order.
+// returns the results in enumeration order. The results, and the report
+// BuildReport makes of them, are a pure function of the spec: worker count
+// and completion order never leak in.
 func RunCells(spec *Spec, rc RunConfig) ([]*CellResult, error) {
+	if rc.Workers < 0 {
+		return nil, fmt.Errorf("campaign: RunConfig.Workers must not be negative (got %d)", rc.Workers)
+	}
 	cells, err := spec.Cells()
 	if err != nil {
 		return nil, err

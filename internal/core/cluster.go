@@ -118,7 +118,6 @@ type Option func(*options)
 
 type options struct {
 	workers  int
-	quantum  sim.Duration
 	faults   *fault.Plan
 	unpooled bool
 }
@@ -132,15 +131,6 @@ type options struct {
 // has no effect on single-rack clusters, which are one partition.
 func WithPartitions(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithQuantum overrides the synchronization quantum. The default — the
-// minimum latency of any inter-partition link — is the largest safe value;
-// New rejects overrides above it (they would violate conservative
-// lookahead) or below 1 ps. A sequential run steps along the same grid, so
-// the override applies there too.
-func WithQuantum(d sim.Duration) Option {
-	return func(o *options) { o.quantum = d }
 }
 
 // WithoutPacketPools disables the per-partition packet slab pools: every
@@ -180,15 +170,6 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		partitions = topo.Racks() + 1
 		if grid, err = c.lookahead(); err != nil {
 			return nil, err
-		}
-		if c.opts.quantum != 0 {
-			if c.opts.quantum <= 0 {
-				return nil, fmt.Errorf("core: quantum must be positive")
-			}
-			if c.opts.quantum > grid {
-				return nil, fmt.Errorf("core: quantum %v exceeds the minimum inter-partition link latency %v (conservative lookahead bound)", c.opts.quantum, grid)
-			}
-			grid = c.opts.quantum
 		}
 		c.quantum = grid
 	}
@@ -380,16 +361,13 @@ func (c *Cluster) lookahead() (sim.Duration, error) {
 	return q, nil
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Machine returns the machine for a node.
 func (c *Cluster) Machine(n packet.NodeID) *kernel.Machine { return c.Machines[n] }
 
 // Scheduler returns the cluster's event scheduler: the handle of the last
 // partition (the fabric's on a multi-rack cluster). Use it to read the clock
 // or schedule global events before the run starts; during a run, model code
-// must schedule through its own machine's Scheduler() instead.
+// must schedule through its own partition's scheduler instead.
 func (c *Cluster) Scheduler() sim.Scheduler { return c.pe.Partition(c.pe.Partitions() - 1) }
 
 // Parallel reports whether the partitions execute under the quantum barrier
@@ -412,9 +390,6 @@ func (c *Cluster) Now() sim.Time { return c.pe.Now() }
 
 // RunUntil advances the simulation to the deadline.
 func (c *Cluster) RunUntil(d sim.Duration) { c.pe.RunUntil(sim.Time(d)) }
-
-// Run advances the simulation until the event queues drain or Halt.
-func (c *Cluster) Run() { c.pe.RunUntil(sim.Never) }
 
 // Halt stops the run at the next quantum barrier (safe from any machine's
 // event context): every event up to that barrier still runs, so the halt

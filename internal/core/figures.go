@@ -236,7 +236,6 @@ func runMemcached120(sweep Sweep, physical bool, ver memcache.Version) (*Memcach
 	cfg.ChurnEvery = 40
 	// 120-node shape: approximate with 4 racks of 31 (124 nodes), 1 array.
 	cfg.Arrays = 1
-	cfg.Deadline = 0
 	if physical {
 		cfg.Daemon = kernel.HeavyDaemon()
 	}

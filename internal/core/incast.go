@@ -32,9 +32,6 @@ type IncastConfig struct {
 	Iterations int
 	// MinRTO overrides TCP's minimum retransmission timeout (0 = 200 ms).
 	MinRTO sim.Duration
-	// Deadline bounds the simulated time (a collapsed run with 40
-	// iterations of 200ms+ stalls needs tens of simulated seconds).
-	Deadline sim.Duration
 	// Seed is the master seed.
 	Seed uint64
 	// Faults is an optional fault schedule injected into the run (nil =
@@ -128,16 +125,13 @@ func RunIncast(cfg IncastConfig) (incast.Result, error) {
 		cluster.Halt()
 	})
 
-	deadline := cfg.Deadline
-	if deadline <= 0 {
-		// A deeply collapsed run can stall for multiple backed-off RTOs per
-		// iteration; budget generously (stalled periods cost few events).
-		iters := cfg.Iterations
-		if iters <= 0 {
-			iters = 40
-		}
-		deadline = 60*sim.Second + sim.Duration(iters)*15*sim.Second
+	// A deeply collapsed run can stall for multiple backed-off RTOs per
+	// iteration; budget generously (stalled periods cost few events).
+	iters := cfg.Iterations
+	if iters <= 0 {
+		iters = 40
 	}
+	deadline := 60*sim.Second + sim.Duration(iters)*15*sim.Second
 	cluster.RunUntil(deadline)
 	cluster.observation.Finish()
 	if result == nil {

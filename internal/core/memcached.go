@@ -76,8 +76,6 @@ type MemcachedConfig struct {
 	Unpooled bool
 	// Seed is the master seed.
 	Seed uint64
-	// Deadline bounds simulated time (0 = auto-estimated).
-	Deadline sim.Duration
 	// Faults is an optional fault schedule injected into the run (nil =
 	// healthy cluster). See package fault.
 	Faults *fault.Plan
@@ -328,12 +326,8 @@ func runMemcachedWithTopology(cfg MemcachedConfig, topoParams topology.Params, m
 	res.Clients = clients
 	res.Attempted = uint64(clients) * uint64(cfg.RequestsPerClient)
 
-	deadline := cfg.Deadline
-	if deadline == 0 {
-		per := wl.ThinkTime + 3*sim.Millisecond
-		deadline = sim.Duration(cfg.RequestsPerClient)*per + 5*sim.Second
-	}
-	cluster.RunUntil(deadline)
+	per := wl.ThinkTime + 3*sim.Millisecond
+	cluster.RunUntil(sim.Duration(cfg.RequestsPerClient)*per + 5*sim.Second)
 	obsn.Finish()
 	res.ClientsDone = done
 	if res.Elapsed == 0 { // deadline hit before every client finished

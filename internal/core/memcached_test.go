@@ -170,14 +170,6 @@ func TestFigure8Shapes(t *testing.T) {
 	}
 }
 
-func TestEngineComparisonSpeedup(t *testing.T) {
-	seq, par := EngineComparison(8, 50_000)
-	if seq <= 0 || par <= 0 {
-		t.Fatalf("rates: seq=%v par=%v", seq, par)
-	}
-	t.Logf("sequential %.0f ev/s, parallel %.0f ev/s (%.1fx)", seq, par, par/seq)
-}
-
 // A negative count is an error naming the field, never a silent default:
 // zero is the only value that means "default".
 func TestNegativeRunParametersAreErrors(t *testing.T) {

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"diablo/internal/packet"
 	"diablo/internal/sim"
 	"diablo/internal/topology"
+	"diablo/internal/vswitch"
 )
 
 // parallelMemcached returns a fast multi-rack configuration and topology for
@@ -90,25 +92,60 @@ func TestClusterPartitionLayout(t *testing.T) {
 	}
 }
 
-func TestClusterQuantumOption(t *testing.T) {
-	cfg := DefaultConfig(topology.Params{ServersPerRack: 2, RacksPerArray: 2, Arrays: 1})
-	c, err := New(cfg, WithQuantum(500*sim.Nanosecond))
+// The quantum is the derived lookahead: cable propagation plus the smaller
+// of a switch's port-to-port latency and one minimum-frame serialization at
+// the array rate, taking the smaller of the two ToR<->array directions.
+func TestClusterQuantumIsLookahead(t *testing.T) {
+	topo := topology.Params{ServersPerRack: 2, RacksPerArray: 2, Arrays: 1}
+	lookahead := func(cfg Config) sim.Duration {
+		ser := sim.TransmitTime((&packet.Packet{}).WireBytes(), cfg.Array.LinkRate)
+		dir := func(p vswitch.Params) sim.Duration {
+			return cfg.CableProp + min(p.PortLatency+p.ExtraLatency, ser)
+		}
+		return min(dir(cfg.ToR), dir(cfg.Array))
+	}
+	cases := []struct {
+		name string
+		set  func(*Config)
+		want sim.Duration
+	}{
+		{"default", func(*Config) {}, 1172 * sim.Nanosecond},
+		{"Use10G", (*Config).Use10G, 567200 * sim.Picosecond},
+		{"ExtraSwitchLatency=100ns", func(c *Config) {
+			for _, p := range []*vswitch.Params{&c.ToR, &c.Array, &c.DC} {
+				p.ExtraLatency = 100 * sim.Nanosecond
+			}
+		}, 1172 * sim.Nanosecond},
+		{"zero-latency ToR", func(c *Config) { c.ToR.PortLatency = 0 }, 500 * sim.Nanosecond},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(topo)
+		tc.set(&cfg)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := c.Quantum(); got != tc.want || got != lookahead(cfg) {
+			t.Errorf("%s: quantum %v, want %v (lookahead formula %v)", tc.name, got, tc.want, lookahead(cfg))
+		}
+		c.Shutdown()
+	}
+
+	single, err := New(DefaultConfig(topology.Params{ServersPerRack: 4, RacksPerArray: 1, Arrays: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Shutdown()
-	if got := c.Quantum(); got != 500*sim.Nanosecond {
-		t.Errorf("quantum override not applied: %v", got)
+	defer single.Shutdown()
+	if q := single.Quantum(); q != 0 {
+		t.Errorf("single-rack quantum = %v, want 0", q)
 	}
 
-	// An override above the lookahead bound would break causality.
-	if _, err := New(cfg, WithQuantum(10*sim.Microsecond)); err == nil {
-		t.Error("oversized quantum accepted")
-	} else if !strings.Contains(err.Error(), "lookahead") {
-		t.Errorf("oversized-quantum error does not explain the bound: %v", err)
-	}
-	if _, err := New(cfg, WithQuantum(-sim.Nanosecond)); err == nil {
-		t.Error("negative quantum accepted")
+	// Zero propagation through zero-latency switches leaves no lookahead.
+	cfg := DefaultConfig(topo)
+	cfg.CableProp = 0
+	cfg.ToR.PortLatency, cfg.Array.PortLatency = 0, 0
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "no latency") {
+		t.Errorf("zero-latency fabric: err = %v, want the no-latency error", err)
 	}
 }
 

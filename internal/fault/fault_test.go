@@ -144,7 +144,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // testBinder wires one link and one switch on a sequential engine.
 type testBinder struct {
-	eng  sim.Runner
+	eng  *sim.Engine
 	l    *link.Link
 	sw   *vswitch.Switch
 	nic  *fakeStaller

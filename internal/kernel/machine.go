@@ -30,10 +30,6 @@ type Config struct {
 
 	// UDPRcvBuf is the per-socket datagram receive buffer in bytes.
 	UDPRcvBuf int
-
-	// ZeroCopy removes the per-byte copy cost on transmit (scatter/gather
-	// DMA, §3.3 NIC model).
-	ZeroCopy bool
 }
 
 // DefaultConfig returns a 4 GHz server with e1000 NIC and Linux 2.6.39.
@@ -45,7 +41,6 @@ func DefaultConfig() Config {
 		TCP:       tcp.DefaultConfig(),
 		QdiscLen:  1000,
 		UDPRcvBuf: 208 * 1024,
-		ZeroCopy:  true,
 	}
 }
 
@@ -224,29 +219,16 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 // Node returns the machine's node ID.
 func (m *Machine) Node() packet.NodeID { return m.node }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // NIC returns the machine's network device.
 func (m *Machine) NIC() *nic.NIC { return m.dev }
 
-// Rand returns the machine's deterministic random stream.
-func (m *Machine) Rand() *sim.Rand { return m.rng }
-
 // Now returns the simulated time.
 func (m *Machine) Now() sim.Time { return m.eng.Now() }
-
-// Scheduler returns the event scheduler the machine runs on (the serial
-// engine, or the machine's partition handle in a parallel run).
-func (m *Machine) Scheduler() sim.Scheduler { return m.eng }
 
 // SetPool installs the partition's packet pool. Installed once at wiring
 // time; a nil pool (the default) keeps plain heap allocation, which is the
 // unpooled comparison mode.
 func (m *Machine) SetPool(p *packet.Pool) { m.pool = p }
-
-// Pool returns the machine's packet pool (nil in unpooled mode).
-func (m *Machine) Pool() *packet.Pool { return m.pool }
 
 // newPacket allocates a zeroed packet from the partition pool. Every packet
 // the machine originates (UDP datagram fragments, TCP segments, RSTs) comes
@@ -262,9 +244,6 @@ func (m *Machine) SetSlowdown(f float64) {
 	c.ctxSwitch, c.wakeup, c.irq, c.spawn, c.rxUDP = it(p.CtxSwitchInstr), it(p.WakeupInstr), it(p.IRQInstr), it(p.SpawnInstr), it(p.RxUDPInstr)
 	c.rxTCP, c.txTCP, c.txTCPHalf, c.txUDPHalf = it(p.RxTCPInstr), it(p.TxTCPInstr), it(p.TxTCPInstr/2), it(p.TxUDPInstr/2)
 }
-
-// Slowdown returns the current straggler factor (1 = nominal speed).
-func (m *Machine) Slowdown() float64 { return m.slowdown }
 
 // scale applies the straggler factor to a CPU cost.
 func (m *Machine) scale(d sim.Duration) sim.Duration {

@@ -149,7 +149,6 @@ func (s *script) Next(th *Thread, res *Result) bool {
 // under test.
 type opRow struct {
 	name    string
-	cfg     func(*Config)
 	peer    func(r *rig) // machine b's side, if any
 	steps   []step
 	wantErr error                                     // of the last call
@@ -223,28 +222,7 @@ func opRows(t *testing.T) []opRow {
 		}
 	}
 	nop := func(*caller) {}
-	// signal has the caller wake waiters it let block on a Cond.
-	signal := func(all bool) []step {
-		var cond *Cond
-		return []step{{func(c *caller) []any {
-			cond = NewCond(c.r.a)
-			for i := 0; i < 3; i++ {
-				c.r.a.Spawn("waiter", func(w *Thread) { cond.Wait(w) })
-			}
-			c.th.Sleep(after) // the waiters block meanwhile
-			return nil
-		}, none}, {func(c *caller) []any {
-			if all {
-				cond.Broadcast(c.th)
-			} else {
-				cond.Signal(c.th)
-			}
-			return nil
-		}, none}, {func(c *caller) []any { c.th.Sleep(after); return nil }, none}} // the woken run
-	}
-
 	return []opRow{
-		{name: "syscall", steps: []step{{func(c *caller) []any { c.th.call(threadOp{kind: opSyscall, extra: 100}); return nil }, none}}},
 		{name: "Sleep", steps: []step{{func(c *caller) []any { c.th.Sleep(after); return nil }, none}}},
 		{name: "Sleep(0)", steps: []step{{func(c *caller) []any { c.th.Sleep(0); return nil }, none}}},
 		{name: "Compute", steps: []step{compute(1000, nil)}},
@@ -257,8 +235,6 @@ func opRows(t *testing.T) []opRow {
 		{name: "UDPSocket/port in use", wantErr: ErrPortInUse, steps: []step{udpSock, udpSock}},
 		{name: "UDP Close", steps: []step{udpSock, {func(c *caller) []any { c.udp.Close(c.th); return nil }, none}}},
 		{name: "SendTo/three fragments", steps: []step{udpSock,
-			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, msgOf(3))) }, errOnly}}},
-		{name: "SendTo/three fragments copied", cfg: func(cfg *Config) { cfg.ZeroCopy = false }, steps: []step{udpSock,
 			{func(c *caller) []any { return vals(c.udp.SendTo(c.th, packet.Addr{Node: 1, Port: 9}, 3000, msgOf(3))) }, errOnly}}},
 		{name: "RecvFrom/immediate", steps: []step{udpSock, recvFrom(func(c *caller) { inject(c.r.a, port, msgOf(1)) })}},
 		{name: "RecvFrom/block-then-data", steps: []step{udpSock, recvFrom(func(c *caller) {
@@ -309,14 +285,6 @@ func opRows(t *testing.T) []opRow {
 		{name: "Epoll.Wait/poll", steps: then(epollOn, wait(0, nop))},
 		{name: "Epoll.Wait/kicked", steps: then(epollOn, wait(WaitForever, func(c *caller) { c.r.eng.After(after, c.ep.Kick) }))},
 
-		{name: "Cond.Wait", steps: []step{{func(c *caller) []any {
-			cond := NewCond(c.r.a)
-			c.r.eng.After(after, func() { cond.Signal(nil) })
-			cond.Wait(c.th)
-			return nil
-		}, none}}},
-		{name: "Cond.Signal", steps: signal(false)},
-		{name: "Cond.Broadcast", steps: signal(true)},
 		{name: "Barrier.Wait/first and last arrival", steps: []step{{func(c *caller) []any {
 			b := NewBarrier(c.r.a, 2)
 			c.r.a.Spawn("late", func(lt *Thread) {
@@ -330,16 +298,6 @@ func opRows(t *testing.T) []opRow {
 			b.Wait(c.th)
 			return nil
 		}, none}, {func(c *caller) []any { c.th.Sleep(after); return nil }, none}}}, // let the late arrival return too
-		{name: "WaitGroup.Wait/blocks", steps: []step{{func(c *caller) []any {
-			wg := NewWaitGroup(c.r.a)
-			wg.Add(2)
-			c.r.eng.After(after, wg.Done)
-			c.r.eng.After(2*after, wg.Done)
-			spuriously(c.r, c.th)
-			wg.Wait(c.th)
-			return nil
-		}, none}}},
-		{name: "WaitGroup.Wait/already zero", steps: []step{{func(c *caller) []any { NewWaitGroup(c.r.a).Wait(c.th); return nil }, none}}},
 
 		{name: "Connect", peer: listen(func(*Thread, *TCPSocket) {}), steps: []step{connect}},
 		{name: "Connect/refused", wantErr: ErrConnRefused, steps: []step{connect}, check: func(t *testing.T, c *caller, last []any) {
@@ -416,11 +374,7 @@ func opRows(t *testing.T) []opRow {
 // runRow runs a row's caller on machine a, as a Spawn function or as a
 // Program, and returns its (instant, result) trace and the machines' totals.
 func runRow(t *testing.T, row opRow, asProgram bool) (trace []string, last []any) {
-	cfg := DefaultConfig()
-	if row.cfg != nil {
-		row.cfg(&cfg)
-	}
-	r := newRig(t, cfg)
+	r := newRig(t, DefaultConfig())
 	if row.peer != nil {
 		row.peer(r)
 	}

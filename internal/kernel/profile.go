@@ -59,8 +59,8 @@ type Profile struct {
 	TxUDPInstr, TxTCPInstr int64
 
 	// CopyPerByte is the user/kernel copy cost in instructions per byte,
-	// charged on send/recv unless zero-copy is enabled (the paper's NIC
-	// models scatter/gather DMA for zero-copy sends).
+	// charged on receive; transmit is zero-copy (the paper's NIC models
+	// scatter/gather DMA).
 	CopyPerByte float64
 
 	// AcceptInstr / ConnectInstr are the connection-establishment syscall

@@ -273,9 +273,6 @@ func (m *Machine) bindUDP(port packet.Port) (*UDPSocket, error) {
 	return s, nil
 }
 
-// Port returns the bound port.
-func (s *UDPSocket) Port() packet.Port { return s.port }
-
 // SendTo transmits one datagram of n bytes to dst, carrying msg by value to
 // the receiver.
 func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, msg packet.Msg) error {
@@ -291,7 +288,7 @@ func (s *UDPSocket) SendTo(t *Thread, dst packet.Addr, n int, msg packet.Msg) er
 	return nil
 }
 
-// pollSend transmits the datagram once the entry (and copy) charge is paid, a
+// pollSend transmits the datagram once the entry charge is paid, a
 // fragment per pass: each after the first goes out once its own charge is paid.
 func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 	m := s.m
@@ -300,11 +297,6 @@ func (s *UDPSocket) pollSend(t *Thread, op *threadOp) bool {
 		op.pkt = nil
 	}
 	if op.id == 0 {
-		if !m.cfg.ZeroCopy && !op.copied {
-			op.copied = true
-			t.remaining += m.copyCost(op.n)
-			return false
-		}
 		s.Stats.TxDatagrams++
 		s.nextFrag++
 		op.id = s.nextFrag
@@ -479,9 +471,6 @@ func (m *Machine) listen(port packet.Port, backlog int) (*TCPListener, error) {
 	m.listeners[port] = lis
 	return lis, nil
 }
-
-// Port returns the listening port.
-func (lis *TCPListener) Port() packet.Port { return lis.port }
 
 // incoming handles a SYN for this listener (softirq context).
 func (lis *TCPListener) incoming(pkt *packet.Packet) {
@@ -674,12 +663,6 @@ func (t *Thread) pollConnect(op *threadOp) (*waitQueue, bool) {
 	return nil, true
 }
 
-// Remote returns the peer address.
-func (s *TCPSocket) Remote() packet.Addr { return s.conn.Remote }
-
-// Err returns the terminal error after the connection closed.
-func (s *TCPSocket) Err() error { return s.conn.Err() }
-
 // Send writes an n-byte application message, blocking until the send buffer
 // accepts all of it. msg, unless its Kind is zero, surfaces at the receiver
 // with the final byte.
@@ -698,9 +681,6 @@ func (s *TCPSocket) pollSend(t *Thread, op *threadOp) (*waitQueue, bool) {
 	accepted := s.conn.Send(op.n, &op.msg)
 	if accepted == 0 {
 		return &s.wq, false
-	}
-	if !s.m.cfg.ZeroCopy {
-		t.remaining += s.m.copyCost(accepted)
 	}
 	op.n -= accepted
 	return nil, op.n <= 0

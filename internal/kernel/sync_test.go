@@ -7,43 +7,6 @@ import (
 	"diablo/internal/sim"
 )
 
-func TestCondSignalWakesOne(t *testing.T) {
-	r := newRig(t, DefaultConfig())
-	cond := NewCond(r.a)
-	woken := 0
-	for i := 0; i < 3; i++ {
-		r.a.Spawn("waiter", func(th *Thread) {
-			cond.Wait(th)
-			woken++
-		})
-	}
-	r.a.Spawn("signaler", func(th *Thread) {
-		th.Sleep(sim.Millisecond)
-		cond.Signal(th)
-		th.Sleep(sim.Millisecond)
-		cond.Broadcast(th)
-	})
-	r.run(100 * sim.Millisecond)
-	if woken != 3 {
-		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
-func TestCondSignalFromEventContext(t *testing.T) {
-	r := newRig(t, DefaultConfig())
-	cond := NewCond(r.a)
-	woken := false
-	r.a.Spawn("waiter", func(th *Thread) {
-		cond.Wait(th)
-		woken = true
-	})
-	r.eng.At(sim.Time(5*sim.Millisecond), func() { cond.Signal(nil) })
-	r.run(100 * sim.Millisecond)
-	if !woken {
-		t.Fatal("event-context signal lost")
-	}
-}
-
 func TestBarrierTwoPhase(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	const n = 4
@@ -68,33 +31,6 @@ func TestBarrierTwoPhase(t *testing.T) {
 		if order[i] < order[i-1] {
 			t.Fatalf("barrier rounds interleaved: %v", order)
 		}
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	r := newRig(t, DefaultConfig())
-	wg := NewWaitGroup(r.a)
-	wg.Add(3)
-	var doneAt sim.Time
-	finished := 0
-	for i := 0; i < 3; i++ {
-		i := i
-		r.a.Spawn("worker", func(th *Thread) {
-			th.Sleep(sim.Duration(i+1) * sim.Millisecond)
-			finished++
-			wg.Done()
-		})
-	}
-	r.a.Spawn("waiter", func(th *Thread) {
-		wg.Wait(th)
-		doneAt = th.Now()
-	})
-	r.run(sim.Second)
-	if finished != 3 {
-		t.Fatalf("finished = %d", finished)
-	}
-	if doneAt < sim.Time(3*sim.Millisecond) {
-		t.Fatalf("waiter released at %v, before the slowest worker", doneAt)
 	}
 }
 

@@ -191,8 +191,7 @@ func (t *Thread) enter(k opKind, fill func(*threadOp)) *Result {
 type opKind uint8
 
 const (
-	opNone    opKind = iota
-	opSyscall        // a bare syscall: the entry charge is the whole call
+	opNone opKind = iota
 	opSleep
 	opYield
 	opEpollWait
@@ -201,10 +200,8 @@ const (
 	opTCPRecv
 	opAccept
 	opConnect
-	opCondWait
 	opBarrierWait
-	opWaitGroup // not a syscall: enters at opPoll
-	opCompute   // not a syscall: enters at opPoll
+	opCompute // not a syscall: enters at opPoll
 	// Calls whose effect follows the entry charge.
 	opEpollCreate
 	opEpollAdd
@@ -214,8 +211,6 @@ const (
 	opSendTo
 	opClose // of op.udp, op.lis or op.tcp
 	opAbort
-	opSignal
-	opBroadcast
 )
 
 // The phases of a call, in order.
@@ -236,7 +231,6 @@ type threadOp struct {
 	timed  bool // timeout is a receive deadline, armed in opArm
 	waited bool // the call gave up the CPU at least once
 	fcntl  bool // opAccept: a separate fcntl(O_NONBLOCK) syscall comes first (no accept4)
-	copied bool // opSendTo: the payload copy is charged
 
 	extra    int64        // entry instructions beyond Profile.SyscallInstr
 	start    sim.Time     // entry instant, for OnSyscallSpan
@@ -257,9 +251,7 @@ type threadOp struct {
 	udp  *UDPSocket
 	tcp  *TCPSocket // opConnect: the socket being connected
 	lis  *TCPListener
-	cond *Cond
 	bar  *Barrier
-	wg   *WaitGroup
 }
 
 // expired reports whether the call must return empty-handed rather than block
@@ -355,16 +347,8 @@ func (t *Thread) poll() (*waitQueue, bool) {
 		return op.lis.pollAccept(t, op)
 	case opConnect:
 		return t.pollConnect(op)
-	case opCondWait:
-		if !op.waited {
-			return &op.cond.wq, false
-		}
 	case opBarrierWait:
 		return op.bar.pollWait(op)
-	case opWaitGroup:
-		if op.wg.count > 0 {
-			return &op.wg.wq, false
-		}
 	case opCompute:
 		t.remaining += op.timeout
 	case opEpollCreate:
@@ -390,10 +374,6 @@ func (t *Thread) poll() (*waitQueue, bool) {
 		}
 	case opAbort:
 		op.tcp.conn.Abort()
-	case opSignal:
-		op.cond.wq.wakeOne(m)
-	case opBroadcast:
-		op.cond.wq.wakeAll(m)
 	}
 	return nil, true
 }

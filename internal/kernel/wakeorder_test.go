@@ -45,7 +45,7 @@ func socketWakes(t *testing.T) string {
 	srv81 := packet.Addr{Node: r.b.Node(), Port: 81}
 	connecting := func(remote packet.Addr) *TCPSocket {
 		for _, s := range r.a.conns {
-			if s.Remote() == remote && s.conn.State() == tcp.StateSynSent {
+			if s.conn.Remote == remote && s.conn.State() == tcp.StateSynSent {
 				return s
 			}
 		}

@@ -93,12 +93,6 @@ func New(sched sim.Scheduler, dst Endpoint, bitsPerSecond int64, prop sim.Durati
 // partition (via a ParallelEngine Cross scheduler).
 func (l *Link) SetDeliverySched(s sim.Scheduler) { l.deliver = s }
 
-// Rate returns the link rate in bits per second.
-func (l *Link) Rate() int64 { return l.rate }
-
-// Prop returns the propagation delay.
-func (l *Link) Prop() sim.Duration { return l.prop }
-
 // SetDst rebinds the receiving endpoint (used while wiring topologies).
 func (l *Link) SetDst(dst Endpoint) { l.dst = dst }
 

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"diablo/internal/sim"
 )
@@ -131,29 +130,6 @@ func (h *Histogram) Percentile(q float64) sim.Duration {
 	return h.max
 }
 
-// Merge adds all samples of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for b, c := range other.counts {
-		h.counts[b] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // CDFPoint is one point of a cumulative distribution: fraction of samples
 // with value <= Value.
 type CDFPoint struct {
@@ -237,18 +213,4 @@ func (h *Histogram) Summary() string {
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v max=%v",
 		h.total, h.Mean(), h.Percentile(0.50), h.Percentile(0.99), h.Percentile(0.999), h.max)
-}
-
-// Quantiles returns the given quantiles in one pass-friendly call.
-func (h *Histogram) Quantiles(qs ...float64) []sim.Duration {
-	out := make([]sim.Duration, len(qs))
-	order := make([]int, len(qs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return qs[order[a]] < qs[order[b]] })
-	for _, i := range order {
-		out[i] = h.Percentile(qs[i])
-	}
-	return out
 }

@@ -92,36 +92,6 @@ func TestHistogramPercentileProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		v := sim.Duration(i*i) * sim.Nanosecond
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-		all.Record(v)
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), all.Count())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Percentile(q) != all.Percentile(q) {
-			t.Fatalf("merged p%v = %v, want %v", q, a.Percentile(q), all.Percentile(q))
-		}
-	}
-	a.Merge(nil)
-	a.Merge(NewHistogram())
-	if a.Count() != all.Count() {
-		t.Fatal("merging empty changed count")
-	}
-}
-
 func TestCDFMonotone(t *testing.T) {
 	h := NewHistogram()
 	for i := 0; i < 5000; i++ {
@@ -175,17 +145,6 @@ func TestPMFSumsToOne(t *testing.T) {
 	}
 }
 
-func TestQuantilesOrderIndependent(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		h.Record(sim.Duration(i) * sim.Nanosecond)
-	}
-	qs := h.Quantiles(0.99, 0.5, 0.9)
-	if !(qs[1] <= qs[2] && qs[2] <= qs[0]) {
-		t.Fatalf("quantiles out of order: %v", qs)
-	}
-}
-
 func TestCounterThroughput(t *testing.T) {
 	var c Counter
 	for i := 0; i < 1000; i++ {
@@ -198,15 +157,6 @@ func TestCounterThroughput(t *testing.T) {
 	}
 	if c.Throughput(0) != 0 {
 		t.Fatal("zero elapsed must give zero throughput")
-	}
-}
-
-func TestGoodput(t *testing.T) {
-	// 256 KB over ~2.1 ms ≈ 1 Gbps-ish; just verify the arithmetic.
-	g := Goodput(256*1024, 2*sim.Millisecond)
-	want := float64(256*1024*8) / 0.002
-	if math.Abs(g-want) > 1 {
-		t.Fatalf("goodput = %v, want %v", g, want)
 	}
 }
 
@@ -227,11 +177,6 @@ func TestTableString(t *testing.T) {
 	out := tb.String()
 	if out == "" {
 		t.Fatal("empty table output")
-	}
-	tb.AddRow("aaa", "3")
-	tb.SortRowsByFirstColumn()
-	if tb.Rows[0][0] != "aaa" {
-		t.Fatalf("sort failed: %v", tb.Rows)
 	}
 }
 

@@ -1,9 +1,9 @@
 package metrics
 
 // Property tests for the statistics primitives the observability layer leans
-// on: sharded Histogram.Merge must be indistinguishable from recording into a
-// single pooled histogram, and the rate helpers must tolerate a zero elapsed
-// duration (a run halted at t=0) without dividing by zero.
+// on: a histogram's statistics must not depend on the order its samples are
+// recorded in, and the rate helper must tolerate a zero elapsed duration (a
+// run halted at t=0) without dividing by zero.
 
 import (
 	"fmt"
@@ -12,20 +12,19 @@ import (
 	"diablo/internal/sim"
 )
 
-// TestHistogramMergeEqualsPooled: recording N streams into N shards and
-// merging must yield exactly the statistics of recording all samples into one
-// histogram, for any shard count. The parallel engine aggregates per-client
-// histograms this way, so the equivalence is what makes worker-count
-// invariance possible at the stats layer.
+// TestHistogramMergeEqualsPooled: samples merged from N streams into one
+// histogram give the same statistics in any record order. A partitioned
+// memcached run feeds one mutex-guarded histogram from callbacks of every
+// partition, in an order that depends on how the workers interleave, so its
+// results are worker-count invariant only because the order cannot reach
+// count, mean, min, max or any quantile. (The mean sums float64 picoseconds,
+// exact while the total stays below 2^53 ps, about 2.5 simulated hours.)
 func TestHistogramMergeEqualsPooled(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 8, 17} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := sim.NewRand(0xd1ab10 + uint64(shards))
-			pooled := NewHistogram()
-			parts := make([]*Histogram, shards)
-			for i := range parts {
-				parts[i] = NewHistogram()
-			}
+			streams := make([][]sim.Duration, shards)
+			pooled := NewHistogram() // in generation order: the streams interleaved
 			const samples = 5000
 			for i := 0; i < samples; i++ {
 				// Log-uniform-ish spread from sub-µs to seconds, plus
@@ -41,70 +40,53 @@ func TestHistogramMergeEqualsPooled(t *testing.T) {
 					v = sim.Duration(rng.Uint64()%(1<<shift) + 1)
 				}
 				pooled.Record(v)
-				parts[rng.Intn(shards)].Record(v)
+				s := rng.Intn(shards)
+				streams[s] = append(streams[s], v)
 			}
-			merged := NewHistogram()
-			for _, p := range parts {
-				merged.Merge(p)
+			byStream, reversed := NewHistogram(), NewHistogram()
+			for s := range streams {
+				for _, v := range streams[s] {
+					byStream.Record(v)
+				}
+				last := streams[len(streams)-1-s]
+				for k := len(last) - 1; k >= 0; k-- {
+					reversed.Record(last[k])
+				}
 			}
-			if merged.Count() != pooled.Count() {
-				t.Fatalf("count: merged %d pooled %d", merged.Count(), pooled.Count())
-			}
-			if merged.Mean() != pooled.Mean() {
-				t.Fatalf("mean: merged %v pooled %v", merged.Mean(), pooled.Mean())
-			}
-			if merged.Min() != pooled.Min() || merged.Max() != pooled.Max() {
-				t.Fatalf("min/max: merged %v/%v pooled %v/%v",
-					merged.Min(), merged.Max(), pooled.Min(), pooled.Max())
-			}
-			for _, q := range []float64{0, 0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1} {
-				if m, p := merged.Percentile(q), pooled.Percentile(q); m != p {
-					t.Fatalf("p%v: merged %v pooled %v", q*100, m, p)
+			for _, c := range []struct {
+				name string
+				h    *Histogram
+			}{{"stream by stream", byStream}, {"reversed", reversed}} {
+				name, h := c.name, c.h
+				if h.Count() != pooled.Count() || h.Mean() != pooled.Mean() ||
+					h.Min() != pooled.Min() || h.Max() != pooled.Max() {
+					t.Fatalf("%s: n=%d mean=%v min=%v max=%v, interleaved n=%d mean=%v min=%v max=%v", name,
+						h.Count(), h.Mean(), h.Min(), h.Max(), pooled.Count(), pooled.Mean(), pooled.Min(), pooled.Max())
+				}
+				for k := 0; k <= 1000; k++ {
+					q := float64(k) / 1000
+					if got, want := h.Percentile(q), pooled.Percentile(q); got != want {
+						t.Fatalf("%s: p%v = %v, interleaved %v", name, q*100, got, want)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestHistogramMergeOrderIndependent: merge must commute — shard order is a
-// scheduling artifact and must not reach the aggregate.
-func TestHistogramMergeOrderIndependent(t *testing.T) {
-	rng := sim.NewRand(99)
-	a, b, c := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 0; i < 1000; i++ {
-		a.Record(sim.Duration(rng.Intn(1000)) * sim.Microsecond)
-		b.Record(sim.Duration(rng.Intn(10)) * sim.Millisecond)
-		c.Record(sim.Duration(rng.Intn(100)) * sim.Nanosecond)
-	}
-	fwd, rev := NewHistogram(), NewHistogram()
-	for _, h := range []*Histogram{a, b, c} {
-		fwd.Merge(h)
-	}
-	for _, h := range []*Histogram{c, b, a} {
-		rev.Merge(h)
-	}
-	if fwd.Count() != rev.Count() || fwd.Mean() != rev.Mean() ||
-		fwd.Percentile(0.99) != rev.Percentile(0.99) ||
-		fwd.Min() != rev.Min() || fwd.Max() != rev.Max() {
-		t.Fatal("merge is order dependent")
-	}
-}
-
-// TestRatesZeroElapsed: Goodput and Counter.Throughput must return 0 (not
-// NaN/Inf, not panic) when the elapsed duration is zero or negative — the
-// state of any run halted before its first delivery.
+// TestRatesZeroElapsed: Counter.Throughput must return 0 (not NaN/Inf, not
+// panic) when the elapsed duration is zero or negative — the state of any run
+// halted before its first delivery.
 func TestRatesZeroElapsed(t *testing.T) {
 	for _, elapsed := range []sim.Duration{0, -sim.Second} {
-		if g := Goodput(1<<20, elapsed); g != 0 {
-			t.Errorf("Goodput(1MiB, %v) = %v, want 0", elapsed, g)
-		}
 		c := &Counter{Packets: 10, Bytes: 1 << 20}
 		if th := c.Throughput(elapsed); th != 0 {
 			t.Errorf("Throughput(%v) = %v, want 0", elapsed, th)
 		}
 	}
 	// Sanity: a real elapsed still yields the expected rate.
-	if g := Goodput(125_000_000, sim.Second); g != 1e9 {
-		t.Errorf("Goodput(125MB, 1s) = %v, want 1e9", g)
+	c := &Counter{Bytes: 125_000_000}
+	if th := c.Throughput(sim.Second); th != 1e9 {
+		t.Errorf("Throughput(125MB, 1s) = %v, want 1e9", th)
 	}
 }

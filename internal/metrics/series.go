@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"diablo/internal/sim"
@@ -28,18 +27,6 @@ func (c *Counter) Throughput(elapsed sim.Duration) float64 {
 	}
 	return float64(c.Bytes) * 8 / elapsed.Seconds()
 }
-
-// Goodput computes application-level throughput in bits per second for
-// payloadBytes delivered over elapsed time.
-func Goodput(payloadBytes uint64, elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(payloadBytes) * 8 / elapsed.Seconds()
-}
-
-// Mbps formats a bits-per-second value in Mbps.
-func Mbps(bps float64) string { return fmt.Sprintf("%.1f Mbps", bps/1e6) }
 
 // Series is a named (x, y) data series, the unit of output for every figure
 // reproduction: each plotted curve in the paper becomes one Series.
@@ -140,10 +127,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsByFirstColumn sorts rows lexicographically by their first cell;
-// useful for deterministic output when rows are gathered from maps.
-func (t *Table) SortRowsByFirstColumn() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }

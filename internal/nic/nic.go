@@ -113,9 +113,6 @@ func New(sched sim.Scheduler, params Params, wire *link.Link) (*NIC, error) {
 	return n, nil
 }
 
-// Params returns the device configuration.
-func (n *NIC) Params() Params { return n.params }
-
 // SetPool attaches the partition's packet pool. The NIC releases frames it
 // drops (RX overruns) and everything still sitting in its rings at
 // ReleaseInFlight time; a nil pool leaves the device in unpooled heap mode.
@@ -151,9 +148,6 @@ func (n *NIC) SetStalled(stalled bool) {
 		n.maybeRaiseRxInt()
 	}
 }
-
-// Stalled reports whether the device is currently stalled.
-func (n *NIC) Stalled() bool { return n.stalled }
 
 func (n *NIC) kickTx() {
 	if n.txBusy || n.stalled || n.TxPending() == 0 {

@@ -14,7 +14,7 @@ func mkpkt(payload int) *packet.Packet {
 	return &packet.Packet{Proto: packet.ProtoUDP, PayloadBytes: payload}
 }
 
-func newNIC(t *testing.T, params Params, sink link.Endpoint) (sim.Runner, *NIC) {
+func newNIC(t *testing.T, params Params, sink link.Endpoint) (*sim.Engine, *NIC) {
 	t.Helper()
 	eng := sim.NewEngine()
 	RegisterEventHandlers(eng)

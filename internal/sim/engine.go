@@ -173,15 +173,3 @@ func (e *Engine) NextEventTime() Time {
 	}
 	return Never
 }
-
-// Progress describes how far a run has gone; used by the CLI tools for
-// wall-clock/target-time slowdown reporting (§5 of the paper).
-type Progress struct {
-	Now      Time
-	Executed uint64
-}
-
-// Progress returns a snapshot of engine progress.
-func (e *Engine) Progress() Progress {
-	return Progress{Now: e.now, Executed: e.Executed}
-}

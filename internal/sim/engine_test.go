@@ -333,18 +333,6 @@ func TestRandParetoTail(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(17)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct{ a, b, hi, lo uint64 }{
 		{0, 0, 0, 0},

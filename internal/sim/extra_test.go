@@ -43,18 +43,6 @@ func TestNextEventTimeSkipsCancelled(t *testing.T) {
 	}
 }
 
-func TestProgressSnapshot(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 5; i++ {
-		e.At(Time(i)*Time(Microsecond), func() {})
-	}
-	e.Run()
-	p := e.Progress()
-	if p.Executed != 5 || p.Now != Time(4*Microsecond) {
-		t.Fatalf("progress = %+v", p)
-	}
-}
-
 func TestHaltFreezesClock(t *testing.T) {
 	e := NewEngine()
 	e.At(Time(Microsecond), func() { e.Halt() })
@@ -72,25 +60,6 @@ func TestStdConversions(t *testing.T) {
 	}
 	if FromStd(2*time.Microsecond) != 2*Microsecond {
 		t.Fatalf("FromStd = %v", FromStd(2*time.Microsecond))
-	}
-}
-
-func TestRandNormal(t *testing.T) {
-	r := NewRand(21)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if mean < 9.9 || mean > 10.1 {
-		t.Fatalf("normal mean = %v", mean)
-	}
-	if variance < 3.6 || variance > 4.4 {
-		t.Fatalf("normal variance = %v, want ~4", variance)
 	}
 }
 

@@ -112,9 +112,6 @@ func (pe *ParallelEngine) EnableIntrospection() {
 	pe.intro = &engineIntro{busy: make([]uint64, n), lastExec: make([]uint64, n)}
 }
 
-// IntrospectionEnabled reports whether per-quantum collection is on.
-func (pe *ParallelEngine) IntrospectionEnabled() bool { return pe.intro != nil }
-
 // Introspection returns the snapshot accumulated since EnableIntrospection.
 // Call between runs (or before the first); the zero snapshot is returned
 // when introspection is disabled.

@@ -56,9 +56,6 @@ func runIntrospectedPing(t *testing.T, workers int) EngineIntrospection {
 	pe := NewParallelEngine(2, latency)
 	pe.SetWorkers(workers)
 	pe.EnableIntrospection()
-	if !pe.IntrospectionEnabled() {
-		t.Fatal("introspection not enabled")
-	}
 	var send func(part, hop int)
 	send = func(part, hop int) {
 		if hop >= hops {

@@ -275,9 +275,6 @@ func (pe *ParallelEngine) Halt() {
 	pe.stop.Store(true)
 }
 
-// ID returns the partition index.
-func (p *Partition) ID() int { return p.id }
-
 // Now returns the partition's local simulated time. Within a quantum this
 // may run ahead of other partitions; it never exceeds the quantum boundary.
 func (p *Partition) Now() Time { return p.eng.Now() }

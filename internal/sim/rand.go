@@ -130,25 +130,3 @@ func (r *Rand) Pareto(mu, sigma, xi float64) float64 {
 	}
 	return mu + sigma*(math.Pow(u, -xi)-1)/xi
 }
-
-// Normal returns a normally distributed sample (Box–Muller).
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

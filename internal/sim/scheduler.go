@@ -34,25 +34,9 @@ type Scheduler interface {
 	Cancel(id EventID)
 }
 
-// Runner extends Scheduler with run control for code that drives an engine
-// directly (tests, tools, the experiment harness).
-type Runner interface {
-	Scheduler
-	// Run dispatches events until the queue drains or Halt is called.
-	Run()
-	// RunUntil dispatches events with timestamps <= deadline.
-	RunUntil(deadline Time)
-	// Step dispatches the single next event, if any.
-	Step() bool
-	// Halt stops the run loop after the current event returns.
-	Halt()
-	// Pending reports the number of queued events.
-	Pending() int
-}
-
 // Compile-time interface checks.
 var (
-	_ Runner           = (*Engine)(nil)
+	_ Scheduler        = (*Engine)(nil)
 	_ Scheduler        = (*Partition)(nil)
 	_ Scheduler        = crossScheduler{}
 	_ HandlerRegistrar = (*Engine)(nil)

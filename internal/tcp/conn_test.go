@@ -13,7 +13,7 @@ import (
 // recycles delivered segments, so the harness itself allocates nothing in
 // steady state; plainEnv hides AtEvent to exercise the closure fallback.
 type testEnv struct {
-	eng   sim.Runner
+	eng   *sim.Engine
 	peer  *Conn
 	delay sim.Duration
 	drop  func(i int, pkt *packet.Packet) bool
@@ -83,7 +83,7 @@ func (p plainEnv) Output(pkt *packet.Packet)            { p.e.Output(pkt) }
 
 // pair builds a connected client/server pair over loopback envs.
 type pair struct {
-	eng    sim.Runner
+	eng    *sim.Engine
 	client *Conn
 	server *Conn
 	cEnv   *testEnv

@@ -12,7 +12,7 @@ const gbps = int64(1_000_000_000)
 
 // rig is a small test harness: a switch with per-port host links and sinks.
 type rig struct {
-	eng   sim.Runner
+	eng   *sim.Engine
 	sw    *Switch
 	hosts []*link.Link // host -> switch input links
 	recvd [][]*packet.Packet

@@ -1,0 +1,91 @@
+#!/usr/bin/env bash
+# Byte-identity against a parent revision: a refactor must leave every
+# simulated output unchanged. Builds cmd/diablo, cmd/memcache, cmd/incast,
+# cmd/campaign and examples/quickstart from PARENT and from the working tree,
+# runs each command below on both sides in the same directory (output files
+# are named relative to it, so notes that print them match), drops the
+# `# wall time` lines, and compares every output file and the standard output
+# and exit status. perf's table holds wall-clock rates, so for perf only the
+# trace and the manifest are compared. Stops at the first difference, naming
+# the file, and exits 1.
+#
+#   scripts/identity.sh PARENT
+#   make identity PARENT=<rev>
+#
+# The parent is exported with `git archive` into .identity_build/src (ignored
+# by git), not checked out as a worktree; the copy and both sides' tools are
+# removed on exit, and the outputs stay in .identity_build/<side>/<name>.
+# About 35 s per side on 2 vCPUs.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+	sed -n '2,18p' "$0" >&2
+	exit 2
+fi
+root="$(cd "$(dirname "$0")/.." && pwd)"
+base="$root/.identity_build"
+rev="$(git -C "$root" rev-parse --verify "$1^{commit}")"
+rm -rf "$base"
+mkdir -p "$base/src"
+trap 'rm -rf "$base/src" "$base/bin"' EXIT
+git -C "$root" archive "$rev" | tar -x -C "$base/src"
+
+tools=(./cmd/diablo ./cmd/memcache ./cmd/incast ./cmd/campaign ./examples/quickstart)
+(cd "$base/src" && go build -o "$base/bin/parent/" "${tools[@]}")
+(cd "$root" && go build -o "$base/bin/change/" "${tools[@]}")
+
+# name|command: each runs in .identity_build/run/<name> with the side's tools
+# first on PATH.
+runs=(
+	"fig6a|diablo run fig6a -senders 1,4 -iterations 3"
+	"fig6b|diablo run fig6b -senders 1,4 -iterations 3"
+	"fig8|diablo run fig8 -requests 20"
+	"fig9|diablo run fig9 -requests 20"
+	"fig10|diablo run fig10 -requests 20"
+	"fig11|diablo run fig11 -requests 20"
+	"fig12|diablo run fig12 -requests 20"
+	"fig13|diablo run fig13 -requests 20"
+	"fig14|diablo run fig14 -requests 20"
+	"fig15|diablo run fig15 -requests 20"
+	"perf|diablo run perf -requests 8 -partitions 2 -trace-out perf.trace.json -manifest-out perf.manifest.json"
+	"faultmc|diablo run faultmc -requests 5 -trace-out faultmc.trace.json -manifest-out faultmc.manifest.json"
+	"faultmc-sample|diablo run faultmc -requests 8 -partitions 2 -trace-out s.trace.json -manifest-out s.manifest.json && diablo validate s.trace.json s.manifest.json"
+	"faultincast|diablo run faultincast -iterations 2 -trace-out faultincast.trace.json -manifest-out faultincast.manifest.json"
+	"memcache|memcache -proto tcp -churn 10 -trace-out mc.trace.json -manifest-out mc.manifest.json"
+	"incast|incast -epoll -trace-drops -faults 'edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down' -trace-out incast.trace.json -manifest-out incast.manifest.json"
+	"campaign-smoke|campaign run -preset smoke -workers 0 -q -o CAMPAIGN_results.json"
+	"campaign-fig12|campaign run -preset fig12 -q -o CAMPAIGN_fig12.json"
+	"quickstart|quickstart"
+)
+
+# run SIDE NAME COMMAND: leaves the outputs, stdout.txt and exit.txt in
+# .identity_build/SIDE/NAME.
+run() {
+	local dir="$base/run/$2"
+	rm -rf "$dir"
+	mkdir -p "$dir"
+	status=0
+	(cd "$dir" && PATH="$base/bin/$1:$PATH" bash -c "$3") >"$dir/stdout.txt" || status=$?
+	echo "$status" >"$dir/exit.txt"
+	sed -i '/^# wall time/d' "$dir/stdout.txt"
+	if [ "$2" = perf ]; then
+		rm "$dir/stdout.txt"
+	fi
+	mkdir -p "$base/$1"
+	mv "$dir" "$base/$1/$2"
+}
+
+for entry in "${runs[@]}"; do
+	name="${entry%%|*}" cmd="${entry#*|}"
+	echo "identity: $cmd"
+	run parent "$name" "$cmd"
+	run change "$name" "$cmd"
+	files="$( (cd "$base/parent/$name" && find . -type f) ; (cd "$base/change/$name" && find . -type f) )"
+	for f in $(echo "$files" | sort -u); do
+		if ! cmp "$base/parent/$name/$f" "$base/change/$name/$f"; then
+			echo "identity: $name/${f#./} differs from ${rev:0:7}" >&2
+			exit 1
+		fi
+	done
+done
+echo "identity: every output byte-identical to ${rev:0:7}"
