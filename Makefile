@@ -10,16 +10,11 @@ COVER_PROFILE ?= coverage.out
 # default; raise it locally for deeper exploration.
 FUZZTIME ?= 10s
 
-# Wall-clock budget for the simlint suite inside `make check`: the lint gate
-# must never quietly eat the edit-compile loop. `make lint` itself runs
-# unbudgeted (first runs pay `go list -export` compilation of the tree).
-LINT_BUDGET ?= 120s
-
 # Campaign worker goroutines for the sweep targets (0 = GOMAXPROCS). The report
 # bytes are identical at any value — only wall-clock time changes.
 CAMPAIGN_WORKERS ?= 0
 
-.PHONY: build test vet fmt-check lint race check cover bench bench-digest bench-pairs identity fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
+.PHONY: build test vet fmt-check race check cover bench bench-digest bench-pairs identity fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
 
 build:
 	$(GO) build ./...
@@ -42,14 +37,6 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# simlint: the custom go/analysis suite (detlint, schedlint, unitlint)
-# enforcing the determinism, scheduler and unit contracts (see
-# internal/analysis and DESIGN.md). Covers test files; zero unsuppressed
-# findings is a merge gate. Writes the machine-readable findings report
-# (suppressed findings included), which CI uploads.
-lint:
-	$(GO) run ./cmd/simlint -json LINT_findings.json ./...
-
 # Race-check the concurrency-bearing packages (the parallel engine, the
 # partitioned cluster, and the kernel, whose tests switch Spawn coroutines).
 # The engine runs at 1, 2 and 4 Ps: one P clamps it to a single worker, two
@@ -70,11 +57,10 @@ fuzz-smoke:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCampaignSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzValidateArtifact -fuzztime $(FUZZTIME)
 
-# The full gate: vet + simlint + race-enabled tests + fuzz smoke across every
-# package.
+# The full gate: vet + race-enabled tests + fuzz smoke across every package.
+# The determinism rules are a test (internal/analysis), so they run here too.
 check:
 	$(GO) vet ./...
-	$(GO) run ./cmd/simlint -budget $(LINT_BUDGET) ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 

@@ -143,6 +143,9 @@ func Figure6b(sweep Sweep) ([]*metrics.Series, error) {
 // 16-node testbed leaves beside its two memcached servers.
 var figure8Clients = []int{2, 4, 6, 8, 10, 12, 14}
 
+// figure8MaxClients is the number of client nodes in Figure 8's rack.
+const figure8MaxClients = 14
+
 // Figure8 reproduces the single-rack memcached validation (§4.2 "Validating
 // memcached on real clusters"): a 16-node testbed with two memcached servers
 // (4 workers, TCP clients), sweeping the client count over sweep.Senders. It
@@ -152,6 +155,11 @@ var figure8Clients = []int{2, 4, 6, 8, 10, 12, 14}
 // time), as the paper's "send 30,000 requests till completion".
 func Figure8(sweep Sweep) (throughput, latency []*metrics.Series, err error) {
 	sweep = sweep.withDefaults(600, figure8Clients)
+	for _, n := range sweep.Senders {
+		if n < 1 || n > figure8MaxClients {
+			return nil, nil, fmt.Errorf("figure 8: Senders %d out of range [1, %d], the client nodes of its 16-node rack", n, figure8MaxClients)
+		}
+	}
 	for _, physical := range []bool{true, false} {
 		name := "DIABLO"
 		if physical {

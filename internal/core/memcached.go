@@ -164,8 +164,9 @@ func RunMemcached(cfg MemcachedConfig) (*MemcachedResult, error) {
 	return runMemcachedWithTopology(cfg, topoParams, nil)
 }
 
-// validate rejects negative counts. Zero keeps each field's documented
-// meaning, so a negative value would otherwise pass for a default.
+// validate rejects negative counts (zero keeps each field's documented
+// meaning, so a negative value would otherwise pass for a default) and a
+// warmup that discards every sample, which would report an all-zero run.
 func (cfg *MemcachedConfig) validate() error {
 	for _, f := range []struct {
 		name string
@@ -181,6 +182,9 @@ func (cfg *MemcachedConfig) validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("core: %s must not be negative (got %d)", f.name, f.v)
 		}
+	}
+	if cfg.Warmup >= cfg.RequestsPerClient {
+		return fmt.Errorf("core: Warmup %d must be below RequestsPerClient %d", cfg.Warmup, cfg.RequestsPerClient)
 	}
 	return nil
 }

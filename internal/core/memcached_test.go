@@ -171,7 +171,8 @@ func TestFigure8Shapes(t *testing.T) {
 }
 
 // A negative count is an error naming the field, never a silent default:
-// zero is the only value that means "default".
+// zero is the only value that means "default". So is a warmup that would
+// discard every sample, and a Figure 8 client count its rack cannot place.
 func TestNegativeRunParametersAreErrors(t *testing.T) {
 	mc := func(set func(*MemcachedConfig)) func() error {
 		return func() error {
@@ -201,6 +202,7 @@ func TestNegativeRunParametersAreErrors(t *testing.T) {
 		{"memcached workers", "Workers", mc(func(c *MemcachedConfig) { c.Workers = -1 })},
 		{"memcached churn", "ChurnEvery", mc(func(c *MemcachedConfig) { c.ChurnEvery = -1 })},
 		{"memcached warmup", "Warmup", mc(func(c *MemcachedConfig) { c.Warmup = -1 })},
+		{"memcached warmup covers every request", "Warmup", mc(func(c *MemcachedConfig) { c.Warmup = c.RequestsPerClient })},
 		{"memcached max clients", "MaxClients", mc(func(c *MemcachedConfig) { c.MaxClients = -1 })},
 		{"memcached partitions", "Partitions", mc(func(c *MemcachedConfig) { c.Partitions = -1 })},
 		{"incast iterations", "Iterations", in(func(c *IncastConfig) { c.Iterations = -1 })},
@@ -216,6 +218,14 @@ func TestNegativeRunParametersAreErrors(t *testing.T) {
 		}},
 		{"figure 8 partitions", "Partitions", func() error {
 			_, _, err := Figure8(Sweep{Requests: 5, Partitions: -1, Senders: []int{2}})
+			return err
+		}},
+		{"figure 8 warmup", "Warmup", func() error {
+			_, _, err := Figure8(Sweep{Requests: 20, Senders: []int{2}})
+			return err
+		}},
+		{"figure 8 senders above the rack", "Senders 15 out of range [1, 14]", func() error {
+			_, _, err := Figure8(Sweep{Requests: 40, Senders: []int{2, 15}})
 			return err
 		}},
 	}

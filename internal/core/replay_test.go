@@ -16,8 +16,9 @@ import (
 // per-hop breakdowns, drop and retry counters, elapsed simulated time.
 // This complements the PR 1 determinism tests (which hold the run fixed and
 // vary partition/worker counts) by pinning the other axis: repeated runs.
-// simlint statically closes the loopholes (wall clock, unseeded randomness,
-// map-order scheduling) that would break exactly this property.
+// A wall-clock read or an unseeded random draw in model code fails it, and
+// internal/analysis checks statically for the two loopholes it sees only at
+// random: goroutines and map-order scheduling.
 
 func TestMemcachedReplayDeterminism(t *testing.T) {
 	cfg := smallMemcached()

@@ -37,12 +37,12 @@ func Section5Performance(arrays []int, requestsPerClient int) ([]PerfPoint, erro
 		cfg.Arrays = a
 		cfg.Proto = memcache.UDP
 		cfg.RequestsPerClient = requestsPerClient
-		start := time.Now() //simlint:allow detlint host-side self-measurement: wall-clock per simulated second is the experiment's output
+		start := time.Now() // host-side self-measurement: wall-clock per simulated second is the experiment's output
 		res, err := RunMemcached(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("section 5 scale %d: %w", Nodes(a), err)
 		}
-		wall := time.Since(start) //simlint:allow detlint host-side self-measurement (slowdown numerator)
+		wall := time.Since(start)
 		p := PerfPoint{
 			Nodes:     Nodes(a),
 			Simulated: res.Elapsed,

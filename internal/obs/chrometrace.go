@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -180,11 +182,7 @@ func (t *Trace) render() []TraceEvent {
 		byPid[k.pid] = append(byPid[k.pid], k.tid)
 	}
 	tidOf := make(map[pidTid]int)
-	pids := make([]int, 0, len(byPid))
-	for pid := range byPid {
-		pids = append(pids, pid) //simlint:allow detlint keys are sorted immediately below
-	}
-	sort.Ints(pids)
+	pids := slices.Sorted(maps.Keys(byPid))
 	for _, pid := range pids {
 		names := byPid[pid]
 		sort.Strings(names)

@@ -385,7 +385,7 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 	start := pe.now
 	for _, w := range pe.workers[1:] {
 		wg.Add(1)
-		go func() { //simlint:allow detlint engine-owned workers: static partition assignment, one full rendezvous per quantum, joined before RunUntil returns
+		go func() {
 			defer wg.Done()
 			w.run(start, earliest, deadline)
 		}()

@@ -133,7 +133,7 @@ func TestRendezvous(t *testing.T) {
 		}
 		rounds++
 		released := make(chan struct{})
-		go func() { //simlint:allow detlint test exercises the engine-owned barrier primitive
+		go func() {
 			r.await(&peer)
 			close(released)
 		}()

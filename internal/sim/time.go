@@ -68,13 +68,9 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // Std converts d to a time.Duration, rounding down to nanoseconds.
-//
-//simlint:allow unitlint this IS the sanctioned pico->nano crossing
 func (d Duration) Std() time.Duration { return time.Duration(d / Nanosecond) }
 
 // FromStd converts a time.Duration to a simulated Duration.
-//
-//simlint:allow unitlint this IS the sanctioned nano->pico crossing
 func FromStd(d time.Duration) Duration { return Duration(d) * Nanosecond }
 
 // String renders the duration with an adaptive unit.

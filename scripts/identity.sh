@@ -39,7 +39,7 @@ tools=(./cmd/diablo ./cmd/memcache ./cmd/incast ./cmd/campaign ./examples/quicks
 runs=(
 	"fig6a|diablo run fig6a -senders 1,4 -iterations 3"
 	"fig6b|diablo run fig6b -senders 1,4 -iterations 3"
-	"fig8|diablo run fig8 -requests 20"
+	"fig8|diablo run fig8 -requests 40"
 	"fig9|diablo run fig9 -requests 20"
 	"fig10|diablo run fig10 -requests 20"
 	"fig11|diablo run fig11 -requests 20"
