@@ -7,10 +7,11 @@
 package diablo
 
 import (
+	"fmt"
 	"runtime"
-	"time"
-
+	"slices"
 	"testing"
+	"time"
 
 	"diablo/internal/campaign"
 	"diablo/internal/core"
@@ -18,15 +19,36 @@ import (
 	"diablo/internal/survey"
 )
 
-// benchSenders keeps the incast sweeps bench-sized.
-var benchSenders = []int{1, 2, 4, 8, 16, 24}
-
-func benchIncastSweep() Sweep {
-	return Sweep{Senders: benchSenders, Iterations: 8, Seed: 1}
+// benchPreset runs a figure's campaign preset at requests per memcached
+// client or iterations per incast run, first letting trim cut the spec to
+// bench size.
+func benchPreset(b *testing.B, name string, requests int, trim func(*campaign.Spec)) []*campaign.CellResult {
+	b.Helper()
+	spec, err := campaign.Preset(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range spec.Workloads {
+		spec.Workloads[i].Requests = requests
+	}
+	if trim != nil {
+		trim(spec)
+	}
+	cells, err := campaign.RunCells(spec, campaign.RunConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cells
 }
 
-func benchMcSweep() Sweep {
-	return Sweep{Requests: 80, Seed: 1}
+// senders keeps the incast shapes of the given sender counts.
+func senders(counts ...int) func(*campaign.Spec) {
+	return func(s *campaign.Spec) {
+		s.Topologies = s.Topologies[:0]
+		for _, n := range counts {
+			s.Topologies = append(s.Topologies, campaign.TopologyAxis{Shape: fmt.Sprintf("%dx1x1", n+1)})
+		}
+	}
 }
 
 func BenchmarkFigure2Survey(b *testing.B) {
@@ -70,10 +92,7 @@ func BenchmarkSection34Prototype(b *testing.B) {
 
 func BenchmarkFigure6aIncast1G(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := Figure6a(benchIncastSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := drawFig6a(benchPreset(b, "fig6a", 8, senders(1, 2, 4, 8, 16, 24))).Series
 		diablo, hw := series[0], series[2]
 		// Headline: line rate at 1 sender, DIABLO collapses below hardware.
 		b.ReportMetric(diablo.Y[0], "diablo-1sender-mbps")
@@ -84,12 +103,7 @@ func BenchmarkFigure6aIncast1G(b *testing.B) {
 
 func BenchmarkFigure6bIncast10G(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sweep := benchIncastSweep()
-		sweep.Senders = []int{1, 9, 23}
-		series, err := Figure6b(sweep)
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := drawFig6b(benchPreset(b, "fig6b", 8, senders(1, 9, 23))).Series
 		// Headline: 2 GHz pthread capped near 1.8 Gbps before collapse.
 		b.ReportMetric(series[2].Y[0], "pthread2ghz-1sender-mbps")
 		b.ReportMetric(series[0].Y[0], "pthread4ghz-1sender-mbps")
@@ -99,10 +113,12 @@ func BenchmarkFigure6bIncast10G(b *testing.B) {
 
 func BenchmarkFigure8RackValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		th, lat, err := Figure8(Sweep{Senders: []int{2, 8, 14}, Requests: 250})
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := drawFig8(benchPreset(b, "fig8", 250, func(s *campaign.Spec) {
+			s.Workloads = slices.DeleteFunc(s.Workloads, func(w campaign.WorkloadAxis) bool {
+				return w.MaxClients != 2 && w.MaxClients != 8 && w.MaxClients != 14
+			})
+		})).Series
+		th, lat := series[:2], series[2:]
 		b.ReportMetric(th[1].Y[2], "diablo-14cl-req/s")
 		b.ReportMetric(th[0].Y[2], "physical-14cl-req/s")
 		b.ReportMetric(lat[1].Y[2], "diablo-14cl-mean-us")
@@ -111,12 +127,8 @@ func BenchmarkFigure8RackValidation(b *testing.B) {
 
 func BenchmarkFigure9Cdf120(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := Figure9(benchMcSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 4 {
-			b.Fatalf("want 4 curves, got %d", len(series))
+		if cells := benchPreset(b, "fig9", 80, nil); len(cells) != 4 {
+			b.Fatalf("want 4 curves, got %d", len(cells))
 		}
 	}
 }
@@ -138,34 +150,16 @@ func BenchmarkFigure10PmfHops(b *testing.B) {
 // benchFigure runs a campaign-preset figure through the registry.
 func benchFigure(b *testing.B, id string, requests int) *ExperimentOutput {
 	b.Helper()
-	out, err := RunExperiment(id, ExperimentOptions{Sweep: Sweep{Requests: requests}})
+	out, err := RunExperiment(id, ExperimentOptions{Requests: requests})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return out
 }
 
-// benchFigureCells runs a figure's campaign preset at 80 requests per client
-// and returns its cells, for the metrics a figure's series do not carry.
-func benchFigureCells(b *testing.B, preset string) []*campaign.CellResult {
-	b.Helper()
-	spec, err := campaign.Preset(preset)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range spec.Workloads {
-		spec.Workloads[i].Requests = 80
-	}
-	cells, err := campaign.RunCells(spec, campaign.RunConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cells
-}
-
 func BenchmarkFigure11ScaleTail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells := benchFigureCells(b, "fig11")
+		cells := benchPreset(b, "fig11", 80, nil)
 		// Report the scale amplification directly: 496 vs 1,984 nodes.
 		b.ReportMetric(cells[0].Result.Overall.Percentile(.99).Microseconds(), "p99-500node-us")
 		b.ReportMetric(cells[2].Result.Overall.Percentile(.99).Microseconds(), "p99-2000node-us")
@@ -188,7 +182,7 @@ func BenchmarkFigure13TcpVsUdp(b *testing.B) {
 
 func BenchmarkFigure14KernelVersions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells := benchFigureCells(b, "fig14")
+		cells := benchPreset(b, "fig14", 80, nil)
 		b.ReportMetric(cells[0].Result.Overall.Mean().Microseconds(), "mean-2.6.39-us")
 		b.ReportMetric(cells[1].Result.Overall.Mean().Microseconds(), "mean-3.5.7-us")
 	}

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	diablo list
-//	diablo run <id> [-requests N] [-iterations N] [-senders 1,2,4] [-seed S] [-partitions W] [-faults SPEC]
+//	diablo run <id> [-requests N] [-iterations N] [-seed S] [-partitions W] [-faults SPEC]
 //	                [-trace-out FILE] [-manifest-out FILE]
 //	diablo all  [-requests N] [-iterations N]
 //	diablo validate FILE...
@@ -14,15 +14,14 @@
 // schedule can be overridden with -faults (see fault.ParseSpec for the
 // grammar). Reduced request and iteration counts are the default (see
 // DESIGN.md); raise them toward the paper's 30,000 requests / 40 iterations
-// for full-scale runs.
+// for full-scale runs. Each figure is a campaign preset (`campaign run
+// -preset figN` runs it with a report, and over a list of seeds in a spec).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"diablo"
@@ -104,9 +103,8 @@ func parseOpts(args []string) diablo.ExperimentOptions {
 	fs := flag.NewFlagSet("diablo", flag.ExitOnError)
 	requests := fs.Int("requests", 0, "requests per memcached client (0 = reduced default; paper uses 30000)")
 	iterations := fs.Int("iterations", 0, "incast iterations per point (0 = default; paper uses 40)")
-	senders := fs.String("senders", "", "comma-separated incast sender counts (default 1..24), or fig8 client counts (default 2..14)")
 	seed := fs.Uint64("seed", 0, "master seed (0 = default)")
-	partitions := fs.Int("partitions", 0, "workers for the memcached runs of fig8, fig9, perf and faultmc (0 = sequential, n = partitioned engine on n workers; results are identical at any value); fig10-fig15 run their cells in parallel instead")
+	partitions := fs.Int("partitions", 0, "workers for the memcached runs of perf and faultmc (0 = sequential, n = partitioned engine on n workers; results are identical at any value); the figures run their cells in parallel instead")
 	faults := fs.String("faults", "", `fault schedule for faultmc/faultincast, e.g. "tordegrade rack=0 at=30ms dur=200ms loss=0.5" (empty = the experiment's built-in schedule)`)
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the observed run (perf/faultmc/faultincast; open in ui.perfetto.dev)")
 	manifestOut := fs.String("manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1) of the observed run")
@@ -120,23 +118,13 @@ func parseOpts(args []string) diablo.ExperimentOptions {
 	opts.Faults = *faults
 	opts.TraceOut = *traceOut
 	opts.ManifestOut = *manifestOut
-	if *senders != "" {
-		for _, s := range strings.Split(*senders, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "diablo: bad sender count %q\n", s)
-				os.Exit(2)
-			}
-			opts.Senders = append(opts.Senders, n)
-		}
-	}
 	return opts
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   diablo list
-  diablo run <id> [-requests N] [-iterations N] [-senders 1,2,4] [-seed S] [-partitions W] [-faults SPEC]
+  diablo run <id> [-requests N] [-iterations N] [-seed S] [-partitions W] [-faults SPEC]
              [-trace-out FILE] [-manifest-out FILE]
   diablo all [flags]
   diablo validate FILE...`)

@@ -123,8 +123,6 @@ type (
 	MemcachedConfig = core.MemcachedConfig
 	// MemcachedResult aggregates a memcached experiment.
 	MemcachedResult = core.MemcachedResult
-	// Sweep sizes figures 6a, 6b, 8 and 9, perf and the fault experiments.
-	Sweep = core.Sweep
 	// MemcachedVersion is a memcached release profile.
 	MemcachedVersion = memcache.Version
 )
@@ -156,14 +154,10 @@ var (
 	// Incast experiments.
 	DefaultIncast = core.DefaultIncast
 	RunIncast     = core.RunIncast
-	Figure6a      = core.Figure6a
-	Figure6b      = core.Figure6b
 
 	// Memcached experiments.
 	DefaultMemcached = core.DefaultMemcached
 	RunMemcached     = core.RunMemcached
-	Figure8          = core.Figure8
-	Figure9          = core.Figure9
 
 	// Memcached versions.
 	V1415 = memcache.V1415

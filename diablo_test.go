@@ -91,10 +91,9 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestExperimentSmallRuns(t *testing.T) {
-	// One dynamic experiment end-to-end through the registry at tiny scale.
-	out, err := RunExperiment("fig6a", ExperimentOptions{
-		Sweep: Sweep{Senders: []int{1, 4}, Iterations: 3},
-	})
+	// One dynamic experiment end-to-end through the registry at tiny scale:
+	// a curve per system, a point per sender count.
+	out, err := RunExperiment("fig6a", ExperimentOptions{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +101,30 @@ func TestExperimentSmallRuns(t *testing.T) {
 		t.Fatalf("fig6a series = %d, want 3", len(out.Series))
 	}
 	for _, s := range out.Series {
-		if s.Len() != 2 {
-			t.Fatalf("series %q has %d points, want 2", s.Name, s.Len())
+		if s.Len() != 13 || s.X[0] != 1 || s.X[12] != 24 {
+			t.Fatalf("series %q has x = %v, want the 13 sender counts 1..24", s.Name, s.X)
 		}
+	}
+}
+
+// A negative count is an error naming the field, never a silent default, and
+// so is a warmup that would discard every sample of a figure's clients.
+func TestExperimentParametersAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		name, id, field string
+		opts            ExperimentOptions
+	}{
+		{"fig6a iterations", "fig6a", "Iterations", ExperimentOptions{Iterations: -2}},
+		{"fig8 requests", "fig8", "Requests", ExperimentOptions{Requests: -1}},
+		{"fig8 partitions", "fig8", "Partitions", ExperimentOptions{Requests: 5, Partitions: -1}},
+		{"fig8 warmup", "fig8", "warmup", ExperimentOptions{Requests: 20}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := RunExperiment(c.id, c.opts)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("err = %v, want an error naming %s", err, c.field)
+			}
+		})
 	}
 }
 
@@ -116,7 +136,7 @@ func TestObservedExperimentWritesArtifacts(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	manifestPath := filepath.Join(dir, "manifest.json")
 	out, err := RunExperiment("faultincast", ExperimentOptions{
-		Sweep:       Sweep{Iterations: 2},
+		Iterations:  2,
 		TraceOut:    tracePath,
 		ManifestOut: manifestPath,
 	})
@@ -201,7 +221,8 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	dir := t.TempDir()
 	manifestPath := filepath.Join(dir, "m.json")
 	out, err := RunExperiment("faultmc", ExperimentOptions{
-		Sweep:       Sweep{Requests: 5, Partitions: 2},
+		Requests:    5,
+		Partitions:  2,
 		ManifestOut: manifestPath, // manifest only: TraceOut stays optional
 	})
 	if err != nil {
@@ -241,23 +262,23 @@ func TestObservedFaultMCExperiment(t *testing.T) {
 	checkGolden(t, "testdata/faultmc.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
 }
 
-// TestFigureGoldens pins the reduced-scale figures byte for byte: figs 6a,
-// 6b, 8 and 9 run in Go, figs 10-15 are campaign presets, and each must
-// render exactly the recorded text at the default seed, the incast figures at
-// 2 iterations per point and the memcached ones at 20 requests per client —
-// fig8 at 40, since it discards each client's first 20 samples as warmup.
+// TestFigureGoldens pins the reduced-scale figures byte for byte: each is a
+// campaign preset and must render exactly the recorded text at the default
+// seed, the incast figures at 2 iterations per point and the memcached ones
+// at 20 requests per client — fig8 at 40, since it discards each client's
+// first 20 samples as warmup.
 func TestFigureGoldens(t *testing.T) {
-	incast, memcached := Sweep{Iterations: 2}, Sweep{Requests: 20}
+	incast, memcached := ExperimentOptions{Iterations: 2}, ExperimentOptions{Requests: 20}
 	for _, c := range []struct {
-		id    string
-		sweep Sweep
+		id   string
+		opts ExperimentOptions
 	}{
-		{"fig6a", incast}, {"fig6b", incast}, {"fig8", Sweep{Requests: 40}}, {"fig9", memcached},
+		{"fig6a", incast}, {"fig6b", incast}, {"fig8", ExperimentOptions{Requests: 40}}, {"fig9", memcached},
 		{"fig10", memcached}, {"fig11", memcached}, {"fig12", memcached}, {"fig13", memcached},
 		{"fig14", memcached}, {"fig15", memcached},
 	} {
 		t.Run(c.id, func(t *testing.T) {
-			out, err := RunExperiment(c.id, ExperimentOptions{Sweep: c.sweep})
+			out, err := RunExperiment(c.id, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

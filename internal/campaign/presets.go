@@ -1,10 +1,13 @@
 package campaign
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Presets returns the built-in campaign names.
 func Presets() []string {
-	return []string{"smoke", "nightly", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
+	return []string{"smoke", "nightly", "fig6a", "fig6b", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
 }
 
 // Preset returns a built-in campaign spec by name.
@@ -15,8 +18,10 @@ func Presets() []string {
 //   - "nightly": the full-scale sweep — three paper-class shapes × two
 //     kernels × UDP and TCP mixes × (baseline + 19 fault draws) = 240
 //     cells of 248–496 nodes each.
-//   - "fig10" … "fig15": the paper's §4.2 memcached figures at seed 1 (see
-//     figure). `diablo run figN` runs them at its -seed and -requests.
+//   - "fig6a", "fig6b": the §4.1 incast figures at seed 1 (see
+//     incastFigure); "fig8" … "fig15": the §4.2 memcached figures at seed 1.
+//     `diablo run figN` runs them at its -seed, and at its -iterations
+//     (incast) or -requests (memcached).
 func Preset(name string) (*Spec, error) {
 	switch name {
 	case "smoke":
@@ -51,6 +56,35 @@ func Preset(name string) (*Spec, error) {
 			},
 			Faults: FaultAxis{Draws: 19, Events: 3, StartMs: 5, HorizonMs: 200, MeanDurMs: 100},
 		}, nil
+	case "fig6a": // incast goodput at 1 Gbps: DIABLO against two baselines
+		return incastFigure(name,
+			WorkloadAxis{Name: "diablo"},
+			WorkloadAxis{Name: "ns2-style", System: "ns2-style"},
+			WorkloadAxis{Name: "physical-proxy", System: "physical-proxy"}), nil
+	case "fig6b": // incast at 10 Gbps: syscall style × CPU clock
+		return incastFigure(name,
+			WorkloadAxis{Name: "pthread-4ghz", System: "10g-low-latency", CPUGHz: 4},
+			WorkloadAxis{Name: "epoll-4ghz", System: "10g-low-latency", CPUGHz: 4, Epoll: true},
+			WorkloadAxis{Name: "pthread-2ghz", System: "10g-low-latency", CPUGHz: 2},
+			WorkloadAxis{Name: "epoll-2ghz", System: "10g-low-latency", CPUGHz: 2, Epoll: true}), nil
+	case "fig8": // the 16-node rack: 2 memcached servers, 2-14 closed-loop TCP clients
+		s := seed1(name, TopologyAxis{Shape: "16x1x1", MemcachedServersPerRack: 2})
+		for _, sys := range []string{"physical-proxy", ""} {
+			for n := 2; n <= 14; n += 2 {
+				s.Workloads = append(s.Workloads, WorkloadAxis{Name: fmt.Sprintf("%s-%d", cmp.Or(sys, "diablo"), n),
+					Proto: "tcp", Requests: 600, Warmup: 20, MaxClients: n, System: sys, ClosedLoop: true})
+			}
+		}
+		return s, nil
+	case "fig9": // 124 nodes (the paper's 120), memcached versions under TCP churn
+		s := seed1(name, TopologyAxis{Shape: "31x4x1", MemcachedServersPerRack: 2})
+		for _, sys := range []string{"physical-proxy", ""} {
+			for _, v := range []string{"1.4.17", "1.4.15"} {
+				s.Workloads = append(s.Workloads, WorkloadAxis{Name: cmp.Or(sys, "diablo") + "-" + v,
+					Proto: "tcp", Requests: 150, Warmup: 5, Version: v, ChurnEvery: 40, System: sys})
+			}
+		}
+		return s, nil
 	case "fig10": // latency PMF by hop count, 1 vs 10 Gbps
 		return figure(name, []int{4}, nil,
 			WorkloadAxis{Name: "1g-udp", Proto: "udp"},
@@ -81,16 +115,37 @@ func Preset(name string) (*Spec, error) {
 	}
 }
 
+// seed1 starts a paper-figure preset: the given shapes under Linux 2.6.39.3,
+// at seed 1 only.
+func seed1(name string, topologies ...TopologyAxis) *Spec {
+	return &Spec{Schema: SpecSchema, Name: name, MasterSeed: 1, Seeds: []uint64{1},
+		Topologies: topologies, Profiles: []string{"linux-2.6.39.3"}}
+}
+
+// incastFigure builds a §4.1 incast preset: one rack per sender count, up to
+// the paper's 24 switch ports, with 40 iterations per point.
+func incastFigure(name string, workloads ...WorkloadAxis) *Spec {
+	s := seed1(name)
+	for _, n := range []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24} {
+		s.Topologies = append(s.Topologies, TopologyAxis{Shape: fmt.Sprintf("%dx1x1", n+1)})
+	}
+	for _, w := range workloads {
+		w.App, w.Proto, w.Requests = "incast", "tcp", 40
+		s.Workloads = append(s.Workloads, w)
+	}
+	return s
+}
+
 // figure builds a paper-figure preset on the Figure 7 topology: 31 servers
 // per rack and 16 racks per array, at the given array counts (1, 2, 4 =
 // 496, 992, 1,984 nodes), with 2 memcached servers per rack. Every workload
 // runs 150 requests per client after 5 warmup requests, at seed 1 only.
 // profiles defaults to Linux 2.6.39.3.
 func figure(name string, arrays []int, profiles []string, workloads ...WorkloadAxis) *Spec {
-	if profiles == nil {
-		profiles = []string{"linux-2.6.39.3"}
+	s := seed1(name)
+	if profiles != nil {
+		s.Profiles = profiles
 	}
-	s := &Spec{Schema: SpecSchema, Name: name, MasterSeed: 1, Seeds: []uint64{1}, Profiles: profiles}
 	for _, a := range arrays {
 		s.Topologies = append(s.Topologies, TopologyAxis{Shape: fmt.Sprintf("31x16x%d", a), MemcachedServersPerRack: 2})
 	}

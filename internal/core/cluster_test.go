@@ -159,27 +159,6 @@ func TestIncastDeterminism(t *testing.T) {
 	}
 }
 
-func TestFigure6aShape(t *testing.T) {
-	sweep := Sweep{Senders: []int{1, 4, 12}, Iterations: 5}
-	series, err := Figure6a(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 3 {
-		t.Fatalf("want 3 curves, got %d", len(series))
-	}
-	diablo, hardware := series[0], series[2]
-	// Both start near line rate at one sender.
-	if diablo.Y[0] < 850 || hardware.Y[0] < 850 {
-		t.Fatalf("1-sender points: diablo=%v hw=%v", diablo.Y[0], hardware.Y[0])
-	}
-	// DIABLO collapses faster than the hardware proxy (paper: "DIABLO has a
-	// faster application throughput collapse than measured on the hardware").
-	if diablo.Y[1] >= hardware.Y[1] {
-		t.Fatalf("4-sender: diablo=%v should be below hardware=%v", diablo.Y[1], hardware.Y[1])
-	}
-}
-
 func TestEpollClientVariant(t *testing.T) {
 	cfg := DefaultIncast(4)
 	cfg.Iterations = 4

@@ -149,30 +149,9 @@ func TestNewerKernelHalvesLatency(t *testing.T) {
 	}
 }
 
-func TestFigure8Shapes(t *testing.T) {
-	th, lat, err := Figure8(Sweep{Senders: []int{2, 8, 14}, Requests: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(th) != 2 || len(lat) != 2 {
-		t.Fatalf("want 2 systems, got %d/%d", len(th), len(lat))
-	}
-	for _, s := range th {
-		// Throughput grows with offered load.
-		if !(s.Y[0] < s.Y[2]) {
-			t.Fatalf("%s throughput not increasing: %v", s.Name, s.Y)
-		}
-	}
-	for _, s := range lat {
-		if s.Y[0] <= 0 {
-			t.Fatalf("%s zero latency", s.Name)
-		}
-	}
-}
-
 // A negative count is an error naming the field, never a silent default:
 // zero is the only value that means "default". So is a warmup that would
-// discard every sample, and a Figure 8 client count its rack cannot place.
+// discard every sample.
 func TestNegativeRunParametersAreErrors(t *testing.T) {
 	mc := func(set func(*MemcachedConfig)) func() error {
 		return func() error {
@@ -208,26 +187,6 @@ func TestNegativeRunParametersAreErrors(t *testing.T) {
 		{"incast iterations", "Iterations", in(func(c *IncastConfig) { c.Iterations = -1 })},
 		{"incast block", "BlockBytes", in(func(c *IncastConfig) { c.BlockBytes = -5 })},
 		{"incast min RTO", "MinRTO", in(func(c *IncastConfig) { c.MinRTO = -sim.Millisecond })},
-		{"figure 6a iterations", "Iterations", func() error {
-			_, err := Figure6a(Sweep{Iterations: -2, Senders: []int{1}})
-			return err
-		}},
-		{"figure 8 requests", "RequestsPerClient", func() error {
-			_, _, err := Figure8(Sweep{Requests: -1, Senders: []int{2}})
-			return err
-		}},
-		{"figure 8 partitions", "Partitions", func() error {
-			_, _, err := Figure8(Sweep{Requests: 5, Partitions: -1, Senders: []int{2}})
-			return err
-		}},
-		{"figure 8 warmup", "Warmup", func() error {
-			_, _, err := Figure8(Sweep{Requests: 20, Senders: []int{2}})
-			return err
-		}},
-		{"figure 8 senders above the rack", "Senders 15 out of range [1, 14]", func() error {
-			_, _, err := Figure8(Sweep{Requests: 40, Senders: []int{2, 15}})
-			return err
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -12,17 +12,16 @@ import (
 	"diablo/internal/vswitch"
 )
 
-// parallelMemcached returns a fast multi-rack configuration and topology for
-// the determinism tests: 4 racks across 2 arrays, so the cluster carries
-// rack partitions, a fabric partition, and a DC switch.
-func parallelMemcached() (MemcachedConfig, topology.Params) {
+// parallelMemcached returns a fast multi-rack configuration for the
+// determinism tests: 4 racks across 2 arrays, so the cluster carries rack
+// partitions, a fabric partition, and a DC switch.
+func parallelMemcached() MemcachedConfig {
 	cfg := DefaultMemcached()
-	cfg.Arrays = 2
+	cfg.Topology = topology.Params{ServersPerRack: 5, RacksPerArray: 2, Arrays: 2}
 	cfg.ServersPerRack = 1
 	cfg.RequestsPerClient = 12
 	cfg.Warmup = 2
-	topo := topology.Params{ServersPerRack: 5, RacksPerArray: 2, Arrays: 2}
-	return cfg, topo
+	return cfg
 }
 
 func TestMemcachedWorkerCountDeterminism(t *testing.T) {
@@ -31,9 +30,9 @@ func TestMemcachedWorkerCountDeterminism(t *testing.T) {
 	// cross-partition merge order are fixed by the topology, so worker count
 	// is pure wall-clock parallelism.
 	run := func(partitions int) *MemcachedResult {
-		cfg, topo := parallelMemcached()
+		cfg := parallelMemcached()
 		cfg.Partitions = partitions
-		res, err := runMemcachedWithTopology(cfg, topo, nil)
+		res, err := RunMemcached(cfg)
 		if err != nil {
 			t.Fatalf("partitions=%d: %v", partitions, err)
 		}
@@ -153,11 +152,11 @@ func TestCrossRackTrafficRunsPartitioned(t *testing.T) {
 	// End-to-end sanity on the partitioned path: cross-rack traffic flows
 	// and the run is identical whether partitions execute on 1 or 4 workers.
 	run := func(workers int) (sim.Time, uint64) {
-		cfg, topoParams := parallelMemcached()
+		cfg := parallelMemcached()
 		cfg.Partitions = workers
 		cfg.RequestsPerClient = 6
 		cfg.Warmup = 0
-		res, err := runMemcachedWithTopology(cfg, topoParams, nil)
+		res, err := RunMemcached(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

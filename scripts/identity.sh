@@ -37,8 +37,8 @@ tools=(./cmd/diablo ./cmd/memcache ./cmd/incast ./cmd/campaign ./examples/quicks
 # name|command: each runs in .identity_build/run/<name> with the side's tools
 # first on PATH.
 runs=(
-	"fig6a|diablo run fig6a -senders 1,4 -iterations 3"
-	"fig6b|diablo run fig6b -senders 1,4 -iterations 3"
+	"fig6a|diablo run fig6a -iterations 2"
+	"fig6b|diablo run fig6b -iterations 2"
 	"fig8|diablo run fig8 -requests 40"
 	"fig9|diablo run fig9 -requests 20"
 	"fig10|diablo run fig10 -requests 20"
