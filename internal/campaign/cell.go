@@ -17,9 +17,10 @@ type Cell struct {
 	// with Spec.Seeds set it is "<shape>/<profile>/<workload>/s<seed>/<draw>".
 	Name string
 	// Seed is the cell's master seed: its replicate's entry of Spec.Seeds, or
-	// else derived from the campaign seed and the cell name. It seeds the
-	// cluster and (on faulted cells) the fault plan; recording it in the cell
-	// manifest is what makes the cell replayable.
+	// else derived from the campaign seed and its baseline cell's name, so
+	// every draw of a combination runs at its baseline's seed. It seeds the
+	// cluster and (on faulted cells, labelled by draw) the fault plan;
+	// recording it in the cell manifest is what makes the cell replayable.
 	Seed uint64
 
 	Topology TopologyAxis
@@ -63,19 +64,20 @@ func (s *Spec) Cells() ([]Cell, error) {
 			for _, wl := range s.Workloads {
 				for r := 0; r < replicates; r++ {
 					baseline := len(cells)
+					prefix := fmt.Sprintf("%s/%s/%s/", shape.ShapeName(), prof, wl.Name)
+					if len(s.Seeds) > 0 {
+						prefix += fmt.Sprintf("s%d/", s.Seeds[r])
+					}
+					// Every draw runs at its baseline's seed, so a faulted
+					// cell differs from its baseline in its fault plan alone.
+					seed := sim.DeriveSeed(s.MasterSeed, "campaign/"+s.Name+"/cell/"+prefix+drawName(0))
+					if len(s.Seeds) > 0 {
+						seed = s.Seeds[r]
+					}
 					for draw := 0; draw <= s.Faults.Draws; draw++ {
-						name := fmt.Sprintf("%s/%s/%s/", shape.ShapeName(), prof, wl.Name)
-						if len(s.Seeds) > 0 {
-							name += fmt.Sprintf("s%d/", s.Seeds[r])
-						}
-						name += drawName(draw)
-						seed := sim.DeriveSeed(s.MasterSeed, "campaign/"+s.Name+"/cell/"+name)
-						if len(s.Seeds) > 0 {
-							seed = s.Seeds[r]
-						}
 						cells = append(cells, Cell{
 							Index:         len(cells),
-							Name:          name,
+							Name:          prefix + drawName(draw),
 							Seed:          seed,
 							Topology:      t,
 							Shape:         shape,
