@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"diablo/internal/core"
@@ -64,6 +65,9 @@ type CellReport struct {
 	MaxUs               float64 `json:"max_us"`
 	ThroughputPerServer float64 `json:"throughput_per_server"`
 	MeanUtil            float64 `json:"mean_util"`
+	// GoodputMbps is an incast cell's application goodput (absent on
+	// memcached cells).
+	GoodputMbps float64 `json:"goodput_mbps,omitempty"`
 
 	// Degradation compares the cell against its combo's baseline cell
 	// (nil on baseline cells).
@@ -110,6 +114,7 @@ func BuildReport(spec *Spec, results []*CellResult) (*Report, error) {
 
 			ThroughputPerServer: res.ThroughputPerServer(),
 			MeanUtil:            res.MeanUtil,
+			GoodputMbps:         cr.GoodputBps / 1e6,
 		}
 		if !cell.Baseline() {
 			base := results[cell.BaselineIndex]
@@ -302,22 +307,30 @@ func (r *Report) RenderText(w io.Writer) error {
 }
 
 // replicateTable summarizes each (shape, profile, workload, draw) point over
-// the spec's seeds: median [min-max] of its latency statistics.
+// the spec's seeds: median [min-max] of its latency statistics, and of its
+// goodput when the sweep has incast cells.
 func (r *Report) replicateTable() *metrics.Table {
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("replicates: median [min-max] over %d seeds", len(r.Spec.Seeds)),
 		Columns: []string{"shape", "profile", "workload", "draw", "mean", "p50", "p99", "p99.9"},
 	}
+	stats := []func(CellReport) float64{
+		func(c CellReport) float64 { return c.MeanUs },
+		func(c CellReport) float64 { return c.P50Us },
+		func(c CellReport) float64 { return c.P99Us },
+		func(c CellReport) float64 { return c.P999Us },
+	}
+	units := []string{"us", "us", "us", "us"}
+	if slices.ContainsFunc(r.Cells, func(c CellReport) bool { return c.GoodputMbps != 0 }) {
+		t.Columns = append(t.Columns, "goodput")
+		stats = append(stats, func(c CellReport) float64 { return c.GoodputMbps })
+		units = append(units, "Mbps")
+	}
 	for _, g := range replicates(r.Cells) {
 		row := []string{g[0].Shape, g[0].Profile, g[0].Workload, drawName(g[0].Draw)}
-		for _, f := range []func(CellReport) float64{
-			func(c CellReport) float64 { return c.MeanUs },
-			func(c CellReport) float64 { return c.P50Us },
-			func(c CellReport) float64 { return c.P99Us },
-			func(c CellReport) float64 { return c.P999Us },
-		} {
+		for i, f := range stats {
 			med, lo, hi := spread(g, f)
-			row = append(row, fmt.Sprintf("%.4gus [%.4g-%.4g]", med, lo, hi))
+			row = append(row, fmt.Sprintf("%.4g%s [%.4g-%.4g]", med, units[i], lo, hi))
 		}
 		t.AddRow(row...)
 	}
