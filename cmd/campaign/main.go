@@ -51,7 +51,17 @@ func main() {
 	}
 }
 
-// specFlags adds the two ways of naming a spec and resolves them.
+// parse parses args into fs; like a bad flag, an argument left after the
+// flags ends the command with exit status 2.
+func parse(fs *flag.FlagSet, args []string) {
+	_ = fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		os.Exit(2)
+	}
+}
+
+// loadSpec resolves the two ways of naming a spec, -preset and -spec.
 func loadSpec(preset, specPath string) (*campaign.Spec, error) {
 	switch {
 	case preset != "" && specPath != "":
@@ -77,7 +87,7 @@ func cmdRun(args []string) error {
 	out := fs.String("o", "", "write the aggregate report JSON here (default stdout gets the text rendering only)")
 	cellsDir := fs.String("cells-dir", "", "also write every cell's run manifest into this directory")
 	quiet := fs.Bool("q", false, "suppress per-cell progress on stderr")
-	_ = fs.Parse(args)
+	parse(fs, args)
 
 	spec, err := loadSpec(*preset, *specPath)
 	if err != nil {
@@ -140,7 +150,7 @@ func cmdCells(args []string) error {
 	fs := flag.NewFlagSet("campaign cells", flag.ExitOnError)
 	preset := fs.String("preset", "", "built-in spec")
 	specPath := fs.String("spec", "", "campaign spec JSON file")
-	_ = fs.Parse(args)
+	parse(fs, args)
 	spec, err := loadSpec(*preset, *specPath)
 	if err != nil {
 		return err
@@ -163,7 +173,7 @@ func cmdReplay(args []string) error {
 	cell := fs.String("cell", "", "cell name (see `campaign cells`)")
 	seed := fs.Uint64("seed", 0, "manifest-recorded cell seed to cross-check (0 = trust the spec)")
 	out := fs.String("o", "", "write the replayed cell manifest here (default stdout)")
-	_ = fs.Parse(args)
+	parse(fs, args)
 	spec, err := loadSpec(*preset, *specPath)
 	if err != nil {
 		return err

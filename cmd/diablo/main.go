@@ -3,19 +3,19 @@
 // Usage:
 //
 //	diablo list
-//	diablo run <id> [-requests N] [-iterations N] [-seed S] [-partitions W] [-faults SPEC]
-//	                [-trace-out FILE] [-manifest-out FILE]
-//	diablo all  [-requests N] [-iterations N]
+//	diablo run <id> [-requests N] [-iterations N] [-seed S]
+//	diablo all  [-requests N] [-iterations N] [-seed S]
 //	diablo validate FILE...
 //
 // IDs follow the paper: fig2, table1, table2, proto, fig6a, fig6b, fig8,
 // fig9, fig10, fig11, fig12, fig13, fig14, fig15, perf — plus the
-// graceful-degradation experiments faultmc and faultincast, whose fault
-// schedule can be overridden with -faults (see fault.ParseSpec for the
-// grammar). Reduced request and iteration counts are the default (see
-// DESIGN.md); raise them toward the paper's 30,000 requests / 40 iterations
-// for full-scale runs. Each figure is a campaign preset (`campaign run
-// -preset figN` runs it with a report, and over a list of seeds in a spec).
+// graceful-degradation experiments faultmc and faultincast. Reduced request
+// and iteration counts are the default (see DESIGN.md); raise them toward
+// the paper's 30,000 requests / 40 iterations for full-scale runs. Each
+// figure and fault experiment is a campaign preset (`campaign run -preset
+// figN` runs it with a report, and over a list of seeds in a spec). An
+// observed single run, faulted or not, is cmd/memcache's or cmd/incast's
+// (-faults, -trace-out, -manifest-out).
 package main
 
 import (
@@ -99,33 +99,36 @@ func runOne(id string, opts diablo.ExperimentOptions) error {
 	return nil
 }
 
+// parseOpts parses the flags of run and all, exiting 2 on a bad one as on a
+// leftover argument.
 func parseOpts(args []string) diablo.ExperimentOptions {
-	fs := flag.NewFlagSet("diablo", flag.ExitOnError)
-	requests := fs.Int("requests", 0, "requests per memcached client (0 = reduced default; paper uses 30000)")
-	iterations := fs.Int("iterations", 0, "incast iterations per point (0 = default; paper uses 40)")
-	seed := fs.Uint64("seed", 0, "master seed (0 = default)")
-	partitions := fs.Int("partitions", 0, "workers for the memcached runs of perf and faultmc (0 = sequential, n = partitioned engine on n workers; results are identical at any value); the figures run their cells in parallel instead")
-	faults := fs.String("faults", "", `fault schedule for faultmc/faultincast, e.g. "tordegrade rack=0 at=30ms dur=200ms loss=0.5" (empty = the experiment's built-in schedule)`)
-	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the observed run (perf/faultmc/faultincast; open in ui.perfetto.dev)")
-	manifestOut := fs.String("manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1) of the observed run")
-	_ = fs.Parse(args)
-
-	var opts diablo.ExperimentOptions
-	opts.Requests = *requests
-	opts.Iterations = *iterations
-	opts.Seed = *seed
-	opts.Partitions = *partitions
-	opts.Faults = *faults
-	opts.TraceOut = *traceOut
-	opts.ManifestOut = *manifestOut
+	opts, err := parseFlags(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "diablo:", err)
+		os.Exit(2)
+	}
 	return opts
+}
+
+// parseFlags parses args into options; an argument left after the flags is
+// an error naming it, never ignored.
+func parseFlags(args []string) (diablo.ExperimentOptions, error) {
+	var opts diablo.ExperimentOptions
+	fs := flag.NewFlagSet("diablo", flag.ExitOnError)
+	fs.IntVar(&opts.Requests, "requests", 0, "requests per memcached client (0 = reduced default; paper uses 30000)")
+	fs.IntVar(&opts.Iterations, "iterations", 0, "incast iterations per point (0 = default; paper uses 40)")
+	fs.Uint64Var(&opts.Seed, "seed", 0, "master seed (0 = default)")
+	_ = fs.Parse(args)
+	if fs.NArg() > 0 {
+		return opts, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return opts, nil
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   diablo list
-  diablo run <id> [-requests N] [-iterations N] [-seed S] [-partitions W] [-faults SPEC]
-             [-trace-out FILE] [-manifest-out FILE]
+  diablo run <id> [-requests N] [-iterations N] [-seed S]
   diablo all [flags]
   diablo validate FILE...`)
 }

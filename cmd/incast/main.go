@@ -13,13 +13,41 @@ import (
 	"diablo/internal/packet"
 )
 
-// runFlags are the command-line settings that shape the run.
+// runFlags are the command-line settings: the run's shape, and what to
+// record of it.
 type runFlags struct {
 	senders, block, iterations, minRTOms int
 	epoll, tenG, shared                  bool
 	ghz                                  float64
 	seed                                 uint64
 	faults                               string
+	traceDrops                           bool
+	traceOut, manifestOut                string
+}
+
+// parseFlags parses the command line; an argument left after the flags is an
+// error naming it, never ignored.
+func parseFlags(args []string) (runFlags, error) {
+	var f runFlags
+	fs := flag.NewFlagSet("incast", flag.ExitOnError)
+	fs.IntVar(&f.senders, "senders", 8, "storage servers returning data")
+	fs.IntVar(&f.block, "block", 256*1024, "bytes per server per iteration")
+	fs.IntVar(&f.iterations, "iterations", 40, "synchronized read iterations")
+	fs.BoolVar(&f.epoll, "epoll", false, "use the epoll client instead of pthread")
+	fs.BoolVar(&f.tenG, "10g", false, "10 Gbps low-latency switch instead of 1 Gbps shallow-buffer")
+	fs.BoolVar(&f.shared, "shared", false, "shared-buffer commodity switch (the real-hardware proxy)")
+	fs.Float64Var(&f.ghz, "ghz", 4, "server CPU clock in GHz")
+	fs.IntVar(&f.minRTOms, "minrto", 200, "TCP minimum RTO in milliseconds")
+	fs.Uint64Var(&f.seed, "seed", 1, "master seed")
+	fs.BoolVar(&f.traceDrops, "trace-drops", false, "print a tcpdump-style trace of dropped frames")
+	fs.StringVar(&f.faults, "faults", "", `fault schedule, e.g. "edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down"`)
+	fs.StringVar(&f.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the run (open in ui.perfetto.dev)")
+	fs.StringVar(&f.manifestOut, "manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1)")
+	_ = fs.Parse(args)
+	if fs.NArg() > 0 {
+		return f, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return f, nil
 }
 
 // incastConfig maps the flags onto a run configuration. -10g and -shared each
@@ -51,25 +79,12 @@ func incastConfig(f runFlags) (diablo.IncastConfig, error) {
 }
 
 func main() {
-	senders := flag.Int("senders", 8, "storage servers returning data")
-	block := flag.Int("block", 256*1024, "bytes per server per iteration")
-	iterations := flag.Int("iterations", 40, "synchronized read iterations")
-	epoll := flag.Bool("epoll", false, "use the epoll client instead of pthread")
-	tenG := flag.Bool("10g", false, "10 Gbps low-latency switch instead of 1 Gbps shallow-buffer")
-	shared := flag.Bool("shared", false, "shared-buffer commodity switch (the real-hardware proxy)")
-	ghz := flag.Float64("ghz", 4, "server CPU clock in GHz")
-	minRTOms := flag.Int("minrto", 200, "TCP minimum RTO in milliseconds")
-	seed := flag.Uint64("seed", 1, "master seed")
-	traceDrops := flag.Bool("trace-drops", false, "print a tcpdump-style trace of dropped frames")
-	faults := flag.String("faults", "", `fault schedule, e.g. "edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down"`)
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (open in ui.perfetto.dev)")
-	manifestOut := flag.String("manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1)")
-	flag.Parse()
-
-	cfg, err := incastConfig(runFlags{
-		senders: *senders, block: *block, iterations: *iterations, epoll: *epoll,
-		tenG: *tenG, shared: *shared, ghz: *ghz, minRTOms: *minRTOms, seed: *seed, faults: *faults,
-	})
+	f, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "incast:", err)
+		os.Exit(2)
+	}
+	cfg, err := incastConfig(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "incast:", err)
 		os.Exit(2)
@@ -80,7 +95,7 @@ func main() {
 	var obsn *diablo.Observation
 	cfg.OnCluster = func(c *diablo.Cluster) {
 		cluster = c
-		if *traceDrops {
+		if f.traceDrops {
 			drops = newDropLog(256)
 			for i, sw := range c.Tors {
 				where := fmt.Sprintf("tor-%d", i)
@@ -89,7 +104,7 @@ func main() {
 				}
 			}
 		}
-		if *traceOut != "" || *manifestOut != "" {
+		if f.traceOut != "" || f.manifestOut != "" {
 			obsn = diablo.Observe(c, diablo.ObserveConfig{})
 		}
 	}
@@ -103,7 +118,7 @@ func main() {
 			"epoll":      cfg.Epoll,
 		})
 		var note string
-		if note, err = obsn.WriteFiles(*traceOut, *manifestOut, m); err == nil {
+		if note, err = obsn.WriteFiles(f.traceOut, f.manifestOut, m); err == nil {
 			fmt.Printf("observed  %s\n", note)
 		}
 	}
@@ -112,11 +127,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("senders=%d switch=%s cpu=%.1fGHz client=%s minRTO=%dms\n",
-		*senders, cfg.Switch.Arch, *ghz, clientName(*epoll), *minRTOms)
+		f.senders, cfg.Switch.Arch, f.ghz, clientName(f.epoll), f.minRTOms)
 	fmt.Printf("goodput   %.1f Mbps (%d bytes over %v)\n", res.GoodputBps/1e6, res.Bytes, res.Elapsed)
 	fmt.Printf("loss      %d timeouts, %d fast retransmits, %d retransmitted segments\n",
 		res.Timeouts, res.FastRetransmits, res.Retransmits)
-	if *faults != "" && cluster != nil {
+	if f.faults != "" && cluster != nil {
 		fmt.Printf("faults    %d fault drops; %d edges:\n", cluster.FaultDrops(), len(cluster.FaultEdges()))
 		for _, e := range cluster.FaultEdges() {
 			fmt.Printf("          %v\n", e)

@@ -70,3 +70,16 @@ func TestSwitchFlagsConflict(t *testing.T) {
 		t.Fatalf("-10g -shared: err = %v, want an error naming both flags", err)
 	}
 }
+
+func TestParseFlags(t *testing.T) {
+	f, err := parseFlags([]string{"-senders", "2", "-iterations", "1", "-epoll", "-trace-out", "t.json"})
+	if err != nil || f.senders != 2 || f.iterations != 1 || !f.epoll || f.traceOut != "t.json" || f.minRTOms != 200 {
+		t.Fatalf("parseFlags = %+v, %v", f, err)
+	}
+	// A leftover argument is an error naming the first one, never silently
+	// ignored.
+	_, err = parseFlags([]string{"-senders", "2", "-iterations", "1", "stray", "more"})
+	if err == nil || !strings.Contains(err.Error(), `"stray"`) {
+		t.Fatalf("stray argument: err = %v, want one naming \"stray\"", err)
+	}
+}

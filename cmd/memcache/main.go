@@ -27,6 +27,10 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (open in ui.perfetto.dev)")
 	manifestOut := flag.String("manifest-out", "", "write a run-manifest JSON (schema diablo/run-manifest/v1)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "memcache: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	cfg := diablo.DefaultMemcached()
 	cfg.Arrays = *arrays

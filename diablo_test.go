@@ -1,15 +1,9 @@
 package diablo
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
-
-	"diablo/internal/obs"
 )
 
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
@@ -116,7 +110,6 @@ func TestExperimentParametersAreErrors(t *testing.T) {
 	}{
 		{"fig6a iterations", "fig6a", "Iterations", ExperimentOptions{Iterations: -2}},
 		{"fig8 requests", "fig8", "Requests", ExperimentOptions{Requests: -1}},
-		{"fig8 partitions", "fig8", "Partitions", ExperimentOptions{Requests: 5, Partitions: -1}},
 		{"fig8 warmup", "fig8", "warmup", ExperimentOptions{Requests: 20}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -128,145 +121,12 @@ func TestExperimentParametersAreErrors(t *testing.T) {
 	}
 }
 
-func TestObservedExperimentWritesArtifacts(t *testing.T) {
-	// The -trace-out / -manifest-out path end to end through the registry:
-	// a graceful-degradation experiment with observation attached must write
-	// a loadable Chrome trace and a run manifest carrying the degradation.
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	manifestPath := filepath.Join(dir, "manifest.json")
-	out, err := RunExperiment("faultincast", ExperimentOptions{
-		Iterations:  2,
-		TraceOut:    tracePath,
-		ManifestOut: manifestPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(out.Notes, "\n")
-	if !strings.Contains(joined, "observed faulted run") {
-		t.Fatalf("observation note missing:\n%s", joined)
-	}
-
-	traceData, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(traceData, &tf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(tf.TraceEvents) == 0 {
-		t.Fatal("trace is empty")
-	}
-	// The faulted run's one trace carries both its app spans (one per
-	// iteration) and its fault edges.
-	iterations, faults := 0, 0
-	for _, ev := range tf.TraceEvents {
-		switch {
-		case ev["ph"] == "X" && ev["cat"] == "iteration":
-			iterations++
-		case ev["ph"] == "i" && ev["cat"] == "fault":
-			faults++
-		}
-	}
-	if iterations != 2 || faults == 0 {
-		t.Fatalf("trace holds %d iteration spans (want 2) and %d fault instants (want > 0)", iterations, faults)
-	}
-
-	manifestData, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(manifestData, &m); err != nil {
-		t.Fatalf("manifest is not valid JSON: %v", err)
-	}
-	if m["schema"] != "diablo/run-manifest/v1" {
-		t.Fatalf("manifest schema = %v", m["schema"])
-	}
-	if m["experiment"] != "faultincast" {
-		t.Fatalf("manifest experiment = %v", m["experiment"])
-	}
-	if m["degradation"] == nil {
-		t.Fatal("manifest degradation missing")
-	}
-	if m["stats_hash"] == "" || m["stats_hash"] == nil {
-		t.Fatal("manifest stats hash missing")
-	}
-	checkGolden(t, "testdata/faultincast.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
-}
-
-// checkGolden compares an experiment's rendered output with the recorded
-// text: the built-in fault schedules, their degradation names and every
-// number the two runs produce must not drift.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
-	}
-}
-
-// TestObservedFaultMCExperiment runs faultmc observed on the partitioned
-// engine, whose manifest fills every field: the manifest's top-level keys are
-// exactly the JSON names of obs.Manifest's fields, so the schema holds no
-// field that no run fills.
-func TestObservedFaultMCExperiment(t *testing.T) {
-	dir := t.TempDir()
-	manifestPath := filepath.Join(dir, "m.json")
-	out, err := RunExperiment("faultmc", ExperimentOptions{
-		Requests:    5,
-		Partitions:  2,
-		ManifestOut: manifestPath, // manifest only: TraceOut stays optional
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Tables) == 0 {
-		t.Fatal("degradation table missing")
-	}
-	data, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("manifest invalid: %v", err)
-	}
-	if m["experiment"] != "faultmc" || m["degradation"] == nil {
-		t.Fatalf("manifest incomplete: experiment=%v", m["experiment"])
-	}
-	var fields, keys []string
-	mt := reflect.TypeFor[obs.Manifest]()
-	for i := range mt.NumField() {
-		name, _, _ := strings.Cut(mt.Field(i).Tag.Get("json"), ",")
-		fields = append(fields, name)
-	}
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(fields)
-	slices.Sort(keys)
-	if !slices.Equal(keys, fields) {
-		t.Fatalf("manifest keys %v, want the obs.Manifest fields %v", keys, fields)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "trace.json")); !os.IsNotExist(err) {
-		t.Fatal("trace written without TraceOut")
-	}
-	checkGolden(t, "testdata/faultmc.golden", strings.ReplaceAll(out.String(), dir, "DIR"))
-}
-
-// TestFigureGoldens pins the reduced-scale figures byte for byte: each is a
-// campaign preset and must render exactly the recorded text at the default
-// seed, the incast figures at 2 iterations per point and the memcached ones
-// at 20 requests per client — fig8 at 40, since it discards each client's
-// first 20 samples as warmup.
+// TestFigureGoldens pins the reduced-scale figures and fault experiments byte
+// for byte: each is a campaign preset and must render exactly the recorded
+// text at the default seed, the incast figures at 2 iterations per point and
+// the memcached ones at 20 requests per client — fig8 at 40, since it
+// discards each client's first 20 samples as warmup; faultmc runs 5 requests
+// per client and faultincast 2 iterations.
 func TestFigureGoldens(t *testing.T) {
 	incast, memcached := ExperimentOptions{Iterations: 2}, ExperimentOptions{Requests: 20}
 	for _, c := range []struct {
@@ -276,13 +136,21 @@ func TestFigureGoldens(t *testing.T) {
 		{"fig6a", incast}, {"fig6b", incast}, {"fig8", ExperimentOptions{Requests: 40}}, {"fig9", memcached},
 		{"fig10", memcached}, {"fig11", memcached}, {"fig12", memcached}, {"fig13", memcached},
 		{"fig14", memcached}, {"fig15", memcached},
+		{"faultmc", ExperimentOptions{Requests: 5}}, {"faultincast", ExperimentOptions{Iterations: 2}},
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			out, err := RunExperiment(c.id, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "testdata/figures/"+c.id+".golden", out.String())
+			path := "testdata/figures/" + c.id + ".golden"
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.String(); got != string(want) {
+				t.Errorf("output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+			}
 		})
 	}
 }

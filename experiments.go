@@ -6,13 +6,11 @@ import (
 	"slices"
 	"sort"
 
-	"diablo/internal/apps/incast"
 	"diablo/internal/campaign"
 	"diablo/internal/core"
 	"diablo/internal/fault"
 	"diablo/internal/fpga"
 	"diablo/internal/metrics"
-	"diablo/internal/sim"
 	"diablo/internal/survey"
 )
 
@@ -21,31 +19,10 @@ import (
 // are reachable by raising Requests/Iterations.
 type ExperimentOptions struct {
 	// Requests per memcached client and Iterations per incast run (paper:
-	// 30K and 40); Seed is the master seed (default 1); Partitions is the
-	// worker count of perf's and faultmc's memcached runs (0 = sequential).
-	// Zero keeps each experiment's default.
+	// 30K and 40); Seed is the master seed (default 1). Zero keeps each
+	// experiment's default.
 	Requests, Iterations int
 	Seed                 uint64
-	Partitions           int
-	// Faults overrides the fault schedule of the graceful-degradation
-	// experiments (faultmc, faultincast) with a spec in the fault.ParseSpec
-	// grammar, e.g. "tordegrade rack=0 at=30ms dur=200ms loss=0.5". Empty
-	// keeps each experiment's built-in schedule; other experiments ignore it.
-	Faults string
-	// TraceOut, if non-empty, writes a Chrome trace-event JSON file of the
-	// experiment's observed run — load it in ui.perfetto.dev or
-	// chrome://tracing. Supported by perf, faultmc and faultincast; other
-	// experiments ignore it.
-	TraceOut string
-	// ManifestOut, if non-empty, writes a machine-readable run manifest
-	// (schema diablo/run-manifest/v1: config, seed, stats series, engine
-	// balance, degradation) for the same observed run as TraceOut.
-	ManifestOut string
-}
-
-// observing reports whether any observation output was requested.
-func (o ExperimentOptions) observing() bool {
-	return o.TraceOut != "" || o.ManifestOut != ""
 }
 
 // ExperimentOutput is the rendered result of one experiment.
@@ -97,8 +74,8 @@ func Experiments() []Experiment {
 		{"fig14", "Figure 14: Linux 2.6.39.3 vs 3.5.7 at 2,000 nodes", runFigure("fig14", drawFig14)},
 		{"fig15", "Figure 15: memcached 1.4.15 vs 1.4.17 at scale", runFigure("fig15", tails(0.95, func(c campaign.Cell) string { return nodes(c) + " memcached " + c.Workload.Version }))},
 		{"perf", "Section 5: simulator performance and scaling", runPerf},
-		{"faultmc", "Fault injection: memcached fan-out latency under a ToR uplink flap", runFaultMC},
-		{"faultincast", "Fault injection: TCP incast with a lossy client downlink", runFaultIncast},
+		{"faultmc", "Fault injection: memcached fan-out latency under a ToR uplink flap", runFigure("faultmc", drawFaultMC)},
+		{"faultincast", "Fault injection: TCP incast with a lossy client downlink", runFigure("faultincast", drawFaultIncast)},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
@@ -111,7 +88,7 @@ func RunExperiment(id string, opts ExperimentOptions) (*ExperimentOutput, error)
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"Requests", opts.Requests}, {"Iterations", opts.Iterations}, {"Partitions", opts.Partitions}} {
+	}{{"Requests", opts.Requests}, {"Iterations", opts.Iterations}} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("diablo: %s must not be negative (got %d)", f.name, f.v)
 		}
@@ -165,11 +142,11 @@ func runProto(ExperimentOptions) (*ExperimentOutput, error) {
 	return &ExperimentOutput{Tables: []*metrics.Table{tb}}, nil
 }
 
-// runFigure returns the runner of a figure: it runs the figure's campaign
-// preset at one seed (Seed, default 1) with Requests per memcached client or
-// Iterations per incast run (0 keeps the preset's) and draws the figure from
-// the cell results, in enumeration order. Cells run in parallel, each on the
-// sequential engine, so Partitions does not apply.
+// runFigure returns the runner of a figure or fault experiment: it runs the
+// experiment's campaign preset at one seed (Seed, default 1) with Requests
+// per memcached client or Iterations per incast run (0 keeps the preset's)
+// and draws the output from the cell results, in enumeration order. Cells run in parallel, each on the
+// sequential engine.
 func runFigure(preset string, draw func([]*campaign.CellResult) *ExperimentOutput) func(ExperimentOptions) (*ExperimentOutput, error) {
 	return func(o ExperimentOptions) (*ExperimentOutput, error) {
 		spec, err := campaign.Preset(preset)
@@ -214,7 +191,7 @@ func goodput(label func(campaign.Cell) string) func([]*campaign.CellResult) *Exp
 	return func(cells []*campaign.CellResult) *ExperimentOutput {
 		return &ExperimentOutput{Series: curves(cells, label, "senders", "goodput_mbps",
 			func(cr *campaign.CellResult) int { return cr.Result.Servers },
-			func(cr *campaign.CellResult) float64 { return cr.GoodputBps / 1e6 })}
+			func(cr *campaign.CellResult) float64 { return cr.Incast.GoodputBps / 1e6 })}
 	}
 }
 
@@ -310,214 +287,49 @@ func drawFig14(cells []*campaign.CellResult) *ExperimentOutput {
 	return out
 }
 
-// customFaults parses o.Faults, seeded with the run's seed like the
-// built-in schedules; nil means no schedule was given.
-func (o ExperimentOptions) customFaults(seed uint64) (*fault.Plan, error) {
-	if o.Faults == "" {
-		return nil, nil
-	}
-	return fault.ParseSpec(seed, o.Faults)
-}
-
-// observe returns an OnCluster hook that, with observation requested,
-// attaches one to the run's cluster and keeps it in *obsn.
-func (o ExperimentOptions) observe(obsn **core.Observation) func(*core.Cluster) {
-	if !o.observing() {
-		return nil
-	}
-	return func(c *core.Cluster) { *obsn = core.Observe(c, core.ObserveConfig{}) }
-}
-
-func runFaultMC(o ExperimentOptions) (*ExperimentOutput, error) {
-	cfg := core.DefaultMemcached()
-	cfg.Arrays = 1
-	cfg.RequestsPerClient = 40
-	cfg.MaxClients = 64
-	cfg.Warmup = 2
-	if o.Requests != 0 {
-		cfg.RequestsPerClient = o.Requests
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	cfg.Partitions = o.Partitions
-
-	plan, err := o.customFaults(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	name := "memcached under faults"
-	if plan == nil {
-		// Built in: rack 0's uplink drops half its frames for 200 ms from 30 ms.
-		rack, at, dur, loss := 0, sim.Time(30*sim.Millisecond), 200*sim.Millisecond, 0.5
-		plan = fault.NewPlan(cfg.Seed).DegradeRackUplink(rack, at, dur, loss, 0)
-		name = fmt.Sprintf("memcached under ToR flap (rack %d, %v for %v, loss %g)", rack, at, dur, loss)
-	}
-	// The same config twice, healthy and then under plan: with identical
-	// seeds every difference is the faults'. Only the faulted run is observed.
-	base, err := core.RunMemcached(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("faultmc: baseline run: %w", err)
-	}
-	var obsn *core.Observation
-	cfg.Faults = plan
-	cfg.OnCluster = o.observe(&obsn)
-	r, err := core.RunMemcached(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("faultmc: faulted run: %w", err)
-	}
-	d := &metrics.Degradation{
-		Name:            name,
-		Baseline:        base.Overall,
-		Faulted:         r.Overall,
-		BaselineLost:    base.Lost(),
-		FaultedLost:     r.Lost(),
-		BaselineRetried: base.Retried,
-		FaultedRetried:  r.Retried,
-		FaultDrops:      r.FaultDrops,
-	}
-	out := &ExperimentOutput{Tables: []*metrics.Table{d.Table()}}
-	out.Notes = append(out.Notes,
-		fmt.Sprintf("schedule:\n%s", plan),
-		fmt.Sprintf("fault edges fired: %d; p99.9 inflation %.2fx; lost %d of %d requests (%.3g%%)",
-			len(r.FaultEdges), d.Inflation(0.999), r.Lost(), r.Attempted,
-			100*metrics.LossRate(r.Lost(), r.Attempted)))
-	if obsn != nil {
-		m := obsn.BuildManifest("faultmc", cfg.Seed, map[string]any{
-			"requests_per_client": cfg.RequestsPerClient,
-			"faults":              plan.String(),
-		})
-		m.Degradation = core.ManifestDegradation(d, r.Attempted)
-		note, werr := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m)
-		if werr != nil {
-			return nil, werr
-		}
-		out.Notes = append(out.Notes, "observed faulted run: "+note)
-	}
-	return out, nil
-}
-
-func runFaultIncast(o ExperimentOptions) (*ExperimentOutput, error) {
-	cfg := core.DefaultIncast(8)
-	cfg.Iterations = 10
-	if o.Iterations != 0 {
-		cfg.Iterations = o.Iterations
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-
-	plan, err := o.customFaults(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	name := "incast under faults"
-	if plan == nil {
-		// Built in: the switch->client direction of the client's edge link
-		// (node 0), where the incast aggregate flows, drops 10% of frames all
-		// run long.
-		loss := 0.1
-		plan = fault.NewPlan(cfg.Seed).DegradeEdge(0, fault.Down, 0, 600*sim.Second, loss, 0)
-		name = fmt.Sprintf("incast with lossy downlink (%d senders, loss %g)", cfg.Senders, loss)
-	}
-	base, err := core.RunIncast(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("faultincast: baseline run: %w", err)
-	}
-	var cluster *core.Cluster
-	var obsn *core.Observation
-	cfg.Faults = plan
-	cfg.OnCluster = func(c *core.Cluster) {
-		cluster = c
-		if o.observing() {
-			obsn = core.Observe(c, core.ObserveConfig{})
+// faulted draws a fault preset: the degradation table of its faulted cell
+// against its baseline, titled from the cell and the plan's first action,
+// then the schedule and a summary note.
+func faulted(title func(*campaign.CellResult, fault.Action) string,
+	summary func(base, r *campaign.CellResult, d *metrics.Degradation) string) func([]*campaign.CellResult) *ExperimentOutput {
+	return func(cells []*campaign.CellResult) *ExperimentOutput {
+		base, r := cells[0], cells[1]
+		d := campaign.Degradation(base, r)
+		d.Name = title(r, r.Plan.Actions[0])
+		return &ExperimentOutput{
+			Tables: []*metrics.Table{d.Table()},
+			Notes:  []string{"schedule:\n" + r.Plan.String(), summary(base, r, d)},
 		}
 	}
-	r, err := core.RunIncast(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("faultincast: faulted run: %w", err)
-	}
-	// The degradation histograms hold per-iteration completion times.
-	iters := func(r incast.Result) *metrics.Histogram {
-		h := metrics.NewHistogram()
-		for _, d := range r.IterTimes {
-			h.Record(d)
-		}
-		return h
-	}
-	d := &metrics.Degradation{
-		Name:            name,
-		Baseline:        iters(base),
-		Faulted:         iters(r),
-		BaselineRetried: base.Retransmits,
-		FaultedRetried:  r.Retransmits,
-		FaultDrops:      cluster.FaultDrops(),
-	}
-	goodputRatio := 0.0
-	if base.GoodputBps > 0 {
-		goodputRatio = r.GoodputBps / base.GoodputBps
-	}
-	out := &ExperimentOutput{Tables: []*metrics.Table{d.Table()}}
-	out.Notes = append(out.Notes,
-		fmt.Sprintf("schedule:\n%s", plan),
-		fmt.Sprintf("goodput %.1f -> %.1f Mbps (%.2fx); retransmits %d -> %d; timeouts %d -> %d",
-			base.GoodputBps/1e6, r.GoodputBps/1e6, goodputRatio,
-			base.Retransmits, r.Retransmits,
-			base.Timeouts, r.Timeouts))
-	if obsn != nil {
-		m := obsn.BuildManifest("faultincast", cfg.Seed, map[string]any{
-			"senders":    cfg.Senders,
-			"iterations": cfg.Iterations,
-			"faults":     plan.String(),
-		})
-		// Incast degrades goodput, not a request count; loss rate is not a
-		// per-request notion here, so attempted stays 0.
-		m.Degradation = core.ManifestDegradation(d, 0)
-		note, werr := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m)
-		if werr != nil {
-			return nil, werr
-		}
-		out.Notes = append(out.Notes, "observed faulted run: "+note)
-	}
-	return out, nil
 }
+
+var (
+	drawFaultMC = faulted(func(_ *campaign.CellResult, a fault.Action) string {
+		return fmt.Sprintf("memcached under ToR flap (rack %d, %v for %v, loss %g)", a.Target.Rack, a.At, a.Dur, a.Loss)
+	}, func(_, r *campaign.CellResult, d *metrics.Degradation) string {
+		res := r.Result
+		return fmt.Sprintf("fault edges fired: %d; p99.9 inflation %.2fx; lost %d of %d requests (%.3g%%)",
+			len(res.FaultEdges), d.Inflation(0.999), res.Lost(), res.Attempted,
+			100*metrics.LossRate(res.Lost(), res.Attempted))
+	})
+	// An incast cell's samples are its iterations' completion times.
+	drawFaultIncast = faulted(func(r *campaign.CellResult, a fault.Action) string {
+		return fmt.Sprintf("incast with lossy downlink (%d senders, loss %g)", r.Result.Servers, a.Loss)
+	}, func(base, r *campaign.CellResult, _ *metrics.Degradation) string {
+		b, f := base.Incast, r.Incast
+		ratio := 0.0
+		if b.GoodputBps > 0 {
+			ratio = f.GoodputBps / b.GoodputBps
+		}
+		return fmt.Sprintf("goodput %.1f -> %.1f Mbps (%.2fx); retransmits %d -> %d; timeouts %d -> %d",
+			b.GoodputBps/1e6, f.GoodputBps/1e6, ratio, b.Retransmits, f.Retransmits, b.Timeouts, f.Timeouts)
+	})
+)
 
 func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
-	requests := o.Requests
-	if requests == 0 {
-		requests = 60
-	}
-	points, err := core.Section5Performance(nil, requests)
+	points, err := core.Section5Performance(nil, cmp.Or(o.Requests, 60))
 	if err != nil {
 		return nil, err
 	}
-	out := &ExperimentOutput{Tables: []*metrics.Table{core.PerfTable(points)}}
-	if o.observing() {
-		cfg := core.DefaultMemcached()
-		cfg.Arrays = 1
-		cfg.RequestsPerClient = requests
-		cfg.Partitions = o.Partitions
-		if cfg.Partitions <= 1 {
-			cfg.Partitions = 2
-		}
-		if o.Seed != 0 {
-			cfg.Seed = o.Seed
-		}
-		var obsn *core.Observation
-		cfg.OnCluster = o.observe(&obsn)
-		if _, err := core.RunMemcached(cfg); err != nil {
-			return nil, err
-		}
-		m := obsn.BuildManifest("perf/memcached-1array", cfg.Seed, map[string]any{
-			"arrays":              cfg.Arrays,
-			"requests_per_client": cfg.RequestsPerClient,
-			"partitions":          cfg.Partitions,
-		})
-		note, werr := obsn.WriteFiles(o.TraceOut, o.ManifestOut, m)
-		if werr != nil {
-			return nil, werr
-		}
-		out.Notes = append(out.Notes, "observed §5 memcached run: "+note)
-	}
-	return out, nil
+	return &ExperimentOutput{Tables: []*metrics.Table{core.PerfTable(points)}}, nil
 }

@@ -36,6 +36,7 @@ func tinySpec() *Spec {
 
 func TestSpecValidate(t *testing.T) {
 	incast := func(s *Spec) { s.Workloads[0] = WorkloadAxis{Name: "in", App: "incast", Proto: "tcp", Requests: 2} }
+	plan := func(s *Spec) { s.Faults = FaultAxis{Draws: 1, Plan: "tordegrade rack=0 at=1ms dur=5ms loss=0.5"} }
 	bad := []struct {
 		name   string
 		mutate func(*Spec)
@@ -91,6 +92,11 @@ func TestSpecValidate(t *testing.T) {
 		{"incast over udp", func(s *Spec) { incast(s); s.Workloads[0].Proto = "udp" }, "incast"},
 		{"incast with a memcached knob", func(s *Spec) { incast(s); s.Workloads[0].Version = "1.4.15" }, "incast"},
 		{"incast across racks", func(s *Spec) { incast(s); s.Faults.Draws = 0 }, "one-rack"},
+		{"malformed plan", func(s *Spec) { plan(s); s.Faults.Plan = "tordegrade rack=0 at=soon" }, "faults.plan"},
+		{"plan that schedules nothing", func(s *Spec) { plan(s); s.Faults.Plan = " ; " }, "faults.plan"},
+		{"plan with two draws", func(s *Spec) { plan(s); s.Faults.Draws = 2 }, "draws must be 1"},
+		{"plan with generator events", func(s *Spec) { plan(s); s.Faults.Events = 3 }, "events"},
+		{"plan with a generator window", func(s *Spec) { plan(s); s.Faults.MeanDurMs = 5 }, "mean_dur_ms"},
 	}
 	for _, tc := range named {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,6 +112,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := tinySpec().Validate(); err != nil {
 		t.Fatalf("tiny spec rejected: %v", err)
+	}
+	// A plan may target a one-rack shape: the multi-rack check is for the
+	// generator's rack-uplink faults.
+	s := tinySpec()
+	incast(s)
+	s.Topologies[0] = TopologyAxis{Shape: "3x1x1"}
+	s.Faults = FaultAxis{Draws: 1, Plan: "edgedegrade node=0 at=0 dur=1s loss=0.1 dir=down"}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("plan on a one-rack incast shape rejected: %v", err)
 	}
 }
 
@@ -284,15 +299,33 @@ func TestPresets(t *testing.T) {
 		t.Errorf("nightly preset has %d cells, want 240", len(ncells))
 	}
 	// The figure presets fix their seeds, so every draw runs at a seed the
-	// figure names; the incast ones run a cell per sender count and system.
+	// figure names; the incast ones run a cell per sender count and system,
+	// the fault ones a baseline and one draw under their plan.
 	for _, c := range []struct {
 		name  string
 		cells int
-	}{{"fig6a", 13 * 3}, {"fig6b", 13 * 4}, {"fig8", 7 * 2}, {"fig9", 2 * 2}} {
+	}{{"fig6a", 13 * 3}, {"fig6b", 13 * 4}, {"fig8", 7 * 2}, {"fig9", 2 * 2}, {"faultmc", 2}, {"faultincast", 2}} {
 		s, _ := Preset(c.name)
 		cells, _ := s.Cells()
 		if len(cells) != c.cells || !slices.Equal(s.Seeds, []uint64{1}) {
 			t.Errorf("preset %s: %d cells at seeds %v, want %d at [1]", c.name, len(cells), s.Seeds, c.cells)
+		}
+	}
+	// A planned draw seeds its loss streams with the cell seed, and its
+	// manifest records the plan in place of the generator's knobs.
+	for _, name := range []string{"faultmc", "faultincast"} {
+		s, _ := Preset(name)
+		cells, _ := s.Cells()
+		p, err := CellPlan(s, cells[1])
+		if err != nil || p.Seed != cells[1].Seed || len(p.Actions) != 1 {
+			t.Errorf("preset %s: draw 1 plan %+v (err %v), want one action seeded %d", name, p, err, cells[1].Seed)
+		}
+		m := configMap(s, cells[1])
+		if _, gen := m["fault_events"]; m["fault_plan"] != s.Faults.Plan || gen {
+			t.Errorf("preset %s: draw 1 config %v, want fault_plan and no generator keys", name, m)
+		}
+		if _, ok := configMap(s, cells[0])["fault_plan"]; ok {
+			t.Errorf("preset %s: baseline config records a fault plan", name)
 		}
 	}
 	if _, err := Preset("weekly"); err == nil {

@@ -28,6 +28,7 @@ func FuzzCampaignSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"x","seeds":[3,1],"topologies":[{"shape":"4x2x1"}],"profiles":["ideal"],"workloads":[{"name":"w","proto":"tcp","requests":2,"version":"1.4.15","churn_every":1,"extra_switch_ns":50}]}`))
 	f.Add([]byte(`{"name":"x","faults":{"draws":9223372036854775807}}`))
 	f.Add([]byte(`{"name":"x","topologies":[{"shape":"4x2x1"}],"profiles":["ideal"],"workloads":[{"name":"w","proto":"udp","requests":2}],"faults":{"draws":1,"events":1,"start_ms":2e10,"horizon_ms":1,"mean_dur_ms":1}}`))
+	f.Add([]byte(`{"name":"x","topologies":[{"shape":"3x1x1"}],"profiles":["ideal"],"workloads":[{"name":"w","app":"incast","proto":"tcp","requests":1}],"faults":{"draws":1,"plan":"edgedegrade node=0 at=0 dur=1s loss=2"}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 

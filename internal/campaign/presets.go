@@ -7,7 +7,8 @@ import (
 
 // Presets returns the built-in campaign names.
 func Presets() []string {
-	return []string{"smoke", "nightly", "fig6a", "fig6b", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
+	return []string{"smoke", "nightly", "fig6a", "fig6b", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+		"faultmc", "faultincast"}
 }
 
 // Preset returns a built-in campaign spec by name.
@@ -22,6 +23,8 @@ func Presets() []string {
 //     incastFigure); "fig8" … "fig15": the §4.2 memcached figures at seed 1.
 //     `diablo run figN` runs them at its -seed, and at its -iterations
 //     (incast) or -requests (memcached).
+//   - "faultmc", "faultincast": the graceful-degradation experiments at
+//     seed 1, a baseline cell and one cell under an explicit fault plan.
 func Preset(name string) (*Spec, error) {
 	switch name {
 	case "smoke":
@@ -110,6 +113,16 @@ func Preset(name string) (*Spec, error) {
 		return figure(name, []int{1, 4}, nil,
 			WorkloadAxis{Name: "tcp-1.4.17", Proto: "tcp", Version: "1.4.17", ChurnEvery: 25},
 			WorkloadAxis{Name: "tcp-1.4.15", Proto: "tcp", Version: "1.4.15", ChurnEvery: 25}), nil
+	case "faultmc": // memcached fan-out while rack 0's uplink drops half its frames
+		s := seed1(name, TopologyAxis{Shape: "31x16x1", MemcachedServersPerRack: 2})
+		s.Workloads = []WorkloadAxis{{Name: "udp", Proto: "udp", Requests: 40, MaxClients: 64, Warmup: 2}}
+		s.Faults = FaultAxis{Draws: 1, Plan: "tordegrade rack=0 at=30ms dur=200ms loss=0.5"}
+		return s, nil
+	case "faultincast": // 8-sender incast over a client downlink losing 10% all run long
+		s := seed1(name, TopologyAxis{Shape: "9x1x1"})
+		s.Workloads = []WorkloadAxis{{Name: "incast", App: "incast", Proto: "tcp", Requests: 10}}
+		s.Faults = FaultAxis{Draws: 1, Plan: "edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down"}
+		return s, nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown preset %q (known: %v)", name, Presets())
 	}

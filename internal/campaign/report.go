@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"diablo/internal/core"
 	"diablo/internal/metrics"
 	"diablo/internal/obs"
 )
@@ -71,7 +70,52 @@ type CellReport struct {
 
 	// Degradation compares the cell against its combo's baseline cell
 	// (nil on baseline cells).
-	Degradation *obs.DegradationJSON `json:"degradation,omitempty"`
+	Degradation *DegradationJSON `json:"degradation,omitempty"`
+}
+
+// DegradationJSON summarizes a faulted cell against its baseline cell.
+type DegradationJSON struct {
+	Name             string  `json:"name"`
+	P50Inflation     float64 `json:"p50_inflation"`
+	P99Inflation     float64 `json:"p99_inflation"`
+	P999Inflation    float64 `json:"p999_inflation"`
+	LossRate         float64 `json:"loss_rate"`
+	BaselineRequests int     `json:"baseline_requests"`
+	FaultedRequests  int     `json:"faulted_requests"`
+	Retried          int     `json:"retried"`
+	FaultDrops       uint64  `json:"fault_drops"`
+}
+
+// Degradation measures a faulted cell against its baseline cell, named after
+// the faulted cell.
+func Degradation(base, faulted *CellResult) *metrics.Degradation {
+	b, f := base.Result, faulted.Result
+	return &metrics.Degradation{
+		Name:            faulted.Cell.Name,
+		Baseline:        b.Overall,
+		Faulted:         f.Overall,
+		BaselineLost:    b.Lost(),
+		FaultedLost:     f.Lost(),
+		BaselineRetried: b.Retried,
+		FaultedRetried:  f.Retried,
+		FaultDrops:      f.FaultDrops,
+	}
+}
+
+// degradationJSON converts a degradation table for the report; attempted is
+// the faulted cell's attempted request count.
+func degradationJSON(d *metrics.Degradation, attempted uint64) *DegradationJSON {
+	return &DegradationJSON{
+		Name:             d.Name,
+		P50Inflation:     d.Inflation(0.50),
+		P99Inflation:     d.Inflation(0.99),
+		P999Inflation:    d.Inflation(0.999),
+		LossRate:         metrics.LossRate(d.FaultedLost, attempted),
+		BaselineRequests: int(d.Baseline.Count()),
+		FaultedRequests:  int(d.Faulted.Count()),
+		Retried:          int(d.FaultedRetried),
+		FaultDrops:       d.FaultDrops,
+	}
 }
 
 // BuildReport aggregates executed cells (RunCells, in enumeration order) into
@@ -114,24 +158,14 @@ func BuildReport(spec *Spec, results []*CellResult) (*Report, error) {
 
 			ThroughputPerServer: res.ThroughputPerServer(),
 			MeanUtil:            res.MeanUtil,
-			GoodputMbps:         cr.GoodputBps / 1e6,
+			GoodputMbps:         cr.Incast.GoodputBps / 1e6,
 		}
 		if !cell.Baseline() {
 			base := results[cell.BaselineIndex]
 			if base == nil || !base.Cell.Baseline() {
 				return nil, fmt.Errorf("campaign: cell %s points at baseline index %d which is not a baseline", cell.Name, cell.BaselineIndex)
 			}
-			d := &metrics.Degradation{
-				Name:            cell.Name,
-				Baseline:        base.Result.Overall,
-				Faulted:         res.Overall,
-				BaselineLost:    base.Result.Lost(),
-				FaultedLost:     res.Lost(),
-				BaselineRetried: base.Result.Retried,
-				FaultedRetried:  res.Retried,
-				FaultDrops:      res.FaultDrops,
-			}
-			row.Degradation = core.ManifestDegradation(d, res.Attempted)
+			row.Degradation = degradationJSON(Degradation(base, cr), res.Attempted)
 		}
 		rep.Cells = append(rep.Cells, row)
 		hashes = append(hashes, cell.Name+" "+cr.ManifestHash)

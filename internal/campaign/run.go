@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"diablo/internal/apps/incast"
 	"diablo/internal/apps/memcache"
 	"diablo/internal/core"
 	"diablo/internal/cpu"
@@ -36,9 +37,12 @@ type CellResult struct {
 	Cell Cell
 	// Result summarizes the run; an incast cell fills it as runApp says.
 	Result *core.MemcachedResult
-	// GoodputBps is an incast cell's application goodput (0 for memcached).
-	GoodputBps float64
-	Manifest   *obs.Manifest
+	// Incast is an incast cell's own result, goodput and timeouts included
+	// (zero for memcached).
+	Incast incast.Result
+	// Plan is the fault schedule the cell ran (nil on baseline cells).
+	Plan     *fault.Plan
+	Manifest *obs.Manifest
 	// ManifestJSON is the canonical manifest encoding; ManifestHash digests
 	// it. Byte-identical on replay from Cell.Seed.
 	ManifestJSON []byte
@@ -48,12 +52,16 @@ type CellResult struct {
 // msDur converts spec milliseconds into simulated time.
 func msDur(ms float64) sim.Duration { return sim.Duration(ms * float64(sim.Millisecond)) }
 
-// CellPlan generates the cell's fault plan (nil for baseline cells). The
-// plan is a pure function of the cell seed and the spec's fault axis, so a
-// replayed cell redraws the identical schedule.
+// CellPlan generates the cell's fault plan (nil for baseline cells), or
+// parses the axis's explicit plan with the cell seed as its loss-stream seed.
+// The plan is a pure function of the cell seed and the spec's fault axis, so
+// a replayed cell redraws the identical schedule.
 func CellPlan(spec *Spec, cell Cell) (*fault.Plan, error) {
 	if cell.Baseline() {
 		return nil, nil
+	}
+	if spec.Faults.Plan != "" {
+		return fault.ParseSpec(cell.Seed, spec.Faults.Plan)
 	}
 	topo, err := topology.New(cell.Shape)
 	if err != nil {
@@ -78,13 +86,13 @@ var systems = []string{"", "ns2-style", "physical-proxy", "10g-low-latency"}
 // runApp runs the cell's application on its system with observe attached
 // and summarizes it. An incast cell fills the summary a memcached cell
 // reports: one sample per block-read iteration, its client the one client
-// and its senders the servers, TCP retransmits as retries; its goodput
+// and its senders the servers, TCP retransmits as retries; its own result
 // comes back beside it.
-func runApp(cell Cell, plan *fault.Plan, observe func(*core.Cluster) *core.Observation) (*core.MemcachedResult, float64, error) {
+func runApp(cell Cell, plan *fault.Plan, observe func(*core.Cluster) *core.Observation) (*core.MemcachedResult, incast.Result, error) {
 	w := cell.Workload
 	prof, err := kernel.ProfileByName(cell.Profile)
 	if err != nil {
-		return nil, 0, err
+		return nil, incast.Result{}, err
 	}
 	// A zero switch or clock keeps the model's own.
 	var tor, array vswitch.Params
@@ -134,7 +142,7 @@ func runApp(cell Cell, plan *fault.Plan, observe func(*core.Cluster) *core.Obser
 		// than N clusters fighting over cores.
 		mc.OnCluster = func(c *core.Cluster) { observe(c) }
 		res, err := core.RunMemcached(mc)
-		return res, 0, err
+		return res, incast.Result{}, err
 	}
 
 	ic := core.DefaultIncast(cell.Shape.ServersPerRack - 1)
@@ -150,7 +158,7 @@ func runApp(cell Cell, plan *fault.Plan, observe func(*core.Cluster) *core.Obser
 	}
 	r, err := core.RunIncast(ic)
 	if err != nil {
-		return nil, 0, err
+		return nil, r, err
 	}
 	n := uint64(len(r.IterTimes))
 	res := &core.MemcachedResult{
@@ -161,7 +169,7 @@ func runApp(cell Cell, plan *fault.Plan, observe func(*core.Cluster) *core.Obser
 	for _, d := range r.IterTimes {
 		res.Overall.Record(d)
 	}
-	return res, r.GoodputBps, nil
+	return res, r, nil
 }
 
 // configMap flattens the cell's resolved knobs into the manifest config —
@@ -196,7 +204,11 @@ func configMap(spec *Spec, cell Cell) map[string]any {
 	setNonZero(m, "cpu_ghz", w.CPUGHz)
 	setNonZero(m, "epoll", w.Epoll)
 	setNonZero(m, "closed_loop", w.ClosedLoop)
-	if !cell.Baseline() {
+	switch {
+	case cell.Baseline():
+	case spec.Faults.Plan != "":
+		m["fault_plan"] = spec.Faults.Plan
+	default:
 		m["fault_events"] = spec.Faults.Events
 		m["fault_start_ms"] = spec.Faults.StartMs
 		m["fault_horizon_ms"] = spec.Faults.HorizonMs
@@ -222,7 +234,7 @@ func RunCell(spec *Spec, cell Cell) (*CellResult, error) {
 		return nil, fmt.Errorf("campaign: cell %s: %w", cell.Name, err)
 	}
 	var o *core.Observation
-	res, goodput, err := runApp(cell, plan, func(c *core.Cluster) *core.Observation {
+	res, app, err := runApp(cell, plan, func(c *core.Cluster) *core.Observation {
 		o = core.Observe(c, core.ObserveConfig{TraceEvents: -1})
 		return o
 	})
@@ -237,7 +249,8 @@ func RunCell(spec *Spec, cell Cell) (*CellResult, error) {
 	return &CellResult{
 		Cell:         cell,
 		Result:       res,
-		GoodputBps:   goodput,
+		Incast:       app,
+		Plan:         plan,
 		Manifest:     manifest,
 		ManifestJSON: b,
 		ManifestHash: obs.HashBytes(b),

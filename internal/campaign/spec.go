@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"diablo/internal/apps/memcache"
+	"diablo/internal/fault"
 	"diablo/internal/kernel"
 	"diablo/internal/sim"
 	"diablo/internal/topology"
@@ -125,9 +126,9 @@ type WorkloadAxis struct {
 const faultLimitMs = float64(sim.Never/4) / float64(sim.Millisecond)
 
 // FaultAxis parameterizes the Monte-Carlo fault draws. Each draw d >= 1
-// generates an independent fault.Generate plan from the cell's own seed;
-// draw 0 of every axis combination is the unfaulted baseline cell that
-// degradation is measured against.
+// generates an independent fault.Generate plan from the cell's own seed, or
+// runs the explicit Plan; draw 0 of every axis combination is the unfaulted
+// baseline cell that degradation is measured against.
 type FaultAxis struct {
 	// Draws is the number of faulted cells per axis combination.
 	Draws int `json:"draws"`
@@ -138,6 +139,10 @@ type FaultAxis struct {
 	HorizonMs float64 `json:"horizon_ms"`
 	// MeanDurMs is the mean fault window length in simulated milliseconds.
 	MeanDurMs float64 `json:"mean_dur_ms"`
+	// Plan, when set, is the one faulted draw's schedule in the
+	// fault.ParseSpec grammar, its loss streams seeded with the cell seed;
+	// Draws is then 1 and the generator fields above stay zero.
+	Plan string `json:"plan,omitempty"`
 }
 
 // Validate checks the spec against the axis grammars; every error names the
@@ -162,7 +167,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: topologies[%d] %s: %d memcached servers/rack leaves no clients",
 				i, t.Shape, t.ServersPerRack())
 		}
-		if s.Faults.Draws > 0 && p.RacksPerArray*p.Arrays < 2 {
+		if s.Faults.Draws > 0 && s.Faults.Plan == "" && p.RacksPerArray*p.Arrays < 2 {
 			return fmt.Errorf("campaign: topologies[%d] %s: fault draws need a multi-rack shape (rack-uplink faults)", i, t.Shape)
 		}
 	}
@@ -253,7 +258,16 @@ func (s *Spec) Validate() error {
 		}
 		seeds[seed] = true
 	}
-	if f.Draws > 0 {
+	if f.Plan != "" {
+		if f.Draws != 1 || f.Events != 0 || f.StartMs != 0 || f.HorizonMs != 0 || f.MeanDurMs != 0 {
+			return fmt.Errorf("campaign: faults.plan runs as the one draw: draws must be 1 and events, start_ms, horizon_ms and mean_dur_ms zero")
+		}
+		if p, err := fault.ParseSpec(0, f.Plan); err != nil {
+			return fmt.Errorf("campaign: faults.plan: %w", err)
+		} else if p.Empty() {
+			return fmt.Errorf("campaign: faults.plan schedules nothing")
+		}
+	} else if f.Draws > 0 {
 		if f.Events <= 0 {
 			return fmt.Errorf("campaign: fault draws need a positive event count")
 		}

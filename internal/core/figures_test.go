@@ -44,7 +44,7 @@ func TestFigure6aShape(t *testing.T) {
 	cells := runPreset(t, "fig6a", 5, func(s *campaign.Spec) {
 		s.Topologies = []campaign.TopologyAxis{{Shape: "2x1x1"}, {Shape: "5x1x1"}, {Shape: "13x1x1"}}
 	})
-	mbps := func(shape, workload string) float64 { return find(t, cells, shape, workload).GoodputBps / 1e6 }
+	mbps := func(shape, workload string) float64 { return find(t, cells, shape, workload).Incast.GoodputBps / 1e6 }
 	// Both start near line rate at one sender.
 	if d, hw := mbps("2x1x1", "diablo"), mbps("2x1x1", "physical-proxy"); d < 850 || hw < 850 {
 		t.Fatalf("1-sender points: diablo=%v hw=%v", d, hw)

@@ -21,7 +21,6 @@ import (
 
 	"diablo/internal/apps/memcache"
 	"diablo/internal/kernel"
-	"diablo/internal/metrics"
 	"diablo/internal/obs"
 	"diablo/internal/packet"
 	"diablo/internal/sim"
@@ -268,31 +267,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	return err
-}
-
-// ManifestDegradation converts a degradation table for the manifest.
-// attempted is the faulted run's attempted request count (0 when unknown;
-// the loss rate is then omitted as 0).
-func ManifestDegradation(d *metrics.Degradation, attempted uint64) *obs.DegradationJSON {
-	if d == nil {
-		return nil
-	}
-	out := &obs.DegradationJSON{
-		Name:          d.Name,
-		P50Inflation:  d.Inflation(0.50),
-		P99Inflation:  d.Inflation(0.99),
-		P999Inflation: d.Inflation(0.999),
-		LossRate:      metrics.LossRate(d.FaultedLost, attempted),
-		Retried:       int(d.FaultedRetried),
-		FaultDrops:    d.FaultDrops,
-	}
-	if d.Baseline != nil {
-		out.BaselineRequests = int(d.Baseline.Count())
-	}
-	if d.Faulted != nil {
-		out.FaultedRequests = int(d.Faulted.Count())
-	}
-	return out
 }
 
 // RunMemcachedObserved is RunMemcached with Observe(c, ocfg) chained after

@@ -3,9 +3,8 @@ package obs
 // The run manifest is the machine-readable record of one observed run:
 // enough to identify the configuration (experiment, seed, worker/partition
 // topology), reproduce the result (the stats hash doubles as a replay
-// digest), and post-process it (full stats series, engine balance,
-// degradation table, fault edges). EXPERIMENTS.md documents the schema;
-// ManifestSchema versions it.
+// digest), and post-process it (full stats series, engine balance, fault
+// edges). EXPERIMENTS.md documents the schema; ManifestSchema versions it.
 
 import (
 	"encoding/json"
@@ -35,9 +34,8 @@ type Manifest struct {
 	StatsHash string       `json:"stats_hash"`
 	Series    []SeriesJSON `json:"series"`
 
-	Engine      *EngineJSON      `json:"engine,omitempty"`
-	Degradation *DegradationJSON `json:"degradation,omitempty"`
-	FaultEdges  []FaultEdgeJSON  `json:"fault_edges,omitempty"`
+	Engine     *EngineJSON     `json:"engine,omitempty"`
+	FaultEdges []FaultEdgeJSON `json:"fault_edges,omitempty"`
 }
 
 // SeriesJSON is one sampled time series in columnar form (parallel arrays
@@ -62,19 +60,6 @@ type EnginePartitionJSON struct {
 	Executed    uint64  `json:"executed"`
 	BusyQuanta  uint64  `json:"busy_quanta"`
 	Utilization float64 `json:"utilization"`
-}
-
-// DegradationJSON is the graceful-degradation table of a faulted run.
-type DegradationJSON struct {
-	Name             string  `json:"name"`
-	P50Inflation     float64 `json:"p50_inflation"`
-	P99Inflation     float64 `json:"p99_inflation"`
-	P999Inflation    float64 `json:"p999_inflation"`
-	LossRate         float64 `json:"loss_rate"`
-	BaselineRequests int     `json:"baseline_requests"`
-	FaultedRequests  int     `json:"faulted_requests"`
-	Retried          int     `json:"retried"`
-	FaultDrops       uint64  `json:"fault_drops"`
 }
 
 // FaultEdgeJSON is one fault-plan edge (injection or recovery instant).

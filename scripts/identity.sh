@@ -5,9 +5,8 @@
 # runs each command below on both sides in the same directory (output files
 # are named relative to it, so notes that print them match), drops the
 # `# wall time` lines, and compares every output file and the standard output
-# and exit status. perf's table holds wall-clock rates, so for perf only the
-# trace and the manifest are compared. Stops at the first difference, naming
-# the file, and exits 1.
+# and exit status. Stops at the first difference, naming the file, and
+# exits 1.
 #
 #   scripts/identity.sh PARENT
 #   make identity PARENT=<rev>
@@ -19,7 +18,7 @@
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-	sed -n '2,18p' "$0" >&2
+	sed -n '2,17p' "$0" >&2
 	exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -47,10 +46,9 @@ runs=(
 	"fig13|diablo run fig13 -requests 20"
 	"fig14|diablo run fig14 -requests 20"
 	"fig15|diablo run fig15 -requests 20"
-	"perf|diablo run perf -requests 8 -partitions 2 -trace-out perf.trace.json -manifest-out perf.manifest.json"
-	"faultmc|diablo run faultmc -requests 5 -trace-out faultmc.trace.json -manifest-out faultmc.manifest.json"
-	"faultmc-sample|diablo run faultmc -requests 8 -partitions 2 -trace-out s.trace.json -manifest-out s.manifest.json && diablo validate s.trace.json s.manifest.json"
-	"faultincast|diablo run faultincast -iterations 2 -trace-out faultincast.trace.json -manifest-out faultincast.manifest.json"
+	"faultmc|diablo run faultmc -requests 5"
+	"faultincast|diablo run faultincast -iterations 2"
+	"memcache-sample|memcache -arrays 1 -requests 8 -faults 'tordegrade rack=0 at=30ms dur=200ms loss=0.5' -trace-out s.trace.json -manifest-out s.manifest.json && diablo validate s.trace.json s.manifest.json"
 	"memcache|memcache -proto tcp -churn 10 -trace-out mc.trace.json -manifest-out mc.manifest.json"
 	"incast|incast -epoll -trace-drops -faults 'edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down' -trace-out incast.trace.json -manifest-out incast.manifest.json"
 	"campaign-smoke|campaign run -preset smoke -workers 0 -q -o CAMPAIGN_results.json"
@@ -68,9 +66,6 @@ run() {
 	(cd "$dir" && PATH="$base/bin/$1:$PATH" bash -c "$3") >"$dir/stdout.txt" || status=$?
 	echo "$status" >"$dir/exit.txt"
 	sed -i '/^# wall time/d' "$dir/stdout.txt"
-	if [ "$2" = perf ]; then
-		rm "$dir/stdout.txt"
-	fi
 	mkdir -p "$base/$1"
 	mv "$dir" "$base/$1/$2"
 }
