@@ -108,10 +108,11 @@ bench-pairs:
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
 
 # Byte-identity of every simulated output against PARENT (a revision): the
-# figures, the fault experiments, a faulted memcache run's trace and manifest,
-# memcache, incast, two campaigns and the quickstart example, run on both
-# sides in the same directory; stops at the first differing file. Outputs stay
-# in .identity_build/<side>/<name>. About 35 s per side.
+# figures, the fault experiments, two campaigns, the quickstart example and
+# the traces and manifests of three observed single runs (campaign replay of
+# the one-cell specs in testdata/runs), run on both sides in the same
+# directory; stops at the first differing file. Outputs stay in
+# .identity_build/<side>/<name>. About 35 s per side.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh "$(PARENT)"

@@ -5,17 +5,21 @@
 //
 //	campaign run  (-preset P | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
 //	campaign cells (-preset P | -spec FILE)
-//	campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE]
+//	campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE] [-trace-out FILE]
 //	campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]
 //
 // The same spec + master seed yields a byte-identical report at any -workers
 // value; every cell is replayable byte-for-byte from the seed its manifest
-// records. `campaign diff` compares two reports (typically two git
-// revisions) and exits 1 when a cell regresses past the threshold; `diablo
-// validate` checks a written report against its schema.
+// records. `campaign replay` is also how one run is observed: a one-cell
+// spec (testdata/runs/ holds the documented ones) replayed with -trace-out
+// writes the run's Chrome trace beside its manifest. `campaign diff`
+// compares two reports (typically two git revisions) and exits 1 when a cell
+// regresses past the threshold; `diablo validate` checks a written report,
+// manifest or trace against its schema.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +28,7 @@ import (
 	"time"
 
 	"diablo/internal/campaign"
+	"diablo/internal/core"
 )
 
 func main() {
@@ -173,6 +178,7 @@ func cmdReplay(args []string) error {
 	cell := fs.String("cell", "", "cell name (see `campaign cells`)")
 	seed := fs.Uint64("seed", 0, "manifest-recorded cell seed to cross-check (0 = trust the spec)")
 	out := fs.String("o", "", "write the replayed cell manifest here (default stdout)")
+	traceOut := fs.String("trace-out", "", "also write the run's Chrome trace-event JSON here (open in ui.perfetto.dev)")
 	parse(fs, args)
 	spec, err := loadSpec(*preset, *specPath)
 	if err != nil {
@@ -181,9 +187,22 @@ func cmdReplay(args []string) error {
 	if *cell == "" {
 		return fmt.Errorf("replay needs -cell NAME")
 	}
-	cr, err := campaign.ReplayCell(spec, *cell, *seed)
+	ocfg := core.ObserveConfig{TraceEvents: -1}
+	if *traceOut != "" {
+		ocfg.TraceEvents = 0 // obs.DefaultTraceCapacity
+	}
+	cr, err := campaign.ReplayCell(spec, *cell, *seed, ocfg)
 	if err != nil {
 		return err
+	}
+	if *traceOut != "" {
+		var b bytes.Buffer
+		if err := cr.Trace.WriteJSON(&b); err != nil {
+			return err
+		}
+		if err := os.WriteFile(*traceOut, b.Bytes(), 0o644); err != nil {
+			return err
+		}
 	}
 	if *out != "" {
 		return os.WriteFile(*out, cr.ManifestJSON, 0o644)
@@ -242,6 +261,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   campaign run  (-preset P | -spec FILE) [-workers N] [-o FILE] [-cells-dir DIR] [-q]
   campaign cells (-preset P | -spec FILE)
-  campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE]
+  campaign replay (-preset P | -spec FILE) -cell NAME [-seed S] [-o FILE] [-trace-out FILE]
   campaign diff OLD.json NEW.json [-threshold 0.25] [-o FILE]`)
 }

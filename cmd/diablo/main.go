@@ -14,8 +14,8 @@
 // the paper's 30,000 requests / 40 iterations for full-scale runs. Each
 // figure and fault experiment is a campaign preset (`campaign run -preset
 // figN` runs it with a report, and over a list of seeds in a spec). An
-// observed single run, faulted or not, is cmd/memcache's or cmd/incast's
-// (-faults, -trace-out, -manifest-out).
+// observed single run, faulted or not, is `campaign replay -trace-out` of a
+// one-cell spec (testdata/runs holds the documented ones).
 package main
 
 import (

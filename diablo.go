@@ -40,7 +40,6 @@ import (
 	"diablo/internal/apps/memcache"
 	"diablo/internal/core"
 	"diablo/internal/cpu"
-	"diablo/internal/fault"
 	"diablo/internal/kernel"
 	"diablo/internal/metrics"
 	"diablo/internal/packet"
@@ -147,7 +146,6 @@ var (
 
 	// Switch presets.
 	Gigabit1GShallow      = vswitch.Gigabit1GShallow
-	TenGigLowLatency      = vswitch.TenGigLowLatency
 	SharedBufferCommodity = vswitch.SharedBufferCommodity
 	NS2DropTail           = vswitch.NS2DropTail
 
@@ -179,14 +177,7 @@ type (
 	Cluster = core.Cluster
 )
 
-// Observation and fault injection.
-var (
-	// Observe attaches an Observation to a cluster: from a config's OnCluster
-	// hook, RunMemcached or RunIncast then traces every request or iteration
-	// and returns the observation finished.
-	Observe = core.Observe
-	// ParseFaultSpec parses the CLI fault grammar (see package fault and
-	// DESIGN.md §5.7), e.g.
-	// "tordegrade rack=0 at=30ms dur=200ms loss=0.5; nicstall node=3 at=1ms dur=500us".
-	ParseFaultSpec = fault.ParseSpec
-)
+// Observe attaches an Observation to a cluster: from a config's OnCluster
+// hook, RunMemcached or RunIncast then traces every request or iteration and
+// returns the observation finished.
+var Observe = core.Observe

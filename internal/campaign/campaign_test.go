@@ -3,13 +3,20 @@ package campaign
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"diablo/internal/core"
 	"diablo/internal/obs"
 )
+
+// untraced observes a cell as a campaign run does: stats, no trace.
+var untraced = core.ObserveConfig{TraceEvents: -1}
 
 // runReport runs every cell of spec and aggregates them, as cmd/campaign does.
 func runReport(spec *Spec, rc RunConfig) (*Report, error) {
@@ -374,7 +381,7 @@ func TestCellReplay(t *testing.T) {
 	if faulted.Baseline() {
 		t.Fatalf("cells[1] unexpectedly a baseline: %s", faulted.Name)
 	}
-	first, err := RunCell(spec, faulted)
+	first, err := RunCell(spec, faulted, untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +395,7 @@ func TestCellReplay(t *testing.T) {
 	if !ok {
 		t.Fatalf("manifest config lacks the cell name: %v", m.Config)
 	}
-	replayed, err := ReplayCell(spec, cellName, m.Seed)
+	replayed, err := ReplayCell(spec, cellName, m.Seed, untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,11 +410,89 @@ func TestCellReplay(t *testing.T) {
 func TestReplaySeedMismatch(t *testing.T) {
 	spec := tinySpec()
 	cells, _ := spec.Cells()
-	if _, err := ReplayCell(spec, cells[0].Name, cells[0].Seed+1); err == nil {
+	if _, err := ReplayCell(spec, cells[0].Name, cells[0].Seed+1, untraced); err == nil {
 		t.Fatal("replay accepted a seed the spec does not derive")
 	}
-	if _, err := ReplayCell(spec, "missing/cell", 0); err == nil {
+	if _, err := ReplayCell(spec, "missing/cell", 0, untraced); err == nil {
 		t.Fatal("replay accepted an unknown cell")
+	}
+}
+
+// TestReplayTrace: a cell replayed with its trace on writes the same
+// manifest as with it off, and carries a trace only when it is on — for a
+// memcached cell and for a faulted incast cell.
+func TestReplayTrace(t *testing.T) {
+	incast := &Spec{
+		Schema: SpecSchema, Name: "incast-trace", Seeds: []uint64{1},
+		Topologies: []TopologyAxis{{Shape: "3x1x1"}},
+		Profiles:   []string{"2.6.39"},
+		Workloads:  []WorkloadAxis{{Name: "epoll", App: "incast", Proto: "tcp", Requests: 2, Epoll: true}},
+		Faults:     FaultAxis{Draws: 1, Plan: "edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down"},
+	}
+	for _, tc := range []struct {
+		spec *Spec
+		cell string
+	}{
+		{tinySpec(), "4x2x1/linux-2.6.39.3/udp/fault-01"},
+		{incast, "3x1x1/2.6.39/epoll/s1/fault-01"},
+	} {
+		off, err := ReplayCell(tc.spec, tc.cell, 0, untraced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		on, err := ReplayCell(tc.spec, tc.cell, 0, core.ObserveConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(off.ManifestJSON, on.ManifestJSON) {
+			t.Errorf("%s: manifest differs with the trace on (%d vs %d bytes)", tc.cell, len(on.ManifestJSON), len(off.ManifestJSON))
+		}
+		if off.Trace != nil {
+			t.Errorf("%s: untraced replay carries a trace", tc.cell)
+		}
+		if on.Trace == nil || on.Trace.Len() == 0 {
+			t.Errorf("%s: traced replay carries no trace events", tc.cell)
+		}
+	}
+}
+
+// TestRunSpecs: every one-cell run spec under testdata/runs parses, and
+// every spec and cell the docs, CI and the identity script quote exists.
+func TestRunSpecs(t *testing.T) {
+	specs, err := filepath.Glob("../../testdata/runs/*.json")
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no run specs found: %v", err)
+	}
+	parsed := map[string]*Spec{}
+	for _, path := range specs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed[filepath.Base(path)], err = ParseSpec(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	quote := regexp.MustCompile(`testdata/runs/([\w.-]+\.json)[\s\\"]+-cell[\s\\]+([\w./-]+)`)
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md", "../../.github/workflows/ci.yml", "../../scripts/identity.sh"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quotes := quote.FindAllStringSubmatch(string(data), -1)
+		if len(quotes) == 0 {
+			t.Errorf("%s quotes no run spec cell", doc)
+		}
+		for _, q := range quotes {
+			spec := parsed[q[1]]
+			if spec == nil {
+				t.Errorf("%s quotes testdata/runs/%s, which does not parse or does not exist", doc, q[1])
+				continue
+			}
+			if _, err := spec.CellByName(q[2]); err != nil {
+				t.Errorf("%s: %v", doc, err)
+			}
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func TestValidateArtifactKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells, _ := tinySpec().Cells()
-	cr, err := RunCell(tinySpec(), cells[0])
+	cr, err := RunCell(tinySpec(), cells[0], untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestAggregateHashMatchesManifests(t *testing.T) {
 	cells, _ := tinySpec().Cells()
 	hashes := make([]string, 0, len(cells))
 	for _, c := range cells {
-		cr, err := RunCell(tinySpec(), c)
+		cr, err := RunCell(tinySpec(), c, untraced)
 		if err != nil {
 			t.Fatal(err)
 		}

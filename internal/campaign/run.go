@@ -43,6 +43,9 @@ type CellResult struct {
 	// Plan is the fault schedule the cell ran (nil on baseline cells).
 	Plan     *fault.Plan
 	Manifest *obs.Manifest
+	// Trace is the run's Chrome trace, nil unless the cell ran with its
+	// trace on.
+	Trace *obs.Trace
 	// ManifestJSON is the canonical manifest encoding; ManifestHash digests
 	// it. Byte-identical on replay from Cell.Seed.
 	ManifestJSON []byte
@@ -224,18 +227,20 @@ func setNonZero[T comparable](m map[string]any, key string, v T) {
 }
 
 // RunCell executes one cell from its seed: a full cluster run with the
-// observability layer attached (stats registry, no trace), returning the
-// model result and the cell's canonical manifest bytes. Calling RunCell
-// twice with the same spec and cell yields byte-identical ManifestJSON —
-// the replay contract TestCellReplay asserts.
-func RunCell(spec *Spec, cell Cell) (*CellResult, error) {
+// observability layer attached as ocfg says (a campaign runs its cells with
+// TraceEvents: -1, no trace), returning the model result and the cell's
+// canonical manifest bytes. The trace never reaches the manifest, so calling
+// RunCell twice with the same spec and cell yields byte-identical
+// ManifestJSON, traced or not — the replay contract TestCellReplay and
+// TestReplayTrace assert.
+func RunCell(spec *Spec, cell Cell, ocfg core.ObserveConfig) (*CellResult, error) {
 	plan, err := CellPlan(spec, cell)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", cell.Name, err)
 	}
 	var o *core.Observation
 	res, app, err := runApp(cell, plan, func(c *core.Cluster) *core.Observation {
-		o = core.Observe(c, core.ObserveConfig{TraceEvents: -1})
+		o = core.Observe(c, ocfg)
 		return o
 	})
 	if err != nil {
@@ -252,6 +257,7 @@ func RunCell(spec *Spec, cell Cell) (*CellResult, error) {
 		Incast:       app,
 		Plan:         plan,
 		Manifest:     manifest,
+		Trace:        o.Trace,
 		ManifestJSON: b,
 		ManifestHash: obs.HashBytes(b),
 	}, nil
@@ -260,8 +266,9 @@ func RunCell(spec *Spec, cell Cell) (*CellResult, error) {
 // ReplayCell re-runs one cell of the spec by name, overriding the cell seed
 // with a manifest-recorded one. seed 0 keeps the spec-derived seed; a
 // non-zero seed must match it (a mismatch means the manifest belongs to a
-// different spec revision, which can never replay byte-identically).
-func ReplayCell(spec *Spec, name string, seed uint64) (*CellResult, error) {
+// different spec revision, which can never replay byte-identically). ocfg
+// is RunCell's.
+func ReplayCell(spec *Spec, name string, seed uint64, ocfg core.ObserveConfig) (*CellResult, error) {
 	cell, err := spec.CellByName(name)
 	if err != nil {
 		return nil, err
@@ -270,7 +277,7 @@ func ReplayCell(spec *Spec, name string, seed uint64) (*CellResult, error) {
 		return nil, fmt.Errorf("campaign: cell %s derives seed %d, manifest records %d: spec drifted from the recorded run",
 			name, cell.Seed, seed)
 	}
-	return RunCell(spec, cell)
+	return RunCell(spec, cell, ocfg)
 }
 
 // RunCells executes every cell of the spec across rc.Workers goroutines and
@@ -306,7 +313,7 @@ func RunCells(spec *Spec, rc RunConfig) ([]*CellResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = RunCell(spec, cells[i])
+				results[i], errs[i] = RunCell(spec, cells[i], core.ObserveConfig{TraceEvents: -1})
 				if rc.OnCell != nil {
 					progress.Lock()
 					done++

@@ -15,9 +15,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"strings"
 
 	"diablo/internal/apps/memcache"
 	"diablo/internal/kernel"
@@ -235,38 +232,6 @@ func (o *Observation) BuildManifest(experiment string, seed uint64, config map[s
 		})
 	}
 	return m
-}
-
-// WriteFiles writes the Chrome trace to tracePath and m to manifestPath and
-// returns a note saying what landed where. An empty path skips that file, as
-// does a disabled trace.
-func (o *Observation) WriteFiles(tracePath, manifestPath string, m *obs.Manifest) (string, error) {
-	var notes []string
-	if tracePath != "" && o.Trace != nil {
-		if err := writeFile(tracePath, o.Trace.WriteJSON); err != nil {
-			return "", err
-		}
-		notes = append(notes, fmt.Sprintf("trace: %d events -> %s (open in ui.perfetto.dev)", o.Trace.Len(), tracePath))
-	}
-	if manifestPath != "" {
-		if err := writeFile(manifestPath, m.WriteJSON); err != nil {
-			return "", err
-		}
-		notes = append(notes, fmt.Sprintf("manifest: %s -> %s", m.Schema, manifestPath))
-	}
-	return strings.Join(notes, "; "), nil
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // RunMemcachedObserved is RunMemcached with Observe(c, ocfg) chained after

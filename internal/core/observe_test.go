@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"maps"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -158,65 +156,6 @@ func TestObservedManifest(t *testing.T) {
 	}
 	if globals == 0 {
 		t.Fatal("fault markers missing from trace")
-	}
-}
-
-// TestObservationWriteFiles: WriteFiles writes the trace and the manifest
-// where asked, skips the trace when its path is empty or the trace is
-// disabled, and returns the error of a path it cannot create.
-func TestObservationWriteFiles(t *testing.T) {
-	run := func(ocfg ObserveConfig) (*Observation, *obs.Manifest) {
-		cfg := DefaultMemcached()
-		cfg.Topology = topology.Params{ServersPerRack: 4, RacksPerArray: 2, Arrays: 1}
-		cfg.ServersPerRack = 1
-		cfg.RequestsPerClient = 8
-		_, o, err := RunMemcachedObserved(cfg, ocfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o, o.BuildManifest("write-files", cfg.Seed, nil)
-	}
-	exists := func(path string) bool {
-		_, err := os.Stat(path)
-		return err == nil
-	}
-	o, m := run(ObserveConfig{})
-	dir := t.TempDir()
-	trace, manifest := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
-	note, err := o.WriteFiles(trace, manifest, m)
-	if err != nil || !exists(trace) || !exists(manifest) {
-		t.Fatalf("both paths: err %v, trace written %v, manifest written %v", err, exists(trace), exists(manifest))
-	}
-	if !strings.Contains(note, trace) || !strings.Contains(note, manifest) {
-		t.Errorf("note %q names neither file", note)
-	}
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, err := obs.DecodeManifest(data); err != nil || back.Experiment != "write-files" {
-		t.Errorf("manifest does not decode to the one written: %v", err)
-	}
-
-	dir = t.TempDir()
-	trace, manifest = filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
-	if _, err := o.WriteFiles("", manifest, m); err != nil || !exists(manifest) {
-		t.Fatalf("empty trace path: err %v, manifest written %v", err, exists(manifest))
-	}
-	untraced, um := run(ObserveConfig{TraceEvents: -1})
-	if _, err := untraced.WriteFiles(trace, "", um); err != nil || exists(trace) {
-		t.Fatalf("disabled trace: err %v, trace written %v", err, exists(trace))
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Errorf("dir holds %d files, want the manifest alone", len(entries))
-	}
-
-	missing := filepath.Join(dir, "no-such-dir", "x.json")
-	if _, err := o.WriteFiles(missing, "", m); err == nil {
-		t.Error("unwritable trace path: no error")
-	}
-	if _, err := o.WriteFiles("", missing, m); err == nil {
-		t.Error("unwritable manifest path: no error")
 	}
 }
 

@@ -97,10 +97,6 @@ type Switch struct {
 	portImp   []PortImpairment // per ingress port; allocated on first use
 	faultRand *sim.Rand        // drop/corrupt decisions; set by the fault layer
 
-	// OnDrop, if set, observes every dropped frame (ingress port, packet).
-	// Used by experiment instrumentation and tests.
-	OnDrop func(in int, pkt *packet.Packet)
-
 	// OnFaultDrop, if set, observes every frame the fault layer removed.
 	OnFaultDrop func(in int, pkt *packet.Packet)
 
@@ -327,9 +323,6 @@ func (s *Switch) drop(op *outPort, in int, pkt *packet.Packet) {
 	op.Drops++
 	s.Stats.DropsByInput[in]++
 	s.Stats.Dropped.Add(pkt.BufferBytes())
-	if s.OnDrop != nil {
-		s.OnDrop(in, pkt)
-	}
 	// Tail drop makes the switch the frame's final consumer.
 	s.pool.Release(pkt)
 }

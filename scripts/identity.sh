@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Byte-identity against a parent revision: a refactor must leave every
-# simulated output unchanged. Builds cmd/diablo, cmd/memcache, cmd/incast,
-# cmd/campaign and examples/quickstart from PARENT and from the working tree,
-# runs each command below on both sides in the same directory (output files
-# are named relative to it, so notes that print them match), drops the
-# `# wall time` lines, and compares every output file and the standard output
-# and exit status. Stops at the first difference, naming the file, and
-# exits 1.
+# simulated output unchanged. Builds cmd/diablo, cmd/campaign and
+# examples/quickstart from PARENT and from the working tree, runs each command
+# below on both sides in the same directory (output files are named relative
+# to it, so notes that print them match) with $SRC set to that side's source
+# tree (so a changed run spec shows as a difference), drops the `# wall time`
+# lines, and compares every output file and the standard output and exit
+# status. Stops at the first difference, naming the file, and exits 1.
 #
 #   scripts/identity.sh PARENT
 #   make identity PARENT=<rev>
@@ -29,12 +29,13 @@ mkdir -p "$base/src"
 trap 'rm -rf "$base/src" "$base/bin"' EXIT
 git -C "$root" archive "$rev" | tar -x -C "$base/src"
 
-tools=(./cmd/diablo ./cmd/memcache ./cmd/incast ./cmd/campaign ./examples/quickstart)
+tools=(./cmd/diablo ./cmd/campaign ./examples/quickstart)
 (cd "$base/src" && go build -o "$base/bin/parent/" "${tools[@]}")
 (cd "$root" && go build -o "$base/bin/change/" "${tools[@]}")
 
 # name|command: each runs in .identity_build/run/<name> with the side's tools
-# first on PATH.
+# first on PATH and $SRC its source tree. The observed single runs replay
+# one-cell specs from testdata/runs.
 runs=(
 	"fig6a|diablo run fig6a -iterations 2"
 	"fig6b|diablo run fig6b -iterations 2"
@@ -48,33 +49,33 @@ runs=(
 	"fig15|diablo run fig15 -requests 20"
 	"faultmc|diablo run faultmc -requests 5"
 	"faultincast|diablo run faultincast -iterations 2"
-	"memcache-sample|memcache -arrays 1 -requests 8 -faults 'tordegrade rack=0 at=30ms dur=200ms loss=0.5' -trace-out s.trace.json -manifest-out s.manifest.json && diablo validate s.trace.json s.manifest.json"
-	"memcache|memcache -proto tcp -churn 10 -trace-out mc.trace.json -manifest-out mc.manifest.json"
-	"incast|incast -epoll -trace-drops -faults 'edgedegrade node=0 at=0 dur=600s loss=0.1 dir=down' -trace-out incast.trace.json -manifest-out incast.manifest.json"
 	"campaign-smoke|campaign run -preset smoke -workers 0 -q -o CAMPAIGN_results.json"
 	"campaign-fig12|campaign run -preset fig12 -q -o CAMPAIGN_fig12.json"
 	"quickstart|quickstart"
+	"memcache-sample|campaign replay -spec \"\$SRC/testdata/runs/memcache-udp-tordegrade.json\" -cell 31x16x1/2.6.39/udp/s1/fault-01 -o s.manifest.json -trace-out s.trace.json && diablo validate s.trace.json s.manifest.json"
+	"memcache|campaign replay -spec \"\$SRC/testdata/runs/memcache-tcp-churn.json\" -cell 31x16x1/2.6.39/tcp/s1/baseline -o mc.manifest.json -trace-out mc.trace.json && diablo validate mc.trace.json mc.manifest.json"
+	"incast|campaign replay -spec \"\$SRC/testdata/runs/incast-epoll-edgedegrade.json\" -cell 9x1x1/2.6.39/epoll/s1/fault-01 -o incast.manifest.json -trace-out incast.trace.json && diablo validate incast.trace.json incast.manifest.json"
 )
 
-# run SIDE NAME COMMAND: leaves the outputs, stdout.txt and exit.txt in
+# run SIDE SRC NAME COMMAND: leaves the outputs, stdout.txt and exit.txt in
 # .identity_build/SIDE/NAME.
 run() {
-	local dir="$base/run/$2"
+	local dir="$base/run/$3"
 	rm -rf "$dir"
 	mkdir -p "$dir"
 	status=0
-	(cd "$dir" && PATH="$base/bin/$1:$PATH" bash -c "$3") >"$dir/stdout.txt" || status=$?
+	(cd "$dir" && SRC="$2" PATH="$base/bin/$1:$PATH" bash -c "$4") >"$dir/stdout.txt" || status=$?
 	echo "$status" >"$dir/exit.txt"
 	sed -i '/^# wall time/d' "$dir/stdout.txt"
 	mkdir -p "$base/$1"
-	mv "$dir" "$base/$1/$2"
+	mv "$dir" "$base/$1/$3"
 }
 
 for entry in "${runs[@]}"; do
 	name="${entry%%|*}" cmd="${entry#*|}"
 	echo "identity: $cmd"
-	run parent "$name" "$cmd"
-	run change "$name" "$cmd"
+	run parent "$base/src" "$name" "$cmd"
+	run change "$root" "$name" "$cmd"
 	files="$( (cd "$base/parent/$name" && find . -type f) ; (cd "$base/change/$name" && find . -type f) )"
 	for f in $(echo "$files" | sort -u); do
 		if ! cmp "$base/parent/$name/$f" "$base/change/$name/$f"; then
