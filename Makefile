@@ -86,6 +86,10 @@ campaign-nightly:
 	$(GO) run ./cmd/campaign run -preset nightly -workers $(CAMPAIGN_WORKERS) -q -o CAMPAIGN_results.json
 	$(GO) run ./cmd/diablo validate CAMPAIGN_results.json
 
+# Benchmark smoke, one iteration each: the partitioned engine's speed-up
+# (BenchmarkParallelClusterSpeedup), the four ablations of DESIGN.md §4 and
+# the internal/sim microbenchmarks. The paper's figures are pinned by
+# TestFigureGoldens, not benchmarked.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/sim
 

@@ -72,19 +72,10 @@ const (
 type (
 	// TopologyParams sizes the Clos topology.
 	TopologyParams = topology.Params
-	// HopClass classifies paths (Local / OneHop / TwoHop).
-	HopClass = topology.HopClass
 	// SwitchParams configures a switch model.
 	SwitchParams = vswitch.Params
 	// KernelProfile is a kernel-version cost model.
 	KernelProfile = kernel.Profile
-)
-
-// Hop classes.
-const (
-	Local  = topology.Local
-	OneHop = topology.OneHop
-	TwoHop = topology.TwoHop
 )
 
 // Memcached client transports.
@@ -160,9 +151,6 @@ var (
 	// Memcached versions.
 	V1415 = memcache.V1415
 	V1417 = memcache.V1417
-
-	// Simulator performance (§5).
-	Section5Performance = core.Section5Performance
 )
 
 // Observability: deterministic simulated-time stats and Chrome-trace export

@@ -12,6 +12,7 @@ import (
 	"diablo/internal/fpga"
 	"diablo/internal/metrics"
 	"diablo/internal/survey"
+	"diablo/internal/topology"
 )
 
 // ExperimentOptions tune a registry run. Zero values select the reduced
@@ -261,9 +262,9 @@ func drawFig10(cells []*campaign.CellResult) *ExperimentOutput {
 	for _, cr := range cells {
 		label, res := rate(cr.Cell), cr.Result
 		out.Series = append(out.Series,
-			metrics.FromPMF(label+" Local", res.ByHop[Local].PMF(10)),
-			metrics.FromPMF(label+" 1-Hop", res.ByHop[OneHop].PMF(10)),
-			metrics.FromPMF(label+" 2-Hop", res.ByHop[TwoHop].PMF(10)),
+			metrics.FromPMF(label+" Local", res.ByHop[topology.Local].PMF(10)),
+			metrics.FromPMF(label+" 1-Hop", res.ByHop[topology.OneHop].PMF(10)),
+			metrics.FromPMF(label+" 2-Hop", res.ByHop[topology.TwoHop].PMF(10)),
 			metrics.FromPMF(label+" Overall", res.Overall.PMF(10)),
 		)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -454,6 +455,24 @@ func TestReplayTrace(t *testing.T) {
 			t.Errorf("%s: traced replay carries no trace events", tc.cell)
 		}
 	}
+
+	// A buffer far too small for the run still keeps every fault edge.
+	full, err := ReplayCell(incast, "3x1x1/2.6.39/epoll/s1/fault-01", 0, core.ObserveConfig{TraceEvents: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Trace.Dropped() == 0 {
+		t.Fatal("a 16-event trace of the incast cell dropped nothing; the case no longer overflows")
+	}
+	globals := 0
+	for _, ev := range full.Trace.Events() {
+		if ev.Scope == "g" {
+			globals++
+		}
+	}
+	if edges := len(full.Manifest.FaultEdges); edges == 0 || globals != edges {
+		t.Errorf("full trace holds %d global instants for %d fault edges", globals, edges)
+	}
 }
 
 // TestRunSpecs: every one-cell run spec under testdata/runs parses, and
@@ -491,6 +510,44 @@ func TestRunSpecs(t *testing.T) {
 			}
 			if _, err := spec.CellByName(q[2]); err != nil {
 				t.Errorf("%s: %v", doc, err)
+			}
+		}
+	}
+}
+
+// TestDocsNamePaths: every cmd/<x> and examples/<x> the docs name exists,
+// whether in a code span, a `go run ./…` line or README's layout block.
+func TestDocsNamePaths(t *testing.T) {
+	span := regexp.MustCompile("`[^`\n]*`")
+	path := regexp.MustCompile(`\b(?:cmd|examples)/[\w-]+`)
+	goRun := regexp.MustCompile(`go run \./((?:cmd|examples)/[\w-]+)`)
+	layout := regexp.MustCompile(`(?m)^ (cmd|examples)/ +(.+)$`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		named := map[string]bool{}
+		for _, s := range span.FindAllString(text, -1) {
+			for _, p := range path.FindAllString(s, -1) {
+				named[p] = true
+			}
+		}
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
+			named[m[1]] = true
+		}
+		for _, m := range layout.FindAllStringSubmatch(text, -1) {
+			for _, name := range strings.Split(m[2], ",") {
+				named[m[1]+"/"+strings.TrimSpace(name)] = true
+			}
+		}
+		if len(named) == 0 {
+			t.Errorf("%s names no cmd/ or examples/ path", doc)
+		}
+		for _, p := range slices.Sorted(maps.Keys(named)) {
+			if fi, err := os.Stat("../../" + p); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which does not exist", doc, p)
 			}
 		}
 	}

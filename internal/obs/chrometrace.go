@@ -73,14 +73,15 @@ type Trace struct {
 	mu       sync.Mutex
 	capacity int
 	events   []rawEvent
+	globals  int // global instants in events, outside the capacity
 	dropped  uint64
 	procs    map[int]string
 }
 
 // NewTrace creates a trace buffer holding at most capacity events
-// (DefaultTraceCapacity if capacity <= 0). When full, further events are
-// dropped and counted; Dropped reports the loss so a truncated trace is
-// never mistaken for a complete one.
+// (DefaultTraceCapacity if capacity <= 0), global instants aside. When full,
+// further events are dropped and counted; Dropped reports the loss so a
+// truncated trace is never mistaken for a complete one.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -100,7 +101,7 @@ func (t *Trace) SetProcessName(pid int, name string) {
 
 func (t *Trace) add(ev rawEvent) {
 	t.mu.Lock()
-	if len(t.events) >= t.capacity {
+	if len(t.events)-t.globals >= t.capacity {
 		t.dropped++
 	} else {
 		t.events = append(t.events, ev)
@@ -128,12 +129,17 @@ func (t *Trace) Instant(pid int, tid, cat, name string, at sim.Time) {
 }
 
 // GlobalInstant records a global instant — Perfetto renders it as a vertical
-// line across every lane, which is how fault edges are marked. Nil-safe.
+// line across every lane, which is how fault edges are marked. A fault plan
+// has few edges, so global instants are kept outside the capacity: a full
+// buffer still takes them, and they never count as dropped. Nil-safe.
 func (t *Trace) GlobalInstant(cat, name string, at sim.Time, args map[string]string) {
 	if t == nil {
 		return
 	}
-	t.add(rawEvent{name: name, cat: cat, ph: "i", at: at, pid: 0, tid: "global", scope: "g", args: args})
+	t.mu.Lock()
+	t.events = append(t.events, rawEvent{name: name, cat: cat, ph: "i", at: at, pid: 0, tid: "global", scope: "g", args: args})
+	t.globals++
+	t.mu.Unlock()
 }
 
 // Len returns the number of buffered events.

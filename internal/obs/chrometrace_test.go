@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,6 +136,33 @@ func TestTraceCapacityAndDropMarker(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "trace_truncated") {
 		t.Fatalf("truncation marker missing:\n%s", buf.String())
+	}
+}
+
+// TestTraceGlobalInstantOutsideCapacity: a full buffer still takes a global
+// instant (a fault edge), and neither Dropped nor the room left for other
+// events changes.
+func TestTraceGlobalInstantOutsideCapacity(t *testing.T) {
+	tr := NewTrace(2)
+	tr.GlobalInstant("fault", "early", 0, nil)
+	for i := 0; i < 3; i++ {
+		tr.Span(0, "t", "c", "ev", sim.Time(i)*sim.Time(sim.Microsecond), sim.Microsecond)
+	}
+	if tr.Dropped() != 1 {
+		t.Fatalf("Dropped()=%d after 3 spans into capacity 2, want 1", tr.Dropped())
+	}
+	tr.GlobalInstant("fault", "late", sim.Time(9*sim.Microsecond), map[string]string{"detail": "d"})
+	if tr.Dropped() != 1 || tr.Len() != 4 {
+		t.Fatalf("full trace: Dropped()=%d Len()=%d after a global instant, want 1 and 4", tr.Dropped(), tr.Len())
+	}
+	var globals []string
+	for _, ev := range decodeTrace(t, tr).TraceEvents {
+		if ev.Scope == "g" {
+			globals = append(globals, ev.Name)
+		}
+	}
+	if !slices.Equal(globals, []string{"early", "late"}) {
+		t.Fatalf("global instants %v, want [early late]", globals)
 	}
 }
 
