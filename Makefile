@@ -115,8 +115,8 @@ bench-pairs:
 # figures, the fault experiments, two campaigns, the quickstart example and
 # the traces and manifests of three observed single runs (campaign replay of
 # the one-cell specs in testdata/runs), run on both sides in the same
-# directory; stops at the first differing file. Outputs stay in
-# .identity_build/<side>/<name>. About 35 s per side.
+# directory; names every differing file and fails at the end if any did.
+# Outputs stay in .identity_build/<side>/<name>. About 35 s per side.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh "$(PARENT)"

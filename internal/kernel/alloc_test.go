@@ -392,7 +392,7 @@ func TestAllocBudgetUDPExchange(t *testing.T) {
 	pool := packet.NewPool()
 	r.a.SetPool(pool)
 	r.b.SetPool(pool)
-	r.b.Start("echo", &udpEcho{port: 9000})
+	r.b.Start("echo", &udpEcho{port: 9000, bytes: 3000}) // three fragments
 	cli := &udpPinger{dst: packet.Addr{Node: r.b.Node(), Port: 9000}, rounds: rounds}
 	r.a.Start("client", cli)
 
@@ -420,11 +420,12 @@ func TestAllocBudgetUDPExchange(t *testing.T) {
 	}
 }
 
-// udpEcho answers every datagram with a 3,000-byte one (three fragments)
-// carrying the request's number.
+// udpEcho answers every datagram with one of bytes bytes carrying the
+// request's number.
 type udpEcho struct {
-	port packet.Port
-	sock *UDPSocket
+	port  packet.Port
+	bytes int
+	sock  *UDPSocket
 }
 
 func (e *udpEcho) Next(t *Thread, res *Result) bool {
@@ -435,7 +436,7 @@ func (e *udpEcho) Next(t *Thread, res *Result) bool {
 	case e.sock == nil:
 		e.sock = res.UDP
 	case res.Msg().Kind == 1:
-		e.sock.SendTo(t, res.From, 3000, packet.Msg{Kind: 2, A: res.Msg().A})
+		e.sock.SendTo(t, res.From, e.bytes, packet.Msg{Kind: 2, A: res.Msg().A})
 		return true
 	}
 	e.sock.RecvFrom(t)
@@ -479,5 +480,76 @@ func (p *udpPinger) Next(t *Thread, res *Result) bool {
 		return true
 	}
 	p.pc++
+	return true
+}
+
+// TestPendingTimeoutBytes runs a toy memcached over UDP whose clients make
+// exchanges back to back, each receive with a deadline the reply beats, so
+// every exchange leaves a stale receive-timeout record pending until its
+// deadline. Once the clients lengthen their deadline, the pending set grows
+// by stale timeouts alone, and what the run allocates meanwhile — the queue's
+// slot pages and lane node pages, and anything else — must stay within 32
+// bytes per added timeout. A timeout record holding a queue slot of its own
+// cost 80.
+func TestPendingTimeoutBytes(t *testing.T) {
+	if instrumented {
+		t.Skip("-race and slabdebug builds allocate on their own")
+	}
+	const clients = 2
+	r := newRig(t, DefaultConfig())
+	pool := packet.NewPool()
+	r.a.SetPool(pool)
+	r.b.SetPool(pool)
+	r.b.Start("memcached", &udpEcho{port: 9000, bytes: 100})
+	pingers := make([]*timedPinger, clients)
+	for i := range pingers {
+		pingers[i] = &timedPinger{dst: packet.Addr{Node: r.b.Node(), Port: 9000}, timeout: 50 * sim.Millisecond}
+		r.a.Start("client", pingers[i])
+	}
+	var ms runtime.MemStats
+	r.run(100 * sim.Millisecond) // warm-up: every structure at its working size
+	runtime.ReadMemStats(&ms)
+	pending, alloc := r.eng.Pending(), ms.TotalAlloc
+	for _, p := range pingers {
+		p.timeout = sim.Second
+	}
+	r.run(800 * sim.Millisecond)
+	runtime.ReadMemStats(&ms)
+	added, grown := r.eng.Pending()-pending, ms.TotalAlloc-alloc
+	if added < 20_000 {
+		t.Fatalf("the pending set grew by %d records, want at least 20,000 stale timeouts", added)
+	}
+	perTimeout := float64(grown) / float64(added)
+	t.Logf("%d pending records (%d added) allocated %d B: %.1f B per added timeout", r.eng.Pending(), added, grown, perTimeout)
+	if perTimeout > 32 {
+		t.Errorf("%.1f B allocated per pending timeout, want at most 32", perTimeout)
+	}
+}
+
+// timedPinger makes request/response exchanges back to back, receiving each
+// reply with a deadline of timeout.
+type timedPinger struct {
+	dst     packet.Addr
+	timeout sim.Duration
+	sock    *UDPSocket
+	sent    bool
+	seq     uint64
+}
+
+func (p *timedPinger) Next(t *Thread, res *Result) bool {
+	switch {
+	case p.sock == nil && res.UDP == nil:
+		t.UDPSocket(0)
+	case p.sent:
+		p.sock.RecvFromTimeout(t, p.timeout)
+		p.sent = false
+	default:
+		if p.sock == nil {
+			p.sock = res.UDP
+		}
+		p.seq++
+		p.sock.SendTo(t, p.dst, 100, packet.Msg{Kind: 1, A: p.seq})
+		p.sent = true
+	}
 	return true
 }

@@ -372,8 +372,10 @@ func RegisterEventHandlers(r sim.HandlerRegistrar) {
 	r.RegisterHandler(sim.EvThreadWakeBlocked, func(_ sim.Time, ev sim.Event) {
 		// Timeout timers are not cancelled on early success; a stale record
 		// must only wake a thread still blocked on a wait queue, exactly as
-		// the closure it replaced checked.
+		// the closure it replaced checked. The thread's next record on its
+		// lane takes the queue slot first.
 		t := ev.Tgt.(*Thread)
+		t.m.eng.LaneFired(&t.timeouts, ev)
 		if t.state == threadBlocked {
 			t.m.wake(t)
 		}

@@ -620,3 +620,64 @@ func TestAppPanicAfterCall(t *testing.T) {
 	r.run(sim.Second)
 	t.Fatal("run returned: the panic was swallowed")
 }
+
+// handlerCapture is a HandlerRegistrar that keeps what it is given, so a
+// test can wrap one of the package's handlers.
+type handlerCapture map[sim.EvKind]sim.Handler
+
+func (c handlerCapture) RegisterHandler(k sim.EvKind, h sim.Handler) { c[k] = h }
+
+// TestReceiveTimeoutWakeInstants: one thread makes timed receives of two
+// lengths, 100 ms and 10 ms, so its timeout records are armed both after and
+// before the latest one still pending, and the stale ones fire while it
+// computes and while it blocks in a later receive. Every record fires at the
+// instant it fired when each was an event of its own, and wakes the thread
+// exactly when it is blocked then.
+func TestReceiveTimeoutWakeInstants(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	type firing struct {
+		at    sim.Time
+		woken bool
+	}
+	var fired []firing
+	h := handlerCapture{}
+	RegisterEventHandlers(h)
+	r.eng.RegisterHandler(sim.EvThreadWakeBlocked, func(now sim.Time, ev sim.Event) {
+		fired = append(fired, firing{now, ev.Tgt.(*Thread).state == threadBlocked})
+		h[sim.EvThreadWakeBlocked](now, ev)
+	})
+	for _, at := range []sim.Duration{1, 2, 15, 150} {
+		r.eng.At(sim.Time(at*sim.Millisecond), func() { inject(r.a, 6000, msgOf(int(at))) })
+	}
+	var errs []error
+	r.a.Spawn("receiver", func(th *Thread) {
+		s, _ := th.UDPSocket(6000)
+		for _, d := range []sim.Duration{100, 100, 10, 10} {
+			_, _, _, err := s.RecvFromTimeout(th, d*sim.Millisecond)
+			errs = append(errs, err)
+		}
+		th.Compute(40_000_000) // 10 ms at 4 GHz, over the fourth record's instant
+		s.RecvFrom(th)         // blocked when the first two fire
+		_, _, _, err := s.RecvFromTimeout(th, 10*sim.Millisecond)
+		errs = append(errs, err)
+	})
+	var lanes int
+	r.eng.At(sim.Time(5*sim.Millisecond), func() { lanes = r.eng.QueueStats().Lanes })
+	r.run(sim.Second)
+	want := []firing{
+		{12_002_039_750, true},  // the third receive times out
+		{22_004_077_250, false}, // the fourth's, stale, while the thread computes
+		{100_013_012_500, true}, // the first's, stale, in the blocking receive
+		{101_002_039_750, true}, // the second's, likewise
+		{160_002_039_750, true}, // the last receive times out
+	}
+	if !slices.Equal(fired, want) {
+		t.Errorf("timeout records fired %v, want %v", fired, want)
+	}
+	if wantErrs := []error{nil, nil, ErrWouldBlock, nil, ErrWouldBlock}; !slices.Equal(errs, wantErrs) {
+		t.Errorf("receives returned %v, want %v", errs, wantErrs)
+	}
+	if lanes != 1 {
+		t.Errorf("at 5 ms %d records waited on the lane, want the second's", lanes)
+	}
+}

@@ -81,6 +81,8 @@ type Thread struct {
 	msgs    []packet.Msg  // backing store of this thread's TCP receive results
 	msgs0   [1]packet.Msg // msgs' first backing array: one message is the common case
 	resumes uint64        // times a Spawn thread's coroutine was switched into
+
+	timeouts sim.Lane // the EvThreadWakeBlocked records of timed calls, stale ones included
 }
 
 // Start creates a thread running program p. The thread becomes runnable after
@@ -288,9 +290,11 @@ func (t *Thread) step() bool {
 			if op.timed {
 				// A typed wake-if-still-blocked record plus a deadline comparison.
 				// The record is not cancelled on early success: a stale one only
-				// ever wakes a blocked thread, whose poll then blocks again.
+				// ever wakes a blocked thread, whose poll then blocks again. The
+				// thread's records share a lane, so a stale one waiting behind an
+				// earlier one costs a 24-byte node, not a queue slot.
 				op.deadline = m.eng.Now().Add(op.timeout)
-				m.eng.AfterEvent(op.timeout, sim.Event{Kind: sim.EvThreadWakeBlocked, Tgt: t})
+				m.eng.LaneAt(&t.timeouts, op.deadline, sim.Event{Kind: sim.EvThreadWakeBlocked, Tgt: t})
 			}
 			op.phase = opPoll
 		case opPoll:

@@ -73,7 +73,9 @@ const (
 	// EvThreadWakeBlocked wakes a thread only if it is still blocked on a wait
 	// queue — the receive-timeout timer (SO_RCVTIMEO, epoll_wait timeout).
 	// Distinct from EvThreadWake because a stale timeout must never wake a
-	// thread that has since gone to sleep.
+	// thread that has since gone to sleep. Scheduled on the thread's Lane
+	// (LaneAt), so its handler calls LaneFired: a stale record pending behind
+	// the thread's earliest one is a 24-byte lane node, not a queue slot.
 	EvThreadWakeBlocked
 
 	// evFunc carries a closure scheduled through At/After: Tgt is the func().

@@ -13,19 +13,21 @@ package sim
 
 // QueueStats reports the occupancy of each tier of an engine's event queue:
 // the sorted near run, the rolling level-0 window of the timing wheel and
-// the coarse levels beyond it. Near and Wheel include cancelled entries that
-// have not yet surfaced and been collected, mirroring Pending.
+// the coarse levels beyond it, and the lane records waiting for a slot. Near
+// and Wheel include cancelled entries that have not yet surfaced and been
+// collected, mirroring Pending.
 type QueueStats struct {
 	Near  int // sorted near-run entries not yet dispatched
 	Wheel int // entries waiting in the level-0 buckets
 	Far   int // entries chained in the upper wheel levels
+	Lanes int // lane nodes waiting for a slot (see Lane)
 }
 
-// Total returns the summed occupancy across tiers.
-func (s QueueStats) Total() int { return s.Near + s.Wheel + s.Far }
+// Total returns the summed occupancy across tiers: Pending's count.
+func (s QueueStats) Total() int { return s.Near + s.Wheel + s.Far + s.Lanes }
 
 func (q *eventQueue) stats() QueueStats {
-	return QueueStats{Near: len(q.near) - q.nearPos, Wheel: q.inWheel, Far: q.inUpper}
+	return QueueStats{Near: len(q.near) - q.nearPos, Wheel: q.inWheel, Far: q.inUpper, Lanes: q.inLanes}
 }
 
 // QueueStats reports the engine's event-queue tier occupancy.

@@ -193,6 +193,7 @@ func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 // the instant Halt takes effect, is unchanged. Call before anything is
 // scheduled.
 func (pe *ParallelEngine) ShareQueue() {
+	clear(pe.engines[1:]) // the discarded engines stay reachable otherwise
 	pe.engines = pe.engines[:1]
 	for _, p := range pe.parts {
 		p.eng = pe.engines[0]
@@ -295,6 +296,12 @@ func (p *Partition) AfterEvent(d Duration, ev Event) EventID { return p.eng.Afte
 
 // Cancel prevents a locally scheduled event from running.
 func (p *Partition) Cancel(id EventID) { p.eng.Cancel(id) }
+
+// LaneAt schedules ev locally on lane l.
+func (p *Partition) LaneAt(l *Lane, at Time, ev Event) { p.eng.LaneAt(l, at, ev) }
+
+// LaneFired queues lane l's next record locally.
+func (p *Partition) LaneFired(l *Lane, ev Event) { p.eng.LaneFired(l, ev) }
 
 // Pending reports the number of events queued on the partition.
 func (p *Partition) Pending() int { return p.eng.Pending() }
@@ -566,6 +573,10 @@ func (c crossScheduler) AtEvent(at Time, ev Event) EventID {
 func (c crossScheduler) AfterEvent(d Duration, ev Event) EventID {
 	return c.AtEvent(c.Now().Add(d), ev)
 }
+
+// A lane's nodes live in its partition's engine, so lanes are local.
+func (c crossScheduler) LaneAt(*Lane, Time, Event) { panic("sim: a lane cannot cross partitions") }
+func (c crossScheduler) LaneFired(*Lane, Event)    { panic("sim: a lane cannot cross partitions") }
 
 // Cancel's contract on a Cross scheduler: cross-partition events cannot be
 // cancelled — once a message is batched for the barrier exchange (and, a

@@ -40,7 +40,8 @@ import (
 // records, each next one twice as many, up to 4,096 (320 KB) for every page
 // from the eighth on. Growing the queue allocates one page and copies nothing,
 // so a record is written once, when its event is scheduled, and dispatched in
-// place.
+// place. A record waiting behind an earlier one of its lane (lane.go) is a
+// 24-byte node in node pages of the same kind until that one fires.
 //
 // Cancellation is O(1) and allocation-free. Cancel clears the slot's record
 // (releasing its references to the GC). An event still in an upper level is
@@ -165,11 +166,17 @@ type eventQueue struct {
 	fresh  uint32
 	free   uint32
 	queued int
+
+	// Lane node pages, numbered like slot pages, and nodes on lanes.
+	nodes     [][]laneNode
+	nodeFresh uint32
+	nodeFree  uint32
+	inLanes   int
 }
 
-// size reports the number of queued entries, including cancelled ones that
-// have not surfaced yet.
-func (q *eventQueue) size() int { return q.queued }
+// size reports the number of pending records: queued entries, including
+// cancelled ones that have not surfaced yet, and lane nodes.
+func (q *eventQueue) size() int { return q.queued + q.inLanes }
 
 // rec returns slot s's record. Pages never move, so the pointer stays valid
 // however the queue grows.
@@ -299,9 +306,9 @@ func (q *eventQueue) cancel(id EventID) bool {
 	return true
 }
 
-// insertNear splices an entry into the live tail of the sorted run. New
-// entries carry the largest seq, so the insertion point is the upper bound
-// on time alone.
+// insertNear splices an entry into the live tail of the sorted run. A new
+// entry carries the largest seq, but a lane node queued by LaneFired keeps
+// its older one, so the insertion point is found on (time, seq).
 func (q *eventQueue) insertNear(ent entry) {
 	if q.nearPos == len(q.near) {
 		q.near = q.near[:0]
@@ -313,14 +320,14 @@ func (q *eventQueue) insertNear(ent entry) {
 		q.near = q.near[:n]
 		q.nearPos = 0
 	}
-	if n := len(q.near); n == q.nearPos || q.near[n-1].at <= ent.at {
-		q.near = append(q.near, ent) // common case: at or after the tail
+	if n := len(q.near); n == q.nearPos || entryCompare(q.near[n-1], ent) < 0 {
+		q.near = append(q.near, ent) // common case: after the tail
 		return
 	}
 	lo, hi := q.nearPos, len(q.near)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if q.near[mid].at <= ent.at {
+		if entryCompare(q.near[mid], ent) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -166,11 +166,72 @@ func (q *eventQueue) checkInvariants(t *testing.T, where string) {
 	}
 }
 
+// checkLanes walks the lane node pages: every node handed out waits on
+// exactly one of lanes, each lane's nodes in ascending (time, seq) order
+// behind at least one of its records holding a slot, or is free once.
+func (q *eventQueue) checkLanes(t *testing.T, where string, lanes []Lane) {
+	t.Helper()
+	seen := make([]bool, q.nodeFresh)
+	mark := func(n uint32, lane int) { // lane -1: the free list
+		if p := int(n >> pageBits); p >= len(q.nodes) || int(n&pageMask) >= len(q.nodes[p]) || n >= q.nodeFresh {
+			t.Fatalf("%s: lane %d names node %d, never handed out", where, lane, n)
+		}
+		if seen[n] {
+			t.Fatalf("%s: node %d is named twice, the second time by lane %d", where, n, lane)
+		}
+		seen[n] = true
+	}
+	waiting := 0
+	for i := range lanes {
+		l := &lanes[i]
+		if l.tail == 0 {
+			continue
+		}
+		if l.queued == 0 {
+			t.Fatalf("%s: lane %d holds nodes but no record in a slot", where, i)
+		}
+		var prev *laneNode
+		for n := q.node(l.tail - 1).next; ; n = q.node(n - 1).next {
+			mark(n-1, i)
+			waiting++
+			nd := q.node(n - 1)
+			if prev != nil && entryCompare(entry{at: prev.at, seq: prev.seq}, entry{at: nd.at, seq: nd.seq}) >= 0 {
+				t.Fatalf("%s: lane %d holds (%d, %d) after (%d, %d)", where, i, nd.at, nd.seq, prev.at, prev.seq)
+			}
+			if prev = nd; n == l.tail {
+				break
+			}
+		}
+		if prev.at != l.last {
+			t.Fatalf("%s: lane %d ends at %d but records its last at %d", where, i, prev.at, l.last)
+		}
+	}
+	if waiting != q.inLanes {
+		t.Fatalf("%s: inLanes = %d, counted %d", where, q.inLanes, waiting)
+	}
+	for n := q.nodeFree; n != 0; n = q.node(n - 1).next {
+		mark(n-1, -1)
+	}
+	for p, page := range q.nodes {
+		for off := range page {
+			if n := uint32(p<<pageBits | off); n < q.nodeFresh && !seen[n] {
+				t.Fatalf("%s: node %d is neither on a lane nor free", where, n)
+			}
+		}
+	}
+}
+
 // TestTieredQueueVsReference drives the engine and a naive sorted-list
 // reference through the same randomized mix of schedules, cancels, re-arms,
 // pops, peeks and bounded runs, with delays drawn across every level of the
 // wheel, and requires identical dispatch sequences and a queue that obeys its
 // placement rules after every operation.
+//
+// Every fourth run also pushes records onto three lanes: in order, out of
+// order, at the same picosecond as the lane's last, and from inside handlers
+// at and after the current instant. A twin engine schedules each of those as
+// an ordinary event; the two must dispatch the same sequence and report the
+// same Pending and QueueStats().Total() after every operation.
 func TestTieredQueueVsReference(t *testing.T) {
 	// Same-time ties, sub-bucket, bucket-crossing, inside one span, between
 	// one and two spans, and one or more steps into each upper level.
@@ -180,22 +241,80 @@ func TestTieredQueueVsReference(t *testing.T) {
 		120 * Microsecond, 5 * Millisecond, 200 * Millisecond, 250 * Millisecond,
 		2 * Second, 400 * Second, 30000 * Second,
 	}
+	// Lane records are receive timeouts: none is further off than 250 ms.
+	laneDelays := delays[:14]
 	rng := NewRand(DeriveSeed(1, "tiered-queue-vs-reference"))
-	maxPages := 0
+	maxPages, maxNodePages, maxWaiting, outOfOrder := 0, 0, 0, 0
 	for iter := 0; iter < 60; iter++ {
 		// Every tenth run also schedules in bursts, so its slots spread over
-		// four pages while it schedules, cancels and pops at every tier.
-		grow := iter%10 == 0
-		e := NewEngine()
+		// four pages and its lane nodes over two while it schedules, cancels
+		// and pops at every tier.
+		grow := iter%10 == 1
+		withLanes := iter%4 == 1
+		e, twin := NewEngine(), NewEngine()
+		var lanes [3]Lane
 		ref := &refQueue{}
-		var got []refEvent
-		var ids []EventID // by tag; the schedule sequence number is tag+1
+		// A dispatch is recorded as (time, seq, tag) for an ordinary event
+		// and as (time, 0, -1-lane) for a lane record, whose payload does not
+		// say which of the lane's records it is.
+		var got, gotTwin []refEvent
+		var ids, idsTwin []EventID // by tag; the schedule sequence number is tag+1
+		var laneOf []int           // by tag: the lane a record was pushed on, or -1
+		var lastAt [len(lanes)]Time
+		// pushLane pushes a record on lane l at at, on the twin too unless a
+		// twin handler is about to push it there itself.
+		pushLane := func(l int, at Time, twinToo bool) {
+			if lanes[l].queued > 0 && at < lanes[l].last {
+				outOfOrder++
+			}
+			tag := len(ids)
+			ev := Event{Kind: EvAppTick, Obj: uint32(l)}
+			e.LaneAt(&lanes[l], at, ev)
+			if twinToo {
+				twin.AtEvent(at, ev)
+			}
+			ids, idsTwin, laneOf = append(ids, EventID{}), append(idsTwin, EventID{}), append(laneOf, l)
+			lastAt[l] = at
+			ref.schedule(at, uint64(tag+1), tag)
+		}
+		// dispatched records a dispatch on one engine; in lane runs every
+		// eighth one pushes a lane record from inside its handler, at once or
+		// after one of the delays, the same on both engines.
+		dispatched := func(onTwin bool, ev refEvent) {
+			n := len(got)
+			if onTwin {
+				n = len(gotTwin)
+				gotTwin = append(gotTwin, ev)
+			} else {
+				got = append(got, ev)
+			}
+			if !withLanes || n%8 != 0 {
+				return
+			}
+			l, d := n/8%len(lanes), laneDelays[n/8%len(laneDelays)]
+			if n%16 == 0 {
+				d = 0
+			}
+			if onTwin {
+				twin.AfterEvent(d, Event{Kind: EvAppTick, Obj: uint32(l)})
+			} else {
+				pushLane(l, e.Now().Add(d), false)
+			}
+		}
+		e.RegisterHandler(EvAppTick, func(now Time, ev Event) {
+			e.LaneFired(&lanes[ev.Obj], ev)
+			dispatched(false, refEvent{at: now, tag: -1 - int(ev.Obj)})
+		})
+		twin.RegisterHandler(EvAppTick, func(now Time, ev Event) {
+			dispatched(true, refEvent{at: now, tag: -1 - int(ev.Obj)})
+		})
 		schedule := func(at Time) {
 			tag := len(ids)
-			id := e.At(at, func() {
-				got = append(got, refEvent{at: e.Now(), seq: uint64(tag + 1), tag: tag})
-			})
-			ids = append(ids, id)
+			rec := func(onTwin bool, eng *Engine) func() {
+				return func() { dispatched(onTwin, refEvent{at: eng.Now(), seq: uint64(tag + 1), tag: tag}) }
+			}
+			ids, idsTwin = append(ids, e.At(at, rec(false, e))), append(idsTwin, twin.At(at, rec(true, twin)))
+			laneOf = append(laneOf, -1)
 			ref.schedule(at, uint64(tag+1), tag)
 		}
 		draw := func() Time {
@@ -203,37 +322,61 @@ func TestTieredQueueVsReference(t *testing.T) {
 		}
 		pop := func(where string) bool {
 			want, ok := ref.pop()
-			if e.Step() != ok {
-				t.Fatalf("%s: engine dispatched = %v, reference had an event = %v", where, !ok, ok)
+			if e.Step() != ok || twin.Step() != ok {
+				t.Fatalf("%s: engine or twin dispatched = %v, reference had an event = %v", where, !ok, ok)
 			}
-			if ok && got[len(got)-1] != want {
-				t.Fatalf("%s: dispatched %+v, reference %+v", where, got[len(got)-1], want)
+			if ok && laneOf[want.tag] >= 0 {
+				want = refEvent{at: want.at, tag: -1 - laneOf[want.tag]}
+			}
+			if ok && (got[len(got)-1] != want || gotTwin[len(gotTwin)-1] != want) {
+				t.Fatalf("%s: dispatched %+v, twin %+v, reference %+v", where, got[len(got)-1], gotTwin[len(gotTwin)-1], want)
 			}
 			return ok
+		}
+		cancel := func(tag int) {
+			e.Cancel(ids[tag])
+			twin.Cancel(idsTwin[tag])
+			if laneOf[tag] < 0 { // lane records cannot be cancelled
+				ref.cancel(uint64(tag + 1))
+			}
 		}
 		timer := -1 // tag of one timer that is only ever re-armed, like a TCP RTO
 		for ops := 0; ops < 3000; ops++ {
 			where := fmt.Sprintf("iter %d op %d", iter, ops)
-			if grow && ops%50 == 0 && e.Pending() < 300 {
+			if grow && ops%50 == 0 && e.q.queued < 300 {
 				for range 60 {
 					schedule(draw())
+				}
+			}
+			if grow && ops%50 == 0 && e.q.inLanes < 1100 {
+				for i := range 100 {
+					pushLane(rng.Intn(len(lanes)), e.Now().Add(250*Millisecond+Duration(i)), true)
 				}
 			}
 			switch r := rng.Intn(16); {
 			case r < 6:
 				pop(where)
+			case r < 10 && withLanes && r >= 8:
+				// Mostly a receive timeout's fixed distance, which keeps a
+				// lane in order; otherwise a random one, or the lane's last
+				// instant again.
+				l, at := rng.Intn(len(lanes)), e.Now().Add(250*Millisecond+Duration(rng.Intn(1000)))
+				switch k := rng.Intn(4); {
+				case k == 0:
+					at = e.Now().Add(laneDelays[rng.Intn(len(laneDelays))])
+				case k == 1 && lastAt[l] >= e.Now():
+					at = lastAt[l]
+				}
+				pushLane(l, at, true)
 			case r < 10:
 				schedule(draw())
-			case r < 12: // cancel a random known tag (live, fired, or cancelled)
+			case r < 12: // cancel a random known tag (live, fired, cancelled or on a lane)
 				if len(ids) > 0 {
-					tag := rng.Intn(len(ids))
-					e.Cancel(ids[tag])
-					ref.cancel(uint64(tag + 1))
+					cancel(rng.Intn(len(ids)))
 				}
 			case r < 13: // re-arm
 				if timer >= 0 {
-					e.Cancel(ids[timer])
-					ref.cancel(uint64(timer + 1))
+					cancel(timer)
 				}
 				timer = len(ids)
 				schedule(e.Now().Add(200 * Millisecond))
@@ -242,31 +385,46 @@ func TestTieredQueueVsReference(t *testing.T) {
 				if len(ref.events) > 0 {
 					want = ref.events[0].at
 				}
-				if at := e.NextEventTime(); at != want {
-					t.Fatalf("%s: NextEventTime = %v, reference %v", where, at, want)
+				if at, atTwin := e.NextEventTime(), twin.NextEventTime(); at != want || atTwin != want {
+					t.Fatalf("%s: NextEventTime = %v, twin %v, reference %v", where, at, atTwin, want)
 				}
 			default: // run to a deadline short of the next event, then go on from there
 				if len(ref.events) > 0 && ref.events[0].at > e.Now() {
 					gap := uint64(ref.events[0].at - e.Now())
 					deadline := e.Now() + Time(rng.Uint64()%gap)
 					e.RunUntil(deadline)
-					if e.Now() != deadline {
-						t.Fatalf("%s: RunUntil(%v) left the clock at %v", where, deadline, e.Now())
+					twin.RunUntil(deadline)
+					if e.Now() != deadline || twin.Now() != deadline {
+						t.Fatalf("%s: RunUntil(%v) left the clocks at %v and %v", where, deadline, e.Now(), twin.Now())
 					}
 				}
 			}
 			e.q.checkInvariants(t, where)
+			e.q.checkLanes(t, where, lanes[:])
+			if p, pt := e.Pending(), twin.Pending(); p != pt || e.QueueStats().Total() != p || twin.QueueStats().Total() != pt {
+				t.Fatalf("%s: Pending = %d, twin %d; QueueStats %+v, twin %+v", where, p, pt, e.QueueStats(), twin.QueueStats())
+			}
+			maxWaiting = max(maxWaiting, e.q.inLanes)
 		}
-		maxPages = max(maxPages, len(e.q.pages))
+		maxPages, maxNodePages = max(maxPages, len(e.q.pages)), max(maxNodePages, len(e.q.nodes))
 		for pop(fmt.Sprintf("iter %d drain", iter)) {
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("iter %d: Pending = %d after drain", iter, e.Pending())
+		if e.Pending() != 0 || twin.Pending() != 0 {
+			t.Fatalf("iter %d: Pending = %d, twin %d after drain", iter, e.Pending(), twin.Pending())
+		}
+		for l := range lanes {
+			if lanes[l].tail != 0 || lanes[l].queued != 0 {
+				t.Fatalf("iter %d: lane %d not empty after drain: %+v", iter, l, lanes[l])
+			}
 		}
 		e.q.checkInvariants(t, fmt.Sprintf("iter %d drained", iter))
+		e.q.checkLanes(t, fmt.Sprintf("iter %d drained", iter), lanes[:])
 	}
 	if maxPages < 4 {
 		t.Fatalf("no run crossed three slot-page boundaries (at most %d pages)", maxPages)
+	}
+	if maxNodePages < 2 || outOfOrder < 100 {
+		t.Fatalf("lane nodes took at most %d pages (%d at once), %d records were pushed out of order", maxNodePages, maxWaiting, outOfOrder)
 	}
 }
 

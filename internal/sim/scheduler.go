@@ -26,6 +26,10 @@ type Scheduler interface {
 	AtEvent(at Time, ev Event) EventID
 	// AfterEvent schedules a typed event record d after the current time.
 	AfterEvent(d Duration, ev Event) EventID
+	// LaneAt schedules ev at the absolute time at on lane l (see Lane).
+	LaneAt(l *Lane, at Time, ev Event)
+	// LaneFired is called by the handler of every record scheduled on l.
+	LaneFired(l *Lane, ev Event)
 	// Cancel prevents a scheduled event from running; cancelling a fired or
 	// zero EventID is a no-op. Cross-partition events are not cancellable:
 	// their Scheduler returns the zero EventID, and cancelling a non-zero ID

@@ -8,10 +8,14 @@ import (
 // On a shared queue a cross-partition send is just an event: it takes its
 // place in the one (time, schedule-order) sequence at send time, is still
 // held to the lookahead rule, and dispatches through the shared table, which
-// a partition handle can re-register.
+// a partition handle can re-register. The engines it no longer uses are
+// released.
 func TestShareQueueCrossSend(t *testing.T) {
 	pe := NewParallelEngine(3, Microsecond)
 	pe.ShareQueue()
+	if all := pe.engines[:cap(pe.engines)]; slices.ContainsFunc(all[1:], func(e *Engine) bool { return e != nil }) {
+		t.Fatal("the discarded engines stay reachable from the shared one's slice")
+	}
 	var order []int
 	pe.RegisterHandler(EvAppTick, func(Time, Event) { t.Fatal("replaced handler ran") })
 	pe.Partition(2).RegisterHandler(EvAppTick, func(_ Time, ev Event) { order = append(order, int(ev.Arg)) })

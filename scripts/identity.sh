@@ -6,7 +6,8 @@
 # to it, so notes that print them match) with $SRC set to that side's source
 # tree (so a changed run spec shows as a difference), drops the `# wall time`
 # lines, and compares every output file and the standard output and exit
-# status. Stops at the first difference, naming the file, and exits 1.
+# status of every entry. Names each file that differs, and exits 1 at the end
+# if any did.
 #
 #   scripts/identity.sh PARENT
 #   make identity PARENT=<rev>
@@ -18,7 +19,7 @@
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-	sed -n '2,17p' "$0" >&2
+	sed -n '2,18p' "$0" >&2
 	exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,6 +72,7 @@ run() {
 	mv "$dir" "$base/$1/$3"
 }
 
+differ=0
 for entry in "${runs[@]}"; do
 	name="${entry%%|*}" cmd="${entry#*|}"
 	echo "identity: $cmd"
@@ -80,8 +82,12 @@ for entry in "${runs[@]}"; do
 	for f in $(echo "$files" | sort -u); do
 		if ! cmp "$base/parent/$name/$f" "$base/change/$name/$f"; then
 			echo "identity: $name/${f#./} differs from ${rev:0:7}" >&2
-			exit 1
+			differ=$((differ + 1))
 		fi
 	done
 done
+if [ "$differ" -ne 0 ]; then
+	echo "identity: $differ output files differ from ${rev:0:7}" >&2
+	exit 1
+fi
 echo "identity: every output byte-identical to ${rev:0:7}"
