@@ -12,7 +12,7 @@ package memcache
 
 import (
 	"fmt"
-	"slices"
+	"maps"
 
 	"diablo/internal/kernel"
 	"diablo/internal/packet"
@@ -115,47 +115,61 @@ func responseOf(m packet.Msg) (Response, bool) {
 	return Response{Seq: m.A, Hit: m.C != 0, ValueBytes: int(m.B)}, m.Kind == kindResponse
 }
 
-// Store is the in-memory item store, dense over the key space (keys are
-// 0..Keys-1). Only value sizes are tracked: that is all the timing model
-// observes (the experiments measure request latency, not data content).
+// Store is the in-memory item store. Only value sizes are tracked: that is
+// all the timing model observes (the experiments measure request latency,
+// not data content). A store is a base of sizes dense over keys 0..len-1,
+// which Prewarm writes once and every clone shares read-only, under the
+// store's own overlay of the keys SET since it was made; Get reads the
+// overlay first.
 type Store struct {
-	sizes []int32 // value size + 1 by key; 0: absent
-	n     int     // keys present
+	base []int32          // value size by key; never written after Prewarm
+	over map[uint64]int32 // value size by key, for keys SET since the clone
+	n    int              // keys present
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store { return &Store{over: map[uint64]int32{}} }
 
-// Prewarm populates every key with its deterministic steady-state value
-// size, so GET traffic hits as in the paper's steady-state measurements.
+// Prewarm returns a store holding every key at its deterministic
+// steady-state value size, so GET traffic hits as in the paper's
+// steady-state measurements. Clone it once per server: the clones share its
+// size table.
 func Prewarm(p workload.ETCParams) *Store {
-	s := &Store{sizes: make([]int32, p.Keys), n: p.Keys}
-	for k := range s.sizes {
-		s.sizes[k] = int32(workload.ValueSizeForKey(p, uint64(k)) + 1)
+	base := make([]int32, p.Keys)
+	for k := range base {
+		base[k] = int32(workload.ValueSizeForKey(p, uint64(k)))
 	}
-	return s
+	return &Store{base: base, over: map[uint64]int32{}, n: p.Keys}
 }
 
-// Clone returns an independent copy of the store.
-func (s *Store) Clone() *Store { return &Store{sizes: slices.Clone(s.sizes), n: s.n} }
+// Clone returns a store holding s's items that changes independently of s.
+// It shares s's base and copies only the overlay, with room for sets more
+// keys, so that many SETs of new keys allocate nothing.
+func (s *Store) Clone(sets int) *Store {
+	over := make(map[uint64]int32, len(s.over)+sets)
+	maps.Copy(over, s.over)
+	return &Store{base: s.base, over: over, n: s.n}
+}
 
 // Get returns the stored size.
 func (s *Store) Get(key uint64) (int, bool) {
-	if key < uint64(len(s.sizes)) && s.sizes[key] > 0 {
-		return int(s.sizes[key]) - 1, true
+	if n, ok := s.over[key]; ok {
+		return int(n), true
+	}
+	if key < uint64(len(s.base)) {
+		return int(s.base[key]), true
 	}
 	return 0, false
 }
 
 // Set stores a size.
 func (s *Store) Set(key uint64, n int) {
-	if key >= uint64(len(s.sizes)) {
-		s.sizes = append(s.sizes, make([]int32, key+1-uint64(len(s.sizes)))...)
+	if key >= uint64(len(s.base)) {
+		if _, ok := s.over[key]; !ok {
+			s.n++
+		}
 	}
-	if s.sizes[key] == 0 {
-		s.n++
-	}
-	s.sizes[key] = int32(n + 1)
+	s.over[key] = int32(n)
 }
 
 // Len returns the item count.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"sync"
 
 	"diablo/internal/apps/memcache"
@@ -242,20 +243,37 @@ func RunMemcached(cfg MemcachedConfig) (*MemcachedResult, error) {
 		wl = workload.ETC()
 	}
 
-	// Place servers: the first ServersPerRack nodes of each rack, spread
-	// evenly as in §4.2 ("we distributed 128 memcached servers evenly
-	// across all 64 racks to minimize potential hot spots").
-	template := memcache.Prewarm(wl)
-	var serverAddrs []packet.Addr
+	// Servers are the first ServersPerRack nodes of each rack, spread evenly
+	// as in §4.2 ("we distributed 128 memcached servers evenly across all 64
+	// racks to minimize potential hot spots"); clients run on every other
+	// node, bounded by MaxClients.
 	isServer := make(map[packet.NodeID]bool)
 	for rack := 0; rack < topo.Racks(); rack++ {
 		for i := 0; i < cfg.ServersPerRack; i++ {
+			isServer[topo.Node(rack, i)] = true
+		}
+	}
+	var clientNodes []packet.NodeID
+	for n := 0; n < topo.Servers() && (cfg.MaxClients <= 0 || len(clientNodes) < cfg.MaxClients); n++ {
+		if node := packet.NodeID(n); !isServer[node] {
+			clientNodes = append(clientNodes, node)
+		}
+	}
+	clients := len(clientNodes)
+
+	// Every server reads one prewarmed size table through its own overlay,
+	// sized for its share of the run's SETs so that a steady-state run
+	// allocates nothing for it.
+	template := memcache.Prewarm(wl)
+	sets := int(math.Ceil(float64(clients*cfg.RequestsPerClient) * (1 - wl.GetRatio) / float64(len(isServer))))
+	var serverAddrs []packet.Addr
+	for rack := 0; rack < topo.Racks(); rack++ {
+		for i := 0; i < cfg.ServersPerRack; i++ {
 			node := topo.Node(rack, i)
-			sp := memcache.DefaultServer(cfg.Version, template.Clone())
+			sp := memcache.DefaultServer(cfg.Version, template.Clone(sets))
 			sp.Workers = cfg.Workers
 			memcache.InstallServer(cluster.Machine(node), sp)
 			serverAddrs = append(serverAddrs, packet.Addr{Node: node, Port: sp.Port})
-			isServer[node] = true
 		}
 	}
 
@@ -269,23 +287,14 @@ func RunMemcached(cfg MemcachedConfig) (*MemcachedResult, error) {
 		Servers: len(serverAddrs),
 	}
 
-	// Install clients on every non-server node (bounded by MaxClients).
-	// Client callbacks fire from their machine's partition, so aggregation
-	// into res is mutex-protected; every aggregate (counters, histogram
-	// buckets, min/max) is commutative, which keeps the result independent
-	// of cross-partition callback interleaving — and hence of worker count.
+	// Install the clients. Client callbacks fire from their machine's
+	// partition, so aggregation into res is mutex-protected; every aggregate
+	// (counters, histogram buckets, min/max) is commutative, which keeps the
+	// result independent of cross-partition callback interleaving — and hence
+	// of worker count.
 	var mu sync.Mutex
-	clients := 0
 	done := 0
-	for n := 0; n < topo.Servers(); n++ {
-		node := packet.NodeID(n)
-		if isServer[node] {
-			continue
-		}
-		if cfg.MaxClients > 0 && clients >= cfg.MaxClients {
-			break
-		}
-		clients++
+	for _, node := range clientNodes {
 		cp := memcache.DefaultClient(serverAddrs, cfg.RequestsPerClient)
 		cp.Proto = cfg.Proto
 		cp.Workload = wl

@@ -133,7 +133,7 @@ type Machine struct {
 	cost struct{ ctxSwitch, wakeup, irq, rxUDP, rxTCP, txTCP, txTCPHalf, txUDPHalf, spawn sim.Duration }
 
 	// CPU executor state.
-	kq         fifo[kwork]
+	kq         sim.FIFO[kwork]
 	kq0        [4]kwork // kq's first backing array: most machines never queue deeper
 	kActive    bool
 	kRun       kwork   // the kernel work item executing (valid while kActive)
@@ -142,7 +142,7 @@ type Machine struct {
 	chunkArmed bool
 	chunkStart sim.Time
 	chunkLen   sim.Duration
-	runq       fifo[*Thread]
+	runq       sim.FIFO[*Thread]
 	runq0      [2]*Thread // runq's first backing array
 	lastRun    *Thread
 	inThread   bool // resumeThread is stepping a thread right now
@@ -153,7 +153,7 @@ type Machine struct {
 	dev       *nic.NIC
 	router    Router
 	pool      *packet.Pool
-	qdisc     fifo[*packet.Packet]
+	qdisc     sim.FIFO[*packet.Packet]
 	udpSocks  map[packet.Port]*UDPSocket
 	listeners map[packet.Port]*TCPListener
 	conns     map[connKey]*TCPSocket
@@ -209,7 +209,7 @@ func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *
 		conns:     make(map[connKey]*TCPSocket),
 		nextPort:  32768,
 	}
-	m.kq.q, m.runq.q = m.kq0[:0], m.runq0[:0]
+	m.kq, m.runq = sim.FIFOOn(m.kq0[:]), sim.FIFOOn(m.runq0[:])
 	m.SetSlowdown(1)
 	dev.OnRxInterrupt = m.rxInterrupt
 	dev.OnTxDrain = m.drainQdisc
@@ -268,7 +268,7 @@ func (m *Machine) copyCost(n int) sim.Duration {
 // pkt. Kernel work has priority over user threads: a running user chunk is
 // paused until the kernel queue drains.
 func (m *Machine) kernelWorkPkt(kind KernelSpanKind, d sim.Duration, op kworkOp, pkt *packet.Packet) {
-	m.kq.push(kwork{kind: kind, d: d, op: op, pkt: pkt})
+	m.kq.Push(kwork{kind: kind, d: d, op: op, pkt: pkt})
 	m.scheduleCPU()
 }
 
@@ -280,11 +280,11 @@ func (m *Machine) scheduleCPU() {
 		return
 	}
 	// Kernel work first.
-	if m.kq.len() > 0 {
+	if m.kq.Len() > 0 {
 		if m.chunkArmed {
 			m.pauseChunk()
 		}
-		w := m.kq.pop()
+		w := m.kq.Pop()
 		m.kActive = true
 		m.kRun = w
 		m.Util.Charge(w.d)
@@ -302,10 +302,10 @@ func (m *Machine) scheduleCPU() {
 	}
 	// Pick a user thread.
 	if m.cur == nil {
-		if m.runq.len() == 0 {
+		if m.runq.Len() == 0 {
 			return // idle
 		}
-		m.cur = m.runq.pop()
+		m.cur = m.runq.Pop()
 		if m.lastRun != m.cur {
 			m.cur.remaining += m.cost.ctxSwitch
 			m.Stats.CtxSwitches++
@@ -320,7 +320,7 @@ func (m *Machine) scheduleCPU() {
 		return
 	}
 	chunk := t.remaining
-	if m.runq.len() > 0 && chunk > t.sliceLeft {
+	if m.runq.Len() > 0 && chunk > t.sliceLeft {
 		chunk = t.sliceLeft
 	}
 	if chunk <= 0 {
@@ -390,7 +390,7 @@ func (m *Machine) chunkDone() {
 	t.sliceLeft -= m.chunkLen
 	if t.remaining > 0 {
 		// Slice expired with demand left: rotate to the runqueue tail.
-		m.runq.push(t)
+		m.runq.Push(t)
 		m.cur = nil
 	}
 	m.scheduleCPU()
@@ -431,7 +431,7 @@ func (m *Machine) wake(t *Thread) {
 	}
 	t.state = threadRunnable
 	t.remaining += m.cost.wakeup
-	m.runq.push(t)
+	m.runq.Push(t)
 	m.scheduleCPU()
 }
 
@@ -450,18 +450,18 @@ func (m *Machine) transmit(pkt *packet.Packet) {
 	if m.dev.Transmit(pkt) {
 		return
 	}
-	if m.qdisc.len() >= m.cfg.QdiscLen {
+	if m.qdisc.Len() >= m.cfg.QdiscLen {
 		m.Stats.QdiscDrops++
 		m.pool.Release(pkt) // drop site: nothing downstream will ever see it
 		return
 	}
-	m.qdisc.push(pkt)
+	m.qdisc.Push(pkt)
 }
 
 // drainQdisc pushes queued frames into freed TX descriptors.
 func (m *Machine) drainQdisc() {
-	for m.qdisc.len() > 0 && m.dev.Transmit(m.qdisc.live()[0]) {
-		m.qdisc.pop()
+	for m.qdisc.Len() > 0 && m.dev.Transmit(m.qdisc.Live()[0]) {
+		m.qdisc.Pop()
 	}
 }
 
@@ -560,14 +560,14 @@ func (m *Machine) ephemeralPort() packet.Port {
 // accounting for the leak-balance gate (core.Cluster.ReleaseInFlight); must
 // not be called while the engine is running.
 func (m *Machine) ReleaseInFlight() {
-	for _, pkt := range m.qdisc.live() {
+	for _, pkt := range m.qdisc.Live() {
 		m.pool.Release(pkt)
 	}
-	m.qdisc = fifo[*packet.Packet]{}
-	for _, w := range m.kq.live() {
+	m.qdisc = sim.FIFO[*packet.Packet]{}
+	for _, w := range m.kq.Live() {
 		m.pool.Release(w.pkt) // nil for kwNapiPoll items: no-op
 	}
-	m.kq = fifo[kwork]{}
+	m.kq = sim.FIFO[kwork]{}
 	if m.kActive {
 		m.pool.Release(m.kRun.pkt)
 		m.kRun = kwork{}

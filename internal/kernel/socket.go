@@ -100,7 +100,7 @@ type Epoll struct {
 	items map[Pollable]*epollItem
 	// ready: level-triggered re-queues make this the allocation hot spot of
 	// epoll servers unless its storage is reused.
-	ready   fifo[*epollItem]
+	ready   sim.FIFO[*epollItem]
 	waiters waitQueue
 	kicked  bool
 }
@@ -160,7 +160,7 @@ func (ep *Epoll) markReady(sock Pollable) {
 		return
 	}
 	it.inReady = true
-	ep.ready.push(it)
+	ep.ready.Push(it)
 	ep.waiters.wakeOne(ep.m)
 }
 
@@ -183,8 +183,8 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 	out := t.evbuf[:0]
 	// Harvest the ready list (level-triggered: items still ready are
 	// re-queued).
-	for i, n := 0, ep.ready.len(); i < n && len(out) < op.n; i++ {
-		it := ep.ready.pop()
+	for i, n := 0, ep.ready.Len(); i < n && len(out) < op.n; i++ {
+		it := ep.ready.Pop()
 		it.inReady = false
 		if it.sock == nil {
 			continue // deleted
@@ -196,7 +196,7 @@ func (ep *Epoll) pollWait(t *Thread, op *threadOp) (*waitQueue, bool) {
 		out = append(out, EpollEvent{Sock: it.sock, Events: mask, Data: it.data})
 		// Still ready: keep it visible for the next Wait.
 		it.inReady = true
-		ep.ready.push(it)
+		ep.ready.Push(it)
 	}
 	t.evbuf = out
 	switch {
@@ -241,7 +241,7 @@ type UDPSocket struct {
 	m    *Machine
 	port packet.Port
 
-	rcvq     fifo[udpDgram]
+	rcvq     sim.FIFO[udpDgram]
 	rcvBytes int
 
 	frags map[fragKey]int // fragments received of each datagram in reassembly
@@ -353,7 +353,7 @@ func (s *UDPSocket) recv(t *Thread, d sim.Duration, nowait bool) (packet.Addr, i
 func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
 	case s.Pending() > 0:
-		dg := s.rcvq.pop()
+		dg := s.rcvq.Pop()
 		s.rcvBytes -= dg.bytes
 		t.res.From, t.res.N, t.res.v.msg = dg.from, dg.bytes, dg.msg
 		t.remaining += s.m.copyCost(dg.bytes)
@@ -368,7 +368,7 @@ func (s *UDPSocket) pollRecv(t *Thread, op *threadOp) (*waitQueue, bool) {
 }
 
 // Pending returns the queued datagram count.
-func (s *UDPSocket) Pending() int { return s.rcvq.len() }
+func (s *UDPSocket) Pending() int { return s.rcvq.Len() }
 
 // Close unbinds the socket.
 func (s *UDPSocket) Close(t *Thread) {
@@ -407,7 +407,7 @@ func (m *Machine) deliverUDP(pkt *packet.Packet) {
 		s.Stats.RxDropsFull++
 		return
 	}
-	s.rcvq.push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, msg: pkt.Msg})
+	s.rcvq.Push(udpDgram{from: pkt.Src, bytes: hdr.Bytes, msg: pkt.Msg})
 	s.rcvBytes += hdr.Bytes
 	s.Stats.RxDatagrams++
 	s.readers.wakeOne(m)
@@ -444,7 +444,7 @@ type TCPListener struct {
 	port    packet.Port
 	backlog int
 
-	pending    fifo[*TCPSocket] // established, waiting for Accept
+	pending    sim.FIFO[*TCPSocket] // established, waiting for Accept
 	synPending int
 
 	acceptQ  waitQueue
@@ -475,7 +475,7 @@ func (m *Machine) listen(port packet.Port, backlog int) (*TCPListener, error) {
 // incoming handles a SYN for this listener (softirq context).
 func (lis *TCPListener) incoming(pkt *packet.Packet) {
 	m := lis.m
-	if lis.closed || lis.pending.len()+lis.synPending >= lis.backlog {
+	if lis.closed || lis.pending.Len()+lis.synPending >= lis.backlog {
 		lis.Stats.Refused++
 		return // SYN dropped; client retries (listen queue overflow)
 	}
@@ -505,8 +505,8 @@ func (lis *TCPListener) accept(t *Thread, accept4, nowait bool) (*TCPSocket, err
 
 func (lis *TCPListener) pollAccept(t *Thread, op *threadOp) (*waitQueue, bool) {
 	switch {
-	case lis.pending.len() > 0:
-		t.res.TCP = lis.pending.pop()
+	case lis.pending.Len() > 0:
+		t.res.TCP = lis.pending.Pop()
 		lis.Stats.Accepted++
 	case lis.closed:
 		t.res.v.err = ErrClosed
@@ -528,17 +528,17 @@ func (lis *TCPListener) Close(t *Thread) {
 func (lis *TCPListener) close() {
 	lis.closed = true
 	delete(lis.m.listeners, lis.port)
-	for _, s := range lis.pending.live() {
+	for _, s := range lis.pending.Live() {
 		s.conn.Abort()
 	}
-	lis.pending = fifo[*TCPSocket]{}
+	lis.pending = sim.FIFO[*TCPSocket]{}
 	lis.acceptQ.wakeAll(lis.m)
 	lis.notifyWatchers()
 }
 
 func (lis *TCPListener) readyMask() EpollEvents {
 	var mask EpollEvents
-	if lis.pending.len() > 0 {
+	if lis.pending.Len() > 0 {
 		mask |= EpollIn
 	}
 	if lis.closed {
@@ -611,7 +611,7 @@ func (h *tcpHost) Connected() {
 			s.conn.Abort()
 			return
 		}
-		lis.pending.push(s)
+		lis.pending.Push(s)
 		lis.acceptQ.wakeOne(s.m)
 		lis.notifyWatchers()
 		return

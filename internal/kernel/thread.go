@@ -95,7 +95,7 @@ func (m *Machine) Start(name string, p Program) *Thread {
 	// Enqueue via an event so the runqueue push happens inside the engine's
 	// run loop regardless of the caller's context.
 	m.eng.At(m.eng.Now(), func() {
-		m.runq.push(t)
+		m.runq.Push(t)
 		m.scheduleCPU()
 	})
 	return t
@@ -333,11 +333,11 @@ func (t *Thread) poll() (*waitQueue, bool) {
 		m.eng.AfterEvent(op.timeout, sim.Event{Kind: sim.EvThreadWake, Tgt: t})
 		return nil, false
 	case opYield:
-		if op.waited || m.runq.len() == 0 {
+		if op.waited || m.runq.Len() == 0 {
 			return nil, true
 		}
 		t.offCPU(threadRunnable)
-		m.runq.push(t)
+		m.runq.Push(t)
 		return nil, false
 	case opEpollWait:
 		return op.ep.pollWait(t, op)
@@ -413,34 +413,6 @@ func (t *Thread) offCPU(s threadState) {
 func (t *Thread) block(q *waitQueue) {
 	q.enqueue(t)
 	t.offCPU(threadBlocked)
-}
-
-// fifo is a head-indexed queue: pop advances head, and the backing array is
-// reused once the queue drains, so a steady push/pop flow allocates nothing (a
-// naive q = q[1:] strands the popped capacity and re-allocates on every push
-// once the spare capacity is consumed). The kernel's long queues — CPU work,
-// runqueue, qdisc, datagrams, accept and epoll ready lists — are fifos.
-type fifo[T any] struct {
-	q    []T
-	head int
-}
-
-func (f *fifo[T]) push(x T) { f.q = append(f.q, x) }
-
-// len returns the number of queued items.
-func (f *fifo[T]) len() int { return len(f.q) - f.head }
-
-// live returns the queued items, oldest first.
-func (f *fifo[T]) live() []T { return f.q[f.head:] }
-
-// pop removes and returns the oldest item; the queue must not be empty.
-func (f *fifo[T]) pop() T {
-	x := f.q[f.head]
-	f.q[f.head] = *new(T)
-	if f.head++; f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return x
 }
 
 // waitQueue is the threads blocked on a condition, oldest first. Waking one

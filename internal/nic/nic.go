@@ -64,16 +64,13 @@ type NIC struct {
 	wire   *link.Link // egress link to the ToR switch
 	pool   *packet.Pool
 
-	// The descriptor rings are head-indexed FIFOs (pop advances the head and
-	// reuses the backing array), mirroring real descriptor rings: servicing
-	// them allocates nothing.
-	txq     []*packet.Packet
-	txqHead int
-	txq0    [8]*packet.Packet // txq's first backing array: lightly loaded rings never outgrow it
-	txBusy  bool
+	// The descriptor rings are FIFOs that reuse their arrays, mirroring real
+	// descriptor rings: servicing them allocates nothing.
+	txq    sim.FIFO[*packet.Packet]
+	txq0   [8]*packet.Packet // txq's first backing array: lightly loaded rings never outgrow it
+	txBusy bool
 
-	rxq          []*packet.Packet
-	rxqHead      int
+	rxq          sim.FIFO[*packet.Packet]
 	rxq0         [8]*packet.Packet // rxq's first backing array
 	rxIntEnabled bool
 	rxIntPending bool
@@ -109,7 +106,7 @@ func New(sched sim.Scheduler, params Params, wire *link.Link) (*NIC, error) {
 		rxIntEnabled: true,
 		lastRxInt:    sim.Time(-1 << 62),
 	}
-	n.txq, n.rxq = n.txq0[:0], n.rxq0[:0]
+	n.txq, n.rxq = sim.FIFOOn(n.txq0[:]), sim.FIFOOn(n.rxq0[:])
 	return n, nil
 }
 
@@ -133,7 +130,7 @@ func (n *NIC) Transmit(pkt *packet.Packet) bool {
 	if n.TxPending() >= n.params.TxRing {
 		return false
 	}
-	n.txq = append(n.txq, pkt)
+	n.txq.Push(pkt)
 	n.kickTx()
 	return true
 }
@@ -153,7 +150,7 @@ func (n *NIC) kickTx() {
 	if n.txBusy || n.stalled || n.TxPending() == 0 {
 		return
 	}
-	pkt := n.txq[n.txqHead]
+	pkt := *n.txq.Head()
 	n.txBusy = true
 	pkt.SentAt = n.sched.Now()
 	txDone := n.wire.Send(pkt)
@@ -162,12 +159,7 @@ func (n *NIC) kickTx() {
 
 // txDone retires the in-flight TX descriptor (the EvNicTx handler).
 func (n *NIC) txDone() {
-	n.txq[n.txqHead] = nil
-	n.txqHead++
-	if n.txqHead == len(n.txq) {
-		n.txq = n.txq[:0]
-		n.txqHead = 0
-	}
+	n.txq.Pop()
 	n.txBusy = false
 	n.Stats.TxPackets++
 	if n.OnTxDrain != nil {
@@ -187,7 +179,7 @@ func (n *NIC) Receive(pkt *packet.Packet) {
 		n.pool.Release(pkt)
 		return
 	}
-	n.rxq = append(n.rxq, pkt)
+	n.rxq.Push(pkt)
 	n.Stats.RxPackets++
 	n.maybeRaiseRxInt()
 }
@@ -237,21 +229,14 @@ func (n *NIC) PopRx() *packet.Packet {
 	if n.RxPending() == 0 {
 		return nil
 	}
-	pkt := n.rxq[n.rxqHead]
-	n.rxq[n.rxqHead] = nil
-	n.rxqHead++
-	if n.rxqHead == len(n.rxq) {
-		n.rxq = n.rxq[:0]
-		n.rxqHead = 0
-	}
-	return pkt
+	return n.rxq.Pop()
 }
 
 // RxPending returns the number of frames waiting in the RX ring.
-func (n *NIC) RxPending() int { return len(n.rxq) - n.rxqHead }
+func (n *NIC) RxPending() int { return n.rxq.Len() }
 
 // TxPending returns the number of frames occupying TX descriptors.
-func (n *NIC) TxPending() int { return len(n.txq) - n.txqHead }
+func (n *NIC) TxPending() int { return n.txq.Len() }
 
 // ReleaseInFlight returns every frame still sitting in the device rings to
 // the pool and empties them. Part of the cluster-wide leak audit after Halt:
@@ -261,18 +246,17 @@ func (n *NIC) TxPending() int { return len(n.txq) - n.txqHead }
 // EvPacketHop — released by the engine walk — or was already released by a
 // link fault drop), so it is skipped here.
 func (n *NIC) ReleaseInFlight() {
-	start := n.txqHead
+	tx := n.txq.Live()
 	if n.txBusy {
-		start++
+		tx = tx[1:]
 	}
-	for i := start; i < len(n.txq); i++ {
-		n.pool.Release(n.txq[i])
+	for _, pkt := range tx {
+		n.pool.Release(pkt)
 	}
-	n.txq, n.txqHead, n.txBusy = nil, 0, false
-	for i := n.rxqHead; i < len(n.rxq); i++ {
-		n.pool.Release(n.rxq[i])
+	for _, pkt := range n.rxq.Live() {
+		n.pool.Release(pkt)
 	}
-	n.rxq, n.rxqHead = nil, 0
+	n.txq, n.rxq, n.txBusy = sim.FIFO[*packet.Packet]{}, sim.FIFO[*packet.Packet]{}, false
 }
 
 // SetRxIntEnabled controls RX interrupt delivery (NAPI disables interrupts

@@ -23,11 +23,17 @@ func splitmix64(state *uint64) uint64 {
 // NewRand returns a generator seeded from seed.
 func NewRand(seed uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream NewRand(seed) returns, so a Rand held by value
+// draws without a heap allocation.
+func (r *Rand) Seed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&st)
 	}
-	return r
 }
 
 // DeriveSeed mixes a master seed with a stream label into a new seed.

@@ -15,10 +15,10 @@ func refArbitrate(op *outPort, now sim.Time) (int, sim.Time) {
 	for k := 0; k < n; k++ {
 		i := (op.rr + k) % n
 		r := &op.voq[i]
-		if r.empty() {
+		if r.Len() == 0 {
 			continue
 		}
-		h := r.headPkt()
+		h := r.Head()
 		if h.eligible <= now {
 			return i, next
 		}
@@ -68,7 +68,7 @@ func TestBitmapArbiterMatchesLinearScan(t *testing.T) {
 						continue
 					}
 					for i := range op.voq {
-						if set := op.backlog[i>>6]&(1<<uint(i&63)) != 0; set == op.voq[i].empty() {
+						if set := op.backlog[i>>6]&(1<<uint(i&63)) != 0; set == (op.voq[i].Len() == 0) {
 							t.Fatalf("t=%v out %d: backlog bit %d = %v, queue empty = %v", now, op.idx, i, set, !set)
 						}
 					}

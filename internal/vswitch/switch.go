@@ -35,33 +35,6 @@ type qpkt struct {
 	input    int
 }
 
-// qring is a head-indexed FIFO of buffered packets (same pattern as
-// kernel.Machine.kq): popping advances head and the backing array is reused
-// once drained, so steady-state forwarding allocates nothing.
-type qring struct {
-	q    []qpkt
-	head int
-}
-
-func (r *qring) empty() bool { return r.head == len(r.q) }
-
-// headPkt returns the queue head in place; the pointer is valid only until
-// the next pop.
-func (r *qring) headPkt() *qpkt { return &r.q[r.head] }
-
-func (r *qring) push(p qpkt) { r.q = append(r.q, p) }
-
-func (r *qring) pop() qpkt {
-	p := r.q[r.head]
-	r.q[r.head] = qpkt{}
-	r.head++
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-	}
-	return p
-}
-
 // outPort is the egress side of one switch port.
 type outPort struct {
 	idx      int // port index, the Obj payload of this port's typed events
@@ -69,10 +42,11 @@ type outPort struct {
 	occupied int // per-output buffer occupancy (ArchDropTail)
 	// voq[i] is the virtual output queue from input i (ArchVOQ) and bit i of
 	// backlog is set exactly while voq[i] is non-empty; fifo is the single
-	// output queue (ArchSharedOutput / ArchDropTail).
-	voq     []qring
+	// output queue (ArchSharedOutput / ArchDropTail). Both reuse their
+	// arrays, so steady-state forwarding allocates nothing.
+	voq     []sim.FIFO[qpkt]
 	backlog []uint64
-	fifo    qring
+	fifo    sim.FIFO[qpkt]
 	queued  int // packets waiting on this output
 	rr      int // round-robin pointer over inputs
 	busy    bool
@@ -150,7 +124,7 @@ func New(sched sim.Scheduler, params Params) (*Switch, error) {
 	for i := range sw.out {
 		op := &outPort{idx: i, wakeAt: sim.Never}
 		if params.Arch == ArchVOQ {
-			op.voq = make([]qring, params.Ports)
+			op.voq = make([]sim.FIFO[qpkt], params.Ports)
 			op.backlog = bitmaps[i*words : (i+1)*words : (i+1)*words]
 		}
 		sw.out[i] = op
@@ -310,10 +284,10 @@ func (s *Switch) receive(in int, pkt *packet.Packet) {
 
 	q := qpkt{pkt: pkt, eligible: eligible, bytes: size, input: in}
 	if s.params.Arch == ArchVOQ {
-		op.voq[in].push(q)
+		op.voq[in].Push(q)
 		op.backlog[in>>6] |= 1 << uint(in&63)
 	} else {
-		op.fifo.push(q)
+		op.fifo.Push(q)
 	}
 	op.queued++
 	s.dispatch(op)
@@ -342,7 +316,7 @@ func (op *outPort) arbitrate(now sim.Time) (int, sim.Time) {
 	for k := 1; ; k++ {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 + bits.TrailingZeros64(word)
-			if e := op.voq[i].headPkt().eligible; e <= now {
+			if e := op.voq[i].Head().eligible; e <= now {
 				return i, next
 			} else if e < next {
 				next = e
@@ -374,16 +348,16 @@ func (s *Switch) dispatch(op *outPort) {
 		var i int
 		if i, nextEligible = op.arbitrate(now); i >= 0 {
 			r := &op.voq[i]
-			chosen, have = r.pop(), true
-			if r.empty() {
+			chosen, have = r.Pop(), true
+			if r.Len() == 0 {
 				op.backlog[i>>6] &^= 1 << uint(i&63)
 			}
 			op.rr = (i + 1) % len(op.voq)
 		}
 	} else {
-		if !op.fifo.empty() {
-			if h := op.fifo.headPkt(); h.eligible <= now {
-				chosen = op.fifo.pop()
+		if op.fifo.Len() > 0 {
+			if h := op.fifo.Head(); h.eligible <= now {
+				chosen = op.fifo.Pop()
 				have = true
 			} else {
 				nextEligible = h.eligible
@@ -456,13 +430,13 @@ func (s *Switch) ReleaseInFlight() {
 	for _, op := range s.out {
 		for i := range op.voq {
 			r := &op.voq[i]
-			for !r.empty() {
-				s.pool.Release(r.pop().pkt)
+			for r.Len() > 0 {
+				s.pool.Release(r.Pop().pkt)
 			}
 		}
 		clear(op.backlog)
-		for !op.fifo.empty() {
-			s.pool.Release(op.fifo.pop().pkt)
+		for op.fifo.Len() > 0 {
+			s.pool.Release(op.fifo.Pop().pkt)
 		}
 		op.queued = 0
 		op.occupied = 0

@@ -19,6 +19,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"diablo/internal/sim"
 )
@@ -217,11 +218,13 @@ func (g *Generator) Think() sim.Duration {
 
 // ValueSizeForKey gives the deterministic steady-state value size of a key,
 // used to pre-warm server stores so GETs hit (the paper's measurements are
-// in steady state). It hashes the key through the generator's distribution
-// deterministically.
+// in steady state). It draws once from the value-size distribution on a
+// stream seeded by the label "key-N", so sizes are stable across runs; the
+// label and the stream live on the stack, and a call allocates nothing.
 func ValueSizeForKey(p ETCParams, key uint64) int {
-	// A per-key deterministic stream keeps sizes stable across runs.
-	r := sim.NewRand(sim.DeriveSeed(0x9E3779B9, fmt.Sprintf("key-%d", key)))
-	g := &Generator{p: p, rng: r}
+	var buf [24]byte // "key-" and at most 20 digits
+	var r sim.Rand
+	r.Seed(sim.DeriveSeed(0x9E3779B9, string(strconv.AppendUint(append(buf[:0], "key-"...), key, 10))))
+	g := Generator{p: p, rng: &r}
 	return g.ValueSize()
 }

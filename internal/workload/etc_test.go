@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -178,6 +180,33 @@ func TestValueSizeForKeyStable(t *testing.T) {
 		if a < 1 || a > p.MaxValue {
 			t.Fatalf("key %d size %d out of bounds", key, a)
 		}
+	}
+}
+
+// TestValueSizeForKeyTable pins the whole ETC prewarm table: every memcached
+// server's GET sizes come from it, so a change to how a key's size is drawn
+// changes every memcached result.
+func TestValueSizeForKeyTable(t *testing.T) {
+	p := ETC()
+	h := fnv.New64a()
+	var b []byte
+	for key := uint64(0); key < uint64(p.Keys); key++ {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(ValueSizeForKey(p, key)))
+		h.Write(b)
+	}
+	if got, want := h.Sum64(), uint64(0x40e6ed8e9a13d5ee); got != want {
+		t.Fatalf("ETC size table digest = %#x, want %#x", got, want)
+	}
+}
+
+func TestValueSizeForKeyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	p := ETC()
+	key := uint64(12345678901234567890)
+	if n := testing.AllocsPerRun(100, func() { ValueSizeForKey(p, key) }); n != 0 {
+		t.Fatalf("ValueSizeForKey allocates %v objects per call, want 0", n)
 	}
 }
 
