@@ -1,13 +1,15 @@
-// Package analysis checks the two determinism rules that no run-time test
+// Package analysis checks the determinism rules that no run-time test
 // catches reliably. A `go` statement in model code races the event loop, and
 // a map range that schedules, makes a simulated syscall or appends to an
 // outer slice follows Go's randomized iteration order. Either one breaks a
 // replay only when the host's timing or the map's seed happens to differ, so
-// the goldens and replay tests see it at random. Every other rule of the
-// determinism contract (DESIGN.md §5.5) is enforced by a test that fails on
-// its violation. The rules are checked over source with go/parser and
-// go/types; imports come from the export data `go list -export` writes to the
-// build cache.
+// the goldens and replay tests see it at random. A model component that runs,
+// halts or makes an engine takes over what only the engine's owner may do,
+// and nothing fails until a run stops at the wrong instant. Every other rule
+// of the determinism contract (DESIGN.md §5.5) is enforced by a test that
+// fails on its violation. The rules are checked over source with go/parser
+// and go/types; imports come from the export data `go list -export` writes to
+// the build cache.
 package analysis
 
 import (
@@ -29,18 +31,23 @@ import (
 )
 
 // A rule is one hazard: fires returns the nodes under n that break it.
-// Packages in exempt (and their subtrees) may break it on purpose.
+// Packages in exempt (and their subtrees) may break it on purpose, and so may
+// test files if tests is false.
 type rule struct {
 	name   string
 	exempt []string
+	tests  bool
 	fires  func(info *types.Info, n ast.Node) []ast.Node
 }
 
 var rules = []rule{
 	// The partitioned engine's per-quantum workers are the one sanctioned
 	// use: static partition assignment, joined at every barrier.
-	{"go statement", []string{"diablo/internal/sim"}, goStatement},
-	{"map range", nil, mapRange},
+	{"go statement", []string{"diablo/internal/sim"}, true, goStatement},
+	{"map range", nil, true, mapRange},
+	// An engine is run by whoever made it: the engine package and the
+	// cluster that wires the model, or a test driving components by hand.
+	{"run control", []string{"diablo/internal/sim", "diablo/internal/core"}, false, runControl},
 }
 
 // harness lists the packages under internal/ that hold no model code: they
@@ -129,6 +136,30 @@ func usesThread(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
+// runControl flags a reference to what only an engine's owner may do: a
+// run-control method of a sim type (Run, RunUntil, Step, Halt), called or
+// passed as a callback, and the engine constructors.
+func runControl(info *types.Info, n ast.Node) []ast.Node {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "diablo/internal/sim" {
+		return nil
+	}
+	method := fn.Type().(*types.Signature).Recv() != nil
+	switch fn.Name() {
+	case "Run", "RunUntil", "Step", "Halt":
+		if method {
+			return []ast.Node{sel}
+		}
+	case "NewEngine", "NewParallelEngine":
+		return []ast.Node{sel}
+	}
+	return nil
+}
+
 func appendsOutside(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt) bool {
 	fn, ok := call.Fun.(*ast.Ident)
 	if !ok || len(call.Args) == 0 {
@@ -165,6 +196,9 @@ func findings(fset *token.FileSet, path string, files []*ast.File, info *types.I
 			continue
 		}
 		for _, f := range files {
+			if !r.tests && strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				for _, bad := range r.fires(info, n) {
 					out = append(out, finding{fset.Position(bad.Pos()), r.name})
@@ -245,7 +279,8 @@ func typeCheck(t *testing.T, fset *token.FileSet, path string, names []string, s
 }
 
 // A ruleCase is one inline source: the rule names it must fire, in rule and
-// source order, when type-checked as package path.
+// source order, when type-checked as package path. The source is a test file
+// when the path is an external test package's.
 type ruleCase struct {
 	name, path, src string
 	want            []string
@@ -263,8 +298,12 @@ func checkCases(t *testing.T, cases []ruleCase) {
 		t.Run(c.name, func(t *testing.T) {
 			src := "package fixture\n\nimport (\n\t\"diablo/internal/kernel\"\n\t\"diablo/internal/sim\"\n)\n\n" +
 				"var _ = sim.Nanosecond\n\nfunc use(*kernel.Thread) {}\n\n" + c.src + "\n"
+			file := "fixture.go"
+			if strings.HasSuffix(c.path, "_test") {
+				file = "fixture_test.go"
+			}
 			fset := token.NewFileSet()
-			files, info := typeCheck(t, fset, c.path, []string{"fixture.go"}, src, nil)
+			files, info := typeCheck(t, fset, c.path, []string{file}, src, nil)
 			found := findings(fset, c.path, files, info)
 			var got []string
 			for _, f := range found {
@@ -311,6 +350,34 @@ func TestDetlintFixture(t *testing.T) {
 	})
 }
 
+// Model code neither makes an engine nor runs, steps or halts one, whether it
+// calls the method or passes it on as a callback; the engine, the cluster
+// that wires the model, model tests and the harness may.
+func TestDetlintRunControl(t *testing.T) {
+	const src = `func f(s sim.Scheduler) {
+		e := sim.NewEngine()
+		e.RunUntil(sim.Never)
+		s.At(0, e.Halt)
+		pe := sim.NewParallelEngine(2, sim.Nanosecond)
+		pe.Partition(0).At(0, pe.Halt)
+		for e.Step() {
+		}
+		e.Run()
+	}`
+	fires := []string{"run control", "run control", "run control", "run control", "run control", "run control", "run control"}
+	checkCases(t, []ruleCase{
+		{"run control in model code", modelPkg, src, fires},
+		{"run control in a model test", modelPkg + "_test", src, nil},
+		{"run control in the engine", enginePkg, src, nil},
+		{"run control in the cluster", "diablo/internal/core/fixture", src, nil},
+		{"run control in the harness", harnessPkg, src, nil},
+		{"scheduling is not run control", modelPkg, `func f(e *sim.Engine, pe *sim.ParallelEngine) {
+			e.At(e.Now(), func() {})
+			pe.Partition(0).Engine().AfterEvent(sim.Nanosecond, sim.Event{})
+		}`, nil},
+	})
+}
+
 // Fault-injection callbacks are model code: map-range scheduling inside an
 // apply closure fires. The import path places the fixture under the fault
 // package's subtree.
@@ -346,31 +413,37 @@ func TestDetlintSilentOutsideModelPackages(t *testing.T) {
 // leading letters.
 func TestPackageClassification(t *testing.T) {
 	cases := []struct {
-		path        string
-		model, goOK bool // goOK: exempt from the go-statement rule
+		path               string
+		model, goOK, runOK bool // exempt from the go-statement, run-control rule
 	}{
-		{"diablo/internal/sim", true, true},
-		{"diablo/internal/sim/sub", true, true},
-		{"diablo/internal/simulator", true, false},
-		{"diablo/internal/core", true, false},
-		{"diablo/internal/nic", true, false},
-		{"diablo/internal/kernel", true, false},
-		{"diablo/internal/apps/memcache", true, false},
-		{"diablo/internal/metrics", false, false},
-		{"diablo/internal/survey", false, false},
-		{"diablo/internal/campaign/sub", false, false},
-		{"diablo/internal/metricsx", true, false},
-		{"diablo/cmd/diablo", false, false},
-		{"diablo/examples/quickstart", false, false},
-		{"diablo", false, false},
+		{"diablo/internal/sim", true, true, true},
+		{"diablo/internal/sim/sub", true, true, true},
+		{"diablo/internal/simulator", true, false, false},
+		{"diablo/internal/core", true, false, true},
+		{"diablo/internal/corex", true, false, false},
+		{"diablo/internal/nic", true, false, false},
+		{"diablo/internal/kernel", true, false, false},
+		{"diablo/internal/apps/memcache", true, false, false},
+		{"diablo/internal/metrics", false, false, false},
+		{"diablo/internal/survey", false, false, false},
+		{"diablo/internal/campaign/sub", false, false, false},
+		{"diablo/internal/metricsx", true, false, false},
+		{"diablo/cmd/diablo", false, false, false},
+		{"diablo/examples/quickstart", false, false, false},
+		{"diablo", false, false, false},
 	}
-	goRule := rules[slices.IndexFunc(rules, func(r rule) bool { return r.name == "go statement" })]
+	exempt := func(name, path string) bool {
+		return within(path, rules[slices.IndexFunc(rules, func(r rule) bool { return r.name == name })].exempt...)
+	}
 	for _, c := range cases {
 		if got := isModel(c.path); got != c.model {
 			t.Errorf("isModel(%q) = %v, want %v", c.path, got, c.model)
 		}
-		if got := within(c.path, goRule.exempt...); got != c.goOK {
+		if got := exempt("go statement", c.path); got != c.goOK {
 			t.Errorf("go-statement exemption of %q = %v, want %v", c.path, got, c.goOK)
+		}
+		if got := exempt("run control", c.path); got != c.runOK {
+			t.Errorf("run-control exemption of %q = %v, want %v", c.path, got, c.runOK)
 		}
 	}
 }

@@ -159,11 +159,12 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 	multiRack := topo.MultiRack()
 	multiArray := topo.MultiArray()
 
-	// Partition layout and schedulers. sched(i) is partition i's local
-	// scheduler; cross(src, dst) schedules from partition src's event context
-	// onto partition dst (used for the delivery side of partition-crossing
-	// links). The layout is fixed by the topology; WithPartitions only picks
-	// whether the partitions share one queue or run under the barrier.
+	// Partition layout and engines. eng(i) is the event queue partition i
+	// schedules on, bound into every component of the partition here, once;
+	// the delivery side of a partition-crossing link schedules through a
+	// Cross scheduler instead. The layout is fixed by the topology;
+	// WithPartitions only picks whether the partitions share one queue or run
+	// under the barrier.
 	partitions := 1
 	grid := sim.Picosecond // a one-partition engine has no barrier: any grid does
 	if multiRack {
@@ -179,13 +180,7 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 	} else {
 		c.pe.ShareQueue()
 	}
-	sched := c.pe.Partition
-	cross := func(src, dst int) sim.Scheduler {
-		if src == dst {
-			return sched(src)
-		}
-		return c.pe.Cross(src, dst)
-	}
+	eng := func(i int) *sim.Engine { return c.pe.Partition(i).Engine() }
 
 	// Register the model packages' typed-event jump table before any
 	// component schedules (kernel cascades to nic and link; vswitch to link).
@@ -218,7 +213,7 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		params := cfg.ToR
 		params.Name = fmt.Sprintf("tor-%d", r)
 		params.Ports = torPorts
-		sw, err := vswitch.New(sched(r), params)
+		sw, err := vswitch.New(eng(r), params)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +229,7 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 			params := cfg.Array
 			params.Name = fmt.Sprintf("array-%d", a)
 			params.Ports = arrayPorts
-			sw, err := vswitch.New(sched(fabric), params)
+			sw, err := vswitch.New(eng(fabric), params)
 			if err != nil {
 				return nil, err
 			}
@@ -246,7 +241,7 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		params := cfg.DC
 		params.Name = "dc"
 		params.Ports = tp.Arrays
-		sw, err := vswitch.New(sched(fabric), params)
+		sw, err := vswitch.New(eng(fabric), params)
 		if err != nil {
 			return nil, err
 		}
@@ -261,21 +256,21 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		rack := topo.RackOf(node)
 		idx := topo.IndexInRack(node)
 		tor := c.Tors[rack]
-		rsched := sched(rack)
+		reng := eng(rack)
 
-		up := link.New(rsched, tor.Input(idx), cfg.ToR.LinkRate, cfg.CableProp)
+		up := link.New(reng, tor.Input(idx), cfg.ToR.LinkRate, cfg.CableProp)
 		up.SetPool(pool(rack))
-		dev, err := nic.New(rsched, cfg.Server.NIC, up)
+		dev, err := nic.New(reng, cfg.Server.NIC, up)
 		if err != nil {
 			return nil, err
 		}
 		dev.SetPool(pool(rack))
-		m, err := kernel.New(rsched, node, cfg.Server, topo, dev, cfg.Seed)
+		m, err := kernel.New(reng, node, cfg.Server, topo, dev, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		m.SetPool(pool(rack))
-		down := link.New(rsched, dev, cfg.ToR.LinkRate, cfg.CableProp)
+		down := link.New(reng, dev, cfg.ToR.LinkRate, cfg.CableProp)
 		down.SetPool(pool(rack))
 		tor.AttachOutput(idx, down)
 		c.Machines = append(c.Machines, m)
@@ -296,13 +291,13 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 			localIdx := topo.RackInArray(r)
 			arr := c.Arrays[a]
 
-			up := link.New(sched(r), arr.Input(localIdx), cfg.Array.LinkRate, cfg.CableProp)
-			up.SetDeliverySched(cross(r, fabric))
+			up := link.New(eng(r), arr.Input(localIdx), cfg.Array.LinkRate, cfg.CableProp)
+			up.SetDeliverySched(c.pe.Cross(r, fabric))
 			up.SetPool(pool(r)) // transmit side (fault drops) runs on rack r
 			c.Tors[r].AttachOutput(upPort, up)
 
-			down := link.New(sched(fabric), c.Tors[r].Input(upPort), cfg.Array.LinkRate, cfg.CableProp)
-			down.SetDeliverySched(cross(fabric, r))
+			down := link.New(eng(fabric), c.Tors[r].Input(upPort), cfg.Array.LinkRate, cfg.CableProp)
+			down.SetDeliverySched(c.pe.Cross(fabric, r))
 			down.SetPool(pool(fabric))
 			arr.AttachOutput(localIdx, down)
 		}
@@ -310,12 +305,12 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 	// Wire array <-> DC uplinks (both ends live in the fabric partition).
 	if multiArray {
 		upPort := topo.ArrayUplinkPort()
-		fsched := sched(fabric)
+		feng := eng(fabric)
 		for a := 0; a < topo.Arrays(); a++ {
-			up := link.New(fsched, c.DC.Input(a), cfg.DC.LinkRate, cfg.CableProp)
+			up := link.New(feng, c.DC.Input(a), cfg.DC.LinkRate, cfg.CableProp)
 			up.SetPool(pool(fabric))
 			c.Arrays[a].AttachOutput(upPort, up)
-			down := link.New(fsched, c.Arrays[a].Input(upPort), cfg.DC.LinkRate, cfg.CableProp)
+			down := link.New(feng, c.Arrays[a].Input(upPort), cfg.DC.LinkRate, cfg.CableProp)
 			down.SetPool(pool(fabric))
 			c.DC.AttachOutput(a, down)
 		}
@@ -367,7 +362,7 @@ func (c *Cluster) Machine(n packet.NodeID) *kernel.Machine { return c.Machines[n
 // Scheduler returns the cluster's event scheduler: the handle of the last
 // partition (the fabric's on a multi-rack cluster). Use it to read the clock
 // or schedule global events before the run starts; during a run, model code
-// must schedule through its own partition's scheduler instead.
+// schedules on the engine of its own partition, bound at wiring, instead.
 func (c *Cluster) Scheduler() sim.Scheduler { return c.pe.Partition(c.pe.Partitions() - 1) }
 
 // Parallel reports whether the partitions execute under the quantum barrier

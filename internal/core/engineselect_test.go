@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"diablo/internal/kernel"
+	"diablo/internal/packet"
 	"diablo/internal/sim"
 	"diablo/internal/topology"
 )
@@ -77,31 +79,129 @@ func TestEngineSelectionResultInvariance(t *testing.T) {
 	}
 }
 
-// TestHaltAtTimeZero: a halt raised by a t = 0 event stops a multi-rack model
-// at the first barrier, with the same clock and event count whether the
-// partitions share one queue or run under the barrier. (The daemons give
-// every machine work inside the first quantum, so the event count is not
-// trivially the halting event alone.)
-func TestHaltAtTimeZero(t *testing.T) {
-	run := func(partitions int) (sim.Time, uint64) {
-		cfg := DefaultConfig(topology.Params{ServersPerRack: 4, RacksPerArray: 2, Arrays: 1})
-		cfg.Daemon = kernel.DefaultDaemon()
-		c, err := New(cfg, WithPartitions(partitions))
-		if err != nil {
-			t.Fatal(err)
+// haltModel is a two-rack model busy in every quantum: daemons on every
+// machine and a UDP ping-pong between the racks, so cross-partition packets
+// are in flight whenever the run halts. workers = 0 shares one queue.
+func haltModel(t *testing.T, workers int) *Cluster {
+	t.Helper()
+	cfg := DefaultConfig(topology.Params{ServersPerRack: 4, RacksPerArray: 2, Arrays: 1})
+	cfg.Daemon = kernel.DefaultDaemon()
+	c, err := New(cfg, WithPartitions(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := packet.Addr{Node: 4, Port: 9000}
+	c.Machines[server.Node].Spawn("echo", func(th *kernel.Thread) {
+		sock, _ := th.UDPSocket(server.Port)
+		for {
+			from, n, msg, err := sock.RecvFrom(th)
+			if err != nil {
+				return
+			}
+			_ = sock.SendTo(th, from, n, msg)
 		}
+	})
+	c.Machines[0].Spawn("ping", func(th *kernel.Thread) {
+		sock, _ := th.UDPSocket(0)
+		for i := range 1000 {
+			if sock.SendTo(th, server, 100, packet.Msg{A: uint64(i)}) != nil {
+				return
+			}
+			if _, _, _, err := sock.RecvFrom(th); err != nil {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// TestHaltOnQuantumGrid halts a multi-rack model at t = 0, mid-quantum,
+// exactly on a barrier and in a quantum the deadline cuts short. The shared
+// queue runs straight through rather than quantum by quantum, so its halt
+// must still stop at the end of the halting quantum: the same instant, after
+// the same events and with the same model state as the partitioned run at
+// one and two workers. (The daemons give every machine work inside the first
+// quantum, so even the t = 0 halt is not trivially the halting event alone.)
+func TestHaltOnQuantumGrid(t *testing.T) {
+	const q = 1172 * sim.Nanosecond // the default model's quantum
+	type outcome struct {
+		now    sim.Time
+		events uint64
+		state  string
+	}
+	run := func(workers int, haltAt sim.Time, deadline sim.Duration) outcome {
+		c := haltModel(t, workers)
 		defer c.Shutdown()
-		c.Scheduler().At(0, c.Halt)
-		c.RunUntil(sim.Second)
-		return c.Now(), c.Events()
+		if c.Quantum() != q {
+			t.Fatalf("quantum %v, want %v", c.Quantum(), q)
+		}
+		c.Scheduler().At(haltAt, c.Halt)
+		c.RunUntil(deadline)
+		var state strings.Builder
+		for _, m := range c.Machines {
+			fmt.Fprintf(&state, "%+v %+v %+v\n", m.Stats, m.NIC().Stats, m.Util)
+		}
+		fmt.Fprintf(&state, "drops %d", c.SwitchDrops())
+		return outcome{c.Now(), c.Events(), state.String()}
 	}
-	seqNow, seqEvents := run(0)
-	parNow, parEvents := run(2)
-	if seqNow != sim.Time(1172*sim.Nanosecond) {
-		t.Errorf("sequential run stopped at %v, want the first barrier at 1.172µs", seqNow)
+	for _, tc := range []struct {
+		name     string
+		haltAt   sim.Time
+		deadline sim.Duration
+		want     sim.Time
+	}{
+		{"at zero", 0, sim.Second, sim.Time(q)},
+		{"mid-quantum", sim.Time(20*q + q/3), sim.Second, sim.Time(21 * q)},
+		{"on a barrier", sim.Time(30 * q), sim.Second, sim.Time(30 * q)},
+		{"deadline inside the quantum", sim.Time(40*q + 100*sim.Nanosecond), 40*q + q/2, sim.Time(40*q + q/2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := run(0, tc.haltAt, tc.deadline)
+			if seq.now != tc.want {
+				t.Errorf("sequential run stopped at %v, want %v", seq.now, tc.want)
+			}
+			for _, workers := range []int{1, 2} {
+				if par := run(workers, tc.haltAt, tc.deadline); par != seq {
+					t.Errorf("sequential (%v, %d events) and %d-worker (%v, %d events) halts differ; state equal: %v",
+						seq.now, seq.events, workers, par.now, par.events, par.state == seq.state)
+				}
+			}
+		})
 	}
-	if seqNow != parNow || seqEvents != parEvents {
-		t.Errorf("sequential (%v, %d events) and partitioned (%v, %d events) halts differ",
-			seqNow, seqEvents, parNow, parEvents)
+}
+
+// TestCrossSendLookahead: a cross-partition send is held to the exact
+// lookahead bound in every mode, the un-stepped shared queue included. From
+// the first quantum (0, q], a send at q - 1 ps panics and one at q is
+// accepted; a deadline inside the quantum ends it early, so a send at the
+// deadline is accepted too.
+func TestCrossSendLookahead(t *testing.T) {
+	const q = sim.Time(1172 * sim.Nanosecond)
+	for _, tc := range []struct {
+		at       sim.Time
+		deadline sim.Duration
+		panics   bool
+	}{
+		{q - 1, sim.Millisecond, true},
+		{q, sim.Millisecond, false},
+		{q - 1, sim.Duration(q - 1), false},
+	} {
+		for _, workers := range []int{0, 1, 2} {
+			c, err := New(DefaultConfig(topology.Params{ServersPerRack: 2, RacksPerArray: 2, Arrays: 1}), WithPartitions(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fabric := c.Partitions() - 1
+			c.pe.Partition(0).At(sim.Time(500*sim.Nanosecond), func() { c.pe.Send(0, fabric, tc.at, func() {}) })
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				c.RunUntil(tc.deadline)
+				return
+			}()
+			if panicked != tc.panics {
+				t.Errorf("workers %d, deadline %v: send at %v panicked = %v, want %v", workers, tc.deadline, tc.at, panicked, tc.panics)
+			}
+			c.Shutdown()
+		}
 	}
 }

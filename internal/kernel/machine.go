@@ -120,7 +120,7 @@ type MachineStats struct {
 // and its sockets. All methods must be invoked from the simulation's event
 // context (or from a Thread belonging to this machine).
 type Machine struct {
-	eng  sim.Scheduler
+	eng  *sim.Engine // the partition's event queue, bound at wiring
 	node packet.NodeID
 	cfg  Config
 	rng  *sim.Rand
@@ -193,7 +193,7 @@ func newConnKey(local packet.Port, remote packet.Addr) connKey {
 // New creates a machine. wire is the NIC's egress link toward the ToR; the
 // machine's NIC is registered as the endpoint for the reverse link by the
 // cluster builder via Machine.NIC().
-func New(eng sim.Scheduler, node packet.NodeID, cfg Config, router Router, dev *nic.NIC, seed uint64) (*Machine, error) {
+func New(eng *sim.Engine, node packet.NodeID, cfg Config, router Router, dev *nic.NIC, seed uint64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

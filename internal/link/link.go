@@ -56,7 +56,7 @@ func (i Impairment) active() bool { return i.Down || i.Loss > 0 || i.ExtraProp >
 
 // Link is a simplex link from a transmitter to an endpoint.
 type Link struct {
-	sched   sim.Scheduler
+	sched   *sim.Engine   // the transmit side's partition queue
 	deliver sim.Scheduler // scheduler for the delivery event; defaults to sched
 	dst     Endpoint
 	rate    int64        // bits per second
@@ -79,8 +79,9 @@ type Link struct {
 }
 
 // New creates a link delivering to dst at the given rate (bits per second)
-// with the given propagation delay.
-func New(sched sim.Scheduler, dst Endpoint, bitsPerSecond int64, prop sim.Duration) *Link {
+// with the given propagation delay. sched is the transmit side's engine; the
+// delivery event goes there too unless SetDeliverySched reroutes it.
+func New(sched *sim.Engine, dst Endpoint, bitsPerSecond int64, prop sim.Duration) *Link {
 	if bitsPerSecond <= 0 {
 		panic("link: non-positive rate")
 	}

@@ -59,7 +59,7 @@ type Stats struct {
 
 // NIC is one simulated network interface.
 type NIC struct {
-	sched  sim.Scheduler
+	sched  *sim.Engine // the partition's event queue, bound at wiring
 	params Params
 	wire   *link.Link // egress link to the ToR switch
 	pool   *packet.Pool
@@ -95,7 +95,7 @@ type NIC struct {
 }
 
 // New creates a NIC transmitting on wire.
-func New(sched sim.Scheduler, params Params, wire *link.Link) (*NIC, error) {
+func New(sched *sim.Engine, params Params, wire *link.Link) (*NIC, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

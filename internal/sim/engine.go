@@ -25,6 +25,8 @@ type Engine struct {
 	seq    uint64
 	q      eventQueue
 	halted bool
+	// until is the running RunUntil's deadline, which stopAt may lower.
+	until Time
 
 	// handlers is the event jump table (see event.go). Partitions of a
 	// ParallelEngine share one table.
@@ -135,23 +137,29 @@ func (e *Engine) Run() {
 // deadline are executed.
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
+	e.until = deadline
 	for !e.halted {
 		at, ok := e.q.peekLive()
 		if !ok {
 			break
 		}
-		if at > deadline {
-			e.now = deadline
+		if at > e.until {
+			e.now = e.until
 			return
 		}
 		e.step(at)
 	}
 	// When the queue drains before the deadline, time still passes; a Halt,
 	// however, freezes the clock at the last dispatched event.
-	if !e.halted && deadline != Never && e.now < deadline {
-		e.now = deadline
+	if !e.halted && e.until != Never && e.now < e.until {
+		e.now = e.until
 	}
 }
+
+// stopAt moves the running RunUntil's deadline back to t, if t is earlier:
+// every event up to t still runs, and the clock then stands at t. A shared
+// queue's Halt uses it to stop on the quantum grid (see ParallelEngine.Halt).
+func (e *Engine) stopAt(t Time) { e.until = min(e.until, t) }
 
 // Step dispatches the single next live event, if any, and reports whether one
 // was dispatched.

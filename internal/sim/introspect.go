@@ -70,7 +70,8 @@ type BarrierStats struct {
 }
 
 // EngineIntrospection is a point-in-time snapshot of a parallel run's
-// execution balance.
+// execution balance. It has one PartitionStats per event queue: one per
+// partition, or a single one for a shared queue, which runs no quanta.
 type EngineIntrospection struct {
 	Quanta     uint64 // barrier iterations actually executed (deterministic)
 	Partitions []PartitionStats
@@ -124,12 +125,12 @@ func (pe *ParallelEngine) Introspection() EngineIntrospection {
 	}
 	out.Quanta = pe.intro.quanta
 	out.Barrier = pe.intro.barrier
-	for i, p := range pe.parts {
+	for i, e := range pe.engines {
 		out.Partitions = append(out.Partitions, PartitionStats{
 			ID:         i,
-			Executed:   p.eng.Executed,
+			Executed:   e.Executed,
 			BusyQuanta: pe.intro.busy[i],
-			Queue:      p.eng.QueueStats(),
+			Queue:      e.QueueStats(),
 		})
 	}
 	return out

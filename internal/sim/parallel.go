@@ -30,10 +30,11 @@ import (
 //
 // A model can also run sequentially on the same engine: after ShareQueue every
 // partition handle schedules into one queue, cross-partition sends become
-// plain events (still checked against the lookahead rule) and the run steps
-// that one queue along the same quantum grid, so Halt lands on the same
-// barrier either way. A one-partition engine has no barrier at all: RunUntil
-// and Halt are the plain Engine's.
+// plain events (still checked against the lookahead rule) and the run goes
+// through that one queue straight to its deadline. The grid is still there:
+// Halt stops the run at the end of the quantum it is called in, so it lands
+// on the same barrier either way. A one-partition engine has no barrier at
+// all: RunUntil and Halt are the plain Engine's.
 //
 // The per-quantum machinery stays off the allocator and off the scheduler.
 // There is no coordinator: RunUntil's caller is worker 0 and the workers meet
@@ -55,6 +56,10 @@ type ParallelEngine struct {
 	quantum Duration
 	now     Time
 	stop    atomic.Bool
+
+	// runStart and runDeadline bound a shared-queue run: with the grid they
+	// fix the quantum each of its events falls in (see quantumEnd).
+	runStart, runDeadline Time
 
 	// handlers is the jump table shared by every partition's engine, so an
 	// event crossing partitions dispatches through the same handler it would
@@ -191,7 +196,7 @@ func NewParallelEngine(n int, quantum Duration) *ParallelEngine {
 // sequential: events dispatch in a single (time, schedule-order) sequence and
 // a cross-partition send schedules directly. The quantum grid, and with it
 // the instant Halt takes effect, is unchanged. Call before anything is
-// scheduled.
+// scheduled and before any partition's Engine is handed out.
 func (pe *ParallelEngine) ShareQueue() {
 	clear(pe.engines[1:]) // the discarded engines stay reachable otherwise
 	pe.engines = pe.engines[:1]
@@ -211,6 +216,9 @@ func (pe *ParallelEngine) RegisterHandler(k EvKind, h Handler) {
 // RegisterHandler is ParallelEngine.RegisterHandler through a partition
 // handle: the table is the engine's, not the partition's.
 func (p *Partition) RegisterHandler(k EvKind, h Handler) { p.pe.handlers.register(k, h) }
+
+// shared reports whether several partitions share one queue (ShareQueue).
+func (pe *ParallelEngine) shared() bool { return len(pe.engines) < len(pe.parts) }
 
 // FailedCrossCancels reports how many times model code tried to cancel a
 // non-zero EventID through a Cross scheduler. Cross-partition events cannot
@@ -267,15 +275,27 @@ func (pe *ParallelEngine) Workers() int { return len(pe.workers) }
 // call from any partition's event context during a run: the current quantum
 // completes in full (on every partition) and pending cross-partition
 // messages are exchanged before RunUntil returns, so a halted run remains
-// deterministic and resumable. A one-partition engine has no barrier to wait
-// for and stops after the current event.
+// deterministic and resumable. On a shared queue the run's deadline moves
+// back to the end of the running quantum, the barrier a partitioned run
+// would stop at. A one-partition engine has no barrier to wait for and stops
+// after the current event.
 func (pe *ParallelEngine) Halt() {
-	if len(pe.parts) == 1 {
-		pe.engines[0].Halt()
-		return
+	switch e := pe.engines[0]; {
+	case len(pe.parts) == 1:
+		e.Halt()
+	case pe.shared():
+		e.stopAt(pe.quantumEnd(e.now))
+	default:
+		pe.stop.Store(true)
 	}
-	pe.stop.Store(true)
 }
+
+// Engine returns the event queue the partition schedules on: its own, or the
+// one every partition shares after ShareQueue. Model components are wired
+// with it (core.New), so their scheduling calls go to the queue directly;
+// the handle itself stays for run control, cross-partition sends and
+// harnesses.
+func (p *Partition) Engine() *Engine { return p.eng }
 
 // Now returns the partition's local simulated time. Within a quantum this
 // may run ahead of other partitions; it never exceeds the quantum boundary.
@@ -339,13 +359,17 @@ func (pe *ParallelEngine) Send(src, dst int, at Time, fn func()) {
 func (pe *ParallelEngine) SendEvent(src, dst int, at Time, ev Event) {
 	checkKind(ev.Kind)
 	w := pe.parts[src].w
-	if at < w.qEnd {
+	qEnd := w.qEnd
+	if pe.shared() {
+		qEnd = pe.quantumEnd(pe.engines[0].now)
+	}
+	if at < qEnd {
 		panic(fmt.Sprintf(
 			"sim: cross-partition send %d->%d at %v violates conservative lookahead: "+
 				"the current quantum ends at %v (quantum %v), so cross-partition events must "+
 				"be scheduled at or after the barrier; lower the engine quantum below the "+
 				"minimum inter-partition link latency",
-			src, dst, at, w.qEnd, pe.quantum))
+			src, dst, at, qEnd, pe.quantum))
 	}
 	if len(pe.engines) == 1 {
 		pe.engines[0].AtEvent(at, ev)
@@ -369,16 +393,23 @@ func (pe *ParallelEngine) gridPrev(t Time) Time {
 	return (t - 1) / q * q
 }
 
+// quantumEnd returns the barrier that ends the quantum an event at t runs in
+// during a shared-queue run, the one the stepped or partitioned run puts it
+// in: the quantum holding t, or the one after the run's start for an event
+// at the start, cut short by the run's deadline.
+func (pe *ParallelEngine) quantumEnd(t Time) Time {
+	return min(pe.gridNext(max(pe.runStart, pe.gridPrev(t))), pe.runDeadline)
+}
+
 // RunUntil advances all partitions to the deadline, one grid-aligned quantum
 // at a time, exchanging cross-partition messages at each barrier. It returns
 // early when every queue drains or when Halt is called. A panic raised by an
 // event on any worker ends the run at the next rendezvous and is re-raised
-// here, on the caller.
+// here, on the caller. A single queue, shared or of the only partition, runs
+// straight through instead.
 func (pe *ParallelEngine) RunUntil(deadline Time) {
-	if len(pe.parts) == 1 {
-		e := pe.engines[0]
-		e.RunUntil(deadline)
-		pe.now, pe.Executed = e.now, e.Executed
+	if len(pe.engines) == 1 {
+		pe.runQueue(deadline)
 		return
 	}
 	pe.stop.Store(false)
@@ -434,6 +465,20 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 	pe.Executed = 0
 	for _, e := range pe.engines {
 		pe.Executed += e.Executed
+	}
+}
+
+// runQueue runs the one queue to the deadline, with no barrier to step. A
+// shared queue's run ends where a partitioned run would: at the end of the
+// halting quantum (stopAt already put the queue there), or else at the
+// deadline.
+func (pe *ParallelEngine) runQueue(deadline Time) {
+	e := pe.engines[0]
+	pe.runStart, pe.runDeadline = e.now, deadline
+	e.RunUntil(deadline)
+	pe.now, pe.Executed = e.now, e.Executed
+	if pe.shared() && e.until == deadline {
+		pe.now = deadline
 	}
 }
 

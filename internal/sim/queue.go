@@ -73,9 +73,12 @@ const (
 
 	// bucketSeedCap is the capacity given to a level-0 bucket on its
 	// first-ever append, skipping the 1→2→4→8 growth ladder so queue warm-up
-	// costs one allocation for the whole level instead of log2(occupancy) per
-	// bucket.
+	// costs one allocation per slabBuckets buckets instead of log2(occupancy)
+	// per bucket. The slab is carved a group at a time, on first use, so an
+	// engine whose events fill a few buckets (a quiet partition) never zeroes
+	// the whole level's 96 KB.
 	bucketSeedCap = 8
+	slabBuckets   = nearBuckets / 4
 
 	// A slot number is page<<pageBits | offset. Page n holds
 	// pageSlots>>(pageRamp-n) records while n < pageRamp, so the small early
@@ -157,7 +160,8 @@ type eventQueue struct {
 	inUpper int
 
 	// slab carves bucketSeedCap-sized initial backing arrays for level-0
-	// buckets, so warming the level costs one allocation, not one per bucket.
+	// buckets, so warming the level costs four allocations, not one per
+	// bucket.
 	slab []entry
 
 	// The slot pages, the next never-used slot number, the free list's head
@@ -236,7 +240,7 @@ func (q *eventQueue) bucketAppend(b int, ent entry) {
 		q.occ[b>>6] |= 1 << uint(b&63)
 		if cap(q.buckets[b]) == 0 {
 			if len(q.slab) < bucketSeedCap {
-				q.slab = make([]entry, nearBuckets*bucketSeedCap)
+				q.slab = make([]entry, slabBuckets*bucketSeedCap)
 			}
 			q.buckets[b] = q.slab[:0:bucketSeedCap]
 			q.slab = q.slab[bucketSeedCap:]

@@ -659,6 +659,30 @@ func TestSlotPagesGrowWithoutCopying(t *testing.T) {
 	e.q.checkInvariants(t, "re-armed")
 }
 
+// TestLevelZeroSeedBytes: an engine whose events fill a few level-0 buckets
+// zeroes seed storage for one group of buckets, not for the whole level. A
+// partitioned cluster has one engine per rack, and each pays this in its
+// first quantum, which counts as set-up.
+func TestLevelZeroSeedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	e := NewEngine()
+	e.RegisterHandler(EvAppTick, func(Time, Event) {})
+	for i := range 8 {
+		e.AtEvent(Time(i)*Time(100*Nanosecond), Event{Kind: EvAppTick})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.RunUntil(Time(Microsecond))
+	runtime.ReadMemStats(&after)
+	group := uint64(slabBuckets*bucketSeedCap) * uint64(reflect.TypeFor[entry]().Size())
+	if got := after.TotalAlloc - before.TotalAlloc; got > group+2048 {
+		t.Fatalf("a run through 8 buckets allocated %d B; one group of seeds is %d B", got, group)
+	}
+	e.q.checkInvariants(t, "seeded")
+}
+
 // TestForEachPendingAcrossPages is the packet-leak audit's contract: every
 // typed record still queued — in the near run, level 0 or an upper level, on
 // any slot page — is visited exactly once, and nothing dispatched or

@@ -1,17 +1,19 @@
 package sim
 
-// Scheduler is the engine-agnostic event-scheduling surface every model
-// component programs against. It is satisfied by the sequential *Engine and
-// by the per-partition handles of the ParallelEngine, so a NIC, link, switch
-// or kernel model is oblivious to whether it runs under the single-threaded
-// engine or inside one partition of a conservatively synchronized parallel
-// run (DIABLO's one-rack-per-FPGA organization).
+// Scheduler is the engine-agnostic event-scheduling surface, for the calls
+// that may have to be routed: the delivery side of a link, which crosses
+// partitions through a Cross scheduler, fault edges, observation gauges and
+// harnesses. It is satisfied by *Engine, by the per-partition handles of the
+// ParallelEngine (DIABLO's one-rack-per-FPGA organization) and by Cross
+// schedulers. The model components themselves (kernel, NIC, switch, a link's
+// transmit side) hold their partition's *Engine (Partition.Engine), bound
+// once at wiring, so their scheduling calls go to the queue directly.
 //
 // All methods must be invoked from the scheduler's own event context (or
 // before the run starts): a component in partition i may only call the
-// Scheduler it was wired with. Cross-partition interaction goes through
+// scheduler it was wired with. Cross-partition interaction goes through
 // ParallelEngine.SendEvent or a Cross scheduler, never through another
-// partition's local Scheduler.
+// partition's local one.
 type Scheduler interface {
 	// Now returns the current simulated time.
 	Now() Time

@@ -59,7 +59,7 @@ type outPort struct {
 // Switch is a configurable multi-port switch model. It is not safe for
 // concurrent use; all calls must come from its engine's event context.
 type Switch struct {
-	sched  sim.Scheduler
+	sched  *sim.Engine // the partition's event queue, bound at wiring
 	params Params
 
 	in       []inPort
@@ -108,7 +108,7 @@ func (ip *inPort) Receive(pkt *packet.Packet) { ip.sw.receive(ip.index, pkt) }
 
 // New builds a switch from params. Egress links must be attached with
 // AttachOutput before traffic flows.
-func New(sched sim.Scheduler, params Params) (*Switch, error) {
+func New(sched *sim.Engine, params Params) (*Switch, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

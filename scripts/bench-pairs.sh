@@ -4,8 +4,11 @@
 # parent revision and on the working tree in alternating order, PAIRS times,
 # and print for every end-to-end metric each side's median and quartiles and
 # how many pairs the working tree won. Both sides are built and run by their
-# own bench/run.sh, exactly as the driver does. WORKLOADS is one workload
-# name or a comma-separated list, measured one after the other.
+# own bench/run.sh, exactly as the driver does. It also prints the median and
+# quartiles of the per-pair change/parent ratio, which host load that drifts
+# between pairs moves far less than it moves either side's own median.
+# WORKLOADS is one workload name or a comma-separated list, measured one
+# after the other.
 #
 #   scripts/bench-pairs.sh PARENT WORKLOADS [PAIRS=10] [SEED=1] [SECONDS=20]
 #   make bench-pairs PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1]
@@ -19,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,19p' "$0" >&2
+	sed -n '2,22p' "$0" >&2
 	exit 2
 fi
 parent="$1" workloads="$2" pairs="${3:-10}" seed="${4:-1}" seconds="${5:-20}"
@@ -79,14 +82,23 @@ for workload in "${names[@]}"; do
 	done
 
 	echo
-	printf '%-18s %-36s %-36s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "change wins / ties / pairs"
+	printf '%-18s %-36s %-36s %-28s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "change wins / ties / pairs" \
+		"change/parent ratio median [q1, q3]"
 	for metric in "${metrics[@]}"; do
 		read -r pq1 pmed pq3 < <(value "$work/parent.jsonl" "$metric" | quartiles)
 		read -r cq1 cmed cq3 < <(value "$work/change.jsonl" "$metric" | quartiles)
 		read -r wins ties < <(paste <(value "$work/parent.jsonl" "$metric") <(value "$work/change.jsonl" "$metric") |
 			awk '$2 + 0 < $1 + 0 { w++ } $2 + 0 == $1 + 0 { t++ } END { print w + 0, t + 0 }')
 		delta="$(awk -v p="$pmed" -v c="$cmed" 'BEGIN { if (p + 0 == 0) print "n/a"; else printf "%+.1f%%", (c - p) / p * 100 }')"
-		printf '%-18s %-36s %-36s %s\n' "$metric" "$pmed [$pq1, $pq3]" "$cmed [$cq1, $cq3] ($delta)" "$wins / $ties / $pairs"
+		# Pairs whose parent reads 0 have no ratio and are left out.
+		ratios="$(paste <(value "$work/parent.jsonl" "$metric") <(value "$work/change.jsonl" "$metric") |
+			awk '$1 + 0 != 0 { printf "%.6g\n", $2 / $1 }')"
+		ratio="n/a"
+		if [ -n "$ratios" ]; then
+			read -r rq1 rmed rq3 < <(quartiles <<<"$ratios")
+			ratio="$rmed [$rq1, $rq3]"
+		fi
+		printf '%-18s %-36s %-36s %-28s %s\n' "$metric" "$pmed [$pq1, $pq3]" "$cmed [$cq1, $cq3] ($delta)" "$wins / $ties / $pairs" "$ratio"
 	done
 	for side in parent change; do
 		echo "$side: failed/attempted $(sum "$work/$side.jsonl" failed)/$(sum "$work/$side.jsonl" attempted)," \
