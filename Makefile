@@ -105,6 +105,7 @@ bench-digest:
 # repository benchmark, PAIRS runs of each in alternating order, medians,
 # quartiles and wins for every end-to-end metric; logs stay in
 # .bench_build/pairs/<workload>/. Ten 20 s pairs take about ten minutes.
+# PARENT=HEAD on a clean tree is an A/A noise-floor run, and is labelled so.
 PAIRS ?= 10
 SEED ?= 1
 bench-pairs:

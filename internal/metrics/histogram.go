@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"diablo/internal/sim"
@@ -204,13 +203,4 @@ func (h *Histogram) PMF(binsPerDecade int) []PMFBin {
 		}
 	}
 	return bins
-}
-
-// Summary renders a one-line human-readable digest.
-func (h *Histogram) Summary() string {
-	if h.total == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v max=%v",
-		h.total, h.Mean(), h.Percentile(0.50), h.Percentile(0.99), h.Percentile(0.999), h.max)
 }

@@ -47,11 +47,14 @@ func NewEngine() *Engine {
 // handlers on the cluster engine).
 func (e *Engine) RegisterHandler(k EvKind, h Handler) { e.handlers.register(k, h) }
 
-// step pops the head event, advances the clock to it and runs it through the
-// jump table straight from its slot, which is freed when the handler returns.
-// Call only after a true peekLive.
-func (e *Engine) step(at Time) {
-	s, rec := e.q.popHead()
+// dispatch pops the live head that q.head returned, advances the clock to it
+// and runs it through the jump table straight from its slot, which is freed
+// when the handler returns. The slot's generation is bumped first, so the
+// event's own EventID is already stale inside its handler.
+func (e *Engine) dispatch(s uint32, rec *slotRec, at Time) {
+	e.q.nearPos++
+	e.q.queued--
+	rec.gen++
 	e.now = at
 	e.Executed++
 	h := e.handlers[rec.ev.Kind]
@@ -83,6 +86,18 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 // spans, ≈ 106 simulated days) panics too; use Never-bounded run deadlines,
 // not Never-adjacent events.
 func (e *Engine) AtEvent(at Time, ev Event) EventID {
+	e.seq++
+	return e.enqueue(at, e.seq, ev)
+}
+
+// enqueue checks and files ev under (at, seq) in the most recently freed slot,
+// or else the next fresh one; AtEvent and LaneFired take every slot here.
+// AtEvent stays small enough to inline, so a schedule costs one call. The
+// record is written field by field: copying the whole Event reloads the
+// register-passed value from narrower stack stores with wide loads, a
+// store-forwarding stall. TestEnqueueCopiesEvent fails if Event gains a field
+// this list does not name.
+func (e *Engine) enqueue(at Time, seq uint64, ev Event) EventID {
 	checkKind(ev.Kind)
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling %v at %v before now %v", ev.Kind, at, e.now))
@@ -90,18 +105,27 @@ func (e *Engine) AtEvent(at Time, ev Event) EventID {
 	if at > maxSchedulable {
 		panic(fmt.Sprintf("sim: event time %d ps is beyond the schedulable horizon", int64(at)))
 	}
-	e.seq++
-	s, rec := e.q.allocSlot()
-	rec.ev = ev
-	e.q.place(entry{at: at, seq: e.seq, slot: s})
+	q := &e.q
+	if q.free == 0 {
+		q.freshSlot()
+	}
+	s := q.free - 1
+	rec := q.rec(s)
+	q.free = rec.next
+	q.queued++
+	rec.ev.Kind, rec.ev.Obj, rec.ev.Arg, rec.ev.Tgt, rec.ev.Ref = ev.Kind, ev.Obj, ev.Arg, ev.Tgt, ev.Ref
+	ent := entry{at: at, seq: seq, slot: s}
+	if at >= q.nearEnd && at < q.wheelEnd { // place's level-0 case, without the call
+		q.bucketAppend(int(at>>wheelGranularityBits)&nearMask, ent)
+	} else {
+		q.place(ent)
+	}
 	return EventID{slot: s + 1, gen: rec.gen}
 }
 
-// AfterEvent schedules an event record d after the current time.
+// AfterEvent schedules an event record d after the current time. A negative
+// d panics, as any schedule before Now does.
 func (e *Engine) AfterEvent(d Duration, ev Event) EventID {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
 	return e.AtEvent(e.now.Add(d), ev)
 }
 
@@ -139,7 +163,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
 	e.until = deadline
 	for !e.halted {
-		at, ok := e.q.peekLive()
+		s, rec, at, ok := e.q.head()
 		if !ok {
 			break
 		}
@@ -147,7 +171,7 @@ func (e *Engine) RunUntil(deadline Time) {
 			e.now = e.until
 			return
 		}
-		e.step(at)
+		e.dispatch(s, rec, at)
 	}
 	// When the queue drains before the deadline, time still passes; a Halt,
 	// however, freezes the clock at the last dispatched event.
@@ -164,19 +188,18 @@ func (e *Engine) stopAt(t Time) { e.until = min(e.until, t) }
 // Step dispatches the single next live event, if any, and reports whether one
 // was dispatched.
 func (e *Engine) Step() bool {
-	at, ok := e.q.peekLive()
-	if !ok {
-		return false
+	s, rec, at, ok := e.q.head()
+	if ok {
+		e.dispatch(s, rec, at)
 	}
-	e.step(at)
-	return true
+	return ok
 }
 
 // NextEventTime returns the timestamp of the earliest live event, or Never.
 // Cancelled events that surface at the head are discarded on the way (so
 // Pending may drop), exactly as the heap engine behaved.
 func (e *Engine) NextEventTime() Time {
-	if at, ok := e.q.peekLive(); ok {
+	if _, _, at, ok := e.q.head(); ok {
 		return at
 	}
 	return Never

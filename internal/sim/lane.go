@@ -85,14 +85,12 @@ func (e *Engine) LaneFired(l *Lane, ev Event) {
 	tail := e.q.node(l.tail - 1)
 	n := tail.next - 1
 	nd := e.q.node(n)
-	ent := entry{at: nd.at, seq: nd.seq}
+	at, seq := nd.at, nd.seq
 	if tail.next = nd.next; n+1 == l.tail {
 		l.tail = 0
 	}
 	nd.next = e.q.nodeFree
 	e.q.nodeFree = n + 1
 	e.q.inLanes--
-	s, rec := e.q.allocSlot()
-	rec.ev, ent.slot = ev, s
-	e.q.place(ent)
+	e.enqueue(at, seq, ev)
 }

@@ -186,27 +186,21 @@ func (q *eventQueue) size() int { return q.queued + q.inLanes }
 // however the queue grows.
 func (q *eventQueue) rec(s uint32) *slotRec { return &q.pages[s>>pageBits][s&pageMask] }
 
-// allocSlot takes the most recently freed slot, or else the next fresh one,
-// appending a page when the last is full; nothing already queued moves.
-func (q *eventQueue) allocSlot() (uint32, *slotRec) {
-	q.queued++
-	if s := q.free; s != 0 {
-		rec := q.rec(s - 1)
-		q.free = rec.next
-		return s - 1, rec
-	}
+// freshSlot puts the next never-used slot on the empty free list, appending a
+// page when the last is full; nothing already queued moves.
+func (q *eventQueue) freshSlot() {
 	if p := int(q.fresh >> pageBits); p == len(q.pages) || int(q.fresh&pageMask) == len(q.pages[p]) {
 		n := len(q.pages)
 		q.fresh = uint32(n) << pageBits
 		q.pages = append(q.pages, make([]slotRec, pageSlots>>max(pageRamp-n, 0)))
 	}
 	q.fresh++
-	return q.fresh - 1, q.rec(q.fresh - 1)
+	q.free = q.fresh // a never-used record's next is 0: the list ends there
 }
 
-// freeSlot releases the slot of a queued event that will never run.
-func (q *eventQueue) freeSlot(s uint32) {
-	rec := q.rec(s)
+// freeSlot releases slot s, holding rec, of a queued event that will never
+// run.
+func (q *eventQueue) freeSlot(s uint32, rec *slotRec) {
 	rec.gen++
 	q.queued--
 	q.release(s, rec)
@@ -239,15 +233,20 @@ func (q *eventQueue) bucketAppend(b int, ent entry) {
 	if len(q.buckets[b]) == 0 {
 		q.occ[b>>6] |= 1 << uint(b&63)
 		if cap(q.buckets[b]) == 0 {
-			if len(q.slab) < bucketSeedCap {
-				q.slab = make([]entry, slabBuckets*bucketSeedCap)
-			}
-			q.buckets[b] = q.slab[:0:bucketSeedCap]
-			q.slab = q.slab[bucketSeedCap:]
+			q.seedBucket(b)
 		}
 	}
 	q.buckets[b] = append(q.buckets[b], ent)
 	q.inWheel++
+}
+
+// seedBucket gives bucket b its initial backing array, carved from the slab.
+func (q *eventQueue) seedBucket(b int) {
+	if len(q.slab) < bucketSeedCap {
+		q.slab = make([]entry, slabBuckets*bucketSeedCap)
+	}
+	q.buckets[b] = q.slab[:0:bucketSeedCap]
+	q.slab = q.slab[bucketSeedCap:]
 }
 
 // upperPush chains an entry with at >= wheelEnd into the level of the highest
@@ -303,7 +302,7 @@ func (q *eventQueue) cancel(id EventID) bool {
 	}
 	if rec.home != 0 {
 		q.unlink(rec)
-		q.freeSlot(s)
+		q.freeSlot(s, rec)
 	} else {
 		rec.ev = Event{}
 	}
@@ -342,25 +341,9 @@ func (q *eventQueue) insertNear(ent entry) {
 	q.near[lo] = ent
 }
 
-// ensureNear makes near[nearPos] the global head, draining level 0 and
-// jumping to the upper levels as needed. It reports whether any entry is
-// queued at all.
-func (q *eventQueue) ensureNear() bool {
-	for q.nearPos == len(q.near) {
-		if q.inWheel > 0 {
-			q.drainNextBucket()
-			return true
-		}
-		if q.inUpper == 0 {
-			return false
-		}
-		q.jump()
-	}
-	return true
-}
-
 // drainNextBucket turns the earliest occupied bucket into the new near run
-// and rolls the window after the cursor. Only called with inWheel > 0.
+// and rolls the window after the cursor. Only called with inWheel > 0 and the
+// near run consumed.
 func (q *eventQueue) drainNextBucket() {
 	b := int(q.nearEnd>>wheelGranularityBits) & nearMask
 	idx := nextOccupied(q.occ[:], b)
@@ -372,7 +355,13 @@ func (q *eventQueue) drainNextBucket() {
 	run := q.buckets[idx]
 	if len(run) <= cap(q.near) {
 		q.buckets[idx] = run[:0]
-		run = append(q.near[:0], run...)
+		if len(run) == 1 { // most drains: one element, not a memmove call
+			ent := run[0]
+			run = q.near[:1]
+			run[0] = ent
+		} else {
+			run = append(q.near[:0], run...)
+		}
 	} else {
 		q.buckets[idx] = q.near[:0]
 	}
@@ -468,34 +457,29 @@ func (q *eventQueue) jump() {
 	panic("sim: event wheel occupancy desynchronized")
 }
 
-// peekLive returns the time of the earliest live event, discarding (and
-// freeing) any cancelled entries that surface at the head on the way.
-func (q *eventQueue) peekLive() (Time, bool) {
+// head returns the earliest live event's slot, record and time, discarding
+// (and freeing) any cancelled entries that surface on the way, draining level
+// 0 and jumping to the upper levels as needed; ok is false if nothing live is
+// queued. The entry stays at near[nearPos] for Engine.dispatch to pop.
+func (q *eventQueue) head() (s uint32, rec *slotRec, at Time, ok bool) {
 	for {
-		if !q.ensureNear() {
-			return 0, false
+		if q.nearPos == len(q.near) {
+			if q.inWheel > 0 {
+				q.drainNextBucket()
+			} else if q.inUpper > 0 {
+				q.jump()
+				continue
+			} else {
+				return 0, nil, 0, false
+			}
 		}
-		ent := q.near[q.nearPos]
-		if q.rec(ent.slot).live() {
-			return ent.at, true
+		ent := &q.near[q.nearPos]
+		if rec = q.rec(ent.slot); rec.live() {
+			return ent.slot, rec, ent.at, true
 		}
 		q.nearPos++
-		q.freeSlot(ent.slot)
+		q.freeSlot(ent.slot, rec)
 	}
-}
-
-// popHead removes the head entry and hands out its slot, for the caller to
-// dispatch in place and then release: the record stays put while the handler
-// schedules. Its generation is bumped first, so the event's own EventID is
-// already stale inside its handler. Call only after a true peekLive, which
-// guarantees the head is live.
-func (q *eventQueue) popHead() (uint32, *slotRec) {
-	s := q.near[q.nearPos].slot
-	q.nearPos++
-	q.queued--
-	rec := q.rec(s)
-	rec.gen++
-	return s, rec
 }
 
 // forEachPending invokes fn for every still-queued typed record, in slot

@@ -683,6 +683,74 @@ func TestLevelZeroSeedBytes(t *testing.T) {
 	e.q.checkInvariants(t, "seeded")
 }
 
+// TestEnqueueCopiesEvent guards Engine.enqueue's field-by-field write of the
+// record: an Event with every field set reaches its handler whole, scheduled
+// by AtEvent and carried by LaneFired. If Event gains a field, the count below
+// fails until enqueue's list names it too.
+func TestEnqueueCopiesEvent(t *testing.T) {
+	if n := reflect.TypeOf(Event{}).NumField(); n != 5 {
+		t.Fatalf("Event has %d fields; enqueue copies 5: add the new one there, then here", n)
+	}
+	tgt, ref := new(int), new(string)
+	want := Event{Kind: EvAppTick, Obj: 7, Arg: 1 << 40, Tgt: tgt, Ref: ref}
+	e := NewEngine()
+	var lane Lane
+	var got []Event
+	e.RegisterHandler(EvAppTick, func(_ Time, ev Event) {
+		got = append(got, ev)
+		if ev.Obj == want.Obj {
+			e.LaneFired(&lane, ev)
+		}
+	})
+	e.AtEvent(Time(Microsecond), Event{Kind: EvAppTick, Obj: 1})
+	e.LaneAt(&lane, Time(2*Microsecond), want)
+	e.LaneAt(&lane, Time(3*Microsecond), Event{Kind: EvAppTick})
+	e.Run()
+	if len(got) != 3 || got[0] != (Event{Kind: EvAppTick, Obj: 1}) || got[1] != want || got[2] != want {
+		t.Fatalf("handlers saw %+v, want the plain record and then %+v twice", got, want)
+	}
+}
+
+// TestNearRunStorageAllocs: a drained bucket whose run fits is copied into
+// the near run's array, so an array grown by insertNear stays with the near
+// run. A burst of same-instant records grows it, a chain then drains 1,000
+// one-entry buckets, and the same burst runs again: the sequence allocates
+// nothing. Swapping bucket and near storage on every drain instead hands the
+// grown array to a bucket, and the next burst regrows it.
+func TestNearRunStorageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	const burst, hops = 200, 1000
+	e := NewEngine()
+	left := 0
+	e.RegisterHandler(EvAppTick, func(_ Time, ev Event) {
+		switch ev.Obj {
+		case 1: // the burst: all at this instant, so all in the near run
+			for range burst {
+				e.AfterEvent(0, Event{Kind: EvAppTick})
+			}
+		case 2: // the chain: 100 ns apart, one entry per level-0 bucket
+			if left--; left > 0 {
+				e.AfterEvent(100*Nanosecond, ev)
+			}
+		}
+	})
+	sequence := func() {
+		e.AfterEvent(0, Event{Kind: EvAppTick, Obj: 1})
+		e.Run()
+		left = hops
+		e.AfterEvent(0, Event{Kind: EvAppTick, Obj: 2})
+		e.Run()
+		e.AfterEvent(0, Event{Kind: EvAppTick, Obj: 1})
+		e.Run()
+	}
+	if n := testing.AllocsPerRun(5, sequence); n != 0 {
+		t.Fatalf("burst, %d one-entry drains and burst again allocated %v objects", hops, n)
+	}
+	e.q.checkInvariants(t, "after the bursts")
+}
+
 // TestForEachPendingAcrossPages is the packet-leak audit's contract: every
 // typed record still queued — in the near run, level 0 or an upper level, on
 // any slot page — is visited exactly once, and nothing dispatched or
@@ -787,6 +855,77 @@ func BenchmarkQueueModelMix(b *testing.B) {
 		e.AtEvent(Time(c)*Time(hop)/chains, Event{Kind: EvAppTick, Obj: uint32(c), Arg: 1})
 	}
 	e.RunUntil(Time(250 * Millisecond)) // fill the timeout pipeline
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := e.Executed
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now().Add(slice))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Executed-start), "ns/event")
+	b.ReportMetric(float64(e.Pending()), "pending")
+}
+
+// BenchmarkQueueSparse replays the incast-tcp-16 queue shape, which the
+// memcached mix above does not: about 75 pending records, most of them far
+// timers, so the level-0 buckets it drains hold 1.05 entries each and the
+// cost is instructions per event, not cache misses. Each dispatch schedules
+// its chain's successor after 0.25–8 µs (40 % at 1 µs, 20 % at 8 µs, 4 % at
+// once); one in twenty also cancels a 34–275 ms retransmission timer and
+// re-arms it in an upper level, and one in a hundred schedules a record it
+// cancels at once, which dies when it surfaces.
+func BenchmarkQueueSparse(b *testing.B) {
+	const (
+		chains = 8
+		timers = 64
+		slice  = 5 * Millisecond
+	)
+	type step struct {
+		delay, far    Duration
+		rearm, doomed bool
+	}
+	rng := NewRand(DeriveSeed(1, "queue-sparse"))
+	plan := make([]step, 4096)
+	for i := range plan {
+		p := &plan[i]
+		switch r := rng.Intn(100); {
+		case r < 4:
+		case r < 44:
+			p.delay = Microsecond + Duration(rng.Intn(64))
+		case r < 64:
+			p.delay = 8*Microsecond + Duration(rng.Intn(64))
+		default:
+			p.delay = 250*Nanosecond + Duration(rng.Uint64()%uint64(7750*Nanosecond))
+		}
+		p.rearm = rng.Intn(20) == 0
+		p.far = 34*Millisecond + Duration(rng.Uint64()%uint64(241*Millisecond))
+		p.doomed = rng.Intn(100) == 0
+	}
+	e := NewEngine()
+	var rto [timers]EventID
+	timer := Event{Kind: EvAppTick}
+	n := 0
+	e.RegisterHandler(EvAppTick, func(_ Time, ev Event) {
+		if ev.Arg == 0 {
+			return // a timer firing
+		}
+		p := &plan[n&(len(plan)-1)]
+		if n++; p.rearm {
+			t := n % timers
+			e.Cancel(rto[t])
+			rto[t] = e.AfterEvent(p.far, timer)
+		}
+		if p.doomed {
+			e.Cancel(e.AfterEvent(p.delay/2, timer))
+		}
+		e.AfterEvent(p.delay, ev)
+	})
+	for t := range rto {
+		rto[t] = e.AfterEvent(34*Millisecond+Duration(t), timer)
+	}
+	for c := range chains {
+		e.AtEvent(Time(c)*Time(Microsecond)/chains, Event{Kind: EvAppTick, Obj: uint32(c), Arg: 1})
+	}
+	e.RunUntil(Time(slice)) // seed the level-0 buckets and the slot pages
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := e.Executed

@@ -8,7 +8,9 @@
 # quartiles of the per-pair change/parent ratio, which host load that drifts
 # between pairs moves far less than it moves either side's own median.
 # WORKLOADS is one workload name or a comma-separated list, measured one
-# after the other.
+# after the other. When PARENT is the commit of a clean working tree, both
+# sides build the same source and the run is labelled an A/A noise-floor run:
+# its ratio quartiles are the host's own spread, to quote beside a claim.
 #
 #   scripts/bench-pairs.sh PARENT WORKLOADS [PAIRS=10] [SEED=1] [SECONDS=20]
 #   make bench-pairs PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1]
@@ -22,7 +24,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,22p' "$0" >&2
+	sed -n '2,23p' "$0" >&2
 	exit 2
 fi
 parent="$1" workloads="$2" pairs="${3:-10}" seed="${4:-1}" seconds="${5:-20}"
@@ -34,6 +36,11 @@ rm -rf "$base/parent"
 mkdir -p "$base/parent"
 trap 'rm -rf "$base/parent"' EXIT # the copy and its build cache; the result logs stay
 git -C "$root" archive "$rev" | tar -x -C "$base/parent"
+
+against="working tree"
+if [ "$rev" = "$(git -C "$root" rev-parse HEAD)" ] && [ -z "$(git -C "$root" status --porcelain)" ]; then
+	against="its own clean working tree (A/A noise-floor run)"
+fi
 
 # one SIDE DIR: run the benchmark in DIR and append its result line (the last
 # line of standard output) to SIDE's log.
@@ -64,7 +71,7 @@ for workload in "${names[@]}"; do
 	rm -rf "$work"
 	mkdir -p "$work"
 
-	echo "bench-pairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=${rev:0:7} vs working tree"
+	echo "bench-pairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=${rev:0:7} vs $against"
 	for i in $(seq 1 "$pairs"); do
 		if [ $((i % 2)) -eq 1 ]; then
 			one parent "$base/parent"
